@@ -1,5 +1,6 @@
-//! Base-retrieval benchmark: naive vs heap/MaxScore vs cached vs the
-//! segmented on-disk index (Block-Max WAND).
+//! Base-retrieval benchmark: the exhaustive oracle vs Block-Max WAND over
+//! one in-RAM segment, the same behind the serving cache, and over
+//! segments re-opened from disk.
 //!
 //! ```text
 //! cargo run -p pws-bench --release --bin retrieval_bench                  # paper scale (8k docs)
@@ -7,27 +8,28 @@
 //! cargo run -p pws-bench --release --bin retrieval_bench -- --smoke      # CI gate
 //! ```
 //!
-//! At paper scale, four backends answer the same query workload over the
-//! same corpus:
+//! `pws-index` has one index layout (the segment) and one top-k executor
+//! (serial Block-Max WAND); at paper scale three rows answer the same
+//! query workload over the same corpus:
 //!
-//! * **naive** — [`SearchEngine::search_naive`], the retained
-//!   term-at-a-time reference scorer (score every matching document,
-//!   sort everything);
-//! * **fast** — [`SearchEngine::search`], the document-at-a-time
-//!   top-k heap with MaxScore pruning;
-//! * **cached** — the fast path behind `pws-serve`'s
-//!   [`ShardedRetrievalCache`] (analyze once, probe, fall through on
-//!   miss), the configuration the serving layer runs;
-//! * **segmented** — [`SegmentedIndex`] over on-disk segment files
-//!   (written, then re-opened), answering with Block-Max WAND.
+//! * **naive** — [`SegmentedIndex::search_exhaustive`], the term-at-a-time
+//!   oracle (score every matching document, sort everything) that the
+//!   executor is gated against;
+//! * **cached** — [`SegmentedIndex::search_tokens`] on
+//!   `ExperimentWorld.engine` (the single segment [`IndexBuilder`] built
+//!   in RAM) behind `pws-serve`'s [`ShardedRetrievalCache`] (analyze once,
+//!   probe, fall through on miss), the configuration the serving layer
+//!   runs;
+//! * **segmented** — [`SegmentedIndex::search`] over four segment files
+//!   written, then re-opened from disk.
 //!
-//! Every query's results are compared across backends first —
+//! Every query's results are compared across rows first —
 //! **bit-identical scores and identical pages are required**, and any
 //! disagreement exits non-zero (this is the correctness gate
 //! `scripts/check.sh` runs in `--smoke` mode; smoke mode also exercises
 //! the full segment write → load → search round trip and checks that a
-//! corrupted segment file fails with a typed error). Then each backend
-//! is timed under the `bench.retrieval.*` stages.
+//! corrupted segment file fails with a typed error). Then each row is
+//! timed under the `bench.retrieval.*` stages.
 //!
 //! `--scale large` builds a ≥1M-document corpus into on-disk segments
 //! (parallel, thread-count-invariant), records build time and index
@@ -36,22 +38,16 @@
 //! backend. All scales merge into `results/BENCH_retrieval.json` under
 //! a `scales` array keyed by scale name.
 //!
-//! `--search-workers N` sweeps the intra-query segment-scan fan-out:
-//! timed rows `segmented@w1`, `segmented@w2`, … up to `N` are emitted
-//! alongside the default backends (every worker count produces
-//! bit-identical results — the sweep measures the latency/QPS curve,
-//! and in `--smoke` mode the parallel path is verified against the
-//! naive reference at the requested worker count).
-//!
-//! [`SearchEngine::search`]: pws_index::SearchEngine::search
-//! [`SearchEngine::search_naive`]: pws_index::SearchEngine::search_naive
-//! [`SegmentedIndex`]: pws_index::SegmentedIndex
+//! [`IndexBuilder`]: pws_index::IndexBuilder
+//! [`SegmentedIndex::search`]: pws_index::SegmentedIndex::search
+//! [`SegmentedIndex::search_tokens`]: pws_index::SegmentedIndex::search_tokens
+//! [`SegmentedIndex::search_exhaustive`]: pws_index::SegmentedIndex::search_exhaustive
 
 use pws_core::RetrievalCache;
 use pws_corpus::{CorpusGen, CorpusSpec, Query, QueryGen, QuerySpec};
 use pws_eval::{ExperimentSpec, ExperimentWorld};
 use pws_geo::{WorldGen, WorldSpec};
-use pws_index::{Segment, SegmentBuilder, SearchEngine, SearchHit, SegmentedIndex};
+use pws_index::{Segment, SegmentBuilder, SearchHit, SegmentedIndex};
 use pws_serve::ShardedRetrievalCache;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -75,7 +71,7 @@ struct Backend<'a> {
 }
 
 fn backends<'a>(
-    engine: &'a SearchEngine,
+    engine: &'a SegmentedIndex,
     cache: &'a ShardedRetrievalCache,
     segmented: &'a SegmentedIndex,
 ) -> Vec<Backend<'a>> {
@@ -83,26 +79,12 @@ fn backends<'a>(
         Backend {
             name: "naive",
             stage: "bench.retrieval.naive",
-            run: Box::new(move |q| engine.search_naive(q, POOL_K)),
-        },
-        Backend {
-            name: "fast",
-            stage: "bench.retrieval.fast",
-            run: Box::new(move |q| engine.search(q, POOL_K)),
+            run: Box::new(move |q| engine.search_exhaustive(q, POOL_K)),
         },
         Backend {
             name: "cached",
             stage: "bench.retrieval.cached",
-            run: Box::new(move |q| {
-                let tokens = engine.analyze_text(q);
-                if let Some(hits) = cache.get(&tokens, POOL_K) {
-                    hits
-                } else {
-                    let hits = engine.search_tokens(&tokens, POOL_K);
-                    cache.put(&tokens, POOL_K, &hits);
-                    hits
-                }
-            }),
+            run: Box::new(move |q| cached_search(engine, cache, q)),
         },
         Backend {
             name: "segmented",
@@ -110,6 +92,19 @@ fn backends<'a>(
             run: Box::new(move |q| segmented.search(q, POOL_K)),
         },
     ]
+}
+
+/// What the engine core does per base retrieval: analyze once, probe the
+/// cache, fall through to the index on a miss and fill.
+fn cached_search(index: &SegmentedIndex, cache: &ShardedRetrievalCache, q: &str) -> Vec<SearchHit> {
+    let tokens = index.analyze_text(q);
+    let epoch = cache.epoch();
+    if let Some(hits) = cache.get(&tokens, POOL_K) {
+        return hits;
+    }
+    let hits = index.search_tokens(&tokens, POOL_K);
+    cache.put(&tokens, POOL_K, epoch, &hits);
+    hits
 }
 
 /// Exact equivalence: same page, same ranks, bit-identical scores.
@@ -184,58 +179,26 @@ fn verify(
     world: &ExperimentWorld,
     cache: &ShardedRetrievalCache,
     segmented: &SegmentedIndex,
-    search_workers: usize,
 ) -> usize {
     let mut disagreements = 0;
     for q in &world.queries {
-        let naive = world.engine.search_naive(&q.text, POOL_K);
-        let fast = world.engine.search(&q.text, POOL_K);
-        if !hits_equal(&naive, &fast) {
-            eprintln!("DISAGREEMENT fast vs naive on query {:?}", q.text);
-            disagreements += 1;
-            continue;
-        }
-        // Cached: probe twice so both the miss (fill) and the hit
-        // (serve from cache) paths are checked against the reference.
-        let tokens = world.engine.analyze_text(&q.text);
-        let miss = match cache.get(&tokens, POOL_K) {
-            Some(hits) => hits,
-            None => {
-                let hits = world.engine.search_tokens(&tokens, POOL_K);
-                cache.put(&tokens, POOL_K, &hits);
-                hits
-            }
-        };
-        let hit = cache.get(&tokens, POOL_K).expect("just inserted");
-        if !hits_equal(&naive, &miss) || !hits_equal(&naive, &hit) {
-            eprintln!("DISAGREEMENT cached vs naive on query {:?}", q.text);
-            disagreements += 1;
-            continue;
-        }
-        // Segmented (from disk): Block-Max WAND must match both the
-        // in-memory naive reference and its own exhaustive scorer.
-        let seg = segmented.search(&q.text, POOL_K);
-        if !hits_equal(&naive, &seg) {
-            eprintln!("DISAGREEMENT segmented vs naive on query {:?}", q.text);
-            disagreements += 1;
-            continue;
-        }
-        if !hits_equal(&seg, &segmented.search_exhaustive(&q.text, POOL_K)) {
-            eprintln!("DISAGREEMENT segmented BMW vs exhaustive on query {:?}", q.text);
-            disagreements += 1;
-            continue;
-        }
-        // Parallel execution: the intra-query fan-out must be
-        // bit-identical to the serial scan at the requested width.
-        if search_workers > 1 {
-            let seg_tokens = segmented.analyze_text(&q.text);
-            let par = segmented.search_tokens_workers(&seg_tokens, POOL_K, search_workers);
-            if !hits_equal(&seg, &par) {
-                eprintln!(
-                    "DISAGREEMENT segmented w={search_workers} vs serial on query {:?}",
-                    q.text
-                );
+        let naive = world.engine.search_exhaustive(&q.text, POOL_K);
+        let checks: [(&str, Vec<SearchHit>); 5] = [
+            ("in-RAM segment", world.engine.search(&q.text, POOL_K)),
+            // Cached: probe twice so both the miss (fill) and the hit
+            // (serve from cache) paths are checked against the reference.
+            ("cache miss", cached_search(&world.engine, cache, &q.text)),
+            ("cache hit", cached_search(&world.engine, cache, &q.text)),
+            // Segmented (from disk): Block-Max WAND must match both the
+            // in-RAM reference and its own exhaustive scorer.
+            ("on-disk segments", segmented.search(&q.text, POOL_K)),
+            ("on-disk exhaustive", segmented.search_exhaustive(&q.text, POOL_K)),
+        ];
+        for (what, hits) in &checks {
+            if !hits_equal(&naive, hits) {
+                eprintln!("DISAGREEMENT {what} vs exhaustive oracle on query {:?}", q.text);
                 disagreements += 1;
+                break;
             }
         }
     }
@@ -326,44 +289,6 @@ fn time_backend(
     report
 }
 
-/// Worker counts exercised by the `--search-workers N` sweep: powers of
-/// two up to `N`, plus `N` itself.
-fn sweep_widths(max: usize) -> Vec<usize> {
-    let mut ws = Vec::new();
-    let mut w = 1;
-    while w < max {
-        ws.push(w);
-        w *= 2;
-    }
-    ws.push(max.max(1));
-    ws
-}
-
-/// Time the segmented backend once per sweep width, emitting one report
-/// row per worker count (`segmented@w{n}`). Every width returns
-/// bit-identical results (pinned by the property suite and the smoke
-/// gate); these rows measure the cost curve of the fan-out.
-fn sweep_segmented(
-    segmented: &SegmentedIndex,
-    queries: &[Query],
-    rounds: usize,
-    max_workers: usize,
-    reports: &mut Vec<BackendReport>,
-) {
-    for w in sweep_widths(max_workers) {
-        reports.push(time_backend(
-            &format!("segmented@w{w}"),
-            "bench.retrieval.segmented",
-            queries,
-            rounds,
-            &|q| {
-                let tokens = segmented.analyze_text(q);
-                segmented.search_tokens_workers(&tokens, POOL_K, w)
-            },
-        ));
-    }
-}
-
 /// Merge `report` into `results/BENCH_retrieval.json`, replacing any
 /// existing entry for the same scale and preserving the others (so the
 /// paper and large tiers accumulate into one file).
@@ -392,7 +317,7 @@ fn write_report(report: Report) {
 
 /// The paper-scale (and smoke) flow: in-memory world + disk-round-trip
 /// segmented index, full cross-backend verification, then timing.
-fn run_world_scale(scale: &'static str, spec: ExperimentSpec, smoke: bool, search_workers: usize) {
+fn run_world_scale(scale: &'static str, spec: ExperimentSpec, smoke: bool) {
     eprintln!("building {scale} world…");
     let world = ExperimentWorld::build(spec);
     let seg_dir = std::env::temp_dir().join(format!("pws_retrieval_bench_{scale}"));
@@ -400,7 +325,7 @@ fn run_world_scale(scale: &'static str, spec: ExperimentSpec, smoke: bool, searc
 
     // ── Correctness gate ─────────────────────────────────────────────
     let verify_cache = ShardedRetrievalCache::new(4096);
-    let disagreements = verify(&world, &verify_cache, &segmented, search_workers);
+    let disagreements = verify(&world, &verify_cache, &segmented);
     if disagreements > 0 {
         eprintln!(
             "FAIL: {disagreements} of {} queries disagree between backends",
@@ -409,9 +334,8 @@ fn run_world_scale(scale: &'static str, spec: ExperimentSpec, smoke: bool, searc
         std::process::exit(1);
     }
     println!(
-        "correctness: fast path, cache, and on-disk segmented index (BMW{}) \
-         bit-identical to naive scorer on all {} queries",
-        if search_workers > 1 { ", serial + parallel" } else { "" },
+        "correctness: Block-Max WAND over the in-RAM segment, the cache, and the \
+         on-disk segments bit-identical to the exhaustive oracle on all {} queries",
         world.queries.len()
     );
     if let Err(e) = check_corruption_detection(&seg_dir) {
@@ -432,9 +356,6 @@ fn run_world_scale(scale: &'static str, spec: ExperimentSpec, smoke: bool, searc
     let mut reports = Vec::new();
     for b in backends(&world.engine, &bench_cache, &segmented) {
         reports.push(time_backend(b.name, b.stage, &world.queries, rounds, &b.run));
-    }
-    if search_workers > 1 {
-        sweep_segmented(&segmented, &world.queries, rounds, search_workers, &mut reports);
     }
     let _ = fs::remove_dir_all(&seg_dir);
 
@@ -457,7 +378,7 @@ fn run_world_scale(scale: &'static str, spec: ExperimentSpec, smoke: bool, searc
 /// segment builds (never holding the corpus in memory), persist every
 /// segment, re-open from disk, verify BMW vs exhaustive on the fixture
 /// workload, then measure the segmented backend.
-fn run_large(search_workers: usize) {
+fn run_large() {
     let spec = CorpusSpec::large();
     let num_docs = spec.num_docs;
     let seed = 42u64;
@@ -515,18 +436,6 @@ fn run_large(search_workers: usize) {
         if !hits_equal(&bmw, &full) {
             eprintln!("DISAGREEMENT BMW vs exhaustive on query {:?}", q.text);
             disagreements += 1;
-            continue;
-        }
-        if search_workers > 1 {
-            let tokens = segmented.analyze_text(&q.text);
-            let par = segmented.search_tokens_workers(&tokens, POOL_K, search_workers);
-            if !hits_equal(&bmw, &par) {
-                eprintln!(
-                    "DISAGREEMENT BMW w={search_workers} vs serial on query {:?}",
-                    q.text
-                );
-                disagreements += 1;
-            }
         }
     }
     if disagreements > 0 {
@@ -543,33 +452,14 @@ fn run_large(search_workers: usize) {
     // ── Timing ───────────────────────────────────────────────────────
     let rounds = MIN_MEASURED_QUERIES.div_ceil(queries.len()).max(1);
     let bench_cache = ShardedRetrievalCache::new(4096);
-    let mut reports = Vec::new();
-    reports.push(time_backend(
-        "segmented",
-        "bench.retrieval.segmented",
-        &queries,
-        rounds,
-        &|q| segmented.search(q, POOL_K),
-    ));
-    reports.push(time_backend(
-        "seg+cache",
-        "bench.retrieval.segcached",
-        &queries,
-        rounds,
-        &|q| {
-            let tokens = segmented.analyze_text(q);
-            if let Some(hits) = bench_cache.get(&tokens, POOL_K) {
-                hits
-            } else {
-                let hits = segmented.search_tokens(&tokens, POOL_K);
-                bench_cache.put(&tokens, POOL_K, &hits);
-                hits
-            }
-        },
-    ));
-    if search_workers > 1 {
-        sweep_segmented(&segmented, &queries, rounds, search_workers, &mut reports);
-    }
+    let reports = vec![
+        time_backend("segmented", "bench.retrieval.segmented", &queries, rounds, &|q| {
+            segmented.search(q, POOL_K)
+        }),
+        time_backend("seg+cache", "bench.retrieval.segcached", &queries, rounds, &|q| {
+            cached_search(&segmented, &bench_cache, q)
+        }),
+    ];
     let _ = fs::remove_dir_all(&seg_dir);
 
     write_report(Report {
@@ -596,20 +486,10 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
         .unwrap_or(if smoke { "smoke" } else { "paper" });
-    // Intra-query fan-out sweep ceiling; 4 by default so plain runs emit
-    // the per-worker rows and smoke runs verify the parallel path.
-    let search_workers = args
-        .iter()
-        .position(|a| a == "--search-workers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(4)
-        .max(1);
-
     match scale {
-        "smoke" => run_world_scale("smoke", ExperimentSpec::small(), true, search_workers),
-        "paper" => run_world_scale("paper", ExperimentSpec::default_paper(), smoke, search_workers),
-        "large" => run_large(search_workers),
+        "smoke" => run_world_scale("smoke", ExperimentSpec::small(), true),
+        "paper" => run_world_scale("paper", ExperimentSpec::default_paper(), smoke),
+        "large" => run_large(),
         other => {
             eprintln!("unknown --scale {other:?} (expected smoke | paper | large)");
             std::process::exit(2);

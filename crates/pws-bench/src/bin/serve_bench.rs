@@ -12,9 +12,7 @@
 //! `serve.shard{i}.*` stages — to `results/serve_bench.json` /
 //! `results/serve_bench_metrics.json`. `--sweep` additionally scans
 //! worker counts 1, 2, 4, … up to `--workers` to show throughput
-//! scaling; `--search-workers N` sets the intra-query segment-scan
-//! fan-out for uncached retrieval (bit-identical results, different
-//! latency curve). `--metrics-out PATH` also writes the stage profile in
+//! scaling. `--metrics-out PATH` also writes the stage profile in
 //! Prometheus text exposition format (the file a node exporter's
 //! textfile collector would scrape).
 //!
@@ -85,9 +83,6 @@ fn main() {
     }
     if let Some(o) = parse_flag(&args, "observe-every") {
         opts.observe_every = o;
-    }
-    if let Some(sw) = parse_flag(&args, "search-workers") {
-        opts.search_workers = sw.max(1);
     }
     if let Some(ms) = parse_flag(&args, "deadline-ms") {
         opts.deadline = Some(Duration::from_millis(ms as u64));

@@ -50,10 +50,6 @@ pub struct ThroughputOptions {
     /// baselines measure the engine without trace admission on the
     /// request path.
     pub trace: TraceConfig,
-    /// Intra-query segment-scan workers for uncached base retrieval
-    /// (`ServeConfig::search_workers`); 1 = serial. Bit-identical output
-    /// for any value, so it only moves the latency/throughput numbers.
-    pub search_workers: usize,
 }
 
 impl Default for ThroughputOptions {
@@ -71,7 +67,6 @@ impl Default for ThroughputOptions {
             deadline: None,
             chaos: None,
             trace: TraceConfig::default(),
-            search_workers: 1,
         }
     }
 }
@@ -86,8 +81,6 @@ pub struct ThroughputReport {
     pub workers: usize,
     /// User shards in the engine.
     pub shards: usize,
-    /// Intra-query segment-scan workers for uncached retrieval.
-    pub search_workers: usize,
     /// Search requests completed.
     pub searches: u64,
     /// Observe (write-path) requests completed.
@@ -114,13 +107,12 @@ impl ThroughputReport {
     /// Human-readable one-run table.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "serve throughput: {} workers x {} shards (search-workers {})\n\
+            "serve throughput: {} workers x {} shards\n\
              requests  {:>8} searches + {:>6} observes in {:.2}s\n\
              qps       {:>10.0}\n\
              latency   mean {:.1}us  p50 {:.1}us  p95 {:.1}us  p99 {:.1}us",
             self.workers,
             self.shards,
-            self.search_workers,
             self.searches,
             self.observes,
             self.elapsed_secs,
@@ -189,7 +181,6 @@ pub fn run_throughput(world: &ExperimentWorld, opts: &ThroughputOptions) -> Thro
         ServeConfig {
             shards: opts.shards,
             trace: opts.trace.clone(),
-            search_workers: opts.search_workers.max(1),
             ..ServeConfig::default()
         },
     );
@@ -305,7 +296,6 @@ pub fn run_throughput(world: &ExperimentWorld, opts: &ThroughputOptions) -> Thro
     ThroughputReport {
         workers: n_workers,
         shards: opts.shards,
-        search_workers: opts.search_workers.max(1),
         searches,
         observes,
         elapsed_secs: elapsed,

@@ -111,6 +111,8 @@ fn replay(e: &ServingEngine<'_>, users: u32) -> HashMap<u32, Vec<String>> {
 #[test]
 fn chaos_never_loses_a_query() {
     quiet_injected_panics();
+    // Counters are process-wide: serialize with the tests that assert on them.
+    let _guard = pws_obs::test_lock();
     let idx = index();
     let w = world();
     let plan = Arc::new(
@@ -209,6 +211,8 @@ fn every_injected_fault_is_visible_in_counters() {
 #[test]
 fn healthy_users_rank_byte_identically_to_fault_free_run() {
     quiet_injected_panics();
+    // Counters are process-wide: serialize with the tests that assert on them.
+    let _guard = pws_obs::test_lock();
     let idx = index();
     let w = world();
     let users = 24u32;
@@ -242,6 +246,8 @@ fn healthy_users_rank_byte_identically_to_fault_free_run() {
 /// plan attached — is byte-for-byte invisible.
 #[test]
 fn inert_plan_is_byte_identical_to_no_plan() {
+    // Counters are process-wide: serialize with the tests that assert on them.
+    let _guard = pws_obs::test_lock();
     let idx = index();
     let w = world();
     let users = 12u32;
@@ -375,6 +381,8 @@ fn segmented_index() -> pws_index::SegmentedIndex {
 #[test]
 fn chaos_suite_is_byte_identical_on_segmented_backend() {
     quiet_injected_panics();
+    // Counters are process-wide: serialize with the tests that assert on them.
+    let _guard = pws_obs::test_lock();
     let idx = index();
     let seg = segmented_index();
     let w = world();
@@ -584,6 +592,8 @@ fn flight_recorder_and_health_reconcile_injected_faults() {
 /// injected delay (50ms) dwarfs the budget (5ms) — and still ranks.
 #[test]
 fn injected_latency_blows_deadlines_into_degraded_turns() {
+    // Counters are process-wide: serialize with the tests that assert on them.
+    let _guard = pws_obs::test_lock();
     let idx = index();
     let w = world();
     let plan = Arc::new(ChaosSpec::parse("delay=1:50ms").unwrap().build());

@@ -11,11 +11,12 @@
 //! The key is the **analyzed token sequence** plus the pool size `k`:
 //! surface forms that analyze identically ("Seafood  Restaurant!" vs
 //! "seafood restaurant") share one entry, and tokens are produced once per
-//! request via [`pws_index::SearchEngine::analyze_text`] /
-//! [`pws_index::SearchEngine::search_tokens`].
+//! request via [`pws_index::RetrievalBackend::analyze_text`] /
+//! [`pws_index::RetrievalBackend::search_tokens`].
 //!
 //! Correctness contract: `get` must return exactly what `put` stored for
-//! the same `(tokens, k)` under the current index epoch — hits are cheap
+//! the same `(tokens, k)`, and only while the epoch the `put` carried is
+//! still the current index epoch — hits are cheap
 //! to clone (`Arc<str>` url/title), so implementations store them
 //! directly. Budget checkpoints, degraded paths, and chaos faults all
 //! still apply to cached turns: the cache only replaces the index scan,
@@ -28,9 +29,17 @@ use pws_index::SearchHit;
 ///
 /// Implementations must be `Send + Sync`; `get`/`put` take `&self`.
 pub trait RetrievalCache: Send + Sync {
+    /// The current index epoch: bumped by whoever changes what base
+    /// retrieval would return (a segment publish, a parameter change).
+    /// Callers read it *before* searching the index on a miss and hand it
+    /// to [`RetrievalCache::put`].
+    fn epoch(&self) -> u64;
+
     /// Cached hits for `(tokens, k)`, or `None` on a miss.
     fn get(&self, tokens: &[String], k: usize) -> Option<Vec<SearchHit>>;
 
-    /// Store the hits computed for `(tokens, k)`.
-    fn put(&self, tokens: &[String], k: usize, hits: &[SearchHit]);
+    /// Store the hits computed for `(tokens, k)` from the index as it was
+    /// at `epoch`. If the epoch has moved on since, the hits may describe
+    /// an index that is no longer served and must never be returned.
+    fn put(&self, tokens: &[String], k: usize, epoch: u64, hits: &[SearchHit]);
 }

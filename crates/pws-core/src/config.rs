@@ -93,10 +93,6 @@ pub struct EngineConfig {
     pub retrain_every: u64,
     /// Cap on retained preference pairs per user (sliding window).
     pub max_pairs_per_user: usize,
-    /// Intra-query worker threads for base retrieval (1 = serial). A pure
-    /// execution knob: results are bit-identical for every value (the
-    /// backend contract; see `pws-index`'s parallel executor).
-    pub search_workers: usize,
 }
 
 impl Default for EngineConfig {
@@ -125,7 +121,6 @@ impl Default for EngineConfig {
             },
             retrain_every: 5,
             max_pairs_per_user: 2000,
-            search_workers: 1,
         }
     }
 }

@@ -190,26 +190,21 @@ impl<'a> EngineCore<'a> {
     /// a cache) for the trace stamp.
     fn retrieve_base(&self, query_text: &str) -> (Vec<SearchHit>, Option<bool>) {
         let k = self.cfg.rerank_pool;
-        let w = self.cfg.search_workers;
-        match &self.retrieval_cache {
-            None => {
-                // Backend contract: search(q, k) == search_tokens(analyze(q), k),
-                // and any worker count is bit-identical — so routing the
-                // uncached path through the worker-aware entry is exact.
-                let tokens = self.base.analyze_text(query_text);
-                (self.base.search_tokens_workers(&tokens, k, w), None)
-            }
-            Some(cache) => {
-                let tokens = self.base.analyze_text(query_text);
-                if let Some(hits) = cache.get(&tokens, k) {
-                    (hits, Some(true))
-                } else {
-                    let hits = self.base.search_tokens_workers(&tokens, k, w);
-                    cache.put(&tokens, k, &hits);
-                    (hits, Some(false))
-                }
-            }
+        // Backend contract: search(q, k) == search_tokens(analyze(q), k).
+        let tokens = self.base.analyze_text(query_text);
+        let Some(cache) = &self.retrieval_cache else {
+            return (self.base.search_tokens(&tokens, k), None);
+        };
+        // Read before the probe and the search: a pool computed from a
+        // pre-publish index snapshot then carries the pre-publish epoch,
+        // whenever the `put` lands.
+        let epoch = cache.epoch();
+        if let Some(hits) = cache.get(&tokens, k) {
+            return (hits, Some(true));
         }
+        let hits = self.base.search_tokens(&tokens, k);
+        cache.put(&tokens, k, epoch, &hits);
+        (hits, Some(false))
     }
 
     /// Memoized concept extraction over `snippets` (the engine's matcher,

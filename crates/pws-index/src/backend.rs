@@ -3,24 +3,21 @@
 //! [`RetrievalBackend`] is the exact surface `pws-core`'s `EngineCore`
 //! consumes from base retrieval: analyze text the way the index does,
 //! run a top-k query (raw or pre-analyzed), and re-score specific
-//! documents against a query. Both the in-memory
-//! [`crate::SearchEngine`] and the on-disk
-//! [`crate::segmented::SegmentedIndex`] implement it with **identical
-//! ranking semantics** (bit-identical scores, ordering, and snippets
-//! over the same corpus), so the serving stack can swap the segmented
-//! backend in without perturbing replay-equivalence or chaos suites.
+//! documents against a query. [`crate::segmented::SegmentedIndex`] (of
+//! which [`crate::SearchEngine`] is the one-segment-in-RAM case) is the
+//! implementation; `pws-serve`'s `LiveIndex` wraps it to absorb segment
+//! publishes while an engine borrows the backend.
 
-use crate::search::{SearchEngine, SearchHit};
+use crate::search::SearchHit;
 use crate::segmented::SegmentedIndex;
 
 /// Base-retrieval operations required by the personalization layer.
 ///
-/// Contract (shared by all implementations, and what the equivalence
-/// suites assert): results are ranked by BM25 descending with ties
-/// broken by ascending doc id; `search_tokens(analyze_text(q), k)`
-/// equals `search(q, k)`; `score_docs` returns exactly 0.0 for docs
-/// matching no query term and credits only the last occurrence of a
-/// duplicated doc id.
+/// Contract (what the equivalence suites assert): results are ranked by
+/// BM25 descending with ties broken by ascending doc id;
+/// `search_tokens(analyze_text(q), k)` equals `search(q, k)`; `score_docs`
+/// returns exactly 0.0 for docs matching no query term and credits only
+/// the last occurrence of a duplicated doc id.
 pub trait RetrievalBackend: Send + Sync {
     /// Run the index's analyzer over arbitrary text.
     fn analyze_text(&self, text: &str) -> Vec<String>;
@@ -32,42 +29,9 @@ pub trait RetrievalBackend: Send + Sync {
     /// analyzed tokens analyze exactly once).
     fn search_tokens(&self, q_tokens: &[String], k: usize) -> Vec<SearchHit>;
 
-    /// [`RetrievalBackend::search_tokens`] with a requested intra-query
-    /// fan-out. `workers` is a pure execution hint: every implementation
-    /// must return results **bit-identical** to `search_tokens` for any
-    /// value. The default ignores it (backends without intra-query
-    /// parallelism are trivially conformant).
-    fn search_tokens_workers(
-        &self,
-        q_tokens: &[String],
-        k: usize,
-        workers: usize,
-    ) -> Vec<SearchHit> {
-        let _ = workers;
-        self.search_tokens(q_tokens, k)
-    }
-
     /// BM25 scores of `query` for specific doc ids (0.0 for docs
     /// matching no query term).
     fn score_docs(&self, query: &str, docs: &[u32]) -> Vec<f64>;
-}
-
-impl RetrievalBackend for SearchEngine {
-    fn analyze_text(&self, text: &str) -> Vec<String> {
-        SearchEngine::analyze_text(self, text)
-    }
-
-    fn search(&self, query: &str, k: usize) -> Vec<SearchHit> {
-        SearchEngine::search(self, query, k)
-    }
-
-    fn search_tokens(&self, q_tokens: &[String], k: usize) -> Vec<SearchHit> {
-        SearchEngine::search_tokens(self, q_tokens, k)
-    }
-
-    fn score_docs(&self, query: &str, docs: &[u32]) -> Vec<f64> {
-        SearchEngine::score_docs(self, query, docs)
-    }
 }
 
 impl RetrievalBackend for SegmentedIndex {
@@ -81,15 +45,6 @@ impl RetrievalBackend for SegmentedIndex {
 
     fn search_tokens(&self, q_tokens: &[String], k: usize) -> Vec<SearchHit> {
         SegmentedIndex::search_tokens(self, q_tokens, k)
-    }
-
-    fn search_tokens_workers(
-        &self,
-        q_tokens: &[String],
-        k: usize,
-        workers: usize,
-    ) -> Vec<SearchHit> {
-        SegmentedIndex::search_tokens_workers(self, q_tokens, k, workers)
     }
 
     fn score_docs(&self, query: &str, docs: &[u32]) -> Vec<f64> {
@@ -112,18 +67,6 @@ mod tests {
         let hits = backend.search("seafood", 10);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits, backend.search_tokens(&backend.analyze_text("seafood"), 10));
-        assert!(backend.score_docs("seafood", &[0])[0] > 0.0);
-    }
-
-    #[test]
-    fn segmented_usable_as_dyn_backend() {
-        let mut b = crate::segment::SegmentBuilder::new(Default::default());
-        b.add("u0", "Crab shack", "fresh seafood lobster daily");
-        let idx =
-            SegmentedIndex::from_segments(vec![b.finish_segment().expect("seg")]).expect("idx");
-        let backend: &dyn RetrievalBackend = &idx;
-        let hits = backend.search("seafood", 10);
-        assert_eq!(hits.len(), 1);
         assert!(backend.score_docs("seafood", &[0])[0] > 0.0);
     }
 }

@@ -1,24 +1,19 @@
 //! Index construction.
 //!
-//! Documents must be added in ascending id order (posting lists are
-//! append-only delta chains). The builder tokenizes with the workspace
-//! [`pws_text::Analyzer`], records positions for snippet extraction, and
-//! produces an immutable [`SearchEngine`].
+//! [`IndexBuilder`] is the in-RAM front door to the one index layout: it
+//! feeds documents to a [`SegmentBuilder`] and [`IndexBuilder::build`]
+//! returns a [`SearchEngine`] — a [`crate::SegmentedIndex`] over the single
+//! segment, which has round-tripped through the segment format like every
+//! other segment in existence.
 
-use crate::postings::PostingList;
 use crate::search::{SearchEngine, StoredDoc};
-use pws_text::{Analyzer, Interner, Sym};
-use std::collections::HashMap;
+use crate::segment::SegmentBuilder;
+use pws_text::Analyzer;
 
 /// Builder for [`SearchEngine`].
 #[derive(Debug)]
 pub struct IndexBuilder {
-    analyzer: Analyzer,
-    interner: Interner,
-    postings: Vec<PostingList>,
-    docs: Vec<StoredDoc>,
-    doc_lens: Vec<u32>,
-    total_len: u64,
+    segment: SegmentBuilder,
 }
 
 impl Default for IndexBuilder {
@@ -35,24 +30,17 @@ impl IndexBuilder {
 
     /// Builder with a custom analyzer.
     pub fn with_analyzer(analyzer: Analyzer) -> Self {
-        IndexBuilder {
-            analyzer,
-            interner: Interner::new(),
-            postings: Vec::new(),
-            docs: Vec::new(),
-            doc_lens: Vec::new(),
-            total_len: 0,
-        }
+        IndexBuilder { segment: SegmentBuilder::new(analyzer) }
     }
 
     /// Number of documents added so far.
     pub fn len(&self) -> usize {
-        self.docs.len()
+        self.segment.len()
     }
 
     /// True before the first `add`.
     pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
+        self.segment.is_empty()
     }
 
     /// Add one document. `doc.id` must equal the current document count
@@ -63,45 +51,20 @@ impl IndexBuilder {
     pub fn add(&mut self, doc: StoredDoc) {
         assert_eq!(
             doc.id as usize,
-            self.docs.len(),
+            self.segment.len(),
             "documents must be added with dense ascending ids"
         );
-        let tokens = self.analyzer.analyze(&doc.indexable_text());
-        let doc_len = tokens.len() as u32;
-
-        // Collect positions per term first; postings require one push per
-        // (term, doc) pair.
-        let mut term_positions: HashMap<Sym, Vec<u32>> = HashMap::new();
-        for (pos, tok) in tokens.iter().enumerate() {
-            let sym = self.interner.intern(tok);
-            term_positions.entry(sym).or_default().push(pos as u32);
-        }
-        // Grow the postings table to cover any new symbols.
-        if self.interner.len() > self.postings.len() {
-            self.postings.resize_with(self.interner.len(), PostingList::new);
-        }
-        // Deterministic order: sort by symbol id.
-        let mut entries: Vec<(Sym, Vec<u32>)> = term_positions.into_iter().collect();
-        entries.sort_unstable_by_key(|(s, _)| *s);
-        for (sym, positions) in entries {
-            self.postings[sym.index()].push(doc.id, &positions);
-        }
-
-        self.doc_lens.push(doc_len);
-        self.total_len += u64::from(doc_len);
-        self.docs.push(doc);
+        self.segment.add(&doc.url, &doc.title, &doc.body);
     }
 
     /// Finish building. Consumes the builder.
     pub fn build(self) -> SearchEngine {
-        SearchEngine::from_parts(
-            self.analyzer,
-            self.interner,
-            self.postings,
-            self.docs,
-            self.doc_lens,
-            self.total_len,
-        )
+        let segment = self
+            .segment
+            .finish_segment()
+            .expect("a segment just written by SegmentBuilder loads");
+        SearchEngine::from_segments(vec![segment])
+            .expect("a single segment cannot disagree with itself")
     }
 }
 

@@ -1,10 +1,9 @@
-//! Variable-length integer codec for posting lists.
+//! Variable-length integer codec for the segment format.
 //!
 //! Standard LEB128-style varint: 7 payload bits per byte, high bit set on
-//! continuation. Combined with delta-encoding of ascending doc ids and
-//! positions this keeps the in-memory index several times smaller than raw
-//! `Vec<u32>` postings — which matters once the synthetic corpus is scaled
-//! up for the efficiency table (T4).
+//! continuation. Combined with delta-encoding of ascending doc ids inside
+//! each postings block (see [`crate::segment`]) this keeps the index
+//! several times smaller than raw `Vec<u32>` postings.
 
 /// Append `v` to `out` as a varint. At most 5 bytes for a `u32`.
 #[inline]
@@ -37,43 +36,6 @@ pub fn read_varint(buf: &mut &[u8]) -> Option<u32> {
         shift += 7;
     }
     None
-}
-
-/// Delta-encode an ascending sequence into varints.
-///
-/// # Panics
-/// Debug-asserts that the sequence is non-decreasing.
-pub fn encode_deltas(values: &[u32], out: &mut Vec<u8>) {
-    let mut prev = 0u32;
-    for &v in values {
-        debug_assert!(v >= prev, "sequence must be ascending: {v} after {prev}");
-        write_varint(out, v - prev);
-        prev = v;
-    }
-}
-
-/// Skip `count` delta-encoded varints without materializing them.
-///
-/// Used by the tf-only posting decoder: positions must still be parsed to
-/// find the next posting, but no `Vec` is allocated for them.
-#[inline]
-pub fn skip_deltas(buf: &mut &[u8], count: usize) -> Option<()> {
-    for _ in 0..count {
-        read_varint(buf)?;
-    }
-    Some(())
-}
-
-/// Decode `count` delta-encoded varints back into absolute values.
-pub fn decode_deltas(buf: &mut &[u8], count: usize) -> Option<Vec<u32>> {
-    let mut out = Vec::with_capacity(count);
-    let mut prev = 0u32;
-    for _ in 0..count {
-        let d = read_varint(buf)?;
-        prev = prev.checked_add(d)?;
-        out.push(prev);
-    }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -120,26 +82,6 @@ mod tests {
         assert_eq!(read_varint(&mut s), None);
     }
 
-    #[test]
-    fn delta_round_trip_small() {
-        let vals = vec![3u32, 3, 7, 100, 100, 4000];
-        let mut buf = Vec::new();
-        encode_deltas(&vals, &mut buf);
-        let mut s = buf.as_slice();
-        assert_eq!(decode_deltas(&mut s, vals.len()), Some(vals));
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn decode_with_wrong_count_fails_or_leaves_rest() {
-        let vals = vec![1u32, 2, 3];
-        let mut buf = Vec::new();
-        encode_deltas(&vals, &mut buf);
-        let mut s = buf.as_slice();
-        // Asking for more values than exist hits truncation.
-        assert_eq!(decode_deltas(&mut s, 4), None);
-    }
-
     proptest! {
         #[test]
         fn varint_round_trips(v: u32) {
@@ -148,24 +90,6 @@ mod tests {
             let mut s = buf.as_slice();
             prop_assert_eq!(read_varint(&mut s), Some(v));
             prop_assert!(s.is_empty());
-        }
-
-        #[test]
-        fn deltas_round_trip(mut vals in proptest::collection::vec(0u32..1_000_000, 0..200)) {
-            vals.sort_unstable();
-            let mut buf = Vec::new();
-            encode_deltas(&vals, &mut buf);
-            let mut s = buf.as_slice();
-            prop_assert_eq!(decode_deltas(&mut s, vals.len()), Some(vals));
-        }
-
-        #[test]
-        fn encoding_is_compact(mut vals in proptest::collection::vec(0u32..10_000, 1..100)) {
-            vals.sort_unstable();
-            let mut buf = Vec::new();
-            encode_deltas(&vals, &mut buf);
-            // Dense ascending u32 sequences under 10k: deltas fit in ≤2 bytes.
-            prop_assert!(buf.len() <= vals.len() * 2);
         }
     }
 }

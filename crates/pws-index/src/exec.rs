@@ -1,43 +1,22 @@
-//! The per-query scoring hot loops (serial and intra-query parallel).
+//! The per-query scoring hot loop.
 //!
-//! This module owns the two executors behind every search:
+//! [`bmw_top_k`] is the one top-k executor behind every search: Block-Max
+//! WAND over a [`crate::SegmentedIndex`]'s segments, visited serially in
+//! global doc id order with one bounded heap whose threshold θ carries
+//! from segment to segment.
 //!
-//! * [`bmw_top_k`] — Block-Max WAND over a [`crate::SegmentedIndex`]'s
-//!   segments, fanned out across a bounded pool of scoped worker threads
-//!   (work-stealing over segment indices) with a **shared atomic θ**
-//!   threshold that monotonically tightens across concurrent segment
-//!   scans, followed by a deterministic merge;
-//! * [`daat_top_k`] — the in-memory [`crate::SearchEngine`] fast path
-//!   (document-at-a-time MaxScore over pre-decoded postings).
-//!
-//! Both run entirely out of a pooled [`SearchScratch`]
+//! It runs entirely out of a pooled [`SearchScratch`]
 //! (see [`crate::scratch`]): **no allocations at steady state**, enforced
 //! by a check.sh grep gate on this module. Snippet materialization is not
-//! done here at all — callers materialize only the merged final top-k.
+//! done here at all — callers materialize only the final top-k.
 //!
-//! ## Exactness under parallelism
+//! ## Exactness
 //!
-//! The serial scorer's tie-safe prune (`bound ≤ θ ⇒ skip`, valid because
-//! docs are visited in ascending global id order) does not transfer to a
-//! work-stealing schedule as-is, so the parallel invariants are:
-//!
-//! * each worker claims segment indices from a shared monotone counter,
-//!   so *its own* docs still arrive in ascending global id order — its
-//!   local heap + local θ admit the classic tie-safe prune;
-//! * the shared θ is only ever the *published local θ of a full heap*:
-//!   "k docs with score ≥ θ exist somewhere". Pruning against it must be
-//!   **strict** (`bound < θ_shared`), because a doc tying θ_shared could
-//!   still win its tie on doc id — strict pruning can only drop docs that
-//!   lose to k others on score alone;
-//! * every global-top-k doc therefore survives into the local top-k of
-//!   the worker that scanned its segment, so the final merge (concat,
-//!   sort by score desc / doc asc, truncate k) reconstructs *exactly* the
-//!   serial result — scores are bit-identical because per-doc
-//!   accumulation order (query-token slot order) never depends on the
-//!   schedule. Worker count and scheduling change wall-clock only.
-//!
-//! θ is carried across f64 monotonically through an `AtomicU64` holding a
-//! sortable encoding (sign-flip trick), updated with `fetch_max`.
+//! Docs are visited in ascending global id order, so a doc tying θ can
+//! never displace an incumbent (ties rank by ascending doc id) and the
+//! prune `bound ≤ θ ⇒ skip` is exact. Per-doc accumulation order is the
+//! query-token slot order of the exhaustive reference scorer, so scores
+//! are bit-identical to it.
 //!
 //! ## Block-skip pruning ("lazy-deep" cursors)
 //!
@@ -46,20 +25,67 @@
 //! bound actually beats θ. While bounds stay under θ, candidate
 //! generation walks the block tables alone and skips to the next block
 //! boundary / next cursor lower bound — whole blocks are pruned without
-//! touching their payloads. This is what makes the segmented path fast
-//! at the 1M-doc tier; the PR 6 executor decoded every essential block.
+//! touching their payloads. This is what makes the executor fast at the
+//! 1M-doc tier.
 
 use crate::score::{bm25_term, bm25_term_prenorm, Bm25Params};
-use crate::scratch::{SearchScratch, WorkerScratch};
-use crate::search::{HeapEntry, UB_SLACK};
+use crate::scratch::SearchScratch;
 use crate::segment::{BlockMeta, Segment};
-use std::cmp::Ordering as CmpOrdering;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::cmp::Ordering;
 
-/// One resolved unique query term (segmented path). `tok` indexes the
-/// caller's analyzed-token slice — no term strings are copied.
+/// Relative slack applied to upper bounds before pruning against the heap
+/// threshold. Float sums accumulated in different orders can differ by a few
+/// ulps (relative error ≤ ~m·ε ≈ 1e-14 for realistic query lengths m), so a
+/// bound computed as a sum of per-term maxima could round *below* a doc's
+/// actual accumulated score. Inflating bounds by 1e-9 ≫ m·ε before the
+/// `≤ θ` comparison makes a false prune impossible; the cost is only that a
+/// vanishingly thin band of docs gets scored unnecessarily.
+const UB_SLACK: f64 = 1.0 + 1e-9;
+
+/// Min-heap entry for bounded top-k selection. Ordered so that the heap's
+/// maximum (`peek`) is the *worst* kept hit: lower score is "greater", and
+/// on score ties the larger doc id is "greater" (final ranking prefers
+/// ascending doc ids).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HeapEntry {
+    score: f64,
+    doc: u32,
+}
+
+impl PartialEq for HeapEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.doc == other.doc && self.score == other.score
+    }
+}
+
+impl Eq for HeapEntry {}
+
+impl PartialOrd for HeapEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for HeapEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BM25 scores are always finite; partial_cmp cannot fail here.
+        other
+            .score
+            .partial_cmp(&self.score)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| self.doc.cmp(&other.doc))
+    }
+}
+
+/// Rank order of `(doc, score)` candidates: score descending, ties by
+/// ascending doc id. Shared by the executor, the exhaustive reference and
+/// structured queries so all three agree on what "top k" means.
+pub(crate) fn rank_order(a: &(u32, f64), b: &(u32, f64)) -> Ordering {
+    b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal).then_with(|| a.0.cmp(&b.0))
+}
+
+/// One resolved unique query term. `tok` indexes the caller's
+/// analyzed-token slice — no term strings are copied.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ResolvedTerm {
     /// Index of the term's first occurrence in the query tokens.
@@ -68,21 +94,6 @@ pub(crate) struct ResolvedTerm {
     pub idf: f64,
     /// Occurrence count in the query (duplicates score multiply).
     pub mult: u32,
-}
-
-/// One resolved per-term cursor for the in-memory DAAT path. `pi`
-/// indexes the engine's pre-decoded posting lists.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MemCursor {
-    /// Posting-list index (`Sym::index()`).
-    pub pi: usize,
-    /// Current position within the list.
-    pub pos: usize,
-    /// Hoisted idf.
-    pub idf: f64,
-    /// Upper bound on this term's total contribution (max impact ×
-    /// query multiplicity).
-    pub ub: f64,
 }
 
 /// Per-term Block-Max WAND cursor state. Plain data (no borrows) so it
@@ -167,7 +178,7 @@ impl BmwCursor {
             if self.decoded_bi != self.bi {
                 if !seg.decode_block(&blocks[self.bi], buf) || buf.is_empty() {
                     // Undecodable block (unreachable post-checksum):
-                    // degrade to "skip block" exactly like the PR 6 path.
+                    // degrade to "skip block" rather than panicking.
                     self.decoded_bi = usize::MAX;
                     self.bi += 1;
                     self.deep = false;
@@ -216,181 +227,35 @@ pub(crate) struct SegContext<'a> {
     pub k: usize,
 }
 
-/// Sortable-bits encoding of an `f64`: `enc` is strictly monotone over
-/// the total order of finite floats and ±∞, so `fetch_max` on the
-/// encoded value implements a monotone f64 maximum.
-#[inline]
-fn enc_f64(x: f64) -> u64 {
-    let b = x.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b | (1 << 63)
-    }
-}
-
-#[inline]
-fn dec_f64(u: u64) -> f64 {
-    let b = if u >> 63 == 1 { u & !(1 << 63) } else { !u };
-    f64::from_bits(b)
-}
-
-/// Chaos hook: make every `one_in`-th parallel segment scan panic
-/// (0 disables). Only armed worker scans check it — the serial executor
-/// and the degraded fallback never fire, so an injected fault costs the
-/// query a retry, never its answer. Test-only plumbing; not part of the
-/// public API surface.
-#[doc(hidden)]
-pub fn set_injected_segment_panic_rate(one_in: u64) {
-    PANIC_ONE_IN.store(one_in, Ordering::SeqCst);
-    PANIC_TICK.store(0, Ordering::SeqCst);
-}
-
-static PANIC_ONE_IN: AtomicU64 = AtomicU64::new(0);
-static PANIC_TICK: AtomicU64 = AtomicU64::new(0);
-
-#[inline]
-fn maybe_inject_panic(armed: bool) {
-    if !armed {
-        return;
-    }
-    let n = PANIC_ONE_IN.load(Ordering::Relaxed);
-    if n != 0 {
-        let t = PANIC_TICK.fetch_add(1, Ordering::Relaxed);
-        if t % n == n - 1 {
-            panic!("injected segment-worker fault (chaos)");
-        }
-    }
-}
-
-/// Process-wide handle to `engine.retrieval.par_segments`.
-fn metrics_par_segments() -> &'static pws_obs::StageMetrics {
-    static STAGE: OnceLock<Arc<pws_obs::StageMetrics>> = OnceLock::new();
-    STAGE.get_or_init(|| pws_obs::stage("engine.retrieval.par_segments"))
-}
-
-/// Process-wide handle to `index.par_fallback`.
-fn metrics_par_fallback() -> &'static pws_obs::StageMetrics {
-    static STAGE: OnceLock<Arc<pws_obs::StageMetrics>> = OnceLock::new();
-    STAGE.get_or_init(|| pws_obs::stage("index.par_fallback"))
-}
-
-/// Block-Max WAND top-k over all segments, on up to `workers` scoped
-/// threads. The resolved query must already be in `scratch.terms` /
-/// `scratch.slots`. Results land in `scratch.cands` in final rank order
-/// (score desc, doc asc, truncated to k) — **bit-identical for every
-/// worker count**, including 1 (the serial path runs the same scan
-/// code). Returns the total number of heap insertions (for the
+/// Block-Max WAND top-k over all segments. The resolved query must
+/// already be in `scratch.terms` / `scratch.slots`. Results land in
+/// `scratch.cands` in final rank order (score desc, doc asc, at most k).
+/// Returns the total number of heap insertions (for the
 /// `index.snippets_deferred` accounting).
-pub(crate) fn bmw_top_k(ctx: &SegContext<'_>, scratch: &mut SearchScratch, workers: usize) -> u64 {
-    let nseg = ctx.segments.len();
-    let nw = workers.max(1).min(nseg.max(1));
-    scratch.ensure_workers(nw);
-    let SearchScratch { terms, slots, workers: wss, cands, .. } = scratch;
-    for ws in wss.iter_mut().take(nw) {
-        ws.heap.clear();
-        ws.pushes = 0;
+pub(crate) fn bmw_top_k(ctx: &SegContext<'_>, scratch: &mut SearchScratch) -> u64 {
+    scratch.heap.clear();
+    scratch.pushes = 0;
+    for (seg, &base) in ctx.segments.iter().zip(ctx.bases) {
+        scan_segment(ctx, seg, base, scratch);
     }
-    let shared = AtomicU64::new(enc_f64(f64::NEG_INFINITY));
-
-    if nw <= 1 {
-        let ws = &mut wss[0];
-        for (si, seg) in ctx.segments.iter().enumerate() {
-            scan_segment(ctx, seg, ctx.bases[si], terms, slots, ws, &shared, false);
-        }
-    } else {
-        metrics_par_segments().incr(nseg as u64);
-        let next = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for ws in wss.iter_mut().take(nw) {
-                let (next, failed, shared) = (&next, &failed, &shared);
-                let (terms, slots) = (&*terms, &*slots);
-                scope.spawn(move || {
-                    let r = catch_unwind(AssertUnwindSafe(|| loop {
-                        let si = next.fetch_add(1, Ordering::Relaxed);
-                        if si >= nseg {
-                            break;
-                        }
-                        scan_segment(
-                            ctx,
-                            &ctx.segments[si],
-                            ctx.bases[si],
-                            terms,
-                            slots,
-                            ws,
-                            shared,
-                            true,
-                        );
-                    }));
-                    if r.is_err() {
-                        failed.store(true, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        if failed.load(Ordering::Relaxed) {
-            // A worker died mid-scan: its partial heap can be missing
-            // docs, so degrade the query to one exact serial pass
-            // (injection disarmed) instead of failing the process.
-            metrics_par_fallback().incr(1);
-            for ws in wss.iter_mut().take(nw) {
-                ws.heap.clear();
-                ws.pushes = 0;
-                // Restore the accumulator's NaN sentinel for anything a
-                // dying worker touched but never drained.
-                let WorkerScratch { acc, touched, .. } = ws;
-                for &doc in touched.iter() {
-                    acc[doc as usize] = f64::NAN;
-                }
-                touched.clear();
-            }
-            let fresh = AtomicU64::new(enc_f64(f64::NEG_INFINITY));
-            let ws = &mut wss[0];
-            for (si, seg) in ctx.segments.iter().enumerate() {
-                scan_segment(ctx, seg, ctx.bases[si], terms, slots, ws, &fresh, false);
-            }
-        }
-    }
-
-    // Deterministic merge: each worker's heap is an exact local top-k,
-    // and the global top-k is contained in their union, so sorting the
-    // concatenation by (score desc, doc asc) and truncating to k yields
-    // the serial result regardless of how segments were scheduled.
+    let SearchScratch { heap, cands, .. } = scratch;
     cands.clear();
-    let mut pushes = 0u64;
-    for ws in wss.iter_mut().take(nw) {
-        pushes += ws.pushes;
-        cands.extend(ws.heap.drain().map(|e| (e.doc, e.score)));
-    }
-    cands.sort_unstable_by(|a, b| match b.1.partial_cmp(&a.1).unwrap_or(CmpOrdering::Equal) {
-        CmpOrdering::Equal => a.0.cmp(&b.0),
-        o => o,
-    });
-    cands.truncate(ctx.k);
-    pushes
+    cands.extend(heap.drain().map(|e| (e.doc, e.score)));
+    cands.sort_unstable_by(rank_order);
+    scratch.pushes
 }
 
-/// Scan one segment, folding survivors into the worker's local heap.
-/// The local θ (tie-safe, non-strict prune) carries across this worker's
-/// segments via the heap; the shared θ (strict prune only) carries
-/// across workers.
-#[allow(clippy::too_many_arguments)]
-fn scan_segment(
-    ctx: &SegContext<'_>,
-    seg: &Segment,
-    base: u32,
-    terms: &[ResolvedTerm],
-    slots: &[usize],
-    ws: &mut WorkerScratch,
-    shared: &AtomicU64,
-    armed: bool,
-) {
-    maybe_inject_panic(armed);
+/// Scan one segment, folding survivors into the query's heap; θ carries
+/// across segments via the heap.
+fn scan_segment(ctx: &SegContext<'_>, seg: &Segment, base: u32, scratch: &mut SearchScratch) {
+    let SearchScratch {
+        terms, slots, heap, cursors, bufs, order, prefix, contrib, acc, touched, pushes, ..
+    } = scratch;
+    let (terms, slots) = (&**terms, &**slots);
     let (params, avg_len, k) = (ctx.params, ctx.avg_len, ctx.k);
     let blocks = seg.all_blocks();
 
-    ws.cursors.clear();
+    cursors.clear();
     for (t, rt) in terms.iter().enumerate() {
         let Some(ord) = seg.term_ord(&ctx.q_tokens[rt.tok]) else { continue };
         let tm = seg.term_meta(ord);
@@ -400,7 +265,7 @@ fn scan_segment(
         let mult = f64::from(rt.mult);
         let ub = bm25_term(params, rt.idf, tm.max_tf, tm.min_dlen, avg_len) * mult;
         let range = seg.term_block_range(ord);
-        ws.cursors.push(BmwCursor {
+        cursors.push(BmwCursor {
             term: t,
             blocks_hi: range.end,
             bi: range.start,
@@ -415,41 +280,32 @@ fn scan_segment(
             ub_val: 0.0,
         });
     }
-    let m = ws.cursors.len();
+    let m = cursors.len();
     if m == 0 {
         return;
     }
-    while ws.bufs.len() < m {
-        ws.bufs.push(Vec::with_capacity(crate::segment::BLOCK_SIZE));
+    while bufs.len() < m {
+        bufs.push(Vec::with_capacity(crate::segment::BLOCK_SIZE));
     }
     let lens = seg.doc_lens();
 
     // Terms by ascending whole-term upper bound; prefix sums give the
     // non-essential boundary under the current θ.
-    ws.order.clear();
-    ws.order.extend(0..m);
-    {
-        let cursors = &ws.cursors;
-        ws.order.sort_by(|&a, &b| {
-            cursors[a]
-                .ub
-                .partial_cmp(&cursors[b].ub)
-                .unwrap_or(CmpOrdering::Equal)
-                .then(a.cmp(&b))
-        });
-    }
-    ws.prefix.clear();
-    ws.prefix.push(0.0);
+    order.clear();
+    order.extend(0..m);
+    order.sort_by(|&a, &b| {
+        cursors[a].ub.partial_cmp(&cursors[b].ub).unwrap_or(Ordering::Equal).then(a.cmp(&b))
+    });
+    prefix.clear();
+    prefix.push(0.0);
     for j in 0..m {
-        let v = ws.prefix[j] + ws.cursors[ws.order[j]].ub;
-        ws.prefix.push(v);
+        let v = prefix[j] + cursors[order[j]].ub;
+        prefix.push(v);
     }
-    ws.contrib.clear();
-    ws.contrib.resize(terms.len(), 0.0);
+    contrib.clear();
+    contrib.resize(terms.len(), 0.0);
 
-    let WorkerScratch { heap, cursors, bufs, order, prefix, contrib, acc, touched, pushes, .. } =
-        ws;
-    let mut theta_l = if heap.len() >= k {
+    let mut theta = if heap.len() >= k {
         heap.peek().expect("nonempty heap").score
     } else {
         f64::NEG_INFINITY
@@ -523,33 +379,25 @@ fn scan_segment(
                 heap.push(HeapEntry { score, doc: gdoc });
                 *pushes += 1;
                 if heap.len() == k {
-                    theta_l = heap.peek().expect("nonempty heap").score;
-                    shared.fetch_max(enc_f64(theta_l), Ordering::Relaxed);
+                    theta = heap.peek().expect("nonempty heap").score;
                 }
-            } else if score >= theta_l {
+            } else if score >= theta {
                 let worst = *heap.peek().expect("nonempty heap");
                 let entry = HeapEntry { score, doc: gdoc };
                 if entry < worst {
                     heap.pop();
                     heap.push(entry);
                     *pushes += 1;
-                    theta_l = heap.peek().expect("nonempty heap").score;
-                    shared.fetch_max(enc_f64(theta_l), Ordering::Relaxed);
+                    theta = heap.peek().expect("nonempty heap").score;
                 }
             }
         }};
     }
 
     'outer: loop {
-        let theta_s = dec_f64(shared.load(Ordering::Relaxed));
-        // Tie-safe non-strict prune against the local θ (this worker's
-        // docs ascend in id, so a tie can never displace an incumbent);
-        // strict-only prune against the shared θ (a shared tie might
-        // still win on doc id somewhere else).
-        let pruned = |b: f64| {
-            let infl = b * UB_SLACK;
-            infl <= theta_l || infl < theta_s
-        };
+        // Tie-safe non-strict prune: docs ascend in global id, so a doc
+        // tying θ can never displace an incumbent.
+        let pruned = |b: f64| b * UB_SLACK <= theta;
 
         let mut boundary = 0;
         while boundary < m && pruned(prefix[boundary + 1]) {
@@ -747,24 +595,7 @@ fn scan_segment(
                     }
                 }
 
-                // Local heap insertion decides by full entry comparison
-                // (score, then doc id), so displacement semantics match
-                // the final rank order exactly.
-                let entry = HeapEntry { score, doc: base + d };
-                if heap.len() < k {
-                    heap.push(entry);
-                    *pushes += 1;
-                    if heap.len() == k {
-                        theta_l = heap.peek().expect("nonempty heap").score;
-                        shared.fetch_max(enc_f64(theta_l), Ordering::Relaxed);
-                    }
-                } else if entry < *heap.peek().expect("nonempty heap") {
-                    heap.pop();
-                    heap.push(entry);
-                    *pushes += 1;
-                    theta_l = heap.peek().expect("nonempty heap").score;
-                    shared.fetch_max(enc_f64(theta_l), Ordering::Relaxed);
-                }
+                heap_insert!(score, d);
             }
             // Next candidate inside the run; past `skip` the bound (or
             // the essential set) may change, so fall back out.
@@ -780,168 +611,5 @@ fn scan_segment(
             }
             d = nd;
         }
-    }
-}
-
-/// Document-at-a-time top-k with MaxScore pruning over pre-decoded
-/// posting lists (the in-memory engine's fast path). The resolved query
-/// must already be in `scratch.mem_cursors` / `scratch.slots`. Results
-/// land in `scratch.cands` in final rank order.
-///
-/// Pruning invariant: a doc is skipped only when the sum of matching
-/// terms' max impacts (inflated by [`UB_SLACK`]) cannot strictly beat θ;
-/// docs are visited in ascending id order, so a θ tie can never displace
-/// an incumbent and `bound ≤ θ ⇒ skip` is exact. Accumulation happens in
-/// query-token slot order — bit-identical to the naive scorer.
-pub(crate) fn daat_top_k(
-    doc_tfs: &[Vec<(u32, u32)>],
-    doc_lens: &[u32],
-    params: Bm25Params,
-    avg_len: f64,
-    k: usize,
-    scratch: &mut SearchScratch,
-) {
-    scratch.ensure_workers(1);
-    let SearchScratch { mem_cursors: cursors, slots, workers: wss, cands, .. } = scratch;
-    let ws = &mut wss[0];
-    let m = cursors.len();
-
-    ws.order.clear();
-    ws.order.extend(0..m);
-    {
-        let cursors = &*cursors;
-        ws.order.sort_by(|&a, &b| {
-            cursors[a]
-                .ub
-                .partial_cmp(&cursors[b].ub)
-                .unwrap_or(CmpOrdering::Equal)
-                .then(a.cmp(&b))
-        });
-    }
-    ws.prefix.clear();
-    ws.prefix.push(0.0);
-    for j in 0..m {
-        let v = ws.prefix[j] + cursors[ws.order[j]].ub;
-        ws.prefix.push(v);
-    }
-    ws.contrib.clear();
-    ws.contrib.resize(m, 0.0);
-    ws.heap.clear();
-
-    let WorkerScratch { heap, order, prefix, contrib, .. } = ws;
-    let mut theta = f64::NEG_INFINITY;
-
-    let current = |c: &MemCursor| doc_tfs[c.pi].get(c.pos).map(|&(d, _)| d);
-    loop {
-        let mut boundary = 0;
-        while boundary < m && prefix[boundary + 1] * UB_SLACK <= theta {
-            boundary += 1;
-        }
-        if boundary == m {
-            break; // even all terms together cannot beat θ
-        }
-        let mut next: Option<u32> = None;
-        for &t in &order[boundary..] {
-            if let Some(doc) = current(&cursors[t]) {
-                next = Some(match next {
-                    Some(d) => d.min(doc),
-                    None => doc,
-                });
-            }
-        }
-        let Some(d) = next else { break };
-        if theta > f64::NEG_INFINITY {
-            // Cheap bound: matching essential terms + every non-essential.
-            let mut ub = prefix[boundary];
-            for &t in &order[boundary..] {
-                if current(&cursors[t]) == Some(d) {
-                    ub += cursors[t].ub;
-                }
-            }
-            if ub * UB_SLACK <= theta {
-                for &t in &order[boundary..] {
-                    let c = &mut cursors[t];
-                    if doc_tfs[c.pi].get(c.pos).map(|&(doc, _)| doc) == Some(d) {
-                        c.pos += 1;
-                    }
-                }
-                continue;
-            }
-        }
-        // Full score: seek every cursor to ≥ d, then accumulate in
-        // query-token order (bitwise-identical to the naive scorer).
-        let len = doc_lens[d as usize];
-        for (t, c) in cursors.iter_mut().enumerate() {
-            let list = &doc_tfs[c.pi];
-            while c.pos < list.len() && list[c.pos].0 < d {
-                c.pos += 1;
-            }
-            contrib[t] = match list.get(c.pos) {
-                Some(&(doc, tf)) if doc == d => bm25_term(params, c.idf, tf, len, avg_len),
-                _ => 0.0,
-            };
-        }
-        let mut score = 0.0f64;
-        for &sl in &*slots {
-            score += contrib[sl];
-        }
-        for c in cursors.iter_mut() {
-            if doc_tfs[c.pi].get(c.pos).map(|&(doc, _)| doc) == Some(d) {
-                c.pos += 1;
-            }
-        }
-        if heap.len() < k {
-            heap.push(HeapEntry { score, doc: d });
-            if heap.len() == k {
-                theta = heap.peek().expect("nonempty heap").score;
-            }
-        } else if score > theta {
-            heap.pop();
-            heap.push(HeapEntry { score, doc: d });
-            theta = heap.peek().expect("nonempty heap").score;
-        }
-    }
-
-    cands.clear();
-    cands.extend(heap.drain().map(|e| (e.doc, e.score)));
-    cands.sort_unstable_by(|a, b| match b.1.partial_cmp(&a.1).unwrap_or(CmpOrdering::Equal) {
-        CmpOrdering::Equal => a.0.cmp(&b.0),
-        o => o,
-    });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn f64_encoding_is_monotone() {
-        let vals = [
-            f64::NEG_INFINITY,
-            -1e300,
-            -1.0,
-            -1e-300,
-            -0.0,
-            0.0,
-            1e-300,
-            1.0,
-            1e300,
-            f64::INFINITY,
-        ];
-        for w in vals.windows(2) {
-            assert!(enc_f64(w[0]) <= enc_f64(w[1]), "{} vs {}", w[0], w[1]);
-        }
-        for v in vals {
-            assert_eq!(dec_f64(enc_f64(v)).to_bits(), v.to_bits(), "roundtrip {v}");
-        }
-    }
-
-    #[test]
-    fn shared_theta_fetch_max_tightens_monotonically() {
-        let shared = AtomicU64::new(enc_f64(f64::NEG_INFINITY));
-        for v in [-3.5, 1.25, 0.5, 7.0, 2.0] {
-            shared.fetch_max(enc_f64(v), Ordering::Relaxed);
-        }
-        assert_eq!(dec_f64(shared.load(Ordering::Relaxed)), 7.0);
     }
 }

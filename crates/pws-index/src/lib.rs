@@ -1,25 +1,26 @@
-//! # pws-index — search-engine substrate (in-memory and segmented on-disk)
+//! # pws-index — search-engine substrate
 //!
 //! The paper's personalization layer sits *on top of* a conventional search
 //! engine: it takes the engine's top-K results (with snippets) and re-ranks
 //! them. Offline we have no commercial backend, so this crate is that
-//! backend — two interchangeable implementations behind one
-//! [`backend::RetrievalBackend`] trait:
+//! backend — **one index, one executor**:
 //!
-//! * [`search::SearchEngine`] — the original fully in-memory engine:
-//!   [`builder::IndexBuilder`] tokenizes documents (via [`pws_text`]) and
-//!   builds an inverted index; [`postings`] + [`codec`] hold delta- and
-//!   varint-encoded posting lists with term frequencies and positions
-//!   (positions feed snippet extraction); [`score`] is Okapi BM25; queries
-//!   run document-at-a-time with MaxScore pruning.
-//! * [`segmented::SegmentedIndex`] — the scale path: immutable on-disk
-//!   [`segment::Segment`]s in the checksummed, versioned file format of
-//!   [`segfile`] (spec: `docs/INDEX_FORMAT.md`), block-compressed postings
-//!   with per-block maxima, and **Block-Max WAND** top-k pruning that is
-//!   bit-identical to exhaustive scoring.
-//!
-//! Both produce exactly the `(url, title, snippet)` result lists the
-//! personalization layer consumes, with identical ranking semantics.
+//! * [`segment::Segment`] is the only index layout, in RAM and on disk:
+//!   an immutable inverted index in the checksummed, versioned file format
+//!   of [`segfile`] (spec: `docs/INDEX_FORMAT.md`) with block-compressed
+//!   `(doc, tf)` postings, per-block maxima and a lazily-decoded document
+//!   store. [`segment::SegmentBuilder`] tokenizes documents (via
+//!   [`pws_text`]) and writes one; every segment in existence has
+//!   round-tripped through the format.
+//! * [`segmented::SegmentedIndex`] serves a set of segments under global
+//!   collection statistics with Okapi BM25 ([`score`]) and **Block-Max
+//!   WAND** top-k pruning that is bit-identical to exhaustive scoring.
+//!   [`builder::IndexBuilder`] is the in-RAM front door: it builds a single
+//!   segment and returns it as a [`SearchEngine`] (an alias of
+//!   `SegmentedIndex`).
+//! * [`query`] adds phrases and boolean operators on top, and
+//!   [`backend::RetrievalBackend`] is the surface the personalization layer
+//!   consumes: the `(url, title, snippet)` result lists.
 //!
 //! ```
 //! use pws_index::{IndexBuilder, StoredDoc};
@@ -36,8 +37,6 @@ pub mod backend;
 pub mod builder;
 pub mod codec;
 pub(crate) mod exec;
-pub mod persist;
-pub mod postings;
 pub mod query;
 pub mod score;
 pub(crate) mod scratch;
@@ -50,8 +49,6 @@ pub mod snippet;
 pub use backend::RetrievalBackend;
 pub use pws_text::Analyzer;
 pub use builder::IndexBuilder;
-pub use postings::{DocTfIter, Posting, PostingList};
-pub use persist::PersistError;
 pub use query::{parse_query, ParseError, QueryExpr};
 pub use score::Bm25Params;
 pub use search::{SearchEngine, SearchHit, StoredDoc};
@@ -59,6 +56,3 @@ pub use segfile::{SectionId, SegmentError, FORMAT_VERSION, SEGMENT_MAGIC};
 pub use segment::{Segment, SegmentBuilder, BLOCK_SIZE};
 pub use segmented::SegmentedIndex;
 pub use snippet::extract_snippet;
-
-#[doc(hidden)]
-pub use exec::set_injected_segment_panic_rate;

@@ -1,13 +1,15 @@
 //! Structured queries: phrases and boolean operators.
 //!
-//! The bag-of-words [`crate::SearchEngine::search`] covers the
+//! The bag-of-words [`SegmentedIndex::search`] covers the
 //! personalization pipeline; this module adds the query forms a real
 //! engine's power users expect — and that location names need
 //! (`"port alden"` as a phrase avoids matching the unrelated "port of
 //! lakemoor alden street"):
 //!
-//! * `"lobster roll"` — phrase: terms must be adjacent, in order
-//!   (verified against token positions in the postings);
+//! * `"lobster roll"` — phrase: terms must be adjacent, in order. The
+//!   index stores no positions; a candidate (a doc containing every
+//!   member term) is verified by re-analyzing its stored
+//!   `title + " " + body`, the exact token stream that was indexed;
 //! * `a AND b` — both required; `a OR b` — either; `NOT a` — excluded;
 //! * parentheses group; `AND` binds tighter than `OR`; bare juxtaposition
 //!   (`seafood lobster`) means `OR` (bag-of-words, like `search`).
@@ -16,7 +18,9 @@
 //! positive term/phrase it matches (phrases score each member term).
 //! `NOT` arms contribute filtering only.
 
-use crate::search::{SearchEngine, SearchHit};
+use crate::exec::rank_order;
+use crate::search::SearchHit;
+use crate::segmented::SegmentedIndex;
 use std::collections::HashMap;
 
 /// Parsed query expression.
@@ -211,34 +215,28 @@ pub fn parse_query(
 /// Matching documents of an expression: doc → positive BM25 mass.
 pub(crate) type DocScores = HashMap<u32, f64>;
 
-impl SearchEngine {
+impl SegmentedIndex {
     /// Evaluate a structured query and return the top `k` hits.
     ///
     /// Returns `Err` on malformed query strings.
     ///
-    /// Records the `index.search` stage, like [`SearchEngine::search`], so
-    /// both entry points report consistently.
+    /// Records the `index.search` stage, like [`SegmentedIndex::search`],
+    /// so both entry points report consistently.
     pub fn search_expr(&self, query: &str, k: usize) -> Result<Vec<SearchHit>, ParseError> {
         let _span = self.metrics_search().span();
         let expr = parse_query(query, |s| self.analyze_text(s))?;
-        let scores = self.eval_expr(&expr);
-        let mut cands: Vec<(u32, f64)> = scores.into_iter().collect();
-        cands.sort_unstable_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        let mut cands: Vec<(u32, f64)> = self.eval_expr(&expr).into_iter().collect();
+        cands.sort_unstable_by(rank_order);
         cands.truncate(k);
         // Use the raw (pre-structure) analyzed terms for snippets.
-        let q_tokens = self.analyze_text(query);
-        Ok(self.hits_from_scored(&cands, &q_tokens))
+        Ok(self.materialize(&cands, &self.analyze_text(query)))
     }
 
     /// Recursively evaluate an expression to scored matching docs.
     pub(crate) fn eval_expr(&self, expr: &QueryExpr) -> DocScores {
         match expr {
-            QueryExpr::Term(t) => self.term_docs(t),
-            QueryExpr::Phrase(terms) => self.phrase_docs(terms),
+            QueryExpr::Term(t) => self.term_docs(t).into_iter().collect(),
+            QueryExpr::Phrase(terms) => self.phrase_docs(terms).into_iter().collect(),
             QueryExpr::Or(arms) => {
                 let mut acc = DocScores::new();
                 for arm in arms {
@@ -289,7 +287,7 @@ impl SearchEngine {
 mod tests {
     use super::*;
     use crate::builder::IndexBuilder;
-    use crate::search::StoredDoc;
+    use crate::search::{SearchEngine, StoredDoc};
 
     fn engine() -> SearchEngine {
         let mut b = IndexBuilder::new();

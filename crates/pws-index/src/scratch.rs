@@ -1,7 +1,7 @@
 //! Pooled per-query scratch arenas for the scoring hot paths.
 //!
 //! Every buffer a query execution needs — the bounded top-k heap, cursor
-//! tables, block-decode buffers, bound/accumulator arrays, and the merged
+//! tables, block-decode buffers, bound/accumulator arrays, and the ranked
 //! candidate list — lives in a [`SearchScratch`] that is checked out of a
 //! [`ScratchPool`] for the duration of one query and returned on drop.
 //! At steady state the scoring loops in [`crate::exec`] therefore perform
@@ -19,8 +19,7 @@
 //! reuses, also counted as `engine.retrieval.scratch_reuse`), and
 //! `scratch.max_in_use` records the concurrent-checkout high-water mark.
 
-use crate::exec::{BmwCursor, MemCursor, ResolvedTerm};
-use crate::search::HeapEntry;
+use crate::exec::{BmwCursor, HeapEntry, ResolvedTerm};
 use std::collections::BinaryHeap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,41 +29,20 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// instead of pooled, bounding steady-state memory.
 const MAX_POOLED: usize = 64;
 
-/// All reusable buffers for one in-flight query.
-///
-/// Field groups mirror the two executors in [`crate::exec`]: `terms` /
-/// `slots` / `mem_cursors` hold the resolved query, `workers` hold the
-/// per-worker Block-Max WAND state (element 0 doubles as the serial
-/// executor's state), and `cands` receives the deterministic merge.
+/// All reusable buffers for one in-flight query: `terms` / `slots` hold
+/// the resolved query, the rest is the Block-Max WAND executor's state
+/// (see [`crate::exec`]), and `cands` receives the final ranking.
 #[derive(Debug, Default)]
 pub(crate) struct SearchScratch {
-    /// Resolved unique query terms (segmented path).
+    /// Resolved unique query terms.
     pub terms: Vec<ResolvedTerm>,
     /// Occurrence → unique-term mapping (accumulation order).
     pub slots: Vec<usize>,
-    /// Resolved per-term cursors (in-memory path).
-    pub mem_cursors: Vec<MemCursor>,
-    /// Merged `(global doc, score)` candidates in final rank order.
+    /// `(global doc, score)` candidates in final rank order.
     pub cands: Vec<(u32, f64)>,
-    /// Per-worker executor state; grown on demand, never shrunk.
-    pub workers: Vec<WorkerScratch>,
     /// Reusable analyzed-token buffer for raw-query entry points.
     pub tokens: Vec<String>,
-}
-
-impl SearchScratch {
-    /// Make sure at least `n` worker slots exist.
-    pub fn ensure_workers(&mut self, n: usize) {
-        while self.workers.len() < n {
-            self.workers.push(WorkerScratch::default());
-        }
-    }
-}
-
-/// Block-Max WAND execution state for one segment-scan worker.
-#[derive(Debug, Default)]
-pub(crate) struct WorkerScratch {
-    /// Bounded top-k min-heap over this worker's segments.
+    /// Bounded top-k min-heap over all segments.
     pub heap: BinaryHeap<HeapEntry>,
     /// Per-term cursors over the current segment.
     pub cursors: Vec<BmwCursor>,

@@ -281,25 +281,41 @@ impl SectionWriter {
     }
 
     /// Emit the complete segment file.
+    ///
+    /// The file is assembled *inside the largest section's buffer* (in a
+    /// real segment, the document store): everything that precedes it is
+    /// spliced in front with one in-place shift, the rest is appended, so
+    /// building a segment never holds a second copy of its biggest
+    /// section. The index lives in RAM as these bytes; this is what keeps
+    /// a build's peak memory near one file rather than two.
     pub fn finish(self) -> Vec<u8> {
         let table_end = TABLE_OFFSET + self.sections.len() * SECTION_ENTRY_LEN;
         let total: usize =
             table_end + self.sections.iter().map(|(_, p)| p.len()).sum::<usize>();
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(SEGMENT_MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
+        let mut head = Vec::with_capacity(table_end);
+        head.extend_from_slice(SEGMENT_MAGIC);
+        head.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        head.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
         let mut offset = table_end;
         for (id, payload) in &self.sections {
-            out.extend_from_slice(&(*id as u16).to_le_bytes());
-            out.extend_from_slice(&0u16.to_le_bytes());
-            out.extend_from_slice(&(offset as u64).to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+            head.extend_from_slice(&(*id as u16).to_le_bytes());
+            head.extend_from_slice(&0u16.to_le_bytes());
+            head.extend_from_slice(&(offset as u64).to_le_bytes());
+            head.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            head.extend_from_slice(&fnv1a64(payload).to_le_bytes());
             offset += payload.len();
         }
-        for (_, payload) in &self.sections {
-            out.extend_from_slice(payload);
+        let base =
+            (0..self.sections.len()).max_by_key(|&i| self.sections[i].1.len()).unwrap_or(0);
+        let mut sections = self.sections.into_iter().map(|(_, payload)| payload);
+        for payload in sections.by_ref().take(base) {
+            head.extend_from_slice(&payload);
+        }
+        let mut out = sections.next().unwrap_or_default();
+        out.reserve_exact(total - out.len());
+        out.splice(0..0, head);
+        for payload in sections {
+            out.extend_from_slice(&payload);
         }
         debug_assert_eq!(out.len(), total);
         out

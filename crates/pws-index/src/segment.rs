@@ -70,7 +70,7 @@ pub(crate) struct TermMeta {
 
 #[derive(Debug)]
 struct SegmentInner {
-    bytes: Arc<[u8]>,
+    bytes: Vec<u8>,
     analyzer: Analyzer,
     dict: HashMap<String, u32>,
     /// Term strings in ord order (dictionary order of the builder).
@@ -82,6 +82,8 @@ struct SegmentInner {
     total_len: u64,
     /// Absolute offset of the `Postings` section payload.
     postings_off: usize,
+    /// Combined length of the `Postings` and `BlockMax` sections.
+    postings_bytes: usize,
     /// Absolute offset + length of the `DocIndex` section.
     doc_index_off: usize,
     /// Absolute offset + length of the `Docs` section.
@@ -103,9 +105,9 @@ impl Segment {
     /// Load a segment from an in-memory copy of its file bytes,
     /// validating magic, version, section table, and checksums. Postings
     /// payloads and document records stay encoded (lazy).
-    pub fn load_bytes(bytes: impl Into<Arc<[u8]>>) -> Result<Segment, SegmentError> {
+    pub fn load_bytes(bytes: impl Into<Vec<u8>>) -> Result<Segment, SegmentError> {
         let _span = metrics_load().span();
-        let bytes: Arc<[u8]> = bytes.into();
+        let bytes: Vec<u8> = bytes.into();
         let sections = parse_sections(&bytes)?;
         let [meta_s, terms_s, blockmax_s, postings_s, doc_index_s, docs_s, doc_lens_s] =
             sections[..]
@@ -256,6 +258,7 @@ impl Segment {
                 doc_count,
                 total_len,
                 postings_off: postings_s.offset,
+                postings_bytes: postings_s.len + blockmax_s.len,
                 doc_index_off: doc_index_s.offset,
                 docs_off: docs_s.offset,
                 docs_len: docs_s.len,
@@ -281,6 +284,12 @@ impl Segment {
     /// The segment's complete file bytes.
     pub fn file_bytes(&self) -> &[u8] {
         &self.inner.bytes
+    }
+
+    /// Bytes of the inverted index proper: the `Postings` + `BlockMax`
+    /// sections.
+    pub fn postings_bytes(&self) -> usize {
+        self.inner.postings_bytes
     }
 
     /// Number of documents in the segment.
@@ -397,6 +406,19 @@ impl Segment {
         p.is_empty()
     }
 
+    /// Decode all of a term's postings through `f(doc, tf)`, in ascending
+    /// doc order (undecodable blocks are skipped, as on the query path).
+    pub(crate) fn for_each_posting(&self, ord: u32, mut f: impl FnMut(u32, u32)) {
+        let mut buf = Vec::with_capacity(BLOCK_SIZE);
+        for blk in self.term_blocks(ord) {
+            if self.decode_block(blk, &mut buf) {
+                for &(d, tf) in &buf {
+                    f(d, tf);
+                }
+            }
+        }
+    }
+
     /// Materialize one stored document (segment-local id) from the doc
     /// store. Decoding is on demand; a load never touches doc payloads.
     ///
@@ -471,16 +493,11 @@ impl Segment {
 
         // Re-emit postings per union term, re-blocked.
         let mut postings_by_term: Vec<Vec<(u32, u32)>> = vec![Vec::new(); interner.len()];
-        let mut buf = Vec::with_capacity(BLOCK_SIZE);
         for (s, &b) in segments.iter().zip(&bases) {
             for (ord, term) in s.inner.terms.iter().enumerate() {
                 let sym = interner.get(term).expect("interned above");
                 let dst = &mut postings_by_term[sym.index()];
-                for blk in s.term_blocks(ord as u32) {
-                    if s.decode_block(blk, &mut buf) {
-                        dst.extend(buf.iter().map(|&(d, tf)| (d + b, tf)));
-                    }
-                }
+                s.for_each_posting(ord as u32, |d, tf| dst.push((d + b, tf)));
             }
         }
 
@@ -497,6 +514,46 @@ impl Segment {
         }
         debug_assert_eq!(out.doc_lens.len(), doc_count as usize);
         out.finish_segment()
+    }
+}
+
+/// Forward-only lookup of one term's tf at ascending segment-local doc
+/// ids: a block holding several of the asked docs is decoded once.
+pub(crate) struct TfCursor<'a> {
+    seg: &'a Segment,
+    blocks: &'a [BlockMeta],
+    /// First block whose `last_doc` ≥ the last asked doc.
+    bi: usize,
+    /// Whether `buf` holds `blocks[bi]`.
+    decoded: bool,
+    buf: Vec<(u32, u32)>,
+}
+
+impl<'a> TfCursor<'a> {
+    /// A cursor over `term` (already analyzed); `None` when the segment
+    /// does not contain it.
+    pub(crate) fn new(seg: &'a Segment, term: &str) -> Option<Self> {
+        let blocks = seg.term_blocks(seg.term_ord(term)?);
+        Some(TfCursor { seg, blocks, bi: 0, decoded: false, buf: Vec::with_capacity(BLOCK_SIZE) })
+    }
+
+    /// The term's frequency in `doc`, or `None` when `doc` lacks the term.
+    /// Calls must ask for non-decreasing doc ids.
+    pub(crate) fn tf_at(&mut self, doc: u32) -> Option<u32> {
+        let skip = self.blocks[self.bi..].partition_point(|b| b.last_doc < doc);
+        if skip > 0 {
+            self.bi += skip;
+            self.decoded = false;
+        }
+        let blk = self.blocks.get(self.bi)?;
+        if !self.decoded {
+            if !self.seg.decode_block(blk, &mut self.buf) {
+                self.buf.clear();
+            }
+            self.decoded = true;
+        }
+        let p = self.buf.binary_search_by_key(&doc, |&(d, _)| d).ok()?;
+        Some(self.buf[p].1)
     }
 }
 
@@ -598,10 +655,11 @@ impl SegmentBuilder {
             write_str(&mut terms, s);
         }
 
-        // Block tables + payloads, in term-ord order.
+        // Block tables + payloads, in term-ord order. Each term's
+        // uncompressed list is freed as soon as it is encoded.
         let mut blockmax = Vec::new();
         let mut payloads = Vec::new();
-        for pairs in &self.postings {
+        for pairs in self.postings {
             let n_blocks = pairs.chunks(BLOCK_SIZE).count();
             write_varint(&mut blockmax, n_blocks as u32);
             for chunk in pairs.chunks(BLOCK_SIZE) {

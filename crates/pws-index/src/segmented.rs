@@ -1,21 +1,24 @@
-//! Multi-segment index with Block-Max WAND top-k execution.
+//! The index: a set of immutable segments with Block-Max WAND top-k
+//! execution.
 //!
 //! A [`SegmentedIndex`] serves queries over a set of immutable
 //! [`Segment`]s (see [`crate::segment`]) under **global** collection
 //! statistics: document count, average document length, and per-term
 //! document frequency are aggregated across segments, so the BM25 score
-//! of any document is *bit-identical* to what one monolithic
-//! [`crate::SearchEngine`] over the concatenated corpus would compute.
-//! That identity is the correctness contract: the Block-Max WAND pruned
-//! top-k is property-tested against the exhaustive reference (and the
-//! in-memory engine) on arbitrary corpora, and `retrieval_bench`
-//! re-verifies it on every fixture query as a CI gate.
+//! of any document does not depend on how the corpus was split — one
+//! segment built in RAM by [`crate::IndexBuilder`] and sixteen opened
+//! from disk rank the same corpus *bit-identically*. That identity is the
+//! correctness contract: the Block-Max WAND pruned top-k is
+//! property-tested against the exhaustive reference
+//! ([`SegmentedIndex::search_exhaustive`]) on arbitrary corpora and
+//! segmentations, and `retrieval_bench` re-verifies it on every fixture
+//! query as a CI gate.
 //!
 //! ## Pruning
 //!
-//! Query execution refines the PR 5 MaxScore fast path to **block**
-//! granularity (the Block-Max WAND family, in the essential-list /
-//! MaxScore formulation sometimes called Block-Max MaxScore):
+//! Query execution is MaxScore-style pruning at **block** granularity
+//! (the Block-Max WAND family, in the essential-list / MaxScore
+//! formulation sometimes called Block-Max MaxScore):
 //!
 //! * each term carries a whole-term upper bound (from the segment-wide
 //!   `max_tf` / `min_dlen` extremes) — terms whose bounds cannot reach
@@ -25,24 +28,22 @@
 //!   `min_dlen` of the blocks that could contain it, reached by shallow
 //!   moves over the block table — payloads are only varint-decoded when
 //!   a block's bound actually beats θ;
-//! * bounds are inflated by the same `UB_SLACK` slack as the in-memory
-//!   fast path, so floating-point rounding can never cause a false
-//!   prune; ties on score break by ascending global doc id, making
-//!   `bound ≤ θ ⇒ skip` exact.
+//! * bounds are inflated by a small relative slack, so floating-point
+//!   rounding can never cause a false prune; ties on score break by
+//!   ascending global doc id, making `bound ≤ θ ⇒ skip` exact.
 //!
 //! Because `max_tf`/`min_dlen` are statistics-independent, the bounds
 //! stay valid when segments are added or merged and the global average
 //! length or idf shifts — no stored impact ever has to be rebuilt.
 
-use crate::exec::{bmw_top_k, ResolvedTerm, SegContext};
+use crate::exec::{bmw_top_k, rank_order, ResolvedTerm, SegContext};
 use crate::score::{bm25_term, idf, Bm25Params};
 use crate::scratch::{ScratchPool, SearchScratch};
 use crate::search::SearchHit;
-use crate::segment::{Segment, SegmentBuilder};
+use crate::segment::{Segment, SegmentBuilder, TfCursor};
 use crate::segfile::SegmentError;
 use crate::snippet::extract_snippet;
 use pws_text::Analyzer;
-use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -64,10 +65,6 @@ pub struct SegmentedIndex {
     avg_len: f64,
     /// Per-term global document frequency (sum across segments).
     global_df: HashMap<String, u32>,
-    /// Default intra-query fan-out (segment-scan worker threads); 1 =
-    /// serial. Per-call overrides go through
-    /// [`SegmentedIndex::search_tokens_workers`].
-    search_workers: usize,
     /// Pooled per-query scratch arenas, shared across clones so
     /// concurrent queries (and live-index snapshots) reuse warm buffers.
     scratch: Arc<ScratchPool>,
@@ -85,7 +82,6 @@ impl SegmentedIndex {
             total_len: 0,
             avg_len: 0.0,
             global_df: HashMap::new(),
-            search_workers: 1,
             scratch: Arc::default(),
         }
     }
@@ -106,23 +102,8 @@ impl SegmentedIndex {
 
     /// Override the BM25 parameters (block-max bounds are derived at
     /// query time, so no stored data needs recomputation).
-    pub fn with_params(mut self, params: Bm25Params) -> Self {
+    pub fn set_params(&mut self, params: Bm25Params) {
         self.params = params;
-        self
-    }
-
-    /// Set the default intra-query worker count used by
-    /// [`SegmentedIndex::search`] / [`SegmentedIndex::search_tokens`]
-    /// (clamped to ≥ 1). Results are **bit-identical for every worker
-    /// count** — see the `exec` module docs for the exactness argument.
-    pub fn with_search_workers(mut self, workers: usize) -> Self {
-        self.search_workers = workers.max(1);
-        self
-    }
-
-    /// The configured default intra-query worker count.
-    pub fn search_workers(&self) -> usize {
-        self.search_workers
     }
 
     /// Append one segment, updating global statistics. This is the
@@ -185,6 +166,12 @@ impl SegmentedIndex {
         self.segments.iter().map(|s| s.file_bytes().len()).sum()
     }
 
+    /// Total bytes of the inverted index proper: every segment's
+    /// `Postings` + `BlockMax` sections (for the efficiency table).
+    pub fn postings_bytes(&self) -> usize {
+        self.segments.iter().map(Segment::postings_bytes).sum()
+    }
+
     /// The analyzer shared by every segment.
     pub fn analyzer(&self) -> &Analyzer {
         &self.analyzer
@@ -225,18 +212,18 @@ impl SegmentedIndex {
         }
     }
 
-    /// Process-wide handle to the `segment.search` stage.
-    fn metrics_search(&self) -> &pws_obs::StageMetrics {
+    /// Process-wide handle to the `index.search` stage, resolved once.
+    pub(crate) fn metrics_search(&self) -> &pws_obs::StageMetrics {
         static STAGE: std::sync::OnceLock<std::sync::Arc<pws_obs::StageMetrics>> =
             std::sync::OnceLock::new();
-        STAGE.get_or_init(|| pws_obs::stage("segment.search"))
+        STAGE.get_or_init(|| pws_obs::stage("index.search"))
     }
 
     /// Execute `query`, returning the top `k` hits ranked by BM25
     /// descending, ties by ascending global doc id — bit-identical to
-    /// [`crate::SearchEngine::search`] over the concatenated corpus.
+    /// [`SegmentedIndex::search_exhaustive`].
     ///
-    /// Latency is recorded under the `segment.search` stage.
+    /// Latency is recorded under the `index.search` stage.
     pub fn search(&self, query: &str, k: usize) -> Vec<SearchHit> {
         let _span = self.metrics_search().span();
         let mut scratch = self.scratch.acquire();
@@ -244,7 +231,7 @@ impl SegmentedIndex {
         // put back so its capacity survives into the next query).
         let mut tokens = std::mem::take(&mut scratch.tokens);
         self.analyzer.analyze_into(query, &mut tokens);
-        let hits = self.run_query(&tokens, k, self.search_workers, &mut scratch);
+        let hits = self.run_query(&tokens, k, &mut scratch);
         scratch.tokens = tokens;
         hits
     }
@@ -254,21 +241,7 @@ impl SegmentedIndex {
     pub fn search_tokens(&self, q_tokens: &[String], k: usize) -> Vec<SearchHit> {
         let _span = self.metrics_search().span();
         let mut scratch = self.scratch.acquire();
-        self.run_query(q_tokens, k, self.search_workers, &mut scratch)
-    }
-
-    /// [`SegmentedIndex::search_tokens`] with an explicit intra-query
-    /// worker count (overriding the configured default). Output is
-    /// bit-identical across worker counts.
-    pub fn search_tokens_workers(
-        &self,
-        q_tokens: &[String],
-        k: usize,
-        workers: usize,
-    ) -> Vec<SearchHit> {
-        let _span = self.metrics_search().span();
-        let mut scratch = self.scratch.acquire();
-        self.run_query(q_tokens, k, workers, &mut scratch)
+        self.run_query(q_tokens, k, &mut scratch)
     }
 
     /// Process-wide handle to the `index.snippets_deferred` counter.
@@ -282,7 +255,6 @@ impl SegmentedIndex {
         &self,
         q_tokens: &[String],
         k: usize,
-        workers: usize,
         scratch: &mut SearchScratch,
     ) -> Vec<SearchHit> {
         if k == 0 || self.doc_count == 0 || q_tokens.is_empty() {
@@ -299,8 +271,8 @@ impl SegmentedIndex {
             q_tokens,
             k,
         };
-        let pushes = bmw_top_k(&ctx, scratch, workers);
-        // Snippets are materialized for the merged final top-k only;
+        let pushes = bmw_top_k(&ctx, scratch);
+        // Snippets are materialized for the final top-k only;
         // every other heap insertion deferred (= skipped) its snippet.
         let deferred = pushes.saturating_sub(scratch.cands.len() as u64);
         if deferred > 0 {
@@ -311,88 +283,124 @@ impl SegmentedIndex {
 
     /// The exhaustive reference: term-at-a-time accumulation over every
     /// posting of every query term in every segment, then a full sort.
-    /// Bit-identical to [`crate::SearchEngine::search_naive`] over the
-    /// concatenated corpus; the pruned path is gated against it.
+    /// The pruned path is gated against it; it never serves traffic (and
+    /// records no `index.search` metrics).
     pub fn search_exhaustive(&self, query: &str, k: usize) -> Vec<SearchHit> {
         self.search_exhaustive_tokens(&self.analyzer.analyze(query), k)
     }
 
     /// [`SegmentedIndex::search_exhaustive`] over pre-analyzed tokens.
     pub fn search_exhaustive_tokens(&self, q_tokens: &[String], k: usize) -> Vec<SearchHit> {
-        if k == 0 || self.doc_count == 0 || q_tokens.is_empty() {
-            return Vec::new();
-        }
+        // Duplicate query terms contribute once per occurrence (standard
+        // bag-of-words query semantics).
         let mut acc: HashMap<u32, f64> = HashMap::new();
-        let mut buf = Vec::new();
         for tok in q_tokens {
-            let Some(&df) = self.global_df.get(tok) else { continue };
-            let term_idf = idf(self.doc_count, df);
-            for (si, seg) in self.segments.iter().enumerate() {
-                let Some(ord) = seg.term_ord(tok) else { continue };
-                let base = self.bases[si];
-                let lens = seg.doc_lens();
-                for blk in seg.term_blocks(ord) {
-                    if !seg.decode_block(blk, &mut buf) {
-                        continue;
-                    }
-                    for &(d, tf) in &buf {
-                        let s =
-                            bm25_term(self.params, term_idf, tf, lens[d as usize], self.avg_len);
-                        *acc.entry(base + d).or_insert(0.0) += s;
-                    }
-                }
+            for (doc, s) in self.term_docs(tok) {
+                *acc.entry(doc).or_insert(0.0) += s;
             }
-        }
-        if acc.is_empty() {
-            return Vec::new();
         }
         let mut cands: Vec<(u32, f64)> = acc.into_iter().collect();
-        cands.sort_unstable_by(|a, b| {
-            match b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal) {
-                Ordering::Equal => a.0.cmp(&b.0),
-                o => o,
-            }
-        });
+        cands.sort_unstable_by(rank_order);
         cands.truncate(k);
         self.materialize(&cands, q_tokens)
     }
 
+    /// Every doc containing one analyzed term, with the term's BM25
+    /// contribution to it, in ascending global doc id order.
+    pub(crate) fn term_docs(&self, term: &str) -> Vec<(u32, f64)> {
+        let Some(&df) = self.global_df.get(term) else { return Vec::new() };
+        let term_idf = idf(self.doc_count, df);
+        let mut out = Vec::with_capacity(df as usize);
+        for (seg, &base) in self.segments.iter().zip(&self.bases) {
+            let Some(ord) = seg.term_ord(term) else { continue };
+            let lens = seg.doc_lens();
+            seg.for_each_posting(ord, |d, tf| {
+                let s = bm25_term(self.params, term_idf, tf, lens[d as usize], self.avg_len);
+                out.push((base + d, s));
+            });
+        }
+        out
+    }
+
+    /// Docs containing the analyzed terms *adjacently in order*, each
+    /// scored as the sum of the member terms' BM25 contributions. The
+    /// index stores no positions: a candidate (a doc holding every term)
+    /// is verified by re-analyzing its stored text, the exact token
+    /// stream that was indexed.
+    pub(crate) fn phrase_docs(&self, terms: &[String]) -> Vec<(u32, f64)> {
+        let mut out = Vec::new();
+        // Any unknown term kills the phrase.
+        let Some(idfs) = terms
+            .iter()
+            .map(|t| self.global_df.get(t).map(|&df| idf(self.doc_count, df)))
+            .collect::<Option<Vec<f64>>>()
+        else {
+            return out;
+        };
+        let Some(first) = terms.first() else { return out };
+        for (seg, &base) in self.segments.iter().zip(&self.bases) {
+            let Some(mut cursors) =
+                terms.iter().map(|t| TfCursor::new(seg, t)).collect::<Option<Vec<_>>>()
+            else {
+                continue;
+            };
+            let ord = seg.term_ord(first).expect("a cursor exists for the term");
+            seg.for_each_posting(ord, |d, _| {
+                let Some(tfs) =
+                    cursors.iter_mut().map(|c| c.tf_at(d)).collect::<Option<Vec<u32>>>()
+                else {
+                    return;
+                };
+                let tokens = self.analyzer.analyze(&seg.doc(d).indexable_text());
+                if tokens.windows(terms.len()).any(|w| w == terms) {
+                    let len = seg.doc_lens()[d as usize];
+                    let score = tfs
+                        .iter()
+                        .zip(&idfs)
+                        .map(|(&tf, &i)| bm25_term(self.params, i, tf, len, self.avg_len))
+                        .sum();
+                    out.push((base + d, score));
+                }
+            });
+        }
+        out
+    }
+
     /// BM25 scores of `query` for specific global doc ids (0.0 for docs
-    /// matching no query term) — bit-identical to
-    /// [`crate::SearchEngine::score_docs`], including the pinned
-    /// "duplicate ids credit the last occurrence" semantics.
+    /// matching no query term). Used by the personalization layer to
+    /// re-score externally sourced candidates (e.g. from an augmented
+    /// query) against the *original* query, so pools stay comparable.
+    ///
+    /// Each term's blocks are walked forward once across the sorted wanted
+    /// ids, so a block holding several wanted docs is decoded once.
     pub fn score_docs(&self, query: &str, docs: &[u32]) -> Vec<f64> {
         let q_tokens = self.analyzer.analyze(query);
         let mut scores = vec![0.0; docs.len()];
         if q_tokens.is_empty() || self.doc_count == 0 || docs.is_empty() {
             return scores;
         }
+        // Sorted (doc, original index). A duplicated doc id credits only its
+        // last occurrence (the historical HashMap behaviour): sort ties by
+        // descending index, keep the first of each run.
         let mut wanted: Vec<(u32, usize)> =
             docs.iter().enumerate().map(|(i, &d)| (d, i)).collect();
         wanted.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
         wanted.dedup_by_key(|e| e.0);
-        let mut buf = Vec::new();
         for tok in &q_tokens {
             let Some(&df) = self.global_df.get(tok) else { continue };
             let term_idf = idf(self.doc_count, df);
-            for &(doc, out_i) in &wanted {
-                let si = self.segment_of(doc);
-                let seg = &self.segments[si];
-                let Some(ord) = seg.term_ord(tok) else { continue };
-                let local = doc - self.bases[si];
-                let blocks = seg.term_blocks(ord);
-                // Find the block that could contain `local`.
-                let bi = blocks.partition_point(|b| b.last_doc < local);
-                if bi == blocks.len() {
-                    continue;
-                }
-                if !seg.decode_block(&blocks[bi], &mut buf) {
-                    continue;
-                }
-                if let Ok(p) = buf.binary_search_by_key(&local, |&(d, _)| d) {
-                    let len = seg.doc_lens()[local as usize];
-                    scores[out_i] +=
-                        bm25_term(self.params, term_idf, buf[p].1, len, self.avg_len);
+            let mut rest = wanted.as_slice();
+            for (seg, &base) in self.segments.iter().zip(&self.bases) {
+                let (run, tail) =
+                    rest.split_at(rest.partition_point(|e| e.0 - base < seg.doc_count()));
+                rest = tail;
+                let Some(mut cursor) = TfCursor::new(seg, tok) else { continue };
+                for &(doc, out_i) in run {
+                    let local = doc - base;
+                    if let Some(tf) = cursor.tf_at(local) {
+                        let len = seg.doc_lens()[local as usize];
+                        scores[out_i] += bm25_term(self.params, term_idf, tf, len, self.avg_len);
+                    }
                 }
             }
         }
@@ -400,10 +408,9 @@ impl SegmentedIndex {
     }
 
     /// Resolve query tokens into unique present terms + occurrence slots
-    /// directly into pooled scratch (mirrors the in-memory fast path's
-    /// resolution exactly; no term strings are copied — [`ResolvedTerm`]
-    /// indexes back into `q_tokens`). Returns `false` when no query term
-    /// exists in the index.
+    /// directly into pooled scratch (no term strings are copied —
+    /// [`ResolvedTerm`] indexes back into `q_tokens`). Returns `false` when
+    /// no query term exists in the index.
     fn resolve_into(&self, q_tokens: &[String], scratch: &mut SearchScratch) -> bool {
         let SearchScratch { terms, slots, .. } = scratch;
         terms.clear();
@@ -432,7 +439,7 @@ impl SegmentedIndex {
     }
 
     /// Build hits (with snippets) from globally-id'd scored candidates.
-    fn materialize(&self, cands: &[(u32, f64)], q_tokens: &[String]) -> Vec<SearchHit> {
+    pub(crate) fn materialize(&self, cands: &[(u32, f64)], q_tokens: &[String]) -> Vec<SearchHit> {
         cands
             .iter()
             .enumerate()
@@ -522,8 +529,8 @@ mod tests {
          "the annual harbor festival has lobster stands and live music"),
     ];
 
-    /// The reference: one in-memory engine over all docs.
-    fn reference() -> crate::SearchEngine {
+    /// One segment built in RAM by [`IndexBuilder`].
+    fn engine() -> SegmentedIndex {
         let mut b = IndexBuilder::new();
         for (i, (u, t, body)) in DOCS.iter().enumerate() {
             b.add(StoredDoc::new(i as u32, u, t, body));
@@ -540,6 +547,15 @@ mod tests {
         .expect("build")
     }
 
+    /// `n` identical docs: every score ties.
+    fn tied(n: u32) -> SegmentedIndex {
+        let mut b = IndexBuilder::new();
+        for id in 0..n {
+            b.add(StoredDoc::new(id, "u", "same", "identical content here"));
+        }
+        b.build()
+    }
+
     fn assert_hits_identical(a: &[SearchHit], b: &[SearchHit], ctx: &str) {
         assert_eq!(a.len(), b.len(), "{ctx}: length");
         for (x, y) in a.iter().zip(b) {
@@ -553,51 +569,141 @@ mod tests {
     }
 
     #[test]
-    fn matches_in_memory_engine_bitwise() {
-        let eng = reference();
+    fn every_segmentation_matches_exhaustive_and_each_other_bitwise() {
+        let eng = engine();
         for per in [1, 2, 3, 5] {
             let idx = segmented(per);
             assert_eq!(idx.doc_count(), eng.doc_count());
             assert!((idx.avg_doc_len() - eng.avg_doc_len()).abs() == 0.0);
-            for q in ["seafood lobster", "harbor", "hotel booking camera",
-                      "seafood seafood lobster", "missing terms only"] {
+            for q in ["seafood lobster", "harbor", "hotel booking camera", "harbor festival",
+                      "seafood seafood lobster", "crab harbor sushi phone", "the of and",
+                      "missing terms only"] {
                 for k in [1, 2, 3, 10] {
+                    let ctx = format!("per={per} q={q:?} k={k}");
                     let a = idx.search(q, k);
-                    let b = eng.search(q, k);
-                    assert_hits_identical(&a, &b, &format!("per={per} q={q:?} k={k}"));
-                    let c = eng.search_naive(q, k);
-                    assert_hits_identical(&a, &c, &format!("naive per={per} q={q:?} k={k}"));
+                    assert_hits_identical(&a, &idx.search_exhaustive(q, k), &ctx);
+                    assert_hits_identical(&a, &eng.search(q, k), &ctx);
                 }
             }
         }
     }
 
     #[test]
-    fn bmw_matches_exhaustive() {
-        let idx = segmented(2);
-        for q in ["seafood lobster", "harbor festival", "camera", "the of and"] {
-            for k in [1, 3, 10] {
-                assert_hits_identical(
-                    &idx.search(q, k),
-                    &idx.search_exhaustive(q, k),
-                    &format!("q={q:?} k={k}"),
-                );
+    fn relevant_docs_rank_first() {
+        let hits = engine().search("seafood lobster", 10);
+        // Docs 0 and 2 mention both terms; doc 1 mentions neither.
+        let top2: Vec<u32> = hits.iter().take(2).map(|h| h.doc).collect();
+        assert!(top2.contains(&0) && top2.contains(&2), "top2 = {top2:?}");
+        assert!(hits.iter().all(|h| h.doc != 1));
+        for (i, h) in hits.iter().enumerate() {
+            assert_eq!(h.rank, i + 1);
+        }
+        assert!(hits.windows(2).all(|w| w[0].score >= w[1].score));
+    }
+
+    #[test]
+    fn stemming_titles_and_snippets() {
+        let e = engine();
+        // "bookings" stems to the same term as "booking" in doc 3.
+        assert!(e.search("bookings", 10).iter().any(|h| h.doc == 3));
+        // Title terms are indexed.
+        let hits = e.search("shack", 10);
+        assert_eq!(hits.iter().map(|h| h.doc).collect::<Vec<_>>(), vec![0]);
+        assert!(e.search("lobster", 10)[0].snippet.to_lowercase().contains("lobster"));
+    }
+
+    #[test]
+    fn tie_break_is_doc_id_ascending_also_under_bounded_k() {
+        let e = tied(6);
+        let ids = |k| e.search("identical", k).iter().map(|h| h.doc).collect::<Vec<u32>>();
+        assert_eq!(ids(10), vec![0, 1, 2, 3, 4, 5]);
+        // All six docs tie; the heap must keep (and order) the lowest ids.
+        assert_eq!(ids(3), vec![0, 1, 2]);
+        assert_hits_identical(
+            &e.search("identical", 3),
+            &e.search_exhaustive("identical", 3),
+            "ties, k=3",
+        );
+    }
+
+    #[test]
+    fn empty_and_edge_queries() {
+        for idx in [engine(), segmented(2)] {
+            assert!(idx.search("", 10).is_empty());
+            assert!(idx.search("seafood", 0).is_empty());
+            assert_eq!(idx.search("seafood", 1).len(), 1);
+            assert!(idx.search("zzzqqq", 10).is_empty());
+            assert!(idx.search("the of and", 10).is_empty(), "stopword-only query");
+            assert!(idx.search_exhaustive("seafood", 0).is_empty());
+        }
+        let empty = SegmentedIndex::empty(Analyzer::default());
+        assert!(empty.search("seafood", 10).is_empty());
+        assert_eq!(empty.doc_count(), 0);
+    }
+
+    #[test]
+    fn search_tokens_matches_search() {
+        let e = engine();
+        let toks = e.analyze_text("seafood lobster");
+        assert_eq!(e.search_tokens(&toks, 10), e.search("seafood lobster", 10));
+    }
+
+    #[test]
+    fn stats_accessors() {
+        let e = engine();
+        assert_eq!(e.doc_count(), 5);
+        assert!(e.avg_doc_len() > 5.0);
+        assert!(e.vocab_size() > 10);
+        assert!(e.postings_bytes() > 0 && e.postings_bytes() < e.index_bytes());
+        assert_eq!(e.doc_frequency("seafood"), 3);
+        assert_eq!(e.doc_frequency("Lobsters"), e.doc_frequency("lobster"));
+        assert_eq!(e.doc_frequency("missingterm"), 0);
+    }
+
+    #[test]
+    fn score_docs_matches_search_scores_bitwise() {
+        for idx in [engine(), segmented(2)] {
+            for q in ["seafood lobster", "harbor", "seafood seafood lobster"] {
+                let hits = idx.search_exhaustive(q, 10);
+                let docs: Vec<u32> = hits.iter().map(|h| h.doc).collect();
+                for (h, s) in hits.iter().zip(idx.score_docs(q, &docs)) {
+                    assert_eq!(h.score.to_bits(), s.to_bits(), "q={q:?} doc {}", h.doc);
+                }
             }
         }
     }
 
     #[test]
-    fn score_docs_matches_engine_bitwise() {
-        let eng = reference();
-        let idx = segmented(2);
-        let docs = [3, 0, 2, 4, 1, 2];
-        for q in ["seafood lobster", "harbor", "zzz"] {
-            let a = idx.score_docs(q, &docs);
-            let b = eng.score_docs(q, &docs);
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "q={q:?}");
-            }
+    fn score_docs_zero_unsorted_and_duplicate_ids() {
+        for idx in [engine(), segmented(2)] {
+            // Doc 1 mentions neither term.
+            assert_eq!(idx.score_docs("seafood lobster", &[1]), vec![0.0]);
+            assert_eq!(idx.score_docs("", &[0, 1]), vec![0.0, 0.0]);
+            assert_eq!(idx.score_docs("zzz", &[0, 1]), vec![0.0, 0.0]);
+            assert!(idx.score_docs("seafood", &[]).is_empty());
+            // Unsorted doc ids score the same as sorted ones.
+            let unsorted = idx.score_docs("seafood lobster", &[3, 0, 2]);
+            let sorted = idx.score_docs("seafood lobster", &[0, 2, 3]);
+            assert_eq!(unsorted, vec![sorted[2], sorted[0], sorted[1]]);
+            // A duplicated doc id credits only its last occurrence
+            // (historical HashMap behaviour, pinned).
+            let dup = idx.score_docs("seafood", &[0, 0]);
+            assert_eq!(dup[0], 0.0);
+            assert!(dup[1] > 0.0);
         }
+    }
+
+    #[test]
+    fn set_params_changes_ranking_scores_and_stays_exact() {
+        let mut e = engine();
+        let before = e.search("seafood lobster", 3);
+        e.set_params(Bm25Params { k1: 2.0, b: 0.1 });
+        let after = e.search("seafood lobster", 3);
+        assert_ne!(
+            before.iter().map(|h| h.score.to_bits()).collect::<Vec<_>>(),
+            after.iter().map(|h| h.score.to_bits()).collect::<Vec<_>>()
+        );
+        assert_hits_identical(&after, &e.search_exhaustive("seafood lobster", 3), "new params");
     }
 
     #[test]
@@ -650,17 +756,6 @@ mod tests {
         for (x, y) in a.segments().iter().zip(b.segments()) {
             assert_eq!(x.file_bytes(), y.file_bytes(), "segment bytes differ by threads");
         }
-    }
-
-    #[test]
-    fn empty_and_edge_queries() {
-        let idx = segmented(2);
-        assert!(idx.search("", 10).is_empty());
-        assert!(idx.search("seafood", 0).is_empty());
-        assert!(idx.search("zzzqqq", 10).is_empty());
-        let empty = SegmentedIndex::empty(Analyzer::default());
-        assert!(empty.search("seafood", 10).is_empty());
-        assert_eq!(empty.doc_count(), 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! brute-force oracle, persistence round-trips, and structured-query laws.
 
 use proptest::prelude::*;
-use pws_index::{IndexBuilder, SearchEngine, StoredDoc};
+use pws_index::{IndexBuilder, SearchEngine, Segment, SegmentedIndex, StoredDoc};
 
 /// A tiny controlled vocabulary so collisions (shared terms) are common.
 fn word() -> impl Strategy<Value = &'static str> {
@@ -85,18 +85,21 @@ proptest! {
         }
     }
 
-    /// Persistence: serialize ∘ deserialize is the identity on behaviour.
+    /// Persistence: segment file bytes → `Segment::load_bytes` is the
+    /// identity on behaviour, structured queries included.
     #[test]
-    fn persistence_round_trip(bodies in corpus(), q in word()) {
+    fn persistence_round_trip(bodies in corpus(), q in word(), q2 in word()) {
         let e = build(&bodies);
-        let e2 = SearchEngine::deserialize(&e.serialize()).expect("round trip");
-        let a = e.search(q, 10);
-        let b = e2.search(q, 10);
-        prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert_eq!(x.doc, y.doc);
-            prop_assert!((x.score - y.score).abs() < 1e-12);
-        }
+        let reloaded = e
+            .segments()
+            .iter()
+            .map(|s| Segment::load_bytes(s.file_bytes().to_vec()))
+            .collect::<Result<Vec<_>, _>>()
+            .expect("reload");
+        let e2 = SegmentedIndex::from_segments(reloaded).expect("assemble");
+        prop_assert_eq!(e.search(q, 10), e2.search(q, 10));
+        let phrase = format!("\"{q} {q2}\" OR {q}");
+        prop_assert_eq!(e.search_expr(&phrase, 10), e2.search_expr(&phrase, 10));
     }
 
     /// Structured queries: `a AND b` ⊆ `a` ∩ `b`-matches; `a OR b` equals

@@ -3,9 +3,10 @@
 //! Three guarantees, for *arbitrary* corpora:
 //!
 //! 1. **Round trip** — build → serialize → load → search is bit-identical
-//!    to the in-memory [`SearchEngine`] over the same documents: same
-//!    docs, order, ranks, urls, titles, snippets, and bitwise-equal
-//!    scores, for any segmentation of the corpus.
+//!    to the exhaustive reference over the [`IndexBuilder`]-built single
+//!    segment of the same documents: same docs, order, ranks, urls,
+//!    titles, snippets, and bitwise-equal scores, for any segmentation of
+//!    the corpus.
 //! 2. **Durability** — corrupted (any single byte flipped), truncated
 //!    (any prefix), or wrong-version files fail to load with a typed
 //!    [`SegmentError`], never a panic.
@@ -89,7 +90,7 @@ fn docs_strategy() -> impl Strategy<Value = Vec<Vec<&'static str>>> {
 
 proptest! {
     /// Round trip: serialized-and-reloaded segments answer queries
-    /// bit-identically to the in-memory engine, under any segmentation.
+    /// bit-identically to the `IndexBuilder` engine, under any segmentation.
     #[test]
     fn round_trip_search_is_bit_identical(
         doc_words in docs_strategy(),
@@ -101,7 +102,7 @@ proptest! {
         let seg = round_trip_segmented(&doc_words, num_segments);
         let query = query_words.join(" ");
         let ctx = format!("{query:?} k={k} segs={num_segments}");
-        assert_hits_identical(&seg.search(&query, k), &engine.search_naive(&query, k), &ctx)?;
+        assert_hits_identical(&seg.search(&query, k), &engine.search_exhaustive(&query, k), &ctx)?;
         // Pre-analyzed entry point and per-doc rescoring agree too.
         let toks = engine.analyze_text(&query);
         assert_hits_identical(&seg.search_tokens(&toks, k), &engine.search_tokens(&toks, k), &ctx)?;
@@ -221,7 +222,7 @@ fn write_file_open_round_trip() {
     let idx = SegmentedIndex::from_segments(vec![reopened]).expect("index");
     for (query, k) in [("lobster seafood", 3), ("sushi", 1), ("harbor hotel fresh", 5)] {
         let got = idx.search(query, k);
-        let want = engine.search_naive(query, k);
+        let want = engine.search_exhaustive(query, k);
         assert_eq!(got.len(), want.len(), "{query}");
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.doc, w.doc, "{query}");
@@ -231,6 +232,32 @@ fn write_file_open_round_trip() {
     }
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_dir(&dir);
+}
+
+/// The bytes `SegmentBuilder::finish` writes for a fixed corpus are pinned
+/// (length + FNV-1a-64, captured before the in-memory engine was folded
+/// into the segment path): `PWSSEG1` stays format version 1, byte for
+/// byte, with no new section.
+#[test]
+fn golden_segment_bytes_pin_format_version_1() {
+    let mut b = SegmentBuilder::new(Default::default());
+    b.add("u0", "Crab shack", "fresh lobster roll and seafood daily");
+    b.add("u1", "Roll call", "drum roll and lobster bisque tonight");
+    b.add("u2", "Phones", "android battery and screen repair");
+    for i in 0..300u32 {
+        b.add(
+            &format!("http://fix.test/{i}"),
+            &format!("Title {}", i % 13),
+            &format!("common filler word{} seafood{} lobster roll number {}", i % 7, i % 3, i),
+        );
+    }
+    let bytes = b.finish();
+    let fnv = bytes
+        .iter()
+        .fold(0xcbf29ce484222325u64, |h, &x| (h ^ u64::from(x)).wrapping_mul(0x100000001b3));
+    assert_eq!(&bytes[..8], pws_index::SEGMENT_MAGIC);
+    assert_eq!(bytes[8..12], FORMAT_VERSION.to_le_bytes());
+    assert_eq!((bytes.len(), fnv), (36_461, 0xa92b_2450_ea4f_9952), "segment bytes moved");
 }
 
 /// Opening a missing path is a typed I/O error, not a panic.

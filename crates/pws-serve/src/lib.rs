@@ -176,13 +176,6 @@ pub struct ServeConfig {
     /// spills evicted users to disk; an evicted-then-faulted-in user
     /// ranks byte-identically to an always-resident one.
     pub store: Option<StoreTierConfig>,
-    /// Intra-query worker threads for uncached base retrieval (1 =
-    /// serial; clamped to ≥ 1). Applied to the engine core's
-    /// `EngineConfig::search_workers` at construction. A pure execution
-    /// knob: any value returns bit-identical results (pinned by the
-    /// `pws-index` parallel-equivalence property tests), so replay
-    /// equivalence and the cached path are untouched.
-    pub search_workers: usize,
 }
 
 impl Default for ServeConfig {
@@ -196,7 +189,6 @@ impl Default for ServeConfig {
             max_queue_depth: None,
             retrieval_cache_capacity: 1024,
             store: None,
-            search_workers: 1,
         }
     }
 }
@@ -906,6 +898,10 @@ impl ShardedRetrievalCache {
 }
 
 impl RetrievalCache for ShardedRetrievalCache {
+    fn epoch(&self) -> u64 {
+        ShardedRetrievalCache::epoch(self)
+    }
+
     fn get(&self, tokens: &[String], k: usize) -> Option<Vec<SearchHit>> {
         let fp = cache_fingerprint(tokens, k);
         let epoch = self.epoch.load(Ordering::Acquire);
@@ -936,9 +932,14 @@ impl RetrievalCache for ShardedRetrievalCache {
         }
     }
 
-    fn put(&self, tokens: &[String], k: usize, hits: &[SearchHit]) {
+    fn put(&self, tokens: &[String], k: usize, epoch: u64, hits: &[SearchHit]) {
+        // A pool computed under an epoch that has since been invalidated
+        // describes an index no longer served: keep it out rather than
+        // let it evict a live entry.
+        if epoch != self.epoch.load(Ordering::Acquire) {
+            return;
+        }
         let fp = cache_fingerprint(tokens, k);
-        let epoch = self.epoch.load(Ordering::Acquire);
         let mut shard = self.lock_shard(fp);
         shard.tick += 1;
         let tick = shard.tick;
@@ -1475,12 +1476,14 @@ impl FaultMetrics {
 /// policy.
 pub struct LiveIndex {
     inner: RwLock<Arc<pws_index::SegmentedIndex>>,
+    /// Serialises publishers (see [`LiveIndex::add_segment`]).
+    publish: Mutex<()>,
 }
 
 impl LiveIndex {
     /// Start serving `index`.
     pub fn new(index: pws_index::SegmentedIndex) -> Self {
-        LiveIndex { inner: RwLock::new(Arc::new(index)) }
+        LiveIndex { inner: RwLock::new(Arc::new(index)), publish: Mutex::new(()) }
     }
 
     /// Snapshot the current segment set. The snapshot stays valid (and
@@ -1499,7 +1502,14 @@ impl LiveIndex {
     /// is unchanged. Callers inside a serving stack should prefer
     /// [`ServingEngine::publish_segment`], which also invalidates the
     /// retrieval cache.
+    ///
+    /// Publishers are serialised by a publish mutex held across the whole
+    /// snapshot-extend-swap, so two concurrent publishes can never both
+    /// start from the same segment set and lose one of the segments.
+    /// Readers never wait on it: they are served from the old `Arc` until
+    /// the write lock is taken for the pointer swap alone.
     pub fn add_segment(&self, seg: pws_index::Segment) -> Result<(), pws_index::SegmentError> {
+        let _publishing = self.publish.lock().unwrap_or_else(|p| p.into_inner());
         let mut next = (*self.snapshot()).clone();
         next.add_segment(seg)?;
         let next = Arc::new(next);
@@ -1522,15 +1532,6 @@ impl pws_index::RetrievalBackend for LiveIndex {
 
     fn search_tokens(&self, q_tokens: &[String], k: usize) -> Vec<SearchHit> {
         self.snapshot().search_tokens(q_tokens, k)
-    }
-
-    fn search_tokens_workers(
-        &self,
-        q_tokens: &[String],
-        k: usize,
-        workers: usize,
-    ) -> Vec<SearchHit> {
-        self.snapshot().search_tokens_workers(q_tokens, k, workers)
     }
 
     fn score_docs(&self, query: &str, docs: &[u32]) -> Vec<f64> {
@@ -1620,10 +1621,6 @@ impl<'a> ServingEngine<'a> {
         cfg: EngineConfig,
         serve_cfg: ServeConfig,
     ) -> Self {
-        // The serving layer owns the parallelism knob: it flows into the
-        // engine core's base-retrieval calls (uncached path only — cache
-        // hits never touch the executor).
-        let cfg = EngineConfig { search_workers: serve_cfg.search_workers.max(1), ..cfg };
         let n = serve_cfg.shards.max(1);
         let search_m = pws_obs::shard_stages("serve.shard", n, "search");
         let observe_m = pws_obs::shard_stages("serve.shard", n, "observe");
@@ -2744,6 +2741,10 @@ mod tests {
     use pws_geo::{LocId, LocationOntology};
     use pws_index::{IndexBuilder, SearchEngine, StoredDoc};
 
+    // Stage counters are process-wide and several tests here reconcile exact
+    // counts, so every test that drives an engine holds `pws_obs::test_lock()`
+    // for its whole body.
+
     fn world() -> LocationOntology {
         let mut o = LocationOntology::new();
         let r = o.add(LocId::WORLD, "westland", vec![]);
@@ -2958,6 +2959,7 @@ mod tests {
     /// are always fresh for its next turn).
     #[test]
     fn sharded_replay_matches_serial_adaptive_disjoint_queries() {
+        let _guard = pws_obs::test_lock();
         let queries = |u: u32| -> Vec<String> {
             vec![
                 format!("seafood restaurant u{u}"),
@@ -2981,6 +2983,7 @@ mod tests {
     /// *shared* query strings replay byte-identically at any concurrency.
     #[test]
     fn sharded_replay_matches_serial_fixed_beta_shared_queries() {
+        let _guard = pws_obs::test_lock();
         let queries = |_u: u32| -> Vec<String> {
             ["seafood restaurant", "restaurant", "seafood restaurant", "pizza restaurant"]
                 .iter()
@@ -3007,6 +3010,7 @@ mod tests {
     /// serial in-memory replay, cache and all.
     #[test]
     fn sharded_replay_on_segmented_backend_matches_serial() {
+        let _guard = pws_obs::test_lock();
         let queries = |u: u32| -> Vec<String> {
             vec![
                 format!("seafood restaurant u{u}"),
@@ -3041,6 +3045,7 @@ mod tests {
     /// query — even one whose token sequence was already cached.
     #[test]
     fn publish_segment_bumps_epoch_and_surfaces_new_docs() {
+        let _guard = pws_obs::test_lock();
         let seg_all = segmented_index();
         let (first, second) = {
             let segs = seg_all.segments();
@@ -3091,6 +3096,7 @@ mod tests {
 
     #[test]
     fn batch_search_matches_sequential_and_preserves_order() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
@@ -3109,6 +3115,7 @@ mod tests {
 
     #[test]
     fn adaptive_beta_flows_through_snapshot() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(
@@ -3130,6 +3137,7 @@ mod tests {
 
     #[test]
     fn stats_refresh_epoch_batches_snapshot_rebuilds() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(
@@ -3151,6 +3159,7 @@ mod tests {
 
     #[test]
     fn user_lifecycle_forget_export_import() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
@@ -3211,6 +3220,7 @@ mod tests {
     /// or determinism.
     #[test]
     fn sharded_replay_with_tracing_enabled_matches_serial() {
+        let _guard = pws_obs::test_lock();
         let queries = |u: u32| -> Vec<String> {
             vec![
                 format!("seafood restaurant u{u}"),
@@ -3244,6 +3254,7 @@ mod tests {
     /// the slow-query-log contract.
     #[test]
     fn slow_query_ring_sampling_is_replay_deterministic() {
+        let _guard = pws_obs::test_lock();
         let run = || -> Vec<String> {
             let idx = index();
             let w = world();
@@ -3283,6 +3294,7 @@ mod tests {
 
     #[test]
     fn slow_query_ring_traces_carry_serving_context() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(
@@ -3319,6 +3331,7 @@ mod tests {
 
     #[test]
     fn tracing_disabled_yields_no_traces() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
@@ -3337,6 +3350,7 @@ mod tests {
 
     #[test]
     fn queue_depth_returns_to_zero_after_batch_search() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
@@ -3368,6 +3382,7 @@ mod tests {
 
     #[test]
     fn unlimited_budget_search_with_matches_search() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
@@ -3386,6 +3401,7 @@ mod tests {
 
     #[test]
     fn expired_budget_degrades_to_baseline_order_never_errors() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
@@ -3417,6 +3433,7 @@ mod tests {
 
     #[test]
     fn admission_control_sheds_with_retry_hint_but_trusted_path_passes() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(
@@ -3445,6 +3462,7 @@ mod tests {
 
     #[test]
     fn injected_delay_plus_deadline_degrades_at_the_right_checkpoint() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let plan = Arc::new(TargetedPlan {
@@ -3471,6 +3489,7 @@ mod tests {
 
     #[test]
     fn panic_isolation_answers_the_query_and_preserves_state() {
+        let _guard = pws_obs::test_lock();
         quiet_injected_panics();
         let idx = index();
         let w = world();
@@ -3587,6 +3606,7 @@ mod tests {
     /// and collect. Now both recover.
     #[test]
     fn trace_ring_recovers_from_poisoned_slot() {
+        let _guard = pws_obs::test_lock();
         quiet_injected_panics();
         let ring = TraceRing::new(1, pws_obs::stage("serve.lock_recovered"));
         ring.push(QueryTrace::new(1, "before"));
@@ -3702,6 +3722,7 @@ mod tests {
     /// which one happened. Without a cache the stamp stays `None`.
     #[test]
     fn trace_stamps_retrieval_cache_hit() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
@@ -3749,6 +3770,64 @@ mod tests {
         assert_eq!(count("serve.cache.hit"), 2);
     }
 
+    /// A query that missed before an invalidation (a segment publish) and
+    /// `put`s after it carries the pre-publish epoch: its pool describes
+    /// the old segment set and must never be served under the new epoch.
+    #[test]
+    fn put_carrying_a_pre_invalidation_epoch_is_never_served() {
+        let _guard = pws_obs::test_lock();
+        let cache = ShardedRetrievalCache::new(8);
+        let tokens = vec!["seafood".to_string()];
+        let e = cache.epoch();
+        cache.invalidate();
+        cache.put(&tokens, 10, e, &[]);
+        assert!(cache.get(&tokens, 10).is_none(), "stale pool pinned under the new epoch");
+        cache.put(&tokens, 10, cache.epoch(), &[]);
+        assert!(cache.get(&tokens, 10).is_some(), "a current-epoch put is served");
+    }
+
+    /// Threads publishing distinct segments at the same moment, round
+    /// after round (a barrier lines each round up): every segment must
+    /// land. The pre-fix publish snapshotted outside any lock, so
+    /// colliding publishers started from the same segment set and all
+    /// but one of their segments were lost.
+    #[test]
+    fn concurrent_publishers_lose_no_segment() {
+        let _guard = pws_obs::test_lock();
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 16;
+        let live = LiveIndex::new(pws_index::SegmentedIndex::empty(Default::default()));
+        // Wide vocabularies make the extend step (a df-map merge) long
+        // enough that unserialised publishers reliably overlap.
+        let segment = |id: usize| {
+            let mut b = pws_index::SegmentBuilder::new(pws_index::Analyzer::verbatim());
+            let body: Vec<String> = (0..400).map(|t| format!("s{id}t{t}")).collect();
+            b.add(&format!("http://s{id}.test/"), "Doc", &body.join(" "));
+            b.finish_segment().expect("segment")
+        };
+        let segments: Vec<Vec<pws_index::Segment>> = (0..THREADS)
+            .map(|t| (0..ROUNDS).map(|r| segment(t * ROUNDS + r)).collect())
+            .collect();
+        let round = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for mine in &segments {
+                let (live, round) = (&live, &round);
+                scope.spawn(move || {
+                    for seg in mine {
+                        round.wait();
+                        live.add_segment(seg.clone()).expect("publish");
+                    }
+                });
+            }
+        });
+        let snap = live.snapshot();
+        assert_eq!(snap.num_segments(), THREADS * ROUNDS);
+        assert_eq!(snap.doc_count() as usize, THREADS * ROUNDS);
+        for id in 0..THREADS * ROUNDS {
+            assert_eq!(snap.search(&format!("s{id}t7"), 5).len(), 1, "segment {id} lost");
+        }
+    }
+
     #[test]
     fn cache_is_bounded_and_evicts_lru() {
         let _guard = pws_obs::test_lock();
@@ -3756,7 +3835,7 @@ mod tests {
         let cache = ShardedRetrievalCache::new(8); // 1 entry per lock shard
         for i in 0..100u32 {
             let tokens = vec![format!("term{i}")];
-            cache.put(&tokens, 10, &[]);
+            cache.put(&tokens, 10, cache.epoch(), &[]);
             assert!(
                 cache.get(&tokens, 10).is_some(),
                 "just-inserted entry must be resident"
@@ -3886,6 +3965,7 @@ mod tests {
     /// serial engine exactly.
     #[test]
     fn evicted_user_replays_byte_identically_to_always_resident() {
+        let _guard = pws_obs::test_lock();
         let queries = |u: u32| -> Vec<String> {
             vec![
                 format!("seafood restaurant u{u}"),
@@ -4063,6 +4143,7 @@ mod tests {
     /// the state and the per-query adaptive-β statistics.
     #[test]
     fn engine_restart_resumes_replay_byte_identically() {
+        let _guard = pws_obs::test_lock();
         let queries = |u: u32| -> Vec<String> {
             vec![
                 format!("seafood restaurant u{u}"),
@@ -4110,6 +4191,7 @@ mod tests {
     /// statistics restarted cold and the β sequence diverged.
     #[test]
     fn export_import_into_fresh_process_resumes_adaptive_beta_exactly() {
+        let _guard = pws_obs::test_lock();
         let user = UserId(9);
         let repeated = "seafood restaurant"; // repeated ⇒ stats-driven β moves
         let full: Vec<(UserId, Vec<String>)> =
@@ -4192,6 +4274,7 @@ mod tests {
     /// floored at 100µs per queued request.
     #[test]
     fn retry_after_stays_actionable_on_cache_hot_shard() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(
@@ -4271,6 +4354,7 @@ mod tests {
     /// its profile is byte-identical afterwards.
     #[test]
     fn writeback_panic_keeps_victim_resident_with_state_intact() {
+        let _guard = pws_obs::test_lock();
         quiet_injected_panics();
         let idx = index();
         let w = world();
@@ -4318,6 +4402,7 @@ mod tests {
     /// even without eviction pressure.
     #[test]
     fn flush_store_persists_dirty_residents() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let dir = store_dir("flush");
@@ -4350,6 +4435,7 @@ mod tests {
     /// stored record.
     #[test]
     fn forget_user_erases_resident_and_stored_tiers() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let dir = store_dir("forget");
@@ -4383,6 +4469,7 @@ mod tests {
     /// combination — observation must never perturb results.
     #[test]
     fn sharded_replay_with_recorder_and_monitor_matches_serial() {
+        let _guard = pws_obs::test_lock();
         let queries = |u: u32| -> Vec<String> {
             vec![
                 format!("seafood restaurant u{u}"),
@@ -4426,6 +4513,7 @@ mod tests {
     /// shard) reconcile exactly against the turn that produced them.
     #[test]
     fn flight_events_reconcile_against_turns() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(
@@ -4587,6 +4675,7 @@ mod tests {
     /// timing (threshold arm disabled).
     #[test]
     fn trace_sampling_admission_is_deterministic() {
+        let _guard = pws_obs::test_lock();
         let cfg = TraceConfig::default();
         assert!(!cfg.enabled, "tracing is opt-in");
         assert_eq!(cfg.slow_threshold_nanos, 0, "timing arm is opt-in (non-deterministic)");
@@ -4690,6 +4779,7 @@ mod tests {
     /// rings rather than waiting for degraded turns.
     #[test]
     fn shed_burst_triggers_auto_dump() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let dir = store_dir("sheddump");
@@ -4733,6 +4823,7 @@ mod tests {
     /// a lockstep herd.
     #[test]
     fn retry_after_hint_is_jittered_within_bounds_and_replay_stable() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(

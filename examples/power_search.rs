@@ -1,13 +1,13 @@
 //! Power-user search features of the underlying engine: phrase queries,
-//! boolean operators, and index persistence (save to bytes, reload,
-//! identical results — no re-indexing on restart).
+//! boolean operators, and index persistence (write the checksummed segment
+//! file, reopen it, identical results — no re-indexing on restart).
 //!
 //! ```text
 //! cargo run --release --example power_search
 //! ```
 
 use pws::eval::{ExperimentSpec, ExperimentWorld};
-use pws::index::SearchEngine;
+use pws::index::{SearchEngine, Segment};
 
 fn main() {
     let world = ExperimentWorld::build(ExperimentSpec::small());
@@ -46,16 +46,25 @@ fn main() {
         println!("{bad:?} → {}", engine.search_expr(bad, 5).unwrap_err());
     }
 
-    // Persistence: serialize, reload, verify identity.
+    // Persistence: write the segment file, reopen it, verify identity.
     println!("\n── persistence ──");
-    let bytes = engine.serialize();
+    let dir = std::env::temp_dir().join(format!("pws-power-search-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let mut reopened = Vec::new();
+    for (i, seg) in engine.segments().iter().enumerate() {
+        let path = dir.join(format!("seg{i}.pws"));
+        seg.write_file(&path).expect("write segment");
+        reopened.push(Segment::open(&path).expect("checksums verify on open"));
+    }
     println!(
-        "serialized {} docs / {} terms into {} KiB",
+        "wrote {} docs / {} terms as {} segment file(s), {} KiB",
         engine.doc_count(),
         engine.vocab_size(),
-        bytes.len() / 1024
+        engine.num_segments(),
+        engine.index_bytes() / 1024
     );
-    let reloaded = SearchEngine::deserialize(&bytes).expect("round trip");
+    let reloaded = SearchEngine::from_segments(reopened).expect("assemble");
+    let _ = std::fs::remove_dir_all(&dir);
     let q = "seafood restaurant";
     let a = engine.search(q, 10);
     let b = reloaded.search(q, 10);

@@ -48,19 +48,17 @@ fi
 echo "==> cargo doc --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 
-echo "==> retrieval fast-path correctness gate (retrieval_bench --smoke)"
-# The DAAT/MaxScore fast path, the serving layer's retrieval cache, the
-# segmented on-disk index (Block-Max WAND, exercised through a full
-# write→load→search round trip plus a corruption-detection check), and
-# the intra-query parallel executor (--search-workers 4) must return
-# bit-identical results to the naive reference scorer on the smoke
+echo "==> retrieval correctness gate (retrieval_bench --smoke)"
+# pws-index has one index layout and one top-k executor: Block-Max WAND
+# over the single in-RAM segment IndexBuilder builds, the same behind
+# the serving layer's retrieval cache, and over segment files (a full
+# write→load→search round trip plus a corruption-detection check) must
+# all return bit-identical results to the exhaustive oracle on the smoke
 # experiment world; any disagreement exits non-zero.
 if [[ $fast -eq 0 ]]; then
-    cargo run -q --release -p pws-bench --bin retrieval_bench --offline -- \
-        --smoke --search-workers 4
+    cargo run -q --release -p pws-bench --bin retrieval_bench --offline -- --smoke
 else
-    cargo run -q -p pws-bench --bin retrieval_bench --offline -- \
-        --smoke --search-workers 4
+    cargo run -q -p pws-bench --bin retrieval_bench --offline -- --smoke
 fi
 
 echo "==> allocation-free hot-loop gate (no Vec::new/HashMap::new in exec/scratch)"
@@ -118,66 +116,30 @@ if [[ $missing -ne 0 ]]; then
     exit 1
 fi
 
-echo "==> segment-format section gate (docs/INDEX_FORMAT.md)"
-# The id/name pairs of enum SectionId (the segment writer's section
-# list) must match the section table documented in the format spec —
-# in both directions, so neither the code nor the doc can drift.
-spec=docs/INDEX_FORMAT.md
-enum_src=crates/pws-index/src/segfile.rs
-enum_pairs=$(awk '/^pub enum SectionId \{/,/^\}/' "$enum_src" \
-    | grep -oP '^\s+\K[A-Za-z]+\s*=\s*[0-9]+' \
-    | sed -E 's/\s*=\s*/ /')
-doc_pairs=$(grep -oP '^\|\s*[0-9]+\s*\|\s*`[A-Za-z]+`' "$spec" \
-    | sed -E 's/^\|\s*([0-9]+)\s*\|\s*`([A-Za-z]+)`/\2 \1/')
-if [[ -z "$enum_pairs" || -z "$doc_pairs" ]]; then
-    echo "FAIL: could not extract SectionId pairs from $enum_src or $spec"
-    exit 1
-fi
-if ! diff <(printf '%s\n' "$enum_pairs" | sort) \
-          <(printf '%s\n' "$doc_pairs" | sort); then
-    echo "FAIL: SectionId enum and the $spec section table disagree"
-    exit 1
-fi
-
-echo "==> store-format section gate (docs/STORE_FORMAT.md)"
-# Same two-way sync for the user-record codec: enum SectionId in
-# pws-store must match the section table in the store format spec.
-spec=docs/STORE_FORMAT.md
-enum_src=crates/pws-store/src/codec.rs
-enum_pairs=$(awk '/^pub enum SectionId \{/,/^\}/' "$enum_src" \
-    | grep -oP '^\s+\K[A-Za-z]+\s*=\s*[0-9]+' \
-    | sed -E 's/\s*=\s*/ /')
-doc_pairs=$(grep -oP '^\|\s*[0-9]+\s*\|\s*`[A-Za-z]+`' "$spec" \
-    | sed -E 's/^\|\s*([0-9]+)\s*\|\s*`([A-Za-z]+)`/\2 \1/')
-if [[ -z "$enum_pairs" || -z "$doc_pairs" ]]; then
-    echo "FAIL: could not extract SectionId pairs from $enum_src or $spec"
-    exit 1
-fi
-if ! diff <(printf '%s\n' "$enum_pairs" | sort) \
-          <(printf '%s\n' "$doc_pairs" | sort); then
-    echo "FAIL: SectionId enum and the $spec section table disagree"
-    exit 1
-fi
-
-echo "==> flight-format section gate (docs/FLIGHT_FORMAT.md)"
-# Same two-way sync for the flight-dump codec: enum SectionId in
-# pws-obs must match the section table in the flight format spec.
-spec=docs/FLIGHT_FORMAT.md
-enum_src=crates/pws-obs/src/flight.rs
-enum_pairs=$(awk '/^pub enum SectionId \{/,/^\}/' "$enum_src" \
-    | grep -oP '^\s+\K[A-Za-z]+\s*=\s*[0-9]+' \
-    | sed -E 's/\s*=\s*/ /')
-doc_pairs=$(grep -oP '^\|\s*[0-9]+\s*\|\s*`[A-Za-z]+`' "$spec" \
-    | sed -E 's/^\|\s*([0-9]+)\s*\|\s*`([A-Za-z]+)`/\2 \1/')
-if [[ -z "$enum_pairs" || -z "$doc_pairs" ]]; then
-    echo "FAIL: could not extract SectionId pairs from $enum_src or $spec"
-    exit 1
-fi
-if ! diff <(printf '%s\n' "$enum_pairs" | sort) \
-          <(printf '%s\n' "$doc_pairs" | sort); then
-    echo "FAIL: SectionId enum and the $spec section table disagree"
-    exit 1
-fi
+# The id/name pairs of a codec's `enum SectionId` (the writer's section
+# list) must match the section table documented in its format spec — in
+# both directions, so neither the code nor the doc can drift.
+section_gate() {
+    local what=$1 enum_src=$2 spec=$3 enum_pairs doc_pairs
+    echo "==> $what-format section gate ($spec)"
+    enum_pairs=$(awk '/^pub enum SectionId \{/,/^\}/' "$enum_src" \
+        | grep -oP '^\s+\K[A-Za-z]+\s*=\s*[0-9]+' \
+        | sed -E 's/\s*=\s*/ /')
+    doc_pairs=$(grep -oP '^\|\s*[0-9]+\s*\|\s*`[A-Za-z]+`' "$spec" \
+        | sed -E 's/^\|\s*([0-9]+)\s*\|\s*`([A-Za-z]+)`/\2 \1/')
+    if [[ -z "$enum_pairs" || -z "$doc_pairs" ]]; then
+        echo "FAIL: could not extract SectionId pairs from $enum_src or $spec"
+        exit 1
+    fi
+    if ! diff <(printf '%s\n' "$enum_pairs" | sort) \
+              <(printf '%s\n' "$doc_pairs" | sort); then
+        echo "FAIL: SectionId enum and the $spec section table disagree"
+        exit 1
+    fi
+}
+section_gate segment crates/pws-index/src/segfile.rs docs/INDEX_FORMAT.md
+section_gate store crates/pws-store/src/codec.rs docs/STORE_FORMAT.md
+section_gate flight crates/pws-obs/src/flight.rs docs/FLIGHT_FORMAT.md
 
 echo "==> store-tier replay-equivalence gate (store_smoke)"
 # Write → evict → fault-in → replay must be byte-identical to an

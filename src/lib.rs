@@ -43,7 +43,7 @@ pub use pws_geo as geo;
 /// Synthetic web corpus and query workload generation.
 pub use pws_corpus as corpus;
 
-/// In-memory search engine (inverted index, BM25, snippets).
+/// Search engine substrate (segment index, BM25, Block-Max WAND, snippets).
 pub use pws_index as index;
 
 /// Clickthrough substrate: simulated users, click models, logs.

@@ -8,7 +8,7 @@ use pws::corpus::session::{generate_session, Refinement, SessionSpec};
 use pws::corpus::vocab::Topics;
 use pws::eval::{ExperimentSpec, ExperimentWorld};
 use pws::geo::WorldCoords;
-use pws::index::SearchEngine;
+use pws::index::{SearchEngine, Segment};
 use pws::profile::SpyNbConfig;
 
 fn world() -> ExperimentWorld {
@@ -46,14 +46,63 @@ fn structured_queries_work_on_generated_corpus() {
 #[test]
 fn full_index_round_trips_through_persistence() {
     let w = world();
-    let bytes = w.engine.serialize();
-    assert!(bytes.len() > 1000);
-    let reloaded = SearchEngine::deserialize(&bytes).expect("round trip");
-    for q in w.queries.iter().take(10) {
-        let a: Vec<u32> = w.engine.search(&q.text, 10).iter().map(|h| h.doc).collect();
-        let b: Vec<u32> = reloaded.search(&q.text, 10).iter().map(|h| h.doc).collect();
-        assert_eq!(a, b, "query {:?}", q.text);
+    // Persist: one checksummed `PWSSEG1` file per segment. Reload: open
+    // the files and assemble — no re-indexing.
+    let dir = std::env::temp_dir().join(format!("pws-ext-persist-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let mut reopened = Vec::new();
+    for (i, seg) in w.engine.segments().iter().enumerate() {
+        let path = dir.join(format!("seg{i}.pws"));
+        seg.write_file(&path).expect("write");
+        assert!(std::fs::metadata(&path).expect("stat").len() > 1000);
+        reopened.push(Segment::open(&path).expect("open"));
     }
+    let reloaded = SearchEngine::from_segments(reopened).expect("assemble");
+    let _ = std::fs::remove_dir_all(&dir);
+    for q in w.queries.iter().take(10) {
+        assert_eq!(w.engine.search(&q.text, 10), reloaded.search(&q.text, 10), "query {:?}", q.text);
+    }
+}
+
+/// Phrase / boolean results `(doc, score bits)` captured from the
+/// positional-postings implementation this index replaced (20 queries on
+/// `ExperimentSpec::small()` plus a hand-written fixture): verifying a
+/// phrase against the stored text reproduces them exactly.
+#[test]
+fn phrase_queries_match_positional_golden() {
+    let golden = include_str!("golden/phrase_queries.tsv");
+    let (small, fixture) = golden.split_once("#fixture\n").expect("two sections");
+    let w = world();
+    let mut b = pws::index::IndexBuilder::new();
+    for (i, (title, body)) in [
+        ("Crab shack", "fresh lobster roll and seafood daily"),
+        ("Roll call", "drum roll and lobster bisque tonight"),
+        ("Phones", "android battery and screen repair"),
+        ("Mixed", "seafood platter with android app ordering"),
+        ("Lobster roll stand", "the best lobster roll in town lobster roll lovers agree"),
+        ("Port Alden guide", "visit port alden harbor and the port of lakemoor alden street"),
+    ]
+    .iter()
+    .enumerate()
+    {
+        b.add(pws::index::StoredDoc::new(i as u32, &format!("u{i}"), title, body));
+    }
+    let fixture_engine = b.build();
+    let mut checked = 0;
+    for (engine, section) in [(&w.engine, small), (&fixture_engine, fixture)] {
+        for line in section.lines() {
+            let (query, want) = line.split_once('\t').expect("query<TAB>hits");
+            let got: Vec<String> = engine
+                .search_expr(query, 10)
+                .expect("golden queries parse")
+                .iter()
+                .map(|h| format!("{}:{:016x}", h.doc, h.score.to_bits()))
+                .collect();
+            assert_eq!(got.join(","), want, "query {query}");
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 30);
 }
 
 #[test]
