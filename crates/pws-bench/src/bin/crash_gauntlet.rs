@@ -21,9 +21,12 @@
 //! 2. **Refusal sweep** — `ENOSPC` at each op, a refused rename, and a
 //!    sick-then-recovered disk (`eio_first`) all fail typed and
 //!    transient; one retry lands the new record with no orphans.
-//! 3. **Corruption** — a bit-flipped record and a zero-length record
-//!    fail typed on read; [`UserStore::scrub`] quarantines both so the
-//!    user reads as a clean miss, and a re-put restores service.
+//! 3. **Corruption** — every damaged copy of a record file the shared
+//!    container gauntlet makes (each byte flipped, each prefix down to
+//!    zero length, each section-table mutation) fails typed on read; for
+//!    a bit-flipped and a zero-length record [`UserStore::scrub`]
+//!    quarantines the file so the user reads as a clean miss, and a
+//!    re-put restores service.
 //!
 //! Any violation prints the case and exits non-zero. `--smoke` trims
 //! the torn-prefix sweep to a handful of lengths; the invariants
@@ -36,7 +39,7 @@ use pws_geo::LocId;
 use pws_profile::{ContentProfile, LocationProfile, UserHistory};
 use pws_ranksvm::{LinearRankModel, PreferencePair};
 use pws_store::{
-    encode_user_record, FaultIo, IoFaultSpec, StoreError, UserRecord, UserStore,
+    encode_user_record, FaultIo, IoFaultSpec, StoreError, UserRecord, UserStore, STORE_FORMAT,
 };
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -201,8 +204,23 @@ fn refusal_case(tag: &str, spec: IoFaultSpec, new_rec: &UserRecord) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Bit-flip / truncate-to-zero corruption: reads fail typed, scrub
-/// quarantines, the user becomes a clean miss, a re-put restores it.
+/// Every damaged copy of a record file reads back through the store as
+/// a typed, non-transient error (a panic fails the gate). Returns how
+/// many were tried.
+fn corrupt_reads_fail_typed() -> usize {
+    let dir = fresh_dir("gauntlet");
+    let store = UserStore::open(&dir).expect("open");
+    let path = dir.join(format!("user-{:08x}.pwsu", USER.0));
+    let tried = STORE_FORMAT.gauntlet(&encode_user_record(&record(1)), |bad| {
+        std::fs::write(&path, bad).expect("write damaged record");
+        matches!(store.get(USER), Err(e) if !e.is_transient())
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    tried
+}
+
+/// Bit-flip / truncate-to-zero corruption: scrub quarantines, the user
+/// becomes a clean miss, a re-put restores it.
 fn corruption_case(tag: &str, corrupt: &dyn Fn(&Path)) {
     let case = format!("corruption {tag}");
     let dir = fresh_dir("corrupt");
@@ -210,11 +228,6 @@ fn corruption_case(tag: &str, corrupt: &dyn Fn(&Path)) {
     store.put(&record(1)).expect("seed");
     let path = dir.join(format!("user-{:08x}.pwsu", USER.0));
     corrupt(&path);
-    match catch_unwind(AssertUnwindSafe(|| store.get(USER))) {
-        Ok(Err(_)) => {}
-        Ok(Ok(r)) => fail(&case, &format!("corrupt read yielded {:?}", r.is_some())),
-        Err(_) => fail(&case, "corrupt read PANICKED — typed errors only"),
-    }
     let report = store.scrub().expect("scrub");
     if report.quarantined.len() != 1 {
         fail(&case, &format!("expected 1 quarantined record: {report:?}"));
@@ -281,6 +294,7 @@ fn main() {
     refusal_cases += 2;
 
     // 3. Corruption → typed error → quarantine → clean miss → recovery.
+    let corrupt_reads = corrupt_reads_fail_typed();
     corruption_case("bit_flip", &|p: &Path| {
         let mut bytes = std::fs::read(p).expect("read for corruption");
         let mid = bytes.len() / 2;
@@ -294,6 +308,7 @@ fn main() {
     println!(
         "crash gauntlet OK: {crash_cases} crash cases (4 op kills + {} torn prefixes), \
          {refusal_cases} typed refusals retried to the new record, \
+         {corrupt_reads} damaged record files read back as typed errors, \
          2 corruption cases quarantined and recovered — zero panics",
         torn_keeps.len(),
     );

@@ -27,8 +27,8 @@
 //! **bit-identical scores and identical pages are required**, and any
 //! disagreement exits non-zero (this is the correctness gate
 //! `scripts/check.sh` runs in `--smoke` mode; smoke mode also exercises
-//! the full segment write → load → search round trip and checks that a
-//! corrupted segment file fails with a typed error). Then each row is
+//! the full segment write → load → search round trip and runs a small
+//! segment through the shared container gauntlet). Then each row is
 //! timed under the `bench.retrieval.*` stages.
 //!
 //! `--scale large` builds a ≥1M-document corpus into on-disk segments
@@ -47,7 +47,7 @@ use pws_core::RetrievalCache;
 use pws_corpus::{CorpusGen, CorpusSpec, Query, QueryGen, QuerySpec};
 use pws_eval::{ExperimentSpec, ExperimentWorld};
 use pws_geo::{WorldGen, WorldSpec};
-use pws_index::{Segment, SegmentBuilder, SearchHit, SegmentedIndex};
+use pws_index::{SearchHit, Segment, SegmentBuilder, SegmentedIndex, SEGMENT_FORMAT};
 use pws_serve::ShardedRetrievalCache;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -149,30 +149,16 @@ fn segmented_from_disk(
     (idx, build_start.elapsed().as_secs_f64())
 }
 
-/// Corrupting or truncating a segment file must produce a typed load
-/// error, never a panic and never a successful load.
-fn check_corruption_detection(dir: &Path) -> Result<(), String> {
-    let path = fs::read_dir(dir)
-        .map_err(|e| e.to_string())?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .find(|p| p.extension().is_some_and(|x| x == "pws"))
-        .ok_or("no segment file to corrupt")?;
-    let bytes = fs::read(&path).map_err(|e| e.to_string())?;
-    // Flip one byte near the middle (inside some section payload).
-    let mut bad = bytes.clone();
-    let mid = bad.len() / 2;
-    bad[mid] ^= 0xFF;
-    if Segment::load_bytes(bad).is_ok() {
-        return Err("corrupted segment loaded successfully".into());
+/// A segment of the world's first documents through the shared container
+/// gauntlet: every byte flip, prefix and section-table mutation must fail
+/// [`Segment::load_bytes`] with a typed error — never a panic, never a
+/// successful load. Returns how many damaged copies were tried.
+fn check_corruption_detection(world: &ExperimentWorld) -> usize {
+    let mut b = SegmentBuilder::new(Default::default());
+    for d in world.corpus.docs.iter().take(4) {
+        b.add(&d.url, &d.title, &d.body);
     }
-    // Truncations at every prefix of the header plus a payload cut.
-    for cut in [0, 4, 9, 17, bytes.len() / 3, bytes.len() - 1] {
-        if Segment::load_bytes(bytes[..cut.min(bytes.len())].to_vec()).is_ok() {
-            return Err(format!("truncated segment (at {cut}) loaded successfully"));
-        }
-    }
-    Ok(())
+    SEGMENT_FORMAT.gauntlet(&b.finish(), |bad| Segment::load_bytes(bad).is_err())
 }
 
 fn verify(
@@ -338,11 +324,10 @@ fn run_world_scale(scale: &'static str, spec: ExperimentSpec, smoke: bool) {
          on-disk segments bit-identical to the exhaustive oracle on all {} queries",
         world.queries.len()
     );
-    if let Err(e) = check_corruption_detection(&seg_dir) {
-        eprintln!("FAIL: segment corruption not detected: {e}");
-        std::process::exit(1);
-    }
-    println!("correctness: corrupted/truncated segment files fail load with typed errors");
+    println!(
+        "correctness: {} corrupted/truncated/table-mutated segment files fail load with typed errors",
+        check_corruption_detection(&world)
+    );
     if smoke {
         // The gates are the point of smoke mode; skip the timing runs so
         // check.sh stays fast.

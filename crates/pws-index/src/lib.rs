@@ -52,7 +52,7 @@ pub use builder::IndexBuilder;
 pub use query::{parse_query, ParseError, QueryExpr};
 pub use score::Bm25Params;
 pub use search::{SearchEngine, SearchHit, StoredDoc};
-pub use segfile::{SectionId, SegmentError, FORMAT_VERSION, SEGMENT_MAGIC};
+pub use segfile::{SectionId, SegmentError, FORMAT_VERSION, SEGMENT_FORMAT, SEGMENT_MAGIC};
 pub use segment::{Segment, SegmentBuilder, BLOCK_SIZE};
 pub use segmented::SegmentedIndex;
 pub use snippet::extract_snippet;

@@ -22,7 +22,8 @@
 
 use crate::codec::{read_varint, write_varint};
 use crate::search::StoredDoc;
-use crate::segfile::{parse_sections, read_u64le, SectionId, SectionWriter, SegmentError};
+use crate::segfile::{SegmentError, SEGMENT_FORMAT};
+use pws_obs::format::{le_u64, FormatError};
 use pws_text::{Analyzer, Interner};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -108,89 +109,90 @@ impl Segment {
     pub fn load_bytes(bytes: impl Into<Vec<u8>>) -> Result<Segment, SegmentError> {
         let _span = metrics_load().span();
         let bytes: Vec<u8> = bytes.into();
-        let sections = parse_sections(&bytes)?;
-        let [meta_s, terms_s, blockmax_s, postings_s, doc_index_s, docs_s, doc_lens_s] =
-            sections[..]
-        else {
-            return Err(SegmentError::Malformed("section count"));
+        let sections = SEGMENT_FORMAT.parse(&bytes)?;
+        let [mut m, mut t, mut b, postings, di, docs, mut dl] = sections[..] else {
+            unreachable!("parse returns one payload per section");
         };
+        // Payloads are contiguous in this order and end at EOF (checked by
+        // `parse`), so the absolute offsets follow from the lengths.
+        let docs_off = bytes.len() - dl.len() - docs.len();
+        let doc_index_off = docs_off - di.len();
+        let postings_off = doc_index_off - postings.len();
+        let (postings_len, blockmax_len, docs_len) = (postings.len(), b.len(), docs.len());
 
         // ── Meta ─────────────────────────────────────────────────────
-        let mut m = meta_s.slice(&bytes);
         let doc_count =
-            read_varint(&mut m).ok_or(SegmentError::Truncated("Meta.doc_count"))?;
-        let hi = read_varint(&mut m).ok_or(SegmentError::Truncated("Meta.total_len"))?;
-        let lo = read_varint(&mut m).ok_or(SegmentError::Truncated("Meta.total_len"))?;
+            read_varint(&mut m).ok_or(FormatError::Truncated("Meta.doc_count"))?;
+        let hi = read_varint(&mut m).ok_or(FormatError::Truncated("Meta.total_len"))?;
+        let lo = read_varint(&mut m).ok_or(FormatError::Truncated("Meta.total_len"))?;
         let total_len = (u64::from(hi) << 32) | u64::from(lo);
         if m.len() < 2 {
-            return Err(SegmentError::Truncated("Meta.analyzer"));
+            return Err(FormatError::Truncated("Meta.analyzer").into());
         }
         let (remove_stopwords, stem) = (m[0] != 0, m[1] != 0);
         m = &m[2..];
         let min_token_len =
-            read_varint(&mut m).ok_or(SegmentError::Truncated("Meta.analyzer"))? as usize;
+            read_varint(&mut m).ok_or(FormatError::Truncated("Meta.analyzer"))? as usize;
         let max_token_len =
-            read_varint(&mut m).ok_or(SegmentError::Truncated("Meta.analyzer"))? as usize;
+            read_varint(&mut m).ok_or(FormatError::Truncated("Meta.analyzer"))? as usize;
         if !m.is_empty() {
-            return Err(SegmentError::Malformed("trailing bytes in Meta"));
+            return Err(FormatError::Malformed("trailing bytes in Meta").into());
         }
         let analyzer = Analyzer { remove_stopwords, stem, min_token_len, max_token_len };
 
         // ── Terms ────────────────────────────────────────────────────
-        let mut t = terms_s.slice(&bytes);
         let n_terms =
-            read_varint(&mut t).ok_or(SegmentError::Truncated("Terms.count"))? as usize;
+            read_varint(&mut t).ok_or(FormatError::Truncated("Terms.count"))? as usize;
         let mut dict = HashMap::with_capacity(n_terms);
         let mut terms = Vec::with_capacity(n_terms);
         for ord in 0..n_terms {
             let len =
-                read_varint(&mut t).ok_or(SegmentError::Truncated("Terms.len"))? as usize;
+                read_varint(&mut t).ok_or(FormatError::Truncated("Terms.len"))? as usize;
             if t.len() < len {
-                return Err(SegmentError::Truncated("Terms.bytes"));
+                return Err(FormatError::Truncated("Terms.bytes").into());
             }
             let s = std::str::from_utf8(&t[..len])
-                .map_err(|_| SegmentError::Malformed("non-utf8 term"))?;
+                .map_err(|_| FormatError::Malformed("non-utf8 term"))?;
             t = &t[len..];
             if dict.insert(s.to_string(), ord as u32).is_some() {
-                return Err(SegmentError::Malformed("duplicate term"));
+                return Err(FormatError::Malformed("duplicate term").into());
             }
             terms.push(s.to_string());
         }
         if !t.is_empty() {
-            return Err(SegmentError::Malformed("trailing bytes in Terms"));
+            return Err(FormatError::Malformed("trailing bytes in Terms").into());
         }
 
         // ── BlockMax table ───────────────────────────────────────────
-        let mut b = blockmax_s.slice(&bytes);
         let mut term_meta = Vec::with_capacity(n_terms);
         let mut blocks: Vec<BlockMeta> = Vec::new();
         let mut payload_off = 0usize;
         for _ in 0..n_terms {
             let n_blocks =
-                read_varint(&mut b).ok_or(SegmentError::Truncated("BlockMax.count"))?;
+                read_varint(&mut b).ok_or(FormatError::Truncated("BlockMax.count"))?;
             let start = blocks.len();
             let (mut df, mut t_max_tf, mut t_min_dlen) = (0u64, 0u32, u32::MAX);
             let mut prev_last = None::<u32>;
             for _ in 0..n_blocks {
                 let last_doc =
-                    read_varint(&mut b).ok_or(SegmentError::Truncated("BlockMax.entry"))?;
+                    read_varint(&mut b).ok_or(FormatError::Truncated("BlockMax.entry"))?;
                 let bdc =
-                    read_varint(&mut b).ok_or(SegmentError::Truncated("BlockMax.entry"))?;
+                    read_varint(&mut b).ok_or(FormatError::Truncated("BlockMax.entry"))?;
                 let max_tf =
-                    read_varint(&mut b).ok_or(SegmentError::Truncated("BlockMax.entry"))?;
+                    read_varint(&mut b).ok_or(FormatError::Truncated("BlockMax.entry"))?;
                 let min_dlen =
-                    read_varint(&mut b).ok_or(SegmentError::Truncated("BlockMax.entry"))?;
+                    read_varint(&mut b).ok_or(FormatError::Truncated("BlockMax.entry"))?;
                 let payload_len =
-                    read_varint(&mut b).ok_or(SegmentError::Truncated("BlockMax.entry"))?
+                    read_varint(&mut b).ok_or(FormatError::Truncated("BlockMax.entry"))?
                         as usize;
                 if bdc == 0 || bdc as usize > BLOCK_SIZE {
-                    return Err(SegmentError::Malformed("block doc_count out of range"));
+                    return Err(FormatError::Malformed("block doc_count out of range").into());
                 }
                 if last_doc >= doc_count {
-                    return Err(SegmentError::Malformed("block last_doc out of range"));
+                    return Err(FormatError::Malformed("block last_doc out of range").into());
                 }
                 if prev_last.is_some_and(|p| last_doc <= p) {
-                    return Err(SegmentError::Malformed("blocks not ascending"));
+                    return Err(FormatError::Malformed("blocks not ascending").into());
                 }
                 prev_last = Some(last_doc);
                 df += u64::from(bdc);
@@ -206,9 +208,9 @@ impl Segment {
                 });
                 payload_off = payload_off
                     .checked_add(payload_len)
-                    .ok_or(SegmentError::Malformed("postings offset overflow"))?;
+                    .ok_or(FormatError::Malformed("postings offset overflow"))?;
             }
-            let df = u32::try_from(df).map_err(|_| SegmentError::Malformed("df overflow"))?;
+            let df = u32::try_from(df).map_err(|_| FormatError::Malformed("df overflow"))?;
             term_meta.push(TermMeta {
                 df,
                 blocks: start..blocks.len(),
@@ -217,34 +219,32 @@ impl Segment {
             });
         }
         if !b.is_empty() {
-            return Err(SegmentError::Malformed("trailing bytes in BlockMax"));
+            return Err(FormatError::Malformed("trailing bytes in BlockMax").into());
         }
-        if payload_off != postings_s.len {
-            return Err(SegmentError::Malformed("postings length mismatch"));
+        if payload_off != postings_len {
+            return Err(FormatError::Malformed("postings length mismatch").into());
         }
 
         // ── DocIndex: monotone offsets into Docs ─────────────────────
-        let di = doc_index_s.slice(&bytes);
         if di.len() != doc_count as usize * 8 {
-            return Err(SegmentError::Malformed("doc index length mismatch"));
+            return Err(FormatError::Malformed("doc index length mismatch").into());
         }
         let mut prev = 0u64;
         for i in 0..doc_count as usize {
-            let off = read_u64le(&di[i * 8..]);
-            if off > docs_s.len as u64 || (i > 0 && off < prev) {
-                return Err(SegmentError::Malformed("doc index offsets out of range"));
+            let off = le_u64(&di[i * 8..]);
+            if off > docs_len as u64 || (i > 0 && off < prev) {
+                return Err(FormatError::Malformed("doc index offsets out of range").into());
             }
             prev = off;
         }
 
         // ── DocLens ──────────────────────────────────────────────────
-        let mut dl = doc_lens_s.slice(&bytes);
         let mut doc_lens = Vec::with_capacity(doc_count as usize);
         for _ in 0..doc_count {
-            doc_lens.push(read_varint(&mut dl).ok_or(SegmentError::Truncated("DocLens"))?);
+            doc_lens.push(read_varint(&mut dl).ok_or(FormatError::Truncated("DocLens"))?);
         }
         if !dl.is_empty() {
-            return Err(SegmentError::Malformed("trailing bytes in DocLens"));
+            return Err(FormatError::Malformed("trailing bytes in DocLens").into());
         }
 
         Ok(Segment {
@@ -257,11 +257,11 @@ impl Segment {
                 doc_lens,
                 doc_count,
                 total_len,
-                postings_off: postings_s.offset,
-                postings_bytes: postings_s.len + blockmax_s.len,
-                doc_index_off: doc_index_s.offset,
-                docs_off: docs_s.offset,
-                docs_len: docs_s.len,
+                postings_off,
+                postings_bytes: postings_len + blockmax_len,
+                doc_index_off,
+                docs_off,
+                docs_len,
                 bytes,
                 k1_norms: std::sync::OnceLock::new(),
             }),
@@ -430,7 +430,7 @@ impl Segment {
         let inner = &self.inner;
         assert!(local_id < inner.doc_count, "doc id {local_id} out of range");
         let di = &inner.bytes[inner.doc_index_off..];
-        let start = read_u64le(&di[local_id as usize * 8..]) as usize;
+        let start = le_u64(&di[local_id as usize * 8..]) as usize;
         let mut rec = &inner.bytes[inner.docs_off + start..inner.docs_off + inner.docs_len];
         let mut read_str = || -> String {
             let len = read_varint(&mut rec).map_or(0, |l| l as usize).min(rec.len());
@@ -449,9 +449,9 @@ impl Segment {
     pub(crate) fn doc_record_bytes(&self, local_id: u32) -> &[u8] {
         let inner = &self.inner;
         let di = &inner.bytes[inner.doc_index_off..];
-        let start = read_u64le(&di[local_id as usize * 8..]) as usize;
+        let start = le_u64(&di[local_id as usize * 8..]) as usize;
         let end = if local_id + 1 < inner.doc_count {
-            read_u64le(&di[(local_id as usize + 1) * 8..]) as usize
+            le_u64(&di[(local_id as usize + 1) * 8..]) as usize
         } else {
             inner.docs_len
         };
@@ -489,7 +489,7 @@ impl Segment {
             base += u64::from(s.doc_count());
         }
         let doc_count = u32::try_from(base)
-            .map_err(|_| SegmentError::Malformed("merged doc count overflows u32"))?;
+            .map_err(|_| FormatError::Malformed("merged doc count overflows u32"))?;
 
         // Re-emit postings per union term, re-blocked.
         let mut postings_by_term: Vec<Vec<(u32, u32)>> = vec![Vec::new(); interner.len()];
@@ -696,15 +696,8 @@ impl SegmentBuilder {
             write_varint(&mut doc_lens, l);
         }
 
-        let mut w = SectionWriter::new();
-        w.add(SectionId::Meta, meta);
-        w.add(SectionId::Terms, terms);
-        w.add(SectionId::BlockMax, blockmax);
-        w.add(SectionId::Postings, payloads);
-        w.add(SectionId::DocIndex, doc_index);
-        w.add(SectionId::Docs, self.doc_payload);
-        w.add(SectionId::DocLens, doc_lens);
-        w.finish()
+        SEGMENT_FORMAT
+            .write(vec![meta, terms, blockmax, payloads, doc_index, self.doc_payload, doc_lens])
     }
 
     /// [`SegmentBuilder::finish`] followed by [`Segment::load_bytes`].

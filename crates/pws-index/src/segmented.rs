@@ -43,6 +43,7 @@ use crate::search::SearchHit;
 use crate::segment::{Segment, SegmentBuilder, TfCursor};
 use crate::segfile::SegmentError;
 use crate::snippet::extract_snippet;
+use pws_obs::format::FormatError;
 use pws_text::Analyzer;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -120,7 +121,7 @@ impl SegmentedIndex {
         }
         let new_total = u64::from(self.doc_count) + u64::from(seg.doc_count());
         let doc_count = u32::try_from(new_total)
-            .map_err(|_| SegmentError::Malformed("global doc count overflows u32"))?;
+            .map_err(|_| FormatError::Malformed("global doc count overflows u32"))?;
         self.bases.push(self.doc_count);
         self.doc_count = doc_count;
         self.total_len += seg.total_len();
@@ -503,7 +504,7 @@ impl SegmentedIndex {
             let built = slot
                 .into_inner()
                 .unwrap_or_else(|p| p.into_inner())
-                .unwrap_or(Err(SegmentError::Malformed("segment build worker died")));
+                .unwrap_or(Err(FormatError::Malformed("segment build worker died").into()));
             segments.push(built?);
         }
         SegmentedIndex::from_segments(segments)

@@ -8,15 +8,17 @@
 //!    titles, snippets, and bitwise-equal scores, for any segmentation of
 //!    the corpus.
 //! 2. **Durability** — corrupted (any single byte flipped), truncated
-//!    (any prefix), or wrong-version files fail to load with a typed
-//!    [`SegmentError`], never a panic.
+//!    (any prefix), table-mutated (the shared container gauntlet) or
+//!    wrong-version files fail to load with a typed [`SegmentError`],
+//!    never a panic.
 //! 3. **Merge** — merging segments preserves search results bit-for-bit.
 
 use proptest::prelude::*;
 use pws_index::{
     IndexBuilder, SearchEngine, Segment, SegmentBuilder, SegmentError, SegmentedIndex, StoredDoc,
-    FORMAT_VERSION,
+    FORMAT_VERSION, SEGMENT_FORMAT,
 };
+use pws_obs::format::FormatError;
 
 const VOCAB: &[&str] = &[
     "lobster", "seafood", "harbor", "android", "battery", "camera", "hotel", "booking", "oyster",
@@ -163,22 +165,16 @@ proptest! {
     }
 }
 
-/// Exhaustive single-byte corruption sweep on one small fixture segment:
-/// every position, the strongest form of the property above.
+/// The container gauntlet on one small fixture segment: every byte
+/// flipped, every prefix, and every section-table and layout mutation —
+/// among them `Docs` stretched over `DocLens`, which only the container's
+/// contiguity rule can catch (the document store is an opaque blob).
 #[test]
-fn every_single_byte_flip_is_detected() {
+fn gauntlet_rejects_every_mutation() {
     let doc_words: Vec<Vec<&str>> =
         vec![vec!["lobster", "seafood"], vec!["harbor", "lobster", "menu"], vec!["sushi"]];
     let bytes = one_segment_bytes(&doc_words);
-    for pos in 0..bytes.len() {
-        let mut corrupt = bytes.clone();
-        corrupt[pos] ^= 0xA5;
-        assert!(
-            Segment::load_bytes(corrupt).is_err(),
-            "byte flip at {pos}/{} loaded successfully",
-            bytes.len()
-        );
-    }
+    SEGMENT_FORMAT.gauntlet(&bytes, |bad| Segment::load_bytes(bad).is_err());
 }
 
 /// A file claiming a future format version is rejected up front with
@@ -190,7 +186,7 @@ fn future_version_is_rejected_with_typed_error() {
     bytes[8..12].copy_from_slice(&future.to_le_bytes());
     assert_eq!(
         Segment::load_bytes(bytes).err(),
-        Some(SegmentError::UnsupportedVersion(future))
+        Some(SegmentError::Format(FormatError::UnsupportedVersion(future)))
     );
 }
 
@@ -199,7 +195,7 @@ fn future_version_is_rejected_with_typed_error() {
 fn non_segment_file_is_rejected() {
     assert_eq!(
         Segment::load_bytes(b"definitely not a segment".to_vec()).err(),
-        Some(SegmentError::BadMagic)
+        Some(SegmentError::Format(FormatError::BadMagic))
     );
 }
 

@@ -11,10 +11,8 @@
 use pws_obs::event::{
     page_fingerprint, query_hash, DegradeCode, FlightEvent, SEARCH_STAGES, SEARCH_STAGE_LABELS,
 };
-use pws_obs::flight::{
-    encode_flight_dump, DumpReason, FlightDump, SectionId, EVENT_LEN, SECTION_ENTRY_LEN,
-    TABLE_OFFSET,
-};
+use pws_obs::flight::{encode_flight_dump, DumpReason, FlightDump, EVENT_LEN, FLIGHT_FORMAT};
+use pws_obs::format::{le_u64, ENTRY_LEN, TABLE_OFFSET};
 use pws_obs::trace::BetaProvenance;
 
 fn tiny_dump() -> FlightDump {
@@ -83,35 +81,28 @@ fn main() {
     hexline(12, &bytes[12..16], "section_count = 3 (u32 LE)");
     println!();
 
-    for (i, id) in SectionId::ALL.iter().enumerate() {
-        let at = TABLE_OFFSET + i * SECTION_ENTRY_LEN;
-        let e = &bytes[at..at + SECTION_ENTRY_LEN];
-        let off = u64::from_le_bytes(e[4..12].try_into().unwrap());
-        let len = u64::from_le_bytes(e[12..20].try_into().unwrap());
-        let sum = u64::from_le_bytes(e[20..28].try_into().unwrap());
-        hexline(at, &e[0..4], &format!("entry {i}: id={} ({}) flags=0", *id as u16, id.name()));
-        hexline(at + 4, &e[4..12], &format!("  offset = {off}"));
-        hexline(at + 12, &e[12..20], &format!("  len = {len}"));
-        hexline(at + 20, &e[20..28], &format!("  fnv1a64 = {sum:#018x}"));
+    // (offset, len, checksum) of table entry `i`.
+    let entry = |i: usize| {
+        let e = &bytes[TABLE_OFFSET + i * ENTRY_LEN..];
+        (le_u64(&e[4..]) as usize, le_u64(&e[12..]) as usize, le_u64(&e[20..]))
+    };
+    for (i, (id, name)) in FLIGHT_FORMAT.sections.iter().enumerate() {
+        let at = TABLE_OFFSET + i * ENTRY_LEN;
+        let (off, len, sum) = entry(i);
+        hexline(at, &bytes[at..at + 4], &format!("entry {i}: id={id} ({name}) flags=0"));
+        hexline(at + 4, &bytes[at + 4..at + 12], &format!("  offset = {off}"));
+        hexline(at + 12, &bytes[at + 12..at + 20], &format!("  len = {len}"));
+        hexline(at + 20, &bytes[at + 20..at + 28], &format!("  fnv1a64 = {sum:#018x}"));
     }
     println!();
 
-    let payload = |id: SectionId| {
-        let i = SectionId::ALL.iter().position(|s| *s == id).unwrap();
-        let at = TABLE_OFFSET + i * SECTION_ENTRY_LEN;
-        let e = &bytes[at..at + SECTION_ENTRY_LEN];
-        let off = u64::from_le_bytes(e[4..12].try_into().unwrap()) as usize;
-        let len = u64::from_le_bytes(e[12..20].try_into().unwrap()) as usize;
-        (off, len)
-    };
-
-    let (off, len) = payload(SectionId::Meta);
+    let (off, len, _) = entry(0); // Meta
     println!("-- section Meta ({len} bytes) --");
     hexline(off, &bytes[off..off + 1], "reason = 1 (degrade_burst, u8)");
     hexline(off + 1, &bytes[off + 1..off + 5], "shard_count = 3 (u32 LE)");
     hexline(off + 5, &bytes[off + 5..off + 13], "event_count = 2 (u64 LE)");
 
-    let (off, len) = payload(SectionId::Stages);
+    let (off, len, _) = entry(1); // Stages
     println!("-- section Stages ({len} bytes) --");
     hexline(off, &bytes[off..off + 4], "stage_count = 5 (u32 LE)");
     let mut at = off + 4;
@@ -121,7 +112,7 @@ fn main() {
         at += 4 + name.len();
     }
 
-    let (off, len) = payload(SectionId::Events);
+    let (off, len, _) = entry(2); // Events
     println!("-- section Events ({len} bytes) --");
     hexline(off, &bytes[off..off + 8], "event_count = 2 (u64 LE)");
     for i in 0..dump.events.len() {

@@ -145,7 +145,7 @@ impl BetaProvenance {
 /// deterministic trace-sampling hash, so "which queries were sampled"
 /// and "which events belong to this query" agree.
 pub fn query_hash(query_key: &str) -> u64 {
-    crate::flight::fnv1a64(query_key.as_bytes())
+    crate::format::fnv1a64(query_key.as_bytes())
 }
 
 /// Order-sensitive fingerprint of a result page: FNV-1a 64 over the
@@ -158,7 +158,7 @@ pub fn page_fingerprint(pairs: impl IntoIterator<Item = (u32, usize)>) -> u64 {
         bytes.extend_from_slice(&doc.to_le_bytes());
         bytes.extend_from_slice(&(rank as u64).to_le_bytes());
     }
-    crate::flight::fnv1a64(&bytes)
+    crate::format::fnv1a64(&bytes)
 }
 
 /// One admitted query, as the flight recorder saw it. Fixed-width plain

@@ -2,9 +2,9 @@
 //!
 //! A flight dump is the on-disk image of the serving layer's flight
 //! recorder rings: the last N [`FlightEvent`]s per shard at the moment
-//! something went wrong (or an operator asked). The format follows the
-//! house binary-format rules established by `PWSSEG1` (segments) and
-//! `PWSUSR1` (user records):
+//! something went wrong (or an operator asked). It is a
+//! [`crate::format`] container (`docs/CONTAINER_FORMAT.md`), the same one
+//! under `PWSSEG1` (segments) and `PWSUSR1` (user records):
 //!
 //! * fixed 8-byte magic + little-endian `u32` format version,
 //! * a section table with per-section FNV-1a-64 checksums,
@@ -14,11 +14,12 @@
 //! * encoding is a pure function of logical content (no timestamps, no
 //!   randomness), so identical rings dump to identical bytes.
 //!
-//! The full byte-level layout, with an annotated hexdump, lives in
+//! The payload layout, with an annotated hexdump, lives in
 //! `docs/FLIGHT_FORMAT.md`; a CI gate keeps the section table there in
 //! two-way sync with [`SectionId`].
 
 use crate::event::{DegradeCode, FlightEvent, SEARCH_STAGES};
+use crate::format::{ByteReader, ByteWriter, Format, FormatError};
 use crate::trace::BetaProvenance;
 
 /// File magic: identifies a flight dump and its major format family.
@@ -27,13 +28,6 @@ pub const MAGIC: &[u8; 8] = b"PWSFLT1\0";
 /// Current format version. Bump on any incompatible layout change;
 /// readers reject versions they don't know.
 pub const FORMAT_VERSION: u32 = 1;
-
-/// Byte length of one section-table entry:
-/// `id u16 + flags u16 + offset u64 + len u64 + checksum u64`.
-pub const SECTION_ENTRY_LEN: usize = 28;
-
-/// Offset of the section table (magic + version + section count).
-pub const TABLE_OFFSET: usize = 16;
 
 /// Encoded byte length of one [`FlightEvent`] record.
 pub const EVENT_LEN: usize = 4 + 4 + 8 + 8 + 8 * SEARCH_STAGES.len() + 8 + 8 + 5 + 8;
@@ -51,23 +45,16 @@ pub enum SectionId {
     Events = 3,
 }
 
-impl SectionId {
-    /// All sections, in the order they are written.
-    pub const ALL: [SectionId; 3] = [SectionId::Meta, SectionId::Stages, SectionId::Events];
-
-    /// Human-readable section name (diagnostics and the format spec).
-    pub fn name(self) -> &'static str {
-        match self {
-            SectionId::Meta => "Meta",
-            SectionId::Stages => "Stages",
-            SectionId::Events => "Events",
-        }
-    }
-
-    fn from_u16(id: u16) -> Option<Self> {
-        Self::ALL.into_iter().find(|s| *s as u16 == id)
-    }
-}
+/// The flight-dump container: all sections, in the order they are written.
+pub const FLIGHT_FORMAT: Format = Format {
+    magic: MAGIC,
+    version: FORMAT_VERSION,
+    sections: &[
+        (SectionId::Meta as u16, "Meta"),
+        (SectionId::Stages as u16, "Stages"),
+        (SectionId::Events as u16, "Events"),
+    ],
+};
 
 /// Why a dump was taken. Recorded in the [`SectionId::Meta`] section so
 /// an incident review knows whether it is looking at an automatic
@@ -150,103 +137,47 @@ impl FlightDump {
 pub enum FlightError {
     /// Underlying file I/O failed.
     Io(String),
-    /// The file does not start with [`MAGIC`].
-    BadMagic,
-    /// The file declares a format version this reader does not know.
-    UnsupportedVersion(u32),
-    /// The file ends before the named structure is complete.
-    Truncated(&'static str),
-    /// A section's payload does not match its table checksum.
-    ChecksumMismatch(&'static str),
-    /// A required section is absent from the table.
-    MissingSection(&'static str),
-    /// The table names a section id this reader does not know.
-    UnknownSection(u16),
-    /// A structurally invalid value (bad enum code, count mismatch,
-    /// nonzero reserved flags, trailing bytes, …).
-    Malformed(&'static str),
+    /// The bytes are not a valid version-1 flight dump.
+    Format(FormatError),
 }
 
 impl std::fmt::Display for FlightError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FlightError::Io(e) => write!(f, "flight dump io error: {e}"),
-            FlightError::BadMagic => write!(f, "not a PWSFLT1 flight dump (bad magic)"),
-            FlightError::UnsupportedVersion(v) => {
-                write!(f, "unsupported flight-dump format version {v}")
-            }
-            FlightError::Truncated(what) => write!(f, "flight dump truncated in {what}"),
-            FlightError::ChecksumMismatch(s) => {
-                write!(f, "flight dump checksum mismatch in section {s}")
-            }
-            FlightError::MissingSection(s) => write!(f, "flight dump missing section {s}"),
-            FlightError::UnknownSection(id) => write!(f, "flight dump has unknown section {id}"),
-            FlightError::Malformed(what) => write!(f, "flight dump malformed: {what}"),
+            FlightError::Format(e) => write!(f, "flight dump: {e}"),
         }
     }
 }
 
 impl std::error::Error for FlightError {}
 
-/// FNV-1a 64-bit over `bytes` — the section checksum function, shared
-/// with [`crate::event::query_hash`] and
-/// [`crate::event::page_fingerprint`].
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+impl From<FormatError> for FlightError {
+    fn from(e: FormatError) -> Self {
+        FlightError::Format(e)
     }
-    hash
 }
 
 // ── Encoding ────────────────────────────────────────────────────────────
 
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::new() }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
 fn encode_meta(dump: &FlightDump) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = ByteWriter::new();
     w.u8(dump.reason as u8);
     w.u32(dump.shard_count);
     w.u64(dump.events.len() as u64);
-    w.buf
+    w.finish()
 }
 
 fn encode_stages() -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = ByteWriter::new();
     w.u32(SEARCH_STAGES.len() as u32);
     for name in SEARCH_STAGES {
         w.str(name);
     }
-    w.buf
+    w.finish()
 }
 
-fn encode_event(w: &mut Writer, ev: &FlightEvent) {
+fn encode_event(w: &mut ByteWriter, ev: &FlightEvent) {
     w.u32(ev.user);
     w.u32(ev.shard);
     w.u64(ev.queue_depth);
@@ -269,165 +200,22 @@ fn encode_event(w: &mut Writer, ev: &FlightEvent) {
 }
 
 fn encode_events(dump: &FlightDump) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = ByteWriter::new();
     w.u64(dump.events.len() as u64);
     for ev in &dump.events {
         encode_event(&mut w, ev);
     }
-    w.buf
+    w.finish()
 }
 
 /// Encode a dump to its canonical `PWSFLT1` byte image.
 pub fn encode_flight_dump(dump: &FlightDump) -> Vec<u8> {
-    let payloads: [(SectionId, Vec<u8>); 3] = [
-        (SectionId::Meta, encode_meta(dump)),
-        (SectionId::Stages, encode_stages()),
-        (SectionId::Events, encode_events(dump)),
-    ];
-    let table_len = payloads.len() * SECTION_ENTRY_LEN;
-    let mut out = Vec::with_capacity(
-        TABLE_OFFSET + table_len + payloads.iter().map(|(_, p)| p.len()).sum::<usize>(),
-    );
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
-    let mut offset = (TABLE_OFFSET + table_len) as u64;
-    for (id, payload) in &payloads {
-        out.extend_from_slice(&(*id as u16).to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes()); // reserved flags
-        out.extend_from_slice(&offset.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        offset += payload.len() as u64;
-    }
-    for (_, payload) in &payloads {
-        out.extend_from_slice(payload);
-    }
-    out
+    FLIGHT_FORMAT.write(vec![encode_meta(dump), encode_stages(), encode_events(dump)])
 }
 
 // ── Decoding ────────────────────────────────────────────────────────────
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    section: &'static str,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8], section: &'static str) -> Self {
-        Reader { buf, pos: 0, section }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FlightError> {
-        let end = self.pos.checked_add(n).ok_or(FlightError::Malformed("length overflows"))?;
-        if end > self.buf.len() {
-            return Err(FlightError::Truncated(self.section));
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, FlightError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, FlightError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, FlightError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// Read a count and sanity-bound it by the bytes that could
-    /// possibly back it (≥ `min_elem_bytes` each), so a corrupt count
-    /// can't trigger a huge allocation before the real data runs out.
-    fn count(&mut self, min_elem_bytes: usize) -> Result<usize, FlightError> {
-        let n = self.u64()? as usize;
-        let remaining = self.buf.len() - self.pos;
-        if min_elem_bytes > 0 && n > remaining / min_elem_bytes {
-            return Err(FlightError::Malformed("count exceeds section size"));
-        }
-        Ok(n)
-    }
-
-    fn str(&mut self) -> Result<&'a str, FlightError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes).map_err(|_| FlightError::Malformed("non-UTF-8 string"))
-    }
-
-    fn finish(self) -> Result<(), FlightError> {
-        if self.pos != self.buf.len() {
-            return Err(FlightError::Malformed("trailing bytes in section"));
-        }
-        Ok(())
-    }
-}
-
-/// Validate the header + section table and return the three section
-/// payloads in [`SectionId::ALL`] order.
-fn parse_sections(bytes: &[u8]) -> Result<Vec<&[u8]>, FlightError> {
-    if bytes.len() < MAGIC.len() {
-        return Err(FlightError::Truncated("header"));
-    }
-    if &bytes[..MAGIC.len()] != MAGIC {
-        return Err(FlightError::BadMagic);
-    }
-    if bytes.len() < TABLE_OFFSET {
-        return Err(FlightError::Truncated("header"));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != FORMAT_VERSION {
-        return Err(FlightError::UnsupportedVersion(version));
-    }
-    let section_count = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
-    let table_len = section_count
-        .checked_mul(SECTION_ENTRY_LEN)
-        .ok_or(FlightError::Malformed("section count overflows"))?;
-    let table_end = TABLE_OFFSET
-        .checked_add(table_len)
-        .ok_or(FlightError::Malformed("section count overflows"))?;
-    if table_end > bytes.len() {
-        return Err(FlightError::Truncated("section table"));
-    }
-    let mut sections: Vec<Option<&[u8]>> = vec![None; SectionId::ALL.len()];
-    for entry in 0..section_count {
-        let at = TABLE_OFFSET + entry * SECTION_ENTRY_LEN;
-        let id = u16::from_le_bytes(bytes[at..at + 2].try_into().expect("2 bytes"));
-        let flags = u16::from_le_bytes(bytes[at + 2..at + 4].try_into().expect("2 bytes"));
-        let offset =
-            u64::from_le_bytes(bytes[at + 4..at + 12].try_into().expect("8 bytes")) as usize;
-        let len = u64::from_le_bytes(bytes[at + 12..at + 20].try_into().expect("8 bytes")) as usize;
-        let checksum = u64::from_le_bytes(bytes[at + 20..at + 28].try_into().expect("8 bytes"));
-        let section = SectionId::from_u16(id).ok_or(FlightError::UnknownSection(id))?;
-        if flags != 0 {
-            return Err(FlightError::Malformed("nonzero reserved section flags"));
-        }
-        let end = offset.checked_add(len).ok_or(FlightError::Malformed("section overflows"))?;
-        if offset < table_end || end > bytes.len() {
-            return Err(FlightError::Truncated(section.name()));
-        }
-        let payload = &bytes[offset..end];
-        if fnv1a64(payload) != checksum {
-            return Err(FlightError::ChecksumMismatch(section.name()));
-        }
-        let slot = SectionId::ALL.iter().position(|s| *s == section).expect("known section");
-        if sections[slot].is_some() {
-            return Err(FlightError::Malformed("duplicate section"));
-        }
-        sections[slot] = Some(payload);
-    }
-    SectionId::ALL
-        .iter()
-        .zip(sections)
-        .map(|(id, s)| s.ok_or(FlightError::MissingSection(id.name())))
-        .collect()
-}
-
-fn decode_event(r: &mut Reader<'_>) -> Result<FlightEvent, FlightError> {
+fn decode_event(r: &mut ByteReader<'_>) -> Result<FlightEvent, FormatError> {
     let user = r.u32()?;
     let shard = r.u32()?;
     let queue_depth = r.u64()?;
@@ -439,24 +227,24 @@ fn decode_event(r: &mut Reader<'_>) -> Result<FlightEvent, FlightError> {
     let total_nanos = r.u64()?;
     let beta_bits = r.u64()?;
     let beta_provenance = BetaProvenance::from_code(r.u8()?)
-        .ok_or(FlightError::Malformed("unknown beta provenance code"))?;
+        .ok_or(FormatError::Malformed("unknown beta provenance code"))?;
     let cache_hit = match r.u8()? {
         0 => None,
         1 => Some(false),
         2 => Some(true),
-        _ => return Err(FlightError::Malformed("unknown cache-hit code")),
+        _ => return Err(FormatError::Malformed("unknown cache-hit code")),
     };
     let degraded =
-        DegradeCode::from_code(r.u8()?).ok_or(FlightError::Malformed("unknown degrade code"))?;
+        DegradeCode::from_code(r.u8()?).ok_or(FormatError::Malformed("unknown degrade code"))?;
     let store_fault_in = match r.u8()? {
         0 => false,
         1 => true,
-        _ => return Err(FlightError::Malformed("non-boolean fault-in flag")),
+        _ => return Err(FormatError::Malformed("non-boolean fault-in flag")),
     };
     let store_evict = match r.u8()? {
         0 => false,
         1 => true,
-        _ => return Err(FlightError::Malformed("non-boolean evict flag")),
+        _ => return Err(FormatError::Malformed("non-boolean evict flag")),
     };
     let page_fingerprint = r.u64()?;
     Ok(FlightEvent {
@@ -479,32 +267,36 @@ fn decode_event(r: &mut Reader<'_>) -> Result<FlightEvent, FlightError> {
 /// Decode a `PWSFLT1` byte image. Total: every failure is a typed
 /// [`FlightError`].
 pub fn decode_flight_dump(bytes: &[u8]) -> Result<FlightDump, FlightError> {
-    let sections = parse_sections(bytes)?;
+    Ok(decode_sections(&FLIGHT_FORMAT.parse(bytes)?)?)
+}
 
-    let mut meta = Reader::new(sections[0], SectionId::Meta.name());
+fn decode_sections(sections: &[&[u8]]) -> Result<FlightDump, FormatError> {
+    let reader = |i: usize| ByteReader::new(sections[i], FLIGHT_FORMAT.sections[i].1);
+    let mut meta = reader(0);
     let reason =
-        DumpReason::from_u8(meta.u8()?).ok_or(FlightError::Malformed("unknown dump reason"))?;
+        DumpReason::from_u8(meta.u8()?).ok_or(FormatError::Malformed("unknown dump reason"))?;
     let shard_count = meta.u32()?;
     let declared_events = meta.u64()?;
     meta.finish()?;
 
-    let mut stages = Reader::new(sections[1], SectionId::Stages.name());
+    let mut stages = reader(1);
     let stage_count = stages.u32()? as usize;
     if stage_count != SEARCH_STAGES.len() {
-        return Err(FlightError::Malformed("stage schema count mismatch"));
+        return Err(FormatError::Malformed("stage schema count mismatch"));
     }
     for expected in SEARCH_STAGES {
         if stages.str()? != expected {
-            return Err(FlightError::Malformed("stage schema name mismatch"));
+            return Err(FormatError::Malformed("stage schema name mismatch"));
         }
     }
     stages.finish()?;
 
-    let mut events_r = Reader::new(sections[2], SectionId::Events.name());
-    let count = events_r.count(EVENT_LEN)?;
-    if count as u64 != declared_events {
-        return Err(FlightError::Malformed("event count disagrees with Meta"));
+    let mut events_r = reader(2);
+    let stored_events = events_r.u64()?;
+    if stored_events != declared_events {
+        return Err(FormatError::Malformed("event count disagrees with Meta"));
     }
+    let count = events_r.bounded(stored_events, EVENT_LEN)?;
     let mut events = Vec::with_capacity(count);
     for _ in 0..count {
         events.push(decode_event(&mut events_r)?);
@@ -520,9 +312,9 @@ mod tests {
 
     /// A dump with every field of every byte-width exercised: several
     /// events covering all enum codes, extreme values, and both flag
-    /// polarities (the corruption sweeps need every encoded byte to be
+    /// polarities (the gauntlet needs every encoded byte to be
     /// load-bearing).
-    pub(crate) fn dense_dump() -> FlightDump {
+    fn dense_dump() -> FlightDump {
         let mut events = Vec::new();
         let mut ev = FlightEvent::empty();
         ev.user = 0xDEAD_BEEF;
@@ -573,9 +365,9 @@ mod tests {
 
     #[test]
     fn event_len_matches_encoder() {
-        let mut w = Writer::new();
+        let mut w = ByteWriter::new();
         encode_event(&mut w, &FlightEvent::empty());
-        assert_eq!(w.buf.len(), EVENT_LEN);
+        assert_eq!(w.finish().len(), EVENT_LEN);
     }
 
     #[test]
@@ -600,13 +392,44 @@ mod tests {
 
     #[test]
     fn wrong_magic_and_future_version_are_typed() {
-        assert_eq!(decode_flight_dump(b"NOTFLT!!rest"), Err(FlightError::BadMagic));
-        assert_eq!(decode_flight_dump(b""), Err(FlightError::Truncated("header")));
+        let typed = |e| Err(FlightError::Format(e));
+        assert_eq!(decode_flight_dump(b"NOTFLT!!rest"), typed(FormatError::BadMagic));
+        assert_eq!(decode_flight_dump(b""), typed(FormatError::Truncated("magic")));
         let mut bytes = encode_flight_dump(&dense_dump());
         bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         assert_eq!(
             decode_flight_dump(&bytes),
-            Err(FlightError::UnsupportedVersion(FORMAT_VERSION + 1))
+            typed(FormatError::UnsupportedVersion(FORMAT_VERSION + 1))
+        );
+    }
+
+    /// Decoding is total: every flip, truncation and table mutation of a
+    /// valid dump is a typed error. The empty dump's `Events` payload
+    /// (a zero count) also occurs inside `Meta`, so it adds the case of
+    /// two table entries covering one range.
+    #[test]
+    fn gauntlet_rejects_every_mutation() {
+        let rejects = |bad: &[u8]| decode_flight_dump(bad).is_err();
+        FLIGHT_FORMAT.gauntlet(&encode_flight_dump(&dense_dump()), rejects);
+        let empty = FlightDump { reason: DumpReason::OnDemand, shard_count: 1, events: vec![] };
+        let bytes = encode_flight_dump(&empty);
+        assert!(FLIGHT_FORMAT
+            .table_mutations(&bytes)
+            .iter()
+            .any(|(what, _)| what.contains("aliased")));
+        FLIGHT_FORMAT.gauntlet(&bytes, rejects);
+    }
+
+    /// Length + FNV-1a-64 of the dense dump's bytes, captured before the
+    /// container moved into `crate::format`: `PWSFLT1` stays version 1,
+    /// byte for byte.
+    #[test]
+    fn dense_dump_bytes_pin_format_version_1() {
+        let bytes = encode_flight_dump(&dense_dump());
+        assert_eq!(
+            (bytes.len(), crate::format::fnv1a64(&bytes)),
+            (494, 0xed7d_f8c2_5e60_aed8),
+            "flight dump bytes moved"
         );
     }
 }

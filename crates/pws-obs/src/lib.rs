@@ -62,6 +62,7 @@
 
 pub mod event;
 pub mod flight;
+pub mod format;
 pub mod health;
 pub mod prometheus;
 pub mod trace;

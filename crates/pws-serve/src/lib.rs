@@ -119,6 +119,7 @@ use pws_index::SearchHit;
 use pws_entropy::QueryStats;
 use pws_obs::event::FlightEvent;
 use pws_obs::flight::{DumpReason, FlightDump};
+use pws_obs::format::fnv1a64;
 use pws_obs::health::{HealthMonitor, HealthReport, SloSpec};
 use pws_obs::trace::QueryTrace;
 use pws_store::{StoreIo, UserRecord, UserStore};
@@ -546,32 +547,34 @@ impl TraceConfig {
     }
 }
 
-/// Fixed-capacity overwrite-oldest ring of admitted query traces.
+/// Fixed-capacity overwrite-oldest ring: the trace ring holds admitted
+/// [`QueryTrace`]s, the flight recorder one ring of [`FlightEvent`]s per
+/// shard (so concurrent shards never contend on a cursor).
 ///
 /// The write path is lock-free in its coordination: a single atomic
 /// `fetch_add` claims a slot, and the per-slot mutexes only serialize
 /// two writers that wrapped onto the *same* slot (or a writer with a
 /// concurrent [`collect`](Self::collect)) — never writer against
 /// writer on different slots. No allocation happens on push beyond the
-/// trace the engine already built.
-struct TraceRing {
-    slots: Vec<Mutex<Option<QueryTrace>>>,
+/// item the engine already built.
+struct Ring<T> {
+    slots: Vec<Mutex<Option<T>>>,
     cursor: AtomicU64,
     /// `serve.lock_recovered` handle — a poisoned slot (a thread killed
     /// mid-push) is recovered, never allowed to wedge the ring.
     recovered: Arc<pws_obs::StageMetrics>,
 }
 
-impl TraceRing {
+impl<T: Clone> Ring<T> {
     fn new(capacity: usize, recovered: Arc<pws_obs::StageMetrics>) -> Self {
-        TraceRing {
+        Ring {
             slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
             cursor: AtomicU64::new(0),
             recovered,
         }
     }
 
-    fn push(&self, trace: QueryTrace) {
+    fn push(&self, item: T) {
         let claimed = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = (claimed % self.slots.len() as u64) as usize;
         let (mut guard, was_poisoned) = lock_or_recover(&self.slots[slot]);
@@ -580,11 +583,11 @@ impl TraceRing {
         }
         // Overwriting is the recovery: whatever half-state the dead
         // writer left behind is replaced wholesale.
-        *guard = Some(trace);
+        *guard = Some(item);
     }
 
     /// Snapshot the ring's contents, oldest first.
-    fn collect(&self) -> Vec<QueryTrace> {
+    fn collect(&self) -> Vec<T> {
         let cursor = self.cursor.load(Ordering::Relaxed);
         let n = self.slots.len() as u64;
         (0..n)
@@ -641,59 +644,14 @@ impl FlightConfig {
     }
 }
 
-/// Fixed-capacity overwrite-oldest ring of flight events: the same
-/// claim-by-`fetch_add` discipline as [`TraceRing`], one ring per shard
-/// so concurrent shards never contend on a cursor.
-struct FlightRing {
-    slots: Vec<Mutex<Option<FlightEvent>>>,
-    cursor: AtomicU64,
-    recovered: Arc<pws_obs::StageMetrics>,
-}
-
-impl FlightRing {
-    fn new(capacity: usize, recovered: Arc<pws_obs::StageMetrics>) -> Self {
-        FlightRing {
-            slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
-            cursor: AtomicU64::new(0),
-            recovered,
-        }
-    }
-
-    fn push(&self, event: FlightEvent) {
-        let claimed = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let slot = (claimed % self.slots.len() as u64) as usize;
-        let (mut guard, was_poisoned) = lock_or_recover(&self.slots[slot]);
-        if was_poisoned {
-            self.recovered.incr(1);
-        }
-        *guard = Some(event);
-    }
-
-    /// Snapshot this ring's contents, oldest first.
-    fn collect(&self) -> Vec<FlightEvent> {
-        let cursor = self.cursor.load(Ordering::Relaxed);
-        let n = self.slots.len() as u64;
-        (0..n)
-            .map(|k| ((cursor + k) % n) as usize)
-            .filter_map(|i| {
-                let (guard, was_poisoned) = lock_or_recover(&self.slots[i]);
-                if was_poisoned {
-                    self.recovered.incr(1);
-                }
-                *guard
-            })
-            .collect()
-    }
-}
-
-/// The wide-event flight recorder: one [`FlightRing`] per shard plus
+/// The wide-event flight recorder: one [`Ring`] per shard plus
 /// the degrade/shed-burst auto-dump policy.
 ///
 /// Counters: `serve.flight.recorded` (events appended),
 /// `serve.flight.dump` (dump files written), `serve.flight.dump_error`
 /// (dump writes that failed — the request path never errors on them).
 struct FlightRecorder {
-    rings: Vec<FlightRing>,
+    rings: Vec<Ring<FlightEvent>>,
     auto_dump_dir: Option<PathBuf>,
     auto_dump_burst: u64,
     /// Degrade + shed events since the last automatic dump.
@@ -708,7 +666,7 @@ impl FlightRecorder {
     fn new(cfg: &FlightConfig, shards: usize, recovered: Arc<pws_obs::StageMetrics>) -> Self {
         FlightRecorder {
             rings: (0..shards)
-                .map(|_| FlightRing::new(cfg.ring_capacity, recovered.clone()))
+                .map(|_| Ring::new(cfg.ring_capacity, recovered.clone()))
                 .collect(),
             auto_dump_dir: cfg.auto_dump_dir.clone(),
             auto_dump_burst: cfg.auto_dump_burst.max(1),
@@ -728,7 +686,7 @@ impl FlightRecorder {
     /// Every shard's ring contents: shards in index order, oldest
     /// first within each shard.
     fn collect(&self) -> Vec<FlightEvent> {
-        self.rings.iter().flat_map(FlightRing::collect).collect()
+        self.rings.iter().flat_map(Ring::collect).collect()
     }
 
     fn dump(&self, reason: DumpReason) -> FlightDump {
@@ -754,17 +712,6 @@ impl FlightRecorder {
             Err(_) => self.dump_error.incr(1),
         }
     }
-}
-
-/// FNV-1a over a string; stable across runs and platforms (no
-/// `RandomState`), shared by statistics sharding and trace sampling.
-fn fnv1a(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in key.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Number of lock shards in the base-retrieval cache. Fixed: cache
@@ -1028,7 +975,7 @@ impl ShardedStats {
     }
 
     fn shard_of(&self, key: &str) -> usize {
-        (fnv1a(key) % self.shards.len() as u64) as usize
+        (fnv1a64(key.as_bytes()) % self.shards.len() as u64) as usize
     }
 
     /// The current epoch snapshot (an `Arc` clone; cheap). The snapshot
@@ -1588,7 +1535,7 @@ pub struct ServingEngine<'a> {
     trace_cfg: TraceConfig,
     /// `Some` iff tracing is enabled; the `None` fast path skips trace
     /// allocation entirely.
-    ring: Option<TraceRing>,
+    ring: Option<Ring<QueryTrace>>,
     /// `Some` iff the flight recorder is enabled.
     flight: Option<FlightRecorder>,
     /// SLO burn-rate monitor behind [`Self::health`]. Always present
@@ -1643,7 +1590,7 @@ impl<'a> ServingEngine<'a> {
         let ring = serve_cfg
             .trace
             .enabled
-            .then(|| TraceRing::new(serve_cfg.trace.ring_capacity, fault.lock_recovered.clone()));
+            .then(|| Ring::new(serve_cfg.trace.ring_capacity, fault.lock_recovered.clone()));
         let flight = serve_cfg
             .flight
             .enabled
@@ -1897,7 +1844,8 @@ impl<'a> ServingEngine<'a> {
         let raw = per_turn.saturating_mul(excess);
         // Jitter factor in [0.75, 1.25], in parts-per-million; u128
         // keeps the multiply exact for any plausible hint.
-        let h = splitmix64(fnv1a(query_text) ^ splitmix64(user.0 as u64) ^ excess);
+        let h =
+            splitmix64(fnv1a64(query_text.as_bytes()) ^ splitmix64(user.0 as u64) ^ excess);
         let ppm = 750_000 + h % 500_001;
         Duration::from_nanos((u128::from(raw) * u128::from(ppm) / 1_000_000) as u64)
     }
@@ -2357,7 +2305,8 @@ impl<'a> ServingEngine<'a> {
     fn admit(&self, trace: &QueryTrace) -> bool {
         let cfg = &self.trace_cfg;
         let sampled = cfg.sample_every > 0
-            && fnv1a(&EngineCore::query_key(&trace.query_text)).is_multiple_of(cfg.sample_every);
+            && fnv1a64(EngineCore::query_key(&trace.query_text).as_bytes())
+                .is_multiple_of(cfg.sample_every);
         let slow =
             cfg.slow_threshold_nanos > 0 && trace.total_nanos >= cfg.slow_threshold_nanos;
         sampled || slow
@@ -2366,7 +2315,7 @@ impl<'a> ServingEngine<'a> {
     /// The slow-query ring's current contents, oldest first. Empty when
     /// tracing is disabled.
     pub fn slow_queries(&self) -> Vec<QueryTrace> {
-        self.ring.as_ref().map(TraceRing::collect).unwrap_or_default()
+        self.ring.as_ref().map(Ring::collect).unwrap_or_default()
     }
 
     /// Each shard's current in-flight request count (index-aligned with
@@ -3608,7 +3557,7 @@ mod tests {
     fn trace_ring_recovers_from_poisoned_slot() {
         let _guard = pws_obs::test_lock();
         quiet_injected_panics();
-        let ring = TraceRing::new(1, pws_obs::stage("serve.lock_recovered"));
+        let ring = Ring::new(1, pws_obs::stage("serve.lock_recovered"));
         ring.push(QueryTrace::new(1, "before"));
         poison_mutex(&ring.slots[0]);
         ring.push(QueryTrace::new(2, "after"));
@@ -4703,7 +4652,10 @@ mod tests {
         assert!(!first.is_empty(), "sample_every=3 admits some of 32 queries");
         assert!(first.len() < 32, "and not all of them");
         for key in &first {
-            assert!(fnv1a(key).is_multiple_of(3), "admitted key hashes to the sample class");
+            assert!(
+                fnv1a64(key.as_bytes()).is_multiple_of(3),
+                "admitted key hashes to the sample class"
+            );
         }
         assert_eq!(run(), first, "hash-based admission is run-to-run deterministic");
     }

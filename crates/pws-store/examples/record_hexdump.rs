@@ -12,11 +12,10 @@ use pws_click::UserId;
 use pws_core::UserState;
 use pws_entropy::QueryStats;
 use pws_geo::LocId;
+use pws_obs::format::{le_u64, ENTRY_LEN, TABLE_OFFSET};
 use pws_profile::{ContentProfile, LocationProfile, UserHistory};
 use pws_ranksvm::{LinearRankModel, PreferencePair};
-use pws_store::{
-    encode_user_record, SectionId, UserRecord, SECTION_ENTRY_LEN, TABLE_OFFSET,
-};
+use pws_store::{encode_user_record, UserRecord, STORE_FORMAT};
 use std::collections::BTreeMap;
 
 fn tiny_record() -> UserRecord {
@@ -48,33 +47,28 @@ fn main() {
     println!("total: {} bytes\n", bytes.len());
 
     hexline(0, &bytes[0..8], "magic \"PWSUSR1\\0\"");
-    hexline(8, &bytes[8..12], "format_version = 1 (u32 LE)");
-    hexline(12, &bytes[12..16], "section_count = 8 (u32 LE)");
+    hexline(8, &bytes[8..12], "format_version = 2 (u32 LE)");
+    hexline(12, &bytes[12..16], "section_count = 7 (u32 LE)");
     println!();
 
-    for (i, id) in SectionId::ALL.iter().enumerate() {
-        let at = TABLE_OFFSET + i * SECTION_ENTRY_LEN;
-        let e = &bytes[at..at + SECTION_ENTRY_LEN];
-        let off = u64::from_le_bytes(e[4..12].try_into().unwrap());
-        let len = u64::from_le_bytes(e[12..20].try_into().unwrap());
-        let sum = u64::from_le_bytes(e[20..28].try_into().unwrap());
-        hexline(
-            at,
-            &e[0..4],
-            &format!("entry {i}: id={} ({}) flags=0", *id as u16, id.name()),
-        );
-        hexline(at + 4, &e[4..12], &format!("  offset = {off}"));
-        hexline(at + 12, &e[12..20], &format!("  len = {len}"));
-        hexline(at + 20, &e[20..28], &format!("  fnv1a64 = {sum:#018x}"));
+    // (offset, len, checksum) of table entry `i`.
+    let entry = |i: usize| {
+        let e = &bytes[TABLE_OFFSET + i * ENTRY_LEN..];
+        (le_u64(&e[4..]) as usize, le_u64(&e[12..]) as usize, le_u64(&e[20..]))
+    };
+    for (i, (id, name)) in STORE_FORMAT.sections.iter().enumerate() {
+        let at = TABLE_OFFSET + i * ENTRY_LEN;
+        let (off, len, sum) = entry(i);
+        hexline(at, &bytes[at..at + 4], &format!("entry {i}: id={id} ({name}) flags=0"));
+        hexline(at + 4, &bytes[at + 4..at + 12], &format!("  offset = {off}"));
+        hexline(at + 12, &bytes[at + 12..at + 20], &format!("  len = {len}"));
+        hexline(at + 20, &bytes[at + 20..at + 28], &format!("  fnv1a64 = {sum:#018x}"));
     }
     println!();
 
-    for (i, id) in SectionId::ALL.iter().enumerate() {
-        let at = TABLE_OFFSET + i * SECTION_ENTRY_LEN;
-        let e = &bytes[at..at + SECTION_ENTRY_LEN];
-        let off = u64::from_le_bytes(e[4..12].try_into().unwrap()) as usize;
-        let len = u64::from_le_bytes(e[12..20].try_into().unwrap()) as usize;
-        println!("-- section {} ({} bytes) --", id.name(), len);
+    for (i, (_, name)) in STORE_FORMAT.sections.iter().enumerate() {
+        let (off, len, _) = entry(i);
+        println!("-- section {name} ({len} bytes) --");
         for row in bytes[off..off + len].chunks(16).enumerate() {
             hexline(off + row.0 * 16, row.1, "");
         }

@@ -3,28 +3,13 @@
 //! One file per user, carrying the *complete* replay-relevant state: the
 //! [`UserState`] (profiles, revisit history, RankSVM model, preference
 //! pairs) **plus** the user's contribution to the per-query adaptive-β
-//! statistics — the part the old JSON escape hatch silently dropped — and
-//! a product-quantized cold form of the weight vectors for scan-time
-//! analytics.
+//! statistics — the part the old JSON escape hatch silently dropped.
 //!
-//! The layout follows the segment file format (`pws-index::segfile`,
-//! `docs/INDEX_FORMAT.md`): a fixed header, a section table with
-//! per-section FNV-1a-64 checksums, then the section payloads. See
-//! `docs/STORE_FORMAT.md` for the byte-level spec.
-//!
-//! ```text
-//! ┌───────────────────────────────────────────────┐
-//! │ magic "PWSUSR1\0"                     8 bytes │
-//! │ format_version (u32 LE)               4 bytes │
-//! │ section_count  (u32 LE)               4 bytes │
-//! ├───────────────────────────────────────────────┤
-//! │ section table: count × 28-byte entries        │
-//! │   id u16 · flags u16 · offset u64 ·           │
-//! │   len u64 · fnv1a64 checksum u64    (all LE)  │
-//! ├───────────────────────────────────────────────┤
-//! │ section payloads (contiguous, table order)    │
-//! └───────────────────────────────────────────────┘
-//! ```
+//! A record is a [`pws_obs::format`] container
+//! (`docs/CONTAINER_FORMAT.md`, the one under segments and flight dumps
+//! too): a fixed header, a section table with per-section FNV-1a-64
+//! checksums, then the section payloads. See `docs/STORE_FORMAT.md` for
+//! the payload spec.
 //!
 //! Every map is serialized in **sorted key order** and every `f64`
 //! travels as its `to_bits()` little-endian image, so encoding is a pure
@@ -33,11 +18,11 @@
 //! evicted-then-faulted-in user replays byte-identically to an
 //! always-resident one.
 
-use crate::pq::ProductQuantizer;
 use pws_click::UserId;
 use pws_core::{UserExport, UserState};
 use pws_entropy::QueryStats;
 use pws_geo::LocId;
+use pws_obs::format::{ByteReader, ByteWriter, Format, FormatError};
 use pws_profile::{ContentProfile, LocationProfile, UserHistory};
 use pws_ranksvm::{LinearRankModel, PreferencePair};
 use std::collections::BTreeMap;
@@ -45,22 +30,16 @@ use std::collections::BTreeMap;
 /// Magic bytes opening every user record.
 pub const STORE_MAGIC: &[u8; 8] = b"PWSUSR1\0";
 
-/// Current format version. Readers reject anything newer.
-pub const FORMAT_VERSION: u32 = 1;
-
-/// Bytes per section-table entry: id u16 + flags u16 + offset u64 +
-/// len u64 + checksum u64.
-pub const SECTION_ENTRY_LEN: usize = 28;
-
-/// Offset of the section table: magic + version + section count.
-pub const TABLE_OFFSET: usize = 8 + 4 + 4;
+/// Current format version, the only one read. Version 1 carried an
+/// eighth, product-quantised section that no reader used.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// The sections of a user record. The discriminant is the on-disk id.
 ///
 /// `docs/STORE_FORMAT.md` documents each section's payload; a `check.sh`
 /// gate diffs this enum against the spec's section table in both
 /// directions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
 pub enum SectionId {
     /// User id, observation count, seen-query keys.
@@ -77,41 +56,23 @@ pub enum SectionId {
     Pairs = 6,
     /// Per-query adaptive-β statistics contributed by this user.
     QueryStats = 7,
-    /// Product-quantized cold form of the weight vectors.
-    Quantized = 8,
 }
 
-impl SectionId {
-    /// All sections, in canonical file order. Every section is required.
-    pub const ALL: [SectionId; 8] = [
-        SectionId::Meta,
-        SectionId::Model,
-        SectionId::ContentProfile,
-        SectionId::LocationProfile,
-        SectionId::History,
-        SectionId::Pairs,
-        SectionId::QueryStats,
-        SectionId::Quantized,
-    ];
-
-    /// Stable lowercase name (used in errors and the format spec).
-    pub fn name(self) -> &'static str {
-        match self {
-            SectionId::Meta => "meta",
-            SectionId::Model => "model",
-            SectionId::ContentProfile => "content_profile",
-            SectionId::LocationProfile => "location_profile",
-            SectionId::History => "history",
-            SectionId::Pairs => "pairs",
-            SectionId::QueryStats => "query_stats",
-            SectionId::Quantized => "quantized",
-        }
-    }
-
-    fn from_u16(raw: u16) -> Option<SectionId> {
-        SectionId::ALL.into_iter().find(|s| *s as u16 == raw)
-    }
-}
+/// The user-record container: all sections, in canonical file order,
+/// with the stable lowercase names used in errors and the format spec.
+pub const STORE_FORMAT: Format = Format {
+    magic: STORE_MAGIC,
+    version: FORMAT_VERSION,
+    sections: &[
+        (SectionId::Meta as u16, "meta"),
+        (SectionId::Model as u16, "model"),
+        (SectionId::ContentProfile as u16, "content_profile"),
+        (SectionId::LocationProfile as u16, "location_profile"),
+        (SectionId::History as u16, "history"),
+        (SectionId::Pairs as u16, "pairs"),
+        (SectionId::QueryStats as u16, "query_stats"),
+    ],
+};
 
 /// Why a user record failed to load or decode. Every malformed input —
 /// including every possible single-byte corruption and truncation — maps
@@ -122,36 +83,15 @@ pub enum StoreError {
     /// [`crate::io::IoErrorKind`]). The serving tier's writeback
     /// retry/backoff policy keys off [`StoreError::is_transient`].
     Io(crate::io::IoError),
-    /// The file does not start with [`STORE_MAGIC`].
-    BadMagic,
-    /// Format version newer than this reader understands.
-    UnsupportedVersion(u32),
-    /// The file ends before the named structure is complete.
-    Truncated(&'static str),
-    /// A section's payload does not match its table checksum.
-    ChecksumMismatch(&'static str),
-    /// A required section is absent.
-    MissingSection(&'static str),
-    /// A section id this reader does not know.
-    UnknownSection(u16),
-    /// Structurally invalid content (reserved flags, overlapping or
-    /// out-of-order sections, bad string lengths, invalid UTF-8, …).
-    Malformed(&'static str),
+    /// The bytes are not a valid version-2 user record.
+    Format(FormatError),
 }
 
 impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::Io(e) => write!(f, "store io error: {e}"),
-            StoreError::BadMagic => write!(f, "not a user record (bad magic)"),
-            StoreError::UnsupportedVersion(v) => {
-                write!(f, "unsupported record format version {v} (reader knows {FORMAT_VERSION})")
-            }
-            StoreError::Truncated(what) => write!(f, "record truncated in {what}"),
-            StoreError::ChecksumMismatch(s) => write!(f, "checksum mismatch in section {s}"),
-            StoreError::MissingSection(s) => write!(f, "missing required section {s}"),
-            StoreError::UnknownSection(id) => write!(f, "unknown section id {id}"),
-            StoreError::Malformed(what) => write!(f, "malformed record: {what}"),
+            StoreError::Format(e) => write!(f, "user record: {e}"),
         }
     }
 }
@@ -173,32 +113,9 @@ impl From<crate::io::IoError> for StoreError {
     }
 }
 
-/// FNV-1a 64-bit — the same checksum the segment format uses.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The decoded cold-tier form: the record's product quantizer plus the
-/// u8 codes of every stored vector. `codes[0]` is the model weight
-/// vector; codes `1 + 2i` / `2 + 2i` are pair `i`'s better/worse
-/// vectors. Approximate only — fault-in always uses the exact sections.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedVectors {
-    /// The trained per-record quantizer.
-    pub pq: ProductQuantizer,
-    /// One code word per stored vector.
-    pub codes: Vec<Vec<u8>>,
-}
-
-impl QuantizedVectors {
-    /// Decoded (approximate) model weight vector, when present.
-    pub fn approx_model(&self) -> Option<Vec<f64>> {
-        self.codes.first().and_then(|c| self.pq.decode(c))
+impl From<FormatError> for StoreError {
+    fn from(e: FormatError) -> Self {
+        StoreError::Format(e)
     }
 }
 
@@ -211,18 +128,15 @@ pub struct UserRecord {
     pub state: UserState,
     /// Per-query statistics for the keys in `state.seen_queries`.
     pub query_stats: BTreeMap<String, QueryStats>,
-    /// The cold-tier quantized vectors (filled by [`decode_user_record`];
-    /// ignored and recomputed by [`encode_user_record`]).
-    pub quantized: Option<QuantizedVectors>,
 }
 
 impl UserRecord {
     /// Assemble a record from its exact parts.
     pub fn new(user: UserId, state: UserState, query_stats: BTreeMap<String, QueryStats>) -> Self {
-        UserRecord { user, state, query_stats, quantized: None }
+        UserRecord { user, state, query_stats }
     }
 
-    /// View as the portable export envelope (drops the quantized form).
+    /// View as the portable export envelope.
     pub fn into_export(self) -> UserExport {
         UserExport { state: self.state, query_stats: self.query_stats }
     }
@@ -230,52 +144,26 @@ impl UserRecord {
 
 // ── Encoding ─────────────────────────────────────────────────────────────
 
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::new() }
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64bits(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
 fn encode_meta(record: &UserRecord) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = ByteWriter::new();
     w.u64(u64::from(record.user.0));
     w.u64(record.state.observations);
     w.u32(record.state.seen_queries.len() as u32);
     for q in &record.state.seen_queries {
         w.str(q);
     }
-    w.buf
+    w.finish()
 }
 
 fn encode_model(model: &LinearRankModel) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = ByteWriter::new();
     w.u32(model.dim() as u32);
-    w.buf.extend_from_slice(&model.weight_bits_le());
-    w.buf
+    w.bytes(&model.weight_bits_le());
+    w.finish()
 }
 
 fn encode_content(profile: &ContentProfile) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = ByteWriter::new();
     w.u64(profile.observations());
     let entries = profile.weight_entries();
     w.u32(entries.len() as u32);
@@ -283,11 +171,11 @@ fn encode_content(profile: &ContentProfile) -> Vec<u8> {
         w.str(&term);
         w.f64bits(weight);
     }
-    w.buf
+    w.finish()
 }
 
 fn encode_location(profile: &LocationProfile) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = ByteWriter::new();
     w.u64(profile.observations());
     let entries = profile.weight_entries();
     w.u32(entries.len() as u32);
@@ -295,11 +183,11 @@ fn encode_location(profile: &LocationProfile) -> Vec<u8> {
         w.u32(loc.0);
         w.f64bits(weight);
     }
-    w.buf
+    w.finish()
 }
 
 fn encode_history(history: &UserHistory) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = ByteWriter::new();
     w.u64(history.total_clicks());
     let urls = history.url_click_entries();
     w.u32(urls.len() as u32);
@@ -313,11 +201,11 @@ fn encode_history(history: &UserHistory) -> Vec<u8> {
         w.str(&domain);
         w.u32(clicks);
     }
-    w.buf
+    w.finish()
 }
 
 fn encode_pairs(pairs: &[PreferencePair]) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = ByteWriter::new();
     w.u32(pairs.len() as u32);
     for p in pairs {
         w.u32(p.better.len() as u32);
@@ -329,11 +217,11 @@ fn encode_pairs(pairs: &[PreferencePair]) -> Vec<u8> {
             w.f64bits(v);
         }
     }
-    w.buf
+    w.finish()
 }
 
 fn encode_query_stats(stats: &BTreeMap<String, QueryStats>) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = ByteWriter::new();
     w.u32(stats.len() as u32);
     for (key, s) in stats {
         w.str(key);
@@ -358,259 +246,43 @@ fn encode_query_stats(stats: &BTreeMap<String, QueryStats>) -> Vec<u8> {
             w.f64bits(mass);
         }
     }
-    w.buf
-}
-
-/// Subspace count for a per-record quantizer: one dimension per subspace
-/// (profile vectors are short — `FEATURE_DIM` — so scalar subspaces give
-/// the tightest codebook a 1-byte-per-dim budget allows).
-fn pq_params(dim: usize, vector_count: usize) -> (usize, usize) {
-    (dim, vector_count.clamp(1, 16))
-}
-
-/// Deterministic training seed: a fixed constant, so identical logical
-/// records always produce identical bytes.
-const PQ_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
-const PQ_ITERS: usize = 8;
-
-fn encode_quantized(state: &UserState) -> Vec<u8> {
-    let mut w = Writer::new();
-    let dim = state.model.dim();
-    // Vectors to quantize: the model weights plus every pair vector of
-    // matching dimension (all of them, in well-formed states).
-    let mut vectors: Vec<Vec<f64>> = vec![state.model.weights.clone()];
-    let pairs_match = state
-        .pairs
-        .iter()
-        .all(|p| p.better.len() == dim && p.worse.len() == dim);
-    if pairs_match {
-        for p in &state.pairs {
-            vectors.push(p.better.clone());
-            vectors.push(p.worse.clone());
-        }
-    }
-    let finite = vectors.iter().all(|v| v.iter().all(|x| x.is_finite()));
-    let (m, k) = pq_params(dim, vectors.len());
-    let pq = if dim == 0 || !finite {
-        None
-    } else {
-        ProductQuantizer::train(&vectors, m, k, PQ_ITERS, PQ_SEED)
-    };
-    match pq {
-        None => w.u8(0),
-        Some(pq) => {
-            w.u8(1);
-            let pq_bytes = pq.to_bytes();
-            w.u32(pq_bytes.len() as u32);
-            w.buf.extend_from_slice(&pq_bytes);
-            w.u32(vectors.len() as u32);
-            for v in &vectors {
-                // Encode never fails here: dims match by construction.
-                let code = pq.encode(v).unwrap_or_else(|| vec![0; pq.m()]);
-                w.buf.extend_from_slice(&code);
-            }
-        }
-    }
-    w.buf
+    w.finish()
 }
 
 /// Serialize a user record to its canonical byte image.
 ///
 /// Deterministic: the bytes are a pure function of the record's logical
-/// content (sorted map order, bit-exact floats, fixed quantizer seed).
+/// content (sorted map order, bit-exact floats).
 pub fn encode_user_record(record: &UserRecord) -> Vec<u8> {
-    let payloads: Vec<(SectionId, Vec<u8>)> = vec![
-        (SectionId::Meta, encode_meta(record)),
-        (SectionId::Model, encode_model(&record.state.model)),
-        (SectionId::ContentProfile, encode_content(&record.state.content)),
-        (SectionId::LocationProfile, encode_location(&record.state.location)),
-        (SectionId::History, encode_history(&record.state.history)),
-        (SectionId::Pairs, encode_pairs(&record.state.pairs)),
-        (SectionId::QueryStats, encode_query_stats(&record.query_stats)),
-        (SectionId::Quantized, encode_quantized(&record.state)),
-    ];
-
-    let table_len = payloads.len() * SECTION_ENTRY_LEN;
-    let mut out = Vec::with_capacity(
-        TABLE_OFFSET + table_len + payloads.iter().map(|(_, p)| p.len()).sum::<usize>(),
-    );
-    out.extend_from_slice(STORE_MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
-
-    let mut offset = (TABLE_OFFSET + table_len) as u64;
-    for (id, payload) in &payloads {
-        out.extend_from_slice(&(*id as u16).to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes()); // flags, reserved
-        out.extend_from_slice(&offset.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        offset += payload.len() as u64;
-    }
-    for (_, payload) in &payloads {
-        out.extend_from_slice(payload);
-    }
-    out
+    STORE_FORMAT.write(vec![
+        encode_meta(record),
+        encode_model(&record.state.model),
+        encode_content(&record.state.content),
+        encode_location(&record.state.location),
+        encode_history(&record.state.history),
+        encode_pairs(&record.state.pairs),
+        encode_query_stats(&record.query_stats),
+    ])
 }
 
 // ── Decoding ─────────────────────────────────────────────────────────────
 
-/// Sequential reader over one section's payload; every read that runs
-/// past the end is a typed [`StoreError::Truncated`] naming the section.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    section: &'static str,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8], section: &'static str) -> Self {
-        Reader { buf, pos: 0, section }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(StoreError::Malformed("length overflow"))?;
-        if end > self.buf.len() {
-            return Err(StoreError::Truncated(self.section));
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64bits(&mut self) -> Result<f64, StoreError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn str(&mut self) -> Result<String, StoreError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| StoreError::Malformed("invalid utf-8 in string"))
-    }
-
-    /// A count field, sanity-bounded so corrupt counts fail fast as
-    /// truncation instead of attempting huge allocations: each counted
-    /// element occupies at least `min_elem_bytes` bytes of payload.
-    fn count(&mut self, min_elem_bytes: usize) -> Result<usize, StoreError> {
-        let n = self.u32()? as usize;
-        let need = n
-            .checked_mul(min_elem_bytes)
-            .ok_or(StoreError::Malformed("count overflow"))?;
-        if self.pos.saturating_add(need) > self.buf.len() {
-            return Err(StoreError::Truncated(self.section));
-        }
-        Ok(n)
-    }
-
-    fn finish(&self) -> Result<(), StoreError> {
-        if self.pos != self.buf.len() {
-            return Err(StoreError::Malformed("trailing bytes in section"));
-        }
-        Ok(())
-    }
-}
-
-fn read_u64le(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
-}
-
-/// Locate, bound-check and checksum every section. Returns the payload
-/// slice per required section, in [`SectionId::ALL`] order.
-fn parse_sections(bytes: &[u8]) -> Result<Vec<&[u8]>, StoreError> {
-    if bytes.len() < STORE_MAGIC.len() {
-        return Err(StoreError::Truncated("magic"));
-    }
-    if &bytes[..STORE_MAGIC.len()] != STORE_MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    if bytes.len() < TABLE_OFFSET {
-        return Err(StoreError::Truncated("header"));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return Err(StoreError::UnsupportedVersion(version));
-    }
-    let section_count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    let table_len = section_count
-        .checked_mul(SECTION_ENTRY_LEN)
-        .ok_or(StoreError::Malformed("section count overflow"))?;
-    let table_end = TABLE_OFFSET
-        .checked_add(table_len)
-        .ok_or(StoreError::Malformed("section table overflow"))?;
-    if table_end > bytes.len() {
-        return Err(StoreError::Truncated("section table"));
-    }
-
-    let mut found: Vec<Option<&[u8]>> = vec![None; SectionId::ALL.len()];
-    for i in 0..section_count {
-        let at = TABLE_OFFSET + i * SECTION_ENTRY_LEN;
-        let raw_id = u16::from_le_bytes(bytes[at..at + 2].try_into().unwrap());
-        let id = SectionId::from_u16(raw_id).ok_or(StoreError::UnknownSection(raw_id))?;
-        let flags = u16::from_le_bytes(bytes[at + 2..at + 4].try_into().unwrap());
-        if flags != 0 {
-            return Err(StoreError::Malformed("reserved section flags set"));
-        }
-        let offset = read_u64le(bytes, at + 4) as usize;
-        let len = read_u64le(bytes, at + 12) as usize;
-        let checksum = read_u64le(bytes, at + 20);
-        let end = offset
-            .checked_add(len)
-            .ok_or(StoreError::Malformed("section range overflow"))?;
-        if offset < table_end || end > bytes.len() {
-            return Err(StoreError::Truncated(id.name()));
-        }
-        let payload = &bytes[offset..end];
-        if fnv1a64(payload) != checksum {
-            return Err(StoreError::ChecksumMismatch(id.name()));
-        }
-        let slot = SectionId::ALL.iter().position(|s| *s == id).unwrap();
-        if found[slot].is_some() {
-            return Err(StoreError::Malformed("duplicate section"));
-        }
-        found[slot] = Some(payload);
-    }
-
-    SectionId::ALL
-        .iter()
-        .zip(found)
-        .map(|(id, p)| p.ok_or(StoreError::MissingSection(id.name())))
-        .collect()
-}
-
-fn decode_meta(payload: &[u8]) -> Result<(UserId, u64, Vec<String>), StoreError> {
-    let mut r = Reader::new(payload, "meta");
+fn decode_meta(mut r: ByteReader<'_>) -> Result<(UserId, u64, Vec<String>), FormatError> {
     let user_raw = r.u64()?;
     let user = u32::try_from(user_raw)
         .map(UserId)
-        .map_err(|_| StoreError::Malformed("user id out of range"))?;
+        .map_err(|_| FormatError::Malformed("user id out of range"))?;
     let observations = r.u64()?;
     let n = r.count(4)?;
     let mut seen = Vec::with_capacity(n);
     for _ in 0..n {
-        seen.push(r.str()?);
+        seen.push(r.str()?.to_string());
     }
     r.finish()?;
     Ok((user, observations, seen))
 }
 
-fn decode_model(payload: &[u8]) -> Result<LinearRankModel, StoreError> {
-    let mut r = Reader::new(payload, "model");
+fn decode_model(mut r: ByteReader<'_>) -> Result<LinearRankModel, FormatError> {
     let dim = r.count(8)?;
     let mut weights = Vec::with_capacity(dim);
     for _ in 0..dim {
@@ -620,13 +292,12 @@ fn decode_model(payload: &[u8]) -> Result<LinearRankModel, StoreError> {
     Ok(LinearRankModel::from_weights(weights))
 }
 
-fn decode_content(payload: &[u8]) -> Result<ContentProfile, StoreError> {
-    let mut r = Reader::new(payload, "content_profile");
+fn decode_content(mut r: ByteReader<'_>) -> Result<ContentProfile, FormatError> {
     let observations = r.u64()?;
     let n = r.count(12)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        let term = r.str()?;
+        let term = r.str()?.to_string();
         let weight = r.f64bits()?;
         entries.push((term, weight));
     }
@@ -634,8 +305,7 @@ fn decode_content(payload: &[u8]) -> Result<ContentProfile, StoreError> {
     Ok(ContentProfile::from_entries(entries, observations))
 }
 
-fn decode_location(payload: &[u8]) -> Result<LocationProfile, StoreError> {
-    let mut r = Reader::new(payload, "location_profile");
+fn decode_location(mut r: ByteReader<'_>) -> Result<LocationProfile, FormatError> {
     let observations = r.u64()?;
     let n = r.count(12)?;
     let mut entries = Vec::with_capacity(n);
@@ -648,20 +318,19 @@ fn decode_location(payload: &[u8]) -> Result<LocationProfile, StoreError> {
     Ok(LocationProfile::from_entries(entries, observations))
 }
 
-fn decode_history(payload: &[u8]) -> Result<UserHistory, StoreError> {
-    let mut r = Reader::new(payload, "history");
+fn decode_history(mut r: ByteReader<'_>) -> Result<UserHistory, FormatError> {
     let total = r.u64()?;
     let nu = r.count(8)?;
     let mut urls = Vec::with_capacity(nu);
     for _ in 0..nu {
-        let url = r.str()?;
+        let url = r.str()?.to_string();
         let clicks = r.u32()?;
         urls.push((url, clicks));
     }
     let nd = r.count(8)?;
     let mut domains = Vec::with_capacity(nd);
     for _ in 0..nd {
-        let domain = r.str()?;
+        let domain = r.str()?.to_string();
         let clicks = r.u32()?;
         domains.push((domain, clicks));
     }
@@ -669,8 +338,7 @@ fn decode_history(payload: &[u8]) -> Result<UserHistory, StoreError> {
     Ok(UserHistory::from_entries(urls, domains, total))
 }
 
-fn decode_pairs(payload: &[u8]) -> Result<Vec<PreferencePair>, StoreError> {
-    let mut r = Reader::new(payload, "pairs");
+fn decode_pairs(mut r: ByteReader<'_>) -> Result<Vec<PreferencePair>, FormatError> {
     let n = r.count(8)?;
     let mut pairs = Vec::with_capacity(n);
     for _ in 0..n {
@@ -690,25 +358,24 @@ fn decode_pairs(payload: &[u8]) -> Result<Vec<PreferencePair>, StoreError> {
     Ok(pairs)
 }
 
-fn decode_query_stats(payload: &[u8]) -> Result<BTreeMap<String, QueryStats>, StoreError> {
-    let mut r = Reader::new(payload, "query_stats");
+fn decode_query_stats(mut r: ByteReader<'_>) -> Result<BTreeMap<String, QueryStats>, FormatError> {
     let n = r.count(4)?;
     let mut out = BTreeMap::new();
     for _ in 0..n {
-        let key = r.str()?;
+        let key = r.str()?.to_string();
         let impressions = r.u64()?;
         let clicks = r.u64()?;
         let nu = r.count(12)?;
         let mut urls = Vec::with_capacity(nu);
         for _ in 0..nu {
-            let url = r.str()?;
+            let url = r.str()?.to_string();
             let mass = r.f64bits()?;
             urls.push((url, mass));
         }
         let nc = r.count(12)?;
         let mut concepts = Vec::with_capacity(nc);
         for _ in 0..nc {
-            let term = r.str()?;
+            let term = r.str()?.to_string();
             let mass = r.f64bits()?;
             concepts.push((term, mass));
         }
@@ -723,54 +390,26 @@ fn decode_query_stats(payload: &[u8]) -> Result<BTreeMap<String, QueryStats>, St
             .insert(key, QueryStats::from_parts(urls, concepts, locs, impressions, clicks))
             .is_some()
         {
-            return Err(StoreError::Malformed("duplicate query-stats key"));
+            return Err(FormatError::Malformed("duplicate query-stats key"));
         }
     }
     r.finish()?;
     Ok(out)
 }
 
-fn decode_quantized(payload: &[u8]) -> Result<Option<QuantizedVectors>, StoreError> {
-    let mut r = Reader::new(payload, "quantized");
-    match r.u8()? {
-        0 => {
-            r.finish()?;
-            Ok(None)
-        }
-        1 => {
-            let pq_len = r.count(1)?;
-            let pq_bytes = r.take(pq_len)?;
-            let pq = ProductQuantizer::from_bytes(pq_bytes)
-                .ok_or(StoreError::Malformed("invalid quantizer"))?;
-            let n = r.count(pq.m())?;
-            let mut codes = Vec::with_capacity(n);
-            for _ in 0..n {
-                let code = r.take(pq.m())?.to_vec();
-                if code.iter().any(|&c| usize::from(c) >= pq.k()) {
-                    return Err(StoreError::Malformed("quantizer code out of range"));
-                }
-                codes.push(code);
-            }
-            r.finish()?;
-            Ok(Some(QuantizedVectors { pq, codes }))
-        }
-        _ => Err(StoreError::Malformed("invalid quantized flag")),
-    }
-}
-
 /// Decode a user record from its byte image, validating structure and
 /// every section checksum. Inverse of [`encode_user_record`]:
 /// `decode(encode(r))` reproduces `r`'s logical content bit-exactly.
 pub fn decode_user_record(bytes: &[u8]) -> Result<UserRecord, StoreError> {
-    let sections = parse_sections(bytes)?;
-    let (user, observations, seen_queries) = decode_meta(sections[0])?;
-    let model = decode_model(sections[1])?;
-    let content = decode_content(sections[2])?;
-    let location = decode_location(sections[3])?;
-    let history = decode_history(sections[4])?;
-    let pairs = decode_pairs(sections[5])?;
-    let query_stats = decode_query_stats(sections[6])?;
-    let quantized = decode_quantized(sections[7])?;
+    let sections = STORE_FORMAT.parse(bytes)?;
+    let reader = |i: usize| ByteReader::new(sections[i], STORE_FORMAT.sections[i].1);
+    let (user, observations, seen_queries) = decode_meta(reader(0))?;
+    let model = decode_model(reader(1))?;
+    let content = decode_content(reader(2))?;
+    let location = decode_location(reader(3))?;
+    let history = decode_history(reader(4))?;
+    let pairs = decode_pairs(reader(5))?;
+    let query_stats = decode_query_stats(reader(6))?;
 
     let mut state = UserState::new();
     state.content = content;
@@ -781,5 +420,5 @@ pub fn decode_user_record(bytes: &[u8]) -> Result<UserRecord, StoreError> {
     state.observations = observations;
     state.seen_queries = seen_queries;
 
-    Ok(UserRecord { user, state, query_stats, quantized })
+    Ok(UserRecord { user, state, query_stats })
 }

@@ -6,22 +6,18 @@
 //!
 //! 1. **A binary user-record codec** ([`codec`]): versioned, checksummed
 //!    (`PWSUSR1\0`, section table + FNV-1a-64 per section — the
-//!    `docs/INDEX_FORMAT.md` idiom), capturing the *complete*
-//!    replay-relevant state: profiles, RankSVM weights, revisit history,
-//!    preference pairs, **and** the per-query adaptive-β statistics the
-//!    old JSON export silently dropped. Encoding is canonical (sorted
+//!    `pws_obs::format` container, `docs/CONTAINER_FORMAT.md`),
+//!    capturing the *complete* replay-relevant state: profiles, RankSVM
+//!    weights, revisit history, preference pairs, **and** the per-query
+//!    adaptive-β statistics the old JSON export silently dropped. Encoding is canonical (sorted
 //!    maps, `f64::to_bits` little-endian), so equal logical records have
 //!    equal bytes and a faulted-in user replays **byte-identically**.
-//! 2. **Product-quantized cold vectors** ([`pq`]): per-record codebooks
-//!    compress the weight vectors to one byte per dimension for
-//!    scan-time analytics; the exact sections are always kept alongside,
-//!    so the quantized form never touches the serving path.
-//! 3. **A directory store** ([`store`]): one file per user, durable
+//! 2. **A directory store** ([`store`]): one file per user, durable
 //!    temp-file + fsync + rename + dir-fsync writes, typed
 //!    [`StoreError`] on every corruption, and a
 //!    [`UserStore::scrub`](store::UserStore::scrub) recovery pass
 //!    (orphan cleanup + corrupt-record quarantine).
-//! 4. **An injectable I/O layer** ([`io`]): every filesystem call goes
+//! 3. **An injectable I/O layer** ([`io`]): every filesystem call goes
 //!    through the [`StoreIo`] trait — [`FsIo`] in production,
 //!    [`FaultIo`] (seeded, per-op-counter fault injection: transient
 //!    `EIO`, `ENOSPC`, refused renames, torn writes, simulated machine
@@ -32,13 +28,11 @@
 
 pub mod codec;
 pub mod io;
-pub mod pq;
 pub mod store;
 
 pub use codec::{
-    decode_user_record, encode_user_record, fnv1a64, QuantizedVectors, SectionId, StoreError,
-    UserRecord, FORMAT_VERSION, SECTION_ENTRY_LEN, STORE_MAGIC, TABLE_OFFSET,
+    decode_user_record, encode_user_record, SectionId, StoreError, UserRecord, FORMAT_VERSION,
+    STORE_FORMAT, STORE_MAGIC,
 };
 pub use io::{FaultIo, FaultIoCounts, FsIo, IoError, IoErrorKind, IoFaultSpec, StoreIo};
-pub use pq::ProductQuantizer;
 pub use store::{ScrubReport, UserStore, QUARANTINE_DIR};

@@ -1,19 +1,16 @@
 //! Property tests for user-record persistence (the `segment_roundtrip`
 //! idiom, applied to the user-state tier).
 //!
-//! Three guarantees, for *arbitrary* records:
+//! Two guarantees, for *arbitrary* records:
 //!
 //! 1. **Round trip** — `decode(encode(r))` reproduces `r`'s logical
 //!    content bit-exactly. `UserState` has no `PartialEq`, so the test
 //!    asserts the stronger canonical-bytes property instead:
 //!    `encode(decode(encode(r))) == encode(r)`, plus field spot checks.
-//! 2. **Durability** — corrupted (every single byte flipped), truncated
-//!    (every prefix), wrong-magic, and future-version files all fail to
-//!    decode with a typed [`StoreError`], never a panic.
-//! 3. **Quantizer bounds** — when the cold quantized form is present,
-//!    every reconstructed coordinate is finite and lies within the range
-//!    spanned by the training vectors for that coordinate (k-means
-//!    centroids are convex combinations of training points).
+//! 2. **Durability** — every damaged copy the shared container gauntlet
+//!    makes (each single byte flipped, each prefix, each section-table
+//!    and layout mutation), wrong-magic, and other-version files all fail
+//!    to decode with a typed [`StoreError`], never a panic.
 
 use proptest::prelude::*;
 use pws_click::UserId;
@@ -22,8 +19,10 @@ use pws_entropy::QueryStats;
 use pws_geo::LocId;
 use pws_profile::{ContentProfile, LocationProfile, UserHistory};
 use pws_ranksvm::{LinearRankModel, PreferencePair};
+use pws_obs::format::FormatError;
 use pws_store::{
     decode_user_record, encode_user_record, StoreError, UserRecord, UserStore, FORMAT_VERSION,
+    STORE_FORMAT,
 };
 use std::collections::BTreeMap;
 
@@ -68,9 +67,9 @@ fn query_stats() -> impl Strategy<Value = QueryStats> {
         })
 }
 
-fn user_record(min_dim: usize) -> impl Strategy<Value = UserRecord> {
+fn user_record() -> impl Strategy<Value = UserRecord> {
     (
-        (any::<u32>(), 0u64..10_000, min_dim..=MAX_DIM),
+        (any::<u32>(), 0u64..10_000, 0..=MAX_DIM),
         (
             prop::collection::btree_map(term(), query_stats(), 0..4),
             vector(),
@@ -162,7 +161,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn encode_decode_is_canonical(record in user_record(0)) {
+    fn encode_decode_is_canonical(record in user_record()) {
         let bytes = encode_user_record(&record);
         let decoded = decode_user_record(&bytes).expect("decode own encoding");
         // Canonical-bytes round trip: re-encoding the decoded record
@@ -184,98 +183,80 @@ proptest! {
         );
         prop_assert_eq!(decoded.query_stats.len(), record.query_stats.len());
     }
-
-    #[test]
-    fn quantized_reconstruction_is_bounded(record in user_record(1)) {
-        let bytes = encode_user_record(&record);
-        let decoded = decode_user_record(&bytes).expect("decode own encoding");
-        let Some(q) = &decoded.quantized else {
-            // Quantizer training declined (e.g. degenerate geometry) —
-            // allowed; the exact sections always carry the state.
-            return Ok(());
-        };
-        let dim = record.state.model.dim();
-        let mut training: Vec<&[f64]> = vec![&record.state.model.weights];
-        if record.state.pairs.iter().all(|p| p.better.len() == dim && p.worse.len() == dim) {
-            for p in &record.state.pairs {
-                training.push(&p.better);
-                training.push(&p.worse);
-            }
-        }
-        prop_assert_eq!(q.codes.len(), training.len());
-        let approx = q.approx_model().expect("model code decodes");
-        prop_assert_eq!(approx.len(), dim);
-        for (d, &a) in approx.iter().enumerate() {
-            let lo = training.iter().map(|v| v[d]).fold(f64::INFINITY, f64::min);
-            let hi = training.iter().map(|v| v[d]).fold(f64::NEG_INFINITY, f64::max);
-            let slack = 1e-9 * (1.0 + lo.abs().max(hi.abs()));
-            prop_assert!(a.is_finite(), "coordinate {d} not finite: {a}");
-            prop_assert!(
-                a >= lo - slack && a <= hi + slack,
-                "coordinate {d} = {a} outside training range [{lo}, {hi}]"
-            );
-        }
-    }
 }
 
 #[test]
-fn non_finite_weights_skip_quantizer_but_round_trip() {
+fn non_finite_weights_round_trip() {
     let mut record = dense_record();
     record.state.model = LinearRankModel::from_weights(vec![f64::NAN, f64::INFINITY, -0.5, 1.0]);
     let bytes = encode_user_record(&record);
     let decoded = decode_user_record(&bytes).expect("decode");
-    assert!(decoded.quantized.is_none(), "non-finite vectors must not train a quantizer");
-    // NaN and ±∞ still travel bit-exactly through the exact sections.
+    // NaN and ±∞ travel bit-exactly.
     assert_eq!(decoded.state.model.weight_bits_le(), record.state.model.weight_bits_le());
     assert_eq!(encode_user_record(&decoded), bytes);
+}
+
+/// The section-table checksums of `dense_record()`'s seven sections, read
+/// out of the version-1 encoding (which carried an eighth, quantised
+/// section): version 2 dropped that section and left every other
+/// payload byte alone.
+#[test]
+fn exact_section_payloads_match_format_version_1() {
+    use pws_obs::format::{le_u64, ENTRY_LEN, TABLE_OFFSET};
+    const V1: [(u64, u64); 7] = [
+        (40, 0x844c_da0d_b61a_0ec4),
+        (36, 0x12a0_e4bd_2f90_4a41),
+        (49, 0xc0e7_58ae_3716_4a81),
+        (36, 0x7bfb_1260_0c5a_d787),
+        (76, 0x2cfd_9c81_c1f5_e959),
+        (148, 0x6879_8546_b364_1c2a),
+        (155, 0x084e_489f_97c8_a75f),
+    ];
+    let bytes = encode_user_record(&dense_record());
+    let table: Vec<(u64, u64)> = bytes[TABLE_OFFSET..TABLE_OFFSET + 7 * ENTRY_LEN]
+        .chunks(ENTRY_LEN)
+        .map(|e| (le_u64(&e[12..]), le_u64(&e[20..])))
+        .collect();
+    assert_eq!(table, V1, "(len, checksum) of Meta…QueryStats moved");
+    assert_eq!(bytes[8..16], [2, 0, 0, 0, 7, 0, 0, 0], "version 2, seven sections");
 }
 
 // ── 2. Durability ───────────────────────────────────────────────────────
 
 #[test]
-fn every_single_byte_corruption_is_a_typed_error() {
-    let bytes = encode_user_record(&dense_record());
-    assert!(decode_user_record(&bytes).is_ok(), "canonical bytes must decode");
-    for i in 0..bytes.len() {
-        let mut bad = bytes.clone();
-        bad[i] ^= 0xA5;
-        // Every flip must surface as Err — the header is structurally
-        // validated and every payload byte is checksummed, so no flip
-        // can silently decode. A panic here fails the test harness.
-        assert!(
-            decode_user_record(&bad).is_err(),
-            "flipping byte {i} of {} decoded successfully",
-            bytes.len()
-        );
-    }
+fn gauntlet_rejects_every_mutation() {
+    let rejects = |bad: &[u8]| decode_user_record(bad).is_err();
+    STORE_FORMAT.gauntlet(&encode_user_record(&dense_record()), rejects);
+    // A fresh user's two empty profiles encode to the same bytes, which
+    // adds the case of two table entries covering one range.
+    let fresh = encode_user_record(&UserRecord::new(UserId(7), UserState::new(), BTreeMap::new()));
+    assert!(STORE_FORMAT.table_mutations(&fresh).iter().any(|(what, _)| what.contains("aliased")));
+    STORE_FORMAT.gauntlet(&fresh, rejects);
 }
 
 #[test]
-fn every_truncation_is_a_typed_error() {
-    let bytes = encode_user_record(&dense_record());
-    for len in 0..bytes.len() {
-        assert!(
-            decode_user_record(&bytes[..len]).is_err(),
-            "prefix of {len}/{} bytes decoded successfully",
-            bytes.len()
+fn other_versions_are_rejected() {
+    // Version 1 (the eight-section layout) has no compatibility reader.
+    for version in [1, FORMAT_VERSION + 1] {
+        let mut bytes = encode_user_record(&dense_record());
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        assert_eq!(
+            decode_user_record(&bytes).err(),
+            Some(StoreError::Format(FormatError::UnsupportedVersion(version)))
         );
-    }
-}
-
-#[test]
-fn future_version_is_rejected() {
-    let mut bytes = encode_user_record(&dense_record());
-    bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    match decode_user_record(&bytes) {
-        Err(StoreError::UnsupportedVersion(v)) => assert_eq!(v, FORMAT_VERSION + 1),
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
 }
 
 #[test]
 fn wrong_magic_is_rejected() {
-    assert!(matches!(decode_user_record(b"NOTAPWSU record"), Err(StoreError::BadMagic)));
-    assert!(matches!(decode_user_record(b""), Err(StoreError::Truncated(_))));
+    assert_eq!(
+        decode_user_record(b"NOTAPWSU record").err(),
+        Some(StoreError::Format(FormatError::BadMagic))
+    );
+    assert_eq!(
+        decode_user_record(b"").err(),
+        Some(StoreError::Format(FormatError::Truncated("magic")))
+    );
 }
 
 // ── 3. Directory store ──────────────────────────────────────────────────

@@ -169,7 +169,7 @@ fn zero_length_record_file_is_a_typed_error_not_a_panic() {
     let store = UserStore::open(&dir).unwrap();
     std::fs::write(dir.join("user-0000002a.pwsu"), b"").unwrap();
     match store.get(UserId(0x2A)) {
-        Err(StoreError::Truncated(_)) => {}
+        Err(StoreError::Format(pws_obs::format::FormatError::Truncated(_))) => {}
         other => panic!("zero-length file must be Truncated, got {other:?}"),
     }
     // And scrub treats it as corrupt → quarantine.

@@ -141,6 +141,16 @@ section_gate segment crates/pws-index/src/segfile.rs docs/INDEX_FORMAT.md
 section_gate store crates/pws-store/src/codec.rs docs/STORE_FORMAT.md
 section_gate flight crates/pws-obs/src/flight.rs docs/FLIGHT_FORMAT.md
 
+echo "==> one-container gate (fnv1a64 / parse_sections only in pws-obs/src/format.rs)"
+# PWSSEG1, PWSUSR1 and PWSFLT1 share one container implementation
+# (docs/CONTAINER_FORMAT.md); a second checksum function or section-table
+# parser under crates/*/src is the copy-paste this gate exists to stop.
+if grep -rnE 'fn (fnv1a64|parse_sections)\b' crates/*/src --include='*.rs' \
+    | grep -v '^crates/pws-obs/src/format.rs:'; then
+    echo "FAIL: container code outside crates/pws-obs/src/format.rs — use pws_obs::format"
+    exit 1
+fi
+
 echo "==> store-tier replay-equivalence gate (store_smoke)"
 # Write → evict → fault-in → replay must be byte-identical to an
 # always-resident run, including across a process-restart simulation;
