@@ -1,46 +1,95 @@
 //! T4 — concept-extraction latency (the per-query online cost the paper's
 //! middleware pays before re-ranking).
+//!
+//! Rows: the full extraction over a 30-snippet pool and a 10-snippet page
+//! (memo off: what a cold engine, and the end-to-end benchmark's probe,
+//! pay); its two phases on the pool (per-snippet analysis, counting pass);
+//! the pool with every analysis already in the memo (what the engine pays
+//! when the snippets were seen before); and the five-pass reference the
+//! one-pass extractor replaced, for the before/after.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pws_bench::bench_world;
-use pws_concepts::{extract_content, extract_locations, ConceptConfig, LocationConceptConfig, QueryConceptOntology};
+use pws_concepts::{
+    ConceptConfig, ConceptMemo, LocationConceptConfig, QueryConceptOntology, SnippetAnalysis,
+};
 use pws_geo::LocationMatcher;
 
 fn bench_concepts(c: &mut Criterion) {
     let world = bench_world();
     let matcher = LocationMatcher::build(&world.world);
+    let (content_cfg, location_cfg) = (ConceptConfig::default(), LocationConceptConfig::default());
 
-    // Snippets of a representative query's top-30 pool.
+    // Snippets of a representative query's top-30 pool; its top-10 page.
     let q = &world.queries[0];
     let hits = world.engine.search(&q.text, 30);
     let snippets: Vec<String> = hits.iter().map(|h| h.snippet.clone()).collect();
     assert!(!snippets.is_empty());
+    let page = &snippets[..snippets.len().min(10)];
+    let extract = |snippets: &[String]| {
+        QueryConceptOntology::extract(
+            &q.text,
+            snippets,
+            &matcher,
+            &world.world,
+            &content_cfg,
+            &location_cfg,
+        )
+    };
 
     let mut g = c.benchmark_group("concepts");
-    g.bench_function("content_30_snippets", |b| {
+    g.bench_function("full_ontology_30_snippets", |b| {
+        b.iter(|| std::hint::black_box(extract(&snippets)))
+    });
+    g.bench_function("page_10_snippets", |b| b.iter(|| std::hint::black_box(extract(page))));
+
+    g.bench_function("phase_analyse_30_snippets", |b| {
         b.iter(|| {
-            std::hint::black_box(extract_content(&q.text, &snippets, &ConceptConfig::default()))
+            let analyses: Vec<SnippetAnalysis> =
+                snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher)).collect();
+            std::hint::black_box(analyses)
         })
     });
-    g.bench_function("locations_30_snippets", |b| {
+    let analyses: Vec<SnippetAnalysis> =
+        snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher)).collect();
+    g.bench_function("phase_count_30_snippets", |b| {
         b.iter(|| {
-            std::hint::black_box(extract_locations(
-                &snippets,
-                &matcher,
+            std::hint::black_box(QueryConceptOntology::from_analyses(
+                &q.text,
+                &analyses,
                 &world.world,
-                &LocationConceptConfig::default(),
+                &content_cfg,
+                &location_cfg,
             ))
         })
     });
-    g.bench_function("full_ontology_30_snippets", |b| {
+
+    let memo = ConceptMemo::new(1024);
+    memo.get_or_analyze_all(snippets.iter().map(String::as_str), &matcher);
+    g.bench_function("pool_all_snippets_memoized", |b| {
         b.iter(|| {
-            std::hint::black_box(QueryConceptOntology::extract(
+            let (analyses, misses) =
+                memo.get_or_analyze_all(snippets.iter().map(String::as_str), &matcher);
+            assert_eq!(misses, 0);
+            std::hint::black_box(QueryConceptOntology::from_analyses(
+                &q.text,
+                &analyses,
+                &world.world,
+                &content_cfg,
+                &location_cfg,
+            ))
+        })
+    });
+
+    g.bench_function("reference_five_pass_30_snippets", |b| {
+        b.iter(|| {
+            std::hint::black_box(QueryConceptOntology::extract_reference(
                 &q.text,
                 &snippets,
                 &matcher,
                 &world.world,
-                &ConceptConfig::default(),
-                &LocationConceptConfig::default(),
+                &content_cfg,
+                &location_cfg,
             ))
         })
     });

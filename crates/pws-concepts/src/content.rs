@@ -14,10 +14,20 @@
 //! the support threshold. Candidates are analyzed unigrams and bigrams,
 //! excluding the query's own terms (a concept must add information beyond
 //! the query).
+//!
+//! Counting runs over [`SnippetAnalysis`] values in a per-call integer id
+//! space — a term is a `u32`, a bigram a pair of them — and fills one
+//! snippet-incidence bitset row per candidate as it goes, so snippet
+//! frequency is a popcount and the relationship graph and the per-snippet
+//! concept lists are read off the same rows without touching a snippet
+//! again. A bigram's `String` exists only once it has passed the threshold.
 
-use pws_text::{bigrams, Analyzer};
+use crate::graph::Incidence;
+use crate::snippet::{for_each_term, SnippetAnalysis};
+use pws_text::{Interner, Sym};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::borrow::Borrow;
+use std::collections::HashMap;
 
 /// Extraction parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,91 +60,111 @@ pub struct ContentConcept {
     pub support: f64,
 }
 
-/// Extract content concepts of `query_text` from `snippets`.
+/// Count content concepts of `query_text` over the analysed snippets.
 ///
-/// Returns concepts sorted by descending support, ties broken
-/// lexicographically (deterministic).
-pub fn extract_content(
+/// Returns the concepts sorted by descending support, ties broken
+/// lexicographically (deterministic), and their snippet-incidence rows in
+/// the same order (row `i`, bit `s` ⇔ concept `i` occurs in snippet `s`).
+pub(crate) fn count_content<S: Borrow<SnippetAnalysis>>(
     query_text: &str,
-    snippets: &[String],
+    analyses: &[S],
     cfg: &ConceptConfig,
-) -> Vec<ContentConcept> {
-    if snippets.is_empty() {
-        return Vec::new();
-    }
-    let analyzer = Analyzer::default();
-    let query_terms: HashSet<String> = analyzer.analyze(query_text).into_iter().collect();
+) -> (Vec<ContentConcept>, Incidence) {
+    // The id space of this call. Query terms are interned first, so
+    // `id < n_query` is the "is a query term" test.
+    let mut terms = Interner::new();
+    for_each_term(query_text, |t| {
+        terms.intern(t);
+    });
+    let n_query = terms.len() as u32;
 
-    // Snippet frequency per candidate.
-    let mut sf: HashMap<String, u32> = HashMap::new();
-    for snippet in snippets {
-        let tokens = analyzer.analyze(snippet);
-        let mut in_this: HashSet<String> = HashSet::new();
-        for t in &tokens {
-            if !query_terms.contains(t) {
-                in_this.insert(t.clone());
-            }
+    // Candidates in order of first sight: `keys[c]` is a term id or a pair
+    // of them, `seen` row `c` the snippets it occurs in. A candidate counts
+    // once per snippet because setting a bit twice changes nothing.
+    let mut keys: Vec<(u32, Option<u32>)> = Vec::new();
+    let mut seen = Incidence::new(analyses.len());
+    let mut unigram: Vec<Option<usize>> = Vec::new();
+    // Sized up front (a pool has at most one bigram per term position):
+    // growing by rehash cost a quarter of the pass on a 30-snippet pool.
+    let positions: usize = analyses.iter().map(|a| a.borrow().len()).sum();
+    let mut bigram: HashMap<(u32, u32), usize> = HashMap::with_capacity(positions);
+    let mut seq: Vec<u32> = Vec::new();
+    for (si, analysis) in analyses.iter().enumerate() {
+        seq.clear();
+        seq.extend(analysis.borrow().terms().map(|t| terms.intern(t).0));
+        unigram.resize(terms.len(), None);
+        for &id in seq.iter().filter(|&&id| id >= n_query) {
+            let c = *unigram[id as usize].get_or_insert_with(|| {
+                keys.push((id, None));
+                seen.push_empty_row()
+            });
+            seen.set(c, si);
         }
         if cfg.bigrams {
-            for bg in bigrams(&tokens) {
+            for pair in seq.windows(2) {
                 // A bigram containing a query term on either side is still
                 // informative ("seafood restaurant" for query "restaurant"),
                 // but a bigram of *only* query terms is not.
-                let both_query = bg.split(' ').all(|w| query_terms.contains(w));
-                if !both_query {
-                    in_this.insert(bg);
+                if pair[0] < n_query && pair[1] < n_query {
+                    continue;
                 }
+                let c = *bigram.entry((pair[0], pair[1])).or_insert_with(|| {
+                    keys.push((pair[0], Some(pair[1])));
+                    seen.push_empty_row()
+                });
+                seen.set(c, si);
             }
-        }
-        for c in in_this {
-            *sf.entry(c).or_insert(0) += 1;
         }
     }
 
-    let n = snippets.len() as f64;
-    let mut out: Vec<ContentConcept> = sf
-        .into_iter()
-        .filter_map(|(term, freq)| {
-            let support = f64::from(freq) / n;
-            (support >= cfg.min_support && freq >= cfg.min_snippet_freq)
-                .then_some(ContentConcept { term, snippet_freq: freq, support })
-        })
-        .collect();
-
-    out.sort_unstable_by(|a, b| {
+    // Threshold, then name the survivors — a bigram gets its `String` only
+    // here — and order them.
+    let n = analyses.len() as f64;
+    let mut out: Vec<(ContentConcept, usize)> = Vec::new();
+    for (c, &key) in keys.iter().enumerate() {
+        let snippet_freq = seen.count(c);
+        let support = f64::from(snippet_freq) / n;
+        if support >= cfg.min_support && snippet_freq >= cfg.min_snippet_freq {
+            let term = match key {
+                (a, None) => terms.resolve(Sym(a)).to_string(),
+                (a, Some(b)) => format!("{} {}", terms.resolve(Sym(a)), terms.resolve(Sym(b))),
+            };
+            out.push((ContentConcept { term, snippet_freq, support }, c));
+        }
+    }
+    out.sort_unstable_by(|(a, _), (b, _)| {
         b.support
             .partial_cmp(&a.support)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| a.term.cmp(&b.term))
     });
     out.truncate(cfg.max_concepts);
-    out
-}
 
-/// Which of `concepts` occur in the given snippet? Used online when
-/// attributing a click to the concepts visible in the clicked result.
-pub fn concepts_in_snippet(concepts: &[ContentConcept], snippet: &str) -> Vec<usize> {
-    let analyzer = Analyzer::default();
-    let tokens = analyzer.analyze(snippet);
-    let unigrams: HashSet<&str> = tokens.iter().map(|s| s.as_str()).collect();
-    let bigram_set: HashSet<String> = bigrams(&tokens).into_iter().collect();
-    concepts
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| {
-            if c.term.contains(' ') {
-                bigram_set.contains(&c.term)
-            } else {
-                unigrams.contains(c.term.as_str())
-            }
+    let mut incidence = Incidence::new(analyses.len());
+    let concepts = out
+        .into_iter()
+        .map(|(concept, c)| {
+            incidence.push_row(seen.row(c));
+            concept
         })
-        .map(|(i, _)| i)
-        .collect()
+        .collect();
+    (concepts, incidence)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pws_geo::{LocationMatcher, LocationOntology};
+
+    fn analyses(snippets: &[String]) -> Vec<SnippetAnalysis> {
+        let matcher = LocationMatcher::build(&LocationOntology::new());
+        snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher)).collect()
+    }
+
+    /// The content half of the pass over raw snippet text.
+    fn extract_content(query_text: &str, snippets: &[String], cfg: &ConceptConfig) -> Vec<ContentConcept> {
+        count_content(query_text, &analyses(snippets), cfg).0
+    }
 
     fn snips(texts: &[&str]) -> Vec<String> {
         texts.iter().map(|t| t.to_string()).collect()
@@ -238,14 +268,26 @@ mod tests {
     }
 
     #[test]
-    fn concepts_in_snippet_finds_unigrams_and_bigrams() {
-        let concepts = vec![
-            ContentConcept { term: "seafood".into(), snippet_freq: 2, support: 0.5 },
-            ContentConcept { term: "lobster roll".into(), snippet_freq: 2, support: 0.5 },
-            ContentConcept { term: "sushi".into(), snippet_freq: 2, support: 0.5 },
-        ];
-        let idx = concepts_in_snippet(&concepts, "fresh lobster roll and seafood platter");
-        assert_eq!(idx, vec![0, 1]);
-        assert!(concepts_in_snippet(&concepts, "nothing here").is_empty());
+    fn incidence_rows_mark_the_snippets_containing_each_concept() {
+        let s = snips(&["fresh lobster roll and seafood platter", "nothing here", "seafood lobster"]);
+        let (concepts, rows) = count_content("q", &analyses(&s), &cfg(0.0));
+        let row_of = |term: &str| {
+            let i = concepts.iter().position(|c| c.term == term).expect(term);
+            rows.row(i)[0]
+        };
+        assert_eq!(row_of("seafood"), 0b101);
+        assert_eq!(row_of("lobster roll"), 0b001);
+        assert_eq!(row_of("noth"), 0b010);
+    }
+
+    #[test]
+    fn more_than_64_snippets_use_a_second_bitset_word() {
+        let mut texts: Vec<String> = (0..70).map(|i| format!("filler{i}")).collect();
+        texts[3].push_str(" lobster");
+        texts[69].push_str(" lobster");
+        let (concepts, rows) = count_content("q", &analyses(&texts), &cfg(0.0));
+        let i = concepts.iter().position(|c| c.term == "lobster").unwrap();
+        assert_eq!(concepts[i].snippet_freq, 2);
+        assert_eq!(rows.row(i), [1 << 3, 1 << (69 - 64)]);
     }
 }

@@ -16,10 +16,7 @@
 //! concepts related to the clicked ones (the paper's expansion step; GCS
 //! ablation in F7).
 
-use crate::content::ContentConcept;
-use pws_text::{bigrams, Analyzer};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Edge type between two concepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -49,68 +46,115 @@ pub struct ConceptEdge {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ConceptGraph {
     /// Number of concepts (nodes).
-    num_concepts: usize,
+    pub(crate) num_concepts: usize,
     /// All edges with weight ≥ the build threshold, `a < b` normalized for
     /// `Similar`, directed for parent/child.
-    edges: Vec<ConceptEdge>,
+    pub(crate) edges: Vec<ConceptEdge>,
+}
+
+/// Snippet-incidence bitsets: row `i`, bit `s` is set iff item `i` (a
+/// concept, or a candidate while counting) occurs in snippet `s`. Rows
+/// are `ceil(snippets / 64)` `u64`s wide, stored back to back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Incidence {
+    words: usize,
+    rows: usize,
+    bits: Vec<u64>,
+}
+
+impl Incidence {
+    /// An empty table with rows wide enough for `snippets` snippets.
+    pub(crate) fn new(snippets: usize) -> Self {
+        Incidence { words: snippets.div_ceil(64), rows: 0, bits: Vec::new() }
+    }
+
+    /// Append an all-zero row; returns its index.
+    pub(crate) fn push_empty_row(&mut self) -> usize {
+        self.bits.resize(self.bits.len() + self.words, 0);
+        self.rows += 1;
+        self.rows - 1
+    }
+
+    /// Append a copy of `row` (a row of a table over the same snippets).
+    pub(crate) fn push_row(&mut self, row: &[u64]) {
+        debug_assert_eq!(row.len(), self.words);
+        self.bits.extend_from_slice(row);
+        self.rows += 1;
+    }
+
+    /// Mark row `i` as occurring in `snippet`.
+    pub(crate) fn set(&mut self, i: usize, snippet: usize) {
+        self.bits[i * self.words + snippet / 64] |= 1 << (snippet % 64);
+    }
+
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// In how many snippets row `i` occurs.
+    pub(crate) fn count(&self, i: usize) -> u32 {
+        self.row(i).iter().map(|w| w.count_ones()).sum()
+    }
+
+    /// Row `i`.
+    pub(crate) fn row(&self, i: usize) -> &[u64] {
+        &self.bits[i * self.words..(i + 1) * self.words]
+    }
+
+    /// The snippets (bit positions) of row `i`, ascending.
+    pub(crate) fn snippets_of(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.row(i).iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
 }
 
 impl ConceptGraph {
-    /// Build the graph for `concepts` from the snippets they were extracted
-    /// from.
+    /// Build the graph over the concepts whose snippet incidence is
+    /// `incidence` (one row per concept, in concept order).
     ///
     /// `sim_threshold` — minimum cosine to keep an edge;
     /// `containment_threshold` — minimum |S_a∩S_b|/|S_b| for `a` to count
     /// as a parent of `b` (0.8 is a good default).
-    pub fn build(
-        concepts: &[ContentConcept],
-        snippets: &[String],
+    pub(crate) fn from_incidence(
+        incidence: &Incidence,
         sim_threshold: f64,
         containment_threshold: f64,
     ) -> Self {
-        let analyzer = Analyzer::default();
-        // Incidence sets per concept.
-        let mut incidence: Vec<HashSet<usize>> = vec![HashSet::new(); concepts.len()];
-        for (si, snippet) in snippets.iter().enumerate() {
-            let tokens = analyzer.analyze(snippet);
-            let unigrams: HashSet<&str> = tokens.iter().map(|s| s.as_str()).collect();
-            let bigram_set: HashSet<String> = bigrams(&tokens).into_iter().collect();
-            for (ci, c) in concepts.iter().enumerate() {
-                let present = if c.term.contains(' ') {
-                    bigram_set.contains(&c.term)
-                } else {
-                    unigrams.contains(c.term.as_str())
-                };
-                if present {
-                    incidence[ci].insert(si);
-                }
-            }
-        }
-
+        let num_concepts = incidence.len();
+        let sizes: Vec<u32> = (0..num_concepts).map(|i| incidence.count(i)).collect();
         let mut edges = Vec::new();
-        for a in 0..concepts.len() {
-            for b in (a + 1)..concepts.len() {
-                let sa = &incidence[a];
-                let sb = &incidence[b];
-                if sa.is_empty() || sb.is_empty() {
+        for a in 0..num_concepts {
+            for b in (a + 1)..num_concepts {
+                let (len_a, len_b) = (sizes[a], sizes[b]);
+                let inter: u32 = incidence
+                    .row(a)
+                    .iter()
+                    .zip(incidence.row(b))
+                    .map(|(x, y)| (x & y).count_ones())
+                    .sum();
+                if inter == 0 {
                     continue;
                 }
-                let inter = sa.intersection(sb).count() as f64;
-                if inter == 0.0 {
-                    continue;
-                }
-                let cosine = inter / ((sa.len() as f64) * (sb.len() as f64)).sqrt();
+                let inter = f64::from(inter);
+                let cosine = inter / (f64::from(len_a) * f64::from(len_b)).sqrt();
                 if cosine < sim_threshold {
                     continue;
                 }
                 // Containment checks decide parent/child typing.
-                let a_contains_b = inter / sb.len() as f64;
-                let b_contains_a = inter / sa.len() as f64;
-                let relation = if a_contains_b >= containment_threshold
-                    && sa.len() > sb.len()
-                {
+                let a_contains_b = inter / f64::from(len_b);
+                let b_contains_a = inter / f64::from(len_a);
+                let relation = if a_contains_b >= containment_threshold && len_a > len_b {
                     ConceptRelation::ParentOf
-                } else if b_contains_a >= containment_threshold && sb.len() > sa.len() {
+                } else if b_contains_a >= containment_threshold && len_b > len_a {
                     ConceptRelation::ChildOf
                 } else {
                     ConceptRelation::Similar
@@ -118,7 +162,7 @@ impl ConceptGraph {
                 edges.push(ConceptEdge { a, b, weight: cosine, relation });
             }
         }
-        ConceptGraph { num_concepts: concepts.len(), edges }
+        ConceptGraph { num_concepts, edges }
     }
 
     /// Number of nodes.
@@ -158,7 +202,24 @@ impl ConceptGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::content::{extract_content, ConceptConfig};
+    use crate::content::{count_content, ConceptConfig, ContentConcept};
+    use crate::snippet::SnippetAnalysis;
+    use pws_geo::{LocationMatcher, LocationOntology};
+
+    /// Unigram concepts of `snippets` and their graph at the given
+    /// thresholds.
+    fn concepts_and_graph(
+        snippets: &[String],
+        sim_threshold: f64,
+        containment_threshold: f64,
+    ) -> (Vec<ContentConcept>, ConceptGraph) {
+        let matcher = LocationMatcher::build(&LocationOntology::new());
+        let analyses: Vec<SnippetAnalysis> =
+            snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher)).collect();
+        let (concepts, incidence) = count_content("q", &analyses, &cfg());
+        let g = ConceptGraph::from_incidence(&incidence, sim_threshold, containment_threshold);
+        (concepts, g)
+    }
 
     fn snips(texts: &[&str]) -> Vec<String> {
         texts.iter().map(|t| t.to_string()).collect()
@@ -171,8 +232,7 @@ mod tests {
     #[test]
     fn cooccurring_concepts_get_edges() {
         let s = snips(&["seafood lobster platter", "seafood lobster rolls", "sushi menu"]);
-        let concepts = extract_content("q", &s, &cfg());
-        let g = ConceptGraph::build(&concepts, &s, 0.3, 0.8);
+        let (concepts, g) = concepts_and_graph(&s, 0.3, 0.8);
         let sea = concepts.iter().position(|c| c.term == "seafood").unwrap();
         let lob = concepts.iter().position(|c| c.term == "lobster").unwrap();
         assert!(
@@ -185,8 +245,7 @@ mod tests {
     #[test]
     fn disjoint_concepts_have_no_edge() {
         let s = snips(&["seafood platter", "sushi menu"]);
-        let concepts = extract_content("q", &s, &cfg());
-        let g = ConceptGraph::build(&concepts, &s, 0.1, 0.8);
+        let (concepts, g) = concepts_and_graph(&s, 0.1, 0.8);
         let sea = concepts.iter().position(|c| c.term == "seafood").unwrap();
         let sus = concepts.iter().position(|c| c.term == "sushi").unwrap();
         assert!(!g.neighbors(sea).iter().any(|(j, _)| *j == sus));
@@ -195,8 +254,7 @@ mod tests {
     #[test]
     fn perfect_cooccurrence_has_cosine_one() {
         let s = snips(&["alpha beta", "alpha beta", "gamma delta"]);
-        let concepts = extract_content("q", &s, &cfg());
-        let g = ConceptGraph::build(&concepts, &s, 0.5, 2.0);
+        let (concepts, g) = concepts_and_graph(&s, 0.5, 2.0);
         let a = concepts.iter().position(|c| c.term == "alpha").unwrap();
         let b = concepts.iter().position(|c| c.term == "beta").unwrap();
         let e = g
@@ -212,8 +270,7 @@ mod tests {
     fn containment_types_parent_child() {
         // "seafood" in 3 snippets; "lobster" only where seafood also is.
         let s = snips(&["seafood lobster", "seafood lobster", "seafood crab"]);
-        let concepts = extract_content("q", &s, &cfg());
-        let g = ConceptGraph::build(&concepts, &s, 0.1, 0.8);
+        let (concepts, g) = concepts_and_graph(&s, 0.1, 0.8);
         let sea = concepts.iter().position(|c| c.term == "seafood").unwrap();
         let lob = concepts.iter().position(|c| c.term == "lobster").unwrap();
         let e = g
@@ -234,17 +291,15 @@ mod tests {
     #[test]
     fn threshold_prunes_weak_edges() {
         let s = snips(&["aa bb", "aa cc", "aa dd", "bb cc", "cc dd", "bb dd"]);
-        let concepts = extract_content("q", &s, &cfg());
-        let loose = ConceptGraph::build(&concepts, &s, 0.0, 0.9);
-        let tight = ConceptGraph::build(&concepts, &s, 0.9, 0.9);
+        let (_, loose) = concepts_and_graph(&s, 0.0, 0.9);
+        let (_, tight) = concepts_and_graph(&s, 0.9, 0.9);
         assert!(loose.edges().len() > tight.edges().len());
     }
 
     #[test]
     fn spread_scales_mass_by_weight_and_damping() {
         let s = snips(&["alpha beta", "alpha beta"]);
-        let concepts = extract_content("q", &s, &cfg());
-        let g = ConceptGraph::build(&concepts, &s, 0.5, 2.0);
+        let (concepts, g) = concepts_and_graph(&s, 0.5, 2.0);
         let a = concepts.iter().position(|c| c.term == "alpha").unwrap();
         let spread = g.spread(a, 2.0, 0.5);
         assert_eq!(spread.len(), 1);
@@ -253,7 +308,7 @@ mod tests {
 
     #[test]
     fn empty_concepts_build_empty_graph() {
-        let g = ConceptGraph::build(&[], &snips(&["x"]), 0.1, 0.8);
+        let g = ConceptGraph::from_incidence(&Incidence::new(1), 0.1, 0.8);
         assert_eq!(g.num_concepts(), 0);
         assert!(g.edges().is_empty());
     }

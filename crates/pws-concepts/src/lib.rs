@@ -17,16 +17,34 @@
 //! * the **per-query concept ontology** ([`ontology`]) — the combined
 //!   structure consumed by user profiling.
 //!
+//! Extraction has a pure per-snippet half and a per-pool half, and does
+//! each once: [`SnippetAnalysis`] ([`snippet`]) is everything one snippet
+//! contributes to any pool (its terms, the places it names) and is the
+//! only place the analyser and the matcher run;
+//! [`QueryConceptOntology::from_analyses`] counts over analyses in one
+//! pass. [`ConceptMemo`] ([`memo`]) keeps analyses by snippet text, so a
+//! snippet seen again — by the page extraction, by another user's pool —
+//! is not analysed again.
+//!
 //! ```
-//! use pws_concepts::{ConceptConfig, extract_content};
+//! use pws_concepts::{ConceptConfig, LocationConceptConfig, QueryConceptOntology};
+//! use pws_geo::{LocationMatcher, LocationOntology};
 //!
 //! let snippets = vec![
 //!     "fresh seafood daily lobster specials".to_string(),
 //!     "the seafood menu and lobster rolls".to_string(),
 //!     "seafood buffet downtown".to_string(),
 //! ];
-//! let concepts = extract_content("restaurant", &snippets, &ConceptConfig::default());
-//! assert!(concepts.iter().any(|c| c.term == "seafood"));
+//! let world = LocationOntology::new();
+//! let onto = QueryConceptOntology::extract(
+//!     "restaurant",
+//!     &snippets,
+//!     &LocationMatcher::build(&world),
+//!     &world,
+//!     &ConceptConfig::default(),
+//!     &LocationConceptConfig::default(),
+//! );
+//! assert!(onto.content.iter().any(|c| c.term == "seafood"));
 //! ```
 
 pub mod content;
@@ -34,9 +52,13 @@ pub mod graph;
 pub mod location;
 pub mod memo;
 pub mod ontology;
+#[doc(hidden)]
+pub mod reference;
+pub mod snippet;
 
-pub use content::{extract_content, ConceptConfig, ContentConcept};
+pub use content::{ConceptConfig, ContentConcept};
 pub use graph::{ConceptGraph, ConceptRelation};
-pub use location::{extract_locations, LocationConcept, LocationConceptConfig};
+pub use location::{LocationConcept, LocationConceptConfig};
 pub use memo::ConceptMemo;
 pub use ontology::QueryConceptOntology;
+pub use snippet::SnippetAnalysis;

@@ -8,8 +8,10 @@
 //! profile built from city-level clicks answer state-level questions —
 //! and is ablated in experiment F7.
 
-use pws_geo::{LocId, LocationMatcher, LocationOntology};
+use crate::snippet::SnippetAnalysis;
+use pws_geo::{LocId, LocationOntology};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// Extraction parameters.
@@ -42,49 +44,44 @@ pub struct LocationConcept {
     pub direct_freq: u32,
 }
 
-/// Extract location concepts from `snippets`.
+/// Count location concepts over the analysed snippets.
 ///
-/// Sorted by descending support, ties by `LocId` (deterministic).
-pub fn extract_locations(
-    snippets: &[String],
-    matcher: &LocationMatcher,
+/// Sorted by descending support, ties by `LocId` (deterministic). Mass is
+/// accumulated snippet by snippet, place by place in order of first
+/// appearance, ancestors nearest first — the order is part of the
+/// contract, because `f64` addition is not associative.
+pub(crate) fn count_locations<S: Borrow<SnippetAnalysis>>(
+    analyses: &[S],
     world: &LocationOntology,
     cfg: &LocationConceptConfig,
 ) -> Vec<LocationConcept> {
-    if snippets.is_empty() {
-        return Vec::new();
-    }
-    let n = snippets.len() as f64;
-    let mut mass: HashMap<LocId, f64> = HashMap::new();
-    let mut direct: HashMap<LocId, u32> = HashMap::new();
+    let n = analyses.len() as f64;
+    // loc → (rolled-up mass, direct snippet count)
+    let mut tally: HashMap<LocId, (f64, u32)> = HashMap::new();
 
-    for snippet in snippets {
+    for analysis in analyses {
         // Snippet-frequency semantics: each place counts once per snippet.
-        for loc in matcher.locations_in(snippet) {
-            *direct.entry(loc).or_insert(0) += 1;
-            *mass.entry(loc).or_insert(0.0) += 1.0;
+        for &loc in analysis.borrow().locations() {
+            let direct = tally.entry(loc).or_default();
+            direct.0 += 1.0;
+            direct.1 += 1;
             if cfg.rollup {
                 let mut decay = cfg.rollup_decay;
-                for anc in world.ancestors(loc).into_iter().skip(1) {
-                    if anc == LocId::WORLD {
-                        break;
-                    }
-                    *mass.entry(anc).or_insert(0.0) += decay;
+                let mut anc = world.parent(loc);
+                while let Some(a) = anc.filter(|&a| a != LocId::WORLD) {
+                    tally.entry(a).or_default().0 += decay;
                     decay *= cfg.rollup_decay;
+                    anc = world.parent(a);
                 }
             }
         }
     }
 
-    let mut out: Vec<LocationConcept> = mass
+    let mut out: Vec<LocationConcept> = tally
         .into_iter()
-        .filter_map(|(loc, m)| {
-            let support = m / n;
-            (support >= cfg.min_support).then_some(LocationConcept {
-                loc,
-                support,
-                direct_freq: direct.get(&loc).copied().unwrap_or(0),
-            })
+        .filter_map(|(loc, (mass, direct_freq))| {
+            let support = mass / n;
+            (support >= cfg.min_support).then_some(LocationConcept { loc, support, direct_freq })
         })
         .collect();
     out.sort_unstable_by(|a, b| {
@@ -96,9 +93,45 @@ pub fn extract_locations(
     out
 }
 
+/// For each snippet, the indices into `locations` of the places it names,
+/// ascending.
+pub(crate) fn locations_by_snippet<S: Borrow<SnippetAnalysis>>(
+    analyses: &[S],
+    locations: &[LocationConcept],
+) -> Vec<Vec<usize>> {
+    let index_of: HashMap<LocId, usize> =
+        locations.iter().enumerate().map(|(i, lc)| (lc.loc, i)).collect();
+    analyses
+        .iter()
+        .map(|analysis| {
+            let mut present: Vec<usize> = analysis
+                .borrow()
+                .locations()
+                .iter()
+                .filter_map(|loc| index_of.get(loc).copied())
+                .collect();
+            present.sort_unstable();
+            present
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pws_geo::LocationMatcher;
+
+    /// The location half of the pass over raw snippet text.
+    fn extract_locations(
+        snippets: &[String],
+        matcher: &LocationMatcher,
+        world: &LocationOntology,
+        cfg: &LocationConceptConfig,
+    ) -> Vec<LocationConcept> {
+        let analyses: Vec<SnippetAnalysis> =
+            snippets.iter().map(|s| SnippetAnalysis::new(s, matcher)).collect();
+        count_locations(&analyses, world, cfg)
+    }
 
     fn fixture() -> (LocationOntology, LocId, LocId, LocId, LocId) {
         let mut o = LocationOntology::new();

@@ -1,189 +1,201 @@
-//! Memoization of [`QueryConceptOntology::extract`].
+//! Memo of per-snippet analyses.
 //!
-//! Concept extraction is a pure function of `(query_text, snippets,
-//! configs)` — the matcher and world are fixed per engine — yet the
-//! pipeline runs it at least twice per turn (candidate-pool extraction in
-//! `search`, page extraction in `finish_turn`) and base retrieval is
-//! user-independent, so identical snippet pools recur across users issuing
-//! the same query. [`ConceptMemo`] keys one extraction per fingerprint and
-//! hands out clones, which cost refcount bumps and `Vec` copies instead of
-//! tokenizing every snippet again.
+//! A [`SnippetAnalysis`] depends on the snippet text alone, and snippets
+//! recur far more than pools do: the page is a subset of the pool it was
+//! picked from, an augmented pool shares most snippets with the base
+//! pool, and base retrieval is user-independent, so every user issuing a
+//! query sees the same snippets whatever their personalised pool looks
+//! like. [`ConceptMemo`] therefore maps **snippet text →
+//! `Arc<SnippetAnalysis>`**. Entries are content-addressed, so they are
+//! never stale — not across users, queries, configurations or index
+//! publishes.
 //!
-//! Sharded `Mutex<HashMap>` with a per-shard LRU bound; safe to share
-//! across threads (`&self` everywhere, `Send + Sync`).
+//! Layout: 8 mutex shards, each a fixed slot array used as a 4-way
+//! associative cache — a text may live in any of the 4 consecutive slots
+//! starting at `hash % slots`, and a full window replaces its least
+//! recently used entry. Probe, insert and eviction are all O(1), nothing
+//! is allocated beyond the entries, and the table never holds more than
+//! the capacity it was built with. A probe matches on the stored text,
+//! not on the hash: colliding snippets get separate entries.
+//!
+//! Safe to share across threads (`&self` everywhere, `Send + Sync`).
 
-use crate::content::ConceptConfig;
-use crate::location::LocationConceptConfig;
-use crate::ontology::QueryConceptOntology;
-use pws_geo::{LocationMatcher, LocationOntology};
-use std::collections::HashMap;
-use std::sync::Mutex;
+use crate::snippet::SnippetAnalysis;
+use pws_geo::LocationMatcher;
+use std::hash::Hasher;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// FNV-1a over a byte stream, used for both fingerprinting and sharding.
-#[derive(Debug, Clone, Copy)]
-struct Fnv1a(u64);
+const SHARDS: usize = 8;
+const WAYS: usize = 4;
 
-impl Fnv1a {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
+/// One cached analysis, keyed by the snippet text itself.
+#[derive(Debug)]
+struct Entry {
+    hash: u64,
+    /// Shard tick of the last probe that returned this entry.
+    used: u64,
+    text: Box<str>,
+    analysis: Arc<SnippetAnalysis>,
+}
 
-    fn new() -> Self {
-        Fnv1a(Self::OFFSET)
+impl Entry {
+    fn holds(&self, hash: u64, text: &str) -> bool {
+        self.hash == hash && *self.text == *text
+    }
+}
+
+#[derive(Debug)]
+struct Shard {
+    slots: Vec<Option<Entry>>,
+    tick: u64,
+}
+
+impl Shard {
+    /// The slots `hash` may occupy.
+    fn window(&self, hash: u64) -> impl Iterator<Item = usize> {
+        let n = self.slots.len();
+        let start = if n == 0 { 0 } else { (hash / SHARDS as u64 % n as u64) as usize };
+        (0..WAYS.min(n)).map(move |k| (start + k) % n)
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
+    fn get(&mut self, hash: u64, text: &str) -> Option<Arc<SnippetAnalysis>> {
+        self.tick += 1;
+        for i in self.window(hash) {
+            if let Some(entry) = self.slots[i].as_mut().filter(|e| e.holds(hash, text)) {
+                entry.used = self.tick;
+                return Some(Arc::clone(&entry.analysis));
+            }
+        }
+        None
+    }
+
+    fn put(&mut self, hash: u64, text: &str, analysis: Arc<SnippetAnalysis>) {
+        self.tick += 1;
+        // The slot already holding `text` (a racing thread analysed it
+        // too), else an empty one, else the least recently used.
+        let victim = self.window(hash).min_by_key(|&i| match &self.slots[i] {
+            Some(e) if e.holds(hash, text) => (0, 0),
+            None => (1, 0),
+            Some(e) => (2, e.used),
+        });
+        if let Some(i) = victim {
+            self.slots[i] = Some(Entry { hash, used: self.tick, text: text.into(), analysis });
         }
     }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
 }
 
-/// One cached extraction with its LRU tick.
-#[derive(Debug)]
-struct MemoEntry {
-    tick: u64,
-    value: QueryConceptOntology,
+fn text_hash(text: &str) -> u64 {
+    // Fixed keys: the same text lands in the same slot in every run, so
+    // hit/miss counts under eviction pressure repeat exactly.
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    h.write(text.as_bytes());
+    h.finish()
 }
 
-#[derive(Debug, Default)]
-struct MemoShard {
-    entries: HashMap<u64, MemoEntry>,
-    tick: u64,
-}
-
-/// Bounded, sharded memo table for concept extraction.
+/// Bounded, sharded memo of snippet analyses.
 ///
-/// Capacity 0 disables memoization entirely (every call extracts).
+/// Capacity 0 disables memoization entirely (every lookup analyses).
 #[derive(Debug)]
 pub struct ConceptMemo {
-    shards: Vec<Mutex<MemoShard>>,
-    capacity_per_shard: usize,
+    shards: Vec<Mutex<Shard>>,
+    capacity: usize,
+    hash: fn(&str) -> u64,
 }
 
-const MEMO_SHARDS: usize = 8;
-
 impl ConceptMemo {
-    /// A memo holding at most `capacity` extractions (split across shards).
+    /// A memo holding at most `capacity` analyses (split across shards).
     /// `capacity = 0` disables caching.
     pub fn new(capacity: usize) -> Self {
-        let capacity_per_shard = capacity.div_ceil(MEMO_SHARDS);
-        ConceptMemo {
-            shards: (0..MEMO_SHARDS).map(|_| Mutex::new(MemoShard::default())).collect(),
-            capacity_per_shard,
-        }
+        Self::with_hasher(capacity, text_hash)
     }
 
-    /// Fingerprint of everything the extraction output depends on (beyond
-    /// the per-engine matcher/world, which callers must keep fixed).
-    fn fingerprint(
-        query_text: &str,
-        snippets: &[String],
-        content_cfg: &ConceptConfig,
-        location_cfg: &LocationConceptConfig,
-    ) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write(query_text.as_bytes());
-        h.write(&[0xff]);
-        for s in snippets {
-            h.write(s.as_bytes());
-            h.write(&[0xfe]);
-        }
-        h.write(&content_cfg.min_support.to_bits().to_le_bytes());
-        h.write(&content_cfg.min_snippet_freq.to_le_bytes());
-        h.write(&[u8::from(content_cfg.bigrams)]);
-        h.write(&(content_cfg.max_concepts as u64).to_le_bytes());
-        h.write(&location_cfg.min_support.to_bits().to_le_bytes());
-        h.write(&location_cfg.rollup_decay.to_bits().to_le_bytes());
-        h.write(&[u8::from(location_cfg.rollup)]);
-        h.finish()
+    fn with_hasher(capacity: usize, hash: fn(&str) -> u64) -> Self {
+        let shards = (0..SHARDS)
+            .map(|i| {
+                let slots = capacity / SHARDS + usize::from(i < capacity % SHARDS);
+                Mutex::new(Shard { slots: (0..slots).map(|_| None).collect(), tick: 0 })
+            })
+            .collect();
+        ConceptMemo { shards, capacity, hash }
     }
 
-    /// Memoized [`QueryConceptOntology::extract`]. Extraction is
-    /// deterministic, so a cached clone is indistinguishable from a fresh
-    /// extraction. Returns `(ontology, was_hit)`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn get_or_extract(
+    fn shard(&self, hash: u64) -> MutexGuard<'_, Shard> {
+        // A slot is replaced by one assignment, so a shard is valid at
+        // every step and a poisoned lock can simply be taken over.
+        self.shards[(hash % SHARDS as u64) as usize].lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The analysis of `text`, from the memo or computed (and memoized)
+    /// now; the flag is true for a hit. An analysis is a pure function of
+    /// the text (the matcher is fixed per engine), so a cached one is
+    /// indistinguishable from a fresh one.
+    pub fn get_or_analyze(
         &self,
-        query_text: &str,
-        snippets: &[String],
+        text: &str,
         matcher: &LocationMatcher,
-        world: &LocationOntology,
-        content_cfg: &ConceptConfig,
-        location_cfg: &LocationConceptConfig,
-    ) -> (QueryConceptOntology, bool) {
-        if self.capacity_per_shard == 0 {
-            let o = QueryConceptOntology::extract(
-                query_text, snippets, matcher, world, content_cfg, location_cfg,
-            );
-            return (o, false);
+    ) -> (Arc<SnippetAnalysis>, bool) {
+        let hash = (self.hash)(text);
+        if let Some(hit) = self.shard(hash).get(hash, text) {
+            return (hit, true);
         }
-        let key = Self::fingerprint(query_text, snippets, content_cfg, location_cfg);
-        let shard = &self.shards[(key as usize) % MEMO_SHARDS];
-        {
-            let mut s = shard.lock().unwrap_or_else(|e| e.into_inner());
-            s.tick += 1;
-            let tick = s.tick;
-            if let Some(entry) = s.entries.get_mut(&key) {
-                entry.tick = tick;
-                return (entry.value.clone(), true);
-            }
-        }
-        // Extract outside the lock: extraction is the expensive part, and
-        // racing extractors for the same key just insert the same value.
-        let value = QueryConceptOntology::extract(
-            query_text, snippets, matcher, world, content_cfg, location_cfg,
-        );
-        let mut s = shard.lock().unwrap_or_else(|e| e.into_inner());
-        s.tick += 1;
-        let tick = s.tick;
-        if s.entries.len() >= self.capacity_per_shard && !s.entries.contains_key(&key) {
-            // Evict the least recently used entry in this shard. Linear scan
-            // is fine: shards are small and eviction is rare relative to
-            // the extraction work a miss already paid for.
-            if let Some(&evict) = s
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(k, _)| k)
-            {
-                s.entries.remove(&evict);
-            }
-        }
-        s.entries.insert(key, MemoEntry { tick, value: value.clone() });
-        (value, false)
+        // Analyse outside the lock: it is the expensive part, and racing
+        // analysers of one text produce the same value.
+        let analysis = Arc::new(SnippetAnalysis::new(text, matcher));
+        self.shard(hash).put(hash, text, Arc::clone(&analysis));
+        (analysis, false)
     }
 
-    /// Drop every cached extraction (e.g. after an index swap).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut s = shard.lock().unwrap_or_else(|e| e.into_inner());
-            s.entries.clear();
-        }
+    /// [`get_or_analyze`](Self::get_or_analyze) for every snippet of a
+    /// pool, in order. Returns the analyses and how many were misses.
+    pub fn get_or_analyze_all<'s>(
+        &self,
+        snippets: impl IntoIterator<Item = &'s str>,
+        matcher: &LocationMatcher,
+    ) -> (Vec<Arc<SnippetAnalysis>>, usize) {
+        let mut misses = 0;
+        let analyses = snippets
+            .into_iter()
+            .map(|text| {
+                let (analysis, hit) = self.get_or_analyze(text, matcher);
+                misses += usize::from(!hit);
+                analysis
+            })
+            .collect();
+        (analyses, misses)
     }
 
-    /// Number of cached extractions across all shards.
+    fn fold_entries<T>(&self, init: T, mut f: impl FnMut(T, &Entry) -> T) -> T {
+        self.shards.iter().fold(init, |acc, shard| {
+            let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
+            shard.slots.iter().flatten().fold(acc, &mut f)
+        })
+    }
+
+    /// Number of cached analyses across all shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).entries.len())
-            .sum()
+        self.fold_entries(0, |n, _| n + 1)
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Bytes the memo holds: the slot arrays plus, per entry, the key text
+    /// and the shared analysis (allocator overhead not included).
+    pub fn heap_bytes(&self) -> usize {
+        let per_entry = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<SnippetAnalysis>();
+        self.fold_entries(self.capacity * std::mem::size_of::<Option<Entry>>(), |bytes, e| {
+            bytes + e.text.len() + per_entry + e.analysis.heap_bytes()
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pws_geo::LocId;
+    use crate::snippet::BUILT;
+    use pws_geo::{LocId, LocationOntology};
 
     fn world() -> LocationOntology {
         let mut o = LocationOntology::new();
@@ -194,102 +206,89 @@ mod tests {
         o
     }
 
-    fn snips(tag: &str) -> Vec<String> {
-        vec![
-            format!("seafood lobster {tag} in port alden"),
-            format!("the seafood menu with lobster {tag}"),
-        ]
-    }
-
-    fn cfgs() -> (ConceptConfig, LocationConceptConfig) {
-        (
-            ConceptConfig { min_support: 0.0, min_snippet_freq: 1, bigrams: true, max_concepts: 50 },
-            LocationConceptConfig { min_support: 0.0, ..Default::default() },
-        )
+    fn built() -> u64 {
+        BUILT.with(|n| n.get())
     }
 
     #[test]
-    fn second_call_hits_and_matches_direct_extraction() {
+    fn second_lookup_hits_and_equals_a_fresh_analysis() {
         let w = world();
         let m = LocationMatcher::build(&w);
-        let (cc, lc) = cfgs();
         let memo = ConceptMemo::new(16);
-        let s = snips("specials");
-        let (a, hit_a) = memo.get_or_extract("restaurant", &s, &m, &w, &cc, &lc);
-        let (b, hit_b) = memo.get_or_extract("restaurant", &s, &m, &w, &cc, &lc);
+        let text = "seafood lobster specials in port alden";
+        let before = built();
+        let (a, hit_a) = memo.get_or_analyze(text, &m);
+        let (b, hit_b) = memo.get_or_analyze(text, &m);
         assert!(!hit_a && hit_b);
-        let direct = QueryConceptOntology::extract("restaurant", &s, &m, &w, &cc, &lc);
-        for o in [&a, &b] {
-            assert_eq!(o.content, direct.content);
-            assert_eq!(o.locations, direct.locations);
-            assert_eq!(o.content_by_snippet, direct.content_by_snippet);
-            assert_eq!(o.locations_by_snippet, direct.locations_by_snippet);
-        }
+        assert_eq!(built() - before, 1, "the hit analysed nothing");
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(*a, SnippetAnalysis::new(text, &m));
         assert_eq!(memo.len(), 1);
     }
 
     #[test]
-    fn different_query_or_snippets_miss() {
+    fn pool_lookup_counts_misses_and_dedupes_within_a_pool() {
         let w = world();
         let m = LocationMatcher::build(&w);
-        let (cc, lc) = cfgs();
-        let memo = ConceptMemo::new(16);
-        let s = snips("specials");
-        assert!(!memo.get_or_extract("restaurant", &s, &m, &w, &cc, &lc).1);
-        assert!(!memo.get_or_extract("hotel", &s, &m, &w, &cc, &lc).1);
-        assert!(!memo.get_or_extract("restaurant", &snips("rolls"), &m, &w, &cc, &lc).1);
-        assert_eq!(memo.len(), 3);
+        let memo = ConceptMemo::new(64);
+        let pool = ["seafood menu", "lobster rolls", "seafood menu", "port alden harbor"];
+        let (analyses, misses) = memo.get_or_analyze_all(pool, &m);
+        assert_eq!(analyses.len(), 4);
+        assert_eq!(misses, 3, "the repeated snippet hits the entry its first occurrence made");
+        assert!(Arc::ptr_eq(&analyses[0], &analyses[2]));
+        // A page drawn from the pool, and another pool sharing snippets.
+        assert_eq!(memo.get_or_analyze_all(["lobster rolls", "seafood menu"], &m).1, 0);
+        assert_eq!(memo.get_or_analyze_all(["seafood menu", "sushi bar"], &m).1, 1);
+    }
+
+    /// The exactness bug of the whole-pool memo: entries were keyed on a
+    /// 64-bit fingerprint alone. Here every text collides on hash, shard
+    /// and slot window, and must still get its own analysis.
+    #[test]
+    fn colliding_hashes_do_not_alias() {
+        let w = world();
+        let m = LocationMatcher::build(&w);
+        let memo = ConceptMemo::with_hasher(64, |_| 7);
+        let (a, _) = memo.get_or_analyze("seafood in port alden", &m);
+        let (b, hit) = memo.get_or_analyze("lobster in ardonia", &m);
+        assert!(!hit, "a different text with the same hash is a miss");
+        assert_ne!(*a, *b);
+        assert_eq!(*b, SnippetAnalysis::new("lobster in ardonia", &m));
+        // Both stay retrievable side by side.
+        assert!(memo.get_or_analyze("seafood in port alden", &m).1);
+        assert!(memo.get_or_analyze("lobster in ardonia", &m).1);
+        assert_eq!(memo.len(), 2);
     }
 
     #[test]
-    fn config_changes_miss() {
+    fn capacity_bounds_and_a_full_window_evicts_its_lru() {
         let w = world();
         let m = LocationMatcher::build(&w);
-        let (cc, lc) = cfgs();
-        let memo = ConceptMemo::new(16);
-        let s = snips("specials");
-        assert!(!memo.get_or_extract("restaurant", &s, &m, &w, &cc, &lc).1);
-        let cc2 = ConceptConfig { bigrams: false, ..cc };
-        let (o, hit) = memo.get_or_extract("restaurant", &s, &m, &w, &cc2, &lc);
-        assert!(!hit);
-        assert_eq!(o.content, QueryConceptOntology::extract("restaurant", &s, &m, &w, &cc2, &lc).content);
-    }
-
-    #[test]
-    fn capacity_bounds_and_evicts_lru() {
-        let w = world();
-        let m = LocationMatcher::build(&w);
-        let (cc, lc) = cfgs();
-        // 8 shards × 1 entry each.
-        let memo = ConceptMemo::new(8);
-        for i in 0..50 {
-            let s = snips(&format!("tag{i}"));
-            memo.get_or_extract("restaurant", &s, &m, &w, &cc, &lc);
+        for capacity in [1, 5, 8, 13, 64] {
+            let memo = ConceptMemo::new(capacity);
+            for i in 0..200 {
+                memo.get_or_analyze(&format!("snippet number {i}"), &m);
+                assert!(memo.len() <= capacity, "{} entries in a memo of {capacity}", memo.len());
+            }
         }
-        assert!(memo.len() <= 8, "memo grew past its bound: {}", memo.len());
+        // One window of 4: touching "a" keeps it; "b" is the LRU and goes.
+        let memo = ConceptMemo::with_hasher(4 * SHARDS, |_| 0);
+        for t in ["a", "b", "c", "d"] {
+            memo.get_or_analyze(t, &m);
+        }
+        assert!(memo.get_or_analyze("a", &m).1);
+        assert!(!memo.get_or_analyze("e", &m).1);
+        assert!(memo.get_or_analyze("a", &m).1);
+        assert!(!memo.get_or_analyze("b", &m).1, "b was evicted");
     }
 
     #[test]
     fn zero_capacity_disables() {
         let w = world();
         let m = LocationMatcher::build(&w);
-        let (cc, lc) = cfgs();
         let memo = ConceptMemo::new(0);
-        let s = snips("specials");
-        assert!(!memo.get_or_extract("restaurant", &s, &m, &w, &cc, &lc).1);
-        assert!(!memo.get_or_extract("restaurant", &s, &m, &w, &cc, &lc).1);
-        assert!(memo.is_empty());
-    }
-
-    #[test]
-    fn clear_empties() {
-        let w = world();
-        let m = LocationMatcher::build(&w);
-        let (cc, lc) = cfgs();
-        let memo = ConceptMemo::new(16);
-        memo.get_or_extract("restaurant", &snips("a"), &m, &w, &cc, &lc);
-        assert!(!memo.is_empty());
-        memo.clear();
+        assert!(!memo.get_or_analyze("seafood", &m).1);
+        assert!(!memo.get_or_analyze("seafood", &m).1);
         assert!(memo.is_empty());
     }
 }

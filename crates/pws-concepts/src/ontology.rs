@@ -5,11 +5,15 @@
 //! concepts. User profiling consumes this; the entropy module measures its
 //! diversity.
 
-use crate::content::{concepts_in_snippet, extract_content, ConceptConfig, ContentConcept};
+use crate::content::{count_content, ConceptConfig, ContentConcept};
 use crate::graph::ConceptGraph;
-use crate::location::{extract_locations, LocationConcept, LocationConceptConfig};
+use crate::location::{
+    count_locations, locations_by_snippet, LocationConcept, LocationConceptConfig,
+};
+use crate::snippet::SnippetAnalysis;
 use pws_geo::{LocationMatcher, LocationOntology};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// The combined concept view of one query's result snippets.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -30,7 +34,9 @@ pub struct QueryConceptOntology {
 }
 
 impl QueryConceptOntology {
-    /// Extract the full ontology from a result page's snippets.
+    /// Extract the full ontology from a result page's snippets: analyse
+    /// each snippet once, then run the counting pass
+    /// ([`from_analyses`](Self::from_analyses)).
     pub fn extract(
         query_text: &str,
         snippets: &[String],
@@ -39,25 +45,34 @@ impl QueryConceptOntology {
         content_cfg: &ConceptConfig,
         location_cfg: &LocationConceptConfig,
     ) -> Self {
-        let content = extract_content(query_text, snippets, content_cfg);
-        let graph = ConceptGraph::build(&content, snippets, 0.4, 0.8);
-        let locations = extract_locations(snippets, matcher, world, location_cfg);
+        let analyses: Vec<SnippetAnalysis> =
+            snippets.iter().map(|s| SnippetAnalysis::new(s, matcher)).collect();
+        Self::from_analyses(query_text, &analyses, world, content_cfg, location_cfg)
+    }
 
-        let content_by_snippet: Vec<Vec<usize>> =
-            snippets.iter().map(|s| concepts_in_snippet(&content, s)).collect();
+    /// The per-pool half of extraction: count concepts over snippets that
+    /// are already analysed (`analyses[i]` is snippet `i`). Callers that
+    /// see the same snippets again — the engine's pool and page, other
+    /// users' pools — keep the analyses (see [`crate::ConceptMemo`]) and
+    /// pay only for this pass.
+    pub fn from_analyses<S: Borrow<SnippetAnalysis>>(
+        query_text: &str,
+        analyses: &[S],
+        world: &LocationOntology,
+        content_cfg: &ConceptConfig,
+        location_cfg: &LocationConceptConfig,
+    ) -> Self {
+        let (content, incidence) = count_content(query_text, analyses, content_cfg);
+        let graph = ConceptGraph::from_incidence(&incidence, 0.4, 0.8);
+        let mut content_by_snippet: Vec<Vec<usize>> = vec![Vec::new(); analyses.len()];
+        for ci in 0..content.len() {
+            for si in incidence.snippets_of(ci) {
+                content_by_snippet[si].push(ci);
+            }
+        }
 
-        let locations_by_snippet: Vec<Vec<usize>> = snippets
-            .iter()
-            .map(|s| {
-                let present = matcher.locations_in(s);
-                locations
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, lc)| present.contains(&lc.loc))
-                    .map(|(i, _)| i)
-                    .collect()
-            })
-            .collect();
+        let locations = count_locations(analyses, world, location_cfg);
+        let locations_by_snippet = locations_by_snippet(analyses, &locations);
 
         QueryConceptOntology {
             query_text: query_text.to_string(),
@@ -67,6 +82,21 @@ impl QueryConceptOntology {
             content_by_snippet,
             locations_by_snippet,
         }
+    }
+
+    /// [`extract`](Self::extract) as it was first written — five passes
+    /// over the snippet text. The oracle of the differential tests; never
+    /// call it from a serving or evaluation path.
+    #[doc(hidden)]
+    pub fn extract_reference(
+        query_text: &str,
+        snippets: &[String],
+        matcher: &LocationMatcher,
+        world: &LocationOntology,
+        content_cfg: &ConceptConfig,
+        location_cfg: &LocationConceptConfig,
+    ) -> Self {
+        crate::reference::extract(query_text, snippets, matcher, world, content_cfg, location_cfg)
     }
 
     /// Total number of extracted concepts (content + location).
@@ -148,6 +178,19 @@ mod tests {
         for e in o.graph.edges() {
             assert!(e.a < o.content.len() && e.b < o.content.len());
         }
+    }
+
+    /// `SnippetAnalysis::new` is the only caller of the analyser and the
+    /// matcher (check.sh greps for it), so counting constructions counts
+    /// both: n snippets, n analyser runs, n matcher runs.
+    #[test]
+    fn extract_analyses_each_snippet_exactly_once() {
+        let built = || crate::snippet::BUILT.with(|n| n.get());
+        let before = built();
+        let o = extract(&snips());
+        assert_eq!(built() - before, 3);
+        assert!(!o.content.is_empty() && !o.graph.edges().is_empty());
+        assert!(o.content_by_snippet.iter().all(|cs| !cs.is_empty()));
     }
 
     #[test]

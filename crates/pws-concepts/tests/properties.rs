@@ -2,8 +2,24 @@
 //! monotonicity, and graph/ontology consistency over random snippet sets.
 
 use proptest::prelude::*;
-use pws_concepts::{extract_content, ConceptConfig, ConceptGraph, LocationConceptConfig, QueryConceptOntology};
+use pws_concepts::{ConceptConfig, ContentConcept, LocationConceptConfig, QueryConceptOntology};
 use pws_geo::{LocId, LocationMatcher, LocationOntology};
+
+fn extract(snips: &[String], world: &LocationOntology, cfg: &ConceptConfig) -> QueryConceptOntology {
+    QueryConceptOntology::extract(
+        "query",
+        snips,
+        &LocationMatcher::build(world),
+        world,
+        cfg,
+        &LocationConceptConfig { min_support: 0.0, ..Default::default() },
+    )
+}
+
+/// Content concepts alone (no places to match).
+fn extract_content(snips: &[String], cfg: &ConceptConfig) -> Vec<ContentConcept> {
+    extract(snips, &LocationOntology::new(), cfg).content
+}
 
 fn vocab_word() -> impl Strategy<Value = &'static str> {
     prop::sample::select(vec![
@@ -31,7 +47,7 @@ proptest! {
     /// `1 ≤ snippet_freq ≤ n`, list sorted by support descending.
     #[test]
     fn support_accounting(snips in snippets()) {
-        let concepts = extract_content("query", &snips, &loose(true));
+        let concepts = extract_content(&snips, &loose(true));
         let n = snips.len() as f64;
         for c in &concepts {
             prop_assert!(c.snippet_freq >= 1);
@@ -53,8 +69,8 @@ proptest! {
     /// surviving set is exactly the prefix filter of the loose set.
     #[test]
     fn threshold_monotonicity(snips in snippets(), s1 in 0.0f64..0.5, s2 in 0.5f64..1.0) {
-        let lo = extract_content("query", &snips, &ConceptConfig { min_support: s1, ..loose(true) });
-        let hi = extract_content("query", &snips, &ConceptConfig { min_support: s2, ..loose(true) });
+        let lo = extract_content(&snips, &ConceptConfig { min_support: s1, ..loose(true) });
+        let hi = extract_content(&snips, &ConceptConfig { min_support: s2, ..loose(true) });
         prop_assert!(hi.len() <= lo.len());
         for c in &hi {
             prop_assert!(c.support >= s2);
@@ -65,8 +81,8 @@ proptest! {
     /// Unigram concepts ⊆ (unigram + bigram) concepts.
     #[test]
     fn bigrams_only_add(snips in snippets()) {
-        let uni = extract_content("query", &snips, &loose(false));
-        let both = extract_content("query", &snips, &loose(true));
+        let uni = extract_content(&snips, &loose(false));
+        let both = extract_content(&snips, &loose(true));
         for c in &uni {
             prop_assert!(both.iter().any(|d| d.term == c.term));
         }
@@ -76,8 +92,8 @@ proptest! {
     /// no duplicate pairs.
     #[test]
     fn graph_well_formed(snips in snippets()) {
-        let concepts = extract_content("query", &snips, &loose(false));
-        let g = ConceptGraph::build(&concepts, &snips, 0.1, 0.8);
+        let onto = extract(&snips, &LocationOntology::new(), &loose(false));
+        let (concepts, g) = (&onto.content, &onto.graph);
         let mut seen = std::collections::HashSet::new();
         for e in g.edges() {
             prop_assert!(e.a < concepts.len() && e.b < concepts.len());
@@ -96,15 +112,7 @@ proptest! {
         let c = world.add(r, "ardonia", vec![]);
         let s = world.add(c, "vale", vec![]);
         world.add(s, "alden", vec![]);
-        let matcher = LocationMatcher::build(&world);
-        let onto = QueryConceptOntology::extract(
-            "query",
-            &snips,
-            &matcher,
-            &world,
-            &loose(true),
-            &LocationConceptConfig { min_support: 0.0, ..Default::default() },
-        );
+        let onto = extract(&snips, &world, &loose(true));
         prop_assert_eq!(onto.content_by_snippet.len(), snips.len());
         prop_assert_eq!(onto.locations_by_snippet.len(), snips.len());
         for per_snippet in &onto.content_by_snippet {

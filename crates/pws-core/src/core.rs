@@ -90,6 +90,8 @@ struct EngineMetrics {
     concepts: std::sync::Arc<pws_obs::StageMetrics>,
     concept_memo_hit: std::sync::Arc<pws_obs::StageMetrics>,
     concept_memo_miss: std::sync::Arc<pws_obs::StageMetrics>,
+    snippet_hit: std::sync::Arc<pws_obs::StageMetrics>,
+    snippet_miss: std::sync::Arc<pws_obs::StageMetrics>,
     features: std::sync::Arc<pws_obs::StageMetrics>,
     beta: std::sync::Arc<pws_obs::StageMetrics>,
     rerank: std::sync::Arc<pws_obs::StageMetrics>,
@@ -106,6 +108,8 @@ impl EngineMetrics {
             concepts: pws_obs::stage(pws_obs::event::STAGE_CONCEPTS),
             concept_memo_hit: pws_obs::stage("engine.concepts.memo_hit"),
             concept_memo_miss: pws_obs::stage("engine.concepts.memo_miss"),
+            snippet_hit: pws_obs::stage("engine.concepts.snippet_hit"),
+            snippet_miss: pws_obs::stage("engine.concepts.snippet_miss"),
             features: pws_obs::stage(pws_obs::event::STAGE_FEATURES),
             beta: pws_obs::stage(pws_obs::event::STAGE_BETA),
             rerank: pws_obs::stage(pws_obs::event::STAGE_RERANK),
@@ -114,8 +118,14 @@ impl EngineMetrics {
     }
 }
 
-/// Default bound on memoized concept extractions held by one core.
-const CONCEPT_MEMO_CAPACITY: usize = 512;
+/// Bound on memoized snippet analyses held by one core, in snippets.
+/// Dimensioned from the end-to-end benchmark's measured working sets
+/// (distinct snippets analysed over a whole run: `paper.hot` 10.7 k,
+/// `paper.rw` 10.4 k, `store.churn` 6.4 k; `large.cold` > 100 k, which no
+/// sane bound holds) and from the entry size on generated snippets
+/// (~450 B of key text + analysis, plus a 40 B slot): 16 384 entries stay
+/// under 8 MiB, which a test below asserts.
+const CONCEPT_MEMO_CAPACITY: usize = 16_384;
 
 /// The immutable shared read side of the personalized search engine.
 ///
@@ -133,8 +143,9 @@ pub struct EngineCore<'a> {
     geo: Option<(&'a pws_geo::WorldCoords, f64)>,
     analyzer: Analyzer,
     metrics: EngineMetrics,
-    /// Memoized concept extraction (pool and page ontologies). Extraction
-    /// is deterministic, so memoization never changes a turn's bytes.
+    /// Memoized snippet analyses, shared by pool and page extraction and
+    /// by every user. An analysis is a pure function of the snippet text,
+    /// so memoization never changes a turn's bytes.
     concept_memo: ConceptMemo,
     /// Optional shared base-retrieval cache (see [`RetrievalCache`]).
     retrieval_cache: Option<std::sync::Arc<dyn RetrievalCache>>,
@@ -184,6 +195,16 @@ impl<'a> EngineCore<'a> {
         self
     }
 
+    /// Replace the snippet-analysis memo with one of `capacity` entries
+    /// (0 disables it). The memo never changes a turn's bytes, only the
+    /// `engine.concepts.*` counters — the pressure tests replay at 0 and
+    /// 1 to pin exactly that — so this is a test hook, not a tuning knob.
+    #[doc(hidden)]
+    pub fn with_concept_memo_capacity(mut self, capacity: usize) -> Self {
+        self.concept_memo = ConceptMemo::new(capacity);
+        self
+    }
+
     /// Base retrieval for `query_text` with the configured pool size,
     /// consulting the retrieval cache when one is attached. Returns the
     /// hits plus `Some(hit?)` when a cache was consulted (`None` without
@@ -207,24 +228,31 @@ impl<'a> EngineCore<'a> {
         (hits, Some(false))
     }
 
-    /// Memoized concept extraction over `snippets` (the engine's matcher,
-    /// world, and configs are fixed, so `(query_text, snippets)` determines
-    /// the result). Counts hits/misses under `engine.concepts.memo_*`.
-    fn extract_concepts(&self, query_text: &str, snippets: &[String]) -> QueryConceptOntology {
-        let (onto, hit) = self.concept_memo.get_or_extract(
-            query_text,
-            snippets,
-            &self.matcher,
-            self.world,
-            &self.cfg.concept_cfg,
-            &self.cfg.location_cfg,
-        );
-        if hit {
+    /// Concept extraction over `snippets`: each snippet's analysis comes
+    /// from the memo (or is computed and memoized now), then the counting
+    /// pass runs over the analyses. Counts every lookup under
+    /// `engine.concepts.snippet_hit/miss` and the call as a whole under
+    /// `engine.concepts.memo_hit` (it analysed nothing) or `memo_miss`.
+    fn extract_concepts<'s>(
+        &self,
+        query_text: &str,
+        snippets: impl IntoIterator<Item = &'s str>,
+    ) -> QueryConceptOntology {
+        let (analyses, misses) = self.concept_memo.get_or_analyze_all(snippets, &self.matcher);
+        self.metrics.snippet_hit.incr((analyses.len() - misses) as u64);
+        self.metrics.snippet_miss.incr(misses as u64);
+        if misses == 0 {
             self.metrics.concept_memo_hit.incr(1);
         } else {
             self.metrics.concept_memo_miss.incr(1);
         }
-        onto
+        QueryConceptOntology::from_analyses(
+            query_text,
+            &analyses,
+            self.world,
+            &self.cfg.concept_cfg,
+            &self.cfg.location_cfg,
+        )
     }
 
     /// The active configuration.
@@ -431,9 +459,8 @@ impl<'a> EngineCore<'a> {
 
         // ── Features over the pool ────────────────────────────────────────
         let concepts_span = self.metrics.concepts.span();
-        let pool_snippets: Vec<String> =
-            candidates.iter().map(|(h, _)| h.snippet.clone()).collect();
-        let pool_onto = self.extract_concepts(query_text, &pool_snippets);
+        let pool_onto = self
+            .extract_concepts(query_text, candidates.iter().map(|(h, _)| h.snippet.as_str()));
         finish_span(concepts_span, &mut trace, pws_obs::event::STAGE_CONCEPTS);
         if gate_fires(&mut gate, StageCheckpoint::Concepts) {
             return (
@@ -610,8 +637,8 @@ impl<'a> EngineCore<'a> {
         mut trace: Option<&mut QueryTrace>,
     ) -> SearchTurn {
         let concepts_span = self.metrics.concepts.span();
-        let page_snippets: Vec<String> = page.iter().map(|(h, _)| h.snippet.clone()).collect();
-        let ontology = self.extract_concepts(query_text, &page_snippets);
+        let ontology =
+            self.extract_concepts(query_text, page.iter().map(|(h, _)| h.snippet.as_str()));
         finish_span(concepts_span, &mut trace, pws_obs::event::STAGE_CONCEPTS);
         let inputs: Vec<ResultFeatureInput> =
             page.iter().map(|(h, norm)| feature_input(h, *norm, h.rank)).collect();
@@ -828,6 +855,37 @@ fn contains_token_seq(haystack: &[String], needle: &[String]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The memo at capacity, filled with generated-corpus snippets (the
+    /// 24-token body windows the index serves), stays under 8 MiB.
+    #[test]
+    fn concept_memo_at_capacity_stays_under_8_mib() {
+        let world = pws_geo::WorldGen::new(42).generate(&pws_geo::WorldSpec::default_world());
+        let spec = pws_corpus::CorpusSpec { num_docs: 2_000, ..pws_corpus::CorpusSpec::default_corpus() };
+        let corpus = pws_corpus::CorpusGen::new(43).generate(&spec, &world);
+        let matcher = LocationMatcher::build(&world);
+        let memo = ConceptMemo::new(CONCEPT_MEMO_CAPACITY);
+        // 4x the capacity in windows, so every slot fills.
+        let mut offered = 0;
+        'fill: for start in 0.. {
+            let mut any = false;
+            for d in &corpus.docs {
+                let tokens: Vec<&str> = d.body.split(' ').collect();
+                let Some(window) = tokens.get(start..start + 24) else { continue };
+                any = true;
+                memo.get_or_analyze(&window.join(" "), &matcher);
+                offered += 1;
+                if offered == 4 * CONCEPT_MEMO_CAPACITY {
+                    break 'fill;
+                }
+            }
+            assert!(any, "corpus too small to fill the memo: {offered} windows");
+        }
+        assert!(memo.len() > CONCEPT_MEMO_CAPACITY * 99 / 100, "{} entries", memo.len());
+        assert!(memo.len() <= CONCEPT_MEMO_CAPACITY);
+        let mib = memo.heap_bytes() as f64 / (1 << 20) as f64;
+        assert!(mib <= 8.0, "memo holds {mib:.2} MiB at capacity");
+    }
 
     #[test]
     fn token_seq_containment() {

@@ -10,7 +10,7 @@ use crate::harness::{run_method, run_methods_parallel, MethodResult, RunConfig};
 use crate::metrics::MetricAccumulator;
 use crate::setup::ExperimentWorld;
 use pws_click::{SessionSimulator, SimConfig, UserId};
-use pws_concepts::{extract_content, ConceptConfig, LocationConceptConfig, QueryConceptOntology};
+use pws_concepts::{ConceptConfig, LocationConceptConfig, QueryConceptOntology};
 use pws_core::{BlendStrategy, EngineConfig, PersonalizationMode, PersonalizedSearchEngine};
 use pws_corpus::query::{QueryClass, QueryId};
 use pws_entropy::QueryStats;
@@ -405,6 +405,7 @@ pub fn f3_support_threshold_sweep(
     proto: &Protocol,
     thresholds: &[f64],
 ) -> F3Report {
+    let matcher = LocationMatcher::build(&world.world);
     let points = thresholds
         .iter()
         .map(|&s| {
@@ -419,7 +420,15 @@ pub fn f3_support_threshold_sweep(
             for q in &world.queries {
                 let hits = world.engine.search(&q.text, 30);
                 let snippets: Vec<String> = hits.iter().map(|h| h.snippet.clone()).collect();
-                total += extract_content(&q.text, &snippets, &cfg).len();
+                let onto = QueryConceptOntology::extract(
+                    &q.text,
+                    &snippets,
+                    &matcher,
+                    &world.world,
+                    &cfg,
+                    &LocationConceptConfig::default(),
+                );
+                total += onto.content.len();
             }
             let mean_concepts = total as f64 / world.queries.len().max(1) as f64;
 

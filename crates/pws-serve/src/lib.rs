@@ -1709,6 +1709,13 @@ impl<'a> ServingEngine<'a> {
         self
     }
 
+    /// Test hook: see [`EngineCore::with_concept_memo_capacity`].
+    #[doc(hidden)]
+    pub fn with_concept_memo_capacity(mut self, capacity: usize) -> Self {
+        self.core = self.core.with_concept_memo_capacity(capacity);
+        self
+    }
+
     /// Attach a [`FaultPlan`]; every subsequent request consults it at
     /// each stage. Chaos testing and fault drills only — serving code
     /// never needs this.
@@ -2852,13 +2859,20 @@ mod tests {
             cfg,
             ServeConfig { shards, stats_refresh_every: 1, trace, ..ServeConfig::default() },
         );
+        replay_on_engine(&e, log, threads)
+    }
+
+    /// Replay `log` through an already-built engine (see [`replay_sharded`]).
+    fn replay_on_engine(
+        e: &ServingEngine<'_>,
+        log: &[(UserId, Vec<String>)],
+        threads: usize,
+    ) -> HashMap<UserId, Vec<String>> {
         type Transcript = Vec<(UserId, Vec<String>)>;
         let transcripts: Vec<Mutex<Transcript>> =
             (0..threads).map(|_| Mutex::new(Vec::new())).collect();
         std::thread::scope(|scope| {
             for (t, sink) in transcripts.iter().enumerate() {
-                let e = &e;
-                let log = &log;
                 scope.spawn(move || {
                     for (i, (user, qs)) in log.iter().enumerate() {
                         if i % threads != t {
@@ -3663,6 +3677,94 @@ mod tests {
             // least one probe per user must hit (the repeat), even
             // under maximal racing.
             assert!(hits >= 1, "repeated queries must produce cache hits");
+        }
+    }
+
+    /// One analysis per snippet, shown by count: a cold search analyses
+    /// each distinct pool snippet once, the page extraction finds every
+    /// snippet the pool step left in the memo, and a second user issuing
+    /// the same query analyses nothing at all.
+    #[test]
+    fn each_snippet_is_analysed_once_across_pool_page_and_users() {
+        let _guard = pws_obs::test_lock();
+        let idx = index();
+        let w = world();
+        let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
+        let q = "seafood restaurant";
+        // A cold user has no preferred city, so the pool is the base pool.
+        let pool: Vec<String> =
+            idx.search(q, e.config().rerank_pool).into_iter().map(|h| h.snippet).collect();
+        let distinct = pool.iter().collect::<HashSet<_>>().len() as u64;
+        assert!(distinct >= 4, "fixture pool too small to be interesting");
+        let count = |name: &str| {
+            let snap = pws_obs::snapshot();
+            snap.stages.iter().find(|s| s.name == name).map(|s| s.count).unwrap_or(0)
+        };
+
+        pws_obs::reset();
+        let turn = e.search(UserId(1), q);
+        assert!(turn.personalized);
+        let lookups = (pool.len() + turn.hits.len()) as u64;
+        assert_eq!(count("engine.concepts.snippet_miss"), distinct);
+        assert_eq!(count("engine.concepts.snippet_hit"), lookups - distinct);
+        assert_eq!(count("engine.concepts.memo_miss"), 1, "the pool call analysed snippets");
+        assert_eq!(count("engine.concepts.memo_hit"), 1, "the page call analysed none");
+
+        let other = e.search(UserId(2), q);
+        assert_eq!(count("engine.concepts.snippet_miss"), distinct, "shared base pool: 0 new");
+        assert_eq!(
+            count("engine.concepts.snippet_hit"),
+            lookups - distinct + (pool.len() + other.hits.len()) as u64
+        );
+        assert_eq!(count("engine.concepts.memo_hit"), 3);
+    }
+
+    /// The snippet memo changes nothing but its counters: with no memo
+    /// (capacity 0) and with one slot (capacity 1, so every insert evicts
+    /// and the page step finds almost nothing the pool step analysed) the
+    /// replay is byte-identical to serial at every shard/thread count.
+    /// The default capacity is what every other test in this suite runs.
+    #[test]
+    fn sharded_replay_is_byte_identical_under_concept_memo_pressure() {
+        let _guard = pws_obs::test_lock();
+        let queries = |u: u32| -> Vec<String> {
+            vec![
+                format!("seafood restaurant u{u}"),
+                format!("restaurant u{u}"),
+                format!("seafood restaurant u{u}"),
+                format!("sushi restaurant u{u}"),
+                format!("seafood restaurant u{u}"),
+            ]
+        };
+        let log = session_log(&queries, 6);
+        let serial = replay_serial(&log, EngineConfig::default());
+        let (idx, w) = (index(), world());
+        for capacity in [0usize, 1] {
+            for shards in [1usize, 3, 8] {
+                for threads in [1usize, 4] {
+                    pws_obs::reset();
+                    let e = ServingEngine::new(
+                        &idx,
+                        &w,
+                        EngineConfig::default(),
+                        ServeConfig { shards, stats_refresh_every: 1, ..ServeConfig::default() },
+                    )
+                    .with_concept_memo_capacity(capacity);
+                    let sharded = replay_on_engine(&e, &log, threads);
+                    let label = format!("memo capacity {capacity}, {shards} shards / {threads} threads");
+                    assert_equivalent(&serial, &sharded, &label);
+                    let snap = pws_obs::snapshot();
+                    let count = |name: &str| {
+                        snap.stages.iter().find(|s| s.name == name).map(|s| s.count).unwrap_or(0)
+                    };
+                    let (hit, miss) =
+                        (count("engine.concepts.snippet_hit"), count("engine.concepts.snippet_miss"));
+                    assert!(miss > 0, "{label}");
+                    if capacity == 0 {
+                        assert_eq!(hit, 0, "{label}: nothing to hit without a memo");
+                    }
+                }
+            }
         }
     }
 

@@ -35,7 +35,7 @@ pub mod tokenize;
 
 pub use interner::{Interner, Sym};
 pub use ngram::{bigrams, ngrams, window_cooccurrence};
-pub use stem::porter_stem;
+pub use stem::{porter_stem, porter_stem_into};
 pub use stopwords::is_stopword;
 pub use tokenize::{tokenize, tokenize_keep_stops};
 
@@ -80,13 +80,28 @@ impl Analyzer {
     /// identical to [`Analyzer::analyze`].
     pub fn analyze_into(&self, text: &str, out: &mut Vec<String>) {
         out.clear();
-        out.extend(
-            tokenize(text)
-                .into_iter()
-                .filter(|t| t.len() >= self.min_token_len && t.len() <= self.max_token_len)
-                .filter(|t| !self.remove_stopwords || !is_stopword(t))
-                .map(|t| if self.stem { porter_stem(&t) } else { t }),
-        );
+        self.for_each_token(text, |t| out.push(t.to_string()));
+    }
+
+    /// Run the full pipeline over `text`, calling `f` with each token
+    /// [`Analyzer::analyze`] would return, in order. Tokens are borrowed
+    /// (from `text` or from one reused scratch buffer), so a caller that
+    /// packs them into its own storage pays no `String` per token.
+    pub fn for_each_token(&self, text: &str, mut f: impl FnMut(&str)) {
+        let mut stem_buf = Vec::new();
+        tokenize::for_each_token(text, |t| {
+            if t.len() < self.min_token_len || t.len() > self.max_token_len {
+                return;
+            }
+            if self.remove_stopwords && is_stopword(t) {
+                return;
+            }
+            if self.stem {
+                f(porter_stem_into(t, &mut stem_buf));
+            } else {
+                f(t);
+            }
+        });
     }
 
     /// Analyze and intern in one pass, returning symbol ids.

@@ -18,24 +18,29 @@
 /// assert_eq!(porter_stem("restaurants"), "restaur");
 /// ```
 pub fn porter_stem(word: &str) -> String {
-    if !word.is_ascii() || word.len() <= 2 {
-        return word.to_string();
-    }
-    let mut b: Vec<u8> = word.bytes().collect();
+    porter_stem_into(word, &mut Vec::new()).to_string()
+}
+
+/// [`porter_stem`] through a caller-supplied scratch buffer: the stem is
+/// returned as a slice of `buf` (or `word` itself when it is left
+/// untouched), so a loop over many tokens allocates nothing.
+pub fn porter_stem_into<'a>(word: &'a str, buf: &'a mut Vec<u8>) -> &'a str {
     // Words with digits (model numbers like "n73") are left untouched:
     // stemming them would destroy identity without linguistic benefit.
-    if b.iter().any(|c| c.is_ascii_digit()) {
-        return word.to_string();
+    if !word.is_ascii() || word.len() <= 2 || word.bytes().any(|c| c.is_ascii_digit()) {
+        return word;
     }
-    step1a(&mut b);
-    step1b(&mut b);
-    step1c(&mut b);
-    step2(&mut b);
-    step3(&mut b);
-    step4(&mut b);
-    step5a(&mut b);
-    step5b(&mut b);
-    String::from_utf8(b).expect("stemmer operates on ASCII")
+    buf.clear();
+    buf.extend_from_slice(word.as_bytes());
+    step1a(buf);
+    step1b(buf);
+    step1c(buf);
+    step2(buf);
+    step3(buf);
+    step4(buf);
+    step5a(buf);
+    step5b(buf);
+    std::str::from_utf8(buf).expect("stemmer operates on ASCII")
 }
 
 /// Is `b[i]` a consonant, per Porter's definition ('y' is a consonant when

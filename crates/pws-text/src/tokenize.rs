@@ -17,6 +17,27 @@
 /// ```
 pub fn tokenize(text: &str) -> Vec<String> {
     let mut out = Vec::new();
+    for_each_token(text, |t| out.push(t.to_string()));
+    out
+}
+
+/// Call `f` with each token [`tokenize`] would return, in order, without
+/// allocating a `String` per token.
+///
+/// ASCII text (every generated snippet, nearly every query) takes a byte
+/// scan: a token that is already lowercase is handed out as a slice of
+/// `text`, anything else is lowercased through one reused buffer. Any
+/// non-ASCII byte sends the whole text down the general Unicode path.
+pub fn for_each_token(text: &str, f: impl FnMut(&str)) {
+    if text.is_ascii() {
+        for_each_token_ascii(text, f);
+    } else {
+        for_each_token_general(text, f);
+    }
+}
+
+/// The tokenization rule itself, for any input.
+fn for_each_token_general(text: &str, mut f: impl FnMut(&str)) {
     let mut cur = String::new();
     let mut chars = text.chars().peekable();
     while let Some(c) = chars.next() {
@@ -29,13 +50,48 @@ pub fn tokenize(text: &str) -> Vec<String> {
             // Intra-word apostrophe: keep it so "don't" survives as one token.
             cur.push('\'');
         } else if !cur.is_empty() {
-            out.push(std::mem::take(&mut cur));
+            f(&cur);
+            cur.clear();
         }
     }
     if !cur.is_empty() {
-        out.push(cur);
+        f(&cur);
     }
-    out
+}
+
+/// [`for_each_token_general`] for all-ASCII `text`: token boundaries are
+/// byte positions and lowercasing is `make_ascii_lowercase`.
+fn for_each_token_ascii(text: &str, mut f: impl FnMut(&str)) {
+    let bytes = text.as_bytes();
+    let mut lower = String::new();
+    let mut emit = |s: usize, e: usize| {
+        let token = &text[s..e];
+        if token.bytes().any(|b| b.is_ascii_uppercase()) {
+            lower.clear();
+            lower.push_str(token);
+            lower.make_ascii_lowercase();
+            f(&lower);
+        } else {
+            f(token);
+        }
+    };
+    let mut start: Option<usize> = None;
+    for (i, &b) in bytes.iter().enumerate() {
+        let in_token = b.is_ascii_alphanumeric()
+            || (b == b'\''
+                && start.is_some()
+                && bytes.get(i + 1).is_some_and(|n| n.is_ascii_alphanumeric()));
+        if in_token {
+            if start.is_none() {
+                start = Some(i);
+            }
+        } else if let Some(s) = start.take() {
+            emit(s, i);
+        }
+    }
+    if let Some(s) = start {
+        emit(s, bytes.len());
+    }
 }
 
 /// Tokenize but additionally report, for each token, whether it is a
@@ -92,6 +148,29 @@ mod tests {
         assert!(!v[0].1);
         assert!(v[1].1); // "of"
         assert!(!v[2].1);
+    }
+
+    proptest::proptest! {
+        /// The ASCII byte scan is the general tokenizer on its domain:
+        /// same tokens, same order, for any ASCII text (upper case,
+        /// apostrophes in every position, digits, control bytes).
+        #[test]
+        fn ascii_fast_path_equals_general_tokenizer(input in "[ -~\\t\\n]{0,160}") {
+            let (mut fast, mut general) = (Vec::new(), Vec::new());
+            for_each_token_ascii(&input, |t| fast.push(t.to_string()));
+            for_each_token_general(&input, |t| general.push(t.to_string()));
+            proptest::prop_assert_eq!(fast, general);
+        }
+    }
+
+    #[test]
+    fn apostrophes_and_case_on_the_ascii_path() {
+        // The dispatch in `for_each_token` sends these down the byte scan.
+        assert_eq!(tokenize("IT'S O'Hare's 'Quoted' dogs' a''b"), vec![
+            "it's", "o'hare's", "quoted", "dogs", "a", "b"
+        ]);
+        // One non-ASCII byte anywhere sends the whole text down the general path.
+        assert_eq!(tokenize("IT'S Köln"), vec!["it's", "köln"]);
     }
 
     #[test]

@@ -72,6 +72,21 @@ if grep -nE '(Vec|HashMap)::new\(\)' \
     exit 1
 fi
 
+echo "==> analyse-once gate (analyser/matcher calls in pws-concepts only in snippet.rs)"
+# Concept extraction analyses a snippet exactly once: SnippetAnalysis::new
+# (crates/pws-concepts/src/snippet.rs) is the only serving-path code that
+# runs the analyser or the location matcher; the counting pass works on
+# analyses. reference.rs (the five-pass oracle behind extract_reference)
+# and #[cfg(test)] modules are exempt.
+if for f in crates/pws-concepts/src/*.rs; do
+    case "$f" in */snippet.rs|*/reference.rs) continue ;; esac
+    awk -v f="$f" '/^#\[cfg\(test\)\]/{exit} {print f":"FNR":"$0}' "$f"
+done | grep -vE '^[^:]+:[0-9]+:\s*//' \
+     | grep -E '\.(analyze(_into|_interned)?|for_each_token|locations_in|match_text|match_tokens)\('; then
+    echo "FAIL: snippet text analysed outside SnippetAnalysis::new — go through crate::snippet"
+    exit 1
+fi
+
 echo "==> stage/counter registry gate (docs/ARCHITECTURE.md, two-way)"
 # Forward: every stage/counter name used in production code must be
 # documented in the registry table. Names under test./docs. are
@@ -193,6 +208,18 @@ echo "==> health dashboard gate (pws-top --once)"
 cargo run -q $release_flag -p pws-bench --bin pws-top --offline -- --once \
     > "$flight_tmp/top.txt"
 grep -q '^health overall ' "$flight_tmp/top.txt"
+
+echo "==> end-to-end benchmark contract gate (bench/run.sh --smoke)"
+# The benchmark in bench/ is a package of its own that calls this
+# workspace's public API and replays its traffic against the serial
+# engine. Running it at toy size here means a PR that breaks a signature
+# it uses, or its replay pass, fails tier-1 instead of the benchmark driver.
+if [[ $fast -eq 0 ]]; then
+    bash bench/run.sh --smoke > "$flight_tmp/bench_smoke.txt"
+    grep -q '^benchmark: ok' "$flight_tmp/bench_smoke.txt"
+else
+    echo "    (skipped under --fast)"
+fi
 
 echo "==> lock-poison recovery gate (no .expect(\"…poisoned\") in serve/core)"
 # The serving path must recover from poisoned locks (clear_poison +
