@@ -24,7 +24,9 @@ use pws_entropy::{Effectiveness, QueryStats};
 use pws_geo::{LocationMatcher, LocationOntology};
 use pws_index::{RetrievalBackend, SearchHit};
 use pws_obs::trace::{BetaProvenance, BetaTrace, ConceptTrace, QueryTrace, ResultTrace};
-use pws_profile::{mine_pairs, FeatureExtractor, GeoContext, ResultFeatureInput};
+use pws_profile::{
+    mine_pairs, FeatureExtractor, GeoContext, PreparedFeatures, ResultFeatureInput,
+};
 use pws_ranksvm::PairwiseTrainer;
 use pws_text::Analyzer;
 
@@ -140,8 +142,10 @@ pub struct EngineCore<'a> {
     matcher: LocationMatcher,
     cfg: EngineConfig,
     trainer: PairwiseTrainer,
-    geo: Option<(&'a pws_geo::WorldCoords, f64)>,
+    geo: Option<GeoContext<'a>>,
     analyzer: Analyzer,
+    /// The feature stage, with the mode's ablation masks.
+    extractor: FeatureExtractor,
     metrics: EngineMetrics,
     /// Memoized snippet analyses, shared by pool and page extraction and
     /// by every user. An analysis is a pure function of the snippet text,
@@ -160,6 +164,8 @@ impl<'a> EngineCore<'a> {
     ) -> Self {
         let matcher = LocationMatcher::build(world);
         let trainer = PairwiseTrainer::new(cfg.train_cfg);
+        let extractor =
+            FeatureExtractor::with_masks(cfg.mode.uses_content(), cfg.mode.uses_location());
         EngineCore {
             base,
             world,
@@ -170,6 +176,7 @@ impl<'a> EngineCore<'a> {
             // Surface forms matter when checking whether the query already
             // names a city, so no stopword removal / stemming here.
             analyzer: Analyzer::verbatim(),
+            extractor,
             metrics: EngineMetrics::resolve(),
             concept_memo: ConceptMemo::new(CONCEPT_MEMO_CAPACITY),
             retrieval_cache: None,
@@ -180,7 +187,7 @@ impl<'a> EngineCore<'a> {
     /// preference for a city also endorses geographically nearby places,
     /// with the exponential kernel scale `scale_km`.
     pub fn with_geo(mut self, coords: &'a pws_geo::WorldCoords, scale_km: f64) -> Self {
-        self.geo = Some((coords, scale_km));
+        self.geo = Some(GeoContext { coords, scale_km });
         self
     }
 
@@ -252,6 +259,26 @@ impl<'a> EngineCore<'a> {
             self.world,
             &self.cfg.concept_cfg,
             &self.cfg.location_cfg,
+        )
+    }
+
+    /// The turn's feature-scoring context: everything the feature stage
+    /// derives from (user, query) alone — analysed query terms, each
+    /// profile's L1 mass — computed once and shared by the pool rows and
+    /// the page rows.
+    fn prepare_features<'s>(
+        &'s self,
+        query_text: &str,
+        state: &'s UserState,
+    ) -> PreparedFeatures<'s> {
+        #[cfg(test)]
+        PREPARED.with(|n| n.set(n.get() + 1));
+        self.extractor.prepare(
+            query_text,
+            &state.content,
+            &state.location,
+            &state.history,
+            self.geo.as_ref(),
         )
     }
 
@@ -397,6 +424,8 @@ impl<'a> EngineCore<'a> {
         mut trace: Option<&mut QueryTrace>,
         mut gate: Option<CheckpointGate<'_>>,
     ) -> (SearchTurn, Option<StageCheckpoint>, Option<bool>) {
+        // A search only reads the user's state.
+        let state: &UserState = state;
         // ── Candidate pool ────────────────────────────────────────────────
         let retrieval_span = self.metrics.retrieval.span();
         let (base_hits, cache_hit) = self.retrieve_base(query_text);
@@ -443,7 +472,7 @@ impl<'a> EngineCore<'a> {
         if self.cfg.mode == PersonalizationMode::Baseline || candidates.is_empty() {
             // Nothing to degrade here — this branch *is* the base order.
             return (
-                self.base_order_turn(state, user, query_text, candidates, stats, trace),
+                self.base_order_turn(state, user, query_text, candidates, stats, None, trace),
                 None,
                 cache_hit,
             );
@@ -451,7 +480,7 @@ impl<'a> EngineCore<'a> {
 
         if gate_fires(&mut gate, StageCheckpoint::Retrieval) {
             return (
-                self.base_order_turn(state, user, query_text, candidates, stats, trace),
+                self.base_order_turn(state, user, query_text, candidates, stats, None, trace),
                 Some(StageCheckpoint::Retrieval),
                 cache_hit,
             );
@@ -464,7 +493,7 @@ impl<'a> EngineCore<'a> {
         finish_span(concepts_span, &mut trace, pws_obs::event::STAGE_CONCEPTS);
         if gate_fires(&mut gate, StageCheckpoint::Concepts) {
             return (
-                self.base_order_turn(state, user, query_text, candidates, stats, trace),
+                self.base_order_turn(state, user, query_text, candidates, stats, None, trace),
                 Some(StageCheckpoint::Concepts),
                 cache_hit,
             );
@@ -475,27 +504,20 @@ impl<'a> EngineCore<'a> {
             .enumerate()
             .map(|(i, (h, norm))| feature_input(h, *norm, i + 1))
             .collect();
-        let extractor = FeatureExtractor::with_masks(
-            self.cfg.mode.uses_content(),
-            self.cfg.mode.uses_location(),
-        );
-        let geo_ctx = self.geo.map(|(coords, scale_km)| GeoContext { coords, scale_km });
-        let mut features = extractor.extract_page_geo(
-            query_text,
-            &inputs,
-            &pool_onto,
-            &state.content,
-            &state.location,
-            &state.history,
-            geo_ctx.as_ref(),
-        );
+        let prepared = self.prepare_features(query_text, state);
+        let mut features = prepared.rows(&inputs, &pool_onto);
         finish_span(features_span, &mut trace, pws_obs::event::STAGE_FEATURES);
         if gate_fires(&mut gate, StageCheckpoint::Features) {
-            return (
-                self.base_order_turn(state, user, query_text, candidates, stats, trace),
-                Some(StageCheckpoint::Features),
-                cache_hit,
+            let turn = self.base_order_turn(
+                state,
+                user,
+                query_text,
+                candidates,
+                stats,
+                Some(prepared),
+                trace,
             );
+            return (turn, Some(StageCheckpoint::Features), cache_hit);
         }
 
         // ── Blend ────────────────────────────────────────────────────────
@@ -564,13 +586,18 @@ impl<'a> EngineCore<'a> {
                 .collect();
         }
 
-        (self.finish_turn(state, user, query_text, page, beta, true, trace), None, cache_hit)
+        let turn =
+            self.finish_turn(state, user, query_text, page, beta, true, Some(prepared), trace);
+        (turn, None, cache_hit)
     }
 
     /// Complete a turn in base (pool) order: β decision, top-K page with
     /// ranks reassigned, `personalized: false`. Shared by the baseline /
     /// empty-pool branch and every degraded checkpoint — a degraded turn
     /// is byte-identical to what baseline mode would have served.
+    /// `prepared` is the turn's scoring context when the caller already
+    /// built one (a turn degraded after its pool features).
+    #[allow(clippy::too_many_arguments)]
     fn base_order_turn(
         &self,
         state: &UserState,
@@ -578,6 +605,7 @@ impl<'a> EngineCore<'a> {
         query_text: &str,
         candidates: Vec<(SearchHit, f64)>,
         stats: Option<&QueryStats>,
+        prepared: Option<PreparedFeatures<'_>>,
         mut trace: Option<&mut QueryTrace>,
     ) -> SearchTurn {
         // β must report what the mode would actually blend with (the
@@ -599,7 +627,7 @@ impl<'a> EngineCore<'a> {
                 (h, norm)
             })
             .collect();
-        self.finish_turn(state, user, query_text, page, beta, false, trace)
+        self.finish_turn(state, user, query_text, page, beta, false, prepared, trace)
     }
 
     /// The stateless escape hatch: serve `query_text` from baseline
@@ -619,12 +647,15 @@ impl<'a> EngineCore<'a> {
         let candidates = normalize_pool(&base_hits);
         drop(retrieval_span);
         let state = UserState::default();
-        self.base_order_turn(&state, user, query_text, candidates, stats, None)
+        self.base_order_turn(&state, user, query_text, candidates, stats, None, None)
     }
 
     /// Extract the page-level ontology + page-aligned features and assemble
     /// the turn. `page` carries each hit's pool-normalized base score so
     /// the training features see the same scale the ranker scored with.
+    /// `prepared` is the scoring context the pool features were built
+    /// with; a turn that built none prepares here, so every turn builds
+    /// exactly one.
     #[allow(clippy::too_many_arguments)]
     fn finish_turn(
         &self,
@@ -634,29 +665,18 @@ impl<'a> EngineCore<'a> {
         page: Vec<(SearchHit, f64)>,
         beta: f64,
         personalized: bool,
+        prepared: Option<PreparedFeatures<'_>>,
         mut trace: Option<&mut QueryTrace>,
     ) -> SearchTurn {
         let concepts_span = self.metrics.concepts.span();
         let ontology =
             self.extract_concepts(query_text, page.iter().map(|(h, _)| h.snippet.as_str()));
         finish_span(concepts_span, &mut trace, pws_obs::event::STAGE_CONCEPTS);
+        let features_span = self.metrics.features.span();
         let inputs: Vec<ResultFeatureInput> =
             page.iter().map(|(h, norm)| feature_input(h, *norm, h.rank)).collect();
-        let extractor = FeatureExtractor::with_masks(
-            self.cfg.mode.uses_content(),
-            self.cfg.mode.uses_location(),
-        );
-        let geo_ctx = self.geo.map(|(coords, scale_km)| GeoContext { coords, scale_km });
-        let features_span = self.metrics.features.span();
-        let features = extractor.extract_page_geo(
-            query_text,
-            &inputs,
-            &ontology,
-            &state.content,
-            &state.location,
-            &state.history,
-            geo_ctx.as_ref(),
-        );
+        let prepared = prepared.unwrap_or_else(|| self.prepare_features(query_text, state));
+        let features = prepared.rows(&inputs, &ontology);
         finish_span(features_span, &mut trace, pws_obs::event::STAGE_FEATURES);
         // The personalized path filled the trace from the pool before
         // calling here; for baseline / cold / empty turns the page *is*
@@ -850,6 +870,12 @@ fn contains_token_seq(haystack: &[String], needle: &[String]) -> bool {
         return false;
     }
     haystack.windows(needle.len()).any(|w| w == needle)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Scoring contexts prepared on this thread, so tests can count them.
+    pub(crate) static PREPARED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]

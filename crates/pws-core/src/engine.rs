@@ -702,6 +702,60 @@ mod tests {
         assert!(!state.location.is_empty());
     }
 
+    /// Pool rows and page rows share one scoring context: every turn —
+    /// personalised, baseline, degraded at any checkpoint, stateless —
+    /// prepares exactly once.
+    #[test]
+    fn every_turn_prepares_exactly_one_scoring_context() {
+        use crate::core::{StageCheckpoint, PREPARED};
+        let prepared = || PREPARED.with(|n| n.get());
+        let idx = index();
+        let w = world();
+        let user = UserId(3);
+        let mut e = PersonalizedSearchEngine::new(&idx, &w, EngineConfig::default());
+        for _ in 0..3 {
+            let turn = e.search(user, "seafood restaurant");
+            let imp = impression_from(&turn, &[2]);
+            e.observe(&turn, &imp);
+        }
+        let before = prepared();
+        let turn = e.search(user, "seafood restaurant");
+        assert!(turn.personalized);
+        assert_eq!(turn.features.len(), turn.hits.len());
+        assert_eq!(prepared() - before, 1, "pool + page of one personalised search");
+
+        let mut state = e.user_state(user).unwrap().clone();
+        for cp in [StageCheckpoint::Retrieval, StageCheckpoint::Concepts, StageCheckpoint::Features]
+        {
+            let mut gate = |at: StageCheckpoint| at == cp;
+            let before = prepared();
+            let (turn, aborted, _) = e.core().search_user_gated(
+                user,
+                "seafood restaurant",
+                &mut state,
+                None,
+                None,
+                Some(&mut gate),
+            );
+            assert_eq!(aborted, Some(cp));
+            assert!(!turn.personalized);
+            assert_eq!(prepared() - before, 1, "turn degraded at {cp:?}");
+        }
+
+        let before = prepared();
+        e.core().degraded_search(user, "seafood restaurant", None);
+        assert_eq!(prepared() - before, 1, "stateless escape hatch");
+
+        let mut baseline = PersonalizedSearchEngine::new(
+            &idx,
+            &w,
+            EngineConfig::for_mode(PersonalizationMode::Baseline),
+        );
+        let before = prepared();
+        baseline.search(user, "seafood restaurant");
+        assert_eq!(prepared() - before, 1, "baseline turn");
+    }
+
     #[test]
     fn merge_pools_dedups_and_sorts() {
         let h = |doc: u32, score: f64| SearchHit {

@@ -176,22 +176,41 @@ impl ContentProfile {
         self.observations += 1;
     }
 
-    /// The profile's L1 mass, summed in sorted order so the value is
-    /// identical for logically equal profiles regardless of the map's
-    /// per-instance iteration order (replay determinism).
-    fn l1(&self) -> f64 {
-        crate::sorted_l1(self.weights.values().copied())
+    /// Borrowed scoring view with the profile's L1 mass computed once.
+    /// Build one per (user, query) and score every result through it:
+    /// per-result cost is then independent of the profile's size.
+    pub fn scorer(&self) -> ContentScorer<'_> {
+        // Summed in sorted order so the value is identical for logically
+        // equal profiles regardless of the map's per-instance iteration
+        // order (replay determinism).
+        ContentScorer { profile: self, l1: crate::sorted_l1(self.weights.values().copied()) }
     }
 
     /// Preference score of a snippet given the concepts present in it:
     /// the sum of their weights, normalized by the profile's L1 mass.
-    /// Returns 0 for an empty profile (cold start → neutral).
+    /// Returns 0 for an empty profile (cold start → neutral). One-shot
+    /// form of [`ContentScorer::score`].
     pub fn score_concepts<'a>(&self, terms: impl Iterator<Item = &'a str>) -> f64 {
-        let l1 = self.l1();
-        if l1 == 0.0 {
+        self.scorer().score(terms)
+    }
+}
+
+/// A [`ContentProfile`] prepared for scoring many snippets: the profile
+/// plus its L1 mass (see [`ContentProfile::scorer`]).
+#[derive(Debug)]
+pub struct ContentScorer<'p> {
+    profile: &'p ContentProfile,
+    l1: f64,
+}
+
+impl ContentScorer<'_> {
+    /// Sum of the weights of `terms`, normalized by the profile's L1
+    /// mass; 0 when the profile has no mass.
+    pub fn score<'a>(&self, terms: impl Iterator<Item = &'a str>) -> f64 {
+        if self.l1 == 0.0 {
             return 0.0;
         }
-        terms.map(|t| self.weight(t)).sum::<f64>() / l1
+        terms.map(|t| self.profile.weight(t)).sum::<f64>() / self.l1
     }
 }
 

@@ -5,9 +5,9 @@
 //! of the evaluation (T3, F5, F7) are obtained by masking the respective
 //! feature, so every variant shares one code path.
 
-use crate::content_profile::ContentProfile;
+use crate::content_profile::{ContentProfile, ContentScorer};
 use crate::history::UserHistory;
-use crate::location_profile::LocationProfile;
+use crate::location_profile::{LocationProfile, LocationScorer};
 use pws_concepts::QueryConceptOntology;
 use pws_text::Analyzer;
 
@@ -111,7 +111,8 @@ impl FeatureExtractor {
 
     /// As [`Self::extract_page`], with optional proximity-smoothed location
     /// scoring (the GPS extension): when `geo` is given, the location
-    /// feature uses [`LocationProfile::score_locations_geo`].
+    /// feature uses [`LocationProfile::score_locations_geo`]'s kernel.
+    /// Exactly `prepare(..).rows(..)`.
     #[allow(clippy::too_many_arguments)]
     pub fn extract_page_geo(
         &self,
@@ -123,8 +124,58 @@ impl FeatureExtractor {
         history: &UserHistory,
         geo: Option<&GeoContext<'_>>,
     ) -> Vec<Vec<f64>> {
-        let q_terms = self.analyzer.analyze(query_text);
+        self.prepare(query_text, content, location, history, geo).rows(inputs, onto)
+    }
 
+    /// Everything the feature loop needs that depends only on the user
+    /// and the query, computed once: the analysed query terms and the two
+    /// profile scorers (each profile's L1 mass). A request that scores
+    /// its pool and then its page prepares once and calls
+    /// [`PreparedFeatures::rows`] twice.
+    pub fn prepare<'a>(
+        &'a self,
+        query_text: &str,
+        content: &'a ContentProfile,
+        location: &'a LocationProfile,
+        history: &'a UserHistory,
+        geo: Option<&GeoContext<'a>>,
+    ) -> PreparedFeatures<'a> {
+        PreparedFeatures {
+            analyzer: &self.analyzer,
+            q_terms: self.analyzer.analyze(query_text),
+            content: self.use_content.then(|| content.scorer()),
+            location: self.use_location.then(|| location.scorer()),
+            history,
+            geo: geo.cloned(),
+        }
+    }
+}
+
+/// A prepared scoring context: see [`FeatureExtractor::prepare`].
+#[derive(Debug)]
+pub struct PreparedFeatures<'a> {
+    analyzer: &'a Analyzer,
+    q_terms: Vec<String>,
+    /// `None` when the extractor masks the feature.
+    content: Option<ContentScorer<'a>>,
+    location: Option<LocationScorer<'a>>,
+    history: &'a UserHistory,
+    geo: Option<GeoContext<'a>>,
+}
+
+impl PreparedFeatures<'_> {
+    /// Feature vectors for `inputs`, one row each; per-row work is the
+    /// snippet's concepts plus the title's tokens, whatever the profile
+    /// sizes.
+    ///
+    /// `inputs[i]` must correspond to the snippet behind
+    /// `onto.content_by_snippet[i]` / `onto.locations_by_snippet[i]`.
+    pub fn rows(
+        &self,
+        inputs: &[ResultFeatureInput],
+        onto: &QueryConceptOntology,
+    ) -> Vec<Vec<f64>> {
+        let mut matched = vec![false; self.q_terms.len()];
         inputs
             .iter()
             .enumerate()
@@ -132,41 +183,45 @@ impl FeatureExtractor {
                 let mut f = vec![0.0; FEATURE_DIM];
                 f[0] = input.base_score;
 
-                if self.use_content {
-                    if let Some(concepts) = onto.content_by_snippet.get(i) {
-                        f[1] = content.score_concepts(
-                            concepts.iter().map(|&ci| onto.content[ci].term.as_str()),
-                        );
-                    }
+                if let (Some(content), Some(concepts)) =
+                    (&self.content, onto.content_by_snippet.get(i))
+                {
+                    f[1] =
+                        content.score(concepts.iter().map(|&ci| onto.content[ci].term.as_str()));
                 }
-                if self.use_location {
-                    if let Some(locs) = onto.locations_by_snippet.get(i) {
-                        let loc_ids = locs.iter().map(|&li| onto.locations[li].loc);
-                        f[2] = match geo {
-                            Some(g) => {
-                                location.score_locations_geo(loc_ids, g.coords, g.scale_km)
-                            }
-                            None => location.score_locations(loc_ids),
-                        };
-                    }
+                if let (Some(location), Some(locs)) =
+                    (&self.location, onto.locations_by_snippet.get(i))
+                {
+                    let loc_ids = locs.iter().map(|&li| onto.locations[li].loc);
+                    f[2] = match &self.geo {
+                        Some(g) => location.score_geo(loc_ids, g.coords, g.scale_km),
+                        None => location.score(loc_ids),
+                    };
                 }
                 f[3] = 1.0 / input.rank as f64;
-                f[4] = title_match(&self.analyzer, &q_terms, &input.title);
-                f[5] = history.url_score(&input.url);
-                f[6] = history.domain_score(&input.url);
+                f[4] = title_match(self.analyzer, &self.q_terms, &input.title, &mut matched);
+                f[5] = self.history.url_score(&input.url);
+                f[6] = self.history.domain_score(&input.url);
                 f
             })
             .collect()
     }
 }
 
-/// Fraction of query terms present in the (analyzed) title.
-fn title_match(analyzer: &Analyzer, q_terms: &[String], title: &str) -> f64 {
+/// Fraction of query terms present in the (analyzed) title. A query term
+/// repeated in the query counts once per repeat, in both the numerator
+/// and the denominator. `matched` is scratch, one flag per query term.
+fn title_match(analyzer: &Analyzer, q_terms: &[String], title: &str, matched: &mut [bool]) -> f64 {
     if q_terms.is_empty() {
         return 0.0;
     }
-    let t_tokens = analyzer.analyze(title);
-    let hits = q_terms.iter().filter(|q| t_tokens.contains(q)).count();
+    matched.fill(false);
+    analyzer.for_each_token(title, |t| {
+        for (q, m) in q_terms.iter().zip(matched.iter_mut()) {
+            *m |= q == t;
+        }
+    });
+    let hits = matched.iter().filter(|&&m| m).count();
     hits as f64 / q_terms.len() as f64
 }
 
@@ -324,6 +379,52 @@ mod tests {
             .extract_page("restaurant", &inputs, &onto, &content, &location, &history);
         assert_eq!(l_only[0][1], 0.0);
         assert_eq!(l_only[0][2], full[0][2]);
+    }
+
+    /// The complexity claim, by count rather than by timing: a prepared
+    /// context normalises each profile once and sorts the geo entry list
+    /// at most once, however many rows it scores.
+    #[test]
+    fn prepared_context_normalises_once_whatever_the_row_count() {
+        use crate::counters::{ENTRY_SORTS, L1_SORTS};
+        let w = world();
+        let coords = pws_geo::WorldCoords::generate(&w, 1);
+        let alden = LocId(4);
+        assert_eq!(w.name(alden), "alden");
+        let content = ContentProfile::from_entries(
+            vec![("seafood".into(), 2.0), ("sushi".into(), -0.5), ("bar".into(), 1e-3)],
+            3,
+        );
+        let location = LocationProfile::from_entries(vec![(alden, 1.5), (LocId(3), 0.6)], 2);
+        let history = UserHistory::new();
+        let geo = GeoContext { coords: &coords, scale_km: 500.0 };
+        let counts = || (L1_SORTS.with(|n| n.get()), ENTRY_SORTS.with(|n| n.get()));
+
+        for rows in [1usize, 10, 30, 200] {
+            let snippets: Vec<&str> =
+                (0..rows).map(|i| if i % 2 == 0 { "seafood alden" } else { "sushi bar" }).collect();
+            let (onto, inputs) = setup(&snippets);
+            for (geo, entry_sorts) in [(None, 0), (Some(&geo), 1)] {
+                let fx = FeatureExtractor::new();
+                let before = counts();
+                let prepared = fx.prepare("restaurant", &content, &location, &history, geo);
+                let feats = prepared.rows(&inputs, &onto);
+                let again = prepared.rows(&inputs[..rows.min(10)], &onto);
+                let after = counts();
+                assert_eq!(feats.len(), rows);
+                assert_eq!(again[..], feats[..again.len()]);
+                assert!(feats[0][1] != 0.0 && feats[0][2] != 0.0, "profiles must be warm");
+                assert_eq!(after.0 - before.0, 2, "one L1 per profile at {rows} rows");
+                assert_eq!(after.1 - before.1, entry_sorts, "entry sorts at {rows} rows");
+            }
+            // A masked dimension is not normalised at all.
+            let before = counts();
+            FeatureExtractor::content_only()
+                .prepare("restaurant", &content, &location, &history, Some(&geo))
+                .rows(&inputs, &onto);
+            let after = counts();
+            assert_eq!((after.0 - before.0, after.1 - before.1), (1, 0));
+        }
     }
 
     #[test]

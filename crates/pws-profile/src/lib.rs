@@ -26,10 +26,12 @@ pub mod location_profile;
 pub mod pairs;
 pub mod spynb;
 
-pub use content_profile::{ContentProfile, ContentProfileConfig};
-pub use features::{FeatureExtractor, GeoContext, ResultFeatureInput, FEATURE_DIM, FEATURE_NAMES};
+pub use content_profile::{ContentProfile, ContentProfileConfig, ContentScorer};
+pub use features::{
+    FeatureExtractor, GeoContext, PreparedFeatures, ResultFeatureInput, FEATURE_DIM, FEATURE_NAMES,
+};
 pub use history::UserHistory;
-pub use location_profile::{LocationProfile, LocationProfileConfig};
+pub use location_profile::{LocationProfile, LocationProfileConfig, LocationScorer};
 pub use pairs::{mine_pairs, PairMiningConfig};
 pub use spynb::{mine_spynb_pairs, SpyNbConfig};
 
@@ -42,7 +44,20 @@ pub use spynb::{mine_spynb_pairs, SpyNbConfig};
 /// helper keeps scores bit-identical for logically equal profiles —
 /// the property the serial-vs-sharded replay equivalence tests pin.
 pub(crate) fn sorted_l1(values: impl Iterator<Item = f64>) -> f64 {
+    #[cfg(test)]
+    counters::L1_SORTS.with(|n| n.set(n.get() + 1));
     let mut v: Vec<f64> = values.map(f64::abs).collect();
     v.sort_by(f64::total_cmp);
     v.iter().sum()
+}
+
+#[cfg(test)]
+pub(crate) mod counters {
+    use std::cell::Cell;
+    thread_local! {
+        /// `sorted_l1` calls on this thread, so tests can count them exactly.
+        pub(crate) static L1_SORTS: Cell<u64> = const { Cell::new(0) };
+        /// Geo entry lists built (collected + sorted) on this thread.
+        pub(crate) static ENTRY_SORTS: Cell<u64> = const { Cell::new(0) };
+    }
 }

@@ -10,6 +10,7 @@ use pws_click::Impression;
 use pws_concepts::QueryConceptOntology;
 use pws_geo::{LocId, LocationOntology};
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
 /// Profile update parameters.
@@ -177,22 +178,27 @@ impl LocationProfile {
         self.observations += 1;
     }
 
-    /// The profile's L1 mass, summed in sorted order so the value is
-    /// identical for logically equal profiles regardless of the map's
-    /// per-instance iteration order (replay determinism).
-    fn l1(&self) -> f64 {
-        crate::sorted_l1(self.weights.values().copied())
+    /// Borrowed scoring view with the profile's L1 mass computed once
+    /// (and, on first geo use, the id-sorted entry list). Build one per
+    /// (user, query) and score every result through it: per-result cost
+    /// is then free of any sort over the profile.
+    pub fn scorer(&self) -> LocationScorer<'_> {
+        // Summed in sorted order so the value is identical for logically
+        // equal profiles regardless of the map's per-instance iteration
+        // order (replay determinism).
+        LocationScorer {
+            profile: self,
+            l1: crate::sorted_l1(self.weights.values().copied()),
+            entries: OnceCell::new(),
+        }
     }
 
     /// Preference score of a result given the locations mentioned in its
     /// snippet: the sum of their weights, normalized by the profile's L1
-    /// mass. Empty profile → 0 (neutral).
+    /// mass. Empty profile → 0 (neutral). One-shot form of
+    /// [`LocationScorer::score`].
     pub fn score_locations(&self, locs: impl Iterator<Item = LocId>) -> f64 {
-        let l1 = self.l1();
-        if l1 == 0.0 {
-            return 0.0;
-        }
-        locs.map(|l| self.weight(l)).sum::<f64>() / l1
+        self.scorer().score(locs)
     }
 
     /// Geo-aware preference score: each profile entry endorses a snippet
@@ -201,27 +207,63 @@ impl LocationProfile {
     /// With `scale_km → 0` this degenerates to [`Self::score_locations`];
     /// with larger scales a preference for one city also mildly endorses
     /// its geographic neighbours (the GPS extension of the framework).
+    /// One-shot form of [`LocationScorer::score_geo`].
     pub fn score_locations_geo(
         &self,
         locs: impl Iterator<Item = LocId>,
         coords: &pws_geo::WorldCoords,
         scale_km: f64,
     ) -> f64 {
-        let l1 = self.l1();
-        if l1 == 0.0 {
+        self.scorer().score_geo(locs, coords, scale_km)
+    }
+}
+
+/// A [`LocationProfile`] prepared for scoring many results: the profile,
+/// its L1 mass, and the entry list the geo kernel walks (see
+/// [`LocationProfile::scorer`]).
+#[derive(Debug)]
+pub struct LocationScorer<'p> {
+    profile: &'p LocationProfile,
+    l1: f64,
+    /// `weight_entries()`, built by the first geo score.
+    entries: OnceCell<Vec<(LocId, f64)>>,
+}
+
+impl LocationScorer<'_> {
+    /// Sum of the weights of `locs`, normalized by the profile's L1
+    /// mass; 0 when the profile has no mass.
+    pub fn score(&self, locs: impl Iterator<Item = LocId>) -> f64 {
+        if self.l1 == 0.0 {
             return 0.0;
         }
-        // Iterate entries in id order: the kernel sum must not depend on
-        // the map instance's iteration order (replay determinism).
-        let mut entries: Vec<(LocId, f64)> = self.weights.iter().map(|(&l, &w)| (l, w)).collect();
-        entries.sort_by_key(|(l, _)| *l);
+        locs.map(|l| self.profile.weight(l)).sum::<f64>() / self.l1
+    }
+
+    /// Proximity-smoothed score (see
+    /// [`LocationProfile::score_locations_geo`]).
+    pub fn score_geo(
+        &self,
+        locs: impl Iterator<Item = LocId>,
+        coords: &pws_geo::WorldCoords,
+        scale_km: f64,
+    ) -> f64 {
+        if self.l1 == 0.0 {
+            return 0.0;
+        }
+        // Entries in id order: the kernel sum must not depend on the map
+        // instance's iteration order (replay determinism).
+        let entries = self.entries.get_or_init(|| {
+            #[cfg(test)]
+            crate::counters::ENTRY_SORTS.with(|n| n.set(n.get() + 1));
+            self.profile.weight_entries()
+        });
         let mut total = 0.0;
         for l in locs {
-            for &(e, w) in &entries {
+            for &(e, w) in entries {
                 total += w * coords.proximity(e, l, scale_km);
             }
         }
-        total / l1
+        total / self.l1
     }
 }
 

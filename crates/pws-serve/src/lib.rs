@@ -2193,8 +2193,11 @@ impl<'a> ServingEngine<'a> {
             None
         };
         let span = shard.search.span();
+        // One canonical key per search: both statistics reads and the
+        // flight event's hash use it.
+        let query_key = EngineCore::query_key(query_text);
         let snap = self.stats.read();
-        let stats = snap.get(&EngineCore::query_key(query_text));
+        let stats = snap.get(&query_key);
         let degraded: Option<DegradeReason>;
         let mut cache_hit: Option<bool> = None;
         let mut store_fault_in = false;
@@ -2223,7 +2226,7 @@ impl<'a> ServingEngine<'a> {
                 // republished the snapshot; re-read so this very turn's
                 // β sees them (cheap: a read lock and an Arc clone).
                 let snap = self.stats.read();
-                let stats = snap.get(&EngineCore::query_key(query_text));
+                let stats = snap.get(&query_key);
                 let state =
                     &mut users.get_mut(&user).expect("ensure_resident inserted it").state;
                 // The guard lives OUTSIDE the catch_unwind closure:
@@ -2294,7 +2297,7 @@ impl<'a> ServingEngine<'a> {
         }
         if let (Some(fl), Some(t)) = (&self.flight, trace.as_ref()) {
             let mut ev = FlightEvent::from_trace(t);
-            ev.query_hash = pws_obs::event::query_hash(&EngineCore::query_key(query_text));
+            ev.query_hash = pws_obs::event::query_hash(&query_key);
             ev.page_fingerprint =
                 pws_obs::event::page_fingerprint(turn.hits.iter().map(|h| (h.doc, h.rank)));
             ev.store_fault_in = store_fault_in;

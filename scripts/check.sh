@@ -87,6 +87,41 @@ done | grep -vE '^[^:]+:[0-9]+:\s*//' \
     exit 1
 fi
 
+echo "==> normalise-once gate (L1 / query analysis / extractor built once per request)"
+# The feature stage prepares once and scores many: a profile's L1 mass is
+# computed only where a scorer is built (ContentProfile::scorer,
+# LocationProfile::scorer), the feature loop analyses text only in
+# FeatureExtractor::prepare (titles stream through for_each_token), and
+# the engine builds its FeatureExtractor only in EngineCore::new.
+# #[cfg(test)] modules are exempt.
+# only_in_fn PATTERN ALLOWED_FNS FILE...: print every non-comment line
+# before a file's test module that contains PATTERN (a fixed string)
+# outside the functions named in the space-separated ALLOWED_FNS.
+only_in_fn() {
+    local pattern="$1" allowed="$2" f
+    shift 2
+    for f in "$@"; do
+        awk -v f="$f" -v pat="$pattern" -v allowed=" $allowed " '
+            /^#\[cfg\(test\)\]/ { exit }
+            /^[ \t]*\/\// { next }
+            match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+            index($0, pat) && !index(allowed, " " fn " ") { print f ":" FNR ":" $0 }
+        ' "$f"
+    done
+}
+if only_in_fn 'sorted_l1(' 'sorted_l1 scorer' crates/pws-profile/src/*.rs | grep .; then
+    echo "FAIL: profile L1 computed outside a scorer constructor — score through scorer()"
+    exit 1
+fi
+if only_in_fn '.analyze(' 'prepare' crates/pws-profile/src/features.rs | grep .; then
+    echo "FAIL: text analysed in the feature loop — analyse in prepare, stream titles"
+    exit 1
+fi
+if only_in_fn 'FeatureExtractor::with_masks(' 'new' crates/pws-core/src/core.rs | grep .; then
+    echo "FAIL: FeatureExtractor built per request — EngineCore::new owns the one extractor"
+    exit 1
+fi
+
 echo "==> stage/counter registry gate (docs/ARCHITECTURE.md, two-way)"
 # Forward: every stage/counter name used in production code must be
 # documented in the registry table. Names under test./docs. are
