@@ -189,22 +189,14 @@ pub struct SeededFaultPlan {
     faulted: Mutex<HashSet<u32>>,
 }
 
-/// FNV-1a offset basis / prime, folding arbitrary words.
+/// FNV-1a over the little-endian words, then the bytes.
 fn fnv1a_words(words: &[u64], bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    };
+    let mut h = pws_obs::format::Fnv1a64::new();
     for w in words {
-        for b in w.to_le_bytes() {
-            eat(b);
-        }
+        h.write(&w.to_le_bytes());
     }
-    for &b in bytes {
-        eat(b);
-    }
-    h
+    h.write(bytes);
+    h.finish()
 }
 
 /// SplitMix64 finalizer: FNV alone mixes the low bits poorly for

@@ -153,12 +153,12 @@ pub fn query_hash(query_key: &str) -> u64 {
 /// iff their fingerprints match (modulo hash collisions); replay
 /// divergence localizes to the first differing event.
 pub fn page_fingerprint(pairs: impl IntoIterator<Item = (u32, usize)>) -> u64 {
-    let mut bytes = Vec::with_capacity(64);
+    let mut h = crate::format::Fnv1a64::new();
     for (doc, rank) in pairs {
-        bytes.extend_from_slice(&doc.to_le_bytes());
-        bytes.extend_from_slice(&(rank as u64).to_le_bytes());
+        h.write(&doc.to_le_bytes());
+        h.write(&(rank as u64).to_le_bytes());
     }
-    crate::format::fnv1a64(&bytes)
+    h.finish()
 }
 
 /// One admitted query, as the flight recorder saw it. Fixed-width plain
@@ -225,7 +225,9 @@ impl FlightEvent {
     /// Copy the serving-layer context and engine decisions out of a
     /// filled [`QueryTrace`]. Stage nanoseconds land in their
     /// [`SEARCH_STAGES`] slots (a stage appearing twice sums); trace
-    /// stages outside the schema (none today) are ignored.
+    /// stages outside the schema (none today) are ignored. The degrade
+    /// code is parsed back from the trace's label, best effort; the
+    /// serving layer overwrites it from its typed reason.
     pub fn from_trace(trace: &QueryTrace) -> Self {
         let mut ev = FlightEvent::empty();
         ev.user = trace.user;

@@ -29,15 +29,52 @@ pub const TABLE_OFFSET: usize = 16;
 /// len u64 + checksum u64.
 pub const ENTRY_LEN: usize = 28;
 
-/// FNV-1a 64-bit: the section checksum, and the stable (no `RandomState`)
-/// hash behind query keys, page fingerprints and statistics sharding.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// Streaming FNV-1a 64-bit: feed the bytes in any number of
+/// [`write`](Self::write) calls; the hash depends only on their
+/// concatenation. The one FNV loop in the workspace — [`fnv1a64`] and
+/// every keyed roll or fingerprint that hashes more than one slice go
+/// through it.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    /// The empty hash (the FNV offset basis).
+    #[inline]
+    pub const fn new() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    /// Fold `bytes` in.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        let mut hash = self.0;
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.0 = hash;
+    }
+
+    /// The hash of everything written so far.
+    #[inline]
+    pub const fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// FNV-1a 64-bit of one slice: the section checksum, and the stable (no
+/// `RandomState`) hash behind query keys and statistics sharding.
+#[inline]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a64::new();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Everything that can be wrong with the bytes of a container file or of
@@ -485,6 +522,26 @@ mod tests {
     fn toy_file() -> Vec<u8> {
         // A and C hold the same bytes, so the aliasing mutation applies.
         TOY.write(vec![vec![7; 5], vec![1, 2, 3], vec![7; 5]])
+    }
+
+    #[test]
+    fn streaming_fnv_equals_fnv_of_the_concatenation() {
+        // Published FNV-1a 64 vectors pin the constants.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        let parts: [&[u8]; 5] = [b"seafood", b"", &[0xff], &7u64.to_le_bytes(), b"restaurant"];
+        for split in 0..=parts.len() {
+            // Any chunking of the same bytes hashes the same, including
+            // empty writes and no writes at all.
+            let mut h = Fnv1a64::new();
+            h.write(&parts[..split].concat());
+            for p in &parts[split..] {
+                h.write(p);
+            }
+            assert_eq!(h.finish(), fnv1a64(&parts.concat()));
+        }
+        assert_eq!(Fnv1a64::default().finish(), fnv1a64(b""));
     }
 
     #[test]

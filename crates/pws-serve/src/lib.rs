@@ -117,18 +117,21 @@ use pws_click::{Impression, UserId};
 use pws_core::{EngineConfig, EngineCore, RetrievalCache, SearchTurn, StageCheckpoint, UserState};
 use pws_index::SearchHit;
 use pws_entropy::QueryStats;
-use pws_obs::event::FlightEvent;
+use pws_obs::event::{DegradeCode, FlightEvent};
 use pws_obs::flight::{DumpReason, FlightDump};
-use pws_obs::format::fnv1a64;
+use pws_obs::format::{fnv1a64, Fnv1a64};
 use pws_obs::health::{HealthMonitor, HealthReport, SloSpec};
 use pws_obs::trace::QueryTrace;
-use pws_store::{StoreIo, UserRecord, UserStore};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use pws_store::StoreIo;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
+
+mod residency;
+use residency::{ResidentUser, StoreShutdown, StoreTier, UserMap};
 
 /// Configuration of the serving layer (the engine's own behavior lives
 /// in [`EngineConfig`]).
@@ -341,6 +344,21 @@ impl DegradeReason {
     }
 }
 
+/// The flight event's one-byte code for each reason. Exhaustive on
+/// purpose: a new [`DegradeReason`] without a [`DegradeCode`] fails to
+/// compile here instead of being recorded as a healthy turn.
+impl From<DegradeReason> for DegradeCode {
+    fn from(reason: DegradeReason) -> Self {
+        match reason {
+            DegradeReason::DeadlineRetrieval => DegradeCode::DeadlineRetrieval,
+            DegradeReason::DeadlineConcepts => DegradeCode::DeadlineConcepts,
+            DegradeReason::DeadlineFeatures => DegradeCode::DeadlineFeatures,
+            DegradeReason::PanicIsolated => DegradeCode::Panic,
+            DegradeReason::LockPoisoned => DegradeCode::LockPoisoned,
+        }
+    }
+}
+
 /// A served query: the ranked turn plus how it was served. `degraded`
 /// is `None` for a fully personalized (healthy) turn.
 #[derive(Debug, Clone)]
@@ -486,6 +504,16 @@ fn lock_or_recover<T>(m: &Mutex<T>) -> (MutexGuard<'_, T>, bool) {
     }
 }
 
+/// [`lock_or_recover`] for state that is valid whatever a dead thread
+/// left in it: count the recovery (`serve.lock_recovered`) and carry on.
+fn lock_counting<'m, T>(m: &'m Mutex<T>, recovered: &pws_obs::StageMetrics) -> MutexGuard<'m, T> {
+    let (guard, was_poisoned) = lock_or_recover(m);
+    if was_poisoned {
+        recovered.incr(1);
+    }
+    guard
+}
+
 /// Deliberately poison `m` from a scoped helper thread (the only way to
 /// poison a `std` mutex is dropping a guard mid-panic). Fault-injection
 /// only.
@@ -500,6 +528,32 @@ fn poison_mutex<T: Send>(m: &Mutex<T>) {
         });
         let _ = handle.join();
     });
+}
+
+/// The one fault hook: consult `plan` (if any) for this site and carry
+/// the fault out. A `Delay` sleeps at every stage. A `Panic` unwinds
+/// (as [`InjectedFault`]) at every stage but [`FaultStage::Admission`],
+/// which sits outside the per-query isolation boundary and ignores it.
+/// `PoisonLock` is honoured only at admission (mid-request it would
+/// deadlock the injector on its own lock) by returning `true`: the
+/// caller, who knows which lock, poisons it.
+fn inject_fault(
+    plan: Option<&dyn FaultPlan>,
+    user: UserId,
+    query_text: &str,
+    stage: FaultStage,
+) -> bool {
+    let Some(plan) = plan else { return false };
+    let admission = stage == FaultStage::Admission;
+    match plan.inject(user, query_text, stage) {
+        Some(FaultAction::Delay(d)) => std::thread::sleep(d),
+        Some(FaultAction::Panic) if !admission => {
+            std::panic::panic_any(InjectedFault("injected panic"))
+        }
+        Some(FaultAction::PoisonLock) if admission => return true,
+        _ => {}
+    }
+    false
 }
 
 /// Per-query tracing policy for the serving layer.
@@ -577,13 +631,9 @@ impl<T: Clone> Ring<T> {
     fn push(&self, item: T) {
         let claimed = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = (claimed % self.slots.len() as u64) as usize;
-        let (mut guard, was_poisoned) = lock_or_recover(&self.slots[slot]);
-        if was_poisoned {
-            self.recovered.incr(1);
-        }
-        // Overwriting is the recovery: whatever half-state the dead
+        // Overwriting is the recovery: whatever half-state a dead
         // writer left behind is replaced wholesale.
-        *guard = Some(item);
+        *lock_counting(&self.slots[slot], &self.recovered) = Some(item);
     }
 
     /// Snapshot the ring's contents, oldest first.
@@ -592,13 +642,7 @@ impl<T: Clone> Ring<T> {
         let n = self.slots.len() as u64;
         (0..n)
             .map(|k| ((cursor + k) % n) as usize)
-            .filter_map(|i| {
-                let (guard, was_poisoned) = lock_or_recover(&self.slots[i]);
-                if was_poisoned {
-                    self.recovered.incr(1);
-                }
-                guard.clone()
-            })
+            .filter_map(|i| lock_counting(&self.slots[i], &self.recovered).clone())
             .collect()
     }
 }
@@ -774,21 +818,13 @@ pub struct ShardedRetrievalCache {
 /// FNV-1a over the cache key. Token boundaries are delimited (so
 /// `["ab","c"]` ≠ `["a","bc"]`) and the pool size is folded in last.
 fn cache_fingerprint(tokens: &[String], k: usize) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    };
+    let mut h = Fnv1a64::new();
     for t in tokens {
-        for &b in t.as_bytes() {
-            eat(b);
-        }
-        eat(0xff);
+        h.write(t.as_bytes());
+        h.write(&[0xff]);
     }
-    for b in (k as u64).to_le_bytes() {
-        eat(b);
-    }
-    h
+    h.write(&(k as u64).to_le_bytes());
+    h.finish()
 }
 
 impl ShardedRetrievalCache {
@@ -809,12 +845,7 @@ impl ShardedRetrievalCache {
     }
 
     fn lock_shard(&self, fp: u64) -> MutexGuard<'_, CacheShard> {
-        let idx = (fp % CACHE_SHARDS as u64) as usize;
-        let (guard, was_poisoned) = lock_or_recover(&self.shards[idx]);
-        if was_poisoned {
-            self.recovered.incr(1);
-        }
-        guard
+        lock_counting(&self.shards[(fp % CACHE_SHARDS as u64) as usize], &self.recovered)
     }
 
     /// Drop every cached pool at once (O(1)): entries stamped with an
@@ -914,7 +945,7 @@ impl RetrievalCache for ShardedRetrievalCache {
 /// One user shard: the mutable per-user state for every user hashing
 /// here, plus this shard's metric handles.
 struct UserShard {
-    users: Mutex<HashMap<UserId, ResidentUser>>,
+    users: Mutex<UserMap>,
     /// Requests currently inside `search`/`observe` on this shard;
     /// sampled into the `queue` histogram at arrival, so its p99 is the
     /// queue depth an arriving request actually saw.
@@ -928,22 +959,6 @@ struct UserShard {
     search: Arc<pws_obs::StageMetrics>,
     observe: Arc<pws_obs::StageMetrics>,
     queue: Arc<pws_obs::StageMetrics>,
-}
-
-/// A user resident in a shard's in-memory map. Without a store tier
-/// the map is the whole world (nothing is ever evicted) and the
-/// bookkeeping fields stay zero; with one, the map is an LRU cache
-/// over the on-disk records.
-struct ResidentUser {
-    state: UserState,
-    /// Engine-wide monotone touch stamp; smallest = least recently
-    /// used.
-    last_touch: u64,
-    /// Epoch of the newest unpersisted mutation; `0` = clean (on disk
-    /// or never mutated). The writeback daemon clears it only when it
-    /// still equals the epoch it snapshotted, so a write that raced a
-    /// newer mutation can never mark the newer dirt clean.
-    dirty_epoch: u64,
 }
 
 /// Sharded query statistics with an epoch-snapshot read path.
@@ -994,11 +1009,7 @@ impl ShardedStats {
 
     /// Lock one stats shard, recovering (and counting) poisoning.
     fn lock_shard(&self, idx: usize) -> MutexGuard<'_, HashMap<String, QueryStats>> {
-        let (guard, was_poisoned) = lock_or_recover(&self.shards[idx]);
-        if was_poisoned {
-            self.recovered.incr(1);
-        }
-        guard
+        lock_counting(&self.shards[idx], &self.recovered)
     }
 
     /// Merge every shard into a fresh snapshot and publish it.
@@ -1021,6 +1032,35 @@ impl ShardedStats {
         }
     }
 
+    /// Clone the live statistics for `keys` out of the stats shards, one
+    /// shard lock at a time (never while holding another stats lock).
+    /// This is how a user's adaptive-β statistics travel with their
+    /// record: `keys` is the user's `seen_queries` list.
+    fn collect(&self, keys: &[String]) -> BTreeMap<String, QueryStats> {
+        let mut out = BTreeMap::new();
+        for key in keys {
+            let guard = self.lock_shard(self.shard_of(key));
+            if let Some(s) = guard.get(key) {
+                out.insert(key.clone(), s.clone());
+            }
+        }
+        out
+    }
+
+    /// Fill in statistics for keys this process has never observed
+    /// (live keys win — they are newer) from a faulted-in record or an
+    /// import. Returns whether any key was new; the caller publishes
+    /// them with [`refresh`](Self::refresh).
+    fn seed(&self, stats: impl IntoIterator<Item = (String, QueryStats)>) -> bool {
+        let mut seeded = false;
+        for (key, qs) in stats {
+            let mut guard = self.lock_shard(self.shard_of(&key));
+            seeded |= !guard.contains_key(&key);
+            guard.entry(key).or_insert(qs);
+        }
+        seeded
+    }
+
     /// Account one observe; refresh the snapshot when the epoch is due.
     /// Must be called with **no** stats-shard lock held (refresh takes
     /// them all).
@@ -1033,330 +1073,9 @@ impl ShardedStats {
     }
 }
 
-/// The serving side of the tiered user-state store: the `pws-store`
-/// directory plus the residency bookkeeping shared by the request
-/// paths and the writeback daemon.
-struct StoreTier {
-    store: UserStore,
-    /// Maximum resident users per shard (≥ 1).
-    capacity_per_shard: usize,
-    /// Monotone LRU clock; every access stamps the touched user.
-    touch: AtomicU64,
-    /// Dirty-epoch source; starts at 1 so `0` can mean "clean".
-    epoch: AtomicU64,
-    /// `serve.store.fault_in` — records loaded from disk on access.
-    fault_in: Arc<pws_obs::StageMetrics>,
-    /// `serve.store.evict` — residents evicted by the LRU bound.
-    evict: Arc<pws_obs::StageMetrics>,
-    /// `serve.store.writeback` — successful record writes (evict-time,
-    /// daemon, and flush).
-    writeback: Arc<pws_obs::StageMetrics>,
-    /// Shared `serve.state_io_error` handle (failed reads/writes).
-    io_error: Arc<pws_obs::StageMetrics>,
-    /// Shared `serve.lock_recovered` handle for daemon-side recovery.
-    lock_recovered: Arc<pws_obs::StageMetrics>,
-    /// `serve.store.retry` — record I/O attempts re-scheduled after a
-    /// transient failure (daemon backoff and inline bounded retries).
-    retry: Arc<pws_obs::StageMetrics>,
-    /// `serve.store.retry_exhausted` — users whose record I/O kept
-    /// failing transiently through every allowed attempt. Each also
-    /// counts `serve.state_io_error`.
-    retry_exhausted: Arc<pws_obs::StageMetrics>,
-    /// `serve.store.backpressure` — enqueues refused by the backlog
-    /// bound and converted to synchronous writebacks.
-    backpressure: Arc<pws_obs::StageMetrics>,
-    /// Retry policy (see the [`StoreTierConfig`] fields of the same
-    /// names).
-    max_write_retries: u32,
-    retry_backoff: Duration,
-    retry_backoff_cap: Duration,
-    max_backlog: usize,
-    /// `Some` iff the background writeback daemon is configured.
-    queue: Option<WritebackQueue>,
-    /// Per-user write gates, each guarding the highest dirty epoch
-    /// already persisted for that user. Without them the daemon could
-    /// snapshot a user, lose the race to an evict-time write of a
-    /// *newer* state, and then publish its stale snapshot last — the
-    /// evicted user's on-disk record silently loses updates. A `put`
-    /// is allowed only while holding the gate and only if the
-    /// snapshot's epoch is newer than the gate's value (epochs are
-    /// globally monotone, so "newer epoch" means "newer state").
-    /// Deadlock-freedom: the gate's critical section never acquires a
-    /// shard lock, so shard-lock holders may block on the gate.
-    write_gates: Mutex<HashMap<UserId, Arc<Mutex<u64>>>>,
-}
-
-impl StoreTier {
-    /// The write gate serializing record writes for `user` (created on
-    /// first use with epoch 0 = "nothing persisted this process";
-    /// gates are tiny and never removed — one per user ever written
-    /// back).
-    fn user_write_gate(&self, user: UserId) -> Arc<Mutex<u64>> {
-        let (mut gates, poisoned) = lock_or_recover(&self.write_gates);
-        if poisoned {
-            self.lock_recovered.incr(1);
-        }
-        gates.entry(user).or_default().clone()
-    }
-}
-
-/// The writeback daemon's work queue: user ids with unpersisted
-/// mutations, deduplicated (a hot user is queued at most once — the
-/// daemon snapshots the *current* state when it gets there). Items
-/// re-queued after a transient write failure carry a `due` time; the
-/// daemon sleeps until the earliest one (shutdown drains immediately,
-/// ignoring due times).
-struct WritebackQueue {
-    pending: Mutex<WritebackState>,
-    cond: Condvar,
-}
-
-struct WritebackState {
-    queue: VecDeque<WritebackItem>,
-    enqueued: HashSet<UserId>,
-    shutdown: bool,
-}
-
-/// One unit of writeback work: which user, which retry attempt this
-/// is (0 = first try), and when it becomes runnable (`None` = now).
-struct WritebackItem {
-    user: UserId,
-    attempt: u32,
-    due: Option<Instant>,
-}
-
-/// `user → shard index`, shared by the engine and the daemon.
+/// `user → shard index`, shared by the engine and the store tier.
 fn shard_index(user: UserId, shard_count: usize) -> usize {
     (splitmix64(user.0 as u64) % shard_count as u64) as usize
-}
-
-/// Clone the live statistics for `keys` out of the stats shards, one
-/// shard lock at a time (never while holding another stats lock).
-/// This is how a user's adaptive-β statistics travel with their
-/// record: `keys` is the user's `seen_queries` list.
-fn collect_query_stats(stats: &ShardedStats, keys: &[String]) -> BTreeMap<String, QueryStats> {
-    let mut out = BTreeMap::new();
-    for key in keys {
-        let guard = stats.lock_shard(stats.shard_of(key));
-        if let Some(s) = guard.get(key) {
-            out.insert(key.clone(), s.clone());
-        }
-    }
-    out
-}
-
-/// The deterministic jitter source for one retry's backoff: a
-/// capped-decorrelated delay in `[base, min(cap, base·2^attempt)]`,
-/// drawn from a hash of `(user, attempt)` — two hot users backing off
-/// from the same sick disk spread out instead of hammering it in
-/// phase, and a replayed run backs off identically.
-fn retry_backoff_delay(base: Duration, cap: Duration, user: UserId, attempt: u32) -> Duration {
-    let base_n = (base.as_nanos() as u64).max(1);
-    let cap_n = (cap.as_nanos() as u64).max(base_n);
-    let ceil = base_n.saturating_mul(1u64 << attempt.min(16)).clamp(base_n, cap_n);
-    let h = splitmix64(splitmix64(user.0 as u64) ^ (attempt as u64));
-    Duration::from_nanos(base_n + h % (ceil - base_n + 1))
-}
-
-/// The background writeback daemon: pop a runnable dirty user, persist
-/// them, repeat. A transiently failing write is re-queued with a
-/// backoff due-time instead of being forgotten; only when
-/// `max_write_retries` attempts are spent does the failure surface as
-/// `serve.store.retry_exhausted` + `serve.state_io_error`. On shutdown
-/// the queue is drained (ignoring due times) before exiting, so every
-/// enqueued user is written (or has their failure counted) by the time
-/// the engine finishes dropping.
-fn writeback_daemon_loop(shards: Arc<Vec<UserShard>>, stats: Arc<ShardedStats>, tier: Arc<StoreTier>) {
-    let queue = tier.queue.as_ref().expect("daemon runs only with a queue");
-    loop {
-        let item = {
-            let (mut st, poisoned) = lock_or_recover(&queue.pending);
-            if poisoned {
-                tier.lock_recovered.incr(1);
-            }
-            loop {
-                let now = Instant::now();
-                let runnable = |it: &WritebackItem| {
-                    st.shutdown || it.due.is_none_or(|d| d <= now)
-                };
-                if let Some(i) = st.queue.iter().position(runnable) {
-                    let it = st.queue.remove(i).expect("position is in bounds");
-                    st.enqueued.remove(&it.user);
-                    break Some(it);
-                }
-                if st.shutdown {
-                    break None; // queue fully drained
-                }
-                // Nothing runnable: sleep until the earliest due time,
-                // or indefinitely when the queue is empty.
-                let earliest = st.queue.iter().filter_map(|it| it.due).min();
-                st = match earliest {
-                    Some(due) => {
-                        let timeout = due.saturating_duration_since(now);
-                        match queue.cond.wait_timeout(st, timeout) {
-                            Ok((g, _)) => g,
-                            Err(p) => p.into_inner().0,
-                        }
-                    }
-                    None => match queue.cond.wait(st) {
-                        Ok(g) => g,
-                        Err(p) => p.into_inner(),
-                    },
-                };
-            }
-        };
-        let Some(item) = item else { return };
-        if writeback_offline(&shards, &stats, &tier, item.user) == WritebackOutcome::TransientFail
-        {
-            let next = item.attempt + 1;
-            if next >= tier.max_write_retries {
-                tier.retry_exhausted.incr(1);
-                tier.io_error.incr(1);
-                continue; // user stays resident + dirty; flush retries
-            }
-            tier.retry.incr(1);
-            let delay =
-                retry_backoff_delay(tier.retry_backoff, tier.retry_backoff_cap, item.user, next);
-            let (mut st, poisoned) = lock_or_recover(&queue.pending);
-            if poisoned {
-                tier.lock_recovered.incr(1);
-            }
-            // A fresh observe may have re-enqueued the user meanwhile;
-            // that attempt-0 item already covers this retry.
-            if st.enqueued.insert(item.user) {
-                st.queue.push_back(WritebackItem {
-                    user: item.user,
-                    attempt: next,
-                    due: Some(Instant::now() + delay),
-                });
-                queue.cond.notify_one();
-            }
-        }
-    }
-}
-
-/// What one [`writeback_offline`] call did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WritebackOutcome {
-    /// The record is on disk and the dirty mark (if unchanged) cleared.
-    Written,
-    /// The user was gone or already clean — nothing to persist.
-    Clean,
-    /// The write failed with a retryable error; nothing was counted —
-    /// the caller owns the retry/exhaustion accounting.
-    TransientFail,
-    /// The write failed permanently (`serve.state_io_error` counted).
-    PermanentFail,
-}
-
-/// One background writeback: snapshot the user's state and dirty epoch
-/// under the shard lock, encode and write with no shard lock held,
-/// then clear the dirty mark only if no newer mutation landed
-/// meanwhile. The request paths never wait on this IO.
-///
-/// The `put` itself happens under the user's write gate and only if
-/// this snapshot's epoch is newer than anything already persisted —
-/// otherwise a slow daemon write could land *after* an evict-time
-/// write of a newer state and silently roll the on-disk record back
-/// (the evicted user is gone from the shard, so nobody would rewrite
-/// it). See [`StoreTier::write_gates`] for the lock-order argument.
-fn writeback_offline(
-    shards: &[UserShard],
-    stats: &ShardedStats,
-    tier: &StoreTier,
-    user: UserId,
-) -> WritebackOutcome {
-    let shard = &shards[shard_index(user, shards.len())];
-    let snapshot = {
-        let (users, poisoned) = lock_or_recover(&shard.users);
-        if poisoned {
-            tier.lock_recovered.incr(1);
-        }
-        users
-            .get(&user)
-            .filter(|r| r.dirty_epoch != 0)
-            .map(|r| (r.state.clone(), r.dirty_epoch))
-    };
-    let Some((state, epoch)) = snapshot else { return WritebackOutcome::Clean };
-    let query_stats = collect_query_stats(stats, &state.seen_queries);
-    let record = UserRecord::new(user, state, query_stats);
-    let gate = tier.user_write_gate(user);
-    let wrote = {
-        let (mut last_written, poisoned) = lock_or_recover(gate.as_ref());
-        if poisoned {
-            tier.lock_recovered.incr(1);
-        }
-        if *last_written < epoch {
-            match tier.store.put(&record) {
-                Ok(()) => *last_written = epoch,
-                Err(e) if e.is_transient() => return WritebackOutcome::TransientFail,
-                Err(_) => {
-                    tier.io_error.incr(1);
-                    return WritebackOutcome::PermanentFail;
-                }
-            }
-            true
-        } else {
-            // An evict-time write already persisted this epoch (or a
-            // newer one); publishing our snapshot would regress it.
-            false
-        }
-    };
-    let (mut users, poisoned) = lock_or_recover(&shard.users);
-    if poisoned {
-        tier.lock_recovered.incr(1);
-    }
-    if let Some(r) = users.get_mut(&user) {
-        if r.dirty_epoch == epoch {
-            r.dirty_epoch = 0;
-        }
-    }
-    drop(users);
-    if wrote {
-        tier.writeback.incr(1);
-        WritebackOutcome::Written
-    } else {
-        WritebackOutcome::Clean
-    }
-}
-
-/// Synchronously persist every dirty resident across all shards (the
-/// flush path and the drop guard). Transient failures are retried
-/// inline (no sleeping — this path must stay deterministic) up to the
-/// tier's attempt bound. Returns the number of records written.
-fn flush_dirty(shards: &[UserShard], stats: &ShardedStats, tier: &StoreTier) -> usize {
-    let mut written = 0;
-    for shard in shards {
-        let dirty: Vec<UserId> = {
-            let (users, poisoned) = lock_or_recover(&shard.users);
-            if poisoned {
-                tier.lock_recovered.incr(1);
-            }
-            users.iter().filter(|(_, r)| r.dirty_epoch != 0).map(|(id, _)| *id).collect()
-        };
-        for user in dirty {
-            let mut attempts = 1u32;
-            loop {
-                match writeback_offline(shards, stats, tier, user) {
-                    WritebackOutcome::Written => {
-                        written += 1;
-                        break;
-                    }
-                    WritebackOutcome::Clean | WritebackOutcome::PermanentFail => break,
-                    WritebackOutcome::TransientFail => {
-                        if attempts >= tier.max_write_retries {
-                            tier.retry_exhausted.incr(1);
-                            tier.io_error.incr(1);
-                            break;
-                        }
-                        attempts += 1;
-                        tier.retry.incr(1);
-                    }
-                }
-            }
-        }
-    }
-    written
 }
 
 /// Pre-resolved handles for the fault-tolerance counter family. All
@@ -1607,54 +1326,11 @@ impl<'a> ServingEngine<'a> {
             serve_cfg.stats_refresh_every,
             fault.lock_recovered.clone(),
         ));
-        let store = serve_cfg.store.as_ref().map(|sc| {
-            Arc::new(StoreTier {
-                store: match &sc.io {
-                    Some(io) => UserStore::open_with_io(&sc.dir, io.clone()),
-                    None => UserStore::open(&sc.dir),
-                }
-                .expect("store tier: cannot open/create its directory"),
-                capacity_per_shard: sc.capacity_per_shard.max(1),
-                touch: AtomicU64::new(0),
-                epoch: AtomicU64::new(1),
-                fault_in: pws_obs::stage("serve.store.fault_in"),
-                evict: pws_obs::stage("serve.store.evict"),
-                writeback: pws_obs::stage("serve.store.writeback"),
-                io_error: fault.state_io_error.clone(),
-                lock_recovered: fault.lock_recovered.clone(),
-                retry: pws_obs::stage("serve.store.retry"),
-                retry_exhausted: pws_obs::stage("serve.store.retry_exhausted"),
-                backpressure: pws_obs::stage("serve.store.backpressure"),
-                max_write_retries: sc.max_write_retries.max(1),
-                retry_backoff: sc.retry_backoff,
-                retry_backoff_cap: sc.retry_backoff_cap.max(sc.retry_backoff),
-                max_backlog: sc.max_backlog.max(1),
-                queue: sc.writeback.then(|| WritebackQueue {
-                    pending: Mutex::new(WritebackState {
-                        queue: VecDeque::new(),
-                        enqueued: HashSet::new(),
-                        shutdown: false,
-                    }),
-                    cond: Condvar::new(),
-                }),
-                write_gates: Mutex::new(HashMap::new()),
-            })
-        });
-        let store_shutdown = store.as_ref().map(|tier| {
-            let daemon = tier.queue.is_some().then(|| {
-                let (shards, stats, tier) = (shards.clone(), stats.clone(), tier.clone());
-                std::thread::Builder::new()
-                    .name("pws-store-writeback".into())
-                    .spawn(move || writeback_daemon_loop(shards, stats, tier))
-                    .expect("spawn writeback daemon")
-            });
-            StoreShutdown {
-                shards: shards.clone(),
-                stats: stats.clone(),
-                tier: tier.clone(),
-                daemon,
-            }
-        });
+        let (store, store_shutdown) = serve_cfg
+            .store
+            .as_ref()
+            .map(|sc| StoreTier::open(sc, shards.clone(), stats.clone(), &fault))
+            .unzip();
         ServingEngine {
             core,
             shards,
@@ -1740,7 +1416,7 @@ impl<'a> ServingEngine<'a> {
     }
 
     fn shard_of(&self, user: UserId) -> usize {
-        (splitmix64(user.0 as u64) % self.shards.len() as u64) as usize
+        shard_index(user, self.shards.len())
     }
 
     /// Execute one personalized search for `user`.
@@ -1808,10 +1484,7 @@ impl<'a> ServingEngine<'a> {
     /// Lock one shard's user map, recovering from poisoning. Recovery
     /// counts `serve.lock_recovered`; the caller decides what to do
     /// with the (last-good but possibly mid-mutation) map.
-    fn lock_users<'s>(
-        &self,
-        shard: &'s UserShard,
-    ) -> (MutexGuard<'s, HashMap<UserId, ResidentUser>>, bool) {
+    fn lock_users<'s>(&self, shard: &'s UserShard) -> (MutexGuard<'s, UserMap>, bool) {
         let (guard, was_poisoned) = lock_or_recover(&shard.users);
         if was_poisoned {
             self.fault.lock_recovered.incr(1);
@@ -1857,286 +1530,38 @@ impl<'a> ServingEngine<'a> {
         Duration::from_nanos((u128::from(raw) * u128::from(ppm) / 1_000_000) as u64)
     }
 
-    /// Make `user` resident in the (already locked) shard map and stamp
-    /// their LRU touch: reuse the resident entry, fault the record in
-    /// from the store tier, or start fresh.
-    ///
-    /// Fault-in runs under panic isolation: a corrupt record, an IO
-    /// error, or an injected [`FaultStage::FaultIn`] panic counts
-    /// `serve.state_io_error` and costs exactly this user a fresh
-    /// profile — never the request, never the shard. A successful load
-    /// counts `serve.store.fault_in` and re-seeds any statistics keys
-    /// this process has never observed (live keys win — they are
-    /// newer), so a fresh process over an old store directory resumes
-    /// with the record's adaptive-β statistics.
-    ///
-    /// Returns whether a record was faulted in from disk (the flight
-    /// recorder's `store_fault_in` event flag).
-    fn ensure_resident(
-        &self,
-        users: &mut HashMap<UserId, ResidentUser>,
-        user: UserId,
-        query_text: &str,
-    ) -> bool {
-        let touch = match &self.store {
-            Some(tier) => tier.touch.fetch_add(1, Ordering::Relaxed),
-            None => 0,
-        };
-        if let Some(r) = users.get_mut(&user) {
-            r.last_touch = touch;
-            return false;
-        }
-        let mut faulted_in = false;
-        let state = match &self.store {
-            None => UserState::default(),
-            Some(tier) => {
-                let plan = self.plan.as_deref();
-                // Transient read errors are retried inline (bounded, no
-                // sleeping — this is the request path): a disk hiccup
-                // should not cost the user their whole profile. Each
-                // extra attempt counts `serve.store.retry`; running out
-                // counts `serve.store.retry_exhausted` below.
-                let mut attempts = 1u32;
-                let loaded = loop {
-                    let l = catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(plan) = plan {
-                            match plan.inject(user, query_text, FaultStage::FaultIn) {
-                                Some(FaultAction::Panic) => {
-                                    std::panic::panic_any(InjectedFault("injected fault-in panic"))
-                                }
-                                Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-                                Some(FaultAction::PoisonLock) | None => {}
-                            }
-                        }
-                        tier.store.get(user)
-                    }));
-                    match &l {
-                        Ok(Err(e)) if e.is_transient() && attempts < tier.max_write_retries => {
-                            attempts += 1;
-                            tier.retry.incr(1);
-                        }
-                        _ => break l,
-                    }
-                };
-                match loaded {
-                    Ok(Ok(Some(record))) => {
-                        tier.fault_in.incr(1);
-                        faulted_in = true;
-                        let mut seeded = false;
-                        for (key, qs) in record.query_stats {
-                            let mut g = self.stats.lock_shard(self.stats.shard_of(&key));
-                            if let std::collections::hash_map::Entry::Vacant(v) = g.entry(key) {
-                                v.insert(qs);
-                                seeded = true;
-                            }
-                        }
-                        if seeded {
-                            // A fresh process over an old store: publish
-                            // the re-seeded keys now, so this very turn's
-                            // β matches an uninterrupted run. A no-op
-                            // within one process (keys already live).
-                            self.stats.refresh();
-                        }
-                        record.state
-                    }
-                    Ok(Ok(None)) => UserState::default(),
-                    Ok(Err(e)) if e.is_transient() => {
-                        // Every allowed attempt failed retryably.
-                        tier.retry_exhausted.incr(1);
-                        self.fault.state_io_error.incr(1);
-                        UserState::default()
-                    }
-                    Ok(Err(_)) | Err(_) => {
-                        self.fault.state_io_error.incr(1);
-                        UserState::default()
-                    }
-                }
-            }
-        };
-        users.insert(user, ResidentUser { state, last_touch: touch, dirty_epoch: 0 });
-        faulted_in
-    }
-
-    /// Enforce the shard's resident bound: while over capacity, evict
-    /// the least-recently-used user other than `keep` (the one this
-    /// request is serving), writing a dirty victim back first. A failed
-    /// writeback aborts the eviction — the victim stays resident and
-    /// dirty, over capacity, and is retried on the next request;
-    /// evict-safety means state is never dropped unpersisted.
-    ///
-    /// Returns how many users were evicted (the flight recorder's
-    /// `store_evict` event flag counts this request's evictions).
-    fn evict_overflow(
-        &self,
-        users: &mut HashMap<UserId, ResidentUser>,
-        keep: UserId,
-        query_text: &str,
-    ) -> u64 {
-        let Some(tier) = &self.store else { return 0 };
-        let mut evicted = 0;
-        while users.len() > tier.capacity_per_shard {
-            let victim = users
-                .iter()
-                .filter(|(id, _)| **id != keep)
-                .min_by_key(|(id, r)| (r.last_touch, id.0))
-                .map(|(id, _)| *id);
-            let Some(victim) = victim else { break };
-            if users[&victim].dirty_epoch != 0
-                && !self.writeback_locked(users, victim, query_text)
-            {
-                break;
-            }
-            users.remove(&victim);
-            tier.evict.incr(1);
-            evicted += 1;
-        }
-        evicted
-    }
-
-    /// Synchronously write one resident user's record under the held
-    /// shard guard, clearing their dirty mark on success. Transient
-    /// write errors are retried inline (bounded, no sleeping — the
-    /// shard lock is held); injected [`FaultStage::Writeback`] panics
-    /// are caught and treated as a permanently failed write
-    /// (`serve.state_io_error`, state kept). Returns whether the
-    /// record is now persisted.
-    ///
-    /// The `put` runs under the user's write gate (blocking is safe
-    /// here even though the shard lock is held — the gate's critical
-    /// sections never take a shard lock, see
-    /// [`StoreTier::write_gates`]); on success the gate's last-written
-    /// epoch advances so a slower concurrent daemon snapshot of an
-    /// *older* state can no longer clobber this record.
-    fn writeback_locked(
-        &self,
-        users: &mut HashMap<UserId, ResidentUser>,
-        user: UserId,
-        query_text: &str,
-    ) -> bool {
-        let Some(tier) = &self.store else { return false };
-        let Some(r) = users.get(&user) else { return false };
-        let epoch = r.dirty_epoch;
-        let record = UserRecord::new(
-            user,
-            r.state.clone(),
-            collect_query_stats(&self.stats, &r.state.seen_queries),
-        );
-        let gate = tier.user_write_gate(user);
-        let (mut last_written, poisoned) = lock_or_recover(gate.as_ref());
-        if poisoned {
-            tier.lock_recovered.incr(1);
-        }
-        if *last_written >= epoch {
-            // The daemon already persisted this epoch (or a newer
-            // one); the record is on disk — just clear the mark.
-            if let Some(r) = users.get_mut(&user) {
-                r.dirty_epoch = 0;
-            }
-            return true;
-        }
-        let plan = self.plan.as_deref();
-        let mut attempts = 1u32;
-        loop {
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(plan) = plan {
-                    match plan.inject(user, query_text, FaultStage::Writeback) {
-                        Some(FaultAction::Panic) => {
-                            std::panic::panic_any(InjectedFault("injected writeback panic"))
-                        }
-                        Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-                        Some(FaultAction::PoisonLock) | None => {}
-                    }
-                }
-                tier.store.put(&record)
-            }));
-            match caught {
-                Ok(Ok(())) => {
-                    *last_written = epoch;
-                    if let Some(r) = users.get_mut(&user) {
-                        r.dirty_epoch = 0;
-                    }
-                    tier.writeback.incr(1);
-                    return true;
-                }
-                Ok(Err(e)) if e.is_transient() => {
-                    if attempts >= tier.max_write_retries {
-                        tier.retry_exhausted.incr(1);
-                        self.fault.state_io_error.incr(1);
-                        return false;
-                    }
-                    attempts += 1;
-                    tier.retry.incr(1);
-                }
-                _ => {
-                    self.fault.state_io_error.incr(1);
-                    return false;
-                }
-            }
-        }
-    }
-
-    /// Queue a dirty user for the background writeback daemon. No-op in
-    /// synchronous mode ([`StoreTierConfig::writeback`] off) or without
-    /// a store tier. Normally never blocks on IO — the daemon does the
-    /// encode and the write — with one deliberate exception: when the
-    /// backlog is already at [`StoreTierConfig::max_backlog`] (the
-    /// daemon is losing to a slow or sick disk), the enqueue counts
-    /// `serve.store.backpressure` and this thread writes the user back
-    /// synchronously instead. Dirty state is *never* dropped; the
-    /// caller absorbs the latency.
-    fn enqueue_writeback(&self, user: UserId) {
-        let Some(tier) = &self.store else { return };
-        let Some(q) = &tier.queue else { return };
-        let over = {
-            let (mut st, poisoned) = lock_or_recover(&q.pending);
-            if poisoned {
-                self.fault.lock_recovered.incr(1);
-            }
-            if st.enqueued.contains(&user) {
-                false // already queued: this mutation rides along
-            } else if st.queue.len() >= tier.max_backlog {
-                true
-            } else {
-                st.enqueued.insert(user);
-                st.queue.push_back(WritebackItem { user, attempt: 0, due: None });
-                q.cond.notify_one();
+    /// Make `user` resident in the (already locked) shard map: reuse the
+    /// entry, fault the record in from the store tier, or start fresh.
+    /// Returns the flight event's `store_fault_in` flag.
+    fn ensure_resident(&self, users: &mut UserMap, user: UserId, query_text: &str) -> bool {
+        match &self.store {
+            Some(tier) => tier.ensure_resident(users, user, self.plan.as_deref(), query_text),
+            None => {
+                users.entry(user).or_default();
                 false
             }
-        };
-        if over {
-            tier.backpressure.incr(1);
-            let shard = &self.shards[self.shard_of(user)];
-            let (mut users, _) = self.lock_users(shard);
-            self.writeback_locked(&mut users, user, "");
         }
+    }
+
+    /// Enforce the store tier's resident bound on the (already locked)
+    /// shard map, never evicting `keep`. Returns how many users were
+    /// evicted (`0` without a store tier).
+    fn evict_overflow(&self, users: &mut UserMap, keep: UserId, query_text: &str) -> u64 {
+        self.store.as_ref().map_or(0, |tier| {
+            tier.evict_overflow(users, keep, self.plan.as_deref(), query_text)
+        })
     }
 
     /// Synchronously write every dirty resident user back to the store
     /// tier. Returns the number of dirty residents persisted (almost
     /// always written here; a concurrent daemon write of the same
-    /// epoch also counts); `0` without a store tier. Failed writes count `serve.state_io_error` and leave the
-    /// user resident and dirty. Dropping the engine flushes
-    /// automatically (after the writeback daemon drains), so an engine
-    /// that was dropped cleanly has every observed click on disk.
+    /// epoch also counts); `0` without a store tier. Failed writes
+    /// count `serve.state_io_error` and leave the user resident and
+    /// dirty. Dropping the engine runs the same flush (after the
+    /// writeback daemon drains), so a cleanly dropped engine has every
+    /// observed click on disk.
     pub fn flush_store(&self) -> usize {
-        if self.store.is_none() {
-            return 0;
-        }
-        let mut written = 0;
-        for shard in self.shards.iter() {
-            let (mut users, _) = self.lock_users(shard);
-            let dirty: Vec<UserId> = users
-                .iter()
-                .filter(|(_, r)| r.dirty_epoch != 0)
-                .map(|(id, _)| *id)
-                .collect();
-            for user in dirty {
-                if self.writeback_locked(&mut users, user, "") {
-                    written += 1;
-                }
-            }
-        }
-        written
+        self.store.as_ref().map_or(0, |tier| tier.flush(self.plan.as_deref()))
     }
 
     /// The one search implementation: traces iff `force` or tracing is
@@ -2170,17 +1595,11 @@ impl<'a> ServingEngine<'a> {
                 });
             }
         }
-        // Admission-stage fault injection, before any lock is taken.
-        // PoisonLock is only honored here (poisoning mid-request would
-        // just deadlock the injector on its own lock); an injected
-        // Panic here is ignored — it would escape the per-query
-        // isolation boundary that begins below.
-        if let Some(plan) = &self.plan {
-            match plan.inject(user, query_text, FaultStage::Admission) {
-                Some(FaultAction::PoisonLock) => poison_mutex(&shard.users),
-                Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-                Some(FaultAction::Panic) | None => {}
-            }
+        // Admission-stage fault injection, before any lock is taken and
+        // outside the per-query isolation boundary that begins below.
+        let plan = self.plan.as_deref();
+        if inject_fault(plan, user, query_text, FaultStage::Admission) {
+            poison_mutex(&shard.users);
         }
         let depth = shard.inflight.fetch_add(1, Ordering::Relaxed);
         shard.queue.record_value(depth);
@@ -2233,18 +1652,9 @@ impl<'a> ServingEngine<'a> {
                 // unwinding stops at this boundary before the guard
                 // would drop, so a panicking query can never poison
                 // its shard.
-                let plan = self.plan.as_deref();
                 let caught = catch_unwind(AssertUnwindSafe(|| {
                     let mut gate = |cp: StageCheckpoint| -> bool {
-                        if let Some(plan) = plan {
-                            match plan.inject(user, query_text, cp.into()) {
-                                Some(FaultAction::Panic) => std::panic::panic_any(
-                                    InjectedFault("injected personalization panic"),
-                                ),
-                                Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-                                Some(FaultAction::PoisonLock) | None => {}
-                            }
-                        }
+                        inject_fault(plan, user, query_text, cp.into());
                         budget.expired()
                     };
                     self.core.search_user_gated(
@@ -2297,6 +1707,7 @@ impl<'a> ServingEngine<'a> {
         }
         if let (Some(fl), Some(t)) = (&self.flight, trace.as_ref()) {
             let mut ev = FlightEvent::from_trace(t);
+            ev.degraded = degraded.map_or(DegradeCode::None, DegradeCode::from);
             ev.query_hash = pws_obs::event::query_hash(&query_key);
             ev.page_fingerprint =
                 pws_obs::event::page_fingerprint(turn.hits.iter().map(|h| (h.doc, h.rank)));
@@ -2365,14 +1776,7 @@ impl<'a> ServingEngine<'a> {
     /// Users currently queued for asynchronous writeback (0 without a
     /// store tier or with synchronous writeback).
     pub fn writeback_backlog(&self) -> usize {
-        let Some(q) = self.store.as_ref().and_then(|t| t.queue.as_ref()) else {
-            return 0;
-        };
-        let (st, poisoned) = lock_or_recover(&q.pending);
-        if poisoned {
-            self.fault.lock_recovered.incr(1);
-        }
-        st.queue.len()
+        self.store.as_ref().map_or(0, |tier| tier.backlog())
     }
 
     /// Fold the user's clicks on a turn back into the engine.
@@ -2417,15 +1821,7 @@ impl<'a> ServingEngine<'a> {
                 let stats_before = stats.clone();
                 let plan = self.plan.as_deref();
                 let caught = catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(plan) = plan {
-                        match plan.inject(turn.user, &turn.query_text, FaultStage::Observe) {
-                            Some(FaultAction::Panic) => {
-                                std::panic::panic_any(InjectedFault("injected observe panic"))
-                            }
-                            Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-                            Some(FaultAction::PoisonLock) | None => {}
-                        }
-                    }
+                    inject_fault(plan, turn.user, &turn.query_text, FaultStage::Observe);
                     self.core.observe_user(turn, impression, state, stats);
                 }));
                 folded = caught.is_ok();
@@ -2454,14 +1850,13 @@ impl<'a> ServingEngine<'a> {
             }
             if folded {
                 if let Some(tier) = &self.store {
-                    users.get_mut(&turn.user).expect("still resident").dirty_epoch =
-                        tier.epoch.fetch_add(1, Ordering::Relaxed);
+                    tier.mark_dirty(users.get_mut(&turn.user).expect("still resident"));
                 }
             }
             self.evict_overflow(&mut users, turn.user, &turn.query_text);
         }
-        if folded {
-            self.enqueue_writeback(turn.user);
+        if let (true, Some(tier)) = (folded, &self.store) {
+            tier.enqueue_writeback(turn.user, self.plan.as_deref());
         }
         shard.inflight.fetch_sub(1, Ordering::Relaxed);
         self.stats.tick();
@@ -2546,14 +1941,7 @@ impl<'a> ServingEngine<'a> {
                 return Some(r.state.clone());
             }
         }
-        let tier = self.store.as_ref()?;
-        match tier.store.get(user) {
-            Ok(record) => record.map(|r| r.state),
-            Err(_) => {
-                self.fault.state_io_error.incr(1);
-                None
-            }
-        }
+        self.store.as_ref()?.stored_state(user)
     }
 
     /// Accumulated statistics for a query string, as of the last
@@ -2571,9 +1959,7 @@ impl<'a> ServingEngine<'a> {
             seen.extend(self.lock_users(s).0.keys().copied());
         }
         if let Some(tier) = &self.store {
-            if let Ok(stored) = tier.store.users() {
-                seen.extend(stored);
-            }
+            seen.extend(tier.stored_users());
         }
         seen.len()
     }
@@ -2585,14 +1971,15 @@ impl<'a> ServingEngine<'a> {
     }
 
     /// Reset one user's learned state, both the resident copy and —
-    /// with a store tier — their on-disk record.
+    /// with a store tier — their on-disk record. The record stays gone:
+    /// a background writeback already in flight for the user is waited
+    /// out, and any older snapshot of them is refused afterwards. A
+    /// failed removal counts `serve.state_io_error`.
     pub fn forget_user(&self, user: UserId) {
         let shard = &self.shards[self.shard_of(user)];
         self.lock_users(shard).0.remove(&user);
         if let Some(tier) = &self.store {
-            if tier.store.remove(user).is_err() {
-                self.fault.state_io_error.incr(1);
-            }
+            tier.forget(user);
         }
     }
 
@@ -2612,7 +1999,7 @@ impl<'a> ServingEngine<'a> {
     /// thread.
     pub fn export_user(&self, user: UserId) -> Result<Option<String>, serde_json::Error> {
         let Some(state) = self.user_state(user) else { return Ok(None) };
-        let query_stats = collect_query_stats(&self.stats, &state.seen_queries);
+        let query_stats = self.stats.collect(&state.seen_queries);
         let export = pws_core::UserExport { state, query_stats };
         serde_json::to_string(&export)
             .map(Some)
@@ -2636,51 +2023,19 @@ impl<'a> ServingEngine<'a> {
         let shard = &self.shards[self.shard_of(user)];
         {
             let (mut users, _) = self.lock_users(shard);
-            let (touch, dirty) = match &self.store {
-                Some(tier) => (
-                    tier.touch.fetch_add(1, Ordering::Relaxed),
-                    tier.epoch.fetch_add(1, Ordering::Relaxed),
-                ),
-                None => (0, 0),
+            let resident = match &self.store {
+                Some(tier) => tier.imported(export.state),
+                None => ResidentUser::clean(export.state),
             };
-            users.insert(
-                user,
-                ResidentUser { state: export.state, last_touch: touch, dirty_epoch: dirty },
-            );
-            for (key, qs) in export.query_stats {
-                let mut g = self.stats.lock_shard(self.stats.shard_of(&key));
-                g.entry(key).or_insert(qs);
-            }
+            users.insert(user, resident);
+            self.stats.seed(export.query_stats);
             self.evict_overflow(&mut users, user, "");
         }
-        self.enqueue_writeback(user);
+        if let Some(tier) = &self.store {
+            tier.enqueue_writeback(user, self.plan.as_deref());
+        }
         self.stats.refresh();
         Ok(())
-    }
-}
-
-/// Clean-shutdown guard for the store tier, dropped with the engine:
-/// wake the writeback daemon with the shutdown flag (it drains its
-/// queue first), join it, then flush any remaining dirty residents —
-/// so a dropped engine has every observed click on disk.
-struct StoreShutdown {
-    shards: Arc<Vec<UserShard>>,
-    stats: Arc<ShardedStats>,
-    tier: Arc<StoreTier>,
-    daemon: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for StoreShutdown {
-    fn drop(&mut self) {
-        if let Some(q) = &self.tier.queue {
-            let (mut st, _) = lock_or_recover(&q.pending);
-            st.shutdown = true;
-            q.cond.notify_all();
-        }
-        if let Some(handle) = self.daemon.take() {
-            let _ = handle.join();
-        }
-        flush_dirty(&self.shards, &self.stats, &self.tier);
     }
 }
 
@@ -2704,7 +2059,7 @@ mod tests {
     // counts, so every test that drives an engine holds `pws_obs::test_lock()`
     // for its whole body.
 
-    fn world() -> LocationOntology {
+    pub(crate) fn world() -> LocationOntology {
         let mut o = LocationOntology::new();
         let r = o.add(LocId::WORLD, "westland", vec![]);
         let c = o.add(r, "ardonia", vec![]);
@@ -2714,7 +2069,7 @@ mod tests {
         o
     }
 
-    fn index() -> SearchEngine {
+    pub(crate) fn index() -> SearchEngine {
         let mut b = IndexBuilder::new();
         b.add(StoredDoc::new(0, "http://a.test/0", "Seafood guide",
             "seafood restaurant guide with lobster in alden harbor area"));
@@ -2760,7 +2115,7 @@ mod tests {
         pws_index::SegmentedIndex::from_segments(segments).expect("segmented index")
     }
 
-    fn impression_from(turn: &SearchTurn, clicked_docs: &[u32]) -> Impression {
+    pub(crate) fn impression_from(turn: &SearchTurn, clicked_docs: &[u32]) -> Impression {
         Impression {
             user: turn.user,
             query: QueryId(0),
@@ -2788,19 +2143,19 @@ mod tests {
     /// The deterministic replay click rule: click the highest doc id on
     /// the page (arbitrary but stable, and it exercises skip-above pair
     /// mining because the clicked doc is rarely rank 1).
-    fn click_rule(turn: &SearchTurn) -> Vec<u32> {
+    pub(crate) fn click_rule(turn: &SearchTurn) -> Vec<u32> {
         turn.hits.iter().map(|h| h.doc).max().into_iter().collect()
     }
 
     /// A session log: per user, an ordered list of query strings.
-    fn session_log(queries: &dyn Fn(u32) -> Vec<String>, users: u32) -> Vec<(UserId, Vec<String>)> {
+    pub(crate) fn session_log(queries: &dyn Fn(u32) -> Vec<String>, users: u32) -> Vec<(UserId, Vec<String>)> {
         (0..users).map(|u| (UserId(u), queries(u))).collect()
     }
 
     /// Replay through the serial engine, turns interleaved round-robin
     /// across users (the order the middleware would see); returns each
     /// user's Debug-formatted turn transcript.
-    fn replay_serial(
+    pub(crate) fn replay_serial(
         log: &[(UserId, Vec<String>)],
         cfg: EngineConfig,
     ) -> HashMap<UserId, Vec<String>> {
@@ -2902,7 +2257,7 @@ mod tests {
         out
     }
 
-    fn assert_equivalent(
+    pub(crate) fn assert_equivalent(
         serial: &HashMap<UserId, Vec<String>>,
         sharded: &HashMap<UserId, Vec<String>>,
         label: &str,
@@ -3334,10 +2689,10 @@ mod tests {
 
     /// Test-only injector: one action at one stage, for queries
     /// containing a marker substring.
-    struct TargetedPlan {
-        stage: FaultStage,
-        action: FaultAction,
-        query_contains: &'static str,
+    pub(crate) struct TargetedPlan {
+        pub(crate) stage: FaultStage,
+        pub(crate) action: FaultAction,
+        pub(crate) query_contains: &'static str,
     }
 
     impl FaultPlan for TargetedPlan {
@@ -3600,6 +2955,28 @@ mod tests {
             .unwrap_or(0);
         assert_eq!(errors, 1);
         assert!(e.user_state(UserId(1)).is_none(), "failed import leaves no state");
+    }
+
+    /// The flight event is stamped from the typed reason: every
+    /// [`DegradeReason`] has its own non-`None` [`DegradeCode`], and the
+    /// code's label is the reason's counter/trace label.
+    #[test]
+    fn every_degrade_reason_has_its_own_flight_code() {
+        let reasons = [
+            DegradeReason::DeadlineRetrieval,
+            DegradeReason::DeadlineConcepts,
+            DegradeReason::DeadlineFeatures,
+            DegradeReason::PanicIsolated,
+            DegradeReason::LockPoisoned,
+        ];
+        let codes: HashSet<u8> = reasons.iter().map(|r| DegradeCode::from(*r) as u8).collect();
+        assert_eq!(codes.len(), reasons.len(), "codes are distinct");
+        assert_eq!(codes.len() + 1, DegradeCode::ALL.len(), "every code but `None` is used");
+        for r in reasons {
+            let code = DegradeCode::from(r);
+            assert_ne!(code, DegradeCode::None, "{r:?} would be recorded as healthy");
+            assert_eq!(code.label(), Some(r.as_str()));
+        }
     }
 
     #[test]
@@ -3962,7 +3339,7 @@ mod tests {
 
     /// Fresh per-test store directory (removed first, in case a prior
     /// run of the same pid left one behind).
-    fn store_dir(tag: &str) -> PathBuf {
+    pub(crate) fn store_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("pws-serve-store-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
@@ -3974,7 +3351,7 @@ mod tests {
     /// tier this forces an eviction and a fault-in on nearly every turn
     /// — the access pattern `replay_sharded` (user-by-user) never
     /// produces.
-    fn replay_round_robin(
+    pub(crate) fn replay_round_robin(
         e: &ServingEngine<'_>,
         log: &[(UserId, Vec<String>)],
         threads: usize,
@@ -4009,233 +3386,6 @@ mod tests {
             }
         }
         out
-    }
-
-    /// The headline acceptance test: an evicted-then-faulted-in user
-    /// ranks **byte-identically** to an always-resident one, at every
-    /// shard/thread combination. Capacity 1 per shard with interleaved
-    /// users forces an eviction (dirty writeback) and a fault-in on
-    /// nearly every turn; transcripts must still match the storeless
-    /// serial engine exactly.
-    #[test]
-    fn evicted_user_replays_byte_identically_to_always_resident() {
-        let _guard = pws_obs::test_lock();
-        let queries = |u: u32| -> Vec<String> {
-            vec![
-                format!("seafood restaurant u{u}"),
-                format!("restaurant u{u}"),
-                format!("seafood restaurant u{u}"),
-                format!("sushi restaurant u{u}"),
-                format!("seafood restaurant u{u}"),
-            ]
-        };
-        let log = session_log(&queries, 6);
-        let serial = replay_serial(&log, EngineConfig::default());
-        let idx = index();
-        let w = world();
-        for shards in [1usize, 3, 8] {
-            for threads in [1usize, 4] {
-                let dir = store_dir(&format!("replay-{shards}-{threads}"));
-                let e = ServingEngine::new(
-                    &idx,
-                    &w,
-                    EngineConfig::default(),
-                    ServeConfig {
-                        shards,
-                        stats_refresh_every: 1,
-                        store: Some(StoreTierConfig {
-                            capacity_per_shard: 1,
-                            ..StoreTierConfig::new(&dir)
-                        }),
-                        ..ServeConfig::default()
-                    },
-                );
-                let replayed = replay_round_robin(&e, &log, threads);
-                assert_equivalent(
-                    &serial,
-                    &replayed,
-                    &format!("store tier, {shards} shards / {threads} threads"),
-                );
-                // Residency is bounded by capacity; identity is not.
-                assert!(e.resident_count() <= shards, "capacity 1 per shard exceeded");
-                assert_eq!(e.user_count(), 6, "evicted users still counted");
-                drop(e);
-                let _ = std::fs::remove_dir_all(&dir);
-            }
-        }
-    }
-
-    /// Regression: a background-writeback snapshot taken *before* a
-    /// newer evict-time write must not be published *after* it — the
-    /// evicted user's on-disk record would silently lose the newer
-    /// updates, and with the user no longer resident nobody would ever
-    /// rewrite it. Deterministic re-creation of the interleaving:
-    /// advance the user's write gate by hand (as an evict-time write
-    /// would) and drive `writeback_offline` directly.
-    #[test]
-    fn stale_writeback_snapshot_never_clobbers_a_newer_record() {
-        let _guard = pws_obs::test_lock();
-        let idx = index();
-        let w = world();
-        pws_obs::reset();
-        let dir = store_dir("stale-snapshot");
-        let e = ServingEngine::new(
-            &idx,
-            &w,
-            EngineConfig::default(),
-            ServeConfig {
-                shards: 1,
-                stats_refresh_every: 1,
-                store: Some(StoreTierConfig { writeback: false, ..StoreTierConfig::new(&dir) }),
-                ..ServeConfig::default()
-            },
-        );
-        let user = UserId(1);
-        let take_turn = |q: &str| {
-            let turn = e.search(user, q);
-            let imp = impression_from(&turn, &click_rule(&turn));
-            e.observe(&turn, &imp);
-        };
-        let dirty_epoch_of = || {
-            let (users, _) = lock_or_recover(&e.shards[0].users);
-            users.get(&user).map(|r| r.dirty_epoch).unwrap_or(0)
-        };
-        let tier = e.store.as_ref().unwrap();
-        let gate = tier.user_write_gate(user);
-
-        // A dirty user whose gate says a newer write already landed:
-        // the snapshot is stale and must be skipped, not published.
-        take_turn("seafood restaurant");
-        assert_ne!(dirty_epoch_of(), 0, "observe must mark the user dirty");
-        *lock_or_recover(gate.as_ref()).0 = u64::MAX;
-        assert_eq!(
-            writeback_offline(&e.shards, &e.stats, tier, user),
-            WritebackOutcome::Clean,
-            "stale snapshot must be skipped"
-        );
-        assert!(
-            tier.store.get(user).unwrap().is_none(),
-            "a skipped writeback must not touch the disk"
-        );
-        assert_eq!(dirty_epoch_of(), 0, "the persisted-elsewhere mark is cleared");
-
-        // With the gate behind the dirty epoch the same call publishes
-        // the record and advances the gate to the written epoch.
-        *lock_or_recover(gate.as_ref()).0 = 0;
-        take_turn("restaurant");
-        let epoch = dirty_epoch_of();
-        assert_eq!(writeback_offline(&e.shards, &e.stats, tier, user), WritebackOutcome::Written);
-        assert!(tier.store.get(user).unwrap().is_some());
-        assert_eq!(*lock_or_recover(gate.as_ref()).0, epoch);
-
-        // Evict-time writes advance the gate too — that is what makes
-        // the stale-snapshot check above sound.
-        take_turn("sushi restaurant");
-        let epoch = dirty_epoch_of();
-        assert_eq!(e.flush_store(), 1);
-        assert_eq!(
-            *lock_or_recover(gate.as_ref()).0,
-            epoch,
-            "an evict-time write must advance the user's write gate"
-        );
-        drop(e);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Exact counter reconciliation under a deterministic single-thread
-    /// round-robin: capacity 1, one shard, synchronous writeback. Every
-    /// turn after the first evicts (and therefore writes back) the
-    /// previous user; every turn on a previously-seen user faults its
-    /// record in. T turns over U users ⇒ evict = writeback = T−1 and
-    /// fault_in = T−U, exactly.
-    #[test]
-    fn store_counters_reconcile_exactly() {
-        let _guard = pws_obs::test_lock();
-        let idx = index();
-        let w = world();
-        pws_obs::reset();
-        let dir = store_dir("counters");
-        let users = 3u32;
-        let rounds = 4usize;
-        let e = ServingEngine::new(
-            &idx,
-            &w,
-            EngineConfig::default(),
-            ServeConfig {
-                shards: 1,
-                stats_refresh_every: 1,
-                store: Some(StoreTierConfig {
-                    capacity_per_shard: 1,
-                    writeback: false,
-                    ..StoreTierConfig::new(&dir)
-                }),
-                ..ServeConfig::default()
-            },
-        );
-        let queries = |u: u32| -> Vec<String> {
-            (0..rounds).map(|r| format!("restaurant u{u} r{r}")).collect()
-        };
-        let log = session_log(&queries, users);
-        replay_round_robin(&e, &log, 1);
-        let turns = (users as u64) * (rounds as u64);
-        let snap = pws_obs::snapshot();
-        let count = |name: &str| {
-            snap.stages.iter().find(|s| s.name == name).map(|s| s.count).unwrap_or(0)
-        };
-        assert_eq!(count("serve.store.evict"), turns - 1);
-        assert_eq!(count("serve.store.writeback"), turns - 1);
-        assert_eq!(count("serve.store.fault_in"), turns - u64::from(users));
-        assert_eq!(count("store.write"), turns - 1, "one disk write per writeback");
-        assert_eq!(count("serve.state_io_error"), 0);
-        drop(e);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Restarting the process (drop the engine, open a new one over the
-    /// same directory) resumes replay byte-identically: the shutdown
-    /// flush persists every dirty resident, and fault-in restores both
-    /// the state and the per-query adaptive-β statistics.
-    #[test]
-    fn engine_restart_resumes_replay_byte_identically() {
-        let _guard = pws_obs::test_lock();
-        let queries = |u: u32| -> Vec<String> {
-            vec![
-                format!("seafood restaurant u{u}"),
-                format!("restaurant u{u}"),
-                format!("seafood restaurant u{u}"),
-                format!("seafood restaurant u{u}"),
-            ]
-        };
-        let log = session_log(&queries, 3);
-        let uninterrupted = replay_serial(&log, EngineConfig::default());
-
-        let idx = index();
-        let w = world();
-        let dir = store_dir("restart");
-        let serve_cfg = || ServeConfig {
-            shards: 2,
-            stats_refresh_every: 1,
-            store: Some(StoreTierConfig::new(&dir)),
-            ..ServeConfig::default()
-        };
-        let first_half: Vec<(UserId, Vec<String>)> =
-            log.iter().map(|(u, qs)| (*u, qs[..2].to_vec())).collect();
-        let second_half: Vec<(UserId, Vec<String>)> =
-            log.iter().map(|(u, qs)| (*u, qs[2..].to_vec())).collect();
-
-        let e1 = ServingEngine::new(&idx, &w, EngineConfig::default(), serve_cfg());
-        let mut transcripts = replay_round_robin(&e1, &first_half, 1);
-        drop(e1); // shutdown guard joins the daemon and flushes dirty users
-
-        let e2 = ServingEngine::new(&idx, &w, EngineConfig::default(), serve_cfg());
-        assert_eq!(e2.user_count(), 3, "restart sees the stored users");
-        assert_eq!(e2.resident_count(), 0, "nothing resident before the first query");
-        for (user, turns) in replay_round_robin(&e2, &second_half, 1) {
-            transcripts.entry(user).or_default().extend(turns);
-        }
-        assert_equivalent(&uninterrupted, &transcripts, "restart mid-replay");
-        drop(e2);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Regression for the export-stats bug: `export_user` must fold the
@@ -4351,169 +3501,6 @@ mod tests {
             "cache-hot shard handed out a useless hint: {:?}",
             err.retry_after
         );
-    }
-
-    /// An injected panic during fault-in costs exactly that user a fresh
-    /// profile — the request is still served, the shard still works, and
-    /// the failure is counted in `serve.state_io_error`.
-    #[test]
-    fn fault_in_panic_serves_fresh_profile_and_counts_io_error() {
-        let _guard = pws_obs::test_lock();
-        quiet_injected_panics();
-        let idx = index();
-        let w = world();
-        pws_obs::reset();
-        let dir = store_dir("faultin-panic");
-        let e = ServingEngine::new(
-            &idx,
-            &w,
-            EngineConfig::default(),
-            ServeConfig {
-                shards: 1,
-                stats_refresh_every: 1,
-                store: Some(StoreTierConfig {
-                    capacity_per_shard: 1,
-                    ..StoreTierConfig::new(&dir)
-                }),
-                ..ServeConfig::default()
-            },
-        )
-        .with_fault_plan(Arc::new(TargetedPlan {
-            stage: FaultStage::FaultIn,
-            action: FaultAction::Panic,
-            query_contains: "poisoned-load",
-        }));
-        // Warm user 0 onto disk, then displace it with user 1.
-        let turn = e.search(UserId(0), "seafood restaurant");
-        let imp = impression_from(&turn, &click_rule(&turn));
-        e.observe(&turn, &imp);
-        let _ = e.search(UserId(1), "restaurant");
-        // User 0's fault-in panics: served anyway, with a fresh profile.
-        let turn = e.search(UserId(0), "restaurant poisoned-load");
-        assert!(!turn.hits.is_empty(), "fault-in panic must not lose the query");
-        let snap = pws_obs::snapshot();
-        let io_errors = snap
-            .stages
-            .iter()
-            .find(|s| s.name == "serve.state_io_error")
-            .map(|s| s.count)
-            .unwrap_or(0);
-        assert_eq!(io_errors, 1);
-        drop(e);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// An injected panic during eviction writeback must never lose user
-    /// state: the write fails, the victim stays resident (and dirty), and
-    /// its profile is byte-identical afterwards.
-    #[test]
-    fn writeback_panic_keeps_victim_resident_with_state_intact() {
-        let _guard = pws_obs::test_lock();
-        quiet_injected_panics();
-        let idx = index();
-        let w = world();
-        let dir = store_dir("writeback-panic");
-        let e = ServingEngine::new(
-            &idx,
-            &w,
-            EngineConfig::default(),
-            ServeConfig {
-                shards: 1,
-                stats_refresh_every: 1,
-                store: Some(StoreTierConfig {
-                    capacity_per_shard: 1,
-                    writeback: false,
-                    ..StoreTierConfig::new(&dir)
-                }),
-                ..ServeConfig::default()
-            },
-        )
-        .with_fault_plan(Arc::new(TargetedPlan {
-            stage: FaultStage::Writeback,
-            action: FaultAction::Panic,
-            query_contains: "displacer",
-        }));
-        // Dirty user 0, then try to displace it: the eviction writeback
-        // panics, so user 0 must stay resident, state intact.
-        let turn = e.search(UserId(0), "seafood restaurant");
-        let imp = impression_from(&turn, &click_rule(&turn));
-        e.observe(&turn, &imp);
-        let weights_before = e.user_state(UserId(0)).expect("resident").model.weights.clone();
-        let turn = e.search(UserId(1), "restaurant displacer");
-        assert!(!turn.hits.is_empty(), "the displacing query is still served");
-        assert_eq!(e.resident_count(), 2, "failed writeback must not evict the victim");
-        assert_eq!(
-            e.user_state(UserId(0)).expect("still resident").model.weights,
-            weights_before,
-            "victim state unchanged by the failed writeback"
-        );
-        drop(e);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// `flush_store` persists every dirty resident on demand (the same
-    /// path the shutdown guard takes), making cold restarts lossless
-    /// even without eviction pressure.
-    #[test]
-    fn flush_store_persists_dirty_residents() {
-        let _guard = pws_obs::test_lock();
-        let idx = index();
-        let w = world();
-        let dir = store_dir("flush");
-        let e = ServingEngine::new(
-            &idx,
-            &w,
-            EngineConfig::default(),
-            ServeConfig {
-                shards: 2,
-                stats_refresh_every: 1,
-                store: Some(StoreTierConfig { writeback: false, ..StoreTierConfig::new(&dir) }),
-                ..ServeConfig::default()
-            },
-        );
-        for u in 0..4u32 {
-            let turn = e.search(UserId(u), "seafood restaurant");
-            let imp = impression_from(&turn, &click_rule(&turn));
-            e.observe(&turn, &imp);
-        }
-        assert_eq!(e.flush_store(), 4, "all four users were dirty");
-        assert_eq!(e.flush_store(), 0, "second flush has nothing to write");
-        // A storeless engine reports 0 rather than panicking.
-        let plain = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
-        assert_eq!(plain.flush_store(), 0);
-        drop(e);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// `forget_user` erases both tiers: the resident entry and the
-    /// stored record.
-    #[test]
-    fn forget_user_erases_resident_and_stored_tiers() {
-        let _guard = pws_obs::test_lock();
-        let idx = index();
-        let w = world();
-        let dir = store_dir("forget");
-        let e = ServingEngine::new(
-            &idx,
-            &w,
-            EngineConfig::default(),
-            ServeConfig {
-                shards: 1,
-                stats_refresh_every: 1,
-                store: Some(StoreTierConfig { writeback: false, ..StoreTierConfig::new(&dir) }),
-                ..ServeConfig::default()
-            },
-        );
-        let turn = e.search(UserId(3), "seafood restaurant");
-        let imp = impression_from(&turn, &click_rule(&turn));
-        e.observe(&turn, &imp);
-        assert_eq!(e.flush_store(), 1);
-        assert_eq!(e.user_count(), 1);
-        e.forget_user(UserId(3));
-        assert_eq!(e.user_count(), 0, "both tiers erased");
-        assert!(e.user_state(UserId(3)).is_none());
-        drop(e);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     // ── Flight recorder & health ────────────────────────────────────────
@@ -4913,186 +3900,4 @@ mod tests {
         );
     }
 
-    /// A transiently failing record write (injected `ENOSPC` on the
-    /// put's temp-file write) is retried and succeeds — counted under
-    /// `serve.store.retry`, with zero `serve.state_io_error` — and the
-    /// record lands on disk intact.
-    #[test]
-    fn transient_store_write_is_retried_to_success() {
-        let _guard = pws_obs::test_lock();
-        let idx = index();
-        let w = world();
-        pws_obs::reset();
-        let dir = store_dir("transient-write");
-        // Counted-op timeline: op 0 is the first search's record read;
-        // op 1 is the flush-time put's temp write — the injected fault.
-        let io = Arc::new(pws_store::FaultIo::new(pws_store::IoFaultSpec {
-            enospc_at: Some(1),
-            ..Default::default()
-        }));
-        let e = ServingEngine::new(
-            &idx,
-            &w,
-            EngineConfig::default(),
-            ServeConfig {
-                shards: 1,
-                stats_refresh_every: 1,
-                store: Some(StoreTierConfig {
-                    writeback: false,
-                    io: Some(io.clone()),
-                    ..StoreTierConfig::new(&dir)
-                }),
-                ..ServeConfig::default()
-            },
-        );
-        let turn = e.search(UserId(5), "seafood restaurant");
-        let imp = impression_from(&turn, &click_rule(&turn));
-        e.observe(&turn, &imp);
-        assert_eq!(e.flush_store(), 1, "retry must land the record");
-        let snap = pws_obs::snapshot();
-        let count = |name: &str| {
-            snap.stages.iter().find(|s| s.name == name).map(|s| s.count).unwrap_or(0)
-        };
-        assert_eq!(count("serve.store.retry"), 1);
-        assert_eq!(count("serve.store.retry_exhausted"), 0);
-        assert_eq!(count("serve.state_io_error"), 0);
-        assert_eq!(count("serve.store.writeback"), 1);
-        assert_eq!(io.counts().transient_writes, 1, "exactly the injected fault fired");
-        // The record that finally landed decodes and is the user's.
-        let store = UserStore::open(&dir).expect("reopen");
-        assert!(store.get(UserId(5)).expect("clean read").is_some());
-        drop(e);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// When the disk *never* recovers, every path gives up after
-    /// `max_write_retries` attempts with exact accounting: each
-    /// exhaustion counts both `serve.store.retry_exhausted` and
-    /// `serve.state_io_error`, and the user stays resident and dirty
-    /// rather than being silently forgotten.
-    #[test]
-    fn exhausted_retries_count_exactly_and_keep_state_resident() {
-        let _guard = pws_obs::test_lock();
-        let idx = index();
-        let w = world();
-        pws_obs::reset();
-        let dir = store_dir("exhausted");
-        // Every counted op fails transiently, forever.
-        let io = Arc::new(pws_store::FaultIo::new(pws_store::IoFaultSpec {
-            eio_first: u64::MAX,
-            ..Default::default()
-        }));
-        let e = ServingEngine::new(
-            &idx,
-            &w,
-            EngineConfig::default(),
-            ServeConfig {
-                shards: 1,
-                stats_refresh_every: 1,
-                store: Some(StoreTierConfig {
-                    writeback: false,
-                    io: Some(io),
-                    max_write_retries: 2,
-                    ..StoreTierConfig::new(&dir)
-                }),
-                ..ServeConfig::default()
-            },
-        );
-        // Fault-in read: attempt 1 + retry 1, then exhausted → fresh
-        // profile, never a panic or a lost query.
-        let turn = e.search(UserId(9), "seafood restaurant");
-        assert!(!turn.hits.is_empty());
-        let imp = impression_from(&turn, &click_rule(&turn));
-        e.observe(&turn, &imp);
-        // Flush: put attempt 1 + retry 1, then exhausted → kept dirty.
-        assert_eq!(e.flush_store(), 0, "nothing can land on a dead disk");
-        // Engine drop flushes again: one more attempt pair.
-        drop(e);
-        let snap = pws_obs::snapshot();
-        let count = |name: &str| {
-            snap.stages.iter().find(|s| s.name == name).map(|s| s.count).unwrap_or(0)
-        };
-        assert_eq!(count("serve.store.retry"), 3, "read, flush, and drop-flush each retried once");
-        assert_eq!(count("serve.store.retry_exhausted"), 3);
-        assert_eq!(
-            count("serve.state_io_error"),
-            count("serve.store.retry_exhausted"),
-            "every exhaustion surfaces exactly one io error"
-        );
-        assert_eq!(count("serve.store.writeback"), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A full writeback backlog converts the enqueue into a counted
-    /// synchronous writeback (`serve.store.backpressure`) instead of
-    /// growing without bound — and the synchronously written record is
-    /// really on disk.
-    #[test]
-    fn writeback_backpressure_falls_back_to_synchronous_write() {
-        let _guard = pws_obs::test_lock();
-        let idx = index();
-        let w = world();
-        pws_obs::reset();
-        let dir = store_dir("backpressure");
-        // Op 1 (the daemon's first put write) fails transiently; the
-        // 10s backoff parks that retry item in the queue, pinning the
-        // backlog at its high-water mark of 1 for the whole test.
-        let io = Arc::new(pws_store::FaultIo::new(pws_store::IoFaultSpec {
-            enospc_at: Some(1),
-            ..Default::default()
-        }));
-        let e = ServingEngine::new(
-            &idx,
-            &w,
-            EngineConfig::default(),
-            ServeConfig {
-                shards: 1,
-                stats_refresh_every: 1,
-                store: Some(StoreTierConfig {
-                    io: Some(io),
-                    max_backlog: 1,
-                    retry_backoff: Duration::from_secs(10),
-                    retry_backoff_cap: Duration::from_secs(10),
-                    ..StoreTierConfig::new(&dir)
-                }),
-                ..ServeConfig::default()
-            },
-        );
-        let turn = e.search(UserId(1), "seafood restaurant");
-        let imp = impression_from(&turn, &click_rule(&turn));
-        e.observe(&turn, &imp);
-        // Wait for the daemon to hit the fault and park the retry.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let snap = pws_obs::snapshot();
-            let retried = snap
-                .stages
-                .iter()
-                .any(|s| s.name == "serve.store.retry" && s.count >= 1);
-            if retried {
-                break;
-            }
-            assert!(Instant::now() < deadline, "daemon never hit the injected fault");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(e.writeback_backlog(), 1, "the parked retry holds the only slot");
-        // A second user's observe now can't enqueue: backpressure path.
-        let turn2 = e.search(UserId(2), "sushi restaurant");
-        let imp2 = impression_from(&turn2, &click_rule(&turn2));
-        e.observe(&turn2, &imp2);
-        let snap = pws_obs::snapshot();
-        let count = |name: &str| {
-            snap.stages.iter().find(|s| s.name == name).map(|s| s.count).unwrap_or(0)
-        };
-        assert_eq!(count("serve.store.backpressure"), 1);
-        assert!(count("serve.store.writeback") >= 1, "the fallback write is synchronous");
-        let store = UserStore::open(&dir).expect("reopen");
-        assert!(store.get(UserId(2)).expect("clean read").is_some(), "user 2 written inline");
-        // Shutdown drains the parked retry immediately (due ignored)
-        // against the now-healthy disk: user 1 lands too.
-        drop(e);
-        let store = UserStore::open(&dir).expect("reopen");
-        assert!(store.get(UserId(1)).expect("clean read").is_some(), "retry drained at drop");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }

@@ -245,22 +245,14 @@ const KIND_REMOVE: u64 = 6;
 /// FNV-1a over words + bytes, SplitMix64-finalized — the same
 /// roll shape `pws-chaos` uses, so storeio faults are replay-stable.
 fn roll_hash(words: &[u64], bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    };
+    let mut h = pws_obs::format::Fnv1a64::new();
     for w in words {
-        for b in w.to_le_bytes() {
-            eat(b);
-        }
+        h.write(&w.to_le_bytes());
     }
-    for &b in bytes {
-        eat(b);
-    }
+    h.write(bytes);
     // SplitMix64 finalizer: FNV alone mixes low bits poorly for
     // modulo-style rolls.
-    let mut z = h.wrapping_add(0x9E3779B97F4A7C15);
+    let mut z = h.finish().wrapping_add(0x9E3779B97F4A7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     z ^ (z >> 31)

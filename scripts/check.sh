@@ -191,13 +191,30 @@ section_gate segment crates/pws-index/src/segfile.rs docs/INDEX_FORMAT.md
 section_gate store crates/pws-store/src/codec.rs docs/STORE_FORMAT.md
 section_gate flight crates/pws-obs/src/flight.rs docs/FLIGHT_FORMAT.md
 
-echo "==> one-container gate (fnv1a64 / parse_sections only in pws-obs/src/format.rs)"
+echo "==> one-container gate (fnv1a64 / parse_sections / FNV basis only in pws-obs/src/format.rs)"
 # PWSSEG1, PWSUSR1 and PWSFLT1 share one container implementation
 # (docs/CONTAINER_FORMAT.md); a second checksum function or section-table
 # parser under crates/*/src is the copy-paste this gate exists to stop.
-if grep -rnE 'fn (fnv1a64|parse_sections)\b' crates/*/src --include='*.rs' \
+# A hand-rolled FNV loop needs no such function name, only the offset
+# basis, so the literal is gated too: hash through format::Fnv1a64.
+if grep -rniE 'fn (fnv1a64|parse_sections)\b|cbf2_?9ce4_?8422_?2325' crates/*/src --include='*.rs' \
     | grep -v '^crates/pws-obs/src/format.rs:'; then
-    echo "FAIL: container code outside crates/pws-obs/src/format.rs — use pws_obs::format"
+    echo "FAIL: container/FNV code outside crates/pws-obs/src/format.rs — use pws_obs::format"
+    exit 1
+fi
+
+echo "==> one-writer gate (store.put only in persist, store.remove only in forget)"
+# A user record is written and removed in exactly one place each
+# (crates/pws-serve/src/residency.rs): both happen under the user's write
+# gate and only forward in epoch. A second put or remove call site is a
+# writer that does not know the rule — the lost-update and forgotten-user-
+# comes-back bugs were both that. #[cfg(test)] modules are exempt.
+if only_in_fn 'store.put(' 'persist' crates/pws-serve/src/*.rs | grep .; then
+    echo "FAIL: UserStore::put outside StoreTier::persist — persist through the write gate"
+    exit 1
+fi
+if only_in_fn 'store.remove(' 'forget' crates/pws-serve/src/*.rs | grep .; then
+    echo "FAIL: UserStore::remove outside StoreTier::forget — forget through the write gate"
     exit 1
 fi
 
