@@ -3,15 +3,17 @@
 //!
 //! Rows: the full extraction over a 30-snippet pool and a 10-snippet page
 //! (memo off: what a cold engine, and the end-to-end benchmark's probe,
-//! pay); its two phases on the pool (per-snippet analysis, counting pass);
-//! the pool with every analysis already in the memo (what the engine pays
-//! when the snippets were seen before); and the five-pass reference the
-//! one-pass extractor replaced, for the before/after.
+//! pay); its two phases on the pool (per-snippet analysis against a warm
+//! term dictionary, counting pass on term ids); the pool with every
+//! analysis already in the memo (what the engine pays when the snippets
+//! were seen before); and the five-pass reference the one-pass extractor
+//! replaced, for the before/after.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pws_bench::bench_world;
 use pws_concepts::{
     ConceptConfig, ConceptMemo, LocationConceptConfig, QueryConceptOntology, SnippetAnalysis,
+    TermDict,
 };
 use pws_geo::LocationMatcher;
 
@@ -43,20 +45,22 @@ fn bench_concepts(c: &mut Criterion) {
     });
     g.bench_function("page_10_snippets", |b| b.iter(|| std::hint::black_box(extract(page))));
 
+    let dict = TermDict::new();
     g.bench_function("phase_analyse_30_snippets", |b| {
         b.iter(|| {
             let analyses: Vec<SnippetAnalysis> =
-                snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher)).collect();
+                snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher, &dict)).collect();
             std::hint::black_box(analyses)
         })
     });
     let analyses: Vec<SnippetAnalysis> =
-        snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher)).collect();
+        snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher, &dict)).collect();
     g.bench_function("phase_count_30_snippets", |b| {
         b.iter(|| {
             std::hint::black_box(QueryConceptOntology::from_analyses(
                 &q.text,
                 &analyses,
+                &dict,
                 &world.world,
                 &content_cfg,
                 &location_cfg,
@@ -74,6 +78,7 @@ fn bench_concepts(c: &mut Criterion) {
             std::hint::black_box(QueryConceptOntology::from_analyses(
                 &q.text,
                 &analyses,
+                memo.dict(),
                 &world.world,
                 &content_cfg,
                 &location_cfg,

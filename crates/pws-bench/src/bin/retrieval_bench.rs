@@ -51,6 +51,7 @@ use pws_index::{SearchHit, Segment, SegmentBuilder, SegmentedIndex, SEGMENT_FORM
 use pws_serve::ShardedRetrievalCache;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Pool size per query — the serving layer's default rerank pool.
@@ -95,16 +96,17 @@ fn backends<'a>(
 }
 
 /// What the engine core does per base retrieval: analyze once, probe the
-/// cache, fall through to the index on a miss and fill.
+/// cache, fall through to the index on a miss and fill; then copy the
+/// shared pool out once, as the engine does into its candidate pool.
 fn cached_search(index: &SegmentedIndex, cache: &ShardedRetrievalCache, q: &str) -> Vec<SearchHit> {
     let tokens = index.analyze_text(q);
     let epoch = cache.epoch();
     if let Some(hits) = cache.get(&tokens, POOL_K) {
-        return hits;
+        return hits.to_vec();
     }
-    let hits = index.search_tokens(&tokens, POOL_K);
-    cache.put(&tokens, POOL_K, epoch, &hits);
-    hits
+    let hits: Arc<[SearchHit]> = index.search_tokens(&tokens, POOL_K).into();
+    cache.put(&tokens, POOL_K, epoch, Arc::clone(&hits));
+    hits.to_vec()
 }
 
 /// Exact equivalence: same page, same ranks, bit-identical scores.

@@ -15,19 +15,25 @@
 //! excluding the query's own terms (a concept must add information beyond
 //! the query).
 //!
-//! Counting runs over [`SnippetAnalysis`] values in a per-call integer id
-//! space — a term is a `u32`, a bigram a pair of them — and fills one
-//! snippet-incidence bitset row per candidate as it goes, so snippet
-//! frequency is a popcount and the relationship graph and the per-snippet
-//! concept lists are read off the same rows without touching a snippet
-//! again. A bigram's `String` exists only once it has passed the threshold.
+//! Counting runs over [`SnippetAnalysis`] values, whose terms are ids in
+//! the engine-wide [`crate::TermDict`]: a unigram candidate is an id, a
+//! bigram a pair of them, both keys of one open-addressed table in the
+//! thread's `CountScratch`. Each candidate fills one snippet-incidence
+//! bitset row as it goes, so snippet frequency is a popcount and the
+//! relationship graph and the per-snippet concept lists are read off the
+//! same rows without touching a snippet again. The pass interns nothing and
+//! reads term text only to order candidates that tie on frequency — in
+//! place, from the dictionary — and to name the concepts it returns. Ids
+//! are only ever compared for equality: which id a term got depends on
+//! which thread analysed what first, and no byte of output may.
 
-use crate::graph::Incidence;
+use crate::dict::Terms;
+use crate::scratch::CountScratch;
 use crate::snippet::{for_each_term, SnippetAnalysis};
-use pws_text::{Interner, Sym};
+use pws_text::Sym;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
 /// Extraction parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,110 +66,153 @@ pub struct ContentConcept {
     pub support: f64,
 }
 
-/// Count content concepts of `query_text` over the analysed snippets.
+/// Table key of the unigram candidate `a`. A bigram's low half is its
+/// second id plus one, so no bigram has this shape.
+fn unigram(a: Sym) -> u64 {
+    u64::from(a.0) << 32
+}
+
+/// Table key of the bigram candidate `a b` (an id is below `u32::MAX`, so
+/// the low half does not carry).
+fn bigram(a: Sym, b: Sym) -> u64 {
+    u64::from(a.0) << 32 | (u64::from(b.0) + 1)
+}
+
+/// The terms a candidate key stands for.
+fn terms_of(key: u64) -> (Sym, Option<Sym>) {
+    let b = key as u32;
+    (Sym((key >> 32) as u32), (b != 0).then(|| Sym(b - 1)))
+}
+
+/// The bytes of a candidate's name — `a`, or `a b` — read in place.
+fn name_bytes<'t>(key: u64, known: &'t Terms<'_>) -> impl Iterator<Item = u8> + 't {
+    let (a, b) = terms_of(key);
+    let rest = b.into_iter().flat_map(|b| std::iter::once(b' ').chain(known.resolve(b).bytes()));
+    known.resolve(a).bytes().chain(rest)
+}
+
+/// The name of a concept that made the cut: the one place the pass builds
+/// a `String`.
+fn concept_name(key: u64, known: &Terms<'_>) -> String {
+    match terms_of(key) {
+        (a, None) => known.resolve(a).to_string(),
+        (a, Some(b)) => [known.resolve(a), known.resolve(b)].join(" "),
+    }
+}
+
+/// Count content concepts of `query_text` over the analysed snippets
+/// (analyses of the dictionary `known` reads).
 ///
 /// Returns the concepts sorted by descending support, ties broken
-/// lexicographically (deterministic), and their snippet-incidence rows in
-/// the same order (row `i`, bit `s` ⇔ concept `i` occurs in snippet `s`).
+/// lexicographically (deterministic), and leaves their snippet-incidence
+/// rows in `scratch.chosen` in the same order (row `i`, bit `s` ⇔ concept
+/// `i` occurs in snippet `s`).
 pub(crate) fn count_content<S: Borrow<SnippetAnalysis>>(
     query_text: &str,
     analyses: &[S],
     cfg: &ConceptConfig,
-) -> (Vec<ContentConcept>, Incidence) {
-    // The id space of this call. Query terms are interned first, so
-    // `id < n_query` is the "is a query term" test.
-    let mut terms = Interner::new();
-    for_each_term(query_text, |t| {
-        terms.intern(t);
-    });
-    let n_query = terms.len() as u32;
+    known: &Terms<'_>,
+    scratch: &mut CountScratch,
+) -> Vec<ContentConcept> {
+    let CountScratch { query, rows, keys, seen, ranked, chosen } = scratch;
+    // A query term the dictionary has never seen occurs in no snippet.
+    query.clear();
+    for_each_term(query_text, |t| query.extend(known.get(t)));
 
-    // Candidates in order of first sight: `keys[c]` is a term id or a pair
-    // of them, `seen` row `c` the snippets it occurs in. A candidate counts
-    // once per snippet because setting a bit twice changes nothing.
-    let mut keys: Vec<(u32, Option<u32>)> = Vec::new();
-    let mut seen = Incidence::new(analyses.len());
-    let mut unigram: Vec<Option<usize>> = Vec::new();
-    // Sized up front (a pool has at most one bigram per term position):
-    // growing by rehash cost a quarter of the pass on a 30-snippet pool.
+    // Candidates in order of first sight: `keys[c]` is candidate `c`, `seen`
+    // row `c` the snippets it occurs in. A candidate counts once per snippet
+    // because setting a bit twice changes nothing. A pool has at most one
+    // unigram and one bigram per term position.
     let positions: usize = analyses.iter().map(|a| a.borrow().len()).sum();
-    let mut bigram: HashMap<(u32, u32), usize> = HashMap::with_capacity(positions);
-    let mut seq: Vec<u32> = Vec::new();
+    rows.reset(2 * positions);
+    keys.clear();
+    seen.reset(analyses.len());
     for (si, analysis) in analyses.iter().enumerate() {
-        seq.clear();
-        seq.extend(analysis.borrow().terms().map(|t| terms.intern(t).0));
-        unigram.resize(terms.len(), None);
-        for &id in seq.iter().filter(|&&id| id >= n_query) {
-            let c = *unigram[id as usize].get_or_insert_with(|| {
-                keys.push((id, None));
-                seen.push_empty_row()
-            });
-            seen.set(c, si);
-        }
-        if cfg.bigrams {
-            for pair in seq.windows(2) {
-                // A bigram containing a query term on either side is still
-                // informative ("seafood restaurant" for query "restaurant"),
-                // but a bigram of *only* query terms is not.
-                if pair[0] < n_query && pair[1] < n_query {
-                    continue;
-                }
-                let c = *bigram.entry((pair[0], pair[1])).or_insert_with(|| {
-                    keys.push((pair[0], Some(pair[1])));
-                    seen.push_empty_row()
+        let mut before: Option<(Sym, bool)> = None;
+        for &term in analysis.borrow().terms(known.dict()) {
+            let in_query = query.contains(&term);
+            let mut mark = |key: u64| {
+                let c = rows.row_or_insert_with(key, || {
+                    keys.push(key);
+                    seen.push_empty_row() as u32
                 });
-                seen.set(c, si);
-            }
-        }
-    }
-
-    // Threshold, then name the survivors — a bigram gets its `String` only
-    // here — and order them.
-    let n = analyses.len() as f64;
-    let mut out: Vec<(ContentConcept, usize)> = Vec::new();
-    for (c, &key) in keys.iter().enumerate() {
-        let snippet_freq = seen.count(c);
-        let support = f64::from(snippet_freq) / n;
-        if support >= cfg.min_support && snippet_freq >= cfg.min_snippet_freq {
-            let term = match key {
-                (a, None) => terms.resolve(Sym(a)).to_string(),
-                (a, Some(b)) => format!("{} {}", terms.resolve(Sym(a)), terms.resolve(Sym(b))),
+                seen.set(c as usize, si);
             };
-            out.push((ContentConcept { term, snippet_freq, support }, c));
+            if !in_query {
+                mark(unigram(term));
+            }
+            // A bigram containing a query term on either side is still
+            // informative ("seafood restaurant" for query "restaurant"),
+            // but a bigram of *only* query terms is not.
+            if let Some((first, _)) = before.filter(|&(_, q)| cfg.bigrams && !(q && in_query)) {
+                mark(bigram(first, term));
+            }
+            before = Some((term, in_query));
         }
     }
-    out.sort_unstable_by(|(a, _), (b, _)| {
-        b.support
-            .partial_cmp(&a.support)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.term.cmp(&b.term))
-    });
-    out.truncate(cfg.max_concepts);
 
-    let mut incidence = Incidence::new(analyses.len());
-    let concepts = out
-        .into_iter()
-        .map(|(concept, c)| {
-            incidence.push_row(seen.row(c));
-            concept
+    // Threshold, then order what is left by (snippet frequency desc, name
+    // asc). Support is frequency over a fixed n, so frequency orders it;
+    // names differ between candidates, so the order is total and the same
+    // whatever ids the terms got.
+    let n = analyses.len() as f64;
+    ranked.clear();
+    for c in 0..keys.len() {
+        let snippet_freq = seen.count(c);
+        if snippet_freq >= cfg.min_snippet_freq && f64::from(snippet_freq) / n >= cfg.min_support {
+            ranked.push((snippet_freq, c as u32));
+        }
+    }
+    let by_rank = |x: &(u32, u32), y: &(u32, u32)| -> Ordering {
+        y.0.cmp(&x.0).then_with(|| {
+            name_bytes(keys[x.1 as usize], known).cmp(name_bytes(keys[y.1 as usize], known))
         })
-        .collect();
-    (concepts, incidence)
+    };
+    // Only the concepts returned need their exact places.
+    if cfg.max_concepts < ranked.len() {
+        if cfg.max_concepts > 0 {
+            ranked.select_nth_unstable_by(cfg.max_concepts - 1, by_rank);
+        }
+        ranked.truncate(cfg.max_concepts);
+    }
+    ranked.sort_unstable_by(by_rank);
+
+    chosen.reset(analyses.len());
+    ranked
+        .iter()
+        .map(|&(snippet_freq, c)| {
+            chosen.push_row(seen.row(c as usize));
+            ContentConcept {
+                term: concept_name(keys[c as usize], known),
+                snippet_freq,
+                support: f64::from(snippet_freq) / n,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dict::TermDict;
+    use crate::graph::Incidence;
     use pws_geo::{LocationMatcher, LocationOntology};
 
-    fn analyses(snippets: &[String]) -> Vec<SnippetAnalysis> {
+    /// The content half of the pass over raw snippet text, against a
+    /// dictionary of its own: the concepts and their incidence rows.
+    fn count(query_text: &str, snippets: &[String], cfg: &ConceptConfig) -> (Vec<ContentConcept>, Incidence) {
         let matcher = LocationMatcher::build(&LocationOntology::new());
-        snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher)).collect()
+        let dict = TermDict::new();
+        let analyses: Vec<SnippetAnalysis> =
+            snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher, &dict)).collect();
+        crate::scratch::with(|scratch| {
+            let concepts = count_content(query_text, &analyses, cfg, &dict.read(), scratch);
+            (concepts, scratch.chosen.clone())
+        })
     }
 
-    /// The content half of the pass over raw snippet text.
     fn extract_content(query_text: &str, snippets: &[String], cfg: &ConceptConfig) -> Vec<ContentConcept> {
-        count_content(query_text, &analyses(snippets), cfg).0
+        count(query_text, snippets, cfg).0
     }
 
     fn snips(texts: &[&str]) -> Vec<String> {
@@ -270,7 +319,7 @@ mod tests {
     #[test]
     fn incidence_rows_mark_the_snippets_containing_each_concept() {
         let s = snips(&["fresh lobster roll and seafood platter", "nothing here", "seafood lobster"]);
-        let (concepts, rows) = count_content("q", &analyses(&s), &cfg(0.0));
+        let (concepts, rows) = count("q", &s, &cfg(0.0));
         let row_of = |term: &str| {
             let i = concepts.iter().position(|c| c.term == term).expect(term);
             rows.row(i)[0]
@@ -285,7 +334,7 @@ mod tests {
         let mut texts: Vec<String> = (0..70).map(|i| format!("filler{i}")).collect();
         texts[3].push_str(" lobster");
         texts[69].push_str(" lobster");
-        let (concepts, rows) = count_content("q", &analyses(&texts), &cfg(0.0));
+        let (concepts, rows) = count("q", &texts, &cfg(0.0));
         let i = concepts.iter().position(|c| c.term == "lobster").unwrap();
         assert_eq!(concepts[i].snippet_freq, 2);
         assert_eq!(rows.row(i), [1 << 3, 1 << (69 - 64)]);

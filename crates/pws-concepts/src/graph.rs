@@ -55,7 +55,7 @@ pub struct ConceptGraph {
 /// Snippet-incidence bitsets: row `i`, bit `s` is set iff item `i` (a
 /// concept, or a candidate while counting) occurs in snippet `s`. Rows
 /// are `ceil(snippets / 64)` `u64`s wide, stored back to back.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Incidence {
     words: usize,
     rows: usize,
@@ -64,8 +64,17 @@ pub(crate) struct Incidence {
 
 impl Incidence {
     /// An empty table with rows wide enough for `snippets` snippets.
+    #[cfg(test)]
     pub(crate) fn new(snippets: usize) -> Self {
-        Incidence { words: snippets.div_ceil(64), rows: 0, bits: Vec::new() }
+        Incidence { words: snippets.div_ceil(64), ..Self::default() }
+    }
+
+    /// Drop every row and make rows wide enough for `snippets` snippets,
+    /// keeping the allocation.
+    pub(crate) fn reset(&mut self, snippets: usize) {
+        self.words = snippets.div_ceil(64);
+        self.rows = 0;
+        self.bits.clear();
     }
 
     /// Append an all-zero row; returns its index.
@@ -87,6 +96,12 @@ impl Incidence {
         self.bits[i * self.words + snippet / 64] |= 1 << (snippet % 64);
     }
 
+    /// Words allocated (for the scratch no-growth test).
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.bits.capacity()
+    }
+
     /// Number of rows.
     pub(crate) fn len(&self) -> usize {
         self.rows
@@ -100,6 +115,12 @@ impl Incidence {
     /// Row `i`.
     pub(crate) fn row(&self, i: usize) -> &[u64] {
         &self.bits[i * self.words..(i + 1) * self.words]
+    }
+
+    /// How many rows occur in `snippet`.
+    pub(crate) fn rows_with(&self, snippet: usize) -> usize {
+        let (word, bit) = (snippet / 64, 1u64 << (snippet % 64));
+        (0..self.rows).filter(|i| self.bits[i * self.words + word] & bit != 0).count()
     }
 
     /// The snippets (bit positions) of row `i`, ascending.
@@ -133,14 +154,11 @@ impl ConceptGraph {
         let sizes: Vec<u32> = (0..num_concepts).map(|i| incidence.count(i)).collect();
         let mut edges = Vec::new();
         for a in 0..num_concepts {
+            let row_a = incidence.row(a);
             for b in (a + 1)..num_concepts {
                 let (len_a, len_b) = (sizes[a], sizes[b]);
-                let inter: u32 = incidence
-                    .row(a)
-                    .iter()
-                    .zip(incidence.row(b))
-                    .map(|(x, y)| (x & y).count_ones())
-                    .sum();
+                let inter: u32 =
+                    row_a.iter().zip(incidence.row(b)).map(|(x, y)| (x & y).count_ones()).sum();
                 if inter == 0 {
                     continue;
                 }
@@ -214,11 +232,14 @@ mod tests {
         containment_threshold: f64,
     ) -> (Vec<ContentConcept>, ConceptGraph) {
         let matcher = LocationMatcher::build(&LocationOntology::new());
+        let dict = crate::TermDict::new();
         let analyses: Vec<SnippetAnalysis> =
-            snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher)).collect();
-        let (concepts, incidence) = count_content("q", &analyses, &cfg());
-        let g = ConceptGraph::from_incidence(&incidence, sim_threshold, containment_threshold);
-        (concepts, g)
+            snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher, &dict)).collect();
+        crate::scratch::with(|scratch| {
+            let concepts = count_content("q", &analyses, &cfg(), &dict.read(), scratch);
+            let g = ConceptGraph::from_incidence(&scratch.chosen, sim_threshold, containment_threshold);
+            (concepts, g)
+        })
     }
 
     fn snips(texts: &[&str]) -> Vec<String> {

@@ -20,11 +20,13 @@
 //! Extraction has a pure per-snippet half and a per-pool half, and does
 //! each once: [`SnippetAnalysis`] ([`snippet`]) is everything one snippet
 //! contributes to any pool (its terms, the places it names) and is the
-//! only place the analyser and the matcher run;
-//! [`QueryConceptOntology::from_analyses`] counts over analyses in one
-//! pass. [`ConceptMemo`] ([`memo`]) keeps analyses by snippet text, so a
-//! snippet seen again — by the page extraction, by another user's pool —
-//! is not analysed again.
+//! only place the analyser and the matcher run — and the only place a
+//! term is interned: an analysis holds its terms as ids in an engine-wide
+//! [`TermDict`] ([`dict`]). [`QueryConceptOntology::from_analyses`] counts
+//! over analyses in one pass on those integers. [`ConceptMemo`] ([`memo`])
+//! keeps analyses by snippet text and owns the dictionary, so a snippet
+//! seen again — by the page extraction, by another user's pool — is
+//! neither analysed nor interned again.
 //!
 //! ```
 //! use pws_concepts::{ConceptConfig, LocationConceptConfig, QueryConceptOntology};
@@ -48,15 +50,18 @@
 //! ```
 
 pub mod content;
+pub mod dict;
 pub mod graph;
 pub mod location;
 pub mod memo;
 pub mod ontology;
 #[doc(hidden)]
 pub mod reference;
+mod scratch;
 pub mod snippet;
 
 pub use content::{ConceptConfig, ContentConcept};
+pub use dict::TermDict;
 pub use graph::{ConceptGraph, ConceptRelation};
 pub use location::{LocationConcept, LocationConceptConfig};
 pub use memo::ConceptMemo;

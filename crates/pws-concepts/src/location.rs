@@ -12,7 +12,6 @@ use crate::snippet::SnippetAnalysis;
 use pws_geo::{LocId, LocationOntology};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
-use std::collections::HashMap;
 
 /// Extraction parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,20 +55,29 @@ pub(crate) fn count_locations<S: Borrow<SnippetAnalysis>>(
     cfg: &LocationConceptConfig,
 ) -> Vec<LocationConcept> {
     let n = analyses.len() as f64;
-    // loc → (rolled-up mass, direct snippet count)
-    let mut tally: HashMap<LocId, (f64, u32)> = HashMap::new();
+    // (place, rolled-up mass, direct snippet count) in order of first sight.
+    // A pool names a few dozen places at most, ancestors included, so a
+    // scan finds one faster than a hash would.
+    let mut tally: Vec<(LocId, f64, u32)> = Vec::new();
+    fn entry(tally: &mut Vec<(LocId, f64, u32)>, loc: LocId) -> &mut (LocId, f64, u32) {
+        let i = tally.iter().position(|t| t.0 == loc).unwrap_or_else(|| {
+            tally.push((loc, 0.0, 0));
+            tally.len() - 1
+        });
+        &mut tally[i]
+    }
 
     for analysis in analyses {
         // Snippet-frequency semantics: each place counts once per snippet.
         for &loc in analysis.borrow().locations() {
-            let direct = tally.entry(loc).or_default();
-            direct.0 += 1.0;
-            direct.1 += 1;
+            let direct = entry(&mut tally, loc);
+            direct.1 += 1.0;
+            direct.2 += 1;
             if cfg.rollup {
                 let mut decay = cfg.rollup_decay;
                 let mut anc = world.parent(loc);
                 while let Some(a) = anc.filter(|&a| a != LocId::WORLD) {
-                    tally.entry(a).or_default().0 += decay;
+                    entry(&mut tally, a).1 += decay;
                     decay *= cfg.rollup_decay;
                     anc = world.parent(a);
                 }
@@ -79,7 +87,7 @@ pub(crate) fn count_locations<S: Borrow<SnippetAnalysis>>(
 
     let mut out: Vec<LocationConcept> = tally
         .into_iter()
-        .filter_map(|(loc, (mass, direct_freq))| {
+        .filter_map(|(loc, mass, direct_freq)| {
             let support = mass / n;
             (support >= cfg.min_support).then_some(LocationConcept { loc, support, direct_freq })
         })
@@ -99,8 +107,6 @@ pub(crate) fn locations_by_snippet<S: Borrow<SnippetAnalysis>>(
     analyses: &[S],
     locations: &[LocationConcept],
 ) -> Vec<Vec<usize>> {
-    let index_of: HashMap<LocId, usize> =
-        locations.iter().enumerate().map(|(i, lc)| (lc.loc, i)).collect();
     analyses
         .iter()
         .map(|analysis| {
@@ -108,7 +114,7 @@ pub(crate) fn locations_by_snippet<S: Borrow<SnippetAnalysis>>(
                 .borrow()
                 .locations()
                 .iter()
-                .filter_map(|loc| index_of.get(loc).copied())
+                .filter_map(|loc| locations.iter().position(|lc| lc.loc == *loc))
                 .collect();
             present.sort_unstable();
             present
@@ -128,8 +134,9 @@ mod tests {
         world: &LocationOntology,
         cfg: &LocationConceptConfig,
     ) -> Vec<LocationConcept> {
+        let dict = crate::TermDict::new();
         let analyses: Vec<SnippetAnalysis> =
-            snippets.iter().map(|s| SnippetAnalysis::new(s, matcher)).collect();
+            snippets.iter().map(|s| SnippetAnalysis::new(s, matcher, &dict)).collect();
         count_locations(&analyses, world, cfg)
     }
 

@@ -8,7 +8,9 @@
 //! like. [`ConceptMemo`] therefore maps **snippet text →
 //! `Arc<SnippetAnalysis>`**. Entries are content-addressed, so they are
 //! never stale — not across users, queries, configurations or index
-//! publishes.
+//! publishes. The memo also owns the [`TermDict`] its analyses' term ids
+//! belong to, so an analysis it hands out is always counted against the
+//! dictionary that produced it.
 //!
 //! Layout: 8 mutex shards, each a fixed slot array used as a 4-way
 //! associative cache — a text may live in any of the 4 consecutive slots
@@ -20,6 +22,7 @@
 //!
 //! Safe to share across threads (`&self` everywhere, `Send + Sync`).
 
+use crate::dict::TermDict;
 use crate::snippet::SnippetAnalysis;
 use pws_geo::LocationMatcher;
 use std::hash::Hasher;
@@ -100,6 +103,9 @@ pub struct ConceptMemo {
     shards: Vec<Mutex<Shard>>,
     capacity: usize,
     hash: fn(&str) -> u64,
+    /// Term ids of every analysis made here — including, at capacity 0,
+    /// the ones that are not kept.
+    dict: TermDict,
 }
 
 impl ConceptMemo {
@@ -116,7 +122,14 @@ impl ConceptMemo {
                 Mutex::new(Shard { slots: (0..slots).map(|_| None).collect(), tick: 0 })
             })
             .collect();
-        ConceptMemo { shards, capacity, hash }
+        ConceptMemo { shards, capacity, hash, dict: TermDict::new() }
+    }
+
+    /// The dictionary the memo's analyses are built against: what
+    /// [`crate::QueryConceptOntology::from_analyses`] must be given with
+    /// them.
+    pub fn dict(&self) -> &TermDict {
+        &self.dict
     }
 
     fn shard(&self, hash: u64) -> MutexGuard<'_, Shard> {
@@ -140,7 +153,7 @@ impl ConceptMemo {
         }
         // Analyse outside the lock: it is the expensive part, and racing
         // analysers of one text produce the same value.
-        let analysis = Arc::new(SnippetAnalysis::new(text, matcher));
+        let analysis = Arc::new(SnippetAnalysis::new(text, matcher, &self.dict));
         self.shard(hash).put(hash, text, Arc::clone(&analysis));
         (analysis, false)
     }
@@ -181,11 +194,13 @@ impl ConceptMemo {
         self.len() == 0
     }
 
-    /// Bytes the memo holds: the slot arrays plus, per entry, the key text
-    /// and the shared analysis (allocator overhead not included).
+    /// Bytes the memo holds: the term dictionary, the slot arrays and, per
+    /// entry, the key text and the shared analysis (allocator overhead not
+    /// included).
     pub fn heap_bytes(&self) -> usize {
         let per_entry = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<SnippetAnalysis>();
-        self.fold_entries(self.capacity * std::mem::size_of::<Option<Entry>>(), |bytes, e| {
+        let fixed = self.dict.heap_bytes() + self.capacity * std::mem::size_of::<Option<Entry>>();
+        self.fold_entries(fixed, |bytes, e| {
             bytes + e.text.len() + per_entry + e.analysis.heap_bytes()
         })
     }
@@ -222,7 +237,7 @@ mod tests {
         assert!(!hit_a && hit_b);
         assert_eq!(built() - before, 1, "the hit analysed nothing");
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(*a, SnippetAnalysis::new(text, &m));
+        assert_eq!(*a, SnippetAnalysis::new(text, &m, memo.dict()));
         assert_eq!(memo.len(), 1);
     }
 
@@ -253,7 +268,7 @@ mod tests {
         let (b, hit) = memo.get_or_analyze("lobster in ardonia", &m);
         assert!(!hit, "a different text with the same hash is a miss");
         assert_ne!(*a, *b);
-        assert_eq!(*b, SnippetAnalysis::new("lobster in ardonia", &m));
+        assert_eq!(*b, SnippetAnalysis::new("lobster in ardonia", &m, memo.dict()));
         // Both stay retrievable side by side.
         assert!(memo.get_or_analyze("seafood in port alden", &m).1);
         assert!(memo.get_or_analyze("lobster in ardonia", &m).1);

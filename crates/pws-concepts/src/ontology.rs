@@ -6,6 +6,7 @@
 //! diversity.
 
 use crate::content::{count_content, ConceptConfig, ContentConcept};
+use crate::dict::TermDict;
 use crate::graph::ConceptGraph;
 use crate::location::{
     count_locations, locations_by_snippet, LocationConcept, LocationConceptConfig,
@@ -35,8 +36,8 @@ pub struct QueryConceptOntology {
 
 impl QueryConceptOntology {
     /// Extract the full ontology from a result page's snippets: analyse
-    /// each snippet once, then run the counting pass
-    /// ([`from_analyses`](Self::from_analyses)).
+    /// each snippet once (against a dictionary that lives for this call),
+    /// then run the counting pass ([`from_analyses`](Self::from_analyses)).
     pub fn extract(
         query_text: &str,
         snippets: &[String],
@@ -45,31 +46,46 @@ impl QueryConceptOntology {
         content_cfg: &ConceptConfig,
         location_cfg: &LocationConceptConfig,
     ) -> Self {
+        let dict = TermDict::new();
         let analyses: Vec<SnippetAnalysis> =
-            snippets.iter().map(|s| SnippetAnalysis::new(s, matcher)).collect();
-        Self::from_analyses(query_text, &analyses, world, content_cfg, location_cfg)
+            snippets.iter().map(|s| SnippetAnalysis::new(s, matcher, &dict)).collect();
+        Self::from_analyses(query_text, &analyses, &dict, world, content_cfg, location_cfg)
     }
 
     /// The per-pool half of extraction: count concepts over snippets that
-    /// are already analysed (`analyses[i]` is snippet `i`). Callers that
-    /// see the same snippets again — the engine's pool and page, other
-    /// users' pools — keep the analyses (see [`crate::ConceptMemo`]) and
-    /// pay only for this pass.
+    /// are already analysed (`analyses[i]` is snippet `i`, built against
+    /// `dict`). Callers that see the same snippets again — the engine's
+    /// pool and page, other users' pools — keep the analyses (see
+    /// [`crate::ConceptMemo`]) and pay only for this pass, which interns
+    /// nothing and works out of the thread's reusable scratch.
+    ///
+    /// # Panics
+    /// Panics if an analysis was built against a dictionary other than
+    /// `dict`.
     pub fn from_analyses<S: Borrow<SnippetAnalysis>>(
         query_text: &str,
         analyses: &[S],
+        dict: &TermDict,
         world: &LocationOntology,
         content_cfg: &ConceptConfig,
         location_cfg: &LocationConceptConfig,
     ) -> Self {
-        let (content, incidence) = count_content(query_text, analyses, content_cfg);
-        let graph = ConceptGraph::from_incidence(&incidence, 0.4, 0.8);
-        let mut content_by_snippet: Vec<Vec<usize>> = vec![Vec::new(); analyses.len()];
-        for ci in 0..content.len() {
-            for si in incidence.snippets_of(ci) {
-                content_by_snippet[si].push(ci);
+        let (content, graph, content_by_snippet) = crate::scratch::with(|scratch| {
+            let content = count_content(query_text, analyses, content_cfg, &dict.read(), scratch);
+            let incidence = &scratch.chosen;
+            let graph = ConceptGraph::from_incidence(incidence, 0.4, 0.8);
+            // Sized exactly first: a list per snippet, grown push by push,
+            // was a third of the allocations of the whole pass.
+            let mut content_by_snippet: Vec<Vec<usize>> = (0..analyses.len())
+                .map(|si| Vec::with_capacity(incidence.rows_with(si)))
+                .collect();
+            for ci in 0..content.len() {
+                for si in incidence.snippets_of(ci) {
+                    content_by_snippet[si].push(ci);
+                }
             }
-        }
+            (content, graph, content_by_snippet)
+        });
 
         let locations = count_locations(analyses, world, location_cfg);
         let locations_by_snippet = locations_by_snippet(analyses, &locations);
@@ -191,6 +207,63 @@ mod tests {
         assert_eq!(built() - before, 3);
         assert!(!o.content.is_empty() && !o.graph.edges().is_empty());
         assert!(o.content_by_snippet.iter().all(|cs| !cs.is_empty()));
+    }
+
+    /// The counting pass interns nothing and, once a thread has seen a pool
+    /// of a given size, allocates only what it returns: `Terms::intern` is
+    /// not called across `from_analyses` on memoised analyses, and a second
+    /// identical call leaves every scratch buffer at the capacity the first
+    /// one grew it to.
+    #[test]
+    fn counting_memoised_analyses_interns_nothing_and_regrows_no_scratch() {
+        let interned = || crate::dict::INTERNED.with(|n| n.get());
+        let capacities = || {
+            crate::scratch::with(|s| {
+                [
+                    s.query.capacity(),
+                    s.rows.capacity(),
+                    s.keys.capacity(),
+                    s.seen.capacity(),
+                    s.ranked.capacity(),
+                    s.chosen.capacity(),
+                ]
+            })
+        };
+        let w = world();
+        let m = LocationMatcher::build(&w);
+        let memo = crate::ConceptMemo::new(256);
+        let topics = ["seafood", "lobster", "rolls", "sushi", "menu", "harbor", "booking", "port alden"];
+        let pool: Vec<String> = (0..30)
+            .map(|i| {
+                let words: Vec<&str> =
+                    (0..24).map(|j| topics[(i * 5 + j * (i % 3 + 1)) % topics.len()]).collect();
+                format!("listing{i} {}", words.join(" "))
+            })
+            .collect();
+        assert_eq!(memo.get_or_analyze_all(pool.iter().map(String::as_str), &m).1, 30);
+        assert!(interned() > 0);
+        for snippets in [&pool[..], &pool[..10]] {
+            let (analyses, misses) = memo.get_or_analyze_all(snippets.iter().map(String::as_str), &m);
+            assert_eq!(misses, 0);
+            let count = || {
+                QueryConceptOntology::from_analyses(
+                    "seafood restaurant",
+                    &analyses,
+                    memo.dict(),
+                    &w,
+                    &ConceptConfig::default(),
+                    &LocationConceptConfig::default(),
+                )
+            };
+            let before = interned();
+            let first = count();
+            let grown = capacities();
+            let second = count();
+            assert_eq!(interned(), before, "the counting pass interned a term");
+            assert_eq!(capacities(), grown, "an identical call grew a scratch buffer");
+            assert!(!first.content.is_empty());
+            assert_eq!(crate::reference::bits(&first), crate::reference::bits(&second));
+        }
     }
 
     #[test]

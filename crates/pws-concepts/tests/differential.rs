@@ -184,3 +184,68 @@ fn location_mass_accumulates_in_snippet_order_with_and_without_rollup() {
         }
     }
 }
+
+/// Sixty candidates in every snippet: all tie on snippet frequency, so
+/// which fifty survive `max_concepts` — and in what order — is decided by
+/// name order alone, unigrams and bigrams interleaved.
+#[test]
+fn a_cut_through_more_than_fifty_tied_candidates_is_decided_by_name_order() {
+    let (_, lc) = loose();
+    let words: Vec<String> = (0..30).map(|i| format!("w{}x", (i * 7) % 30)).collect();
+    let snippet = words.join(" ");
+    let cc = ConceptConfig { min_support: 0.0, min_snippet_freq: 1, bigrams: true, max_concepts: 50 };
+    let o = both("q", &[&snippet, &snippet, &snippet], &cc, &lc);
+    assert_eq!(o.content.len(), 50);
+    assert!(o.content.iter().all(|c| c.snippet_freq == 3));
+    let mut names: Vec<String> = words.clone();
+    names.extend(words.windows(2).map(|w| format!("{} {}", w[0], w[1])));
+    names.sort();
+    let got: Vec<&str> = o.content.iter().map(|c| c.term.as_str()).collect();
+    assert_eq!(got, names[..50].iter().map(String::as_str).collect::<Vec<_>>());
+    assert!(got.iter().any(|t| t.contains(' ')) && got.iter().any(|t| !t.contains(' ')));
+}
+
+/// The space inside a bigram's name sorts before every term byte: "new"
+/// < "new york" < "newa", though "new" is a prefix of all three and the
+/// names are compared from two dictionary slices, never concatenated.
+#[test]
+fn a_bigram_sorts_between_its_first_term_and_that_terms_extensions() {
+    let (cc, lc) = loose();
+    let o = both("q", &["newa new york", "newa new york"], &cc, &lc);
+    let terms: Vec<&str> = o.content.iter().map(|c| c.term.as_str()).collect();
+    assert_eq!(terms, ["new", "new york", "newa", "newa new", "york"]);
+    // The same with the cut falling inside the run of shared prefixes.
+    for (max_concepts, kept) in [(1, &terms[..1]), (2, &terms[..2]), (3, &terms[..3])] {
+        let o = both("q", &["newa new york", "newa new york"], &ConceptConfig { max_concepts, ..cc.clone() }, &lc);
+        assert_eq!(o.content.iter().map(|c| c.term.as_str()).collect::<Vec<_>>(), kept);
+    }
+}
+
+/// Query terms are looked up in the dictionary, not added to it: a term no
+/// snippet contains has no id and excludes nothing; one that some snippet
+/// contains still does.
+#[test]
+fn query_terms_no_snippet_contains_change_nothing() {
+    let (cc, lc) = loose();
+    let snippets = ["seafood lobster rolls", "lobster seafood platter"];
+    let plain = both("seafood", &snippets, &cc, &lc);
+    let padded = both("seafood zeppelins unheard", &snippets, &cc, &lc);
+    assert_eq!(plain.content, padded.content);
+    assert!(plain.content.iter().all(|c| c.term != "seafood"));
+    let unknown_only = both("zeppelins", &snippets, &cc, &lc);
+    assert!(unknown_only.content.iter().any(|c| c.term == "seafood"));
+    assert!(unknown_only.content.iter().any(|c| c.term == "seafood lobster"));
+}
+
+/// A query of stopwords analyses to no terms at all: nothing is excluded,
+/// not even a bigram (there is no "bigram of only query terms").
+#[test]
+fn a_query_of_stopwords_excludes_nothing() {
+    let (cc, lc) = loose();
+    let snippets = ["the seafood and the lobster", "seafood of lobster"];
+    let o = both("the of and", &snippets, &cc, &lc);
+    let empty = both("", &snippets, &cc, &lc);
+    assert_eq!(o.content, empty.content);
+    let terms: Vec<&str> = o.content.iter().map(|c| c.term.as_str()).collect();
+    assert_eq!(terms, ["lobster", "seafood", "seafood lobster"]);
+}

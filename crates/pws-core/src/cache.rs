@@ -16,13 +16,15 @@
 //!
 //! Correctness contract: `get` must return exactly what `put` stored for
 //! the same `(tokens, k)`, and only while the epoch the `put` carried is
-//! still the current index epoch — hits are cheap
-//! to clone (`Arc<str>` url/title), so implementations store them
-//! directly. Budget checkpoints, degraded paths, and chaos faults all
+//! still the current index epoch. A pool is handed over as
+//! `Arc<[SearchHit]>` and handed back as a clone of that `Arc`: a probe
+//! copies no hit, least of all under an implementation's lock; the engine
+//! clones a hit once, when it enters a request's candidate pool. Budget checkpoints, degraded paths, and chaos faults all
 //! still apply to cached turns: the cache only replaces the index scan,
 //! never the rest of the pipeline.
 
 use pws_index::SearchHit;
+use std::sync::Arc;
 
 /// A shared cache for base-retrieval results, keyed on analyzed query
 /// tokens and the requested pool size.
@@ -36,10 +38,10 @@ pub trait RetrievalCache: Send + Sync {
     fn epoch(&self) -> u64;
 
     /// Cached hits for `(tokens, k)`, or `None` on a miss.
-    fn get(&self, tokens: &[String], k: usize) -> Option<Vec<SearchHit>>;
+    fn get(&self, tokens: &[String], k: usize) -> Option<Arc<[SearchHit]>>;
 
     /// Store the hits computed for `(tokens, k)` from the index as it was
     /// at `epoch`. If the epoch has moved on since, the hits may describe
     /// an index that is no longer served and must never be returned.
-    fn put(&self, tokens: &[String], k: usize, epoch: u64, hits: &[SearchHit]);
+    fn put(&self, tokens: &[String], k: usize, epoch: u64, hits: Arc<[SearchHit]>);
 }

@@ -29,6 +29,7 @@ use pws_profile::{
 };
 use pws_ranksvm::PairwiseTrainer;
 use pws_text::Analyzer;
+use std::sync::Arc;
 
 /// Budget checkpoints inside [`EngineCore::search_user_gated`], in
 /// execution order. At each one the caller's gate may abort
@@ -90,6 +91,8 @@ pub struct SearchTurn {
 struct EngineMetrics {
     retrieval: std::sync::Arc<pws_obs::StageMetrics>,
     concepts: std::sync::Arc<pws_obs::StageMetrics>,
+    concepts_analyze: std::sync::Arc<pws_obs::StageMetrics>,
+    concepts_count: std::sync::Arc<pws_obs::StageMetrics>,
     concept_memo_hit: std::sync::Arc<pws_obs::StageMetrics>,
     concept_memo_miss: std::sync::Arc<pws_obs::StageMetrics>,
     snippet_hit: std::sync::Arc<pws_obs::StageMetrics>,
@@ -108,6 +111,8 @@ impl EngineMetrics {
         EngineMetrics {
             retrieval: pws_obs::stage(pws_obs::event::STAGE_RETRIEVAL),
             concepts: pws_obs::stage(pws_obs::event::STAGE_CONCEPTS),
+            concepts_analyze: pws_obs::stage("engine.concepts.analyze"),
+            concepts_count: pws_obs::stage("engine.concepts.count"),
             concept_memo_hit: pws_obs::stage("engine.concepts.memo_hit"),
             concept_memo_miss: pws_obs::stage("engine.concepts.memo_miss"),
             snippet_hit: pws_obs::stage("engine.concepts.snippet_hit"),
@@ -125,8 +130,8 @@ impl EngineMetrics {
 /// (distinct snippets analysed over a whole run: `paper.hot` 10.7 k,
 /// `paper.rw` 10.4 k, `store.churn` 6.4 k; `large.cold` > 100 k, which no
 /// sane bound holds) and from the entry size on generated snippets
-/// (~450 B of key text + analysis, plus a 40 B slot): 16 384 entries stay
-/// under 8 MiB, which a test below asserts.
+/// (~320 B of key text + analysis, plus a 40 B slot): 16 384 entries and
+/// the term dictionary stay under 8 MiB, which a test below asserts.
 const CONCEPT_MEMO_CAPACITY: usize = 16_384;
 
 /// The immutable shared read side of the personalized search engine.
@@ -214,14 +219,15 @@ impl<'a> EngineCore<'a> {
 
     /// Base retrieval for `query_text` with the configured pool size,
     /// consulting the retrieval cache when one is attached. Returns the
-    /// hits plus `Some(hit?)` when a cache was consulted (`None` without
-    /// a cache) for the trace stamp.
-    fn retrieve_base(&self, query_text: &str) -> (Vec<SearchHit>, Option<bool>) {
+    /// hits — shared with the cache, so a cached pool costs a reference
+    /// count — plus `Some(hit?)` when a cache was consulted (`None`
+    /// without a cache) for the trace stamp.
+    fn retrieve_base(&self, query_text: &str) -> (Arc<[SearchHit]>, Option<bool>) {
         let k = self.cfg.rerank_pool;
         // Backend contract: search(q, k) == search_tokens(analyze(q), k).
         let tokens = self.base.analyze_text(query_text);
         let Some(cache) = &self.retrieval_cache else {
-            return (self.base.search_tokens(&tokens, k), None);
+            return (self.base.search_tokens(&tokens, k).into(), None);
         };
         // Read before the probe and the search: a pool computed from a
         // pre-publish index snapshot then carries the pre-publish epoch,
@@ -230,8 +236,8 @@ impl<'a> EngineCore<'a> {
         if let Some(hits) = cache.get(&tokens, k) {
             return (hits, Some(true));
         }
-        let hits = self.base.search_tokens(&tokens, k);
-        cache.put(&tokens, k, epoch, &hits);
+        let hits: Arc<[SearchHit]> = self.base.search_tokens(&tokens, k).into();
+        cache.put(&tokens, k, epoch, Arc::clone(&hits));
         (hits, Some(false))
     }
 
@@ -239,13 +245,17 @@ impl<'a> EngineCore<'a> {
     /// from the memo (or is computed and memoized now), then the counting
     /// pass runs over the analyses. Counts every lookup under
     /// `engine.concepts.snippet_hit/miss` and the call as a whole under
-    /// `engine.concepts.memo_hit` (it analysed nothing) or `memo_miss`.
+    /// `engine.concepts.memo_hit` (it analysed nothing) or `memo_miss`;
+    /// times the two halves as `engine.concepts.analyze` and
+    /// `engine.concepts.count`.
     fn extract_concepts<'s>(
         &self,
         query_text: &str,
         snippets: impl IntoIterator<Item = &'s str>,
     ) -> QueryConceptOntology {
+        let analyze_span = self.metrics.concepts_analyze.span();
         let (analyses, misses) = self.concept_memo.get_or_analyze_all(snippets, &self.matcher);
+        drop(analyze_span);
         self.metrics.snippet_hit.incr((analyses.len() - misses) as u64);
         self.metrics.snippet_miss.incr(misses as u64);
         if misses == 0 {
@@ -253,9 +263,11 @@ impl<'a> EngineCore<'a> {
         } else {
             self.metrics.concept_memo_miss.incr(1);
         }
+        let _count_span = self.metrics.concepts_count.span();
         QueryConceptOntology::from_analyses(
             query_text,
             &analyses,
+            self.concept_memo.dict(),
             self.world,
             &self.cfg.concept_cfg,
             &self.cfg.location_cfg,
@@ -304,9 +316,7 @@ impl<'a> EngineCore<'a> {
     /// city name must appear as a contiguous token run. Used to decide
     /// whether the location-aware query augmentation would be redundant.
     pub fn query_mentions_city(&self, query_text: &str, city_name: &str) -> bool {
-        let q_toks = self.analyzer.analyze(query_text);
-        let c_toks = self.analyzer.analyze(city_name);
-        contains_token_seq(&q_toks, &c_toks)
+        contains_token_seq(&self.analyzer, query_text, city_name)
     }
 
     /// β for a query under the configured strategy and mode, given the
@@ -432,7 +442,7 @@ impl<'a> EngineCore<'a> {
         if let Some(t) = trace.as_deref_mut() {
             t.cache_hit = cache_hit;
         }
-        let mut candidates = normalize_pool(&base_hits);
+        let (mut candidates, base_max) = normalize_pool(&base_hits);
 
         // Location-aware query augmentation: also retrieve for
         // "query + preferred city" so home-city documents enter the pool
@@ -446,22 +456,18 @@ impl<'a> EngineCore<'a> {
                 if !self.query_mentions_city(query_text, city_name) {
                     let aug = format!("{query_text} {city_name}");
                     let (aug_hits, _) = self.retrieve_base(&aug);
-                    let new_hits: Vec<SearchHit> = aug_hits
-                        .into_iter()
+                    let new_hits: Vec<&SearchHit> = aug_hits
+                        .iter()
                         .filter(|h| !candidates.iter().any(|(c, _)| c.doc == h.doc))
                         .collect();
                     let new_docs: Vec<u32> = new_hits.iter().map(|h| h.doc).collect();
                     let base_scores = self.base.score_docs(query_text, &new_docs);
-                    let base_max = base_hits
-                        .iter()
-                        .map(|h| h.score)
-                        .fold(0.0_f64, f64::max)
-                        .max(f64::MIN_POSITIVE);
+                    // A shared hit is cloned once, when it enters the pool.
                     let rescored: Vec<(SearchHit, f64)> = new_hits
                         .into_iter()
                         .zip(base_scores)
                         .filter(|(_, s)| *s > 0.0)
-                        .map(|(h, s)| (h, s / base_max))
+                        .map(|(h, s)| (h.clone(), s / base_max))
                         .collect();
                     merge_pools(&mut candidates, rescored);
                 }
@@ -644,7 +650,7 @@ impl<'a> EngineCore<'a> {
     ) -> SearchTurn {
         let retrieval_span = self.metrics.retrieval.span();
         let (base_hits, _) = self.retrieve_base(query_text);
-        let candidates = normalize_pool(&base_hits);
+        let (candidates, _) = normalize_pool(&base_hits);
         drop(retrieval_span);
         let state = UserState::default();
         self.base_order_turn(&state, user, query_text, candidates, stats, None, None)
@@ -834,10 +840,11 @@ fn feature_input(hit: &SearchHit, norm: f64, rank: usize) -> ResultFeatureInput 
     }
 }
 
-/// Normalize a hit list's scores to [0, 1] by its own max.
-pub(crate) fn normalize_pool(hits: &[SearchHit]) -> Vec<(SearchHit, f64)> {
+/// Normalize a hit list's scores to [0, 1] by its own max; also returns
+/// that max (floored at the smallest positive `f64`, so it divides).
+pub(crate) fn normalize_pool(hits: &[SearchHit]) -> (Vec<(SearchHit, f64)>, f64) {
     let max = hits.iter().map(|h| h.score).fold(0.0_f64, f64::max).max(f64::MIN_POSITIVE);
-    hits.iter().map(|h| (h.clone(), h.score / max)).collect()
+    (hits.iter().map(|h| (h.clone(), h.score / max)).collect(), max)
 }
 
 /// Merge `extra` into `pool`, deduplicating by doc id (keeping the higher
@@ -860,16 +867,33 @@ pub(crate) fn merge_pools(pool: &mut Vec<(SearchHit, f64)>, extra: Vec<(SearchHi
     });
 }
 
-/// Does `haystack` contain `needle` as a contiguous run of whole tokens?
-/// An empty needle is trivially contained.
-fn contains_token_seq(haystack: &[String], needle: &[String]) -> bool {
-    if needle.is_empty() {
+/// Does `haystack` contain `needle` as a contiguous run of whole tokens
+/// (both tokenised by `analyzer`)? An empty needle is trivially contained.
+/// Streams both texts; nothing is collected.
+fn contains_token_seq(analyzer: &Analyzer, haystack: &str, needle: &str) -> bool {
+    let mut len = 0u32;
+    analyzer.for_each_token(needle, |_| len += 1);
+    if len == 0 {
         return true;
     }
-    if needle.len() > haystack.len() {
-        return false;
+    if len > u64::BITS {
+        // Longer than the match mask below is wide: compare collected.
+        let (haystack, needle) = (analyzer.analyze(haystack), analyzer.analyze(needle));
+        return haystack.windows(needle.len()).any(|w| w == needle);
     }
-    haystack.windows(needle.len()).any(|w| w == needle)
+    // Shift-and matching: bit `i` of `runs` is set when the haystack tokens
+    // seen last equal the needle's first `i + 1`.
+    let (mut runs, mut found) = (0u64, false);
+    analyzer.for_each_token(haystack, |token| {
+        let (mut equal, mut i) = (0u64, 0);
+        analyzer.for_each_token(needle, |n| {
+            equal |= u64::from(n == token) << i;
+            i += 1;
+        });
+        runs = (runs << 1 | 1) & equal;
+        found |= runs >> (len - 1) & 1 == 1;
+    });
+    found
 }
 
 #[cfg(test)]
@@ -883,7 +907,10 @@ mod tests {
     use super::*;
 
     /// The memo at capacity, filled with generated-corpus snippets (the
-    /// 24-token body windows the index serves), stays under 8 MiB.
+    /// 24-token body windows the index serves), stays under 8 MiB — term
+    /// dictionary included — and an analysis holds less than half of what
+    /// it did when it stored its terms' text (concatenated, plus a 4-byte
+    /// end offset per term) instead of their ids.
     #[test]
     fn concept_memo_at_capacity_stays_under_8_mib() {
         let world = pws_geo::WorldGen::new(42).generate(&pws_geo::WorldSpec::default_world());
@@ -893,13 +920,19 @@ mod tests {
         let memo = ConceptMemo::new(CONCEPT_MEMO_CAPACITY);
         // 4x the capacity in windows, so every slot fills.
         let mut offered = 0;
+        let (mut held, mut held_as_text) = (0, 0);
         'fill: for start in 0.. {
             let mut any = false;
             for d in &corpus.docs {
                 let tokens: Vec<&str> = d.body.split(' ').collect();
                 let Some(window) = tokens.get(start..start + 24) else { continue };
                 any = true;
-                memo.get_or_analyze(&window.join(" "), &matcher);
+                let text = window.join(" ");
+                let (analysis, _) = memo.get_or_analyze(&text, &matcher);
+                let mut term_text = 0;
+                Analyzer::default().for_each_token(&text, |t| term_text += t.len());
+                held += analysis.heap_bytes();
+                held_as_text += analysis.heap_bytes() + term_text;
                 offered += 1;
                 if offered == 4 * CONCEPT_MEMO_CAPACITY {
                     break 'fill;
@@ -911,20 +944,36 @@ mod tests {
         assert!(memo.len() <= CONCEPT_MEMO_CAPACITY);
         let mib = memo.heap_bytes() as f64 / (1 << 20) as f64;
         assert!(mib <= 8.0, "memo holds {mib:.2} MiB at capacity");
+        assert!(memo.heap_bytes() > memo.dict().heap_bytes() && !memo.dict().is_empty());
+        assert!(2 * held < held_as_text, "analyses hold {held} B, {held_as_text} B as text");
     }
 
     #[test]
     fn token_seq_containment() {
-        let toks = |s: &str| -> Vec<String> { s.split(' ').map(|t| t.to_string()).collect() };
-        assert!(contains_token_seq(&toks("restaurants in york"), &toks("york")));
-        assert!(contains_token_seq(&toks("best new york pizza"), &toks("new york")));
+        let contains = |h: &str, n: &str| contains_token_seq(&Analyzer::verbatim(), h, n);
+        assert!(contains("restaurants in york", "york"));
+        assert!(contains("best new york pizza", "new york"));
         // Substring of a longer token is NOT a mention.
-        assert!(!contains_token_seq(&toks("restaurants in yorkshire"), &toks("york")));
+        assert!(!contains("restaurants in yorkshire", "york"));
         // Token runs must be contiguous and in order.
-        assert!(!contains_token_seq(&toks("new deals in york"), &toks("new york")));
-        assert!(!contains_token_seq(&toks("york new bridge"), &toks("new york")));
+        assert!(!contains("new deals in york", "new york"));
+        assert!(!contains("york new bridge", "new york"));
         // Empty needle is trivially contained; oversized needle never is.
-        assert!(contains_token_seq(&toks("a b"), &[]));
-        assert!(!contains_token_seq(&toks("york"), &toks("new york")));
+        assert!(contains("a b", ""));
+        assert!(contains("a b", " ,"));
+        assert!(!contains("york", "new york"));
+        // A failed run may overlap the start of the one that matches.
+        assert!(contains("new new york", "new york"));
+        assert!(contains("a a a b", "a a b"));
+        assert!(!contains("a a a", "a a b"));
+        // Surface forms, case-folded; non-ASCII takes the general tokenizer.
+        assert!(contains("Hotels in New-York!", "new york"));
+        assert!(contains("bars in KÖLN tonight", "köln"));
+        // Past the 64-token mask the collected comparison answers.
+        let long: Vec<String> = (0..70).map(|i| format!("t{i}")).collect();
+        let (needle, hay) = (long.join(" "), format!("x {} y", long.join(" ")));
+        assert!(contains(&hay, &needle));
+        assert!(!contains(&hay, &format!("{needle} z")));
+        assert!(contains(&hay, &long[3..67].join(" ")), "exactly 64 tokens");
     }
 }

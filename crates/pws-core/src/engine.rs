@@ -783,9 +783,11 @@ mod tests {
             title: "t".into(),
             snippet: "s".into(),
         };
-        let pool = normalize_pool(&[h(0, 8.0), h(1, 2.0)]);
+        let (pool, max) = normalize_pool(&[h(0, 8.0), h(1, 2.0)]);
         assert_eq!(pool[0].1, 1.0);
         assert_eq!(pool[1].1, 0.25);
-        assert!(normalize_pool(&[]).is_empty());
+        assert_eq!(max, 8.0);
+        let (empty, floor) = normalize_pool(&[]);
+        assert!(empty.is_empty() && floor > 0.0);
     }
 }

@@ -21,6 +21,7 @@
 use crate::exec::rank_order;
 use crate::search::SearchHit;
 use crate::segmented::SegmentedIndex;
+use crate::snippet::SnippetScratch;
 use std::collections::HashMap;
 
 /// Parsed query expression.
@@ -229,7 +230,8 @@ impl SegmentedIndex {
         cands.sort_unstable_by(rank_order);
         cands.truncate(k);
         // Use the raw (pre-structure) analyzed terms for snippets.
-        Ok(self.materialize(&cands, &self.analyze_text(query)))
+        let q_tokens = self.analyze_text(query);
+        Ok(self.materialize(&cands, &q_tokens, &mut SnippetScratch::default()))
     }
 
     /// Recursively evaluate an expression to scored matching docs.

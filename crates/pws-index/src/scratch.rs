@@ -20,6 +20,7 @@
 //! `scratch.max_in_use` records the concurrent-checkout high-water mark.
 
 use crate::exec::{BmwCursor, HeapEntry, ResolvedTerm};
+use crate::snippet::SnippetScratch;
 use std::collections::BinaryHeap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,6 +62,9 @@ pub(crate) struct SearchScratch {
     pub touched: Vec<u32>,
     /// Total heap insertions (for the `index.snippets_deferred` count).
     pub pushes: u64,
+    /// Snippet extraction state: the per-result-list stem memo and the
+    /// per-body token buffers.
+    pub snippets: SnippetScratch,
 }
 
 /// A shared pool of [`SearchScratch`] arenas.

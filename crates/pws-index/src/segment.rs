@@ -25,6 +25,7 @@ use crate::search::StoredDoc;
 use crate::segfile::{SegmentError, SEGMENT_FORMAT};
 use pws_obs::format::{le_u64, FormatError};
 use pws_text::{Analyzer, Interner};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -427,21 +428,28 @@ impl Segment {
     /// bug, not a file-format condition (file structure was validated at
     /// load).
     pub fn doc(&self, local_id: u32) -> StoredDoc {
+        let [url, title, body] = self.doc_fields(local_id);
+        StoredDoc { id: local_id, url: url.into(), title: title.into(), body: body.into_owned() }
+    }
+
+    /// The `[url, title, body]` of one stored document, borrowed from the
+    /// segment's bytes wherever they are valid UTF-8 (every record this
+    /// crate wrote): a caller that only reads the body copies nothing.
+    ///
+    /// # Panics
+    /// As [`Segment::doc`].
+    pub(crate) fn doc_fields(&self, local_id: u32) -> [Cow<'_, str>; 3] {
         let inner = &self.inner;
         assert!(local_id < inner.doc_count, "doc id {local_id} out of range");
         let di = &inner.bytes[inner.doc_index_off..];
         let start = le_u64(&di[local_id as usize * 8..]) as usize;
         let mut rec = &inner.bytes[inner.docs_off + start..inner.docs_off + inner.docs_len];
-        let mut read_str = || -> String {
+        [(); 3].map(|()| {
             let len = read_varint(&mut rec).map_or(0, |l| l as usize).min(rec.len());
-            let s = String::from_utf8_lossy(&rec[..len]).into_owned();
-            rec = &rec[len..];
-            s
-        };
-        let url = read_str();
-        let title = read_str();
-        let body = read_str();
-        StoredDoc { id: local_id, url: url.into(), title: title.into(), body }
+            let (field, rest) = rec.split_at(len);
+            rec = rest;
+            String::from_utf8_lossy(field)
+        })
     }
 
     /// Raw byte range of one doc record in the `Docs` section

@@ -42,7 +42,7 @@ use crate::scratch::{ScratchPool, SearchScratch};
 use crate::search::SearchHit;
 use crate::segment::{Segment, SegmentBuilder, TfCursor};
 use crate::segfile::SegmentError;
-use crate::snippet::extract_snippet;
+use crate::snippet::SnippetScratch;
 use pws_obs::format::FormatError;
 use pws_text::Analyzer;
 use std::collections::HashMap;
@@ -245,6 +245,13 @@ impl SegmentedIndex {
         self.run_query(q_tokens, k, &mut scratch)
     }
 
+    /// Process-wide handle to the `index.materialize` stage.
+    fn metrics_materialize(&self) -> &pws_obs::StageMetrics {
+        static STAGE: std::sync::OnceLock<std::sync::Arc<pws_obs::StageMetrics>> =
+            std::sync::OnceLock::new();
+        STAGE.get_or_init(|| pws_obs::stage("index.materialize"))
+    }
+
     /// Process-wide handle to the `index.snippets_deferred` counter.
     fn metrics_snippets_deferred(&self) -> &pws_obs::StageMetrics {
         static STAGE: std::sync::OnceLock<std::sync::Arc<pws_obs::StageMetrics>> =
@@ -279,7 +286,8 @@ impl SegmentedIndex {
         if deferred > 0 {
             self.metrics_snippets_deferred().incr(deferred);
         }
-        self.materialize(&scratch.cands, q_tokens)
+        let _span = self.metrics_materialize().span();
+        self.materialize(&scratch.cands, q_tokens, &mut scratch.snippets)
     }
 
     /// The exhaustive reference: term-at-a-time accumulation over every
@@ -303,7 +311,7 @@ impl SegmentedIndex {
         let mut cands: Vec<(u32, f64)> = acc.into_iter().collect();
         cands.sort_unstable_by(rank_order);
         cands.truncate(k);
-        self.materialize(&cands, q_tokens)
+        self.materialize(&cands, q_tokens, &mut SnippetScratch::default())
     }
 
     /// Every doc containing one analyzed term, with the term's BM25
@@ -440,14 +448,23 @@ impl SegmentedIndex {
     }
 
     /// Build hits (with snippets) from globally-id'd scored candidates.
-    pub(crate) fn materialize(&self, cands: &[(u32, f64)], q_tokens: &[String]) -> Vec<SearchHit> {
+    /// Bodies are read in place, and one stem memo in `snippets` serves
+    /// the whole list (its query tokens are fixed).
+    pub(crate) fn materialize(
+        &self,
+        cands: &[(u32, f64)],
+        q_tokens: &[String],
+        snippets: &mut SnippetScratch,
+    ) -> Vec<SearchHit> {
+        let mut snippets = snippets.for_query(q_tokens);
         cands
             .iter()
             .enumerate()
             .map(|(i, &(doc, score))| {
-                let d = self.doc(doc);
-                let snippet = extract_snippet(&d.body, q_tokens, 24);
-                SearchHit { doc, score, rank: i + 1, url: d.url, title: d.title, snippet }
+                let s = self.segment_of(doc);
+                let [url, title, body] = self.segments[s].doc_fields(doc - self.bases[s]);
+                let snippet = snippets.extract(&body, 24);
+                SearchHit { doc, score, rank: i + 1, url: url.into(), title: title.into(), snippet }
             })
             .collect()
     }

@@ -6,7 +6,7 @@
 //! the body tokens and pick the window covering the most *distinct* query
 //! terms (ties: more total query-term occurrences, then earliest).
 //!
-//! Extraction sits on the latency path of every materialized hit, so two
+//! Extraction sits on the latency path of every materialized hit, so three
 //! exactness-preserving fast paths keep it cheap:
 //!
 //! * **first-byte prefilter** — the Porter stemmer only ever rewrites
@@ -17,42 +17,155 @@
 //! * **borrowed ASCII tokenization** — bodies that are pure
 //!   ASCII-without-uppercase tokenize to byte-range slices of the input
 //!   (lowercasing is a no-op), so the common case allocates no per-token
-//!   strings. Anything else falls back to the general Unicode tokenizer.
+//!   strings. Anything else falls back to the general Unicode tokenizer;
+//! * **one stem memo per result list** — whether a surface form stems to a
+//!   query term depends on the form and the query alone, and the bodies of
+//!   one result list share their topic words: `SnippetScratch::for_query`
+//!   remembers the answer per form for as long as the query tokens are
+//!   fixed, so a form is stemmed once per list, not once per body, through
+//!   one reused buffer.
 
-use pws_text::{porter_stem, tokenize};
+use pws_text::{porter_stem, porter_stem_into, tokenize, Interner};
+
+/// Reusable state of snippet extraction; lives in the pooled
+/// [`crate::scratch::SearchScratch`].
+#[derive(Debug, Default)]
+pub(crate) struct SnippetScratch {
+    /// Surface forms looked at under the current query tokens.
+    forms: Interner,
+    /// By form: the query token it stems to, if any.
+    matches: Vec<Option<usize>>,
+    /// The stemmer's buffer.
+    stem: Vec<u8>,
+    /// Token byte ranges of the body in hand.
+    ranges: Vec<(u32, u32)>,
+    /// Per token of the body in hand, the query token it matches.
+    is_query_term: Vec<Option<usize>>,
+}
+
+impl SnippetScratch {
+    /// An extractor for bodies matched against `q_tokens` (already
+    /// stemmed/lowercased). Forgets what earlier query tokens taught it:
+    /// the stem memo is only valid while they are fixed.
+    pub(crate) fn for_query<'a>(&'a mut self, q_tokens: &'a [String]) -> Snippets<'a> {
+        self.forms.clear();
+        self.matches.clear();
+        // First bytes of the query tokens (all prefilter candidates).
+        let mut want = [false; 128];
+        for q in q_tokens {
+            if let Some(&b) = q.as_bytes().first().filter(|b| b.is_ascii()) {
+                want[b as usize] = true;
+            }
+        }
+        Snippets { q_tokens, want, scratch: self }
+    }
+}
+
+/// Snippet extraction against one fixed set of query tokens.
+pub(crate) struct Snippets<'a> {
+    q_tokens: &'a [String],
+    want: [bool; 128],
+    scratch: &'a mut SnippetScratch,
+}
 
 /// Extract a snippet of (about) `window` tokens from `body`, biased towards
 /// the analyzed query tokens `q_tokens` (already stemmed/lowercased).
 ///
 /// Falls back to the leading `window` tokens when no query term occurs.
 pub fn extract_snippet(body: &str, q_tokens: &[String], window: usize) -> String {
-    // ASCII fast path: tokens are slices of `body` (lowercasing would be a
-    // no-op), so skip the per-token String allocations.
-    if body.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase()) {
-        return extract_snippet_ascii(body, q_tokens, window);
+    SnippetScratch::default().for_query(q_tokens).extract(body, window)
+}
+
+impl Snippets<'_> {
+    /// [`extract_snippet`] of `body` for this extractor's query tokens.
+    pub(crate) fn extract(&mut self, body: &str, window: usize) -> String {
+        // ASCII fast path: tokens are slices of `body` (lowercasing would be
+        // a no-op), so skip the per-token String allocations.
+        if body.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase()) {
+            return self.extract_ascii(body, window);
+        }
+        let q_tokens = self.q_tokens;
+
+        let raw_tokens = tokenize(body);
+        if raw_tokens.is_empty() {
+            return String::new();
+        }
+        let window = window.max(1).min(raw_tokens.len());
+
+        // Match on stemmed forms so the snippet window aligns with BM25's
+        // view of the document.
+        let is_query_term: Vec<Option<usize>> = raw_tokens
+            .iter()
+            .map(|t| {
+                if !first_char_may_match(t, q_tokens) {
+                    return None;
+                }
+                let s = porter_stem(t);
+                q_tokens.iter().position(|q| q == &s)
+            })
+            .collect();
+
+        let best_start = best_window(&is_query_term, window);
+        raw_tokens[best_start..best_start + window].join(" ")
     }
 
-    let raw_tokens = tokenize(body);
-    if raw_tokens.is_empty() {
-        return String::new();
-    }
-    let window = window.max(1).min(raw_tokens.len());
-
-    // Match on stemmed forms so the snippet window aligns with BM25's view
-    // of the document.
-    let is_query_term: Vec<Option<usize>> = raw_tokens
-        .iter()
-        .map(|t| {
-            if !first_char_may_match(t, q_tokens) {
-                return None;
+    /// Zero-alloc tokenization + window selection for lowercase-ASCII
+    /// bodies. Token boundaries replicate [`pws_text::tokenize`] exactly:
+    /// maximal runs of alphanumerics plus intra-word apostrophes.
+    fn extract_ascii(&mut self, body: &str, window: usize) -> String {
+        let (q_tokens, want) = (self.q_tokens, &self.want);
+        let SnippetScratch { forms, matches, stem, ranges, is_query_term } = &mut *self.scratch;
+        let bytes = body.as_bytes();
+        ranges.clear();
+        let mut start: Option<usize> = None;
+        for (i, &b) in bytes.iter().enumerate() {
+            let in_token = b.is_ascii_alphanumeric()
+                || (b == b'\''
+                    && start.is_some()
+                    && bytes.get(i + 1).is_some_and(|n| n.is_ascii_alphanumeric()));
+            if in_token {
+                if start.is_none() {
+                    start = Some(i);
+                }
+            } else if let Some(s) = start.take() {
+                ranges.push((s as u32, i as u32));
             }
-            let s = porter_stem(t);
-            q_tokens.iter().position(|q| q == &s)
-        })
-        .collect();
+        }
+        if let Some(s) = start {
+            ranges.push((s as u32, bytes.len() as u32));
+        }
+        if ranges.is_empty() {
+            return String::new();
+        }
+        let window = window.max(1).min(ranges.len());
 
-    let best_start = best_window(&is_query_term, window);
-    raw_tokens[best_start..best_start + window].join(" ")
+        is_query_term.clear();
+        for &(s, e) in ranges.iter() {
+            if !want[bytes[s as usize] as usize] {
+                is_query_term.push(None); // Porter never alters the first character
+                continue;
+            }
+            let form = forms.intern(&body[s as usize..e as usize]);
+            if form.index() == matches.len() {
+                // First sight of the form under these query tokens.
+                let stemmed = porter_stem_into(&body[s as usize..e as usize], stem);
+                matches.push(q_tokens.iter().position(|q| q == stemmed));
+            }
+            is_query_term.push(matches[form.index()]);
+        }
+
+        let best_start = best_window(is_query_term, window);
+        let sel = &ranges[best_start..best_start + window];
+        let cap = sel.iter().map(|&(s, e)| (e - s) as usize + 1).sum::<usize>();
+        let mut out = String::with_capacity(cap);
+        for (j, &(s, e)) in sel.iter().enumerate() {
+            if j > 0 {
+                out.push(' ');
+            }
+            out.push_str(&body[s as usize..e as usize]);
+        }
+        out
+    }
 }
 
 /// Can `token` possibly stem to one of `q_tokens`? The Porter stemmer never
@@ -62,79 +175,6 @@ pub fn extract_snippet(body: &str, q_tokens: &[String], window: usize) -> String
 fn first_char_may_match(token: &str, q_tokens: &[String]) -> bool {
     let Some(fc) = token.chars().next() else { return false };
     q_tokens.iter().any(|q| q.starts_with(fc))
-}
-
-/// Zero-alloc tokenization + window selection for lowercase-ASCII bodies.
-/// Token boundaries replicate [`pws_text::tokenize`] exactly: maximal runs
-/// of alphanumerics plus intra-word apostrophes.
-fn extract_snippet_ascii(body: &str, q_tokens: &[String], window: usize) -> String {
-    let bytes = body.as_bytes();
-    let mut ranges: Vec<(u32, u32)> = Vec::new();
-    let mut start: Option<usize> = None;
-    for (i, &b) in bytes.iter().enumerate() {
-        let in_token = b.is_ascii_alphanumeric()
-            || (b == b'\''
-                && start.is_some()
-                && bytes.get(i + 1).is_some_and(|n| n.is_ascii_alphanumeric()));
-        if in_token {
-            if start.is_none() {
-                start = Some(i);
-            }
-        } else if let Some(s) = start.take() {
-            ranges.push((s as u32, i as u32));
-        }
-    }
-    if let Some(s) = start {
-        ranges.push((s as u32, bytes.len() as u32));
-    }
-    if ranges.is_empty() {
-        return String::new();
-    }
-    let window = window.max(1).min(ranges.len());
-
-    // First bytes of the query tokens (all prefilter candidates).
-    let mut want = [false; 128];
-    for q in q_tokens {
-        if let Some(&b) = q.as_bytes().first() {
-            if b < 128 {
-                want[b as usize] = true;
-            }
-        }
-    }
-    // Memoize stem lookups per distinct surface form: generated bodies
-    // repeat topic words heavily, so most tokens hit the tiny cache.
-    let mut memo: Vec<((u32, u32), Option<usize>)> = Vec::new();
-    let mut is_query_term: Vec<Option<usize>> = Vec::with_capacity(ranges.len());
-    for &(s, e) in &ranges {
-        if !want[bytes[s as usize] as usize] {
-            is_query_term.push(None); // Porter never alters the first character
-            continue;
-        }
-        let t = &body[s as usize..e as usize];
-        let cached = memo
-            .iter()
-            .find(|&&((ms, me), _)| &body[ms as usize..me as usize] == t)
-            .map(|&(_, v)| v);
-        let v = cached.unwrap_or_else(|| {
-            let st = porter_stem(t);
-            let v = q_tokens.iter().position(|q| q == &st);
-            memo.push(((s, e), v));
-            v
-        });
-        is_query_term.push(v);
-    }
-
-    let best_start = best_window(&is_query_term, window);
-    let sel = &ranges[best_start..best_start + window];
-    let cap = sel.iter().map(|&(s, e)| (e - s) as usize + 1).sum::<usize>();
-    let mut out = String::with_capacity(cap);
-    for (j, &(s, e)) in sel.iter().enumerate() {
-        if j > 0 {
-            out.push(' ');
-        }
-        out.push_str(&body[s as usize..e as usize]);
-    }
-    out
 }
 
 /// Incremental sliding window: per-term occurrence counts, with
@@ -263,5 +303,101 @@ mod tests {
             };
             assert_eq!(via_slices, via_general, "body = {body:?}");
         }
+    }
+
+    /// The ASCII path as it was before the stem memo moved from the body
+    /// to the result list: a linear-scan memo per body, a `String` per
+    /// stem. Kept as the oracle of the differential test below.
+    fn reference_ascii(body: &str, q_tokens: &[String], window: usize) -> String {
+        let toks: Vec<&str> = body
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '\''))
+            .flat_map(|run| {
+                // Apostrophes count inside a word only.
+                let run = run.trim_matches('\'');
+                (!run.is_empty()).then_some(run)
+            })
+            .collect();
+        assert_eq!(toks, tokenize(body), "reference tokenizer drifted on {body:?}");
+        if toks.is_empty() {
+            return String::new();
+        }
+        let window = window.max(1).min(toks.len());
+        let mut memo: Vec<(&str, Option<usize>)> = Vec::new();
+        let is_query_term: Vec<Option<usize>> = toks
+            .iter()
+            .map(|&t| {
+                if !first_char_may_match(t, q_tokens) {
+                    return None;
+                }
+                if let Some(&(_, v)) = memo.iter().find(|(m, _)| *m == t) {
+                    return v;
+                }
+                let st = porter_stem(t);
+                let v = q_tokens.iter().position(|q| q == &st);
+                memo.push((t, v));
+                v
+            })
+            .collect();
+        let bs = best_window(&is_query_term, window);
+        toks[bs..bs + window].join(" ")
+    }
+
+    /// One extractor per query over a whole list of generated bodies — the
+    /// shape `materialize` uses — gives every body the snippet the per-body
+    /// implementation gives it. Bodies share inflected topic words (so the
+    /// memo is hit across bodies); every seventh is not lowercase ASCII and
+    /// takes the unchanged general path.
+    #[test]
+    fn per_list_stem_memo_matches_the_per_body_memo() {
+        const TOPICS: [&str; 24] = [
+            "restaurant", "restaurants", "booking", "bookings", "booked", "hotel", "hotels",
+            "seafood", "lobster", "lobsters", "running", "runs", "runner", "menu", "menus",
+            "harbor", "harbors", "don't", "o'hare's", "n73", "2009", "relational", "rates",
+            "rating",
+        ];
+        const FILLER: [&str; 8] = ["filler", "the", "of", "x", "daily", "near", "city", "a"];
+        let mut state = 0x9E37_79B9u64;
+        let mut next = move |n: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        let bodies: Vec<String> = (0..210)
+            .map(|i| {
+                let words: Vec<&str> = (0..20 + next(120))
+                    .map(|_| if next(3) == 0 { TOPICS[next(TOPICS.len())] } else { FILLER[next(FILLER.len())] })
+                    .collect();
+                let body = words.join([" ", ", ", " - ", ". "][next(4)]);
+                match i % 7 {
+                    3 => format!("Köln café {body}"),
+                    5 => body.to_uppercase(),
+                    _ => body,
+                }
+            })
+            .collect();
+        let queries: Vec<Vec<String>> = (0..24)
+            .map(|i| match i {
+                0 => vec![],
+                1 => q(&["zzz"]),
+                _ => (0..1 + next(3)).map(|_| porter_stem(TOPICS[next(TOPICS.len())])).collect(),
+            })
+            .collect();
+        let mut scratch = SnippetScratch::default();
+        let (mut ascii, mut general) = (0, 0);
+        for q_tokens in &queries {
+            let mut snippets = scratch.for_query(q_tokens);
+            for body in &bodies {
+                for window in [5, 24] {
+                    let got = snippets.extract(body, window);
+                    assert_eq!(got, extract_snippet(body, q_tokens, window), "{q_tokens:?} {body:?}");
+                    if body.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase()) {
+                        assert_eq!(got, reference_ascii(body, q_tokens, window), "{q_tokens:?} {body:?}");
+                        ascii += 1;
+                    } else {
+                        general += 1;
+                    }
+                }
+            }
+        }
+        assert!(ascii > 5_000 && general > 2_000, "{ascii} ascii, {general} general");
     }
 }

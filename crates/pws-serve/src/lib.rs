@@ -773,7 +773,9 @@ struct CacheEntry {
     epoch: u64,
     /// Shard-local LRU clock value of the last touch.
     tick: u64,
-    hits: Vec<SearchHit>,
+    /// Shared with every request served from this entry: a probe bumps
+    /// the count under the shard lock and copies nothing.
+    hits: Arc<[SearchHit]>,
 }
 
 /// One lock shard of the retrieval cache: fingerprint-keyed entries plus
@@ -880,7 +882,7 @@ impl RetrievalCache for ShardedRetrievalCache {
         ShardedRetrievalCache::epoch(self)
     }
 
-    fn get(&self, tokens: &[String], k: usize) -> Option<Vec<SearchHit>> {
+    fn get(&self, tokens: &[String], k: usize) -> Option<Arc<[SearchHit]>> {
         let fp = cache_fingerprint(tokens, k);
         let epoch = self.epoch.load(Ordering::Acquire);
         let mut shard = self.lock_shard(fp);
@@ -889,7 +891,7 @@ impl RetrievalCache for ShardedRetrievalCache {
         match shard.map.get_mut(&fp) {
             Some(e) if e.epoch == epoch && e.k == k && e.tokens == tokens => {
                 e.tick = tick;
-                let hits = e.hits.clone();
+                let hits = Arc::clone(&e.hits);
                 drop(shard);
                 self.hit.incr(1);
                 Some(hits)
@@ -910,7 +912,7 @@ impl RetrievalCache for ShardedRetrievalCache {
         }
     }
 
-    fn put(&self, tokens: &[String], k: usize, epoch: u64, hits: &[SearchHit]) {
+    fn put(&self, tokens: &[String], k: usize, epoch: u64, hits: Arc<[SearchHit]>) {
         // A pool computed under an epoch that has since been invalidated
         // describes an index no longer served: keep it out rather than
         // let it evict a live entry.
@@ -936,7 +938,7 @@ impl RetrievalCache for ShardedRetrievalCache {
                 k,
                 epoch,
                 tick,
-                hits: hits.to_vec(),
+                hits,
             },
         );
     }
@@ -3211,9 +3213,9 @@ mod tests {
         let tokens = vec!["seafood".to_string()];
         let e = cache.epoch();
         cache.invalidate();
-        cache.put(&tokens, 10, e, &[]);
+        cache.put(&tokens, 10, e, Arc::new([]));
         assert!(cache.get(&tokens, 10).is_none(), "stale pool pinned under the new epoch");
-        cache.put(&tokens, 10, cache.epoch(), &[]);
+        cache.put(&tokens, 10, cache.epoch(), Arc::new([]));
         assert!(cache.get(&tokens, 10).is_some(), "a current-epoch put is served");
     }
 
@@ -3266,7 +3268,7 @@ mod tests {
         let cache = ShardedRetrievalCache::new(8); // 1 entry per lock shard
         for i in 0..100u32 {
             let tokens = vec![format!("term{i}")];
-            cache.put(&tokens, 10, cache.epoch(), &[]);
+            cache.put(&tokens, 10, cache.epoch(), Arc::new([]));
             assert!(
                 cache.get(&tokens, 10).is_some(),
                 "just-inserted entry must be resident"

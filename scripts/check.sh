@@ -62,15 +62,33 @@ else
 fi
 
 echo "==> allocation-free hot-loop gate (no Vec::new/HashMap::new in exec/scratch)"
-# The per-query scoring loops run out of pooled SearchScratch arenas;
-# steady state must not allocate. Growth is allowed only through
-# with_capacity / Default on the pooled structs, so a bare Vec::new()
-# or HashMap::new() in these modules is a regression.
+# The per-query scoring loops run out of pooled SearchScratch arenas, and
+# the concept counting pass out of its per-thread CountScratch; steady
+# state must not allocate. Growth is allowed only through with_capacity /
+# Default on the reused structs, so a bare Vec::new() or HashMap::new()
+# in these modules is a regression.
 if grep -nE '(Vec|HashMap)::new\(\)' \
-    crates/pws-index/src/exec.rs crates/pws-index/src/scratch.rs; then
+    crates/pws-index/src/exec.rs crates/pws-index/src/scratch.rs \
+    crates/pws-concepts/src/scratch.rs; then
     echo "FAIL: allocation in the per-query hot path — use the pooled scratch buffers"
     exit 1
 fi
+
+# only_in_fn PATTERN ALLOWED_FNS FILE...: print every non-comment line
+# before a file's test module that contains PATTERN (a fixed string)
+# outside the functions named in the space-separated ALLOWED_FNS.
+only_in_fn() {
+    local pattern="$1" allowed="$2" f
+    shift 2
+    for f in "$@"; do
+        awk -v f="$f" -v pat="$pattern" -v allowed=" $allowed " '
+            /^#\[cfg\(test\)\]/ { exit }
+            /^[ \t]*\/\// { next }
+            match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+            index($0, pat) && !index(allowed, " " fn " ") { print f ":" FNR ":" $0 }
+        ' "$f"
+    done
+}
 
 echo "==> analyse-once gate (analyser/matcher calls in pws-concepts only in snippet.rs)"
 # Concept extraction analyses a snippet exactly once: SnippetAnalysis::new
@@ -87,6 +105,26 @@ done | grep -vE '^[^:]+:[0-9]+:\s*//' \
     exit 1
 fi
 
+echo "==> intern-once gate (term ids assigned in pws-concepts only in snippet.rs / dict.rs)"
+# A term gets its id once, when its snippet is analysed: SnippetAnalysis::new
+# interns into the engine-wide TermDict (crates/pws-concepts/src/dict.rs) and
+# the counting pass works on those integers out of its scratch table — it
+# builds no interner and owns no hash map, and the only strings it makes are
+# the names of the concepts it returns. reference.rs and #[cfg(test)] modules
+# are exempt.
+if for f in crates/pws-concepts/src/*.rs; do
+    case "$f" in */snippet.rs|*/dict.rs|*/reference.rs) continue ;; esac
+    awk -v f="$f" '/^#\[cfg\(test\)\]/{exit} {print f":"FNR":"$0}' "$f"
+done | grep -vE '^[^:]+:[0-9]+:\s*//' \
+     | grep -E '\.intern\(|Interner::new\(|HashMap<'; then
+    echo "FAIL: interning or a hash map in the counting pass — ids come from SnippetAnalysis, tables from crate::scratch"
+    exit 1
+fi
+if only_in_fn 'format!(' 'concept_name' crates/pws-concepts/src/content.rs | grep .; then
+    echo "FAIL: a String built per candidate — only concept_name names, and only survivors"
+    exit 1
+fi
+
 echo "==> normalise-once gate (L1 / query analysis / extractor built once per request)"
 # The feature stage prepares once and scores many: a profile's L1 mass is
 # computed only where a scorer is built (ContentProfile::scorer,
@@ -94,21 +132,6 @@ echo "==> normalise-once gate (L1 / query analysis / extractor built once per re
 # FeatureExtractor::prepare (titles stream through for_each_token), and
 # the engine builds its FeatureExtractor only in EngineCore::new.
 # #[cfg(test)] modules are exempt.
-# only_in_fn PATTERN ALLOWED_FNS FILE...: print every non-comment line
-# before a file's test module that contains PATTERN (a fixed string)
-# outside the functions named in the space-separated ALLOWED_FNS.
-only_in_fn() {
-    local pattern="$1" allowed="$2" f
-    shift 2
-    for f in "$@"; do
-        awk -v f="$f" -v pat="$pattern" -v allowed=" $allowed " '
-            /^#\[cfg\(test\)\]/ { exit }
-            /^[ \t]*\/\// { next }
-            match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
-            index($0, pat) && !index(allowed, " " fn " ") { print f ":" FNR ":" $0 }
-        ' "$f"
-    done
-}
 if only_in_fn 'sorted_l1(' 'sorted_l1 scorer' crates/pws-profile/src/*.rs | grep .; then
     echo "FAIL: profile L1 computed outside a scorer constructor — score through scorer()"
     exit 1
