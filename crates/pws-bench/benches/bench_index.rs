@@ -2,7 +2,29 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use pws_bench::bench_world;
-use pws_index::{IndexBuilder, StoredDoc};
+use pws_index::{Analyzer, IndexBuilder, SegmentBuilder, StoredDoc};
+
+/// `n` documents of a 3-word title and a `body_words`-word body, no word
+/// repeated anywhere: letters spelling a running count, plus a suffix
+/// Porter works on. Returns the documents and their token count.
+fn distinct_token_docs(n: usize, body_words: usize) -> (Vec<(String, String)>, u64) {
+    const SUFFIXES: [&str; 8] = ["ing", "ations", "ness", "ed", "s", "ful", "ization", ""];
+    let mut next = 0usize;
+    let mut words = |k: usize| {
+        let ws: Vec<String> = (0..k)
+            .map(|_| {
+                next += 1;
+                let mut w: String =
+                    (0..4).map(|d| char::from(b'a' + (next / 26usize.pow(d) % 26) as u8)).collect();
+                w.push_str(SUFFIXES[next % SUFFIXES.len()]);
+                w
+            })
+            .collect();
+        ws.join(" ")
+    };
+    let docs: Vec<(String, String)> = (0..n).map(|_| (words(3), words(body_words))).collect();
+    (docs, (n * (3 + body_words)) as u64)
+}
 
 fn bench_index(c: &mut Criterion) {
     let world = bench_world();
@@ -22,6 +44,27 @@ fn bench_index(c: &mut Criterion) {
             },
             BatchSize::LargeInput,
         )
+    });
+
+    // The long tail of the word table: every token a word never seen
+    // before, on a fresh thread (so an empty table) per build — the table
+    // fills, then answers the rest uncached. Throughput is per token.
+    let (docs, tokens) = distinct_token_docs(1_000, 100);
+    g.throughput(Throughput::Elements(tokens));
+    g.bench_function("build_distinct_tokens", |b| {
+        b.iter(|| {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut builder = SegmentBuilder::new(Analyzer::default());
+                    for (i, (title, body)) in docs.iter().enumerate() {
+                        builder.add(&format!("u{i}"), title, body);
+                    }
+                    builder.finish().len()
+                })
+                .join()
+                .expect("build thread")
+            })
+        })
     });
     g.throughput(Throughput::Elements(1));
 

@@ -5,10 +5,14 @@
 //! when both exist, so the matcher is a token-level trie traversed greedily:
 //! at each position we take the *longest* name starting there, then resume
 //! after it.
+//!
+//! The trie is over token ids: every token of every name is interned once
+//! (a fixed-key hash, see [`Interner`]), a text token is looked up by `&str`
+//! as it is tokenised — a token no name contains ends the walk at once —
+//! and each node keeps its children sorted by id.
 
 use crate::ontology::{LocId, LocationOntology};
-use pws_text::Analyzer;
-use std::collections::HashMap;
+use pws_text::{Analyzer, Interner, Sym};
 
 /// One recognized place name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,7 +27,8 @@ pub struct LocationMatch {
 
 #[derive(Debug, Default)]
 struct TrieNode {
-    children: HashMap<String, TrieNode>,
+    /// `(token, child node)`, ascending by token.
+    children: Vec<(Sym, u32)>,
     /// Node whose (canonical or alias) name ends here.
     terminal: Option<LocId>,
 }
@@ -34,7 +39,10 @@ struct TrieNode {
 /// through the same verbatim analyzer.
 #[derive(Debug)]
 pub struct LocationMatcher {
-    root: TrieNode,
+    /// Every token of every name.
+    words: Interner,
+    /// The trie; `nodes[0]` is the root.
+    nodes: Vec<TrieNode>,
     analyzer: Analyzer,
 }
 
@@ -42,80 +50,116 @@ impl LocationMatcher {
     /// Build a matcher from every name and alias in `onto` (the root
     /// "world" node is excluded — it is not a real place name).
     pub fn build(onto: &LocationOntology) -> Self {
-        let analyzer = Analyzer::verbatim();
-        let mut root = TrieNode::default();
+        let mut m = LocationMatcher {
+            words: Interner::new(),
+            nodes: vec![TrieNode::default()],
+            analyzer: Analyzer::verbatim(),
+        };
         for id in onto.ids() {
             if id == LocId::WORLD {
                 continue;
             }
             let node = onto.node(id);
-            Self::insert(&mut root, &analyzer, &node.name, id);
+            m.insert(&node.name, id);
             for alias in &node.aliases {
-                Self::insert(&mut root, &analyzer, alias, id);
+                m.insert(alias, id);
             }
         }
-        LocationMatcher { root, analyzer }
+        m
     }
 
-    fn insert(root: &mut TrieNode, analyzer: &Analyzer, name: &str, id: LocId) {
-        let toks = analyzer.analyze(name);
+    fn insert(&mut self, name: &str, id: LocId) {
+        let toks = self.analyzer.analyze(name);
         if toks.is_empty() {
             return;
         }
-        let mut cur = root;
+        let mut cur = 0;
         for t in toks {
-            cur = cur.children.entry(t).or_default();
+            let word = self.words.intern(&t);
+            let children = &self.nodes[cur].children;
+            cur = match children.binary_search_by_key(&word, |&(w, _)| w) {
+                Ok(i) => children[i].1 as usize,
+                Err(i) => {
+                    let child = self.nodes.len();
+                    self.nodes[cur].children.insert(i, (word, child as u32));
+                    self.nodes.push(TrieNode::default());
+                    child
+                }
+            };
         }
         // If two places share a surface form, the first inserted wins; the
         // generator guarantees uniqueness, and hand-built ontologies get
         // deterministic first-wins semantics.
-        cur.terminal.get_or_insert(id);
+        self.nodes[cur].terminal.get_or_insert(id);
     }
 
-    /// Match over an already-tokenized (verbatim-analyzed) token stream.
-    pub fn match_tokens(&self, tokens: &[String]) -> Vec<LocationMatch> {
-        let mut out = Vec::new();
+    /// The trie child of `node` along `word`.
+    fn child(&self, node: usize, word: Sym) -> Option<usize> {
+        let children = &self.nodes[node].children;
+        let i = children.binary_search_by_key(&word, |&(w, _)| w).ok()?;
+        Some(children[i].1 as usize)
+    }
+
+    /// Greedy longest match over a token stream given as name-token ids
+    /// (`None`: a token no name contains), calling `f` per match.
+    fn scan(&self, words: &[Option<Sym>], mut f: impl FnMut(LocationMatch)) {
         let mut i = 0;
-        while i < tokens.len() {
-            let mut cur = &self.root;
+        while i < words.len() {
+            let mut cur = 0;
             let mut best: Option<(LocId, usize)> = None;
-            let mut j = i;
-            while j < tokens.len() {
-                match cur.children.get(&tokens[j]) {
+            for (j, word) in words[i..].iter().enumerate() {
+                match word.and_then(|w| self.child(cur, w)) {
                     Some(next) => {
                         cur = next;
-                        j += 1;
-                        if let Some(id) = cur.terminal {
-                            best = Some((id, j - i));
+                        if let Some(id) = self.nodes[cur].terminal {
+                            best = Some((id, j + 1));
                         }
                     }
                     None => break,
                 }
             }
             if let Some((loc, len)) = best {
-                out.push(LocationMatch { loc, start: i, len });
+                f(LocationMatch { loc, start: i, len });
                 i += len;
             } else {
                 i += 1;
             }
         }
+    }
+
+    /// Tokenise `text` with the verbatim analyser and look each token up
+    /// among the name tokens — no `String` per token.
+    fn words_of(&self, text: &str) -> Vec<Option<Sym>> {
+        let mut words = Vec::new();
+        self.analyzer.for_each_token(text, |t| words.push(self.words.get(t)));
+        words
+    }
+
+    /// Match over an already-tokenized (verbatim-analyzed) token stream.
+    pub fn match_tokens(&self, tokens: &[String]) -> Vec<LocationMatch> {
+        let words: Vec<Option<Sym>> = tokens.iter().map(|t| self.words.get(t)).collect();
+        let mut out = Vec::new();
+        self.scan(&words, |m| out.push(m));
         out
     }
 
     /// Tokenize `text` and match.
     pub fn match_text(&self, text: &str) -> Vec<LocationMatch> {
-        let toks = self.analyzer.analyze(text);
-        self.match_tokens(&toks)
+        let mut out = Vec::new();
+        self.scan(&self.words_of(text), |m| out.push(m));
+        out
     }
 
-    /// Just the matched ids, deduplicated, order of first appearance.
+    /// Just the matched ids, deduplicated, order of first appearance. A
+    /// snippet names a handful of places at most, so the dedup is a scan.
     pub fn locations_in(&self, text: &str) -> Vec<LocId> {
-        let mut seen = std::collections::HashSet::new();
-        self.match_text(text)
-            .into_iter()
-            .map(|m| m.loc)
-            .filter(|l| seen.insert(*l))
-            .collect()
+        let mut out = Vec::new();
+        self.scan(&self.words_of(text), |m| {
+            if !out.contains(&m.loc) {
+                out.push(m.loc);
+            }
+        });
+        out
     }
 }
 

@@ -62,8 +62,7 @@ pub(crate) struct SearchScratch {
     pub touched: Vec<u32>,
     /// Total heap insertions (for the `index.snippets_deferred` count).
     pub pushes: u64,
-    /// Snippet extraction state: the per-result-list stem memo and the
-    /// per-body token buffers.
+    /// Snippet extraction state: the per-body token buffers.
     pub snippets: SnippetScratch,
 }
 

@@ -583,6 +583,11 @@ pub struct SegmentBuilder {
     interner: Interner,
     /// Per-term uncompressed `(local doc, tf)` pairs, ascending by doc.
     postings: Vec<Vec<(u32, u32)>>,
+    /// The document in hand's term frequencies by symbol; all zero
+    /// between documents.
+    tf: Vec<u32>,
+    /// Symbols whose `tf` the document in hand made non-zero.
+    touched: Vec<pws_text::Sym>,
     doc_lens: Vec<u32>,
     total_len: u64,
     /// Encoded doc records (url/title/body, varint-length-prefixed).
@@ -598,6 +603,8 @@ impl SegmentBuilder {
             analyzer,
             interner: Interner::new(),
             postings: Vec::new(),
+            tf: Vec::new(),
+            touched: Vec::new(),
             doc_lens: Vec::new(),
             total_len: 0,
             doc_payload: Vec::new(),
@@ -617,25 +624,37 @@ impl SegmentBuilder {
 
     /// Add one document; returns its segment-local id. Indexes
     /// `title + body` (titles count toward BM25, as in
-    /// [`StoredDoc::indexable_text`]).
+    /// [`StoredDoc::indexable_text`]): the title's tokens, then the body's,
+    /// streamed from the analyser straight into term ids — the tokens of
+    /// `format!("{title} {body}")`, since the space between them is a
+    /// separator either way.
     pub fn add(&mut self, url: &str, title: &str, body: &str) -> u32 {
+        let _span = metrics_add().span();
         let local = self.doc_offsets.len() as u32;
-        let tokens = self.analyzer.analyze(&format!("{title} {body}"));
-        self.doc_lens.push(tokens.len() as u32);
-        self.total_len += tokens.len() as u64;
+        let SegmentBuilder { analyzer, interner, tf, touched, .. } = self;
+        let mut len = 0u32;
+        let mut count = |t: &str| {
+            let sym = interner.intern(t);
+            if sym.index() >= tf.len() {
+                tf.resize(sym.index() + 1, 0);
+            }
+            if tf[sym.index()] == 0 {
+                touched.push(sym);
+            }
+            tf[sym.index()] += 1;
+            len += 1;
+        };
+        analyzer.for_each_token(title, &mut count);
+        analyzer.for_each_token(body, &mut count);
+        self.doc_lens.push(len);
+        self.total_len += u64::from(len);
 
-        // tf per term for this doc.
-        let mut tfs: HashMap<pws_text::Sym, u32> = HashMap::new();
-        for tok in &tokens {
-            *tfs.entry(self.interner.intern(tok)).or_insert(0) += 1;
-        }
         if self.interner.len() > self.postings.len() {
             self.postings.resize_with(self.interner.len(), Vec::new);
         }
-        let mut entries: Vec<(pws_text::Sym, u32)> = tfs.into_iter().collect();
-        entries.sort_unstable_by_key(|(s, _)| *s);
-        for (sym, tf) in entries {
-            self.postings[sym.index()].push((local, tf));
+        self.touched.sort_unstable();
+        for sym in self.touched.drain(..) {
+            self.postings[sym.index()].push((local, std::mem::take(&mut self.tf[sym.index()])));
         }
 
         self.doc_offsets.push(self.doc_payload.len() as u64);
@@ -712,6 +731,13 @@ impl SegmentBuilder {
     pub fn finish_segment(self) -> Result<Segment, SegmentError> {
         Segment::load_bytes(self.finish())
     }
+}
+
+/// Process-wide `segment.add` stage handle.
+fn metrics_add() -> &'static pws_obs::StageMetrics {
+    static STAGE: std::sync::OnceLock<std::sync::Arc<pws_obs::StageMetrics>> =
+        std::sync::OnceLock::new();
+    STAGE.get_or_init(|| pws_obs::stage("segment.add"))
 }
 
 /// Process-wide `segment.build` stage handle.
@@ -845,6 +871,58 @@ mod tests {
             Segment::merge(&[&a, &b]).unwrap_err(),
             SegmentError::Mismatch("analyzer config")
         );
+    }
+
+    /// `SegmentBuilder::add` as it was before it streamed: analyse
+    /// `format!("{title} {body}")` into owned tokens, count them in a
+    /// per-document map. The oracle of the test below.
+    fn add_reference(b: &mut SegmentBuilder, url: &str, title: &str, body: &str) {
+        let local = b.doc_offsets.len() as u32;
+        let tokens = b.analyzer.analyze(&format!("{title} {body}"));
+        b.doc_lens.push(tokens.len() as u32);
+        b.total_len += tokens.len() as u64;
+        let mut tfs: HashMap<pws_text::Sym, u32> = HashMap::new();
+        for tok in &tokens {
+            *tfs.entry(b.interner.intern(tok)).or_insert(0) += 1;
+        }
+        if b.interner.len() > b.postings.len() {
+            b.postings.resize_with(b.interner.len(), Vec::new);
+        }
+        let mut entries: Vec<(pws_text::Sym, u32)> = tfs.into_iter().collect();
+        entries.sort_unstable_by_key(|(s, _)| *s);
+        for (sym, tf) in entries {
+            b.postings[sym.index()].push((local, tf));
+        }
+        b.doc_offsets.push(b.doc_payload.len() as u64);
+        write_str(&mut b.doc_payload, url);
+        write_str(&mut b.doc_payload, title);
+        write_str(&mut b.doc_payload, body);
+    }
+
+    #[test]
+    fn streaming_add_writes_the_bytes_of_the_concatenating_add() {
+        let docs: &[(&str, &str)] = &[
+            ("", "fresh seafood lobster and crab daily specials"),
+            ("Crab shack menu", ""),
+            ("", ""),
+            ("Köln Café Straße", "the harbor seafood guide covers lobster rolls"),
+            ("Dogs'", "sale on dog food and dogs' toys"),
+            ("Rock'", "n roll o'hare's it's 'quoted' runners RUNNING"),
+            ("The Of And", "a an the of"),
+            ("seafood Seafood SEAFOOD", "seafood restaurants restaurant restaur"),
+            ("n73 2009", "x y z nokia n73 phone"),
+        ];
+        let long = format!("{} {} {}", "q".repeat(40), "r".repeat(41), "s".repeat(61));
+        for analyzer in [Analyzer::default(), Analyzer::verbatim()] {
+            let (mut streamed, mut reference) =
+                (SegmentBuilder::new(analyzer.clone()), SegmentBuilder::new(analyzer.clone()));
+            for (i, &(title, body)) in docs.iter().chain([&(long.as_str(), long.as_str())]).enumerate() {
+                let url = format!("http://t.test/{i}");
+                streamed.add(&url, title, body);
+                add_reference(&mut reference, &url, title, body);
+            }
+            assert_eq!(streamed.finish(), reference.finish(), "{analyzer:?}");
+        }
     }
 
     #[test]

@@ -448,7 +448,7 @@ impl SegmentedIndex {
     }
 
     /// Build hits (with snippets) from globally-id'd scored candidates.
-    /// Bodies are read in place, and one stem memo in `snippets` serves
+    /// Bodies are read in place, and one extractor in `snippets` serves
     /// the whole list (its query tokens are fixed).
     pub(crate) fn materialize(
         &self,

@@ -18,25 +18,16 @@
 //!   ASCII-without-uppercase tokenize to byte-range slices of the input
 //!   (lowercasing is a no-op), so the common case allocates no per-token
 //!   strings. Anything else falls back to the general Unicode tokenizer;
-//! * **one stem memo per result list** — whether a surface form stems to a
-//!   query term depends on the form and the query alone, and the bodies of
-//!   one result list share their topic words: `SnippetScratch::for_query`
-//!   remembers the answer per form for as long as the query tokens are
-//!   fixed, so a form is stemmed once per list, not once per body, through
-//!   one reused buffer.
+//! * **one analysis per word** — a token's stem comes from the thread's
+//!   word table ([`pws_text::with_words`]), so Porter runs once per distinct
+//!   form per thread, not once per body or per result list.
 
-use pws_text::{porter_stem, porter_stem_into, tokenize, Interner};
+use pws_text::{tokenize, with_words, Words};
 
 /// Reusable state of snippet extraction; lives in the pooled
 /// [`crate::scratch::SearchScratch`].
 #[derive(Debug, Default)]
 pub(crate) struct SnippetScratch {
-    /// Surface forms looked at under the current query tokens.
-    forms: Interner,
-    /// By form: the query token it stems to, if any.
-    matches: Vec<Option<usize>>,
-    /// The stemmer's buffer.
-    stem: Vec<u8>,
     /// Token byte ranges of the body in hand.
     ranges: Vec<(u32, u32)>,
     /// Per token of the body in hand, the query token it matches.
@@ -45,11 +36,8 @@ pub(crate) struct SnippetScratch {
 
 impl SnippetScratch {
     /// An extractor for bodies matched against `q_tokens` (already
-    /// stemmed/lowercased). Forgets what earlier query tokens taught it:
-    /// the stem memo is only valid while they are fixed.
+    /// stemmed/lowercased).
     pub(crate) fn for_query<'a>(&'a mut self, q_tokens: &'a [String]) -> Snippets<'a> {
-        self.forms.clear();
-        self.matches.clear();
         // First bytes of the query tokens (all prefilter candidates).
         let mut want = [false; 128];
         for q in q_tokens {
@@ -94,16 +82,17 @@ impl Snippets<'_> {
 
         // Match on stemmed forms so the snippet window aligns with BM25's
         // view of the document.
-        let is_query_term: Vec<Option<usize>> = raw_tokens
-            .iter()
-            .map(|t| {
-                if !first_char_may_match(t, q_tokens) {
-                    return None;
-                }
-                let s = porter_stem(t);
-                q_tokens.iter().position(|q| q == &s)
-            })
-            .collect();
+        let is_query_term: Vec<Option<usize>> = with_words(|words| {
+            raw_tokens
+                .iter()
+                .map(|t| {
+                    if !first_char_may_match(t, q_tokens) {
+                        return None;
+                    }
+                    query_term_of(words, t, q_tokens)
+                })
+                .collect()
+        });
 
         let best_start = best_window(&is_query_term, window);
         raw_tokens[best_start..best_start + window].join(" ")
@@ -114,7 +103,7 @@ impl Snippets<'_> {
     /// maximal runs of alphanumerics plus intra-word apostrophes.
     fn extract_ascii(&mut self, body: &str, window: usize) -> String {
         let (q_tokens, want) = (self.q_tokens, &self.want);
-        let SnippetScratch { forms, matches, stem, ranges, is_query_term } = &mut *self.scratch;
+        let SnippetScratch { ranges, is_query_term } = &mut *self.scratch;
         let bytes = body.as_bytes();
         ranges.clear();
         let mut start: Option<usize> = None;
@@ -140,19 +129,14 @@ impl Snippets<'_> {
         let window = window.max(1).min(ranges.len());
 
         is_query_term.clear();
-        for &(s, e) in ranges.iter() {
-            if !want[bytes[s as usize] as usize] {
-                is_query_term.push(None); // Porter never alters the first character
-                continue;
-            }
-            let form = forms.intern(&body[s as usize..e as usize]);
-            if form.index() == matches.len() {
-                // First sight of the form under these query tokens.
-                let stemmed = porter_stem_into(&body[s as usize..e as usize], stem);
-                matches.push(q_tokens.iter().position(|q| q == stemmed));
-            }
-            is_query_term.push(matches[form.index()]);
-        }
+        with_words(|words| {
+            is_query_term.extend(ranges.iter().map(|&(s, e)| {
+                // Porter never alters the first character.
+                want[bytes[s as usize] as usize]
+                    .then(|| query_term_of(words, &body[s as usize..e as usize], q_tokens))
+                    .flatten()
+            }))
+        });
 
         let best_start = best_window(is_query_term, window);
         let sel = &ranges[best_start..best_start + window];
@@ -166,6 +150,13 @@ impl Snippets<'_> {
         }
         out
     }
+}
+
+/// The query token `token` stems to, if any.
+#[inline]
+fn query_term_of(words: &mut Words<'_>, token: &str, q_tokens: &[String]) -> Option<usize> {
+    let (stem, _) = words.analyse(token);
+    q_tokens.iter().position(|q| q == stem)
 }
 
 /// Can `token` possibly stem to one of `q_tokens`? The Porter stemmer never
@@ -224,6 +215,7 @@ fn best_window(is_query_term: &[Option<usize>], window: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pws_text::porter_stem;
 
     fn q(terms: &[&str]) -> Vec<String> {
         terms.iter().map(|t| porter_stem(t)).collect()
@@ -305,9 +297,9 @@ mod tests {
         }
     }
 
-    /// The ASCII path as it was before the stem memo moved from the body
-    /// to the result list: a linear-scan memo per body, a `String` per
-    /// stem. Kept as the oracle of the differential test below.
+    /// The ASCII path with a linear-scan stem memo per body and a `String`
+    /// per stem, calling Porter directly. Kept as the oracle of the
+    /// differential test below.
     fn reference_ascii(body: &str, q_tokens: &[String], window: usize) -> String {
         let toks: Vec<&str> = body
             .split(|c: char| !(c.is_ascii_alphanumeric() || c == '\''))
@@ -345,8 +337,8 @@ mod tests {
     /// One extractor per query over a whole list of generated bodies — the
     /// shape `materialize` uses — gives every body the snippet the per-body
     /// implementation gives it. Bodies share inflected topic words (so the
-    /// memo is hit across bodies); every seventh is not lowercase ASCII and
-    /// takes the unchanged general path.
+    /// word table is hit across bodies); every seventh is not lowercase
+    /// ASCII and takes the general path.
     #[test]
     fn per_list_stem_memo_matches_the_per_body_memo() {
         const TOPICS: [&str; 24] = [

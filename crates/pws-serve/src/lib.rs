@@ -127,7 +127,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 mod residency;
@@ -1494,6 +1494,14 @@ impl<'a> ServingEngine<'a> {
         (guard, was_poisoned)
     }
 
+    /// [`Self::lock_users`] for a search or an observe: the wait is timed
+    /// as `serve.lock_users`.
+    fn lock_users_timed<'s>(&self, shard: &'s UserShard) -> (MutexGuard<'s, UserMap>, bool) {
+        static WAIT: OnceLock<Arc<pws_obs::StageMetrics>> = OnceLock::new();
+        let _wait = WAIT.get_or_init(|| pws_obs::stage("serve.lock_users")).span();
+        self.lock_users(shard)
+    }
+
     /// Retry-after hint for a shed request: the shard's *recent
     /// uncached* search latency times the excess queue depth (how many
     /// requests must drain before this one would have been admitted).
@@ -1624,7 +1632,7 @@ impl<'a> ServingEngine<'a> {
         let mut store_fault_in = false;
         let mut store_evict = false;
         let turn = {
-            let (mut users, was_poisoned) = self.lock_users(shard);
+            let (mut users, was_poisoned) = self.lock_users_timed(shard);
             if was_poisoned {
                 // The thread that poisoned this lock died mid-mutation;
                 // only the user it was serving can hold torn state, but
@@ -1800,7 +1808,7 @@ impl<'a> ServingEngine<'a> {
             let _span = shard.observe.span();
             let key = EngineCore::query_key(&turn.query_text);
             let stats_idx = self.stats.shard_of(&key);
-            let (mut users, users_poisoned) = self.lock_users(shard);
+            let (mut users, users_poisoned) = self.lock_users_timed(shard);
             if users_poisoned {
                 // Same single-user eviction as the read path: only this
                 // request's user can be rebuilt from scratch safely.

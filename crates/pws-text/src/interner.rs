@@ -64,8 +64,8 @@ fn hash(s: &str) -> u64 {
 
 impl Interner {
     /// Create an empty interner.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Interner { arena: String::new(), ends: Vec::new(), slots: Vec::new() }
     }
 
     /// Create an interner with pre-reserved capacity.

@@ -2,7 +2,9 @@
 //!
 //! Low-level text utilities shared by every other crate in the `pws`
 //! workspace: tokenization, normalization, stopword filtering, Porter
-//! stemming, n-gram extraction, and a compact string interner.
+//! stemming, n-gram extraction, a compact string interner, and the
+//! per-thread word table that makes stopword filtering and stemming a
+//! once-per-word cost.
 //!
 //! The personalization pipeline of the paper operates on *web snippets*
 //! (short text fragments accompanying each search result). All snippet and
@@ -32,12 +34,14 @@ pub mod ngram;
 pub mod stem;
 pub mod stopwords;
 pub mod tokenize;
+pub mod word;
 
 pub use interner::{Interner, Sym};
 pub use ngram::{bigrams, ngrams, window_cooccurrence};
 pub use stem::{porter_stem, porter_stem_into};
 pub use stopwords::is_stopword;
 pub use tokenize::{tokenize, tokenize_keep_stops};
+pub use word::{with_words, Words};
 
 /// Configurable analysis pipeline: tokenize → stopword filter → stem.
 ///
@@ -85,22 +89,31 @@ impl Analyzer {
 
     /// Run the full pipeline over `text`, calling `f` with each token
     /// [`Analyzer::analyze`] would return, in order. Tokens are borrowed
-    /// (from `text` or from one reused scratch buffer), so a caller that
-    /// packs them into its own storage pays no `String` per token.
+    /// (from `text`, a scratch buffer or the word table), so a caller that
+    /// packs them into its own storage pays no `String` per token. A
+    /// stemming analyser reads each token's stem and stopword flag from
+    /// this thread's [`word`] table — one lookup per token; the stopword
+    /// search and Porter run once per distinct word — and applies its own
+    /// filters as it emits, so one table serves every configuration.
     pub fn for_each_token(&self, text: &str, mut f: impl FnMut(&str)) {
-        let mut stem_buf = Vec::new();
-        tokenize::for_each_token(text, |t| {
-            if t.len() < self.min_token_len || t.len() > self.max_token_len {
-                return;
-            }
-            if self.remove_stopwords && is_stopword(t) {
-                return;
-            }
-            if self.stem {
-                f(porter_stem_into(t, &mut stem_buf));
-            } else {
-                f(t);
-            }
+        let kept = |t: &str| t.len() >= self.min_token_len && t.len() <= self.max_token_len;
+        if !self.stem {
+            tokenize::for_each_token(text, |t| {
+                if kept(t) && !(self.remove_stopwords && is_stopword(t)) {
+                    f(t);
+                }
+            });
+            return;
+        }
+        word::with_words(|words| {
+            tokenize::for_each_token(text, |t| {
+                if kept(t) {
+                    let (stem, stop) = words.analyse(t);
+                    if !(self.remove_stopwords && stop) {
+                        f(stem);
+                    }
+                }
+            })
         });
     }
 

@@ -25,6 +25,8 @@ pub fn porter_stem(word: &str) -> String {
 /// returned as a slice of `buf` (or `word` itself when it is left
 /// untouched), so a loop over many tokens allocates nothing.
 pub fn porter_stem_into<'a>(word: &'a str, buf: &'a mut Vec<u8>) -> &'a str {
+    #[cfg(debug_assertions)]
+    RUNS.with(|n| n.set(n.get() + 1));
     // Words with digits (model numbers like "n73") are left untouched:
     // stemming them would destroy identity without linguistic benefit.
     if !word.is_ascii() || word.len() <= 2 || word.bytes().any(|c| c.is_ascii_digit()) {
@@ -41,6 +43,20 @@ pub fn porter_stem_into<'a>(word: &'a str, buf: &'a mut Vec<u8>) -> &'a str {
     step5a(buf);
     step5b(buf);
     std::str::from_utf8(buf).expect("stemmer operates on ASCII")
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many times the stemmer has run on this thread. Debug builds only:
+/// tests in other crates pin through it that a word is stemmed once per
+/// thread (a `#[cfg(test)]` counter would count this crate's tests only).
+#[cfg(debug_assertions)]
+#[doc(hidden)]
+pub fn porter_runs() -> u64 {
+    RUNS.with(|n| n.get())
 }
 
 /// Is `b[i]` a consonant, per Porter's definition ('y' is a consonant when

@@ -125,6 +125,26 @@ if only_in_fn 'format!(' 'concept_name' crates/pws-concepts/src/content.rs | gre
     exit 1
 fi
 
+echo "==> analyse-per-word gate (Porter and the stopword table only behind pws-text's word table)"
+# A word is stopword-tested and stemmed once per thread: pws-text's word
+# table (crates/pws-text/src/word.rs, read through Analyzer::for_each_token
+# and pws_text::with_words) is the only way in. Outside pws-text no code
+# calls the stemmer or the stopword search itself, and segment build streams
+# the analyser instead of collecting its output. reference.rs and
+# #[cfg(test)] modules are exempt.
+if for f in crates/*/src/*.rs crates/*/src/*/*.rs; do
+    case "$f" in crates/pws-text/*|*/reference.rs) continue ;; esac
+    awk -v f="$f" '/^#\[cfg\(test\)\]/{exit} {print f":"FNR":"$0}' "$f"
+done | grep -vE '^[^:]+:[0-9]+:\s*//' \
+     | grep -E '(porter_stem(_into)?|is_stopword)\('; then
+    echo "FAIL: Porter or the stopword table called directly — go through pws_text::with_words or the Analyzer"
+    exit 1
+fi
+if only_in_fn '.analyze(' '' crates/pws-index/src/segment.rs | grep .; then
+    echo "FAIL: SegmentBuilder collects analysed tokens — stream them with for_each_token"
+    exit 1
+fi
+
 echo "==> normalise-once gate (L1 / query analysis / extractor built once per request)"
 # The feature stage prepares once and scores many: a profile's L1 mass is
 # computed only where a scorer is built (ContentProfile::scorer,
