@@ -66,6 +66,17 @@ fn bench_index(c: &mut Criterion) {
             })
         })
     });
+    // Block decode: every postings block of the 2k-doc corpus's segment,
+    // once per iteration. Throughput is per posting.
+    let mut builder = SegmentBuilder::new(Analyzer::default());
+    for d in &world.corpus.docs {
+        builder.add(&d.url, &d.title, &d.body);
+    }
+    let segment = builder.finish_segment().expect("a freshly built segment loads");
+    g.throughput(Throughput::Elements(segment.decode_all_blocks()));
+    g.bench_function("decode_all_blocks_2k_docs", |b| {
+        b.iter(|| std::hint::black_box(segment.decode_all_blocks()))
+    });
     g.throughput(Throughput::Elements(1));
 
     // Query latency across the workload (amortized per query).

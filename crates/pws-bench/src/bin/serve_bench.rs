@@ -28,8 +28,8 @@
 //! (queries over budget degrade to base ranking at the engine's stage
 //! checkpoints). `--chaos PLAN` attaches a deterministic seeded
 //! [`pws_chaos::SeededFaultPlan`]; after the run the `serve.*` fault
-//! counter family (degrade reasons, lock recoveries, evictions, state
-//! rollbacks) is printed so injected faults can be reconciled against
+//! counter family (degrade reasons, lock recoveries, evictions,
+//! discarded folds) is printed so injected faults can be reconciled against
 //! the report's degraded/shed totals by eye.
 //!
 //! Observability knobs:

@@ -429,13 +429,11 @@ impl<'a> EngineCore<'a> {
         &self,
         user: UserId,
         query_text: &str,
-        state: &mut UserState,
+        state: &UserState,
         stats: Option<&QueryStats>,
         mut trace: Option<&mut QueryTrace>,
         mut gate: Option<CheckpointGate<'_>>,
     ) -> (SearchTurn, Option<StageCheckpoint>, Option<bool>) {
-        // A search only reads the user's state.
-        let state: &UserState = state;
         // ── Candidate pool ────────────────────────────────────────────────
         let retrieval_span = self.metrics.retrieval.span();
         let (base_hits, cache_hit) = self.retrieve_base(query_text);

@@ -724,7 +724,7 @@ mod tests {
         assert_eq!(turn.features.len(), turn.hits.len());
         assert_eq!(prepared() - before, 1, "pool + page of one personalised search");
 
-        let mut state = e.user_state(user).unwrap().clone();
+        let state = e.user_state(user).unwrap().clone();
         for cp in [StageCheckpoint::Retrieval, StageCheckpoint::Concepts, StageCheckpoint::Features]
         {
             let mut gate = |at: StageCheckpoint| at == cp;
@@ -732,7 +732,7 @@ mod tests {
             let (turn, aborted, _) = e.core().search_user_gated(
                 user,
                 "seafood restaurant",
-                &mut state,
+                &state,
                 None,
                 None,
                 Some(&mut gate),

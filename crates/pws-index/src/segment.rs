@@ -56,6 +56,54 @@ pub struct BlockMeta {
     pub payload_len: usize,
 }
 
+/// Decode one block payload of `n` postings (`n` doc varints — the first
+/// absolute, the rest deltas — then `n` tf varints) onto `out`. `false`
+/// on a truncated payload, an over-long varint or trailing bytes.
+fn decode_postings(payload: &[u8], n: usize, out: &mut Vec<(u32, u32)>) -> bool {
+    if n == 0 {
+        return payload.is_empty();
+    }
+    // The block's first doc id is stored absolute (usually ≥ 128, so
+    // multi-byte); everything after it is a delta or a tf.
+    let mut p = payload;
+    let Some(first) = read_varint(&mut p) else { return false };
+    // Dense-posting fast path: the remaining 2n − 1 varints occupying
+    // exactly 2n − 1 bytes means each is a single (high-bit-clear)
+    // byte — decode with straight byte loads. The byte scan also
+    // rejects payloads with stray continuation bits (over-long
+    // encodings), which the writer never emits.
+    if p.len() == 2 * n - 1 && p.iter().all(|&x| x < 0x80) {
+        #[cfg(test)]
+        FAST_BLOCKS.with(|c| c.set(c.get() + 1));
+        let (deltas, tfs) = p.split_at(n - 1);
+        out.push((first, u32::from(tfs[0])));
+        let mut doc = first;
+        out.extend(deltas.iter().zip(&tfs[1..]).map(|(&d, &tf)| {
+            doc = doc.wrapping_add(u32::from(d));
+            (doc, u32::from(tf))
+        }));
+        return true;
+    }
+    let mut doc = first;
+    out.push((doc, 0));
+    for _ in 1..n {
+        let Some(delta) = read_varint(&mut p) else { return false };
+        doc = doc.wrapping_add(delta);
+        out.push((doc, 0));
+    }
+    for entry in out.iter_mut().take(n) {
+        let Some(tf) = read_varint(&mut p) else { return false };
+        entry.1 = tf;
+    }
+    p.is_empty()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Blocks decoded through the single-byte fast path on this thread.
+    static FAST_BLOCKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Per-term metadata: document frequency plus the term's block range and
 /// segment-wide tf/len extremes (for whole-term impact bounds).
 #[derive(Debug, Clone)]
@@ -378,33 +426,22 @@ impl Segment {
         let Some(payload) = inner.bytes.get(start..start + b.payload_len) else {
             return false;
         };
-        let n = b.doc_count as usize;
-        // Dense-posting fast path: 2n varints occupying exactly 2n bytes
-        // means every varint is a single (high-bit-clear) byte — decode
-        // with straight byte loads. The byte scan also rejects payloads
-        // with stray continuation bits (over-long encodings), which the
-        // writer never emits.
-        if payload.len() == 2 * n && payload.iter().all(|&x| x < 0x80) {
-            let (deltas, tfs) = payload.split_at(n);
-            let mut doc = 0u32;
-            out.extend(deltas.iter().zip(tfs).map(|(&d, &tf)| {
-                doc = doc.wrapping_add(u32::from(d));
-                (doc, u32::from(tf))
-            }));
-            return true;
+        decode_postings(payload, b.doc_count as usize, out)
+    }
+
+    /// Decode every postings block of the segment once and return the
+    /// number of postings decoded — the block decoder's benchmark hook
+    /// (`bench_index`), not a query path.
+    #[doc(hidden)]
+    pub fn decode_all_blocks(&self) -> u64 {
+        let mut buf = Vec::with_capacity(BLOCK_SIZE);
+        let mut decoded = 0;
+        for blk in self.all_blocks() {
+            if self.decode_block(blk, &mut buf) {
+                decoded += buf.len() as u64;
+            }
         }
-        let mut p = payload;
-        let mut doc = 0u32;
-        for i in 0..n {
-            let Some(delta) = read_varint(&mut p) else { return false };
-            doc = if i == 0 { delta } else { doc.wrapping_add(delta) };
-            out.push((doc, 0));
-        }
-        for entry in out.iter_mut().take(n) {
-            let Some(tf) = read_varint(&mut p) else { return false };
-            entry.1 = tf;
-        }
-        p.is_empty()
+        decoded
     }
 
     /// Decode all of a term's postings through `f(doc, tf)`, in ascending
@@ -779,6 +816,94 @@ mod tests {
         // Term present with the right df.
         let ord = s.term_ord("seafood").expect("indexed");
         assert_eq!(s.term_meta(ord).df, 2);
+    }
+
+    /// The general varint loop alone — the oracle for the fast path.
+    fn decode_general(payload: &[u8], n: usize) -> Option<Vec<(u32, u32)>> {
+        let mut p = payload;
+        let mut docs = Vec::new();
+        for i in 0..n {
+            let v = read_varint(&mut p)?;
+            docs.push(if i == 0 { v } else { docs[i - 1] + v });
+        }
+        let tfs: Vec<u32> = (0..n).map(|_| read_varint(&mut p)).collect::<Option<_>>()?;
+        p.is_empty().then(|| docs.into_iter().zip(tfs).collect())
+    }
+
+    fn encode_block(postings: &[(u32, u32)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut prev = None;
+        for &(d, _) in postings {
+            write_varint(&mut out, prev.map_or(d, |p| d - p));
+            prev = Some(d);
+        }
+        for &(_, tf) in postings {
+            write_varint(&mut out, tf);
+        }
+        out
+    }
+
+    /// Decode `payload` and report (result, whether the fast path ran).
+    fn decode_counted(payload: &[u8], n: usize) -> (Option<Vec<(u32, u32)>>, bool) {
+        let before = FAST_BLOCKS.with(|c| c.get());
+        let mut out = Vec::new();
+        let ok = decode_postings(payload, n, &mut out);
+        (ok.then_some(out), FAST_BLOCKS.with(|c| c.get()) > before)
+    }
+
+    #[test]
+    fn block_decoder_fast_path_takes_a_multi_byte_first_doc() {
+        // First doc ≥ 128 (a two-byte varint), every delta and tf one byte.
+        let dense: Vec<(u32, u32)> = (0..100).map(|i| (300 + 2 * i, 1 + i % 5)).collect();
+        let payload = encode_block(&dense);
+        assert_eq!(payload.len(), 2 * dense.len() + 1, "first doc takes two bytes");
+        let (got, fast) = decode_counted(&payload, dense.len());
+        assert!(fast, "one-byte deltas after an absolute first doc take the fast path");
+        assert_eq!(got.as_deref(), Some(&dense[..]));
+        assert_eq!(got, decode_general(&payload, dense.len()));
+
+        // One two-byte delta sends the block down the general path.
+        let mut sparse = dense.clone();
+        for p in &mut sparse[50..] {
+            p.0 += 1_000;
+        }
+        let payload = encode_block(&sparse);
+        let (got, fast) = decode_counted(&payload, sparse.len());
+        assert!(!fast, "a multi-byte delta must not take the fast path");
+        assert_eq!(got.as_deref(), Some(&sparse[..]));
+        assert_eq!(got, decode_general(&payload, sparse.len()));
+
+        // A one-posting block is all first doc and tf.
+        let one = encode_block(&[(70_000, 3)]);
+        assert_eq!(decode_counted(&one, 1), (Some(vec![(70_000, 3)]), true));
+    }
+
+    #[test]
+    fn block_decoder_rejects_malformed_payloads() {
+        let dense: Vec<(u32, u32)> = (0..20).map(|i| (500 + i, 1)).collect();
+        let payload = encode_block(&dense);
+        let n = dense.len();
+        // Truncated at every length, and one trailing byte too many.
+        for cut in 0..payload.len() {
+            assert_eq!(decode_counted(&payload[..cut], n).0, None, "truncated to {cut}");
+        }
+        let mut long = payload.clone();
+        long.push(1);
+        assert_eq!(decode_counted(&long, n).0, None, "trailing byte");
+        // An over-long (> 5 byte) first doc id.
+        let mut overlong = vec![0x80; 6];
+        overlong.extend_from_slice(&payload[2..]);
+        assert_eq!(decode_counted(&overlong, n).0, None, "over-long first varint");
+        // A stray continuation bit in a delta keeps the byte count of the
+        // fast path but must not be read as a one-byte delta.
+        let mut stray = payload.clone();
+        stray[5] |= 0x80;
+        let (got, fast) = decode_counted(&stray, n);
+        assert!(!fast);
+        assert_eq!(got, decode_general(&stray, n));
+        // An empty block only decodes from an empty payload.
+        assert_eq!(decode_counted(&[], 0).0, Some(vec![]));
+        assert_eq!(decode_counted(&[1], 0).0, None);
     }
 
     #[test]

@@ -24,6 +24,10 @@
 //!        │ Mutex<    │   │ Mutex<    │                  │ Mutex<    │
 //!        │  user map>│   │  user map>│                  │  user map>│
 //!        └───────────┘   └───────────┘                  └───────────┘
+//!          user → Arc<UserState> snapshot:
+//!            search  → lock, make resident, clone the Arc, unlock,
+//!                      run the pipeline on the snapshot
+//!            observe → lock, fold into a successor, swap the Arc, unlock
 //!
 //!        query statistics (adaptive β):
 //!          writes → hash(query) → Mutex shard      (observe path)
@@ -33,15 +37,21 @@
 //! ```
 //!
 //! **Read path** (`search`): lock exactly one user shard (the issuing
-//! user's), read β statistics from the lock-free epoch snapshot, run
-//! [`EngineCore::search_user`]. Queries for users on different shards
-//! share no locks at all.
+//! user's) only long enough to make the user resident (`serve.residency`)
+//! and clone their `Arc<UserState>`; release it, read β statistics from
+//! the lock-free epoch snapshot, and run the engine pipeline on the state
+//! snapshot. Queries for users on different shards share no locks at
+//! all, and two searches on one shard overlap everywhere but that lookup.
 //!
 //! **Write path** (`observe`): lock the user's shard and the query's
 //! statistics shard (always in that order — the deadlock-freedom
-//! invariant), fold the clicks in, then bump the epoch counter and — at
-//! most every [`ServeConfig::stats_refresh_every`] observes — rebuild
-//! the statistics snapshot.
+//! invariant), fold the clicks into a copy of the state and of the
+//! statistics entry, publish both (swap the user's `Arc`, insert the
+//! entry), then bump the epoch counter and — at most every
+//! [`ServeConfig::stats_refresh_every`] observes — rebuild the statistics
+//! snapshot. The fold stays under the shard lock, so one user's observes
+//! still apply one after another; a search already running keeps the
+//! snapshot it took.
 //!
 //! ## Determinism
 //!
@@ -93,10 +103,13 @@
 //!   ranking, tagged with a [`DegradeReason`] that flows into the
 //!   query trace and the `serve.degraded.{reason}` counter family.
 //! * **Panic isolation** — per-query engine work runs under
-//!   `catch_unwind`; the shard's user-map guard is held *outside* the
-//!   unwind boundary, so a crashing query can never poison (wedge) its
-//!   shard. A panic on the write path rolls the user's state back to
-//!   the last good snapshot (`serve.state_restored`).
+//!   `catch_unwind`: a search's runs after its shard guard is released,
+//!   and an observe's fold with the guard held *outside* the unwind
+//!   boundary, so a crashing query can never poison (wedge) its shard.
+//!   A fold works on successor copies and publishes them only when it
+//!   completes; a panic mid-fold drops them, so the user's state and
+//!   the statistics are exactly as before (`serve.state_restored` counts
+//!   the discarded folds).
 //! * **Lock recovery** — every lock acquisition recovers from
 //!   poisoning instead of panicking: take `into_inner`-style ownership
 //!   of the last good value, clear the poison flag, count
@@ -1075,6 +1088,14 @@ impl ShardedStats {
     }
 }
 
+/// `serve.residency`: the work a search or an observe does under its
+/// shard lock to make the user resident and keep the shard within its
+/// bound (`ensure_resident` + `evict_overflow`), one record per request.
+fn residency_stage() -> &'static pws_obs::StageMetrics {
+    static STAGE: OnceLock<Arc<pws_obs::StageMetrics>> = OnceLock::new();
+    STAGE.get_or_init(|| pws_obs::stage("serve.residency"))
+}
+
 /// `user → shard index`, shared by the engine and the store tier.
 fn shard_index(user: UserId, shard_count: usize) -> usize {
     (splitmix64(user.0 as u64) % shard_count as u64) as usize
@@ -1423,8 +1444,9 @@ impl<'a> ServingEngine<'a> {
 
     /// Execute one personalized search for `user`.
     ///
-    /// Locks only the user's shard; β statistics come from the epoch
-    /// snapshot, so no cross-shard or global lock is ever taken. When
+    /// Locks only the user's shard, and only to find the user's state
+    /// snapshot; β statistics come from the epoch snapshot, so no
+    /// cross-shard or global lock is ever taken. When
     /// tracing is enabled the turn's trace is offered to the slow-query
     /// ring under the configured admission policy.
     ///
@@ -1540,17 +1562,15 @@ impl<'a> ServingEngine<'a> {
         Duration::from_nanos((u128::from(raw) * u128::from(ppm) / 1_000_000) as u64)
     }
 
-    /// Make `user` resident in the (already locked) shard map: reuse the
-    /// entry, fault the record in from the store tier, or start fresh.
-    /// Returns the flight event's `store_fault_in` flag.
+    /// With a store tier, make `user` resident in the (already locked)
+    /// shard map: reuse the entry, fault the record in, or start fresh.
+    /// Without one the map is the whole world, and a user absent from it
+    /// is a fresh profile the caller inserts only when it has one to
+    /// keep. Returns the flight event's `store_fault_in` flag.
     fn ensure_resident(&self, users: &mut UserMap, user: UserId, query_text: &str) -> bool {
-        match &self.store {
-            Some(tier) => tier.ensure_resident(users, user, self.plan.as_deref(), query_text),
-            None => {
-                users.entry(user).or_default();
-                false
-            }
-        }
+        self.store.as_ref().is_some_and(|tier| {
+            tier.ensure_resident(users, user, self.plan.as_deref(), query_text)
+        })
     }
 
     /// Enforce the store tier's resident bound on the (already locked)
@@ -1649,19 +1669,21 @@ impl<'a> ServingEngine<'a> {
                 degraded = Some(DegradeReason::LockPoisoned);
                 self.core.degraded_search(user, query_text, stats)
             } else {
+                let residency = residency_stage().span();
                 store_fault_in = self.ensure_resident(&mut users, user, query_text);
                 store_evict = self.evict_overflow(&mut users, user, query_text) > 0;
+                drop(residency);
                 // Fault-in may have re-seeded statistics keys and
                 // republished the snapshot; re-read so this very turn's
                 // β sees them (cheap: a read lock and an Arc clone).
                 let snap = self.stats.read();
                 let stats = snap.get(&query_key);
-                let state =
-                    &mut users.get_mut(&user).expect("ensure_resident inserted it").state;
-                // The guard lives OUTSIDE the catch_unwind closure:
-                // unwinding stops at this boundary before the guard
-                // would drop, so a panicking query can never poison
-                // its shard.
+                // The search runs on a snapshot of the user's state: an
+                // observe that lands meanwhile publishes a successor and
+                // leaves this one alone, so the shard lock is released
+                // here and the whole engine pipeline runs without it.
+                let state = Arc::clone(&users.entry(user).or_default().state);
+                drop(users);
                 let caught = catch_unwind(AssertUnwindSafe(|| {
                     let mut gate = |cp: StageCheckpoint| -> bool {
                         inject_fault(plan, user, query_text, cp.into());
@@ -1670,7 +1692,7 @@ impl<'a> ServingEngine<'a> {
                     self.core.search_user_gated(
                         user,
                         query_text,
-                        state,
+                        &state,
                         stats,
                         trace.as_mut(),
                         Some(&mut gate),
@@ -1683,12 +1705,10 @@ impl<'a> ServingEngine<'a> {
                         turn
                     }
                     Err(_) => {
-                        // `search_user_gated` never mutates user state,
-                        // so the state the panicking call saw is still
-                        // good — no eviction, no rollback. Re-serve
-                        // from the stateless baseline path (off the
-                        // shard lock).
-                        drop(users);
+                        // `search_user_gated` only reads its snapshot,
+                        // so the user's state is still good — no
+                        // eviction, no rollback. Re-serve from the
+                        // stateless baseline path.
                         degraded = Some(DegradeReason::PanicIsolated);
                         self.core.degraded_search(user, query_text, stats)
                     }
@@ -1795,10 +1815,13 @@ impl<'a> ServingEngine<'a> {
     /// writer acquires in that order, so the pair can never deadlock.
     /// The snapshot refresh runs only after both are released.
     ///
-    /// The fold runs under panic isolation with rollback: the user's
-    /// state and the query's statistics are snapshotted first, and a
-    /// panic mid-fold restores both (`serve.state_restored`) — a
-    /// half-applied impression never survives.
+    /// The fold works on successors: a copy of the user's state and of
+    /// the query's statistics. Only a completed fold publishes them (the
+    /// state by swapping the resident snapshot, the statistics by
+    /// inserting the entry); a panic mid-fold drops them and counts
+    /// `serve.state_restored`, so a half-applied impression never
+    /// survives and the maps are exactly as they were. Searches holding
+    /// the previous snapshot finish on it.
     pub fn observe(&self, turn: &SearchTurn, impression: &Impression) {
         let shard = &self.shards[self.shard_of(turn.user)];
         let depth = shard.inflight.fetch_add(1, Ordering::Relaxed);
@@ -1815,55 +1838,38 @@ impl<'a> ServingEngine<'a> {
                 users.remove(&turn.user);
                 self.fault.user_evicted.incr(1);
             }
-            let user_existed = users.contains_key(&turn.user);
+            let residency = Instant::now();
             self.ensure_resident(&mut users, turn.user, &turn.query_text);
+            let mut residency_nanos = residency.elapsed().as_nanos() as u64;
+            let mut state = users
+                .get(&turn.user)
+                .map_or_else(UserState::default, |r| UserState::clone(&r.state));
             {
-                let state =
-                    &mut users.get_mut(&turn.user).expect("ensure_resident inserted it").state;
                 let mut stats_shard = self.stats.lock_shard(stats_idx);
-                let stats_existed = stats_shard.contains_key(&key);
-                let stats = stats_shard.entry(key.clone()).or_default();
-                // Rollback snapshots: both maps hold &mut borrows across
-                // the isolation boundary, so a panic mid-fold must
-                // restore them to the pre-impression values before the
-                // guards release.
-                let state_before = state.clone();
-                let stats_before = stats.clone();
+                let mut stats = stats_shard.get(&key).cloned().unwrap_or_default();
                 let plan = self.plan.as_deref();
                 let caught = catch_unwind(AssertUnwindSafe(|| {
                     inject_fault(plan, turn.user, &turn.query_text, FaultStage::Observe);
-                    self.core.observe_user(turn, impression, state, stats);
+                    self.core.observe_user(turn, impression, &mut state, &mut stats);
                 }));
                 folded = caught.is_ok();
-                if caught.is_err() {
-                    *state = state_before;
-                    if stats_existed {
-                        *stats = stats_before;
-                    } else {
-                        // Entries `or_default` freshly created are
-                        // removed, not just zeroed — rollback must leave
-                        // the map exactly as it was, or a panicked fold
-                        // would still leak default-valued entries into
-                        // the stats snapshot.
-                        stats_shard.remove(&key);
-                    }
-                    self.fault.state_restored.incr(1);
+                if folded {
+                    stats_shard.insert(key, stats);
                 }
-            }
-            if !folded && !user_existed && self.store.is_none() {
-                // A panicked fold on a user this request created must
-                // not leak a default-valued user entry. With the store
-                // tier on, the entry stays — rollback restored it to the
-                // faulted-in (or fresh) pre-fold state, which is exactly
-                // the resident copy eviction would persist.
-                users.remove(&turn.user);
             }
             if folded {
+                let resident = users.entry(turn.user).or_default();
+                resident.state = Arc::new(state);
                 if let Some(tier) = &self.store {
-                    tier.mark_dirty(users.get_mut(&turn.user).expect("still resident"));
+                    tier.mark_dirty(resident);
                 }
+            } else {
+                self.fault.state_restored.incr(1);
             }
+            let residency = Instant::now();
             self.evict_overflow(&mut users, turn.user, &turn.query_text);
+            residency_nanos += residency.elapsed().as_nanos() as u64;
+            residency_stage().record_nanos(residency_nanos);
         }
         if let (true, Some(tier)) = (folded, &self.store) {
             tier.enqueue_writeback(turn.user, self.plan.as_deref());
@@ -1908,8 +1914,8 @@ impl<'a> ServingEngine<'a> {
     /// Execute a batch of searches, one thread per occupied shard.
     ///
     /// Results are returned in request order. Requests for users on the
-    /// same shard run sequentially in request order (they'd serialize on
-    /// the shard lock anyway); requests on different shards run in
+    /// same shard run sequentially in request order on that shard's
+    /// worker; requests on different shards run in
     /// parallel. Since `search` does not learn (only `observe` does),
     /// this is observationally identical to calling [`Self::search`] in
     /// a loop.
@@ -1937,7 +1943,8 @@ impl<'a> ServingEngine<'a> {
     }
 
     /// Clone out a user's state (if the user has been seen): the
-    /// resident copy when the user is in memory, else — with a store
+    /// resident snapshot when the user is in memory (copied after the
+    /// shard lock is released), else — with a store
     /// tier — their on-disk record (an evicted user's record is always
     /// current: dirty victims are written back before removal). Never
     /// faults the user in; reading state is not residency-relevant. An
@@ -1945,13 +1952,11 @@ impl<'a> ServingEngine<'a> {
     /// absent.
     pub fn user_state(&self, user: UserId) -> Option<UserState> {
         let shard = &self.shards[self.shard_of(user)];
-        {
-            let (users, _) = self.lock_users(shard);
-            if let Some(r) = users.get(&user) {
-                return Some(r.state.clone());
-            }
+        let resident = self.lock_users(shard).0.get(&user).map(|r| Arc::clone(&r.state));
+        match resident {
+            Some(state) => Some(UserState::clone(&state)),
+            None => self.store.as_ref()?.stored_state(user),
         }
-        self.store.as_ref()?.stored_state(user)
     }
 
     /// Accumulated statistics for a query string, as of the last
@@ -2850,8 +2855,11 @@ mod tests {
         assert_eq!(healthy_before, healthy_after);
     }
 
+    /// A panicked fold publishes nothing: the resident state is the
+    /// pre-fold value, the statistics shard gained no key, and — without
+    /// a store tier — a user the engine had never seen is not created.
     #[test]
-    fn observe_panic_rolls_state_back_to_last_good_snapshot() {
+    fn panicked_fold_leaves_state_stats_and_user_map_as_they_were() {
         quiet_injected_panics();
         let _guard = pws_obs::test_lock();
         pws_obs::reset();
@@ -2869,21 +2877,113 @@ mod tests {
             ServeConfig { stats_refresh_every: 1, ..ServeConfig::default() },
         )
         .with_fault_plan(plan);
-        let turn = e.search(UserId(2), "seafood restaurant boom");
-        let before = format!("{:?}", e.user_state(UserId(2)));
-        let imp = impression_from(&turn, &click_rule(&turn));
-        e.observe(&turn, &imp);
-        assert_eq!(
-            format!("{:?}", e.user_state(UserId(2))),
-            before,
-            "panicked fold must leave no trace in the profile"
-        );
-        assert!(e.query_stats("seafood restaurant boom").is_none(), "stats rolled back too");
-        let snap = pws_obs::snapshot();
-        let count = |name: &str| {
-            snap.stages.iter().find(|s| s.name == name).map(|s| s.count).unwrap_or(0)
+        let has_stats_key = |q: &str| {
+            let key = EngineCore::query_key(q);
+            e.stats.lock_shard(e.stats.shard_of(&key)).contains_key(&key)
         };
-        assert_eq!(count("serve.state_restored"), 1);
+
+        // A user with learned state.
+        let warm = UserId(4);
+        for _ in 0..3 {
+            let turn = e.search(warm, "seafood restaurant");
+            e.observe(&turn, &impression_from(&turn, &click_rule(&turn)));
+        }
+        let before = format!("{:?}", e.user_state(warm).expect("warm user is resident"));
+        let turn = e.search(warm, "boom seafood restaurant");
+        e.observe(&turn, &impression_from(&turn, &click_rule(&turn)));
+        assert_eq!(format!("{:?}", e.user_state(warm).unwrap()), before, "state is the pre-fold value");
+        assert!(!has_stats_key("boom seafood restaurant"), "no new statistics key");
+
+        // A user the engine has never seen (a turn built without touching
+        // the user map).
+        let stranger = UserId(999);
+        let residents = e.resident_count();
+        let turn = e.core().degraded_search(stranger, "boom restaurant", None);
+        e.observe(&turn, &impression_from(&turn, &click_rule(&turn)));
+        assert_eq!(e.resident_count(), residents, "no new resident user");
+        assert!(e.user_state(stranger).is_none());
+        assert!(!has_stats_key("boom restaurant"));
+        assert_eq!(pws_obs::snapshot().stage("serve.state_restored").map_or(0, |s| s.count), 2);
+    }
+
+    /// Per-user ordering of observes is the shard lock's: two observes
+    /// of one user released together by a barrier both land — neither
+    /// fold is computed from a state the other then overwrites.
+    #[test]
+    fn concurrent_observes_of_one_user_both_land() {
+        let _guard = pws_obs::test_lock();
+        let idx = index();
+        let w = world();
+        let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
+        let user = UserId(6);
+        // Click each page's last hit, so skip-above mining yields pairs
+        // whose preferred side is that hit's feature vector.
+        let clicked = |q: &str| {
+            let turn = e.search(user, q);
+            let last = turn.hits.len() - 1;
+            let imp = impression_from(&turn, &[turn.hits[last].doc]);
+            let better = turn.features[last].clone();
+            (turn, imp, better)
+        };
+        let (t1, imp1, better1) = clicked("seafood restaurant");
+        let (t2, imp2, better2) = clicked("noodle restaurant");
+        assert_ne!(better1, better2, "the two clicks must be told apart");
+        let observations = e.user_state(user).expect("searched").observations;
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for (turn, imp) in [(&t1, &imp1), (&t2, &imp2)] {
+                let (e, barrier) = (&e, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    e.observe(turn, imp);
+                });
+            }
+        });
+        let after = e.user_state(user).expect("observed");
+        assert_eq!(after.observations, observations + 2, "both folds landed");
+        for better in [&better1, &better2] {
+            assert!(after.pairs.iter().any(|p| &p.better == better), "a click's pairs were lost");
+        }
+    }
+
+    /// A search holds its shard lock only to find its user: with user B
+    /// parked inside its search (at the retrieval checkpoint), user A on
+    /// the same shard is served while B is still in flight.
+    #[test]
+    fn search_does_not_wait_for_a_same_shard_search() {
+        let _guard = pws_obs::test_lock();
+        let idx = index();
+        let w = world();
+        let plan = Arc::new(TargetedPlan {
+            stage: FaultStage::Retrieval,
+            action: FaultAction::Delay(Duration::from_secs(2)),
+            query_contains: "parked",
+        });
+        let e = ServingEngine::new(
+            &idx,
+            &w,
+            EngineConfig::default(),
+            ServeConfig { shards: 2, ..ServeConfig::default() },
+        )
+        .with_fault_plan(plan);
+        let a = UserId(0);
+        let b = UserId(
+            (1..100).find(|&u| e.shard_of(UserId(u)) == e.shard_of(a)).expect("a shard-mate"),
+        );
+        let shard = e.shard_of(a);
+        std::thread::scope(|s| {
+            let parked = s.spawn(|| e.search(b, "seafood restaurant parked"));
+            while e.queue_depths()[shard] != 1 {
+                std::thread::yield_now();
+            }
+            // Give B time to pass its shard lock and reach the delay.
+            std::thread::sleep(Duration::from_millis(50));
+            let turn = e.search(a, "seafood restaurant");
+            assert!(!turn.hits.is_empty());
+            assert_eq!(e.queue_depths()[shard], 1, "A returned only after B finished");
+            assert!(!parked.is_finished(), "A returned only after B finished");
+            assert!(!parked.join().expect("B's search").hits.is_empty());
+        });
     }
 
     #[test]

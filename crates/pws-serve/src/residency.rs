@@ -29,7 +29,7 @@ use crate::{
 };
 use pws_click::UserId;
 use pws_core::UserState;
-use pws_store::{StoreError, UserRecord, UserStore};
+use pws_store::{StoreError, UserStore};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -45,7 +45,10 @@ pub(crate) type UserMap = HashMap<UserId, ResidentUser>;
 /// bookkeeping fields stay zero.
 #[derive(Default)]
 pub(crate) struct ResidentUser {
-    pub(crate) state: UserState,
+    /// The user's state as a shared snapshot: a search clones the `Arc`
+    /// under the shard lock and runs on it after the lock is released;
+    /// an observe publishes a successor by replacing it.
+    pub(crate) state: Arc<UserState>,
     /// Engine-wide monotone touch stamp; smallest = least recently used.
     last_touch: u64,
     /// Epoch of the newest unpersisted mutation; `0` = clean (on disk
@@ -58,7 +61,7 @@ pub(crate) struct ResidentUser {
 impl ResidentUser {
     /// A clean resident holding `state` (the storeless import path).
     pub(crate) fn clean(state: UserState) -> Self {
-        ResidentUser { state, ..ResidentUser::default() }
+        ResidentUser { state: Arc::new(state), ..ResidentUser::default() }
     }
 }
 
@@ -254,21 +257,21 @@ impl StoreTier {
     }
 
     /// The one writer: one attempt at putting `state`, snapshotted at
-    /// dirty `epoch`, on disk — under the user's gate, and only if the
-    /// gate has not seen that epoch or a newer one. `true` = written
+    /// dirty `epoch`, on disk — encoded straight from the snapshot, never
+    /// copied — under the user's gate, and only if the gate has not seen
+    /// that epoch or a newer one. `true` = written
     /// (`serve.store.writeback`, gate advanced to `epoch`); `false` =
     /// refused as stale, disk untouched. An injected
     /// [`FaultStage::Writeback`] panic is a failed write, never a lost user.
     fn persist(
         &self,
         user: UserId,
-        state: UserState,
+        state: &UserState,
         epoch: u64,
         plan: Option<&dyn FaultPlan>,
         query_text: &str,
     ) -> Attempt<bool> {
         let query_stats = self.stats.collect(&state.seen_queries);
-        let record = UserRecord::new(user, state, query_stats);
         let gate = self.user_write_gate(user);
         let mut last_written = self.lock(&gate);
         if *last_written >= epoch {
@@ -276,7 +279,7 @@ impl StoreTier {
         }
         let put = catch_unwind(AssertUnwindSafe(|| {
             inject_fault(plan, user, query_text, FaultStage::Writeback);
-            self.store.put(&record)
+            self.store.put_parts(user, state, &query_stats)
         }));
         if let Ok(Ok(())) = put {
             *last_written = epoch;
@@ -286,8 +289,9 @@ impl StoreTier {
     }
 
     /// Snapshot discipline 1 — under the held shard guard: persist one
-    /// resident (retrying inline) and clear their dirty mark. Returns
-    /// whether the record is now on disk (written here, or already
+    /// resident's snapshot (retrying inline; eviction and flush need the
+    /// write done before the guard drops) and clear their dirty mark.
+    /// Returns whether the record is now on disk (written here, or already
     /// there at this epoch); on failure the user stays dirty.
     fn writeback_locked(
         &self,
@@ -296,29 +300,32 @@ impl StoreTier {
         plan: Option<&dyn FaultPlan>,
         query_text: &str,
     ) -> bool {
-        let Some(epoch) = users.get(&user).map(|r| r.dirty_epoch) else { return false };
-        let persisted = self
-            .retry_inline(|| self.persist(user, users[&user].state.clone(), epoch, plan, query_text))
-            .is_some();
+        let Some((state, epoch)) = users.get(&user).map(|r| (Arc::clone(&r.state), r.dirty_epoch))
+        else {
+            return false;
+        };
+        let persisted =
+            self.retry_inline(|| self.persist(user, &state, epoch, plan, query_text)).is_some();
         if persisted {
             users.get_mut(&user).expect("checked above").dirty_epoch = 0;
         }
         persisted
     }
 
-    /// Snapshot discipline 2 — the daemon's: clone the state and its
-    /// dirty epoch under the shard lock, persist with no shard lock held
-    /// (requests never wait on this I/O), then clear the mark only if no
-    /// newer mutation landed meanwhile. One attempt; the caller settles it.
+    /// Snapshot discipline 2 — the daemon's: take the state snapshot
+    /// (an `Arc` clone) and its dirty epoch under the shard lock, encode
+    /// and persist with no shard lock held (requests never wait on this
+    /// work), then clear the mark only if no newer mutation landed
+    /// meanwhile. One attempt; the caller settles it.
     fn writeback_offline(&self, user: UserId) -> Attempt<bool> {
         let shard = self.shard_of(user);
         let snapshot = self
             .lock(&shard.users)
             .get(&user)
             .filter(|r| r.dirty_epoch != 0)
-            .map(|r| (r.state.clone(), r.dirty_epoch));
+            .map(|r| (Arc::clone(&r.state), r.dirty_epoch));
         let Some((state, epoch)) = snapshot else { return Ok(Ok(false)) };
-        let outcome = self.persist(user, state, epoch, None, "");
+        let outcome = self.persist(user, &state, epoch, None, "");
         if let Ok(Ok(_)) = outcome {
             let mut users = self.lock(&shard.users);
             if let Some(r) = users.get_mut(&user).filter(|r| r.dirty_epoch == epoch) {
@@ -367,7 +374,7 @@ impl StoreTier {
             }
             record.state
         });
-        users.insert(user, ResidentUser { state, last_touch, dirty_epoch: 0 });
+        users.insert(user, ResidentUser { state: Arc::new(state), last_touch, dirty_epoch: 0 });
         faulted_in
     }
 
@@ -650,7 +657,7 @@ mod tests {
         // What the daemon snapshots under the shard lock.
         let snapshot = || {
             let (users, _) = lock_or_recover(&e.shards[0].users);
-            users.get(&user).map(|r| (r.state.clone(), r.dirty_epoch)).expect("resident")
+            users.get(&user).map(|r| (Arc::clone(&r.state), r.dirty_epoch)).expect("resident")
         };
         let dirty_epoch_of = || {
             let (users, _) = lock_or_recover(&e.shards[0].users);
@@ -669,7 +676,7 @@ mod tests {
         assert_ne!(dirty_epoch_of(), 0, "observe must mark the user dirty");
         *lock_or_recover(gate.as_ref()).0 = u64::MAX;
         let (state, epoch) = snapshot();
-        assert!(!written(tier.persist(user, state, epoch, None, "")), "stale snapshot refused");
+        assert!(!written(tier.persist(user, &state, epoch, None, "")), "stale snapshot refused");
         assert!(
             tier.store.get(user).unwrap().is_none(),
             "a skipped writeback must not touch the disk"
@@ -682,7 +689,7 @@ mod tests {
         *lock_or_recover(gate.as_ref()).0 = 0;
         take_turn("restaurant");
         let (state, epoch) = snapshot();
-        assert!(written(tier.persist(user, state, epoch, None, "")));
+        assert!(written(tier.persist(user, &state, epoch, None, "")));
         assert!(tier.store.get(user).unwrap().is_some());
         assert_eq!(*lock_or_recover(gate.as_ref()).0, epoch);
 
@@ -703,7 +710,7 @@ mod tests {
         let (state, epoch) = snapshot();
         e.forget_user(user);
         assert!(*lock_or_recover(gate.as_ref()).0 > epoch, "forget advances the gate");
-        assert!(!written(tier.persist(user, state, epoch, None, "")), "pre-forget snapshot refused");
+        assert!(!written(tier.persist(user, &state, epoch, None, "")), "pre-forget snapshot refused");
         assert!(tier.store.get(user).unwrap().is_none(), "the forgotten record stays gone");
         drop(e);
         let _ = std::fs::remove_dir_all(&dir);
@@ -802,6 +809,68 @@ mod tests {
         }
         assert_equivalent(&uninterrupted, &transcripts, "restart mid-replay");
         drop(e2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A search runs on the snapshot it took under the shard lock: while
+    /// it is parked, its user is evicted (capacity 1), faulted back in
+    /// and folds one more click — and the search still returns the page
+    /// the pre-eviction state ranks.
+    #[test]
+    fn search_on_a_snapshot_survives_its_users_eviction() {
+        let _guard = pws_obs::test_lock();
+        let idx = index();
+        let w = world();
+        let dir = store_dir("snapshot-evict");
+        let e = ServingEngine::new(
+            &idx,
+            &w,
+            EngineConfig::default(),
+            ServeConfig {
+                shards: 1,
+                stats_refresh_every: 1,
+                store: Some(StoreTierConfig {
+                    capacity_per_shard: 1,
+                    writeback: false,
+                    ..StoreTierConfig::new(&dir)
+                }),
+                ..ServeConfig::default()
+            },
+        )
+        .with_fault_plan(Arc::new(TargetedPlan {
+            stage: FaultStage::Retrieval,
+            action: FaultAction::Delay(Duration::from_secs(2)),
+            query_contains: "parked",
+        }));
+        let (a, b) = (UserId(1), UserId(2));
+        let mut warm = Vec::new();
+        for q in ["seafood restaurant", "sushi restaurant"] {
+            let turn = e.search(a, q);
+            e.observe(&turn, &impression_from(&turn, &click_rule(&turn)));
+            warm.push(turn);
+        }
+        let query = "seafood restaurant parked";
+        let expected = format!("{:?}", e.search(a, query).hits);
+        let observations = e.user_state(a).expect("resident").observations;
+        let is_resident = |u: UserId| lock_or_recover(&e.shards[0].users).0.contains_key(&u);
+        std::thread::scope(|s| {
+            let parked = s.spawn(|| e.search(a, query));
+            while e.queue_depths()[0] != 1 {
+                std::thread::yield_now();
+            }
+            // Give the search time to take its snapshot and reach the delay.
+            std::thread::sleep(Duration::from_millis(50));
+            let _ = e.search(b, "restaurant");
+            assert!(!is_resident(a), "B's search evicts A");
+            let turn = &warm[0];
+            e.observe(turn, &impression_from(turn, &click_rule(turn)));
+            assert!(is_resident(a) && !is_resident(b), "A's observe faults A in and evicts B");
+            assert_eq!(e.queue_depths()[0], 1, "the parked search is still in flight");
+            let got = parked.join().expect("parked search");
+            assert_eq!(format!("{:?}", got.hits), expected, "the snapshot's ranking");
+        });
+        assert_eq!(e.user_state(a).unwrap().observations, observations + 1, "the fold landed");
+        drop(e);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -144,12 +144,12 @@ impl UserRecord {
 
 // ── Encoding ─────────────────────────────────────────────────────────────
 
-fn encode_meta(record: &UserRecord) -> Vec<u8> {
+fn encode_meta(user: UserId, state: &UserState) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.u64(u64::from(record.user.0));
-    w.u64(record.state.observations);
-    w.u32(record.state.seen_queries.len() as u32);
-    for q in &record.state.seen_queries {
+    w.u64(u64::from(user.0));
+    w.u64(state.observations);
+    w.u32(state.seen_queries.len() as u32);
+    for q in &state.seen_queries {
         w.str(q);
     }
     w.finish()
@@ -254,14 +254,24 @@ fn encode_query_stats(stats: &BTreeMap<String, QueryStats>) -> Vec<u8> {
 /// Deterministic: the bytes are a pure function of the record's logical
 /// content (sorted map order, bit-exact floats).
 pub fn encode_user_record(record: &UserRecord) -> Vec<u8> {
+    encode_user_parts(record.user, &record.state, &record.query_stats)
+}
+
+/// [`encode_user_record`] from borrowed parts: the same bytes, without
+/// first assembling (and so copying the state into) a [`UserRecord`].
+pub fn encode_user_parts(
+    user: UserId,
+    state: &UserState,
+    query_stats: &BTreeMap<String, QueryStats>,
+) -> Vec<u8> {
     STORE_FORMAT.write(vec![
-        encode_meta(record),
-        encode_model(&record.state.model),
-        encode_content(&record.state.content),
-        encode_location(&record.state.location),
-        encode_history(&record.state.history),
-        encode_pairs(&record.state.pairs),
-        encode_query_stats(&record.query_stats),
+        encode_meta(user, state),
+        encode_model(&state.model),
+        encode_content(&state.content),
+        encode_location(&state.location),
+        encode_history(&state.history),
+        encode_pairs(&state.pairs),
+        encode_query_stats(query_stats),
     ])
 }
 

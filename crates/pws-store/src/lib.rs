@@ -31,7 +31,7 @@ pub mod io;
 pub mod store;
 
 pub use codec::{
-    decode_user_record, encode_user_record, SectionId, StoreError, UserRecord, FORMAT_VERSION,
+    decode_user_record, encode_user_parts, encode_user_record, SectionId, StoreError, UserRecord, FORMAT_VERSION,
     STORE_FORMAT, STORE_MAGIC,
 };
 pub use io::{FaultIo, FaultIoCounts, FsIo, IoError, IoErrorKind, IoFaultSpec, StoreIo};

@@ -22,10 +22,13 @@
 //! typed [`ScrubReport`]. Opening a store sweeps `.tmp` orphans
 //! automatically.
 
-use crate::codec::{decode_user_record, encode_user_record, StoreError, UserRecord};
+use crate::codec::{decode_user_record, encode_user_parts, StoreError, UserRecord};
 use crate::io::{FsIo, IoErrorKind, StoreIo};
 use pws_click::UserId;
+use pws_core::UserState;
+use pws_entropy::QueryStats;
 use pws_obs::StageMetrics;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::sync::OnceLock;
@@ -125,14 +128,25 @@ impl UserStore {
     /// a crash after the fourth is durable, a crash at or before any of
     /// them leaves the previous record untouched.
     pub fn put(&self, record: &UserRecord) -> Result<(), StoreError> {
+        self.put_parts(record.user, &record.state, &record.query_stats)
+    }
+
+    /// [`Self::put`] from borrowed parts — the same record bytes, with no
+    /// copy of `state` made to assemble a [`UserRecord`].
+    pub fn put_parts(
+        &self,
+        user: UserId,
+        state: &UserState,
+        query_stats: &BTreeMap<String, QueryStats>,
+    ) -> Result<(), StoreError> {
         // Per-writer temp names: two threads racing on the same user
         // must not rename each other's temp file out from under them.
         static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let _span = write_stage().span();
-        let bytes = encode_user_record(record);
-        let path = self.path_for(record.user);
+        let bytes = encode_user_parts(user, state, query_stats);
+        let path = self.path_for(user);
         let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tmp = self.dir.join(format!(".user-{:08x}.{seq:x}.tmp", record.user.0));
+        let tmp = self.dir.join(format!(".user-{:08x}.{seq:x}.tmp", user.0));
         let result = self
             .io
             .write(&tmp, &bytes)

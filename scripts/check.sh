@@ -252,12 +252,23 @@ echo "==> one-writer gate (store.put only in persist, store.remove only in forge
 # gate and only forward in epoch. A second put or remove call site is a
 # writer that does not know the rule — the lost-update and forgotten-user-
 # comes-back bugs were both that. #[cfg(test)] modules are exempt.
-if only_in_fn 'store.put(' 'persist' crates/pws-serve/src/*.rs | grep .; then
+if only_in_fn 'store.put' 'persist' crates/pws-serve/src/*.rs | grep .; then
     echo "FAIL: UserStore::put outside StoreTier::persist — persist through the write gate"
     exit 1
 fi
 if only_in_fn 'store.remove(' 'forget' crates/pws-serve/src/*.rs | grep .; then
     echo "FAIL: UserStore::remove outside StoreTier::forget — forget through the write gate"
+    exit 1
+fi
+
+echo "==> search-on-a-snapshot gate (no rollback copies, no in-place state borrows in pws-serve)"
+# A search clones its user's Arc<UserState> under the shard lock and runs
+# off it; an observe folds into a successor state and publishes it by
+# swap, and a panicked fold drops the successor. A pre-fold copy kept for
+# rollback, or a `&mut` borrow of a resident's state, is the design this
+# replaced.
+if grep -rnE 'state_before|stats_before|&mut users\.get_mut\(.*\.state' crates/pws-serve/src; then
+    echo "FAIL: rollback copy or in-place resident-state borrow — fold into a successor and swap"
     exit 1
 fi
 
@@ -312,6 +323,29 @@ echo "==> end-to-end benchmark contract gate (bench/run.sh --smoke)"
 if [[ $fast -eq 0 ]]; then
     bash bench/run.sh --smoke > "$flight_tmp/bench_smoke.txt"
     grep -q '^benchmark: ok' "$flight_tmp/bench_smoke.txt"
+else
+    echo "    (skipped under --fast)"
+fi
+
+echo "==> benchmark result-line gate (bench/run.sh --workload W, one process each)"
+# A benchmark harness runs each workload in its own process and parses
+# only the last stdout line, the result object; the suite run above does
+# not go through that mode. Every workload must exit 0 and end on a
+# correct, failure-free result line.
+if [[ $fast -eq 0 ]]; then
+    result_re='^\{"correct": true, "attempted": [1-9][0-9]*, "failed": 0, "metrics": \{.*\}\}$'
+    for w in paper.hot large.cold paper.rw store.churn; do
+        out="$flight_tmp/bench_$w.txt"
+        if ! bash bench/run.sh --workload "$w" --smoke --seed 7 --seconds 1 --trace 0 > "$out"; then
+            echo "FAIL: bench/run.sh --workload $w exited non-zero"
+            exit 1
+        fi
+        if ! tail -n 1 "$out" | grep -qE "$result_re"; then
+            echo "FAIL: bench/run.sh --workload $w: last line is not a passing result object:"
+            tail -n 1 "$out"
+            exit 1
+        fi
+    done
 else
     echo "    (skipped under --fast)"
 fi
