@@ -155,7 +155,7 @@ impl std::error::Error for StateError {}
 /// finite and non-negative (they are counts, however fractional weighting
 /// schemes may make them non-integral).
 pub fn validate_query_stats(stats: &QueryStats) -> Result<(), StateError> {
-    let check = |entries: &[(String, f64)], what: &'static str| -> Result<(), StateError> {
+    let check = |entries: &[(&str, f64)], what: &'static str| -> Result<(), StateError> {
         for (_, n) in entries {
             if !n.is_finite() {
                 return Err(StateError::NonFinite(what));

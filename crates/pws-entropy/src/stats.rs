@@ -42,19 +42,20 @@ impl QueryStats {
     }
 
     /// All `(url, click mass)` entries in ascending URL order — the
-    /// canonical view used by persistence (`pws-store`).
-    pub fn url_click_entries(&self) -> Vec<(String, f64)> {
-        let mut v: Vec<(String, f64)> =
-            self.url_clicks.iter().map(|(u, n)| (u.clone(), *n)).collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
+    /// canonical view used by persistence (`pws-store`). The URLs are
+    /// borrowed: a record is encoded straight from the live maps.
+    pub fn url_click_entries(&self) -> Vec<(&str, f64)> {
+        let mut v: Vec<(&str, f64)> =
+            self.url_clicks.iter().map(|(u, n)| (u.as_str(), *n)).collect();
+        v.sort_unstable_by(|a, b| a.0.cmp(b.0));
         v
     }
 
     /// All `(term, click mass)` entries in ascending term order.
-    pub fn concept_click_entries(&self) -> Vec<(String, f64)> {
-        let mut v: Vec<(String, f64)> =
-            self.concept_clicks.iter().map(|(t, n)| (t.clone(), *n)).collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
+    pub fn concept_click_entries(&self) -> Vec<(&str, f64)> {
+        let mut v: Vec<(&str, f64)> =
+            self.concept_clicks.iter().map(|(t, n)| (t.as_str(), *n)).collect();
+        v.sort_unstable_by(|a, b| a.0.cmp(b.0));
         v
     }
 

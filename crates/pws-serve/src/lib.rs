@@ -1047,19 +1047,21 @@ impl ShardedStats {
         }
     }
 
-    /// Clone the live statistics for `keys` out of the stats shards, one
-    /// shard lock at a time (never while holding another stats lock).
-    /// This is how a user's adaptive-β statistics travel with their
-    /// record: `keys` is the user's `seen_queries` list.
-    fn collect(&self, keys: &[String]) -> BTreeMap<String, QueryStats> {
-        let mut out = BTreeMap::new();
-        for key in keys {
+    /// Hand the live statistics for `keys` to `emit` in ascending key
+    /// order, each borrowed under its stats-shard lock, one lock at a
+    /// time (never while holding another stats lock). This is how a
+    /// user's adaptive-β statistics travel with their record — encoded
+    /// straight from the live maps: `keys` is the user's `seen_queries`.
+    fn visit(&self, keys: &[String], emit: &mut dyn FnMut(&str, &QueryStats)) {
+        let mut sorted: Vec<&str> = keys.iter().map(String::as_str).collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        for key in sorted {
             let guard = self.lock_shard(self.shard_of(key));
             if let Some(s) = guard.get(key) {
-                out.insert(key.clone(), s.clone());
+                emit(key, s);
             }
         }
-        out
     }
 
     /// Fill in statistics for keys this process has never observed
@@ -1529,12 +1531,12 @@ impl<'a> ServingEngine<'a> {
     /// requests must drain before this one would have been admitted).
     ///
     /// The estimate is an EWMA over turns that missed (or had no)
-    /// retrieval cache, floored at 100µs per queued request. An earlier
-    /// revision scaled the shard's lifetime mean of `search`, which a
-    /// cache-hot shard drags toward the cache-hit latency — the hint
-    /// told clients to retry after effectively zero, re-shedding them
-    /// in a tight loop. Falls back to 1ms per request when the shard
-    /// has no uncached history yet.
+    /// retrieval cache; the jittered hint is at least 100µs per queued
+    /// request. An earlier revision scaled the shard's lifetime mean of
+    /// `search`, which a cache-hot shard drags toward the cache-hit
+    /// latency — the hint told clients to retry after effectively zero,
+    /// re-shedding them in a tight loop. Falls back to 1ms per request
+    /// when the shard has no uncached history yet.
     /// The drain estimate then gets ±25% deterministic jitter, seeded
     /// from `(user, query, excess)`: every client shed by the same
     /// burst computing the *same* hint retries in lockstep and
@@ -1551,8 +1553,12 @@ impl<'a> ServingEngine<'a> {
         const FLOOR_NANOS: u64 = 100_000; // 100µs: below this a hint is noise
         const DEFAULT_NANOS: u64 = 1_000_000; // no history: assume 1ms per request
         let excess = depth.saturating_sub(limit) + 1;
+        // The jitter can take up to a quarter off, so a measured estimate
+        // is floored at FLOOR / 0.75 (rounded up): every jittered hint then
+        // stays at or above FLOOR × excess and keeps its full spread.
+        const JITTER_FLOOR_NANOS: u64 = (FLOOR_NANOS * 4).div_ceil(3);
         let ewma = shard.uncached_ewma_nanos.load(Ordering::Relaxed);
-        let per_turn = if ewma == 0 { DEFAULT_NANOS } else { ewma.max(FLOOR_NANOS) };
+        let per_turn = if ewma == 0 { DEFAULT_NANOS } else { ewma.max(JITTER_FLOOR_NANOS) };
         let raw = per_turn.saturating_mul(excess);
         // Jitter factor in [0.75, 1.25], in parts-per-million; u128
         // keeps the multiply exact for any plausible hint.
@@ -2014,7 +2020,10 @@ impl<'a> ServingEngine<'a> {
     /// thread.
     pub fn export_user(&self, user: UserId) -> Result<Option<String>, serde_json::Error> {
         let Some(state) = self.user_state(user) else { return Ok(None) };
-        let query_stats = self.stats.collect(&state.seen_queries);
+        let mut query_stats = BTreeMap::new();
+        self.stats.visit(&state.seen_queries, &mut |key, s| {
+            query_stats.insert(key.to_string(), s.clone());
+        });
         let export = pws_core::UserExport { state, query_stats };
         serde_json::to_string(&export)
             .map(Some)
@@ -3968,6 +3977,34 @@ mod tests {
         assert_eq!(dump.reason, DumpReason::ShedBurst);
         drop(e);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The 100µs-per-queued-request floor holds *after* the jitter: on a
+    /// shard whose uncached turns are near-instant, every hint is at least
+    /// the floor times the excess, and the hints still spread.
+    #[test]
+    fn retry_after_floor_survives_the_jitter() {
+        let _guard = pws_obs::test_lock();
+        let idx = index();
+        let w = world();
+        let e = ServingEngine::new(
+            &idx,
+            &w,
+            EngineConfig::default(),
+            ServeConfig { shards: 1, ..ServeConfig::default() },
+        );
+        let shard = &e.shards[0];
+        shard.uncached_ewma_nanos.store(1, Ordering::Relaxed);
+        for excess in [1u64, 3] {
+            let floor = Duration::from_micros(100 * excess);
+            let mut distinct = HashSet::new();
+            for user in 0..64u32 {
+                let hint = e.retry_after(shard, UserId(user), "seafood restaurant", excess - 1, 0);
+                assert!(hint >= floor, "excess {excess}, user {user}: {hint:?} below {floor:?}");
+                distinct.insert(hint);
+            }
+            assert!(distinct.len() > 32, "excess {excess}: the floor flattened the spread");
+        }
     }
 
     /// The shed hint carries ±25% deterministic jitter: the same

@@ -81,20 +81,29 @@ pub(crate) struct StoreTier {
     touch: AtomicU64,
     /// Dirty-epoch source; starts at 1 so `0` can mean "clean".
     epoch: AtomicU64,
-    // Counter handles: `serve.store.{fault_in, evict, writeback, retry,
-    // retry_exhausted, backpressure}` (records loaded; residents
-    // evicted; records written; I/O attempts repeated after a transient
-    // failure; I/O that stayed transient through every allowed attempt;
-    // enqueues turned synchronous by the backlog bound), plus the
-    // engine's shared `serve.state_io_error` and `serve.lock_recovered`.
+    // Counter handles: `serve.store.{fault_in, evict, evict_dirty,
+    // writeback, retry, retry_exhausted, backpressure}` (records loaded;
+    // residents evicted; of those, the ones written back first; records
+    // written; I/O attempts repeated after a transient failure; I/O that
+    // stayed transient through every allowed attempt; enqueues turned
+    // synchronous by the backlog bound), plus the engine's shared
+    // `serve.state_io_error` and `serve.lock_recovered`.
     fault_in: Arc<pws_obs::StageMetrics>,
     evict: Arc<pws_obs::StageMetrics>,
+    evict_dirty: Arc<pws_obs::StageMetrics>,
     writeback: Arc<pws_obs::StageMetrics>,
     retry: Arc<pws_obs::StageMetrics>,
     retry_exhausted: Arc<pws_obs::StageMetrics>,
     backpressure: Arc<pws_obs::StageMetrics>,
     io_error: Arc<pws_obs::StageMetrics>,
     lock_recovered: Arc<pws_obs::StageMetrics>,
+    // The parts of `serve.residency`, each timed under the shard lock:
+    // `serve.residency.{fault_in, seed, evict_writeback}` (the retried
+    // record read and decode; seeding its statistics; writing a dirty
+    // eviction victim back).
+    fault_in_span: Arc<pws_obs::StageMetrics>,
+    seed_span: Arc<pws_obs::StageMetrics>,
+    evict_writeback_span: Arc<pws_obs::StageMetrics>,
     /// Retry policy (the [`StoreTierConfig`] fields of the same names).
     max_write_retries: u32,
     retry_backoff: Duration,
@@ -167,12 +176,16 @@ impl StoreTier {
             epoch: AtomicU64::new(1),
             fault_in: pws_obs::stage("serve.store.fault_in"),
             evict: pws_obs::stage("serve.store.evict"),
+            evict_dirty: pws_obs::stage("serve.store.evict_dirty"),
             writeback: pws_obs::stage("serve.store.writeback"),
             io_error: fault.state_io_error.clone(),
             lock_recovered: fault.lock_recovered.clone(),
             retry: pws_obs::stage("serve.store.retry"),
             retry_exhausted: pws_obs::stage("serve.store.retry_exhausted"),
             backpressure: pws_obs::stage("serve.store.backpressure"),
+            fault_in_span: pws_obs::stage("serve.residency.fault_in"),
+            seed_span: pws_obs::stage("serve.residency.seed"),
+            evict_writeback_span: pws_obs::stage("serve.residency.evict_writeback"),
             max_write_retries: cfg.max_write_retries.max(1),
             retry_backoff: cfg.retry_backoff,
             retry_backoff_cap: cfg.retry_backoff_cap.max(cfg.retry_backoff),
@@ -257,11 +270,11 @@ impl StoreTier {
     }
 
     /// The one writer: one attempt at putting `state`, snapshotted at
-    /// dirty `epoch`, on disk — encoded straight from the snapshot, never
-    /// copied — under the user's gate, and only if the gate has not seen
-    /// that epoch or a newer one. `true` = written
-    /// (`serve.store.writeback`, gate advanced to `epoch`); `false` =
-    /// refused as stale, disk untouched. An injected
+    /// dirty `epoch`, on disk — encoded straight from the snapshot and
+    /// the live statistics, never copied — under the user's gate, and
+    /// only if the gate has not seen that epoch or a newer one. `true` =
+    /// written (`serve.store.writeback`, gate advanced to `epoch`);
+    /// `false` = refused as stale, disk untouched. An injected
     /// [`FaultStage::Writeback`] panic is a failed write, never a lost user.
     fn persist(
         &self,
@@ -271,7 +284,6 @@ impl StoreTier {
         plan: Option<&dyn FaultPlan>,
         query_text: &str,
     ) -> Attempt<bool> {
-        let query_stats = self.stats.collect(&state.seen_queries);
         let gate = self.user_write_gate(user);
         let mut last_written = self.lock(&gate);
         if *last_written >= epoch {
@@ -279,7 +291,7 @@ impl StoreTier {
         }
         let put = catch_unwind(AssertUnwindSafe(|| {
             inject_fault(plan, user, query_text, FaultStage::Writeback);
-            self.store.put_parts(user, state, &query_stats)
+            self.store.put_with(user, state, |emit| self.stats.visit(&state.seen_queries, emit))
         }));
         if let Ok(Ok(())) = put {
             *last_written = epoch;
@@ -342,8 +354,14 @@ impl StoreTier {
     /// Fault-in runs under panic isolation and the retry rule: a
     /// corrupt record, an I/O error that outlasts its retries, or an
     /// injected [`FaultStage::FaultIn`] panic costs exactly this user a
-    /// fresh profile — never the request, never the shard. A loaded
-    /// record also seeds its adaptive-β statistics.
+    /// fresh profile — never the request, never the shard.
+    ///
+    /// A loaded record also seeds its adaptive-β statistics, but live
+    /// keys win, so a key already in the published snapshot would be
+    /// decoded only to be dropped: the read verifies section 7 and
+    /// decodes it only if one of its keys is missing from the snapshot
+    /// (a fresh process over an old store, or a key observed but not yet
+    /// published, for which seeding is a no-op).
     pub(crate) fn ensure_resident(
         &self,
         users: &mut UserMap,
@@ -356,17 +374,21 @@ impl StoreTier {
             r.last_touch = last_touch;
             return false;
         }
-        let record = self
-            .retry_inline(|| {
+        let published = self.stats.read();
+        let record = {
+            let _span = self.fault_in_span.span();
+            self.retry_inline(|| {
                 catch_unwind(AssertUnwindSafe(|| {
                     inject_fault(plan, user, query_text, FaultStage::FaultIn);
-                    self.store.get(user)
+                    self.store.get_with(user, |key| !published.contains_key(key))
                 }))
             })
-            .flatten();
+            .flatten()
+        };
         let faulted_in = record.is_some();
         let state = record.map_or_else(UserState::default, |record| {
             self.fault_in.incr(1);
+            let _span = self.seed_span.span();
             if self.stats.seed(record.query_stats) {
                 // A fresh process over an old store: publish the keys
                 // now, so this very turn's β matches an uninterrupted run.
@@ -378,11 +400,15 @@ impl StoreTier {
         faulted_in
     }
 
-    /// Enforce the shard's resident bound: while over capacity, evict
-    /// the least-recently-used user other than `keep` (the one this
-    /// request is serving), writing a dirty victim back first. A failed
-    /// writeback aborts the eviction — the victim stays resident and
-    /// dirty, and is retried on the next request. Returns the evictions.
+    /// Enforce the shard's resident bound: while over capacity, evict a
+    /// user other than `keep` (the one this request is serving) — clean
+    /// ones first, least recently used first within each. A clean victim
+    /// is dropped with no I/O; only when every other resident is dirty is
+    /// the LRU one written back first (`serve.store.evict_dirty`), under
+    /// the shard lock. A failed writeback aborts the eviction — the
+    /// victim stays resident and dirty, and is retried on the next
+    /// request. Residency is invisible to ranking, so the order changes
+    /// no result. Returns the evictions.
     pub(crate) fn evict_overflow(
         &self,
         users: &mut UserMap,
@@ -395,13 +421,15 @@ impl StoreTier {
             let victim = users
                 .iter()
                 .filter(|(id, _)| **id != keep)
-                .min_by_key(|(id, r)| (r.last_touch, id.0))
-                .map(|(id, _)| *id);
-            let Some(victim) = victim else { break };
-            if users[&victim].dirty_epoch != 0
-                && !self.writeback_locked(users, victim, plan, query_text)
-            {
-                break;
+                .min_by_key(|(id, r)| (r.dirty_epoch != 0, r.last_touch, id.0))
+                .map(|(id, r)| (*id, r.dirty_epoch != 0));
+            let Some((victim, dirty)) = victim else { break };
+            if dirty {
+                let _span = self.evict_writeback_span.span();
+                if !self.writeback_locked(users, victim, plan, query_text) {
+                    break;
+                }
+                self.evict_dirty.incr(1);
             }
             users.remove(&victim);
             self.evict.incr(1);
@@ -809,6 +837,116 @@ mod tests {
         }
         assert_equivalent(&uninterrupted, &transcripts, "restart mid-replay");
         drop(e2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Fault-in checks the record's statistics but builds them only when
+    /// they can seed something: a user whose query keys are all in the
+    /// published snapshot faults in with no statistics decoded (and the
+    /// seed step has nothing to do), while a fresh process over the same
+    /// store still decodes and seeds them.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn fault_in_decodes_statistics_only_when_they_can_seed() {
+        let _guard = pws_obs::test_lock();
+        let idx = index();
+        let w = world();
+        let dir = store_dir("stats-skip");
+        let serve_cfg = || ServeConfig {
+            shards: 1,
+            stats_refresh_every: 1,
+            store: Some(StoreTierConfig {
+                capacity_per_shard: 1,
+                writeback: false,
+                ..StoreTierConfig::new(&dir)
+            }),
+            ..ServeConfig::default()
+        };
+        let (a, b) = (UserId(1), UserId(2));
+        let query = "seafood restaurant";
+        let decodes = pws_store::codec::query_stats_decodes;
+        let e = ServingEngine::new(&idx, &w, EngineConfig::default(), serve_cfg());
+        let turn = e.search(a, query);
+        e.observe(&turn, &impression_from(&turn, &click_rule(&turn)));
+        let live = e.query_stats(query).expect("published after one observe");
+        let _ = e.search(b, "restaurant"); // evicts A, writing their record
+        pws_obs::reset();
+        let before = decodes();
+        let _ = e.search(a, query);
+        assert_eq!(decodes() - before, 0, "every key published: no statistics built");
+        let snap = pws_obs::snapshot();
+        let count = |name: &str| {
+            snap.stages.iter().find(|s| s.name == name).map_or(0, |s| s.count)
+        };
+        assert_eq!(count("serve.store.fault_in"), 1);
+        assert_eq!(count("serve.residency.fault_in"), 1);
+        assert_eq!(count("serve.residency.seed"), 1);
+        drop(e);
+
+        // A fresh process publishes nothing yet, so the same record seeds.
+        let e = ServingEngine::new(&idx, &w, EngineConfig::default(), serve_cfg());
+        assert!(e.query_stats(query).is_none(), "nothing live before the first fault-in");
+        let before = decodes();
+        let _ = e.search(a, query);
+        assert_eq!(decodes() - before, 1, "a restart decodes the statistics");
+        let seeded = e.query_stats(query).expect("seeded and published");
+        assert_eq!((seeded.impressions(), seeded.clicks()), (live.impressions(), live.clicks()));
+        drop(e);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Eviction takes clean residents first: with one dirty and one clean
+    /// resident, a third user evicts the clean one with no disk write,
+    /// even though the dirty one is older. Only once every other resident
+    /// is dirty is the least recently used of them written back and
+    /// evicted (`serve.store.evict_dirty`).
+    #[test]
+    fn eviction_takes_clean_residents_first() {
+        let _guard = pws_obs::test_lock();
+        let idx = index();
+        let w = world();
+        let dir = store_dir("clean-first");
+        let e = ServingEngine::new(
+            &idx,
+            &w,
+            EngineConfig::default(),
+            ServeConfig {
+                shards: 1,
+                stats_refresh_every: 1,
+                store: Some(StoreTierConfig {
+                    capacity_per_shard: 2,
+                    writeback: false,
+                    ..StoreTierConfig::new(&dir)
+                }),
+                ..ServeConfig::default()
+            },
+        );
+        let (a, b, c, d) = (UserId(1), UserId(2), UserId(3), UserId(4));
+        let count = |name: &str| {
+            let snap = pws_obs::snapshot();
+            snap.stages.iter().find(|s| s.name == name).map_or(0, |s| s.count)
+        };
+        let is_resident = |u: UserId| lock_or_recover(&e.shards[0].users).0.contains_key(&u);
+        let observe = |u: UserId, q: &str| {
+            let turn = e.search(u, q);
+            e.observe(&turn, &impression_from(&turn, &click_rule(&turn)));
+        };
+        pws_obs::reset();
+        observe(a, "seafood restaurant"); // A: dirty, least recently used
+        let _ = e.search(b, "restaurant"); // B: clean, more recent
+        let _ = e.search(c, "sushi restaurant");
+        assert!(is_resident(a) && !is_resident(b) && is_resident(c), "the clean one went");
+        assert_eq!(count("store.write"), 0, "a clean victim costs no write");
+        assert_eq!((count("serve.store.evict"), count("serve.store.evict_dirty")), (1, 0));
+
+        observe(c, "sushi restaurant"); // now every resident is dirty
+        let _ = e.search(d, "restaurant");
+        assert!(!is_resident(a) && is_resident(c) && is_resident(d), "the LRU dirty one went");
+        assert_eq!(count("store.write"), 1, "written back before it was dropped");
+        assert_eq!((count("serve.store.evict"), count("serve.store.evict_dirty")), (2, 1));
+        let tier = e.store.as_ref().expect("store tier");
+        assert!(tier.store.get(a).expect("clean read").is_some(), "A is on disk");
+        drop(e);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -220,23 +220,28 @@ fn encode_pairs(pairs: &[PreferencePair]) -> Vec<u8> {
     w.finish()
 }
 
-fn encode_query_stats(stats: &BTreeMap<String, QueryStats>) -> Vec<u8> {
+/// Section 7 from `visit_stats`, which hands over every entry once, in
+/// strictly ascending key order. The entry count leads the payload, so it
+/// is written as a placeholder and patched once the visit is done.
+fn encode_query_stats(visit_stats: impl FnOnce(&mut dyn FnMut(&str, &QueryStats))) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.u32(stats.len() as u32);
-    for (key, s) in stats {
+    w.u32(0);
+    let mut n: u32 = 0;
+    visit_stats(&mut |key, s| {
+        n += 1;
         w.str(key);
         w.u64(s.impressions());
         w.u64(s.clicks());
         let urls = s.url_click_entries();
         w.u32(urls.len() as u32);
         for (url, mass) in urls {
-            w.str(&url);
+            w.str(url);
             w.f64bits(mass);
         }
         let concepts = s.concept_click_entries();
         w.u32(concepts.len() as u32);
         for (term, mass) in concepts {
-            w.str(&term);
+            w.str(term);
             w.f64bits(mass);
         }
         let locs = s.location_click_entries();
@@ -245,8 +250,10 @@ fn encode_query_stats(stats: &BTreeMap<String, QueryStats>) -> Vec<u8> {
             w.u32(loc.0);
             w.f64bits(mass);
         }
-    }
-    w.finish()
+    });
+    let mut bytes = w.finish();
+    bytes[..4].copy_from_slice(&n.to_le_bytes());
+    bytes
 }
 
 /// Serialize a user record to its canonical byte image.
@@ -254,15 +261,23 @@ fn encode_query_stats(stats: &BTreeMap<String, QueryStats>) -> Vec<u8> {
 /// Deterministic: the bytes are a pure function of the record's logical
 /// content (sorted map order, bit-exact floats).
 pub fn encode_user_record(record: &UserRecord) -> Vec<u8> {
-    encode_user_parts(record.user, &record.state, &record.query_stats)
+    encode_user_with(record.user, &record.state, |emit| {
+        for (key, s) in &record.query_stats {
+            emit(key, s);
+        }
+    })
 }
 
-/// [`encode_user_record`] from borrowed parts: the same bytes, without
-/// first assembling (and so copying the state into) a [`UserRecord`].
-pub fn encode_user_parts(
+/// [`encode_user_record`] from borrowed parts, with section 7 written
+/// from wherever the statistics live: `visit_stats` must call its
+/// argument once per entry, in strictly ascending key order (as a
+/// `BTreeMap` iterates), and then the bytes equal those of the
+/// assembled record. Nothing is copied — not the state, not the
+/// statistics.
+pub fn encode_user_with(
     user: UserId,
     state: &UserState,
-    query_stats: &BTreeMap<String, QueryStats>,
+    visit_stats: impl FnOnce(&mut dyn FnMut(&str, &QueryStats)),
 ) -> Vec<u8> {
     STORE_FORMAT.write(vec![
         encode_meta(user, state),
@@ -271,7 +286,7 @@ pub fn encode_user_parts(
         encode_location(&state.location),
         encode_history(&state.history),
         encode_pairs(&state.pairs),
-        encode_query_stats(query_stats),
+        encode_query_stats(visit_stats),
     ])
 }
 
@@ -369,6 +384,8 @@ fn decode_pairs(mut r: ByteReader<'_>) -> Result<Vec<PreferencePair>, FormatErro
 }
 
 fn decode_query_stats(mut r: ByteReader<'_>) -> Result<BTreeMap<String, QueryStats>, FormatError> {
+    #[cfg(debug_assertions)]
+    STATS_DECODES.with(|n| n.set(n.get() + 1));
     let n = r.count(4)?;
     let mut out = BTreeMap::new();
     for _ in 0..n {
@@ -407,10 +424,94 @@ fn decode_query_stats(mut r: ByteReader<'_>) -> Result<BTreeMap<String, QuerySta
     Ok(out)
 }
 
+#[cfg(debug_assertions)]
+thread_local! {
+    static STATS_DECODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many times section 7 has been decoded (not just verified) on this
+/// thread. Debug builds only: tests in other crates pin through it that a
+/// fault-in whose statistics are all live builds none of them.
+#[cfg(debug_assertions)]
+#[doc(hidden)]
+pub fn query_stats_decodes() -> u64 {
+    STATS_DECODES.with(|n| n.get())
+}
+
+/// One section-7 entry, read exactly as [`decode_query_stats`] reads it
+/// and built into nothing. Returns the entry's key.
+fn skip_query_stats_entry<'a>(r: &mut ByteReader<'a>) -> Result<&'a str, FormatError> {
+    let key = r.str()?;
+    r.u64()?;
+    r.u64()?;
+    for _ in 0..r.count(12)? {
+        r.str()?;
+        r.f64bits()?;
+    }
+    for _ in 0..r.count(12)? {
+        r.str()?;
+        r.f64bits()?;
+    }
+    for _ in 0..r.count(12)? {
+        r.u32()?;
+        r.f64bits()?;
+    }
+    Ok(key)
+}
+
+/// Walk section 7 with exactly [`decode_query_stats`]'s checks — counts,
+/// UTF-8, duplicate keys, trailing bytes — allocating nothing. Returns
+/// `Ok(true)` as soon as `need_stats` asks for a key (the caller then
+/// decodes the section, which fails exactly where this walk would have),
+/// `Ok(false)` once the whole section verified with no key asked for.
+fn verify_query_stats(
+    section: &[u8],
+    mut need_stats: impl FnMut(&str) -> bool,
+) -> Result<bool, FormatError> {
+    let name = STORE_FORMAT.sections[6].1;
+    let mut r = ByteReader::new(section, name);
+    let n = r.count(4)?;
+    let mut prev = "";
+    let mut ascending = true;
+    for i in 0..n {
+        let key = skip_query_stats_entry(&mut r)?;
+        if need_stats(key) {
+            return Ok(true);
+        }
+        // An encoder writes keys strictly ascending, which cannot repeat;
+        // only a record out of order pays a rescan of the keys before it.
+        ascending &= i == 0 || prev < key;
+        if !ascending {
+            let mut before = ByteReader::new(section, name);
+            before.u32()?;
+            if (0..i).any(|_| skip_query_stats_entry(&mut before).is_ok_and(|k| k == key)) {
+                return Err(FormatError::Malformed("duplicate query-stats key"));
+            }
+        }
+        prev = key;
+    }
+    r.finish()?;
+    Ok(false)
+}
+
 /// Decode a user record from its byte image, validating structure and
 /// every section checksum. Inverse of [`encode_user_record`]:
 /// `decode(encode(r))` reproduces `r`'s logical content bit-exactly.
 pub fn decode_user_record(bytes: &[u8]) -> Result<UserRecord, StoreError> {
+    decode_user_record_with(bytes, |_| true)
+}
+
+/// [`decode_user_record`] that builds the per-query statistics only when
+/// they can be used: section 7 is always checksummed and walked with the
+/// full decoder's checks, so the same bytes are accepted and rejected with
+/// the same [`StoreError`], but it is decoded only if `need_stats` returns
+/// `true` for one of its keys. Otherwise the record's `query_stats` is
+/// empty. The serving tier asks for a key only when its live statistics
+/// lack it — the only case in which seeding it does anything.
+pub fn decode_user_record_with(
+    bytes: &[u8],
+    need_stats: impl FnMut(&str) -> bool,
+) -> Result<UserRecord, StoreError> {
     let sections = STORE_FORMAT.parse(bytes)?;
     let reader = |i: usize| ByteReader::new(sections[i], STORE_FORMAT.sections[i].1);
     let (user, observations, seen_queries) = decode_meta(reader(0))?;
@@ -419,7 +520,11 @@ pub fn decode_user_record(bytes: &[u8]) -> Result<UserRecord, StoreError> {
     let location = decode_location(reader(3))?;
     let history = decode_history(reader(4))?;
     let pairs = decode_pairs(reader(5))?;
-    let query_stats = decode_query_stats(reader(6))?;
+    let query_stats = if verify_query_stats(sections[6], need_stats)? {
+        decode_query_stats(reader(6))?
+    } else {
+        BTreeMap::new()
+    };
 
     let mut state = UserState::new();
     state.content = content;

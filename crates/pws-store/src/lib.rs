@@ -31,8 +31,8 @@ pub mod io;
 pub mod store;
 
 pub use codec::{
-    decode_user_record, encode_user_parts, encode_user_record, SectionId, StoreError, UserRecord, FORMAT_VERSION,
-    STORE_FORMAT, STORE_MAGIC,
+    decode_user_record, decode_user_record_with, encode_user_record, encode_user_with, SectionId, StoreError,
+    UserRecord, FORMAT_VERSION, STORE_FORMAT, STORE_MAGIC,
 };
 pub use io::{FaultIo, FaultIoCounts, FsIo, IoError, IoErrorKind, IoFaultSpec, StoreIo};
 pub use store::{ScrubReport, UserStore, QUARANTINE_DIR};

@@ -22,13 +22,12 @@
 //! typed [`ScrubReport`]. Opening a store sweeps `.tmp` orphans
 //! automatically.
 
-use crate::codec::{decode_user_record, encode_user_parts, StoreError, UserRecord};
+use crate::codec::{decode_user_record, decode_user_record_with, encode_user_with, StoreError, UserRecord};
 use crate::io::{FsIo, IoErrorKind, StoreIo};
 use pws_click::UserId;
 use pws_core::UserState;
 use pws_entropy::QueryStats;
 use pws_obs::StageMetrics;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::sync::OnceLock;
@@ -128,22 +127,28 @@ impl UserStore {
     /// a crash after the fourth is durable, a crash at or before any of
     /// them leaves the previous record untouched.
     pub fn put(&self, record: &UserRecord) -> Result<(), StoreError> {
-        self.put_parts(record.user, &record.state, &record.query_stats)
+        self.put_with(record.user, &record.state, |emit| {
+            for (key, s) in &record.query_stats {
+                emit(key, s);
+            }
+        })
     }
 
-    /// [`Self::put`] from borrowed parts — the same record bytes, with no
-    /// copy of `state` made to assemble a [`UserRecord`].
-    pub fn put_parts(
+    /// [`Self::put`] from borrowed parts — the same record bytes, with
+    /// section 7 encoded from `visit_stats` (see [`encode_user_with`]), so
+    /// neither the state nor the statistics are copied to assemble a
+    /// [`UserRecord`].
+    pub fn put_with(
         &self,
         user: UserId,
         state: &UserState,
-        query_stats: &BTreeMap<String, QueryStats>,
+        visit_stats: impl FnOnce(&mut dyn FnMut(&str, &QueryStats)),
     ) -> Result<(), StoreError> {
         // Per-writer temp names: two threads racing on the same user
         // must not rename each other's temp file out from under them.
         static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let _span = write_stage().span();
-        let bytes = encode_user_parts(user, state, query_stats);
+        let bytes = encode_user_with(user, state, visit_stats);
         let path = self.path_for(user);
         let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let tmp = self.dir.join(format!(".user-{:08x}.{seq:x}.tmp", user.0));
@@ -166,6 +171,19 @@ impl UserStore {
     /// a present-but-unreadable record is an `Err` (corruption must
     /// surface as a typed error, not as a silently fresh user).
     pub fn get(&self, user: UserId) -> Result<Option<UserRecord>, StoreError> {
+        self.get_with(user, |_| true)
+    }
+
+    /// [`Self::get`] that decodes the record's per-query statistics only
+    /// if `need_stats` asks for one of their keys (see
+    /// [`decode_user_record_with`]); otherwise they are verified and the
+    /// record comes back with none. Accepts and rejects exactly what
+    /// [`Self::get`] does.
+    pub fn get_with(
+        &self,
+        user: UserId,
+        need_stats: impl FnMut(&str) -> bool,
+    ) -> Result<Option<UserRecord>, StoreError> {
         let _span = read_stage().span();
         let path = self.path_for(user);
         let bytes = match self.io.read(&path) {
@@ -173,7 +191,7 @@ impl UserStore {
             Err(e) if e.kind == IoErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(StoreError::Io(e)),
         };
-        decode_user_record(&bytes).map(Some)
+        decode_user_record_with(&bytes, need_stats).map(Some)
     }
 
     /// Whether a record exists for `user` (no decode).

@@ -11,6 +11,9 @@
 //!    makes (each single byte flipped, each prefix, each section-table
 //!    and layout mutation), wrong-magic, and other-version files all fail
 //!    to decode with a typed [`StoreError`], never a panic.
+//! 3. **One verdict** — the read that verifies section 7 without building
+//!    it accepts and rejects exactly what the full decoder does, with the
+//!    same error, on every damaged copy.
 
 use proptest::prelude::*;
 use pws_click::UserId;
@@ -19,10 +22,10 @@ use pws_entropy::QueryStats;
 use pws_geo::LocId;
 use pws_profile::{ContentProfile, LocationProfile, UserHistory};
 use pws_ranksvm::{LinearRankModel, PreferencePair};
-use pws_obs::format::FormatError;
+use pws_obs::format::{ByteWriter, FormatError};
 use pws_store::{
-    decode_user_record, encode_user_record, StoreError, UserRecord, UserStore, FORMAT_VERSION,
-    STORE_FORMAT,
+    decode_user_record, decode_user_record_with, encode_user_record, encode_user_with, StoreError,
+    UserRecord, UserStore, FORMAT_VERSION, STORE_FORMAT,
 };
 use std::collections::BTreeMap;
 
@@ -291,4 +294,158 @@ fn store_round_trips_and_surfaces_corruption() {
     assert!(store.is_empty().expect("is_empty"));
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ── 3. The stats-skipping read ──────────────────────────────────────────
+//
+// `decode_user_record_with(bytes, need)` verifies section 7 without
+// building it unless `need` asks for a key. It must accept and reject
+// exactly the bytes `decode_user_record` does, with the same error.
+
+/// Both readers agree on `bytes`: the same error, or both `Ok` — and a
+/// reader that asks for every key decodes the very record the full one
+/// does.
+fn assert_readers_agree(bytes: &[u8], what: &str) {
+    let full = decode_user_record(bytes);
+    let skip = decode_user_record_with(bytes, |_| false);
+    let some = decode_user_record_with(bytes, |key| key == "seafood");
+    let all = decode_user_record_with(bytes, |_| true);
+    assert_eq!(full.as_ref().err(), skip.as_ref().err(), "{what}: skip path disagrees");
+    assert_eq!(full.as_ref().err(), some.as_ref().err(), "{what}: partial ask disagrees");
+    assert_eq!(full.as_ref().err(), all.as_ref().err(), "{what}: asking for all disagrees");
+    if let (Ok(full), Ok(skip), Ok(all)) = (full, skip, all) {
+        assert!(skip.query_stats.is_empty(), "{what}: nothing asked for, nothing built");
+        assert_eq!(encode_user_record(&all), encode_user_record(&full), "{what}: same record");
+        let mut stripped = full;
+        stripped.query_stats.clear();
+        assert_eq!(encode_user_record(&skip), encode_user_record(&stripped), "{what}: sections 1–6");
+    }
+}
+
+/// `bytes` with section 7 replaced by `payload`, checksums recomputed, so
+/// the bad payload reaches the section decoder.
+fn with_query_stats_payload(bytes: &[u8], payload: Vec<u8>) -> Vec<u8> {
+    let mut sections: Vec<Vec<u8>> =
+        STORE_FORMAT.parse(bytes).expect("valid record").iter().map(|s| s.to_vec()).collect();
+    sections[6] = payload;
+    STORE_FORMAT.write(sections)
+}
+
+fn query_stats_payload(bytes: &[u8]) -> Vec<u8> {
+    STORE_FORMAT.parse(bytes).expect("valid record")[6].to_vec()
+}
+
+/// One section-7 entry with no click masses.
+fn bare_entry(w: &mut ByteWriter, key: &[u8]) {
+    w.u32(key.len() as u32);
+    w.bytes(key);
+    w.u64(1);
+    w.u64(0);
+    w.u32(0);
+    w.u32(0);
+    w.u32(0);
+}
+
+fn entries_payload(keys: &[&[u8]]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.u32(keys.len() as u32);
+    for key in keys {
+        bare_entry(&mut w, key);
+    }
+    w.finish()
+}
+
+#[test]
+fn stats_skipping_read_agrees_on_every_flip_and_truncation() {
+    let fresh = UserRecord::new(UserId(7), UserState::new(), BTreeMap::new());
+    for (name, record) in [("dense", dense_record()), ("fresh", fresh)] {
+        let bytes = encode_user_record(&record);
+        assert_readers_agree(&bytes, name);
+        for i in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[i] ^= 0xFF;
+            assert_readers_agree(&bad, &format!("{name}: byte {i} flipped"));
+        }
+        for len in 0..bytes.len() {
+            assert_readers_agree(&bytes[..len], &format!("{name}: first {len} bytes"));
+        }
+        // The same inside section 7, re-checksummed so the damage reaches
+        // the section decoder instead of the checksum.
+        let payload = query_stats_payload(&bytes);
+        for i in 0..payload.len() {
+            for mask in [0x01, 0x80, 0xFF] {
+                let mut bad = payload.clone();
+                bad[i] ^= mask;
+                let what = format!("{name}: section 7 byte {i} ^ {mask:#x}");
+                assert_readers_agree(&with_query_stats_payload(&bytes, bad), &what);
+            }
+        }
+        for len in 0..payload.len() {
+            let what = format!("{name}: section 7 cut to {len} bytes");
+            assert_readers_agree(&with_query_stats_payload(&bytes, payload[..len].to_vec()), &what);
+        }
+    }
+}
+
+#[test]
+fn stats_skipping_read_rejects_malformed_query_stats_like_the_decoder() {
+    let bytes = encode_user_record(&dense_record());
+    let malformed = |e: &'static str| Some(StoreError::Format(FormatError::Malformed(e)));
+    let truncated = Some(StoreError::Format(FormatError::Truncated("query_stats")));
+    let mut overlong = entries_payload(&[b"hotel"]);
+    overlong[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let mut trailing = entries_payload(&[b"hotel", b"seafood"]);
+    trailing.push(0);
+    let cases: Vec<(&str, Vec<u8>, Option<StoreError>)> = vec![
+        ("duplicate key", entries_payload(&[b"hotel", b"hotel"]), malformed("duplicate query-stats key")),
+        (
+            "duplicate key out of order",
+            entries_payload(&[b"seafood", b"hotel", b"museum", b"hotel"]),
+            malformed("duplicate query-stats key"),
+        ),
+        ("bad utf-8 key", entries_payload(&[b"hotel", b"sea\xfffood"]), malformed("invalid utf-8 in string")),
+        ("over-long count", overlong, truncated),
+        ("trailing bytes", trailing, malformed("trailing bytes in section")),
+        ("unique keys out of order", entries_payload(&[b"seafood", b"hotel", b"museum"]), None),
+        ("empty key", entries_payload(&[b"", b"hotel"]), None),
+    ];
+    for (what, payload, expected) in cases {
+        let bad = with_query_stats_payload(&bytes, payload);
+        assert_eq!(decode_user_record(&bad).err(), expected, "{what}");
+        assert_readers_agree(&bad, what);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn stats_skipping_read_agrees_on_arbitrary_records(record in user_record(), at in any::<usize>()) {
+        let bytes = encode_user_record(&record);
+        assert_readers_agree(&bytes, "as encoded");
+        let payload = query_stats_payload(&bytes);
+        let i = at % payload.len();
+        let mut bad = payload.clone();
+        bad[i] ^= 0x5A;
+        assert_readers_agree(&with_query_stats_payload(&bytes, bad), "section 7 byte flipped");
+        assert_readers_agree(
+            &with_query_stats_payload(&bytes, payload[..i].to_vec()),
+            "section 7 truncated",
+        );
+    }
+}
+
+/// Encoding section 7 from a visitor (how the serving tier writes a
+/// record, straight from its live statistics) gives the record's bytes.
+#[test]
+fn encoding_from_a_stats_visitor_gives_the_record_bytes() {
+    let record = dense_record();
+    let live: std::collections::HashMap<String, QueryStats> =
+        record.query_stats.iter().map(|(k, s)| (k.clone(), s.clone())).collect();
+    let bytes = encode_user_with(record.user, &record.state, |emit| {
+        for key in &record.state.seen_queries {
+            emit(key, &live[key]);
+        }
+    });
+    assert_eq!(bytes, encode_user_record(&record));
 }

@@ -261,6 +261,22 @@ if only_in_fn 'store.remove(' 'forget' crates/pws-serve/src/*.rs | grep .; then
     exit 1
 fi
 
+echo "==> one-reader gate (store.get_with only in ensure_resident, store.get( only in stored_state)"
+# A user record is read in two places (crates/pws-serve/src/residency.rs):
+# fault-in reads it with the stats-aware read, which verifies section 7
+# but builds it only for keys the published statistics lack, and the
+# off-line state lookup reads it whole. A fault-in through the full
+# decode rebuilds statistics only to throw them away. #[cfg(test)]
+# modules are exempt.
+if only_in_fn 'store.get_with(' 'ensure_resident' crates/pws-serve/src/*.rs | grep .; then
+    echo "FAIL: UserStore::get_with outside StoreTier::ensure_resident"
+    exit 1
+fi
+if only_in_fn 'store.get(' 'stored_state' crates/pws-serve/src/*.rs | grep .; then
+    echo "FAIL: UserStore::get outside StoreTier::stored_state — fault in through get_with"
+    exit 1
+fi
+
 echo "==> search-on-a-snapshot gate (no rollback copies, no in-place state borrows in pws-serve)"
 # A search clones its user's Arc<UserState> under the shard lock and runs
 # off it; an observe folds into a successor state and publishes it by
