@@ -28,6 +28,15 @@
 //!
 //! `--user=N` / `--shard=N` filter to one user or shard, `--degraded`
 //! keeps only degraded events, `--json` emits the events as JSON.
+//!
+//! The `user` subcommand renders one `PWSUSR1` user record — a store-tier
+//! record file or an `export_user` export (see `docs/STORE_FORMAT.md`):
+//! its model weights by feature name, heaviest profile weights, pair
+//! count, and per-query click and impression totals.
+//!
+//! ```text
+//! cargo run -p pws-bench --release --bin pws-trace -- user store/user-00000003.pwsu
+//! ```
 
 use pws_click::{SessionSimulator, SimConfig, UserId};
 use pws_core::EngineConfig;
@@ -41,10 +50,11 @@ fn usage() -> ! {
         "usage: pws-trace <small|paper> <query-id> [--user N] [--train N] \
          [--shards N] [--seed N] [--json]\n\
        pws-trace flight <dump.pwsflt> [--user=N] [--shard=N] [--degraded] [--json]\n\
+       pws-trace user <record.pwsu>\n\
          \n\
          Replays one query from the eval fixture through the serving path\n\
          with tracing enabled and prints the decision trace, or renders a\n\
-         PWSFLT1 flight-recorder dump."
+         PWSFLT1 flight-recorder dump or a PWSUSR1 user record."
     );
     std::process::exit(2);
 }
@@ -127,6 +137,19 @@ fn flight_main(path: &str, args: &[String]) -> ! {
     std::process::exit(0);
 }
 
+/// The `user` subcommand: decode and render one PWSUSR1 user record.
+fn user_main(path: &str) -> ! {
+    let bytes = std::fs::read(path).map_err(|e| e.to_string());
+    match bytes.and_then(|b| pws_store::decode_user_record(&b).map_err(|e| e.to_string())) {
+        Ok(record) => print!("{}", record.render()),
+        Err(e) => {
+            eprintln!("error: cannot load user record {path:?}: {e}");
+            std::process::exit(1);
+        }
+    }
+    std::process::exit(0);
+}
+
 fn parse_flag(args: &[String], name: &str) -> Option<u64> {
     let eq = format!("--{name}=");
     for (i, a) in args.iter().enumerate() {
@@ -151,8 +174,10 @@ fn main() {
         (Some(f), Some(q)) => (f.as_str(), q.as_str()),
         _ => usage(),
     };
-    if fixture == "flight" {
-        flight_main(query_arg, &args);
+    match fixture {
+        "flight" => flight_main(query_arg, &args),
+        "user" => user_main(query_arg),
+        _ => {}
     }
 
     let spec = match fixture {

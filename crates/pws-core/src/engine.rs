@@ -143,94 +143,10 @@ impl<'a> PersonalizedSearchEngine<'a> {
         self.users.remove(&user);
     }
 
-    /// Export one user's learned state as JSON — profile portability and
-    /// the user-facing "what do you know about me" view.
-    ///
-    /// The export is a [`crate::UserExport`]: the [`UserState`] *plus* the
-    /// per-query statistics for every query key in `state.seen_queries` —
-    /// without them, `choose_beta()` on the importing side sees no click
-    /// entropies and export→import→replay silently diverges.
-    ///
-    /// `Ok(None)` when the user has no state; `Err` if the state fails
-    /// to serialize (corrupt floats, etc.) — serialization is *expected*
-    /// to be infallible, but a corrupt snapshot must surface as an error
-    /// the caller can count and handle, never a panic.
-    pub fn export_user(&self, user: UserId) -> Result<Option<String>, serde_json::Error> {
-        let Some(state) = self.users.get(&user) else { return Ok(None) };
-        let query_stats = state
-            .seen_queries
-            .iter()
-            .filter_map(|k| self.query_stats.get(k).map(|s| (k.clone(), s.clone())))
-            .collect();
-        let export = crate::UserExport { state: state.clone(), query_stats };
-        serde_json::to_string(&export).map(Some)
-    }
-
-    /// Import a previously exported user record, replacing any existing
-    /// state for that user id and *merging* the record's per-query
-    /// statistics into entries this engine has not seen yet (a key that
-    /// already exists locally keeps the local accumulator — re-importing
-    /// into the same engine must not double-count the user's clicks).
-    ///
-    /// Accepts both the current [`crate::UserExport`] format and a legacy
-    /// bare [`UserState`] JSON (imported with empty stats). Returns
-    /// [`ImportError::Json`] on malformed JSON and
-    /// [`ImportError::Invalid`] when the decoded record fails
-    /// [`UserState::validate`] — wrong-dimension or non-finite weights
-    /// must never reach the scoring path.
-    pub fn import_user(&mut self, user: UserId, json: &str) -> Result<(), ImportError> {
-        let export = parse_user_export(json)?;
-        for (key, stats) in export.query_stats {
-            self.query_stats.entry(key).or_insert(stats);
-        }
-        self.users.insert(user, export.state);
-        Ok(())
-    }
-
     /// A view of the revisit history for external diagnostics.
     pub fn user_history(&self, user: UserId) -> Option<&UserHistory> {
         self.users.get(&user).map(|s| &s.history)
     }
-}
-
-/// Why a user import was rejected.
-#[derive(Debug)]
-pub enum ImportError {
-    /// The JSON parsed as neither export format.
-    Json(serde_json::Error),
-    /// The decoded record failed structural validation
-    /// ([`UserState::validate`] / [`crate::validate_query_stats`]).
-    Invalid(crate::StateError),
-}
-
-impl std::fmt::Display for ImportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ImportError::Json(e) => write!(f, "user import: malformed JSON: {e}"),
-            ImportError::Invalid(e) => write!(f, "user import: invalid record: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ImportError {}
-
-/// Parse + validate an exported user record. Tries the current
-/// [`crate::UserExport`] envelope first, then falls back to a legacy bare
-/// [`UserState`] JSON (imported with empty query stats). Every accepted
-/// record has passed [`UserState::validate`] and
-/// [`crate::validate_query_stats`] on all stats entries.
-pub fn parse_user_export(json: &str) -> Result<crate::UserExport, ImportError> {
-    let export = match serde_json::from_str::<crate::UserExport>(json) {
-        Ok(e) => e,
-        Err(outer) => match serde_json::from_str::<UserState>(json) {
-            Ok(state) => {
-                crate::UserExport { state, query_stats: std::collections::BTreeMap::new() }
-            }
-            Err(_) => return Err(ImportError::Json(outer)),
-        },
-    };
-    export.validate().map_err(ImportError::Invalid)?;
-    Ok(export)
 }
 
 #[cfg(test)]
@@ -643,36 +559,6 @@ mod tests {
         assert!(e.user_state(UserId(0)).is_some());
         e.forget_user(UserId(0));
         assert!(e.user_state(UserId(0)).is_none());
-    }
-
-    #[test]
-    fn user_state_export_import_round_trips() {
-        let idx = index();
-        let w = world();
-        let mut e = PersonalizedSearchEngine::new(&idx, &w, EngineConfig::default());
-        let user = UserId(4);
-        for _ in 0..3 {
-            let turn = e.search(user, "seafood restaurant");
-            let imp = impression_from(&turn, &[1]);
-            e.observe(&turn, &imp);
-        }
-        let json = e.export_user(user).expect("serializable").expect("state exists");
-        let before = e.user_state(user).unwrap().model.weights.clone();
-
-        // Import into a fresh engine: same learned state, same ranking.
-        let mut e2 = PersonalizedSearchEngine::new(&idx, &w, EngineConfig::default());
-        e2.import_user(user, &json).expect("import");
-        let after = e2.user_state(user).unwrap();
-        assert_eq!(after.model.weights, before);
-        assert_eq!(after.observations, 3);
-        let page1: Vec<u32> = e.search(user, "restaurant").hits.iter().map(|h| h.doc).collect();
-        let page2: Vec<u32> = e2.search(user, "restaurant").hits.iter().map(|h| h.doc).collect();
-        assert_eq!(page1, page2);
-
-        // Malformed JSON is rejected.
-        assert!(e2.import_user(user, "{not json").is_err());
-        // Unknown users export Ok(None).
-        assert!(e.export_user(UserId(999)).expect("no error").is_none());
     }
 
     #[test]

@@ -39,5 +39,5 @@ pub mod state;
 pub use crate::core::{CheckpointGate, EngineCore, SearchTurn, StageCheckpoint};
 pub use cache::RetrievalCache;
 pub use config::{BlendStrategy, EngineConfig, PairSource, PersonalizationMode};
-pub use engine::{parse_user_export, ImportError, PersonalizedSearchEngine};
-pub use state::{validate_query_stats, StateError, UserExport, UserState};
+pub use engine::PersonalizedSearchEngine;
+pub use state::{validate_query_stats, StateError, UserState};

@@ -3,15 +3,12 @@
 use pws_entropy::QueryStats;
 use pws_profile::{ContentProfile, LocationProfile, UserHistory, FEATURE_DIM};
 use pws_ranksvm::{LinearRankModel, PreferencePair};
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Everything the engine remembers about one user.
 ///
-/// Serializable: a deployment persists user states across restarts (and a
-/// user can export/inspect their own profile — see
-/// [`crate::PersonalizedSearchEngine::export_user`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Its one serialized form is `pws-store`'s `PWSUSR1` user record: what
+/// the store tier writes, faults in, exports and imports.
+#[derive(Debug, Clone)]
 pub struct UserState {
     /// Content-concept preference weights.
     pub content: ContentProfile,
@@ -88,10 +85,10 @@ impl UserState {
 
     /// Structural validation: dimensions and finiteness.
     ///
-    /// Serialization formats (JSON export, the `pws-store` binary codec)
-    /// can express states the scoring path cannot survive — weight vectors
-    /// of the wrong [`FEATURE_DIM`], NaN/∞ weights that poison every dot
-    /// product downstream. Importers must call this before inserting the
+    /// The serialized form (the `pws-store` user record) can express
+    /// states the scoring path cannot survive — weight vectors of the
+    /// wrong [`FEATURE_DIM`], NaN/∞ weights that poison every dot product
+    /// downstream. Importers must call this before inserting the
     /// state and surface rejects as typed errors, never accept-and-crash.
     pub fn validate(&self) -> Result<(), StateError> {
         if self.model.dim() != FEATURE_DIM {
@@ -177,32 +174,6 @@ pub fn validate_query_stats(stats: &QueryStats) -> Result<(), StateError> {
         }
     }
     Ok(())
-}
-
-/// The portable user record: the user's state plus their contribution to
-/// the per-query adaptive-β statistics, keyed by normalized query key.
-///
-/// [`UserState`] alone is *not* replay-complete — `choose_beta()` reads
-/// per-query click entropies, and losing them across an export/import
-/// boundary silently changes β decisions (the exact bug the store tier
-/// must not inherit). Export therefore carries both.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct UserExport {
-    /// The user's learned state.
-    pub state: UserState,
-    /// Per-query statistics for every key in `state.seen_queries`.
-    pub query_stats: BTreeMap<String, QueryStats>,
-}
-
-impl UserExport {
-    /// Validate the state and every stats entry.
-    pub fn validate(&self) -> Result<(), StateError> {
-        self.state.validate()?;
-        for stats in self.query_stats.values() {
-            validate_query_stats(stats)?;
-        }
-        Ok(())
-    }
 }
 
 impl Default for UserState {

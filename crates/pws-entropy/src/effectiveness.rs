@@ -14,7 +14,6 @@
 //! `(1−β)·content_pref + β·location_pref`.
 
 use crate::stats::QueryStats;
-use serde::{Deserialize, Serialize};
 
 /// Effectiveness estimation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,7 +32,7 @@ impl Default for EffectivenessConfig {
 }
 
 /// Per-query effectiveness of the two personalization dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Effectiveness {
     /// Content-personalization effectiveness in [0, 1].
     pub content: f64,

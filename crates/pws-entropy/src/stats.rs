@@ -7,11 +7,10 @@
 use pws_click::Impression;
 use pws_concepts::QueryConceptOntology;
 use pws_geo::LocId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Click distributions of one query template.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct QueryStats {
     /// Clicks per URL.
     url_clicks: HashMap<String, f64>,

@@ -2,7 +2,6 @@
 
 use pws_click::Impression;
 use pws_concepts::QueryConceptOntology;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Profile update parameters.
@@ -40,7 +39,7 @@ impl Default for ContentProfileConfig {
 /// Weights may be negative (persistently skipped concepts); scoring
 /// normalizes by the profile's L1 mass so scores stay comparable as the
 /// profile grows.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ContentProfile {
     weights: HashMap<String, f64>,
     /// Number of observations folded in (for diagnostics/cold-start logic).

@@ -4,11 +4,10 @@
 //! personalized ranker uses alongside the concept profiles.
 
 use pws_click::Impression;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Clicked URL/domain counters for one user.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct UserHistory {
     url_clicks: HashMap<String, u32>,
     domain_clicks: HashMap<String, u32>,

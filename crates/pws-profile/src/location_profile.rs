@@ -9,7 +9,6 @@
 use pws_click::Impression;
 use pws_concepts::QueryConceptOntology;
 use pws_geo::{LocId, LocationOntology};
-use serde::{Deserialize, Serialize};
 use std::cell::OnceCell;
 use std::collections::HashMap;
 
@@ -43,7 +42,7 @@ impl Default for LocationProfileConfig {
 }
 
 /// Weights over ontology nodes for one user.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LocationProfile {
     weights: HashMap<LocId, f64>,
     observations: u64,

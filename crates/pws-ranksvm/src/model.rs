@@ -1,13 +1,12 @@
 //! The linear ranking model.
 
-use serde::{Deserialize, Serialize};
 
 /// A linear scorer `f(x) = w · x`.
 ///
 /// Dimensions beyond either vector's length are treated as zero, so a model
 /// trained on `d` features scores shorter/longer vectors gracefully (useful
 /// when a feature schema grows during an online run).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearRankModel {
     /// The weight vector.
     pub weights: Vec<f64>,

@@ -14,10 +14,9 @@ use crate::model::LinearRankModel;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// One mined preference: `better` should outrank `worse`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PreferencePair {
     /// Feature vector of the preferred item.
     pub better: Vec<f64>,

@@ -136,7 +136,7 @@ use pws_obs::format::{fnv1a64, Fnv1a64};
 use pws_obs::health::{HealthMonitor, HealthReport, SloSpec};
 use pws_obs::trace::QueryTrace;
 use pws_store::StoreIo;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -415,6 +415,27 @@ impl std::fmt::Display for Overloaded {
 }
 
 impl std::error::Error for Overloaded {}
+
+/// Why [`ServingEngine::import_user`] rejected a user record.
+#[derive(Debug)]
+pub enum ImportError {
+    /// The bytes are not a valid `PWSUSR1` user record.
+    Decode(pws_store::StoreError),
+    /// The record decoded but failed structural validation
+    /// ([`pws_store::UserRecord::validate`]).
+    Invalid(pws_core::StateError),
+}
+
+impl std::fmt::Display for ImportError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ImportError::Decode(e) => write!(f, "user import: {e}"),
+            ImportError::Invalid(e) => write!(f, "user import: invalid record: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ImportError {}
 
 /// Stages at which a [`FaultPlan`] is consulted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -2004,62 +2025,50 @@ impl<'a> ServingEngine<'a> {
         }
     }
 
-    /// Export one user's learned state as JSON (profile portability):
-    /// the [`pws_core::UserExport`] envelope — the state *plus* the
+    /// Export one user's learned state as the bytes of their `PWSUSR1`
+    /// user record (`docs/STORE_FORMAT.md`): the state *plus* the live
     /// per-query adaptive-β statistics for every query the user has
-    /// issued. Earlier revisions exported the bare state; an engine
-    /// importing it then chose β from empty statistics and replayed
-    /// differently than the exporter (the regression test below pins
-    /// the fix).
-    ///
-    /// `Ok(None)` when the user has no state (resident or stored).
-    /// Serialization failure is a `serde_json` invariant violation that
-    /// previous revisions treated as a panic; it now counts
-    /// `serve.state_io_error` and surfaces as `Err` so a state-sync
-    /// loop degrades to "skip this user" instead of killing its serving
-    /// thread.
-    pub fn export_user(&self, user: UserId) -> Result<Option<String>, serde_json::Error> {
-        let Some(state) = self.user_state(user) else { return Ok(None) };
-        let mut query_stats = BTreeMap::new();
-        self.stats.visit(&state.seen_queries, &mut |key, s| {
-            query_stats.insert(key.to_string(), s.clone());
-        });
-        let export = pws_core::UserExport { state, query_stats };
-        serde_json::to_string(&export)
-            .map(Some)
-            .inspect_err(|_| self.fault.state_io_error.incr(1))
+    /// issued, encoded exactly as the store tier writes it. `None` when
+    /// the user has no state (resident or stored).
+    pub fn export_user(&self, user: UserId) -> Option<Vec<u8>> {
+        let state = self.user_state(user)?;
+        Some(pws_store::encode_user_with(user, &state, |emit| {
+            self.stats.visit(&state.seen_queries, emit)
+        }))
     }
 
-    /// Import a previously exported user state (the current
-    /// [`pws_core::UserExport`] envelope or the legacy bare-state
-    /// form), replacing any existing state for that user id.
+    /// Import an exported user record under the user id it carries,
+    /// replacing any existing state for that user; returns the id.
     ///
-    /// The payload is validated before anything is touched: a wrong
-    /// model dimension, non-finite weights, or negative counts are
-    /// rejected with a typed [`pws_core::ImportError`], count
-    /// `serve.state_io_error`, and leave existing state untouched.
+    /// The record is decoded and validated before anything is touched:
+    /// damaged bytes, a wrong model dimension, non-finite weights, or
+    /// negative click masses are rejected with a typed [`ImportError`],
+    /// count `serve.state_io_error`, and leave existing state untouched.
     /// Imported statistics only fill query keys this engine has never
     /// observed (live statistics are newer); the statistics snapshot is
     /// refreshed so the very next search sees them.
-    pub fn import_user(&self, user: UserId, json: &str) -> Result<(), pws_core::ImportError> {
-        let export = pws_core::parse_user_export(json)
+    pub fn import_user(&self, bytes: &[u8]) -> Result<UserId, ImportError> {
+        let record = pws_store::decode_user_record(bytes)
+            .map_err(ImportError::Decode)
+            .and_then(|r| r.validate().map(|()| r).map_err(ImportError::Invalid))
             .inspect_err(|_| self.fault.state_io_error.incr(1))?;
+        let user = record.user;
         let shard = &self.shards[self.shard_of(user)];
         {
             let (mut users, _) = self.lock_users(shard);
             let resident = match &self.store {
-                Some(tier) => tier.imported(export.state),
-                None => ResidentUser::clean(export.state),
+                Some(tier) => tier.imported(record.state),
+                None => ResidentUser::clean(record.state),
             };
             users.insert(user, resident);
-            self.stats.seed(export.query_stats);
+            self.stats.seed(record.query_stats);
             self.evict_overflow(&mut users, user, "");
         }
         if let Some(tier) = &self.store {
             tier.enqueue_writeback(user, self.plan.as_deref());
         }
         self.stats.refresh();
-        Ok(())
+        Ok(user)
     }
 }
 
@@ -2514,13 +2523,15 @@ mod tests {
             let imp = impression_from(&turn, &click_rule(&turn));
             e.observe(&turn, &imp);
         }
-        let json = e.export_user(user).expect("serializable").expect("state exists");
+        let bytes = e.export_user(user).expect("state exists");
         let weights = e.user_state(user).unwrap().model.weights.clone();
         e.forget_user(user);
         assert!(e.user_state(user).is_none());
-        e.import_user(user, &json).expect("round trip");
+        assert!(e.export_user(user).is_none(), "a forgotten user exports nothing");
+        assert_eq!(e.import_user(&bytes).expect("round trip"), user, "imported under its own id");
         assert_eq!(e.user_state(user).unwrap().model.weights, weights);
-        assert!(e.import_user(user, "{not json").is_err());
+        assert_eq!(e.export_user(user).expect("state exists"), bytes, "same bytes back out");
+        assert!(e.import_user(b"not a record").is_err());
     }
 
     #[test]
@@ -3064,7 +3075,7 @@ mod tests {
         let idx = index();
         let w = world();
         let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
-        assert!(e.import_user(UserId(1), "{definitely not json").is_err());
+        assert!(matches!(e.import_user(b"definitely not a record"), Err(ImportError::Decode(_))));
         let snap = pws_obs::snapshot();
         let errors = snap
             .stages
@@ -3073,7 +3084,7 @@ mod tests {
             .map(|s| s.count)
             .unwrap_or(0);
         assert_eq!(errors, 1);
-        assert!(e.user_state(UserId(1)).is_none(), "failed import leaves no state");
+        assert_eq!(e.user_count(), 0, "failed import leaves no state");
     }
 
     /// The flight event is stamped from the typed reason: every
@@ -3507,11 +3518,11 @@ mod tests {
         out
     }
 
-    /// Regression for the export-stats bug: `export_user` must fold the
-    /// user's per-query adaptive-β statistics into the envelope. A
-    /// fresh process importing the export and resuming replay must be
-    /// byte-identical to never having left — before the fix the
-    /// statistics restarted cold and the β sequence diverged.
+    /// Regression for the export-stats bug: `export_user` must carry the
+    /// user's per-query adaptive-β statistics. A fresh process importing
+    /// the export and resuming replay must be byte-identical to never
+    /// having left — before the fix the statistics restarted cold and the
+    /// β sequence diverged.
     #[test]
     fn export_import_into_fresh_process_resumes_adaptive_beta_exactly() {
         let _guard = pws_obs::test_lock();
@@ -3528,12 +3539,12 @@ mod tests {
         let first: Vec<(UserId, Vec<String>)> =
             vec![(user, (0..3).map(|_| repeated.to_string()).collect())];
         let mut transcripts = replay_round_robin(&e1, &first, 1);
-        let json = e1.export_user(user).expect("serializable").expect("state exists");
+        let bytes = e1.export_user(user).expect("state exists");
         drop(e1);
 
         // A brand-new engine (fresh process: empty live statistics).
         let e2 = ServingEngine::new(&idx, &w, EngineConfig::default(), cfg());
-        e2.import_user(user, &json).expect("import");
+        assert_eq!(e2.import_user(&bytes).expect("import"), user);
         let rest: Vec<(UserId, Vec<String>)> =
             vec![(user, (0..3).map(|_| repeated.to_string()).collect())];
         for (u, turns) in replay_round_robin(&e2, &rest, 1) {
@@ -3542,10 +3553,26 @@ mod tests {
         assert_equivalent(&uninterrupted, &transcripts, "export/import process handoff");
     }
 
-    /// Malformed or invalid imports are rejected with a typed error and
+    /// `bytes` with user-record section `i` rewritten by `tamper` and the
+    /// container re-checksummed, so the damage reaches validation rather
+    /// than failing the section checksum.
+    fn with_section(bytes: &[u8], i: usize, tamper: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut sections: Vec<Vec<u8>> = pws_store::STORE_FORMAT
+            .parse(bytes)
+            .expect("valid record")
+            .iter()
+            .map(|s| s.to_vec())
+            .collect();
+        tamper(&mut sections[i]);
+        pws_store::STORE_FORMAT.write(sections)
+    }
+
+    /// Damaged or invalid imports are rejected with a typed error and
     /// counted in `serve.state_io_error`; nothing is partially applied.
     #[test]
     fn import_rejects_invalid_records_with_typed_errors() {
+        use pws_core::StateError;
+        use pws_store::SectionId;
         let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
@@ -3557,26 +3584,61 @@ mod tests {
             let imp = impression_from(&turn, &click_rule(&turn));
             e.observe(&turn, &imp);
         }
-        let json = e.export_user(user).expect("serializable").expect("state exists");
+        let bytes = e.export_user(user).expect("state exists");
+        let section = |id: SectionId| id as usize - 1;
+        let u32_at = |p: &[u8], at: usize| u32::from_le_bytes(p[at..at + 4].try_into().unwrap());
+        let bump_u32 = |p: &mut Vec<u8>, at: usize| {
+            let v = u32_at(p, at) + 1;
+            p[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        };
 
-        // Wrong feature dimension: one extra model weight.
-        let wrong_dim = json.replacen("\"weights\":[", "\"weights\":[0.125,", 1);
-        assert_ne!(wrong_dim, json, "fixture must actually tamper the weights");
-        match e.import_user(user, &wrong_dim) {
-            Err(pws_core::ImportError::Invalid(pws_core::StateError::WrongDim { .. })) => {}
-            other => panic!("expected WrongDim, got {other:?}"),
+        // Model: `u32 dim`, then `dim` f64s. One extra weight.
+        let extra_weight = with_section(&bytes, section(SectionId::Model), |p| {
+            bump_u32(p, 0);
+            p.extend_from_slice(&0.125f64.to_bits().to_le_bytes());
+        });
+        // Pairs: `u32 n`, then per pair `u32 len` + f64s, twice. The first
+        // pair's `better` vector one value longer.
+        let long_pair = with_section(&bytes, section(SectionId::Pairs), |p| {
+            assert!(u32_at(p, 0) > 0, "fixture must have mined a pair");
+            bump_u32(p, 4);
+            p.splice(8..8, 0.5f64.to_bits().to_le_bytes());
+        });
+        // The first model weight NaN.
+        let nan_weight = with_section(&bytes, section(SectionId::Model), |p| {
+            p[4..12].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        });
+        // Query statistics: one entry with a negative URL click mass.
+        let negative_mass = with_section(&bytes, section(SectionId::QueryStats), |p| {
+            let mut w = pws_obs::format::ByteWriter::new();
+            w.u32(1);
+            w.str("seafood restaurant");
+            w.u64(1);
+            w.u64(1);
+            w.u32(1);
+            w.str("http://a.test/0");
+            w.f64bits(-1.0);
+            w.u32(0);
+            w.u32(0);
+            *p = w.finish();
+        });
+        let wide = UserState::prior_weights().len() + 1;
+        let cases = [
+            (extra_weight, StateError::WrongDim { what: "model weights", got: wide }),
+            (long_pair, StateError::WrongDim { what: "pair better", got: wide }),
+            (nan_weight, StateError::NonFinite("model weights")),
+            (negative_mass, StateError::Negative("query-stats url clicks")),
+        ];
+        for (bad, expected) in &cases {
+            match e.import_user(bad) {
+                Err(ImportError::Invalid(err)) if err == *expected => {}
+                other => panic!("expected Invalid({expected:?}), got {other:?}"),
+            }
         }
 
-        // Negative click mass in the exported query statistics.
-        let negative = json.replacen("\"total_clicks\":", "\"total_clicks\":-", 1);
-        assert_ne!(negative, json, "fixture must actually tamper the stats");
-        assert!(e.import_user(user, &negative).is_err(), "negative counts must be rejected");
-
-        // Garbage is a Json error.
-        match e.import_user(user, "{not json") {
-            Err(pws_core::ImportError::Json(_)) => {}
-            other => panic!("expected Json error, got {other:?}"),
-        }
+        // Every damaged copy of the container gauntlet fails to decode.
+        let damaged = pws_store::STORE_FORMAT
+            .gauntlet(&bytes, |bad| matches!(e.import_user(bad), Err(ImportError::Decode(_))));
 
         let snap = pws_obs::snapshot();
         let io_errors = snap
@@ -3585,9 +3647,9 @@ mod tests {
             .find(|s| s.name == "serve.state_io_error")
             .map(|s| s.count)
             .unwrap_or(0);
-        assert_eq!(io_errors, 3, "every rejected import is counted");
+        assert_eq!(io_errors, (cases.len() + damaged) as u64, "every rejected import is counted");
         // The resident state survived every rejected import.
-        assert!(e.user_state(user).is_some());
+        assert_eq!(e.export_user(user).expect("still resident"), bytes);
     }
 
     /// Regression for the retry-after bug: a cache-hot shard must still

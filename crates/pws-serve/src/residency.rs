@@ -1482,4 +1482,48 @@ mod tests {
         assert!(store.get(UserId(1)).expect("clean read").is_some(), "retry drained at drop");
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// An export is the user's record: after a flush, `export_user`
+    /// returns the bytes of the record file, for a resident user and for
+    /// one evicted to disk alike. (Each user issues their own queries: an
+    /// export carries the live statistics, which another user's clicks on
+    /// a shared query would move past an evicted user's record.)
+    #[test]
+    fn export_is_the_stored_record_bytes() {
+        let _guard = pws_obs::test_lock();
+        let idx = index();
+        let w = world();
+        let dir = store_dir("export-bytes");
+        let e = ServingEngine::new(
+            &idx,
+            &w,
+            EngineConfig::default(),
+            ServeConfig {
+                shards: 1,
+                stats_refresh_every: 1,
+                store: Some(StoreTierConfig {
+                    capacity_per_shard: 1,
+                    writeback: false,
+                    ..StoreTierConfig::new(&dir)
+                }),
+                ..ServeConfig::default()
+            },
+        );
+        let users = [UserId(3), UserId(4)];
+        for q in ["seafood restaurant", "restaurant"] {
+            for &user in &users {
+                let turn = e.search(user, &format!("{q} u{}", user.0));
+                let imp = impression_from(&turn, &click_rule(&turn));
+                e.observe(&turn, &imp);
+            }
+        }
+        e.flush_store();
+        assert_eq!(e.resident_count(), 1, "one of the two users is only on disk");
+        for user in users {
+            let file = std::fs::read(dir.join(format!("user-{:08x}.pwsu", user.0))).expect("record");
+            assert_eq!(e.export_user(user).expect("state exists"), file, "{user:?}");
+        }
+        drop(e);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

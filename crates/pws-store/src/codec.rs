@@ -3,7 +3,9 @@
 //! One file per user, carrying the *complete* replay-relevant state: the
 //! [`UserState`] (profiles, revisit history, RankSVM model, preference
 //! pairs) **plus** the user's contribution to the per-query adaptive-β
-//! statistics — the part the old JSON escape hatch silently dropped.
+//! statistics. The record is also the one export format: a user moves
+//! between engines as these bytes, and [`UserRecord::render`] is the
+//! human-readable view of them.
 //!
 //! A record is a [`pws_obs::format`] container
 //! (`docs/CONTAINER_FORMAT.md`, the one under segments and flight dumps
@@ -19,11 +21,11 @@
 //! always-resident one.
 
 use pws_click::UserId;
-use pws_core::{UserExport, UserState};
+use pws_core::{validate_query_stats, StateError, UserState};
 use pws_entropy::QueryStats;
 use pws_geo::LocId;
 use pws_obs::format::{ByteReader, ByteWriter, Format, FormatError};
-use pws_profile::{ContentProfile, LocationProfile, UserHistory};
+use pws_profile::{ContentProfile, LocationProfile, UserHistory, FEATURE_NAMES};
 use pws_ranksvm::{LinearRankModel, PreferencePair};
 use std::collections::BTreeMap;
 
@@ -136,9 +138,44 @@ impl UserRecord {
         UserRecord { user, state, query_stats }
     }
 
-    /// View as the portable export envelope.
-    pub fn into_export(self) -> UserExport {
-        UserExport { state: self.state, query_stats: self.query_stats }
+    /// Validate the state and every statistics entry: the structural
+    /// checks an imported record must pass before it reaches the scoring
+    /// path (the codec carries any dimension and any `f64`).
+    pub fn validate(&self) -> Result<(), StateError> {
+        self.state.validate()?;
+        self.query_stats.values().try_for_each(validate_query_stats)
+    }
+
+    /// The record as text, for a person to read: the user id and
+    /// observation count, the model weights by feature name, the ten
+    /// heaviest content and location weights, the pair count, and each
+    /// seen query's click and impression totals.
+    pub fn render(&self) -> String {
+        let s = &self.state;
+        let mut out = format!("user {} · {} observations\n", self.user.0, s.observations);
+        out += "model weights:\n";
+        for (i, w) in s.model.weights.iter().enumerate() {
+            out += &format!("  {:<16} {w:>10.4}\n", FEATURE_NAMES.get(i).unwrap_or(&"?"));
+        }
+        let content = s.content.weight_entries();
+        let location =
+            s.location.weight_entries().into_iter().map(|(l, w)| (format!("loc {}", l.0), w));
+        for (what, mut entries) in [("content", content), ("location", location.collect())] {
+            entries.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            out += &format!("top {what} weights:\n");
+            for (name, w) in entries.iter().take(10) {
+                out += &format!("  {name:<16} {w:>10.4}\n");
+            }
+        }
+        out += &format!("preference pairs: {}\n", s.pairs.len());
+        out += "seen queries (clicks / impressions):\n";
+        for key in &s.seen_queries {
+            out += &match self.query_stats.get(key) {
+                Some(q) => format!("  {key:<24} {} / {}\n", q.clicks(), q.impressions()),
+                None => format!("  {key:<24} -\n"),
+            };
+        }
+        out
     }
 }
 

@@ -9,9 +9,11 @@
 //!    `pws_obs::format` container, `docs/CONTAINER_FORMAT.md`),
 //!    capturing the *complete* replay-relevant state: profiles, RankSVM
 //!    weights, revisit history, preference pairs, **and** the per-query
-//!    adaptive-β statistics the old JSON export silently dropped. Encoding is canonical (sorted
-//!    maps, `f64::to_bits` little-endian), so equal logical records have
-//!    equal bytes and a faulted-in user replays **byte-identically**.
+//!    adaptive-β statistics. Encoding is canonical (sorted maps,
+//!    `f64::to_bits` little-endian), so equal logical records have equal
+//!    bytes and a faulted-in user replays **byte-identically**. The record
+//!    is also the export format (`pws-serve`'s `export_user`/`import_user`),
+//!    and [`UserRecord::render`] is its human-readable view.
 //! 2. **A directory store** ([`store`]): one file per user, durable
 //!    temp-file + fsync + rename + dir-fsync writes, typed
 //!    [`StoreError`] on every corruption, and a

@@ -224,6 +224,18 @@ fn exact_section_payloads_match_format_version_1() {
     assert_eq!(bytes[8..16], [2, 0, 0, 0, 7, 0, 0, 0], "version 2, seven sections");
 }
 
+/// The readable view of a record (`pws-trace user`) names the user and
+/// labels each model weight with its feature.
+#[test]
+fn render_labels_the_record() {
+    let text = decode_user_record(&encode_user_record(&dense_record())).expect("valid").render();
+    assert!(text.starts_with("user 48879 · 11 observations\n"), "{text}");
+    let labelled = |l: &str| l.split_whitespace().eq(["base_score_norm", "0.2500"]);
+    assert!(text.lines().any(labelled), "{text}");
+    assert!(text.contains("preference pairs: 2\n"), "{text}");
+    assert!(text.lines().any(|l| l.split_whitespace().eq(["seafood", "4", "/", "9"])), "{text}");
+}
+
 // ── 2. Durability ───────────────────────────────────────────────────────
 
 #[test]

@@ -277,6 +277,36 @@ if only_in_fn 'store.get(' 'stored_state' crates/pws-serve/src/*.rs | grep .; th
     exit 1
 fi
 
+echo "==> one user-state format gate (PWSUSR1 only: no serde on user state, export_user encodes the record)"
+# A user's state has one serialized form, the pws-store user record: the
+# store tier writes and faults it in, export_user/import_user move it
+# between engines, and `pws-trace user` renders it. A serde dependency in
+# the crates that define user state, a Serialize/Deserialize derive or
+# impl on one of its types, or an export that stops encoding the record
+# is a second format.
+user_state_types='UserState|ContentProfile|LocationProfile|UserHistory|LinearRankModel|PreferencePair|QueryStats'
+if grep -nE '\bserde(_json)?\b' crates/pws-core/Cargo.toml crates/pws-profile/Cargo.toml \
+    crates/pws-ranksvm/Cargo.toml; then
+    echo "FAIL: serde in a user-state crate — user state serializes only as a PWSUSR1 record"
+    exit 1
+fi
+if find crates/*/src -name '*.rs' -print0 | xargs -0 perl -0ne '
+    while (/#\[derive\(([^)]*)\)\]\s*(?:#\[[^\]]*\]\s*)*pub struct ('"$user_state_types"')\b/g) {
+        my ($derives, $type) = ($1, $2);
+        print "$ARGV: derive($derives) on $type\n" if $derives =~ /Serialize|Deserialize/;
+    }
+    while (/impl\b[^{]*\b(Serialize|Deserialize)\b[^{]*\bfor\s+('"$user_state_types"')\b/g) {
+        print "$ARGV: impl $1 for $2\n";
+    }' | grep .; then
+    echo "FAIL: a serde derive/impl on a user-state type — user state serializes only as a PWSUSR1 record"
+    exit 1
+fi
+if ! awk '/fn export_user\(/ { f = 1 } f && /encode_user_with\(/ { found = 1 } f && /^    }$/ { exit }
+          END { exit !found }' crates/pws-serve/src/lib.rs; then
+    echo "FAIL: ServingEngine::export_user does not encode through pws_store::encode_user_with"
+    exit 1
+fi
+
 echo "==> search-on-a-snapshot gate (no rollback copies, no in-place state borrows in pws-serve)"
 # A search clones its user's Arc<UserState> under the shard lock and runs
 # off it; an observe folds into a successor state and publishes it by

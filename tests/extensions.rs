@@ -1,6 +1,6 @@
 //! Integration tests for the extension features: structured queries,
-//! index persistence, SpyNB pair mining, geo-smoothed scoring, session
-//! refinement chains, and user-state portability — all through the facade.
+//! index persistence, SpyNB pair mining, geo-smoothed scoring and session
+//! refinement chains — all through the facade.
 
 use pws::click::{SessionSimulator, SimConfig, UserId};
 use pws::core::{EngineConfig, PairSource, PersonalizedSearchEngine};
@@ -197,43 +197,4 @@ fn sessions_replay_through_the_engine() {
         engine.user_state(user).expect("state").observations,
         steps.len() as u64
     );
-}
-
-#[test]
-fn exported_profile_transfers_between_engines() {
-    let w = world();
-    // Pin the blend: adaptive β depends on engine-global query statistics,
-    // which are deliberately NOT part of a user's exported state.
-    let cfg = EngineConfig {
-        blend: pws::core::BlendStrategy::Fixed(0.5),
-        ..EngineConfig::default()
-    };
-    let mut engine_a = PersonalizedSearchEngine::new(&w.engine, &w.world, cfg.clone());
-    let mut sim = SessionSimulator::new(
-        &w.engine,
-        &w.corpus,
-        &w.world,
-        &w.population,
-        &w.queries,
-        SimConfig { top_k: 10, seed: 29 },
-    );
-    let user = UserId(3);
-    for _ in 0..10 {
-        let qid = sim.sample_query(user);
-        let q = &w.queries[qid.index()];
-        let intent = sim.sample_intent_city(user);
-        let text = sim.render_query(q, intent);
-        let turn = engine_a.search(user, &text);
-        let outcome = sim.issue_on_hits(user, qid, intent, &text, &turn.hits);
-        engine_a.observe(&turn, &outcome.impression);
-    }
-    let exported = engine_a.export_user(user).expect("serializable").expect("warm state");
-
-    let mut engine_b = PersonalizedSearchEngine::new(&w.engine, &w.world, cfg);
-    engine_b.import_user(user, &exported).expect("import");
-    for q in w.queries.iter().take(5) {
-        let a: Vec<u32> = engine_a.search(user, &q.text).hits.iter().map(|h| h.doc).collect();
-        let b: Vec<u32> = engine_b.search(user, &q.text).hits.iter().map(|h| h.doc).collect();
-        assert_eq!(a, b, "transferred profile ranks differently for {:?}", q.text);
-    }
 }
