@@ -32,18 +32,16 @@
 //! discarded folds) is printed so injected faults can be reconciled against
 //! the report's degraded/shed totals by eye.
 //!
-//! Observability knobs:
+//! Observability:
 //!
 //! ```text
-//! cargo run -p pws-bench --release --bin serve_bench -- \
-//!     --trace-slow-ns 2000000 --trace-sample-every 64 --trace-ring 128
 //! cargo run -p pws-bench --release --bin serve_bench -- --health-out results/health.json
 //! ```
 //!
-//! The `--trace-*` flags enable the engine's slow-query ring with the
-//! given admission thresholds (`pws_serve::TraceConfig`); `--health-out
-//! PATH` brackets the run with SLO burn-rate observations
+//! `--health-out PATH` brackets the run with SLO burn-rate observations
 //! (`pws_obs::health`) and writes the resulting `HealthReport` as JSON.
+//! For one query's full decision trace use `pws-trace`; for the recent
+//! traffic of a serving process, its flight recorder (`pws-top`).
 //!
 //! [`SearchBudget`]: pws_serve::SearchBudget
 
@@ -94,20 +92,6 @@ fn main() {
                 eprintln!("error: bad --chaos plan {plan:?}: {e}");
                 std::process::exit(2);
             }
-        }
-    }
-    // Slow-query ring knobs. Setting any of them turns tracing on;
-    // the defaults (0 / 0) keep both admission arms off, matching
-    // `TraceConfig::default()`.
-    let trace_slow = parse_flag(&args, "trace-slow-ns");
-    let trace_sample = parse_flag(&args, "trace-sample-every");
-    let trace_ring = parse_flag(&args, "trace-ring");
-    if trace_slow.is_some() || trace_sample.is_some() || trace_ring.is_some() {
-        opts.trace.enabled = true;
-        opts.trace.slow_threshold_nanos = trace_slow.unwrap_or(0) as u64;
-        opts.trace.sample_every = trace_sample.unwrap_or(0) as u64;
-        if let Some(cap) = trace_ring {
-            opts.trace.ring_capacity = cap.max(1);
         }
     }
     let sweep = args.iter().any(|a| a == "--sweep");

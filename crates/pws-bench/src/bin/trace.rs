@@ -10,7 +10,7 @@
 //! Builds the named experiment fixture (`small` or `paper`), warms the
 //! target user with `--train` simulated interactions exactly the way the
 //! eval harness does (same per-user seed, same click model), then issues
-//! query `<query-id>` through the sharded serving path with tracing on
+//! query `<query-id>` through the sharded serving path's `search_traced`
 //! and prints the resulting [`pws_obs::trace::QueryTrace`]: stage-by-stage
 //! latency, extracted content/location concepts with supports, the chosen
 //! β and its provenance, and per-result feature vectors with base→final
@@ -221,18 +221,12 @@ fn main() {
     }
 
     // Same serving configuration the eval harness uses for its sharded
-    // backend, plus an always-on trace ring so the warm-up traffic is
-    // admitted to the slow-query log too.
+    // backend; only the replayed query is traced.
     let engine = ServingEngine::new(
         &world.engine,
         &world.world,
         EngineConfig::default(),
-        ServeConfig {
-            shards,
-            stats_refresh_every: 1,
-            trace: pws_serve::TraceConfig::sample_all(64),
-            ..ServeConfig::default()
-        },
+        ServeConfig { shards, stats_refresh_every: 1, ..ServeConfig::default() },
     );
     let top_k = EngineConfig::default().top_k;
     let mut sim = SessionSimulator::with_model(

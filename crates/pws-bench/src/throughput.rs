@@ -17,7 +17,7 @@ use pws_click::{Click, Impression, ShownResult, UserId};
 use pws_core::{EngineConfig, SearchTurn};
 use pws_corpus::query::QueryId;
 use pws_eval::ExperimentWorld;
-use pws_serve::{quiet_injected_panics, SearchBudget, ServeConfig, ServingEngine, TraceConfig};
+use pws_serve::{quiet_injected_panics, SearchBudget, ServeConfig, ServingEngine};
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,11 +45,6 @@ pub struct ThroughputOptions {
     /// fault-free. Any chaos (or a deadline) routes requests through
     /// the budgeted `search_with` path.
     pub chaos: Option<ChaosSpec>,
-    /// Slow-query ring configuration (`serve_bench --trace-slow-ns /
-    /// --trace-sample-every / --trace-ring`). Disabled by default so
-    /// baselines measure the engine without trace admission on the
-    /// request path.
-    pub trace: TraceConfig,
 }
 
 impl Default for ThroughputOptions {
@@ -66,7 +61,6 @@ impl Default for ThroughputOptions {
             users: 64,
             deadline: None,
             chaos: None,
-            trace: TraceConfig::default(),
         }
     }
 }
@@ -178,11 +172,7 @@ pub fn run_throughput(world: &ExperimentWorld, opts: &ThroughputOptions) -> Thro
         &world.engine,
         &world.world,
         EngineConfig::default(),
-        ServeConfig {
-            shards: opts.shards,
-            trace: opts.trace.clone(),
-            ..ServeConfig::default()
-        },
+        ServeConfig { shards: opts.shards, ..ServeConfig::default() },
     );
     if let Some(spec) = &opts.chaos {
         quiet_injected_panics();

@@ -12,7 +12,7 @@
 //! * `pws-serve`'s `ServingEngine` — user-sharded concurrent serving:
 //!   `&self + Send + Sync`, shards of mutex-guarded user maps.
 //!
-//! Because both frontends call the same `search_user`/`observe_user`, a
+//! Because both frontends call the same `search_user_gated`/`observe_user`, a
 //! request replayed through either produces the same [`SearchTurn`].
 
 use crate::cache::RetrievalCache;
@@ -77,7 +77,7 @@ pub struct SearchTurn {
     pub ontology: QueryConceptOntology,
     /// Feature vectors aligned with `hits` (feeds pair mining). The base
     /// score is normalized exactly as the ranking features were — see
-    /// [`EngineCore::search_user`].
+    /// [`EngineCore::search_user_gated`].
     pub features: Vec<Vec<f64>>,
     /// The content/location blend weight used (location share).
     pub beta: f64,
@@ -374,17 +374,6 @@ impl<'a> EngineCore<'a> {
     /// to `[0, 1]` by the candidate pool's maximum, through one shared
     /// helper. Training therefore consumes exactly the scale serving
     /// ranked with.
-    pub fn search_user(
-        &self,
-        user: UserId,
-        query_text: &str,
-        state: &mut UserState,
-        stats: Option<&QueryStats>,
-    ) -> SearchTurn {
-        self.search_user_traced(user, query_text, state, stats, None)
-    }
-
-    /// [`search_user`] with an optional per-query decision trace.
     ///
     /// When `trace` is `Some`, the turn's stage timings, concepts, β
     /// decision, and per-candidate feature vectors / rank movements are
@@ -393,20 +382,6 @@ impl<'a> EngineCore<'a> {
     /// trace (the replay-equivalence tests in `pws-serve` assert this
     /// byte-for-byte) — and a `None` trace costs nothing beyond the
     /// untraced path.
-    ///
-    /// [`search_user`]: Self::search_user
-    pub fn search_user_traced(
-        &self,
-        user: UserId,
-        query_text: &str,
-        state: &mut UserState,
-        stats: Option<&QueryStats>,
-        trace: Option<&mut QueryTrace>,
-    ) -> SearchTurn {
-        self.search_user_gated(user, query_text, state, stats, trace, None).0
-    }
-
-    /// [`search_user_traced`] with a per-query budget/fault gate.
     ///
     /// The gate is consulted at each [`StageCheckpoint`] (after
     /// retrieval, after pool concept extraction, after feature build).
@@ -419,12 +394,10 @@ impl<'a> EngineCore<'a> {
     /// serving layer feeds *uncached* turn latencies into its overload
     /// `retry_after` estimate, so it needs the flag even untraced.
     ///
-    /// With `gate: None` (or a gate that never fires) this is
-    /// byte-identical to [`search_user_traced`] — the serving layer's
+    /// With `gate: None` (or a gate that never fires) the turn is fully
+    /// personalized — the serial engine's path; the serving layer's
     /// replay-equivalence tests run with the gate wired in and inert to
-    /// pin exactly that.
-    ///
-    /// [`search_user_traced`]: Self::search_user_traced
+    /// pin that the two agree byte for byte.
     pub fn search_user_gated(
         &self,
         user: UserId,
@@ -823,7 +796,7 @@ fn finish_span(
 }
 
 /// The one place a hit becomes a feature input: the base-score feature is
-/// always the **pool-normalized** score, in `search_user` (ranking over
+/// always the **pool-normalized** score, in `search_user_gated` (ranking over
 /// the pool) and `finish_turn` (page features for training) alike. The
 /// 2010-era bug this guards against: rebuilding page features from raw
 /// BM25 scores trained every model on a different scale than it ranked

@@ -105,7 +105,7 @@ impl<'a> PersonalizedSearchEngine<'a> {
     pub fn search(&mut self, user: UserId, query_text: &str) -> SearchTurn {
         let state = self.users.entry(user).or_default();
         let stats = self.query_stats.get(&EngineCore::query_key(query_text));
-        self.core.search_user(user, query_text, state, stats)
+        self.core.search_user_gated(user, query_text, state, stats, None, None).0
     }
 
     /// [`search`](Self::search) plus a filled-in per-query decision
@@ -120,7 +120,8 @@ impl<'a> PersonalizedSearchEngine<'a> {
         let mut trace = pws_obs::trace::QueryTrace::new(user.0, query_text);
         let state = self.users.entry(user).or_default();
         let stats = self.query_stats.get(&EngineCore::query_key(query_text));
-        let turn = self.core.search_user_traced(user, query_text, state, stats, Some(&mut trace));
+        let turn =
+            self.core.search_user_gated(user, query_text, state, stats, Some(&mut trace), None).0;
         trace.total_nanos = trace.stage_nanos_total();
         (turn, trace)
     }

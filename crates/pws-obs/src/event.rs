@@ -3,20 +3,21 @@
 //! A [`FlightEvent`] is the black-box counterpart of the scrutable
 //! [`crate::trace::QueryTrace`]: where a trace carries *everything* a
 //! turn decided (feature vectors, concepts, per-result rank movement)
-//! for a sampled few queries, a flight event carries a fixed-width
-//! digest of *every* admitted query — who, where, how long each stage
-//! took, which β was used, whether the cache hit, whether the turn
-//! degraded, what the store tier did, and a fingerprint of the result
-//! page — cheap enough to append to a lock-free ring unconditionally.
+//! for one query a caller asks about, a flight event carries a
+//! fixed-width digest of *every* admitted query — who, where, how long
+//! each stage took, which β was used, whether the cache hit, whether the
+//! turn degraded, what the store tier did, and a fingerprint of the
+//! result page — cheap enough to append to a lock-free ring
+//! unconditionally.
 //! When something goes wrong, the rings are dumped into a versioned
 //! `PWSFLT1` file (see [`crate::flight`]) and the seconds before the
 //! incident can be replayed line by line.
 //!
 //! The schema is deliberately *fixed-width*: no strings, no vectors of
-//! unbounded length. Query text is carried as an FNV-1a hash (the same
-//! key-normalized hash the serving layer's deterministic trace sampling
-//! uses), the result page as an order-sensitive hash of `(doc, rank)`
-//! pairs, and enumerations as one-byte codes with typed decode.
+//! unbounded length. Query text is carried as an FNV-1a hash of the
+//! normalized query key, the result page as an order-sensitive hash of
+//! `(doc, rank)` pairs, and enumerations as one-byte codes with typed
+//! decode.
 //!
 //! Events are pure observation: the serving layer only copies values it
 //! computed anyway, so replay stays byte-identical with the recorder

@@ -16,8 +16,9 @@
 //!
 //! The types here are plain data with no behavior beyond rendering:
 //! tracing must never perturb ranking, so the engine only *copies*
-//! values it computed anyway. Collection policy (slow-query ring,
-//! sampling) lives with the serving layer in `pws-serve`.
+//! values it computed anyway. A trace is built only when a caller asks
+//! for one (`search_traced`); the serving layer's record of recent
+//! traffic is the fixed-width [`crate::event::FlightEvent`] ring.
 
 /// How the blend weight β was determined for a traced turn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,7 +131,7 @@ pub struct StageNanos {
 
 /// Everything one traced search turn decided, and why.
 ///
-/// Filled by `EngineCore::search_user_traced`; the serving layer adds
+/// Filled by `EngineCore::search_user_gated`; the serving layer adds
 /// [`shard`](Self::shard), [`queue_depth`](Self::queue_depth) and
 /// [`total_nanos`](Self::total_nanos) at admission. Plain data —
 /// cloneable, renderable, JSON-serializable without external crates.

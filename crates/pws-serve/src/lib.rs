@@ -55,7 +55,7 @@
 //!
 //! ## Determinism
 //!
-//! Both frontends run the same [`EngineCore::search_user`] /
+//! Both frontends run the same [`EngineCore::search_user_gated`] /
 //! [`EngineCore::observe_user`], so a session log replayed per-user in
 //! order produces byte-identical [`SearchTurn`]s to the serial engine —
 //! for any shard count and any thread count — whenever the adaptive-β
@@ -72,20 +72,15 @@
 //!
 //! ## Tracing
 //!
-//! With [`TraceConfig::enabled`], every `search` fills a per-query
+//! [`ServingEngine::search_traced`] returns one request's full
 //! [`QueryTrace`] (stage timings, concepts, β provenance, per-candidate
-//! rank movement — see [`pws_obs::trace`]) and stamps it with the shard
-//! index and the queue depth the request saw at admission. Traces are
-//! *admitted* to a fixed-capacity **slow-query ring** — lock-free
-//! slot-claiming on the write path — by a deterministic policy: 1-in-N
-//! sampling keyed by the canonical query key ([`TraceConfig::sample_every`];
-//! replay-stable, so two identical replays capture identical trace
-//! sets), and/or a wall-clock latency threshold
-//! ([`TraceConfig::slow_threshold_nanos`]; inherently timing-dependent).
-//! Read the ring with [`ServingEngine::slow_queries`]; force a trace for
-//! one request with [`ServingEngine::search_traced`]. Tracing never
-//! changes what a search returns — the replay-equivalence tests below
-//! run with tracing enabled to pin that.
+//! rank movement — see [`pws_obs::trace`]), stamped with the shard index,
+//! the queue depth the request saw at admission, the end-to-end
+//! nanoseconds and the degrade reason. The record of recent traffic is
+//! the flight recorder ([`ServeConfig::flight`]): one fixed-width
+//! [`FlightEvent`] per search in per-shard rings. Tracing never changes
+//! what a search returns — the replay-equivalence tests below run with
+//! the recorder enabled to pin that.
 //!
 //! ## Fault tolerance
 //!
@@ -136,7 +131,7 @@ use pws_obs::format::{fnv1a64, Fnv1a64};
 use pws_obs::health::{HealthMonitor, HealthReport, SloSpec};
 use pws_obs::trace::QueryTrace;
 use pws_store::StoreIo;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -159,9 +154,6 @@ pub struct ServeConfig {
     /// under heavy write traffic at the cost of β lagging by at most
     /// that many clicks. Clamped to ≥ 1.
     pub stats_refresh_every: u64,
-    /// Per-query tracing and the slow-query ring (disabled by default —
-    /// a disabled trace costs one branch per search).
-    pub trace: TraceConfig,
     /// The wide-event flight recorder (disabled by default). When
     /// enabled, every admitted query appends one [`FlightEvent`] to its
     /// shard's ring; the rings can be dumped on demand
@@ -200,7 +192,6 @@ impl Default for ServeConfig {
         ServeConfig {
             shards: 8,
             stats_refresh_every: 64,
-            trace: TraceConfig::default(),
             flight: FlightConfig::default(),
             slo: SloSpec::default(),
             max_queue_depth: None,
@@ -590,54 +581,9 @@ fn inject_fault(
     false
 }
 
-/// Per-query tracing policy for the serving layer.
-#[derive(Debug, Clone)]
-pub struct TraceConfig {
-    /// Master switch. When `false` no [`QueryTrace`] is ever allocated
-    /// and [`ServingEngine::slow_queries`] is always empty.
-    pub enabled: bool,
-    /// Admit any trace whose end-to-end `search` latency is at least
-    /// this many nanoseconds (`0` disables the latency criterion).
-    /// Latency admission is honest about being timing-dependent: two
-    /// replays of the same log may capture different trace sets.
-    pub slow_threshold_nanos: u64,
-    /// Admit 1-in-N queries by hash of the canonical query key
-    /// (`0` disables sampling; `1` admits everything). Deterministic:
-    /// the same query string is always admitted or always skipped, so
-    /// replays capture identical trace sets.
-    pub sample_every: u64,
-    /// Slow-query ring capacity (oldest traces are overwritten).
-    /// Clamped to ≥ 1.
-    pub ring_capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            enabled: false,
-            slow_threshold_nanos: 0,
-            sample_every: 0,
-            ring_capacity: 64,
-        }
-    }
-}
-
-impl TraceConfig {
-    /// Tracing on, every query admitted to the ring — the configuration
-    /// the replay-equivalence tests run with.
-    pub fn sample_all(ring_capacity: usize) -> Self {
-        TraceConfig {
-            enabled: true,
-            slow_threshold_nanos: 0,
-            sample_every: 1,
-            ring_capacity,
-        }
-    }
-}
-
-/// Fixed-capacity overwrite-oldest ring: the trace ring holds admitted
-/// [`QueryTrace`]s, the flight recorder one ring of [`FlightEvent`]s per
-/// shard (so concurrent shards never contend on a cursor).
+/// Fixed-capacity overwrite-oldest ring of [`FlightEvent`]s: the flight
+/// recorder keeps one per shard (so concurrent shards never contend on a
+/// cursor).
 ///
 /// The write path is lock-free in its coordination: a single atomic
 /// `fetch_add` claims a slot, and the per-slot mutexes only serialize
@@ -645,15 +591,15 @@ impl TraceConfig {
 /// concurrent [`collect`](Self::collect)) — never writer against
 /// writer on different slots. No allocation happens on push beyond the
 /// item the engine already built.
-struct Ring<T> {
-    slots: Vec<Mutex<Option<T>>>,
+struct Ring {
+    slots: Vec<Mutex<Option<FlightEvent>>>,
     cursor: AtomicU64,
     /// `serve.lock_recovered` handle — a poisoned slot (a thread killed
     /// mid-push) is recovered, never allowed to wedge the ring.
     recovered: Arc<pws_obs::StageMetrics>,
 }
 
-impl<T: Clone> Ring<T> {
+impl Ring {
     fn new(capacity: usize, recovered: Arc<pws_obs::StageMetrics>) -> Self {
         Ring {
             slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
@@ -662,7 +608,7 @@ impl<T: Clone> Ring<T> {
         }
     }
 
-    fn push(&self, item: T) {
+    fn push(&self, item: FlightEvent) {
         let claimed = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = (claimed % self.slots.len() as u64) as usize;
         // Overwriting is the recovery: whatever half-state a dead
@@ -671,12 +617,12 @@ impl<T: Clone> Ring<T> {
     }
 
     /// Snapshot the ring's contents, oldest first.
-    fn collect(&self) -> Vec<T> {
+    fn collect(&self) -> Vec<FlightEvent> {
         let cursor = self.cursor.load(Ordering::Relaxed);
         let n = self.slots.len() as u64;
         (0..n)
             .map(|k| ((cursor + k) % n) as usize)
-            .filter_map(|i| lock_counting(&self.slots[i], &self.recovered).clone())
+            .filter_map(|i| *lock_counting(&self.slots[i], &self.recovered))
             .collect()
     }
 }
@@ -729,7 +675,7 @@ impl FlightConfig {
 /// `serve.flight.dump` (dump files written), `serve.flight.dump_error`
 /// (dump writes that failed — the request path never errors on them).
 struct FlightRecorder {
-    rings: Vec<Ring<FlightEvent>>,
+    rings: Vec<Ring>,
     auto_dump_dir: Option<PathBuf>,
     auto_dump_burst: u64,
     /// Degrade + shed events since the last automatic dump.
@@ -1068,18 +1014,25 @@ impl ShardedStats {
         }
     }
 
-    /// Hand the live statistics for `keys` to `emit` in ascending key
-    /// order, each borrowed under its stats-shard lock, one lock at a
-    /// time (never while holding another stats lock). This is how a
-    /// user's adaptive-β statistics travel with their record — encoded
-    /// straight from the live maps: `keys` is the user's `seen_queries`.
-    fn visit(&self, keys: &[String], emit: &mut dyn FnMut(&str, &QueryStats)) {
+    /// Hand the statistics for `keys` to `emit` in ascending key order:
+    /// the live entry, borrowed under its stats-shard lock (one lock at
+    /// a time, never while holding another stats lock), else the
+    /// `stored` one — live keys win, as in [`seed`](Self::seed). This is
+    /// how a user's adaptive-β statistics travel with their record —
+    /// encoded straight from the live maps: `keys` is the user's
+    /// `seen_queries`, `stored` what a non-resident user's record holds.
+    fn visit(
+        &self,
+        keys: &[String],
+        stored: &BTreeMap<String, QueryStats>,
+        emit: &mut dyn FnMut(&str, &QueryStats),
+    ) {
         let mut sorted: Vec<&str> = keys.iter().map(String::as_str).collect();
         sorted.sort_unstable();
         sorted.dedup();
         for key in sorted {
             let guard = self.lock_shard(self.shard_of(key));
-            if let Some(s) = guard.get(key) {
+            if let Some(s) = guard.get(key).or_else(|| stored.get(key)) {
                 emit(key, s);
             }
         }
@@ -1297,11 +1250,8 @@ pub struct ServingEngine<'a> {
     /// borrowing the (non-`'static`) engine.
     shards: Arc<Vec<UserShard>>,
     stats: Arc<ShardedStats>,
-    trace_cfg: TraceConfig,
-    /// `Some` iff tracing is enabled; the `None` fast path skips trace
-    /// allocation entirely.
-    ring: Option<Ring<QueryTrace>>,
-    /// `Some` iff the flight recorder is enabled.
+    /// `Some` iff the flight recorder is enabled; the `None` fast path
+    /// skips trace allocation entirely.
     flight: Option<FlightRecorder>,
     /// SLO burn-rate monitor behind [`Self::health`]. Always present
     /// (reporting Healthy until it has snapshots to diff); evaluation
@@ -1352,10 +1302,6 @@ impl<'a> ServingEngine<'a> {
             .collect();
         let shards: Arc<Vec<UserShard>> = Arc::new(shards);
         let fault = FaultMetrics::resolve();
-        let ring = serve_cfg
-            .trace
-            .enabled
-            .then(|| Ring::new(serve_cfg.trace.ring_capacity, fault.lock_recovered.clone()));
         let flight = serve_cfg
             .flight
             .enabled
@@ -1381,8 +1327,6 @@ impl<'a> ServingEngine<'a> {
             core,
             shards,
             stats,
-            trace_cfg: serve_cfg.trace,
-            ring,
             flight,
             monitor,
             fault,
@@ -1469,18 +1413,15 @@ impl<'a> ServingEngine<'a> {
     ///
     /// Locks only the user's shard, and only to find the user's state
     /// snapshot; β statistics come from the epoch snapshot, so no
-    /// cross-shard or global lock is ever taken. When
-    /// tracing is enabled the turn's trace is offered to the slow-query
-    /// ring under the configured admission policy.
+    /// cross-shard or global lock is ever taken.
     ///
     /// This is the trusted internal path: no budget, and admission
     /// control is bypassed (it can never be shed). External request
     /// handlers should prefer [`Self::search_with`].
     pub fn search(&self, user: UserId, query_text: &str) -> SearchTurn {
-        let (resp, trace) = self
+        let (resp, _) = self
             .search_inner(user, query_text, false, SearchBudget::none(), None)
             .expect("admission control disabled on this path; cannot be shed");
-        self.offer_to_ring(trace);
         resp.turn
     }
 
@@ -1503,29 +1444,17 @@ impl<'a> ServingEngine<'a> {
             (Some(engine), Some(request)) => Some(engine.min(request)),
             (engine, request) => engine.or(request),
         };
-        let (resp, trace) = self.search_inner(user, query_text, false, budget, limit)?;
-        self.offer_to_ring(trace);
-        Ok(resp)
+        self.search_inner(user, query_text, false, budget, limit).map(|(resp, _)| resp)
     }
 
-    /// [`search`](Self::search) with a forced trace, regardless of the
-    /// configured admission policy — the single-query diagnostic path
-    /// (`pws-trace`). The returned turn is byte-identical to what
-    /// `search` would produce; the trace bypasses the slow-query ring.
+    /// [`search`](Self::search) with its full decision trace — the
+    /// single-query diagnostic path (`pws-trace`). The returned turn is
+    /// byte-identical to what `search` would produce.
     pub fn search_traced(&self, user: UserId, query_text: &str) -> (SearchTurn, QueryTrace) {
         let (resp, trace) = self
             .search_inner(user, query_text, true, SearchBudget::none(), None)
             .expect("admission control disabled on this path; cannot be shed");
         (resp.turn, trace.expect("forced trace is always filled"))
-    }
-
-    /// Offer an admitted trace to the slow-query ring.
-    fn offer_to_ring(&self, trace: Option<QueryTrace>) {
-        if let (Some(trace), Some(ring)) = (trace, &self.ring) {
-            if self.admit(&trace) {
-                ring.push(trace);
-            }
-        }
     }
 
     /// Lock one shard's user map, recovering from poisoning. Recovery
@@ -1621,11 +1550,11 @@ impl<'a> ServingEngine<'a> {
         self.store.as_ref().map_or(0, |tier| tier.flush(self.plan.as_deref()))
     }
 
-    /// The one search implementation: traces iff `force` or tracing is
-    /// enabled, stamps the trace with the serving-layer context (shard,
-    /// queue depth at admission, end-to-end nanoseconds, degrade
-    /// reason), enforces the budget at the engine's stage checkpoints,
-    /// and isolates every failure to this one request.
+    /// The one search implementation: traces iff `force` or the flight
+    /// recorder is enabled, stamps the trace with the serving-layer
+    /// context (shard, queue depth at admission, end-to-end nanoseconds,
+    /// degrade reason), enforces the budget at the engine's stage
+    /// checkpoints, and isolates every failure to this one request.
     fn search_inner(
         &self,
         user: UserId,
@@ -1660,7 +1589,7 @@ impl<'a> ServingEngine<'a> {
         }
         let depth = shard.inflight.fetch_add(1, Ordering::Relaxed);
         shard.queue.record_value(depth);
-        let mut trace = if force || self.ring.is_some() || self.flight.is_some() {
+        let mut trace = if force || self.flight.is_some() {
             let mut t = QueryTrace::new(user.0, query_text);
             t.shard = Some(shard_idx);
             t.queue_depth = Some(depth);
@@ -1776,24 +1705,6 @@ impl<'a> ServingEngine<'a> {
             }
         }
         Ok((SearchResponse { turn, degraded }, trace))
-    }
-
-    /// The deterministic-by-sampling / timing-by-threshold admission
-    /// policy (see [`TraceConfig`]).
-    fn admit(&self, trace: &QueryTrace) -> bool {
-        let cfg = &self.trace_cfg;
-        let sampled = cfg.sample_every > 0
-            && fnv1a64(EngineCore::query_key(&trace.query_text).as_bytes())
-                .is_multiple_of(cfg.sample_every);
-        let slow =
-            cfg.slow_threshold_nanos > 0 && trace.total_nanos >= cfg.slow_threshold_nanos;
-        sampled || slow
-    }
-
-    /// The slow-query ring's current contents, oldest first. Empty when
-    /// tracing is disabled.
-    pub fn slow_queries(&self) -> Vec<QueryTrace> {
-        self.ring.as_ref().map(Ring::collect).unwrap_or_default()
     }
 
     /// Each shard's current in-flight request count (index-aligned with
@@ -1978,11 +1889,24 @@ impl<'a> ServingEngine<'a> {
     /// unreadable record counts `serve.state_io_error` and reads as
     /// absent.
     pub fn user_state(&self, user: UserId) -> Option<UserState> {
+        self.resident_or_stored(user).map(|(state, _)| Arc::unwrap_or_clone(state))
+    }
+
+    /// [`Self::user_state`] without the copy, plus the statistics a
+    /// non-resident user's record carries (none for a resident user:
+    /// theirs are live).
+    fn resident_or_stored(
+        &self,
+        user: UserId,
+    ) -> Option<(Arc<UserState>, BTreeMap<String, QueryStats>)> {
         let shard = &self.shards[self.shard_of(user)];
         let resident = self.lock_users(shard).0.get(&user).map(|r| Arc::clone(&r.state));
         match resident {
-            Some(state) => Some(UserState::clone(&state)),
-            None => self.store.as_ref()?.stored_state(user),
+            Some(state) => Some((state, BTreeMap::new())),
+            None => {
+                let record = self.store.as_ref()?.stored_state(user)?;
+                Some((Arc::new(record.state), record.query_stats))
+            }
         }
     }
 
@@ -2026,14 +1950,16 @@ impl<'a> ServingEngine<'a> {
     }
 
     /// Export one user's learned state as the bytes of their `PWSUSR1`
-    /// user record (`docs/STORE_FORMAT.md`): the state *plus* the live
+    /// user record (`docs/STORE_FORMAT.md`): the state *plus* the
     /// per-query adaptive-β statistics for every query the user has
-    /// issued, encoded exactly as the store tier writes it. `None` when
-    /// the user has no state (resident or stored).
+    /// issued — live where this process has them, else (for a user who
+    /// is not resident) from their record — encoded exactly as the store
+    /// tier writes it. `None` when the user has no state (resident or
+    /// stored).
     pub fn export_user(&self, user: UserId) -> Option<Vec<u8>> {
-        let state = self.user_state(user)?;
+        let (state, stored) = self.resident_or_stored(user)?;
         Some(pws_store::encode_user_with(user, &state, |emit| {
-            self.stats.visit(&state.seen_queries, emit)
+            self.stats.visit(&state.seen_queries, &stored, emit)
         }))
     }
 
@@ -2218,7 +2144,7 @@ mod tests {
         shards: usize,
         threads: usize,
     ) -> HashMap<UserId, Vec<String>> {
-        replay_sharded_traced(log, cfg, shards, threads, TraceConfig::default())
+        replay_sharded_traced(log, cfg, shards, threads, FlightConfig::default())
     }
 
     fn replay_sharded_traced(
@@ -2226,10 +2152,10 @@ mod tests {
         cfg: EngineConfig,
         shards: usize,
         threads: usize,
-        trace: TraceConfig,
+        flight: FlightConfig,
     ) -> HashMap<UserId, Vec<String>> {
         let idx = index();
-        replay_sharded_on(&idx, log, cfg, shards, threads, trace)
+        replay_sharded_on(&idx, log, cfg, shards, threads, flight)
     }
 
     /// Same sharded replay, but over any retrieval backend — the
@@ -2241,14 +2167,14 @@ mod tests {
         cfg: EngineConfig,
         shards: usize,
         threads: usize,
-        trace: TraceConfig,
+        flight: FlightConfig,
     ) -> HashMap<UserId, Vec<String>> {
         let w = world();
         let e = ServingEngine::new(
             idx,
             &w,
             cfg,
-            ServeConfig { shards, stats_refresh_every: 1, trace, ..ServeConfig::default() },
+            ServeConfig { shards, stats_refresh_every: 1, flight, ..ServeConfig::default() },
         );
         replay_on_engine(&e, log, threads)
     }
@@ -2379,13 +2305,13 @@ mod tests {
         let live = LiveIndex::new(segmented_index());
         for (shards, threads) in [(1usize, 1usize), (3, 4)] {
             let on_seg = replay_sharded_on(
-                &seg, &log, EngineConfig::default(), shards, threads, TraceConfig::default());
+                &seg, &log, EngineConfig::default(), shards, threads, FlightConfig::default());
             assert_equivalent(
                 &serial, &on_seg,
                 &format!("segmented backend, {shards} shards / {threads} threads"),
             );
             let on_live = replay_sharded_on(
-                &live, &log, EngineConfig::default(), shards, threads, TraceConfig::default());
+                &live, &log, EngineConfig::default(), shards, threads, FlightConfig::default());
             assert_equivalent(
                 &serial, &on_live,
                 &format!("live segmented backend, {shards} shards / {threads} threads"),
@@ -2570,10 +2496,10 @@ mod tests {
         }
     }
 
-    /// The acceptance-criteria test: replay equivalence holds with
-    /// tracing **enabled** (every query traced and admitted), across
-    /// shard and thread counts — observability does not perturb ranking
-    /// or determinism.
+    /// The acceptance-criteria test: replay equivalence holds with the
+    /// flight recorder **enabled** (every search builds a full trace and
+    /// records its event), across shard and thread counts —
+    /// observability does not perturb ranking or determinism.
     #[test]
     fn sharded_replay_with_tracing_enabled_matches_serial() {
         let _guard = pws_obs::test_lock();
@@ -2594,7 +2520,7 @@ mod tests {
                     EngineConfig::default(),
                     shards,
                     threads,
-                    TraceConfig::sample_all(32),
+                    FlightConfig::enabled(32),
                 );
                 assert_equivalent(
                     &serial,
@@ -2605,51 +2531,11 @@ mod tests {
         }
     }
 
-    /// Sampling admission is keyed by the query string, so two identical
-    /// replays capture identical trace sets — the deterministic half of
-    /// the slow-query-log contract.
+    /// `search_traced` stamps the serving context on the full decision
+    /// record, and each shard's flight ring holds at most its capacity,
+    /// overwriting oldest.
     #[test]
-    fn slow_query_ring_sampling_is_replay_deterministic() {
-        let _guard = pws_obs::test_lock();
-        let run = || -> Vec<String> {
-            let idx = index();
-            let w = world();
-            let e = ServingEngine::new(
-                &idx,
-                &w,
-                EngineConfig::default(),
-                ServeConfig {
-                    shards: 4,
-                    stats_refresh_every: 1,
-                    trace: TraceConfig {
-                        enabled: true,
-                        slow_threshold_nanos: 0,
-                        sample_every: 2,
-                        ring_capacity: 64,
-                    },
-                    ..ServeConfig::default()
-                },
-            );
-            for u in 0..8u32 {
-                for q in ["seafood restaurant", "restaurant", "sushi restaurant",
-                          "pizza restaurant", "noodle restaurant"] {
-                    e.search(UserId(u), q);
-                }
-            }
-            e.slow_queries().iter().map(|t| t.query_text.clone()).collect()
-        };
-        let first = run();
-        let second = run();
-        assert_eq!(first, second, "same replay must admit the same traces");
-        assert!(!first.is_empty(), "1-in-2 sampling over 5 query strings admits some");
-        // Admission is per query string: a string is either always in or
-        // always out.
-        let admitted: std::collections::HashSet<&String> = first.iter().collect();
-        assert!(admitted.len() < 5, "1-in-2 sampling should reject some strings");
-    }
-
-    #[test]
-    fn slow_query_ring_traces_carry_serving_context() {
+    fn traces_carry_serving_context() {
         let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
@@ -2657,19 +2543,10 @@ mod tests {
             &idx,
             &w,
             EngineConfig::default(),
-            ServeConfig {
-                shards: 4,
-                stats_refresh_every: 1,
-                trace: TraceConfig::sample_all(8),
-                ..ServeConfig::default()
-            },
+            ServeConfig { shards: 4, stats_refresh_every: 1, ..ServeConfig::default() },
         );
         for u in 0..6u32 {
-            e.search(UserId(u), "seafood restaurant");
-        }
-        let traces = e.slow_queries();
-        assert_eq!(traces.len(), 6);
-        for t in &traces {
+            let (_, t) = e.search_traced(UserId(u), "seafood restaurant");
             let shard = t.shard.expect("serving layer stamps the shard");
             assert!(shard < 4);
             assert!(t.queue_depth.is_some(), "queue depth at admission");
@@ -2677,12 +2554,19 @@ mod tests {
             assert!(!t.results.is_empty(), "full decision record");
             assert!(!t.stages.is_empty());
         }
-        // Ring capacity bounds the log, overwriting oldest.
+        let e = ServingEngine::new(
+            &idx,
+            &w,
+            EngineConfig::default(),
+            ServeConfig { shards: 1, flight: FlightConfig::enabled(8), ..ServeConfig::default() },
+        );
         for u in 0..20u32 {
             e.search(UserId(u), "restaurant");
         }
-        let traces = e.slow_queries();
-        assert_eq!(traces.len(), 8, "capacity-bounded");
+        let events = e.flight_events();
+        assert_eq!(events.len(), 8, "capacity-bounded");
+        let users: Vec<u32> = events.iter().map(|ev| ev.user).collect();
+        assert_eq!(users, (12..20).collect::<Vec<u32>>(), "oldest overwritten");
     }
 
     #[test]
@@ -2692,13 +2576,13 @@ mod tests {
         let w = world();
         let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
         e.search(UserId(0), "restaurant");
-        assert!(e.slow_queries().is_empty());
-        // But a forced trace still works, without touching the ring.
+        assert!(e.flight_events().is_empty(), "no flight events unless enabled");
+        // But a forced trace still works, without recording an event.
         let (turn, trace) = e.search_traced(UserId(0), "restaurant");
         assert_eq!(trace.query_text, "restaurant");
         assert_eq!(trace.user, 0);
         assert!(!trace.results.is_empty());
-        assert!(e.slow_queries().is_empty());
+        assert!(e.flight_events().is_empty());
         // And it matches the untraced search byte-for-byte.
         let again = e.search(UserId(0), "restaurant");
         assert_eq!(format!("{turn:?}"), format!("{again:?}"));
@@ -3052,20 +2936,20 @@ mod tests {
         assert_eq!(count("serve.degraded.lock_poisoned"), 1);
     }
 
-    /// Regression test for the trace ring: a thread killed while holding
-    /// a slot used to poison it permanently, panicking every later push
-    /// and collect. Now both recover.
+    /// Regression test for the flight ring: a thread killed while
+    /// holding a slot used to poison it permanently, panicking every
+    /// later push and collect. Now both recover.
     #[test]
-    fn trace_ring_recovers_from_poisoned_slot() {
+    fn flight_ring_recovers_from_poisoned_slot() {
         let _guard = pws_obs::test_lock();
         quiet_injected_panics();
         let ring = Ring::new(1, pws_obs::stage("serve.lock_recovered"));
-        ring.push(QueryTrace::new(1, "before"));
+        ring.push(FlightEvent { user: 1, ..FlightEvent::empty() });
         poison_mutex(&ring.slots[0]);
-        ring.push(QueryTrace::new(2, "after"));
+        ring.push(FlightEvent { user: 2, ..FlightEvent::empty() });
         let collected = ring.collect();
         assert_eq!(collected.len(), 1);
-        assert_eq!(collected[0].query_text, "after");
+        assert_eq!(collected[0].user, 2);
     }
 
     #[test]
@@ -3119,19 +3003,16 @@ mod tests {
             &idx,
             &w,
             EngineConfig::default(),
-            ServeConfig {
-                trace: TraceConfig::sample_all(8),
-                ..ServeConfig::default()
-            },
+            ServeConfig { flight: FlightConfig::enabled(8), ..ServeConfig::default() },
         );
         e.search_with(UserId(0), "seafood restaurant", SearchBudget::already_expired())
             .expect("degrades, never sheds");
         e.search_with(UserId(0), "seafood restaurant", SearchBudget::none())
             .expect("healthy");
-        let traces = e.slow_queries();
-        assert_eq!(traces.len(), 2);
-        assert_eq!(traces[0].degraded, Some("deadline_retrieval"));
-        assert_eq!(traces[1].degraded, None);
+        let events = e.flight_events();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].degraded, DegradeCode::DeadlineRetrieval);
+        assert_eq!(events[1].degraded, DegradeCode::None);
         let snap = pws_obs::snapshot();
         let count = |name: &str| {
             snap.stages.iter().find(|s| s.name == name).map(|s| s.count).unwrap_or(0)
@@ -3889,66 +3770,6 @@ mod tests {
         assert!(fault_ins > 0 && evicts > 0, "the scenario actually exercised the tier");
         drop(e);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Satellite pin: the default [`TraceConfig`] thresholds, and the
-    /// determinism of its hash-based sampling arm — the same replay
-    /// admits exactly the same query set on every run, independent of
-    /// timing (threshold arm disabled).
-    #[test]
-    fn trace_sampling_admission_is_deterministic() {
-        let _guard = pws_obs::test_lock();
-        let cfg = TraceConfig::default();
-        assert!(!cfg.enabled, "tracing is opt-in");
-        assert_eq!(cfg.slow_threshold_nanos, 0, "timing arm is opt-in (non-deterministic)");
-        assert_eq!(cfg.sample_every, 0, "sampling arm is opt-in");
-        assert_eq!(cfg.ring_capacity, 64);
-        let queries = |u: u32| -> Vec<String> {
-            (0..8).map(|r| format!("restaurant u{u} r{r}")).collect()
-        };
-        let log = session_log(&queries, 4);
-        let sampled = TraceConfig {
-            enabled: true,
-            slow_threshold_nanos: 0, // timing arm off: admission is pure hash
-            sample_every: 3,
-            ring_capacity: 256,
-        };
-        let run = || -> Vec<String> {
-            let mut keys: Vec<String> =
-                replay_sharded_traced_ring(&log, sampled.clone()).iter()
-                    .map(|t| EngineCore::query_key(&t.query_text))
-                    .collect();
-            keys.sort();
-            keys
-        };
-        let first = run();
-        assert!(!first.is_empty(), "sample_every=3 admits some of 32 queries");
-        assert!(first.len() < 32, "and not all of them");
-        for key in &first {
-            assert!(
-                fnv1a64(key.as_bytes()).is_multiple_of(3),
-                "admitted key hashes to the sample class"
-            );
-        }
-        assert_eq!(run(), first, "hash-based admission is run-to-run deterministic");
-    }
-
-    /// Helper for the sampling-determinism pin: replay and return the
-    /// ring contents.
-    fn replay_sharded_traced_ring(
-        log: &[(UserId, Vec<String>)],
-        trace: TraceConfig,
-    ) -> Vec<QueryTrace> {
-        let idx = index();
-        let w = world();
-        let e = ServingEngine::new(
-            &idx,
-            &w,
-            EngineConfig::default(),
-            ServeConfig { shards: 2, stats_refresh_every: 1, trace, ..ServeConfig::default() },
-        );
-        replay_round_robin(&e, log, 1);
-        e.slow_queries()
     }
 
     /// `ServingEngine::health()` turns degraded traffic into a

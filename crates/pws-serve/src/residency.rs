@@ -29,8 +29,8 @@ use crate::{
 };
 use pws_click::UserId;
 use pws_core::UserState;
-use pws_store::{StoreError, UserStore};
-use std::collections::{HashMap, HashSet, VecDeque};
+use pws_store::{StoreError, UserRecord, UserStore};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -291,7 +291,9 @@ impl StoreTier {
         }
         let put = catch_unwind(AssertUnwindSafe(|| {
             inject_fault(plan, user, query_text, FaultStage::Writeback);
-            self.store.put_with(user, state, |emit| self.stats.visit(&state.seen_queries, emit))
+            self.store.put_with(user, state, |emit| {
+                self.stats.visit(&state.seen_queries, &BTreeMap::new(), emit)
+            })
         }));
         if let Ok(Ok(())) = put {
             *last_written = epoch;
@@ -497,11 +499,12 @@ impl StoreTier {
         *last_written = self.epoch.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A non-resident user's state straight off disk. An unreadable
-    /// record counts `serve.state_io_error` and reads as absent.
-    pub(crate) fn stored_state(&self, user: UserId) -> Option<UserState> {
+    /// A non-resident user's whole record straight off disk. An
+    /// unreadable record counts `serve.state_io_error` and reads as
+    /// absent.
+    pub(crate) fn stored_state(&self, user: UserId) -> Option<UserRecord> {
         let record = self.store.get(user).inspect_err(|_| self.io_error.incr(1));
-        record.ok().flatten().map(|r| r.state)
+        record.ok().flatten()
     }
 
     /// Every user with a record on disk.
@@ -1524,6 +1527,46 @@ mod tests {
             assert_eq!(e.export_user(user).expect("state exists"), file, "{user:?}");
         }
         drop(e);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// In a fresh process no statistics are live yet, so exporting a
+    /// user who is not resident carries their record's statistics: the
+    /// export is the record file's bytes before any search. (The export
+    /// used to encode only live statistics and came out without them,
+    /// so an import elsewhere lost the user's adaptive β.)
+    #[test]
+    fn export_of_an_unloaded_user_carries_their_record_statistics() {
+        let _guard = pws_obs::test_lock();
+        let idx = index();
+        let w = world();
+        let dir = store_dir("export-unloaded");
+        let cfg = || ServeConfig {
+            shards: 2,
+            stats_refresh_every: 1,
+            store: Some(StoreTierConfig { writeback: false, ..StoreTierConfig::new(&dir) }),
+            ..ServeConfig::default()
+        };
+        let users = [UserId(3), UserId(4)];
+        let a = ServingEngine::new(&idx, &w, EngineConfig::default(), cfg());
+        for q in ["seafood restaurant", "restaurant", "seafood restaurant"] {
+            for &user in &users {
+                let turn = a.search(user, &format!("{q} u{}", user.0));
+                let imp = impression_from(&turn, &click_rule(&turn));
+                a.observe(&turn, &imp);
+            }
+        }
+        a.flush_store();
+        drop(a);
+        let b = ServingEngine::new(&idx, &w, EngineConfig::default(), cfg());
+        for user in users {
+            let file = std::fs::read(dir.join(format!("user-{:08x}.pwsu", user.0))).expect("record");
+            let record = pws_store::decode_user_record(&file).expect("clean record");
+            assert!(!record.query_stats.is_empty(), "{user:?}'s record carries statistics");
+            assert_eq!(b.export_user(user).expect("stored state"), file, "{user:?}");
+        }
+        assert_eq!(b.resident_count(), 0, "exporting faults nobody in");
+        drop(b);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

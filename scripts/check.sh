@@ -277,6 +277,25 @@ if only_in_fn 'store.get(' 'stored_state' crates/pws-serve/src/*.rs | grep .; th
     exit 1
 fi
 
+echo "==> one per-query record gate (QueryTrace built only in search_inner, never kept in a container)"
+# A served query is recorded in one place, the per-shard flight ring of
+# fixed-width FlightEvents; a full QueryTrace exists only for the caller
+# that asked for it (crates/pws-serve/src/lib.rs: search_traced, and the
+# flight recorder's event built from it). A second QueryTrace constructor
+# or a ring, list or queue of traces is a second record of recent
+# traffic with its own admission rule — the slow-query ring this
+# replaced. #[cfg(test)] modules are exempt.
+if only_in_fn 'QueryTrace::new(' 'search_inner' crates/pws-serve/src/*.rs | grep .; then
+    echo "FAIL: QueryTrace built outside ServingEngine::search_inner"
+    exit 1
+fi
+if for f in crates/pws-serve/src/*.rs; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /^[ \t]*\/\// { next } { print f ":" FNR ":" $0 }' "$f"
+done | grep -E '\b(Ring|Vec|VecDeque)<QueryTrace>'; then
+    echo "FAIL: QueryTrace kept in a container — the flight ring is the record of recent traffic"
+    exit 1
+fi
+
 echo "==> one user-state format gate (PWSUSR1 only: no serde on user state, export_user encodes the record)"
 # A user's state has one serialized form, the pws-store user record: the
 # store tier writes and faults it in, export_user/import_user move it
