@@ -11,10 +11,11 @@
 //! target user with `--train` simulated interactions exactly the way the
 //! eval harness does (same per-user seed, same click model), then issues
 //! query `<query-id>` through the sharded serving path's `search_traced`
-//! and prints the resulting [`pws_obs::trace::QueryTrace`]: stage-by-stage
-//! latency, extracted content/location concepts with supports, the chosen
-//! β and its provenance, and per-result feature vectors with base→final
-//! rank deltas for every pool candidate. `--json` emits the trace as JSON
+//! and prints the resulting [`pws_obs::trace::QueryTrace`]: the query's
+//! flight event (admission, the five stage slots, β and its provenance,
+//! cache hit, degrade reason), extracted content/location concepts with
+//! supports, the entropy inputs behind an adaptive β, and per-result
+//! feature vectors with base→final rank deltas for every pool candidate. `--json` emits the trace as JSON
 //! instead of the human-readable rendering.
 //!
 //! The `flight` subcommand renders a `PWSFLT1` flight-recorder dump
@@ -81,50 +82,18 @@ fn flight_main(path: &str, args: &[String]) -> ! {
             .into_iter()
             .filter(|ev| user.is_none_or(|u| ev.user == u))
             .filter(|ev| shard.is_none_or(|s| ev.shard == s))
-            .filter(|ev| !degraded_only || ev.degraded != pws_obs::event::DegradeCode::None)
+            .filter(|ev| !degraded_only || ev.degraded.is_some())
             .collect(),
     };
     if json {
-        // Hand-built JSON (every value below is a number, bool, or a
-        // static label — nothing needs escaping), matching the
-        // zero-dependency convention of `pws_obs`'s own `to_json`s.
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"reason\": \"{}\",\n", filtered.reason.label()));
         out.push_str(&format!("  \"shard_count\": {},\n", filtered.shard_count));
         out.push_str(&format!("  \"total_events\": {total},\n"));
         out.push_str("  \"events\": [");
         for (i, ev) in filtered.events.iter().enumerate() {
-            let stage_nanos =
-                ev.stage_nanos.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
-            let cache_hit = match ev.cache_hit {
-                None => "null".to_string(),
-                Some(hit) => hit.to_string(),
-            };
-            let degraded = match ev.degraded.label() {
-                None => "null".to_string(),
-                Some(label) => format!("\"{label}\""),
-            };
             out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"user\": {}, \"shard\": {}, \"queue_depth\": {}, \
-                 \"query_hash\": \"{:016x}\", \"stage_nanos\": [{}], \
-                 \"total_nanos\": {}, \"beta\": {}, \"beta_provenance\": \"{}\", \
-                 \"cache_hit\": {}, \"degraded\": {}, \"store_fault_in\": {}, \
-                 \"store_evict\": {}, \"page_fingerprint\": \"{:016x}\"}}",
-                ev.user,
-                ev.shard,
-                ev.queue_depth,
-                ev.query_hash,
-                stage_nanos,
-                ev.total_nanos,
-                ev.beta(),
-                ev.beta_provenance.short_label(),
-                cache_hit,
-                degraded,
-                ev.store_fault_in,
-                ev.store_evict,
-                ev.page_fingerprint,
-            ));
+            out.push_str(&format!("    {}", ev.to_json()));
         }
         out.push_str("\n  ]\n}");
         println!("{out}");

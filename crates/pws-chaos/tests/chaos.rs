@@ -424,7 +424,6 @@ fn chaos_suite_is_byte_identical_on_segmented_backend() {
 /// tier.
 #[test]
 fn flight_recorder_and_health_reconcile_injected_faults() {
-    use pws_obs::event::DegradeCode;
     use pws_obs::health::{HealthStatus, Objective};
     quiet_injected_panics();
     let _guard = pws_obs::test_lock();
@@ -464,11 +463,13 @@ fn flight_recorder_and_health_reconcile_injected_faults() {
     assert!(counts.search_panics > 0 && counts.poisons > 0, "plan fired: {counts:?}");
     let events = e.flight_events();
     assert_eq!(events.len(), 160, "one event per query, none overwritten");
-    let code_count = |code: DegradeCode| events.iter().filter(|ev| ev.degraded == code).count();
-    assert_eq!(code_count(DegradeCode::Panic) as u64, counts.search_panics);
-    assert_eq!(code_count(DegradeCode::LockPoisoned) as u64, counts.poisons);
+    let code_count = |code: Option<DegradeReason>| {
+        events.iter().filter(|ev| ev.degraded == code).count()
+    };
+    assert_eq!(code_count(Some(DegradeReason::Panic)) as u64, counts.search_panics);
+    assert_eq!(code_count(Some(DegradeReason::LockPoisoned)) as u64, counts.poisons);
     assert_eq!(
-        code_count(DegradeCode::None) as u64,
+        code_count(None) as u64,
         160 - counts.search_panics - counts.poisons,
         "every other turn is clean"
     );
@@ -512,7 +513,7 @@ fn flight_recorder_and_health_reconcile_injected_faults() {
     let events = e.flight_events();
     assert_eq!(events.len(), turns as usize);
     assert!(
-        events.iter().all(|ev| ev.degraded == DegradeCode::DeadlineRetrieval),
+        events.iter().all(|ev| ev.degraded == Some(DegradeReason::DeadlineRetrieval)),
         "every event carries the deadline degrade code"
     );
     let report = e.health();

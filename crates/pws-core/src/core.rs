@@ -23,7 +23,8 @@ use pws_concepts::{ConceptMemo, QueryConceptOntology};
 use pws_entropy::{Effectiveness, QueryStats};
 use pws_geo::{LocationMatcher, LocationOntology};
 use pws_index::{RetrievalBackend, SearchHit};
-use pws_obs::trace::{BetaProvenance, BetaTrace, ConceptTrace, QueryTrace, ResultTrace};
+use pws_obs::event::{FlightEvent, SearchStage};
+use pws_obs::trace::{BetaInputs, BetaProvenance, ConceptTrace, QueryTrace, ResultTrace};
 use pws_profile::{
     mine_pairs, FeatureExtractor, GeoContext, PreparedFeatures, ResultFeatureInput,
 };
@@ -106,8 +107,8 @@ struct EngineMetrics {
 impl EngineMetrics {
     fn resolve() -> Self {
         // The five search stages use the flight-event schema constants
-        // so the histogram names, per-query trace rows, and
-        // `FlightEvent::stage_nanos` slots can never drift apart.
+        // so the histogram names and `FlightEvent::stage_nanos` slots
+        // can never drift apart.
         EngineMetrics {
             retrieval: pws_obs::stage(pws_obs::event::STAGE_RETRIEVAL),
             concepts: pws_obs::stage(pws_obs::event::STAGE_CONCEPTS),
@@ -221,7 +222,7 @@ impl<'a> EngineCore<'a> {
     /// consulting the retrieval cache when one is attached. Returns the
     /// hits — shared with the cache, so a cached pool costs a reference
     /// count — plus `Some(hit?)` when a cache was consulted (`None`
-    /// without a cache) for the trace stamp.
+    /// without a cache) for the event's cache stamp.
     fn retrieve_base(&self, query_text: &str) -> (Arc<[SearchHit]>, Option<bool>) {
         let k = self.cfg.rerank_pool;
         // Backend contract: search(q, k) == search_tokens(analyze(q), k).
@@ -323,45 +324,99 @@ impl<'a> EngineCore<'a> {
     /// query's accumulated click statistics (if any).
     pub fn choose_beta(&self, stats: Option<&QueryStats>) -> f64 {
         let _span = self.metrics.beta.span();
-        self.beta_decision(stats).value
+        self.beta_decision(stats).0
     }
 
-    /// The full β decision: the value [`choose_beta`] would return plus
-    /// its provenance (mode-pinned / fixed / adaptive) and, on the
-    /// adaptive path, the entropy-derived effectiveness inputs. This is
-    /// the *single* implementation of the blend policy — `choose_beta`
-    /// delegates here, so a traced turn can never report a β different
+    /// The full β decision: the value [`choose_beta`] would return, its
+    /// provenance (mode-pinned / fixed / adaptive) and, on the adaptive
+    /// path, the entropy-derived effectiveness inputs. This is the
+    /// *single* implementation of the blend policy — `choose_beta`
+    /// delegates here, so a turn's event can never report a β different
     /// from the one the engine ranked with.
     ///
     /// [`choose_beta`]: Self::choose_beta
-    pub fn beta_decision(&self, stats: Option<&QueryStats>) -> BetaTrace {
+    pub fn beta_decision(
+        &self,
+        stats: Option<&QueryStats>,
+    ) -> (f64, BetaProvenance, Option<BetaInputs>) {
         match self.cfg.mode {
-            PersonalizationMode::ContentOnly => BetaTrace::pinned(0.0, BetaProvenance::Mode),
-            PersonalizationMode::LocationOnly => BetaTrace::pinned(1.0, BetaProvenance::Mode),
-            PersonalizationMode::Baseline => BetaTrace::pinned(0.5, BetaProvenance::Mode),
+            PersonalizationMode::ContentOnly => (0.0, BetaProvenance::Mode, None),
+            PersonalizationMode::LocationOnly => (1.0, BetaProvenance::Mode, None),
+            PersonalizationMode::Baseline => (0.5, BetaProvenance::Mode, None),
             PersonalizationMode::Combined => match self.cfg.blend {
-                BlendStrategy::Fixed(b) => {
-                    BetaTrace::pinned(b.clamp(0.0, 1.0), BetaProvenance::Fixed)
-                }
+                BlendStrategy::Fixed(b) => (b.clamp(0.0, 1.0), BetaProvenance::Fixed, None),
                 BlendStrategy::Adaptive => match stats {
-                    None => BetaTrace::pinned(
-                        Effectiveness::neutral().beta(),
-                        BetaProvenance::AdaptiveNeutral,
-                    ),
+                    None => {
+                        (Effectiveness::neutral().beta(), BetaProvenance::AdaptiveNeutral, None)
+                    }
                     Some(s) => {
                         let eff = Effectiveness::from_stats(s, &self.cfg.effectiveness_cfg);
-                        BetaTrace {
-                            value: eff.beta(),
-                            provenance: BetaProvenance::Adaptive,
-                            content_effectiveness: Some(eff.content),
-                            location_effectiveness: Some(eff.location),
-                            clicks: Some(s.clicks()),
-                            impressions: Some(s.impressions()),
-                        }
+                        let inputs = BetaInputs {
+                            content_effectiveness: eff.content,
+                            location_effectiveness: eff.location,
+                            clicks: s.clicks(),
+                            impressions: s.impressions(),
+                        };
+                        (eff.beta(), BetaProvenance::Adaptive, Some(inputs))
                     }
                 },
             },
         }
+    }
+
+    /// Decide the turn's β, timed into the event's β slot: the event
+    /// gets the value and provenance, a trace the entropy inputs.
+    fn decide_beta(
+        &self,
+        stats: Option<&QueryStats>,
+        ev: &mut FlightEvent,
+        trace: Option<&mut QueryTrace>,
+    ) -> f64 {
+        let span = self.metrics.beta.span();
+        let (beta, provenance, inputs) = self.beta_decision(stats);
+        finish_span(span, ev, SearchStage::Beta);
+        ev.beta_bits = beta.to_bits();
+        ev.beta_provenance = provenance;
+        if let Some(t) = trace {
+            t.beta_inputs = inputs;
+        }
+        beta
+    }
+
+    /// Copy a turn's decision detail into its trace: the ontology the
+    /// rows were scored against and every row in final order, each as
+    /// `(base_rank, (hit, normalized base score), features)`.
+    fn trace_detail<'r>(
+        &self,
+        t: &mut QueryTrace,
+        personalized: bool,
+        onto: &QueryConceptOntology,
+        rows: impl Iterator<Item = (usize, &'r (SearchHit, f64), &'r Vec<f64>)>,
+    ) {
+        t.personalized = personalized;
+        t.feature_names = pws_profile::FEATURE_NAMES.to_vec();
+        t.content_concepts = onto
+            .content
+            .iter()
+            .map(|c| ConceptTrace { name: c.term.clone(), support: c.support })
+            .collect();
+        t.location_concepts = onto
+            .locations
+            .iter()
+            .map(|l| ConceptTrace { name: self.world.name(l.loc).to_string(), support: l.support })
+            .collect();
+        t.results = rows
+            .enumerate()
+            .map(|(pos, (base_rank, (h, norm), f))| ResultTrace {
+                doc: h.doc,
+                title: h.title.to_string(),
+                base_rank,
+                final_rank: pos + 1,
+                on_page: pos < self.cfg.top_k,
+                base_score: *norm,
+                features: f.clone(),
+            })
+            .collect();
     }
 
     /// Execute one personalized search for `user` against the caller's
@@ -375,11 +430,16 @@ impl<'a> EngineCore<'a> {
     /// helper. Training therefore consumes exactly the scale serving
     /// ranked with.
     ///
-    /// When `trace` is `Some`, the turn's stage timings, concepts, β
-    /// decision, and per-candidate feature vectors / rank movements are
-    /// copied into it. Tracing only *reads* values the search computed
-    /// anyway — the ranking computation is identical with and without a
-    /// trace (the replay-equivalence tests in `pws-serve` assert this
+    /// Every turn writes its caller's `ev`: the user, each stage's
+    /// nanoseconds into its [`SearchStage`] slot, the β value and
+    /// provenance, and whether base retrieval hit the retrieval cache
+    /// (`None` when no cache is configured) — the serving layer feeds
+    /// *uncached* turn latencies into its overload `retry_after`
+    /// estimate. When `trace` is `Some`, the turn's concepts, β inputs,
+    /// and per-candidate feature vectors / rank movements are copied into
+    /// it as well. Both only *read* values the search computed anyway —
+    /// the ranking computation is identical with and without them (the
+    /// replay-equivalence tests in `pws-serve` assert this
     /// byte-for-byte) — and a `None` trace costs nothing beyond the
     /// untraced path.
     ///
@@ -389,30 +449,28 @@ impl<'a> EngineCore<'a> {
     /// abandoned and the page is the pool-normalized base ranking — the
     /// query itself always completes with a ranked result. The second
     /// return value names the checkpoint that aborted (`None` for a
-    /// healthy turn). The third reports whether base retrieval was served
-    /// from the retrieval cache (`None` when no cache is configured) — the
-    /// serving layer feeds *uncached* turn latencies into its overload
-    /// `retry_after` estimate, so it needs the flag even untraced.
+    /// healthy turn).
     ///
     /// With `gate: None` (or a gate that never fires) the turn is fully
     /// personalized — the serial engine's path; the serving layer's
     /// replay-equivalence tests run with the gate wired in and inert to
     /// pin that the two agree byte for byte.
+    #[allow(clippy::too_many_arguments)]
     pub fn search_user_gated(
         &self,
         user: UserId,
         query_text: &str,
         state: &UserState,
         stats: Option<&QueryStats>,
+        ev: &mut FlightEvent,
         mut trace: Option<&mut QueryTrace>,
         mut gate: Option<CheckpointGate<'_>>,
-    ) -> (SearchTurn, Option<StageCheckpoint>, Option<bool>) {
+    ) -> (SearchTurn, Option<StageCheckpoint>) {
         // ── Candidate pool ────────────────────────────────────────────────
         let retrieval_span = self.metrics.retrieval.span();
         let (base_hits, cache_hit) = self.retrieve_base(query_text);
-        if let Some(t) = trace.as_deref_mut() {
-            t.cache_hit = cache_hit;
-        }
+        ev.user = user.0;
+        ev.cache_hit = cache_hit;
         let (mut candidates, base_max) = normalize_pool(&base_hits);
 
         // Location-aware query augmentation: also retrieve for
@@ -444,36 +502,27 @@ impl<'a> EngineCore<'a> {
                 }
             }
         }
-        finish_span(retrieval_span, &mut trace, pws_obs::event::STAGE_RETRIEVAL);
+        finish_span(retrieval_span, ev, SearchStage::Retrieval);
 
+        // The base order serves a baseline or empty pool (nothing to
+        // degrade: this *is* the base order) and every degraded checkpoint.
+        let base_order = |candidates, prepared, ev, trace| {
+            self.base_order_turn(state, user, query_text, candidates, stats, prepared, ev, trace)
+        };
         if self.cfg.mode == PersonalizationMode::Baseline || candidates.is_empty() {
-            // Nothing to degrade here — this branch *is* the base order.
-            return (
-                self.base_order_turn(state, user, query_text, candidates, stats, None, trace),
-                None,
-                cache_hit,
-            );
+            return (base_order(candidates, None, ev, trace), None);
         }
-
         if gate_fires(&mut gate, StageCheckpoint::Retrieval) {
-            return (
-                self.base_order_turn(state, user, query_text, candidates, stats, None, trace),
-                Some(StageCheckpoint::Retrieval),
-                cache_hit,
-            );
+            return (base_order(candidates, None, ev, trace), Some(StageCheckpoint::Retrieval));
         }
 
         // ── Features over the pool ────────────────────────────────────────
         let concepts_span = self.metrics.concepts.span();
         let pool_onto = self
             .extract_concepts(query_text, candidates.iter().map(|(h, _)| h.snippet.as_str()));
-        finish_span(concepts_span, &mut trace, pws_obs::event::STAGE_CONCEPTS);
+        finish_span(concepts_span, ev, SearchStage::Concepts);
         if gate_fires(&mut gate, StageCheckpoint::Concepts) {
-            return (
-                self.base_order_turn(state, user, query_text, candidates, stats, None, trace),
-                Some(StageCheckpoint::Concepts),
-                cache_hit,
-            );
+            return (base_order(candidates, None, ev, trace), Some(StageCheckpoint::Concepts));
         }
         let features_span = self.metrics.features.span();
         let inputs: Vec<ResultFeatureInput> = candidates
@@ -483,25 +532,14 @@ impl<'a> EngineCore<'a> {
             .collect();
         let prepared = self.prepare_features(query_text, state);
         let mut features = prepared.rows(&inputs, &pool_onto);
-        finish_span(features_span, &mut trace, pws_obs::event::STAGE_FEATURES);
+        finish_span(features_span, ev, SearchStage::Features);
         if gate_fires(&mut gate, StageCheckpoint::Features) {
-            let turn = self.base_order_turn(
-                state,
-                user,
-                query_text,
-                candidates,
-                stats,
-                Some(prepared),
-                trace,
-            );
-            return (turn, Some(StageCheckpoint::Features), cache_hit);
+            let turn = base_order(candidates, Some(prepared), ev, trace);
+            return (turn, Some(StageCheckpoint::Features));
         }
 
         // ── Blend ────────────────────────────────────────────────────────
-        let beta_span = self.metrics.beta.span();
-        let decision = self.beta_decision(stats);
-        finish_span(beta_span, &mut trace, pws_obs::event::STAGE_BETA);
-        let beta = decision.value;
+        let beta = self.decide_beta(stats, ev, trace.as_deref_mut());
         for f in &mut features {
             f[1] *= 2.0 * (1.0 - beta);
             f[2] *= 2.0 * beta;
@@ -521,51 +559,29 @@ impl<'a> EngineCore<'a> {
                 (h, *norm)
             })
             .collect();
-        finish_span(rerank_span, &mut trace, pws_obs::event::STAGE_RERANK);
+        finish_span(rerank_span, ev, SearchStage::Rerank);
 
-        // Copy the decision record into the trace: the concepts the
-        // ranker actually matched against (pool-level ontology), the β,
-        // and every pool candidate's post-blend feature vector with its
-        // base-rank → final-rank movement. Reads only; nothing the
-        // untraced path computes differs.
+        // The decision record: the concepts the ranker actually matched
+        // against (pool-level ontology) and every pool candidate's
+        // post-blend feature vector with its base-rank → final-rank
+        // movement. Reads only; nothing the untraced path computes differs.
         if let Some(t) = trace.as_deref_mut() {
-            t.beta = decision;
-            t.personalized = true;
-            t.feature_names = pws_profile::FEATURE_NAMES.to_vec();
-            t.content_concepts = pool_onto
-                .content
-                .iter()
-                .map(|c| ConceptTrace { name: c.term.clone(), support: c.support })
-                .collect();
-            t.location_concepts = pool_onto
-                .locations
-                .iter()
-                .map(|l| ConceptTrace {
-                    name: self.world.name(l.loc).to_string(),
-                    support: l.support,
-                })
-                .collect();
-            t.results = order
-                .iter()
-                .enumerate()
-                .map(|(final_pos, &idx)| {
-                    let (h, norm) = &candidates[idx];
-                    ResultTrace {
-                        doc: h.doc,
-                        title: h.title.to_string(),
-                        base_rank: idx + 1,
-                        final_rank: final_pos + 1,
-                        on_page: final_pos < self.cfg.top_k,
-                        base_score: *norm,
-                        features: features[idx].clone(),
-                    }
-                })
-                .collect();
+            let rows = order.iter().map(|&idx| (idx + 1, &candidates[idx], &features[idx]));
+            self.trace_detail(t, true, &pool_onto, rows);
         }
 
-        let turn =
-            self.finish_turn(state, user, query_text, page, beta, true, Some(prepared), trace);
-        (turn, None, cache_hit)
+        let turn = self.finish_turn(
+            state,
+            user,
+            query_text,
+            page,
+            beta,
+            true,
+            Some(prepared),
+            ev,
+            trace,
+        );
+        (turn, None)
     }
 
     /// Complete a turn in base (pool) order: β decision, top-K page with
@@ -583,18 +599,13 @@ impl<'a> EngineCore<'a> {
         candidates: Vec<(SearchHit, f64)>,
         stats: Option<&QueryStats>,
         prepared: Option<PreparedFeatures<'_>>,
+        ev: &mut FlightEvent,
         mut trace: Option<&mut QueryTrace>,
     ) -> SearchTurn {
         // β must report what the mode would actually blend with (the
         // F6/F7-style analyses read it from the turn), not a
         // hard-coded neutral value.
-        let beta_span = self.metrics.beta.span();
-        let decision = self.beta_decision(stats);
-        finish_span(beta_span, &mut trace, pws_obs::event::STAGE_BETA);
-        let beta = decision.value;
-        if let Some(t) = trace.as_deref_mut() {
-            t.beta = decision;
-        }
+        let beta = self.decide_beta(stats, ev, trace.as_deref_mut());
         let page: Vec<(SearchHit, f64)> = candidates
             .into_iter()
             .take(self.cfg.top_k)
@@ -604,7 +615,7 @@ impl<'a> EngineCore<'a> {
                 (h, norm)
             })
             .collect();
-        self.finish_turn(state, user, query_text, page, beta, false, prepared, trace)
+        self.finish_turn(state, user, query_text, page, beta, false, prepared, ev, trace)
     }
 
     /// The stateless escape hatch: serve `query_text` from baseline
@@ -613,18 +624,29 @@ impl<'a> EngineCore<'a> {
     /// serving layer can answer a query even when the user's state is
     /// unavailable (poisoned shard lock, panic mid-personalization).
     /// No query augmentation — that needs a location profile.
+    ///
+    /// Writes `ev` and `trace` like [`search_user_gated`] does, for the
+    /// turn it serves: β, provenance and cache hit are overwritten, and
+    /// its stage times add to whatever an aborted attempt already put in
+    /// the slots, so they sum every stage the request ran.
+    ///
+    /// [`search_user_gated`]: Self::search_user_gated
     pub fn degraded_search(
         &self,
         user: UserId,
         query_text: &str,
         stats: Option<&QueryStats>,
+        ev: &mut FlightEvent,
+        trace: Option<&mut QueryTrace>,
     ) -> SearchTurn {
         let retrieval_span = self.metrics.retrieval.span();
-        let (base_hits, _) = self.retrieve_base(query_text);
+        let (base_hits, cache_hit) = self.retrieve_base(query_text);
         let (candidates, _) = normalize_pool(&base_hits);
-        drop(retrieval_span);
+        finish_span(retrieval_span, ev, SearchStage::Retrieval);
+        ev.user = user.0;
+        ev.cache_hit = cache_hit;
         let state = UserState::default();
-        self.base_order_turn(&state, user, query_text, candidates, stats, None, None)
+        self.base_order_turn(&state, user, query_text, candidates, stats, None, ev, trace)
     }
 
     /// Extract the page-level ontology + page-aligned features and assemble
@@ -643,52 +665,26 @@ impl<'a> EngineCore<'a> {
         beta: f64,
         personalized: bool,
         prepared: Option<PreparedFeatures<'_>>,
-        mut trace: Option<&mut QueryTrace>,
+        ev: &mut FlightEvent,
+        trace: Option<&mut QueryTrace>,
     ) -> SearchTurn {
         let concepts_span = self.metrics.concepts.span();
         let ontology =
             self.extract_concepts(query_text, page.iter().map(|(h, _)| h.snippet.as_str()));
-        finish_span(concepts_span, &mut trace, pws_obs::event::STAGE_CONCEPTS);
+        finish_span(concepts_span, ev, SearchStage::Concepts);
         let features_span = self.metrics.features.span();
         let inputs: Vec<ResultFeatureInput> =
             page.iter().map(|(h, norm)| feature_input(h, *norm, h.rank)).collect();
         let prepared = prepared.unwrap_or_else(|| self.prepare_features(query_text, state));
         let features = prepared.rows(&inputs, &ontology);
-        finish_span(features_span, &mut trace, pws_obs::event::STAGE_FEATURES);
+        finish_span(features_span, ev, SearchStage::Features);
         // The personalized path filled the trace from the pool before
-        // calling here; for baseline / cold / empty turns the page *is*
-        // the pool prefix in base order, so record it with base == final.
-        if let Some(t) = trace {
-            if !personalized {
-                t.personalized = false;
-                t.feature_names = pws_profile::FEATURE_NAMES.to_vec();
-                t.content_concepts = ontology
-                    .content
-                    .iter()
-                    .map(|c| ConceptTrace { name: c.term.clone(), support: c.support })
-                    .collect();
-                t.location_concepts = ontology
-                    .locations
-                    .iter()
-                    .map(|l| ConceptTrace {
-                        name: self.world.name(l.loc).to_string(),
-                        support: l.support,
-                    })
-                    .collect();
-                t.results = page
-                    .iter()
-                    .zip(&features)
-                    .map(|((h, norm), f)| ResultTrace {
-                        doc: h.doc,
-                        title: h.title.to_string(),
-                        base_rank: h.rank,
-                        final_rank: h.rank,
-                        on_page: true,
-                        base_score: *norm,
-                        features: f.clone(),
-                    })
-                    .collect();
-            }
+        // calling here; for baseline / degraded / empty turns the page
+        // *is* the pool prefix in base order, so record it with
+        // base == final.
+        if let (Some(t), false) = (trace, personalized) {
+            let rows = page.iter().zip(&features).map(|(row, f)| (row.0.rank, row, f));
+            self.trace_detail(t, false, &ontology, rows);
         }
         SearchTurn {
             user,
@@ -781,18 +777,13 @@ fn gate_fires(gate: &mut Option<CheckpointGate<'_>>, cp: StageCheckpoint) -> boo
 }
 
 /// Close a stage span, recording into the aggregate histogram exactly as
-/// dropping would, and additionally copy the measured nanoseconds into
-/// the trace (if one is being filled). One measurement feeds both sinks,
-/// so aggregate metrics and traces can never disagree about a stage.
-fn finish_span(
-    span: pws_obs::Span<'_>,
-    trace: &mut Option<&mut QueryTrace>,
-    stage: &'static str,
-) {
-    let nanos = span.finish();
-    if let Some(t) = trace.as_deref_mut() {
-        t.stage(stage, nanos);
-    }
+/// dropping would, and add the measured nanoseconds into the event's slot
+/// for `stage` (concepts and features run on the pool and on the page;
+/// both runs sum). One measurement feeds both sinks, so aggregate
+/// metrics and the event can never disagree about a stage.
+fn finish_span(span: pws_obs::Span<'_>, ev: &mut FlightEvent, stage: SearchStage) {
+    let slot = &mut ev.stage_nanos[stage as usize];
+    *slot = slot.saturating_add(span.finish());
 }
 
 /// The one place a hit becomes a feature input: the base-score feature is

@@ -13,6 +13,8 @@ use crate::config::EngineConfig;
 use crate::state::UserState;
 use pws_click::{Impression, UserId};
 use pws_entropy::QueryStats;
+use pws_obs::event::FlightEvent;
+use pws_obs::trace::QueryTrace;
 use pws_profile::UserHistory;
 use std::collections::HashMap;
 
@@ -105,24 +107,27 @@ impl<'a> PersonalizedSearchEngine<'a> {
     pub fn search(&mut self, user: UserId, query_text: &str) -> SearchTurn {
         let state = self.users.entry(user).or_default();
         let stats = self.query_stats.get(&EngineCore::query_key(query_text));
-        self.core.search_user_gated(user, query_text, state, stats, None, None).0
+        let mut ev = FlightEvent::empty();
+        self.core.search_user_gated(user, query_text, state, stats, &mut ev, None, None).0
     }
 
     /// [`search`](Self::search) plus a filled-in per-query decision
-    /// trace: stage timings, extracted concepts, β provenance, and every
-    /// pool candidate's feature vector and base→final rank movement. The
+    /// trace: the event's stage slots and β provenance, extracted
+    /// concepts, and every pool candidate's feature vector and
+    /// base→final rank movement. The serial engine has one shard and no
+    /// queue, so the event's total is the sum of its stage slots. The
     /// returned turn is byte-identical to what `search` would produce.
-    pub fn search_traced(
-        &mut self,
-        user: UserId,
-        query_text: &str,
-    ) -> (SearchTurn, pws_obs::trace::QueryTrace) {
-        let mut trace = pws_obs::trace::QueryTrace::new(user.0, query_text);
+    pub fn search_traced(&mut self, user: UserId, query_text: &str) -> (SearchTurn, QueryTrace) {
+        let mut trace = QueryTrace::new(query_text);
+        let mut ev = FlightEvent::empty();
         let state = self.users.entry(user).or_default();
         let stats = self.query_stats.get(&EngineCore::query_key(query_text));
-        let turn =
-            self.core.search_user_gated(user, query_text, state, stats, Some(&mut trace), None).0;
-        trace.total_nanos = trace.stage_nanos_total();
+        let turn = self
+            .core
+            .search_user_gated(user, query_text, state, stats, &mut ev, Some(&mut trace), None)
+            .0;
+        ev.total_nanos = ev.stage_nanos.iter().sum();
+        trace.event = ev;
         (turn, trace)
     }
 
@@ -470,14 +475,12 @@ mod tests {
         assert_eq!(turn.beta, want.beta);
 
         // The trace carries the full decision record.
-        assert_eq!(trace.user, 7);
+        assert_eq!(trace.event.user, 7);
         assert_eq!(trace.query_text, "seafood restaurant");
         assert!(trace.personalized);
-        assert_eq!(trace.beta.value, turn.beta);
-        let stage_names: Vec<&str> = trace.stages.iter().map(|s| s.stage).collect();
-        for required in ["engine.retrieval", "engine.concepts", "engine.features",
-                         "engine.beta", "engine.rerank"] {
-            assert!(stage_names.contains(&required), "missing stage {required}");
+        assert_eq!(trace.event.beta(), turn.beta);
+        for (stage, nanos) in pws_obs::event::SEARCH_STAGES.iter().zip(trace.event.stage_nanos) {
+            assert!(nanos > 0, "missing stage {stage}");
         }
         // Every pool candidate appears, in final-rank order, with a full
         // feature vector; the page prefix matches the returned hits.
@@ -513,9 +516,9 @@ mod tests {
         );
         let (turn, trace) = e.search_traced(UserId(0), "seafood restaurant");
         assert!(!trace.personalized);
-        assert_eq!(trace.beta.value, 0.5);
+        assert_eq!(trace.event.beta(), 0.5);
         assert_eq!(
-            trace.beta.provenance,
+            trace.event.beta_provenance,
             pws_obs::trace::BetaProvenance::Mode
         );
         assert_eq!(trace.results.len(), turn.hits.len());
@@ -616,11 +619,12 @@ mod tests {
         {
             let mut gate = |at: StageCheckpoint| at == cp;
             let before = prepared();
-            let (turn, aborted, _) = e.core().search_user_gated(
+            let (turn, aborted) = e.core().search_user_gated(
                 user,
                 "seafood restaurant",
                 &state,
                 None,
+                &mut FlightEvent::empty(),
                 None,
                 Some(&mut gate),
             );
@@ -630,7 +634,7 @@ mod tests {
         }
 
         let before = prepared();
-        e.core().degraded_search(user, "seafood restaurant", None);
+        e.core().degraded_search(user, "seafood restaurant", None, &mut FlightEvent::empty(), None);
         assert_eq!(prepared() - before, 1, "stateless escape hatch");
 
         let mut baseline = PersonalizedSearchEngine::new(

@@ -9,7 +9,7 @@
 //! refresh the doc from it.
 
 use pws_obs::event::{
-    page_fingerprint, query_hash, DegradeCode, FlightEvent, SEARCH_STAGES, SEARCH_STAGE_LABELS,
+    page_fingerprint, query_hash, DegradeReason, FlightEvent, SEARCH_STAGES, SEARCH_STAGE_LABELS,
 };
 use pws_obs::flight::{encode_flight_dump, DumpReason, FlightDump, EVENT_LEN, FLIGHT_FORMAT};
 use pws_obs::format::{le_u64, ENTRY_LEN, TABLE_OFFSET};
@@ -26,7 +26,7 @@ fn tiny_dump() -> FlightDump {
     healthy.beta_bits = 0.62f64.to_bits();
     healthy.beta_provenance = BetaProvenance::Adaptive;
     healthy.cache_hit = Some(false);
-    healthy.degraded = DegradeCode::None;
+    healthy.degraded = None;
     healthy.store_fault_in = true;
     healthy.page_fingerprint = page_fingerprint([(2u32, 1usize), (0, 2), (5, 3)]);
 
@@ -40,7 +40,7 @@ fn tiny_dump() -> FlightDump {
     degraded.beta_bits = 0.5f64.to_bits();
     degraded.beta_provenance = BetaProvenance::AdaptiveNeutral;
     degraded.cache_hit = Some(true);
-    degraded.degraded = DegradeCode::DeadlineRetrieval;
+    degraded.degraded = Some(DegradeReason::DeadlineRetrieval);
     degraded.page_fingerprint = page_fingerprint([(4u32, 1usize)]);
 
     FlightDump { reason: DumpReason::DegradeBurst, shard_count: 3, events: vec![healthy, degraded] }

@@ -1,14 +1,16 @@
-//! Wide flight-recorder events — one compact record per admitted query.
+//! Wide flight-recorder events — one compact record per served query.
 //!
-//! A [`FlightEvent`] is the black-box counterpart of the scrutable
-//! [`crate::trace::QueryTrace`]: where a trace carries *everything* a
-//! turn decided (feature vectors, concepts, per-result rank movement)
-//! for one query a caller asks about, a flight event carries a
-//! fixed-width digest of *every* admitted query — who, where, how long
-//! each stage took, which β was used, whether the cache hit, whether the
-//! turn degraded, what the store tier did, and a fingerprint of the
-//! result page — cheap enough to append to a lock-free ring
-//! unconditionally.
+//! A [`FlightEvent`] is the fixed-width record of one search: who,
+//! where, how long each stage took, which β was used, whether the cache
+//! hit, whether the turn degraded, what the store tier did, and a
+//! fingerprint of the result page. The path that serves the query writes
+//! it: `EngineCore` fills the stage slots, β and cache hit of the turn it
+//! serves (a degraded re-serve included), and the serving layer stamps
+//! shard, queue depth, end-to-end time, degrade reason, store flags and
+//! the two hashes. It is cheap enough to append to a lock-free ring for
+//! every query. A scrutable [`crate::trace::QueryTrace`] is this same
+//! event plus the decision detail (concepts, feature vectors, rank
+//! movement), built only for a caller that asks for one.
 //! When something goes wrong, the rings are dumped into a versioned
 //! `PWSFLT1` file (see [`crate::flight`]) and the seconds before the
 //! incident can be replayed line by line.
@@ -19,16 +21,16 @@
 //! `(doc, rank)` pairs, and enumerations as one-byte codes with typed
 //! decode.
 //!
-//! Events are pure observation: the serving layer only copies values it
+//! Events are pure observation: the engine only copies values it
 //! computed anyway, so replay stays byte-identical with the recorder
 //! enabled (pinned by the `pws-serve` equivalence suite).
 
-use crate::trace::{BetaProvenance, QueryTrace};
+use crate::trace::BetaProvenance;
 
 /// Canonical stage-name constants for the search pipeline's emission
-/// points. `pws-core` registers its stage handles and stamps its traces
-/// with these same constants, so the flight-event schema and the engine
-/// can never drift apart.
+/// points. `pws-core` registers its stage handles with these same
+/// constants, so the histogram names and the flight-event slots can
+/// never drift apart.
 pub const STAGE_RETRIEVAL: &str = "engine.retrieval";
 /// Concept-extraction stage (see [`STAGE_RETRIEVAL`]).
 pub const STAGE_CONCEPTS: &str = "engine.concepts";
@@ -49,62 +51,71 @@ pub const SEARCH_STAGES: [&str; 5] =
 /// [`SEARCH_STAGES`].
 pub const SEARCH_STAGE_LABELS: [&str; 5] = ["retr", "conc", "feat", "beta", "rank"];
 
-/// Why a turn was served from the degraded (non-personalized) path, as
-/// a one-byte code. Mirrors `pws-serve`'s `DegradeReason` label set
-/// (the serving layer converts with an exhaustive match, so adding a
-/// reason without a code fails to compile there).
+/// A search stage, as the index of its slot in [`SEARCH_STAGES`] and
+/// [`FlightEvent::stage_nanos`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SearchStage {
+    /// [`STAGE_RETRIEVAL`].
+    Retrieval,
+    /// [`STAGE_CONCEPTS`].
+    Concepts,
+    /// [`STAGE_FEATURES`].
+    Features,
+    /// [`STAGE_BETA`].
+    Beta,
+    /// [`STAGE_RERANK`].
+    Rerank,
+}
+
+/// Why a turn was served from the degraded (non-personalized) path.
+///
+/// The one degrade vocabulary: `pws-serve` re-exports it for
+/// `SearchResponse::degraded`, its label names the
+/// `serve.degraded.{label}` counter, and a flight event carries it as a
+/// one-byte code (0 = served healthy, see [`FlightEvent::degraded`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
-pub enum DegradeCode {
-    /// Healthy: the turn was fully personalized.
-    None = 0,
-    /// Budget expired at the post-retrieval checkpoint.
+pub enum DegradeReason {
+    /// The budget deadline passed at the retrieval checkpoint.
     DeadlineRetrieval = 1,
-    /// Budget expired at the post-concepts checkpoint.
+    /// The deadline passed at the concept-extraction checkpoint.
     DeadlineConcepts = 2,
-    /// Budget expired at the post-features checkpoint.
+    /// The deadline passed at the feature-build checkpoint.
     DeadlineFeatures = 3,
-    /// A panic inside personalization was isolated to this query.
+    /// Personalization panicked; the panic was isolated and the query
+    /// re-served from stateless baseline retrieval.
     Panic = 4,
-    /// The shard lock was poisoned; the user was evicted and re-served.
+    /// The user shard's state lock was found poisoned at admission; the
+    /// user was evicted and the query served statelessly.
     LockPoisoned = 5,
 }
 
-impl DegradeCode {
-    /// All codes, for iteration in tests and renderers.
-    pub const ALL: [DegradeCode; 6] = [
-        DegradeCode::None,
-        DegradeCode::DeadlineRetrieval,
-        DegradeCode::DeadlineConcepts,
-        DegradeCode::DeadlineFeatures,
-        DegradeCode::Panic,
-        DegradeCode::LockPoisoned,
+impl DegradeReason {
+    /// All reasons, in code order.
+    pub const ALL: [DegradeReason; 5] = [
+        DegradeReason::DeadlineRetrieval,
+        DegradeReason::DeadlineConcepts,
+        DegradeReason::DeadlineFeatures,
+        DegradeReason::Panic,
+        DegradeReason::LockPoisoned,
     ];
 
-    /// The stable reason label (`None` for healthy turns), matching the
-    /// `serve.degraded.{label}` counter family and
-    /// [`QueryTrace::degraded`].
-    pub fn label(self) -> Option<&'static str> {
+    /// The stable reason label: the `{label}` segment of the
+    /// `serve.degraded.{label}` counter name.
+    pub fn label(self) -> &'static str {
         match self {
-            DegradeCode::None => None,
-            DegradeCode::DeadlineRetrieval => Some("deadline_retrieval"),
-            DegradeCode::DeadlineConcepts => Some("deadline_concepts"),
-            DegradeCode::DeadlineFeatures => Some("deadline_features"),
-            DegradeCode::Panic => Some("panic"),
-            DegradeCode::LockPoisoned => Some("lock_poisoned"),
+            DegradeReason::DeadlineRetrieval => "deadline_retrieval",
+            DegradeReason::DeadlineConcepts => "deadline_concepts",
+            DegradeReason::DeadlineFeatures => "deadline_features",
+            DegradeReason::Panic => "panic",
+            DegradeReason::LockPoisoned => "lock_poisoned",
         }
     }
 
-    /// Decode a wire byte; `None` for unknown values (a decode error,
-    /// not a panic).
+    /// Decode a non-zero wire byte; `None` for unknown values (a decode
+    /// error, not a panic).
     pub fn from_code(code: u8) -> Option<Self> {
-        Self::ALL.into_iter().find(|c| *c as u8 == code)
-    }
-
-    /// Parse a reason label (the `--degraded` filter of
-    /// `pws-trace flight`).
-    pub fn from_label(label: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|c| c.label() == Some(label))
+        Self::ALL.into_iter().find(|r| *r as u8 == code)
     }
 }
 
@@ -142,9 +153,7 @@ impl BetaProvenance {
 }
 
 /// FNV-1a 64-bit hash of a normalized query key — the hash carried in
-/// [`FlightEvent::query_hash`]. Matches the serving layer's
-/// deterministic trace-sampling hash, so "which queries were sampled"
-/// and "which events belong to this query" agree.
+/// [`FlightEvent::query_hash`].
 pub fn query_hash(query_key: &str) -> u64 {
     crate::format::fnv1a64(query_key.as_bytes())
 }
@@ -162,8 +171,8 @@ pub fn page_fingerprint(pairs: impl IntoIterator<Item = (u32, usize)>) -> u64 {
     h.finish()
 }
 
-/// One admitted query, as the flight recorder saw it. Fixed-width plain
-/// data; see the module docs for the design constraints and
+/// One served query, as the path that served it recorded it.
+/// Fixed-width plain data; see the module docs for the design constraints and
 /// `docs/FLIGHT_FORMAT.md` for the wire layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightEvent {
@@ -187,8 +196,8 @@ pub struct FlightEvent {
     pub beta_provenance: BetaProvenance,
     /// Whether base retrieval hit the shared cache (`None`: no cache).
     pub cache_hit: Option<bool>,
-    /// Degrade reason ([`DegradeCode::None`] for healthy turns).
-    pub degraded: DegradeCode,
+    /// Degrade reason (`None` for healthy turns; wire code 0).
+    pub degraded: Option<DegradeReason>,
     /// Whether this request faulted its user in from the store tier.
     pub store_fault_in: bool,
     /// Whether serving this request evicted at least one other user.
@@ -211,7 +220,7 @@ impl FlightEvent {
             beta_bits: 0,
             beta_provenance: BetaProvenance::Mode,
             cache_hit: None,
-            degraded: DegradeCode::None,
+            degraded: None,
             store_fault_in: false,
             store_evict: false,
             page_fingerprint: 0,
@@ -221,33 +230,6 @@ impl FlightEvent {
     /// The β value the turn ranked with.
     pub fn beta(&self) -> f64 {
         f64::from_bits(self.beta_bits)
-    }
-
-    /// Copy the serving-layer context and engine decisions out of a
-    /// filled [`QueryTrace`]. Stage nanoseconds land in their
-    /// [`SEARCH_STAGES`] slots (a stage appearing twice sums); trace
-    /// stages outside the schema (none today) are ignored. The degrade
-    /// code is parsed back from the trace's label, best effort; the
-    /// serving layer overwrites it from its typed reason.
-    pub fn from_trace(trace: &QueryTrace) -> Self {
-        let mut ev = FlightEvent::empty();
-        ev.user = trace.user;
-        ev.shard = trace.shard.unwrap_or(0) as u32;
-        ev.queue_depth = trace.queue_depth.unwrap_or(0);
-        ev.total_nanos = trace.total_nanos;
-        ev.beta_bits = trace.beta.value.to_bits();
-        ev.beta_provenance = trace.beta.provenance;
-        ev.cache_hit = trace.cache_hit;
-        ev.degraded = trace
-            .degraded
-            .map(|label| DegradeCode::from_label(label).unwrap_or(DegradeCode::None))
-            .unwrap_or(DegradeCode::None);
-        for s in &trace.stages {
-            if let Some(slot) = SEARCH_STAGES.iter().position(|name| *name == s.stage) {
-                ev.stage_nanos[slot] = ev.stage_nanos[slot].saturating_add(s.nanos);
-            }
-        }
-        ev
     }
 
     /// One-line human rendering (the `pws-trace flight` row format).
@@ -283,9 +265,38 @@ impl FlightEvent {
             self.beta(),
             self.beta_provenance.short_label(),
             cache,
-            self.degraded.label().unwrap_or("-"),
+            self.degraded.map_or("-", DegradeReason::label),
             store,
             self.query_hash,
+            self.page_fingerprint,
+        )
+    }
+
+    /// One-line JSON object: a `pws-trace flight --json` row, and the
+    /// `event` member of [`crate::trace::QueryTrace::to_json`]. Every
+    /// value is a number, a bool or a static label, so nothing needs
+    /// escaping.
+    pub fn to_json(&self) -> String {
+        let stage_nanos: Vec<String> = self.stage_nanos.iter().map(u64::to_string).collect();
+        let or_null = |v: Option<String>| v.unwrap_or_else(|| "null".to_string());
+        format!(
+            "{{\"user\": {}, \"shard\": {}, \"queue_depth\": {}, \
+             \"query_hash\": \"{:016x}\", \"stage_nanos\": [{}], \
+             \"total_nanos\": {}, \"beta\": {}, \"beta_provenance\": \"{}\", \
+             \"cache_hit\": {}, \"degraded\": {}, \"store_fault_in\": {}, \
+             \"store_evict\": {}, \"page_fingerprint\": \"{:016x}\"}}",
+            self.user,
+            self.shard,
+            self.queue_depth,
+            self.query_hash,
+            stage_nanos.join(","),
+            self.total_nanos,
+            self.beta(),
+            self.beta_provenance.short_label(),
+            or_null(self.cache_hit.map(|hit| hit.to_string())),
+            or_null(self.degraded.map(|d| format!("\"{}\"", d.label()))),
+            self.store_fault_in,
+            self.store_evict,
             self.page_fingerprint,
         )
     }
@@ -307,20 +318,18 @@ fn fmt_compact_nanos(nanos: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::BetaTrace;
 
     #[test]
     fn degrade_codes_round_trip_and_labels_are_stable() {
-        for code in DegradeCode::ALL {
-            assert_eq!(DegradeCode::from_code(code as u8), Some(code));
-            if let Some(label) = code.label() {
-                assert_eq!(DegradeCode::from_label(label), Some(code));
-            }
+        let mut labels = std::collections::HashSet::new();
+        for reason in DegradeReason::ALL {
+            assert_eq!(DegradeReason::from_code(reason as u8), Some(reason));
+            assert!(labels.insert(reason.label()), "{reason:?} shares its label");
         }
-        assert_eq!(DegradeCode::from_code(200), None);
-        assert_eq!(DegradeCode::from_label("nonsense"), None);
-        assert_eq!(DegradeCode::Panic.label(), Some("panic"));
-        assert_eq!(DegradeCode::None.label(), None);
+        assert_eq!(DegradeReason::from_code(200), None);
+        assert_eq!(DegradeReason::Panic.label(), "panic");
+        // Code 0 is a healthy turn, never a reason.
+        assert_eq!(DegradeReason::from_code(0), None);
     }
 
     #[test]
@@ -347,32 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn from_trace_copies_context_and_sums_stage_slots() {
-        let mut t = QueryTrace::new(42, "seafood restaurant");
-        t.shard = Some(3);
-        t.queue_depth = Some(5);
-        t.total_nanos = 900_000;
-        t.beta = BetaTrace::pinned(0.25, BetaProvenance::Fixed);
-        t.cache_hit = Some(true);
-        t.degraded = Some("deadline_concepts");
-        t.stage(STAGE_RETRIEVAL, 100);
-        t.stage(STAGE_CONCEPTS, 200);
-        // A re-entered stage sums into its slot.
-        t.stage(STAGE_CONCEPTS, 50);
-        t.stage("test.unknown_stage", 999);
-        let ev = FlightEvent::from_trace(&t);
-        assert_eq!(ev.user, 42);
-        assert_eq!(ev.shard, 3);
-        assert_eq!(ev.queue_depth, 5);
-        assert_eq!(ev.total_nanos, 900_000);
-        assert_eq!(ev.beta(), 0.25);
-        assert_eq!(ev.beta_provenance, BetaProvenance::Fixed);
-        assert_eq!(ev.cache_hit, Some(true));
-        assert_eq!(ev.degraded, DegradeCode::DeadlineConcepts);
-        assert_eq!(ev.stage_nanos, [100, 250, 0, 0, 0]);
-    }
-
-    #[test]
     fn render_is_one_line_with_all_fields() {
         let mut ev = FlightEvent::empty();
         ev.user = 7;
@@ -382,7 +365,7 @@ mod tests {
         ev.beta_bits = 0.62f64.to_bits();
         ev.beta_provenance = BetaProvenance::Adaptive;
         ev.cache_hit = Some(false);
-        ev.degraded = DegradeCode::Panic;
+        ev.degraded = Some(DegradeReason::Panic);
         ev.store_fault_in = true;
         ev.stage_nanos = [100_000, 50_000, 10_000, 1_000, 20_000];
         let line = ev.render();

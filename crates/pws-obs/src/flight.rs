@@ -18,7 +18,7 @@
 //! `docs/FLIGHT_FORMAT.md`; a CI gate keeps the section table there in
 //! two-way sync with [`SectionId`].
 
-use crate::event::{DegradeCode, FlightEvent, SEARCH_STAGES};
+use crate::event::{DegradeReason, FlightEvent, SEARCH_STAGES};
 use crate::format::{ByteReader, ByteWriter, Format, FormatError};
 use crate::trace::BetaProvenance;
 
@@ -193,7 +193,7 @@ fn encode_event(w: &mut ByteWriter, ev: &FlightEvent) {
         Some(false) => 1,
         Some(true) => 2,
     });
-    w.u8(ev.degraded as u8);
+    w.u8(ev.degraded.map_or(0, |reason| reason as u8));
     w.u8(ev.store_fault_in as u8);
     w.u8(ev.store_evict as u8);
     w.u64(ev.page_fingerprint);
@@ -234,8 +234,12 @@ fn decode_event(r: &mut ByteReader<'_>) -> Result<FlightEvent, FormatError> {
         2 => Some(true),
         _ => return Err(FormatError::Malformed("unknown cache-hit code")),
     };
-    let degraded =
-        DegradeCode::from_code(r.u8()?).ok_or(FormatError::Malformed("unknown degrade code"))?;
+    let degraded = match r.u8()? {
+        0 => None,
+        code => Some(
+            DegradeReason::from_code(code).ok_or(FormatError::Malformed("unknown degrade code"))?,
+        ),
+    };
     let store_fault_in = match r.u8()? {
         0 => false,
         1 => true,
@@ -326,7 +330,7 @@ mod tests {
         ev.beta_bits = 0.62f64.to_bits();
         ev.beta_provenance = BetaProvenance::Adaptive;
         ev.cache_hit = Some(true);
-        ev.degraded = DegradeCode::None;
+        ev.degraded = None;
         ev.store_fault_in = true;
         ev.store_evict = true;
         ev.page_fingerprint = crate::event::page_fingerprint([(3u32, 1usize), (1, 2)]);
@@ -337,10 +341,10 @@ mod tests {
         ev2.beta_bits = f64::NAN.to_bits();
         ev2.beta_provenance = BetaProvenance::Fixed;
         ev2.cache_hit = Some(false);
-        ev2.degraded = DegradeCode::LockPoisoned;
+        ev2.degraded = Some(DegradeReason::LockPoisoned);
         events.push(ev2);
         let mut ev3 = FlightEvent::empty();
-        ev3.degraded = DegradeCode::Panic;
+        ev3.degraded = Some(DegradeReason::Panic);
         ev3.beta_provenance = BetaProvenance::AdaptiveNeutral;
         events.push(ev3);
         FlightDump { reason: DumpReason::DegradeBurst, shard_count: 8, events }

@@ -54,10 +54,11 @@
 //!
 //! # Tracing and export
 //!
-//! Aggregates answer "how slow is stage X overall"; the [`trace`]
-//! module holds the plain-data per-query [`trace::QueryTrace`] record
-//! the engine fills when a caller asks "why did *this* query rank the
-//! way it did". [`prometheus_text`] renders the whole registry in the
+//! Aggregates answer "how slow is stage X overall"; the [`event`]
+//! module holds the fixed-width per-query [`event::FlightEvent`] the
+//! engine writes for every search, and [`trace`] the
+//! [`trace::QueryTrace`] — that event plus the decision detail — it
+//! fills when a caller asks "why did *this* query rank the way it did". [`prometheus_text`] renders the whole registry in the
 //! Prometheus text exposition format for scraping.
 
 pub mod event;
@@ -241,7 +242,7 @@ pub struct Span<'a> {
 impl Span<'_> {
     /// Record now (exactly as dropping would) and return the elapsed
     /// nanoseconds. Lets a caller feed the same measurement into a
-    /// per-query [`trace::QueryTrace`] without timing twice.
+    /// per-query [`event::FlightEvent`] stage slot without timing twice.
     pub fn finish(self) -> u64 {
         let nanos = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.stage.record_nanos(nanos);

@@ -3,24 +3,26 @@
 //! The aggregate [`crate::MetricsSnapshot`] answers "how slow is stage
 //! X overall"; a [`QueryTrace`] answers the scrutability questions a
 //! re-ranker owes its operators: *why did document D rank #1 for this
-//! query* and *where did this query's latency go*. The engine fills
-//! one trace per traced search turn with
+//! query* and *where did this query's latency go*. A trace is the
+//! query's [`FlightEvent`] — who, where, the five stage slots, β and its
+//! provenance, cache hit, degrade reason — plus the decision detail the
+//! event has no room for:
 //!
-//! * the stage-by-stage nanosecond breakdown,
 //! * the content/location concepts the ranker saw (with support),
-//! * the chosen β — value, provenance (fixed / adaptive / mode-pinned)
-//!   and, when adaptive, the entropy-derived effectiveness inputs,
+//! * when β is adaptive, the entropy-derived effectiveness inputs,
 //! * every pool candidate's feature vector and base-rank → final-rank
-//!   movement,
-//! * the shard index and queue depth at admission (serving layer).
+//!   movement.
 //!
 //! The types here are plain data with no behavior beyond rendering:
 //! tracing must never perturb ranking, so the engine only *copies*
-//! values it computed anyway. A trace is built only when a caller asks
-//! for one (`search_traced`); the serving layer's record of recent
-//! traffic is the fixed-width [`crate::event::FlightEvent`] ring.
+//! values it computed anyway. The engine writes the event for every
+//! search; it fills the detail only for a caller that asks for a trace
+//! (`search_traced`). The serving layer's record of recent traffic is
+//! the ring of events alone.
 
-/// How the blend weight β was determined for a traced turn.
+use crate::event::{FlightEvent, SEARCH_STAGES};
+
+/// How the blend weight β was determined for a turn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BetaProvenance {
     /// Pinned by the personalization mode (content-only → 0, location-
@@ -48,37 +50,20 @@ impl BetaProvenance {
     }
 }
 
-/// The β decision of one traced turn: the value, where it came from,
-/// and — for the adaptive path — the entropy-derived inputs.
+/// The entropy-derived inputs behind an adaptive β
+/// ([`BetaProvenance::Adaptive`]); the value and provenance themselves
+/// live in the trace's event.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BetaTrace {
-    /// The blend weight the turn ranked with (location share).
-    pub value: f64,
-    /// How the value was determined.
-    pub provenance: BetaProvenance,
+pub struct BetaInputs {
     /// Content-personalization effectiveness (normalized entropy ×
-    /// evidence shrinkage); only for the adaptive provenances.
-    pub content_effectiveness: Option<f64>,
-    /// Location-personalization effectiveness; only for adaptive.
-    pub location_effectiveness: Option<f64>,
-    /// Accumulated clicks behind the statistics ([`BetaProvenance::Adaptive`] only).
-    pub clicks: Option<u64>,
-    /// Accumulated impressions behind the statistics (adaptive only).
-    pub impressions: Option<u64>,
-}
-
-impl BetaTrace {
-    /// A β pinned by mode or fixed configuration (no entropy inputs).
-    pub fn pinned(value: f64, provenance: BetaProvenance) -> Self {
-        BetaTrace {
-            value,
-            provenance,
-            content_effectiveness: None,
-            location_effectiveness: None,
-            clicks: None,
-            impressions: None,
-        }
-    }
+    /// evidence shrinkage).
+    pub content_effectiveness: f64,
+    /// Location-personalization effectiveness.
+    pub location_effectiveness: f64,
+    /// Accumulated clicks behind the statistics.
+    pub clicks: u64,
+    /// Accumulated impressions behind the statistics.
+    pub impressions: u64,
 }
 
 /// One pool candidate's journey through a traced turn.
@@ -119,32 +104,21 @@ pub struct ConceptTrace {
     pub support: f64,
 }
 
-/// One stage's contribution to a traced turn's latency.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageNanos {
-    /// Stage name, matching the registry name in the stage-name table
-    /// (docs/ARCHITECTURE.md).
-    pub stage: &'static str,
-    /// Elapsed wall-clock nanoseconds of this stage in this turn.
-    pub nanos: u64,
-}
-
 /// Everything one traced search turn decided, and why.
 ///
-/// Filled by `EngineCore::search_user_gated`; the serving layer adds
-/// [`shard`](Self::shard), [`queue_depth`](Self::queue_depth) and
-/// [`total_nanos`](Self::total_nanos) at admission. Plain data —
-/// cloneable, renderable, JSON-serializable without external crates.
+/// The [`event`](Self::event) is the same record the flight recorder
+/// keeps; `EngineCore::search_user_gated` fills the detail around it.
+/// Plain data — cloneable, renderable, JSON-serializable without
+/// external crates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryTrace {
-    /// The issuing user's id.
-    pub user: u32,
+    /// The query's flight event, as the serving path stamped it.
+    pub event: FlightEvent,
     /// The query text as received.
     pub query_text: String,
-    /// Per-stage nanosecond breakdown, in execution order.
-    pub stages: Vec<StageNanos>,
-    /// The β decision.
-    pub beta: BetaTrace,
+    /// The entropy inputs behind an adaptive β (`None` when β was
+    /// pinned by mode or configuration, or took the neutral prior).
+    pub beta_inputs: Option<BetaInputs>,
     /// Content concepts extracted over the candidate snippets.
     pub content_concepts: Vec<ConceptTrace>,
     /// Location concepts extracted over the candidate snippets.
@@ -155,99 +129,58 @@ pub struct QueryTrace {
     pub results: Vec<ResultTrace>,
     /// Whether personalization actually re-ranked this turn.
     pub personalized: bool,
-    /// Why the turn was served from the degraded (non-personalized)
-    /// path, as a stable reason label (`None` for healthy turns). The
-    /// serving layer stamps it; the label set is `pws-serve`'s
-    /// `DegradeReason` and the matching `serve.degraded.{reason}`
-    /// counter names.
-    pub degraded: Option<&'static str>,
-    /// Whether base retrieval was served from the shared retrieval cache
-    /// (`None` when no cache is configured). Personalization always runs
-    /// on top — a cache hit only skips re-scoring the index.
-    pub cache_hit: Option<bool>,
-    /// Serving shard that handled the request (serving layer only).
-    pub shard: Option<usize>,
-    /// In-flight request depth on that shard at admission.
-    pub queue_depth: Option<u64>,
-    /// End-to-end request nanoseconds as the serving layer measured it
-    /// (0 until the serving layer stamps it).
-    pub total_nanos: u64,
 }
 
 impl QueryTrace {
-    /// An empty trace for a turn about to execute.
-    pub fn new(user: u32, query_text: &str) -> Self {
+    /// An empty trace for a turn about to execute; its event is stamped
+    /// once the turn is served.
+    pub fn new(query_text: &str) -> Self {
         QueryTrace {
-            user,
+            event: FlightEvent::empty(),
             query_text: query_text.to_string(),
-            stages: Vec::new(),
-            beta: BetaTrace::pinned(0.5, BetaProvenance::Mode),
+            beta_inputs: None,
             content_concepts: Vec::new(),
             location_concepts: Vec::new(),
             feature_names: Vec::new(),
             results: Vec::new(),
             personalized: false,
-            degraded: None,
-            cache_hit: None,
-            shard: None,
-            queue_depth: None,
-            total_nanos: 0,
         }
-    }
-
-    /// Append one stage's elapsed time.
-    pub fn stage(&mut self, stage: &'static str, nanos: u64) {
-        self.stages.push(StageNanos { stage, nanos });
-    }
-
-    /// Sum of the recorded stage times (the engine-side latency; the
-    /// serving layer's [`total_nanos`](Self::total_nanos) adds queueing
-    /// and locking on top).
-    pub fn stage_nanos_total(&self) -> u64 {
-        self.stages.iter().map(|s| s.nanos).sum()
     }
 
     /// Pretty-print the full decision record (the `pws-trace` CLI's
     /// output format).
     pub fn render(&self) -> String {
+        let ev = &self.event;
+        let stage_total: u64 = ev.stage_nanos.iter().sum();
         let mut out = String::new();
-        out.push_str(&format!("query trace: {:?} (user {})\n", self.query_text, self.user));
-        if let Some(shard) = self.shard {
-            out.push_str(&format!(
-                "  admission : shard {shard}, queue depth {}\n",
-                self.queue_depth.unwrap_or(0)
-            ));
-        }
+        out.push_str(&format!("query trace: {:?} (user {})\n", self.query_text, ev.user));
+        out.push_str(&format!(
+            "  admission : shard {}, queue depth {}\n",
+            ev.shard, ev.queue_depth
+        ));
         out.push_str(&format!(
             "  latency   : {} total, {} in engine stages\n",
-            fmt_nanos(self.total_nanos.max(self.stage_nanos_total())),
-            fmt_nanos(self.stage_nanos_total())
+            fmt_nanos(ev.total_nanos.max(stage_total)),
+            fmt_nanos(stage_total)
         ));
-        for s in &self.stages {
-            out.push_str(&format!("    {:<18} {}\n", s.stage, fmt_nanos(s.nanos)));
+        for (stage, nanos) in SEARCH_STAGES.iter().zip(ev.stage_nanos) {
+            out.push_str(&format!("    {stage:<18} {}\n", fmt_nanos(nanos)));
         }
-        out.push_str(&format!(
-            "  β         : {:.4} [{}]\n",
-            self.beta.value,
-            self.beta.provenance.label()
-        ));
-        if let (Some(c), Some(l)) =
-            (self.beta.content_effectiveness, self.beta.location_effectiveness)
-        {
+        out.push_str(&format!("  β         : {:.4} [{}]\n", ev.beta(), ev.beta_provenance.label()));
+        if let Some(b) = &self.beta_inputs {
             out.push_str(&format!(
-                "    effectiveness content {c:.4}, location {l:.4} ({} clicks / {} impressions)\n",
-                self.beta.clicks.unwrap_or(0),
-                self.beta.impressions.unwrap_or(0)
+                "    effectiveness content {:.4}, location {:.4} ({} clicks / {} impressions)\n",
+                b.content_effectiveness, b.location_effectiveness, b.clicks, b.impressions
             ));
         }
         out.push_str(&format!(
             "  personalized: {}\n",
             if self.personalized { "yes" } else { "no (baseline order kept)" }
         ));
-        if let Some(reason) = self.degraded {
-            out.push_str(&format!("  degraded  : yes [{reason}]\n"));
+        if let Some(reason) = ev.degraded {
+            out.push_str(&format!("  degraded  : yes [{}]\n", reason.label()));
         }
-        if let Some(hit) = self.cache_hit {
+        if let Some(hit) = ev.cache_hit {
             out.push_str(&format!("  retrieval cache: {}\n", if hit { "hit" } else { "miss" }));
         }
         let concepts = |cs: &[ConceptTrace]| -> String {
@@ -298,42 +231,17 @@ impl QueryTrace {
         let esc = crate::escape;
         let mut out = String::new();
         out.push('{');
-        out.push_str(&format!("{nl}{ind}\"user\":{sp}{},", self.user));
+        out.push_str(&format!("{nl}{ind}\"event\":{sp}{},", self.event.to_json()));
         out.push_str(&format!("{nl}{ind}\"query_text\":{sp}\"{}\",", esc(&self.query_text)));
-        out.push_str(&format!("{nl}{ind}\"total_nanos\":{sp}{},", self.total_nanos));
         out.push_str(&format!("{nl}{ind}\"personalized\":{sp}{},", self.personalized));
-        if let Some(reason) = self.degraded {
-            out.push_str(&format!("{nl}{ind}\"degraded\":{sp}\"{}\",", esc(reason)));
+        if let Some(b) = &self.beta_inputs {
+            out.push_str(&format!(
+                "{nl}{ind}\"beta_inputs\":{sp}{{\"content_effectiveness\":{sp}{},\
+                 {sp}\"location_effectiveness\":{sp}{},{sp}\"clicks\":{sp}{},\
+                 {sp}\"impressions\":{sp}{}}},",
+                b.content_effectiveness, b.location_effectiveness, b.clicks, b.impressions
+            ));
         }
-        if let Some(hit) = self.cache_hit {
-            out.push_str(&format!("{nl}{ind}\"cache_hit\":{sp}{hit},"));
-        }
-        if let Some(shard) = self.shard {
-            out.push_str(&format!("{nl}{ind}\"shard\":{sp}{shard},"));
-        }
-        if let Some(depth) = self.queue_depth {
-            out.push_str(&format!("{nl}{ind}\"queue_depth\":{sp}{depth},"));
-        }
-        let stages: Vec<String> = self
-            .stages
-            .iter()
-            .map(|s| format!("{{\"stage\":{sp}\"{}\",{sp}\"nanos\":{sp}{}}}", s.stage, s.nanos))
-            .collect();
-        out.push_str(&format!("{nl}{ind}\"stages\":{sp}[{}],", stages.join(",")));
-        out.push_str(&format!(
-            "{nl}{ind}\"beta\":{sp}{{\"value\":{sp}{},{sp}\"provenance\":{sp}\"{}\"{}}},",
-            self.beta.value,
-            esc(self.beta.provenance.label()),
-            match (self.beta.content_effectiveness, self.beta.location_effectiveness) {
-                (Some(c), Some(l)) => format!(
-                    ",{sp}\"content_effectiveness\":{sp}{c},{sp}\"location_effectiveness\":{sp}{l},\
-                     {sp}\"clicks\":{sp}{},{sp}\"impressions\":{sp}{}",
-                    self.beta.clicks.unwrap_or(0),
-                    self.beta.impressions.unwrap_or(0)
-                ),
-                _ => String::new(),
-            }
-        ));
         let concept_json = |cs: &[ConceptTrace]| -> String {
             cs.iter()
                 .map(|c| {
@@ -396,17 +304,17 @@ mod tests {
     use super::*;
 
     fn sample() -> QueryTrace {
-        let mut t = QueryTrace::new(7, "seafood restaurant");
-        t.stage("engine.retrieval", 120_000);
-        t.stage("engine.concepts", 80_000);
-        t.beta = BetaTrace {
-            value: 0.62,
-            provenance: BetaProvenance::Adaptive,
-            content_effectiveness: Some(0.3),
-            location_effectiveness: Some(0.5),
-            clicks: Some(12),
-            impressions: Some(20),
-        };
+        let mut t = QueryTrace::new("seafood restaurant");
+        t.event.user = 7;
+        t.event.stage_nanos = [120_000, 80_000, 0, 0, 0];
+        t.event.beta_bits = 0.62f64.to_bits();
+        t.event.beta_provenance = BetaProvenance::Adaptive;
+        t.beta_inputs = Some(BetaInputs {
+            content_effectiveness: 0.3,
+            location_effectiveness: 0.5,
+            clicks: 12,
+            impressions: 20,
+        });
         t.content_concepts.push(ConceptTrace { name: "seafood".into(), support: 0.8 });
         t.location_concepts.push(ConceptTrace { name: "lakemoor".into(), support: 0.4 });
         t.feature_names = vec!["base", "content", "location"];
@@ -420,10 +328,10 @@ mod tests {
             features: vec![0.7, 0.2, 0.9],
         });
         t.personalized = true;
-        t.degraded = Some("deadline_concepts");
-        t.shard = Some(2);
-        t.queue_depth = Some(1);
-        t.total_nanos = 250_000;
+        t.event.degraded = Some(crate::event::DegradeReason::DeadlineConcepts);
+        t.event.shard = 2;
+        t.event.queue_depth = 1;
+        t.event.total_nanos = 250_000;
         t
     }
 
@@ -465,27 +373,27 @@ mod tests {
         let t = sample();
         let j = t.to_json(false);
         for needle in [
-            "\"user\":7",
+            "\"user\": 7",
             "\"query_text\":\"seafood restaurant\"",
-            "\"provenance\":\"adaptive (from click statistics)\"",
+            "\"beta_provenance\": \"adaptive\"",
             "\"content_effectiveness\":0.3",
             "\"rank_delta\":3",
-            "\"shard\":2",
-            "\"queue_depth\":1",
-            "\"degraded\":\"deadline_concepts\"",
-            "\"stages\":[{\"stage\":\"engine.retrieval\",\"nanos\":120000}",
+            "\"shard\": 2",
+            "\"queue_depth\": 1",
+            "\"degraded\": \"deadline_concepts\"",
+            "\"stage_nanos\": [120000,80000,0,0,0]",
         ] {
             assert!(j.contains(needle), "json missing {needle:?} in:\n{j}");
         }
         assert!(!j.contains('\n'));
         let pretty = t.to_json(true);
-        assert!(pretty.contains("\n  \"beta\":"));
+        assert!(pretty.contains("\n  \"beta_inputs\":"));
     }
 
     #[test]
     fn stage_total_sums() {
-        let t = sample();
-        assert_eq!(t.stage_nanos_total(), 200_000);
+        let s = sample().render();
+        assert!(s.contains("250.0µs total, 200.0µs in engine stages"), "{s}");
     }
 
     #[test]

@@ -72,15 +72,18 @@
 //!
 //! ## Tracing
 //!
-//! [`ServingEngine::search_traced`] returns one request's full
-//! [`QueryTrace`] (stage timings, concepts, β provenance, per-candidate
-//! rank movement — see [`pws_obs::trace`]), stamped with the shard index,
+//! Every search fills one fixed-width [`FlightEvent`], written by the
+//! path that served it: the engine stamps the stage slots, β and cache
+//! hit of the turn it served, and the serving layer the shard index,
 //! the queue depth the request saw at admission, the end-to-end
-//! nanoseconds and the degrade reason. The record of recent traffic is
-//! the flight recorder ([`ServeConfig::flight`]): one fixed-width
-//! [`FlightEvent`] per search in per-shard rings. Tracing never changes
-//! what a search returns — the replay-equivalence tests below run with
-//! the recorder enabled to pin that.
+//! nanoseconds, the degrade reason and the store flags. The flight
+//! recorder ([`ServeConfig::flight`]) keeps those events in per-shard
+//! rings. [`ServingEngine::search_traced`] returns one request's full
+//! [`QueryTrace`] — the same event plus concepts, β inputs and
+//! per-candidate rank movement (see [`pws_obs::trace`]); no other path
+//! builds one. Tracing never changes what a search returns — the
+//! replay-equivalence tests below run with the recorder enabled to pin
+//! that.
 //!
 //! ## Fault tolerance
 //!
@@ -96,7 +99,7 @@
 //! * **Graceful degradation** — any personalization failure (deadline,
 //!   panic, poisoned state lock) returns the pool-normalized base
 //!   ranking, tagged with a [`DegradeReason`] that flows into the
-//!   query trace and the `serve.degraded.{reason}` counter family.
+//!   flight event and the `serve.degraded.{reason}` counter family.
 //! * **Panic isolation** — per-query engine work runs under
 //!   `catch_unwind`: a search's runs after its shard guard is released,
 //!   and an observe's fold with the guard held *outside* the unwind
@@ -125,7 +128,8 @@ use pws_click::{Impression, UserId};
 use pws_core::{EngineConfig, EngineCore, RetrievalCache, SearchTurn, StageCheckpoint, UserState};
 use pws_index::SearchHit;
 use pws_entropy::QueryStats;
-use pws_obs::event::{DegradeCode, FlightEvent};
+pub use pws_obs::event::DegradeReason;
+use pws_obs::event::FlightEvent;
 use pws_obs::flight::{DumpReason, FlightDump};
 use pws_obs::format::{fnv1a64, Fnv1a64};
 use pws_obs::health::{HealthMonitor, HealthReport, SloSpec};
@@ -305,61 +309,12 @@ impl SearchBudget {
     }
 }
 
-/// Why a turn was served from the degraded (non-personalized) path.
-///
-/// Each variant has a matching `serve.degraded.{as_str}` counter in the
-/// global [`pws_obs`] registry and flows into the query trace's
-/// `degraded` field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DegradeReason {
-    /// The [`SearchBudget`] deadline passed at the retrieval checkpoint.
-    DeadlineRetrieval,
-    /// The deadline passed at the concept-extraction checkpoint.
-    DeadlineConcepts,
-    /// The deadline passed at the feature-build checkpoint.
-    DeadlineFeatures,
-    /// Personalization panicked; the panic was isolated and the query
-    /// re-served from stateless baseline retrieval.
-    PanicIsolated,
-    /// The user shard's state lock was found poisoned at admission; the
-    /// map was recovered and this query served statelessly.
-    LockPoisoned,
-}
-
-impl DegradeReason {
-    /// Stable label — the `{reason}` segment of the
-    /// `serve.degraded.{reason}` counter name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DegradeReason::DeadlineRetrieval => "deadline_retrieval",
-            DegradeReason::DeadlineConcepts => "deadline_concepts",
-            DegradeReason::DeadlineFeatures => "deadline_features",
-            DegradeReason::PanicIsolated => "panic",
-            DegradeReason::LockPoisoned => "lock_poisoned",
-        }
-    }
-
-    fn from_checkpoint(cp: StageCheckpoint) -> Self {
-        match cp {
-            StageCheckpoint::Retrieval => DegradeReason::DeadlineRetrieval,
-            StageCheckpoint::Concepts => DegradeReason::DeadlineConcepts,
-            StageCheckpoint::Features => DegradeReason::DeadlineFeatures,
-        }
-    }
-}
-
-/// The flight event's one-byte code for each reason. Exhaustive on
-/// purpose: a new [`DegradeReason`] without a [`DegradeCode`] fails to
-/// compile here instead of being recorded as a healthy turn.
-impl From<DegradeReason> for DegradeCode {
-    fn from(reason: DegradeReason) -> Self {
-        match reason {
-            DegradeReason::DeadlineRetrieval => DegradeCode::DeadlineRetrieval,
-            DegradeReason::DeadlineConcepts => DegradeCode::DeadlineConcepts,
-            DegradeReason::DeadlineFeatures => DegradeCode::DeadlineFeatures,
-            DegradeReason::PanicIsolated => DegradeCode::Panic,
-            DegradeReason::LockPoisoned => DegradeCode::LockPoisoned,
-        }
+/// The deadline reason for the checkpoint at which the budget expired.
+fn deadline_reason(cp: StageCheckpoint) -> DegradeReason {
+    match cp {
+        StageCheckpoint::Retrieval => DegradeReason::DeadlineRetrieval,
+        StageCheckpoint::Concepts => DegradeReason::DeadlineConcepts,
+        StageCheckpoint::Features => DegradeReason::DeadlineFeatures,
     }
 }
 
@@ -1082,11 +1037,8 @@ fn shard_index(user: UserId, shard_count: usize) -> usize {
 /// stage-name registry stays greppable and the hot path never formats
 /// a string.
 struct FaultMetrics {
-    degraded_deadline_retrieval: Arc<pws_obs::StageMetrics>,
-    degraded_deadline_concepts: Arc<pws_obs::StageMetrics>,
-    degraded_deadline_features: Arc<pws_obs::StageMetrics>,
-    degraded_panic: Arc<pws_obs::StageMetrics>,
-    degraded_lock_poisoned: Arc<pws_obs::StageMetrics>,
+    /// `serve.degraded.{label}`, in [`DegradeReason::ALL`] order.
+    degraded: [Arc<pws_obs::StageMetrics>; DegradeReason::ALL.len()],
     lock_recovered: Arc<pws_obs::StageMetrics>,
     user_evicted: Arc<pws_obs::StageMetrics>,
     state_restored: Arc<pws_obs::StageMetrics>,
@@ -1097,11 +1049,14 @@ struct FaultMetrics {
 impl FaultMetrics {
     fn resolve() -> Self {
         FaultMetrics {
-            degraded_deadline_retrieval: pws_obs::stage("serve.degraded.deadline_retrieval"),
-            degraded_deadline_concepts: pws_obs::stage("serve.degraded.deadline_concepts"),
-            degraded_deadline_features: pws_obs::stage("serve.degraded.deadline_features"),
-            degraded_panic: pws_obs::stage("serve.degraded.panic"),
-            degraded_lock_poisoned: pws_obs::stage("serve.degraded.lock_poisoned"),
+            degraded: [
+                "serve.degraded.deadline_retrieval",
+                "serve.degraded.deadline_concepts",
+                "serve.degraded.deadline_features",
+                "serve.degraded.panic",
+                "serve.degraded.lock_poisoned",
+            ]
+            .map(pws_obs::stage),
             lock_recovered: pws_obs::stage("serve.lock_recovered"),
             user_evicted: pws_obs::stage("serve.user_evicted"),
             state_restored: pws_obs::stage("serve.state_restored"),
@@ -1111,13 +1066,8 @@ impl FaultMetrics {
     }
 
     fn degraded(&self, reason: DegradeReason) -> &pws_obs::StageMetrics {
-        match reason {
-            DegradeReason::DeadlineRetrieval => &self.degraded_deadline_retrieval,
-            DegradeReason::DeadlineConcepts => &self.degraded_deadline_concepts,
-            DegradeReason::DeadlineFeatures => &self.degraded_deadline_features,
-            DegradeReason::PanicIsolated => &self.degraded_panic,
-            DegradeReason::LockPoisoned => &self.degraded_lock_poisoned,
-        }
+        // Codes start at 1; 0 is a healthy turn.
+        &self.degraded[reason as usize - 1]
     }
 }
 
@@ -1419,10 +1369,9 @@ impl<'a> ServingEngine<'a> {
     /// control is bypassed (it can never be shed). External request
     /// handlers should prefer [`Self::search_with`].
     pub fn search(&self, user: UserId, query_text: &str) -> SearchTurn {
-        let (resp, _) = self
-            .search_inner(user, query_text, false, SearchBudget::none(), None)
-            .expect("admission control disabled on this path; cannot be shed");
-        resp.turn
+        self.search_inner(user, query_text, None, SearchBudget::none(), None)
+            .expect("admission control disabled on this path; cannot be shed")
+            .turn
     }
 
     /// Execute one search under a [`SearchBudget`], with admission
@@ -1444,17 +1393,18 @@ impl<'a> ServingEngine<'a> {
             (Some(engine), Some(request)) => Some(engine.min(request)),
             (engine, request) => engine.or(request),
         };
-        self.search_inner(user, query_text, false, budget, limit).map(|(resp, _)| resp)
+        self.search_inner(user, query_text, None, budget, limit)
     }
 
     /// [`search`](Self::search) with its full decision trace — the
     /// single-query diagnostic path (`pws-trace`). The returned turn is
     /// byte-identical to what `search` would produce.
     pub fn search_traced(&self, user: UserId, query_text: &str) -> (SearchTurn, QueryTrace) {
-        let (resp, trace) = self
-            .search_inner(user, query_text, true, SearchBudget::none(), None)
+        let mut trace = QueryTrace::new(query_text);
+        let resp = self
+            .search_inner(user, query_text, Some(&mut trace), SearchBudget::none(), None)
             .expect("admission control disabled on this path; cannot be shed");
-        (resp.turn, trace.expect("forced trace is always filled"))
+        (resp.turn, trace)
     }
 
     /// Lock one shard's user map, recovering from poisoning. Recovery
@@ -1550,19 +1500,23 @@ impl<'a> ServingEngine<'a> {
         self.store.as_ref().map_or(0, |tier| tier.flush(self.plan.as_deref()))
     }
 
-    /// The one search implementation: traces iff `force` or the flight
-    /// recorder is enabled, stamps the trace with the serving-layer
-    /// context (shard, queue depth at admission, end-to-end nanoseconds,
-    /// degrade reason), enforces the budget at the engine's stage
-    /// checkpoints, and isolates every failure to this one request.
+    /// The one search implementation. The request's flight event is
+    /// filled by the path that serves it: the engine writes the stage
+    /// slots, β and cache hit (a degraded re-serve included), and this
+    /// stamps the serving context — shard, queue depth at admission,
+    /// end-to-end nanoseconds, degrade reason, store flags, query hash
+    /// and page fingerprint. The event goes to the flight recorder when
+    /// it is on, and into `trace` (with the engine's decision detail)
+    /// when a caller asked for one. Enforces the budget at the engine's
+    /// stage checkpoints and isolates every failure to this one request.
     fn search_inner(
         &self,
         user: UserId,
         query_text: &str,
-        force: bool,
+        mut trace: Option<&mut QueryTrace>,
         budget: SearchBudget,
         limit: Option<u64>,
-    ) -> Result<(SearchResponse, Option<QueryTrace>), Overloaded> {
+    ) -> Result<SearchResponse, Overloaded> {
         let shard_idx = self.shard_of(user);
         let shard = &self.shards[shard_idx];
         // Admission control: shed before registering, so a shed request
@@ -1589,14 +1543,8 @@ impl<'a> ServingEngine<'a> {
         }
         let depth = shard.inflight.fetch_add(1, Ordering::Relaxed);
         shard.queue.record_value(depth);
-        let mut trace = if force || self.flight.is_some() {
-            let mut t = QueryTrace::new(user.0, query_text);
-            t.shard = Some(shard_idx);
-            t.queue_depth = Some(depth);
-            Some(t)
-        } else {
-            None
-        };
+        let mut ev =
+            FlightEvent { shard: shard_idx as u32, queue_depth: depth, ..FlightEvent::empty() };
         let span = shard.search.span();
         // One canonical key per search: both statistics reads and the
         // flight event's hash use it.
@@ -1604,9 +1552,6 @@ impl<'a> ServingEngine<'a> {
         let snap = self.stats.read();
         let stats = snap.get(&query_key);
         let degraded: Option<DegradeReason>;
-        let mut cache_hit: Option<bool> = None;
-        let mut store_fault_in = false;
-        let mut store_evict = false;
         let turn = {
             let (mut users, was_poisoned) = self.lock_users_timed(shard);
             if was_poisoned {
@@ -1623,11 +1568,11 @@ impl<'a> ServingEngine<'a> {
                 drop(users);
                 self.fault.user_evicted.incr(1);
                 degraded = Some(DegradeReason::LockPoisoned);
-                self.core.degraded_search(user, query_text, stats)
+                self.core.degraded_search(user, query_text, stats, &mut ev, trace.as_deref_mut())
             } else {
                 let residency = residency_stage().span();
-                store_fault_in = self.ensure_resident(&mut users, user, query_text);
-                store_evict = self.evict_overflow(&mut users, user, query_text) > 0;
+                ev.store_fault_in = self.ensure_resident(&mut users, user, query_text);
+                ev.store_evict = self.evict_overflow(&mut users, user, query_text) > 0;
                 drop(residency);
                 // Fault-in may have re-seeded statistics keys and
                 // republished the snapshot; re-read so this very turn's
@@ -1650,61 +1595,64 @@ impl<'a> ServingEngine<'a> {
                         query_text,
                         &state,
                         stats,
-                        trace.as_mut(),
+                        &mut ev,
+                        trace.as_deref_mut(),
                         Some(&mut gate),
                     )
                 }));
                 match caught {
-                    Ok((turn, aborted_at, hit)) => {
-                        degraded = aborted_at.map(DegradeReason::from_checkpoint);
-                        cache_hit = hit;
+                    Ok((turn, aborted_at)) => {
+                        degraded = aborted_at.map(deadline_reason);
                         turn
                     }
                     Err(_) => {
                         // `search_user_gated` only reads its snapshot,
                         // so the user's state is still good — no
                         // eviction, no rollback. Re-serve from the
-                        // stateless baseline path.
-                        degraded = Some(DegradeReason::PanicIsolated);
-                        self.core.degraded_search(user, query_text, stats)
+                        // stateless baseline path, which overwrites the
+                        // aborted attempt's β and cache hit in the event.
+                        degraded = Some(DegradeReason::Panic);
+                        self.core.degraded_search(
+                            user,
+                            query_text,
+                            stats,
+                            &mut ev,
+                            trace.as_deref_mut(),
+                        )
                     }
                 }
             }
         };
-        let total_nanos = span.finish();
+        ev.total_nanos = span.finish();
         shard.inflight.fetch_sub(1, Ordering::Relaxed);
-        if cache_hit != Some(true) {
+        if ev.cache_hit != Some(true) {
             // This turn did real retrieval work: fold it into the
             // uncached-latency EWMA the retry-after hint scales by.
             let prev = shard.uncached_ewma_nanos.load(Ordering::Relaxed);
             let next = if prev == 0 {
-                total_nanos
+                ev.total_nanos
             } else {
-                prev.saturating_sub(prev / 8).saturating_add(total_nanos / 8)
+                prev.saturating_sub(prev / 8).saturating_add(ev.total_nanos / 8)
             };
             shard.uncached_ewma_nanos.store(next.max(1), Ordering::Relaxed);
         }
         if let Some(reason) = degraded {
             self.fault.degraded(reason).incr(1);
         }
-        if let Some(t) = trace.as_mut() {
-            t.total_nanos = total_nanos;
-            t.degraded = degraded.map(DegradeReason::as_str);
-        }
-        if let (Some(fl), Some(t)) = (&self.flight, trace.as_ref()) {
-            let mut ev = FlightEvent::from_trace(t);
-            ev.degraded = degraded.map_or(DegradeCode::None, DegradeCode::from);
-            ev.query_hash = pws_obs::event::query_hash(&query_key);
-            ev.page_fingerprint =
-                pws_obs::event::page_fingerprint(turn.hits.iter().map(|h| (h.doc, h.rank)));
-            ev.store_fault_in = store_fault_in;
-            ev.store_evict = store_evict;
+        ev.degraded = degraded;
+        ev.query_hash = pws_obs::event::query_hash(&query_key);
+        ev.page_fingerprint =
+            pws_obs::event::page_fingerprint(turn.hits.iter().map(|h| (h.doc, h.rank)));
+        if let Some(fl) = &self.flight {
             fl.record(shard_idx, ev);
             if degraded.is_some() {
                 fl.note_burst(DumpReason::DegradeBurst);
             }
         }
-        Ok((SearchResponse { turn, degraded }, trace))
+        if let Some(t) = trace {
+            t.event = ev;
+        }
+        Ok(SearchResponse { turn, degraded })
     }
 
     /// Each shard's current in-flight request count (index-aligned with
@@ -2013,6 +1961,7 @@ mod tests {
     use pws_corpus::query::QueryId;
     use pws_geo::{LocId, LocationOntology};
     use pws_index::{IndexBuilder, SearchEngine, StoredDoc};
+    use pws_obs::trace::BetaProvenance;
 
     // Stage counters are process-wide and several tests here reconcile exact
     // counts, so every test that drives an engine holds `pws_obs::test_lock()`
@@ -2531,9 +2480,9 @@ mod tests {
         }
     }
 
-    /// `search_traced` stamps the serving context on the full decision
-    /// record, and each shard's flight ring holds at most its capacity,
-    /// overwriting oldest.
+    /// `search_traced` returns the full decision record around the event
+    /// the serving path stamped, and each shard's flight ring holds at
+    /// most its capacity, overwriting oldest.
     #[test]
     fn traces_carry_serving_context() {
         let _guard = pws_obs::test_lock();
@@ -2547,12 +2496,14 @@ mod tests {
         );
         for u in 0..6u32 {
             let (_, t) = e.search_traced(UserId(u), "seafood restaurant");
-            let shard = t.shard.expect("serving layer stamps the shard");
-            assert!(shard < 4);
-            assert!(t.queue_depth.is_some(), "queue depth at admission");
-            assert!(t.total_nanos > 0, "end-to-end latency stamped");
+            assert_eq!(t.event.user, u);
+            assert_eq!(t.event.shard as usize, e.shard_of(UserId(u)), "serving layer stamps the shard");
+            assert!(t.event.shard < 4);
+            assert_eq!(t.event.queue_depth, 0, "queue depth at admission: nothing else in flight");
+            assert!(t.event.total_nanos > 0, "end-to-end latency stamped");
             assert!(!t.results.is_empty(), "full decision record");
-            assert!(!t.stages.is_empty());
+            assert!(t.personalized);
+            assert!(t.event.stage_nanos.iter().all(|&n| n > 0), "{:?}", t.event.stage_nanos);
         }
         let e = ServingEngine::new(
             &idx,
@@ -2580,7 +2531,7 @@ mod tests {
         // But a forced trace still works, without recording an event.
         let (turn, trace) = e.search_traced(UserId(0), "restaurant");
         assert_eq!(trace.query_text, "restaurant");
-        assert_eq!(trace.user, 0);
+        assert_eq!(trace.event.user, 0);
         assert!(!trace.results.is_empty());
         assert!(e.flight_events().is_empty());
         // And it matches the untraced search byte-for-byte.
@@ -2663,7 +2614,7 @@ mod tests {
         // profile before aborting, the stateless path against a default
         // one — but neither re-orders the pool).
         let baseline = e.core().degraded_search(UserId(7), "seafood restaurant",
-            e.query_stats("seafood restaurant").as_ref());
+            e.query_stats("seafood restaurant").as_ref(), &mut FlightEvent::empty(), None);
         let page = |t: &SearchTurn| -> Vec<(u32, usize, String)> {
             t.hits.iter().map(|h| (h.doc, h.rank, format!("{:.12}", h.score))).collect()
         };
@@ -2749,7 +2700,7 @@ mod tests {
         let resp = e
             .search_with(UserId(5), "boom seafood restaurant", SearchBudget::none())
             .expect("panics degrade, never shed");
-        assert_eq!(resp.degraded, Some(DegradeReason::PanicIsolated));
+        assert_eq!(resp.degraded, Some(DegradeReason::Panic));
         assert!(!resp.turn.hits.is_empty(), "isolated panic still answers the query");
         // The read path never mutates state, so the user's profile
         // survives the panic untouched and healthy queries are
@@ -2802,7 +2753,13 @@ mod tests {
         // the user map).
         let stranger = UserId(999);
         let residents = e.resident_count();
-        let turn = e.core().degraded_search(stranger, "boom restaurant", None);
+        let turn = e.core().degraded_search(
+            stranger,
+            "boom restaurant",
+            None,
+            &mut FlightEvent::empty(),
+            None,
+        );
         e.observe(&turn, &impression_from(&turn, &click_rule(&turn)));
         assert_eq!(e.resident_count(), residents, "no new resident user");
         assert!(e.user_state(stranger).is_none());
@@ -2971,28 +2928,6 @@ mod tests {
         assert_eq!(e.user_count(), 0, "failed import leaves no state");
     }
 
-    /// The flight event is stamped from the typed reason: every
-    /// [`DegradeReason`] has its own non-`None` [`DegradeCode`], and the
-    /// code's label is the reason's counter/trace label.
-    #[test]
-    fn every_degrade_reason_has_its_own_flight_code() {
-        let reasons = [
-            DegradeReason::DeadlineRetrieval,
-            DegradeReason::DeadlineConcepts,
-            DegradeReason::DeadlineFeatures,
-            DegradeReason::PanicIsolated,
-            DegradeReason::LockPoisoned,
-        ];
-        let codes: HashSet<u8> = reasons.iter().map(|r| DegradeCode::from(*r) as u8).collect();
-        assert_eq!(codes.len(), reasons.len(), "codes are distinct");
-        assert_eq!(codes.len() + 1, DegradeCode::ALL.len(), "every code but `None` is used");
-        for r in reasons {
-            let code = DegradeCode::from(r);
-            assert_ne!(code, DegradeCode::None, "{r:?} would be recorded as healthy");
-            assert_eq!(code.label(), Some(r.as_str()));
-        }
-    }
-
     #[test]
     fn degraded_turns_are_visible_in_traces_and_counters() {
         let _guard = pws_obs::test_lock();
@@ -3011,13 +2946,18 @@ mod tests {
             .expect("healthy");
         let events = e.flight_events();
         assert_eq!(events.len(), 2);
-        assert_eq!(events[0].degraded, DegradeCode::DeadlineRetrieval);
-        assert_eq!(events[1].degraded, DegradeCode::None);
+        assert_eq!(events[0].degraded, Some(DegradeReason::DeadlineRetrieval));
+        assert_eq!(events[1].degraded, None);
         let snap = pws_obs::snapshot();
         let count = |name: &str| {
             snap.stages.iter().find(|s| s.name == name).map(|s| s.count).unwrap_or(0)
         };
         assert_eq!(count("serve.degraded.deadline_retrieval"), 1);
+        // Each reason counts under its own label.
+        for reason in DegradeReason::ALL {
+            let name = format!("serve.degraded.{}", reason.label());
+            assert_eq!(e.fault.degraded(reason).name(), name);
+        }
     }
 
     /// Satellite of the retrieval fast path: with the shared retrieval
@@ -3169,12 +3109,12 @@ mod tests {
         let w = world();
         let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
         let (turn_miss, t1) = e.search_traced(UserId(0), "seafood restaurant");
-        assert_eq!(t1.cache_hit, Some(false), "cold cache: first probe misses");
+        assert_eq!(t1.event.cache_hit, Some(false), "cold cache: first probe misses");
         let (turn_hit, t2) = e.search_traced(UserId(1), "seafood restaurant");
-        assert_eq!(t2.cache_hit, Some(true), "second identical query hits");
+        assert_eq!(t2.event.cache_hit, Some(true), "second identical query hits");
         // Analysis-equivalent surface forms share one entry.
         let (_, t3) = e.search_traced(UserId(2), "Seafood  RESTAURANT");
-        assert_eq!(t3.cache_hit, Some(true), "key is the analyzed token sequence");
+        assert_eq!(t3.event.cache_hit, Some(true), "key is the analyzed token sequence");
         // A cached turn is byte-identical to the uncached one apart
         // from user id (different users, same query, no learned state).
         let page = |t: &SearchTurn| -> Vec<(u32, usize, String)> {
@@ -3188,7 +3128,7 @@ mod tests {
             ServeConfig { retrieval_cache_capacity: 0, ..ServeConfig::default() },
         );
         let (_, t4) = e2.search_traced(UserId(0), "seafood restaurant");
-        assert_eq!(t4.cache_hit, None, "no cache configured → no stamp");
+        assert_eq!(t4.event.cache_hit, None, "no cache configured → no stamp");
     }
 
     #[test]
@@ -3634,6 +3574,12 @@ mod tests {
         let mut expected = Vec::new();
         for u in 0..4u32 {
             for q in queries {
+                // Adaptive β: the neutral prior until the query has
+                // statistics in the snapshot the search reads.
+                let provenance = match e.query_stats(q) {
+                    Some(_) => BetaProvenance::Adaptive,
+                    None => BetaProvenance::AdaptiveNeutral,
+                };
                 let turn = e.search(UserId(u), q);
                 expected.push((
                     u,
@@ -3642,6 +3588,8 @@ mod tests {
                     pws_obs::event::page_fingerprint(
                         turn.hits.iter().map(|h| (h.doc, h.rank)),
                     ),
+                    turn.beta,
+                    provenance,
                 ));
                 let imp = impression_from(&turn, &click_rule(&turn));
                 e.observe(&turn, &imp);
@@ -3649,16 +3597,17 @@ mod tests {
         }
         let events = e.flight_events();
         assert_eq!(events.len(), expected.len(), "one event per admitted turn");
-        for (user, shard, qh, page) in expected {
+        for (user, shard, qh, page, beta, provenance) in expected {
             let ev = events
                 .iter()
                 .find(|ev| ev.user == user && ev.query_hash == qh)
                 .unwrap_or_else(|| panic!("no event for user {user} query hash {qh:#x}"));
             assert_eq!(ev.shard, shard, "event carries its shard");
             assert_eq!(ev.page_fingerprint, page, "fingerprint matches the returned page");
-            assert_eq!(ev.degraded, pws_obs::event::DegradeCode::None);
+            assert_eq!(ev.degraded, None);
             assert!(ev.total_nanos > 0, "stage timings were recorded");
-            assert!(ev.beta().is_finite());
+            assert_eq!(ev.beta().to_bits(), beta.to_bits(), "the β the turn ranked with");
+            assert_eq!(ev.beta_provenance, provenance);
         }
         // The on-demand dump round-trips through the PWSFLT1 codec.
         let dump = e.flight_dump(DumpReason::OnDemand).expect("recorder enabled");
@@ -3715,7 +3664,7 @@ mod tests {
         assert!(dump
             .events
             .iter()
-            .all(|ev| ev.degraded == pws_obs::event::DegradeCode::DeadlineRetrieval));
+            .all(|ev| ev.degraded == Some(DegradeReason::DeadlineRetrieval)));
         // Other recorder-enabled tests may run concurrently (global
         // registry), so lower-bound the flight counters.
         let snap = pws_obs::snapshot();
@@ -3725,6 +3674,86 @@ mod tests {
         assert_eq!(count("serve.flight.dump_error"), 0);
         drop(e);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// With the recorder on, `search_traced` records the very event it
+    /// returns inside the trace, and a plain `search` records the same
+    /// header for the same turn — one record per query.
+    #[test]
+    fn search_traced_records_the_event_it_returns() {
+        let _guard = pws_obs::test_lock();
+        let idx = index();
+        let w = world();
+        let e = ServingEngine::new(
+            &idx,
+            &w,
+            EngineConfig::default(),
+            ServeConfig { shards: 2, flight: FlightConfig::enabled(8), ..ServeConfig::default() },
+        );
+        let (turn, trace) = e.search_traced(UserId(3), "seafood restaurant");
+        let events = e.flight_events();
+        assert_eq!(events, vec![trace.event], "the recorded event is the trace's event");
+        assert_eq!(trace.event.beta().to_bits(), turn.beta.to_bits());
+        assert_eq!(
+            trace.event.page_fingerprint,
+            pws_obs::event::page_fingerprint(turn.hits.iter().map(|h| (h.doc, h.rank)))
+        );
+        let plain = e.search(UserId(3), "seafood restaurant");
+        let ev = e.flight_events()[1];
+        assert_eq!(ev.page_fingerprint, trace.event.page_fingerprint);
+        assert_eq!(ev.beta_bits, trace.event.beta_bits);
+        assert_eq!(format!("{plain:?}"), format!("{turn:?}"));
+    }
+
+    /// A degraded turn's event describes the turn that was served, not
+    /// the attempt that was abandoned: β and provenance are the served
+    /// turn's, and the retrieval slot holds the retrieval that served
+    /// it — for an expired budget, a panic at the concepts checkpoint,
+    /// and a lock poisoned at admission.
+    #[test]
+    fn degraded_events_describe_the_served_turn() {
+        let _guard = pws_obs::test_lock();
+        quiet_injected_panics();
+        let idx = index();
+        let w = world();
+        let cfg = EngineConfig { blend: BlendStrategy::Fixed(0.25), ..EngineConfig::default() };
+        let serve =
+            ServeConfig { shards: 1, flight: FlightConfig::enabled(8), ..ServeConfig::default() };
+        let cases = [
+            (None, SearchBudget::already_expired(), DegradeReason::DeadlineRetrieval),
+            (Some((FaultStage::Concepts, FaultAction::Panic)), SearchBudget::none(), DegradeReason::Panic),
+            (
+                Some((FaultStage::Admission, FaultAction::PoisonLock)),
+                SearchBudget::none(),
+                DegradeReason::LockPoisoned,
+            ),
+        ];
+        for (fault, budget, reason) in cases {
+            let mut e = ServingEngine::new(&idx, &w, cfg.clone(), serve.clone());
+            if let Some((stage, action)) = fault {
+                e = e.with_fault_plan(Arc::new(TargetedPlan { stage, action, query_contains: "boom" }));
+            }
+            let resp = e
+                .search_with(UserId(3), "boom seafood restaurant", budget)
+                .expect("degrades, never sheds");
+            assert_eq!(resp.degraded, Some(reason));
+            assert_eq!(resp.turn.beta, 0.25);
+            let events = e.flight_events();
+            assert_eq!(events.len(), 1);
+            let ev = events[0];
+            assert_eq!(ev.degraded, Some(reason));
+            assert_eq!(ev.beta().to_bits(), resp.turn.beta.to_bits(), "{reason:?}: served β");
+            assert_eq!(ev.beta_provenance, BetaProvenance::Fixed, "{reason:?}");
+            assert!(ev.stage_nanos[0] > 0, "{reason:?}: the served retrieval is timed");
+            if fault.is_some() {
+                // The fault fires again: the trace's event is the served turn's too.
+                let (turn, trace) = e.search_traced(UserId(3), "boom seafood restaurant");
+                assert_eq!(trace.event.degraded, Some(reason));
+                assert_eq!(trace.event.beta().to_bits(), turn.beta.to_bits(), "{reason:?}");
+                assert_eq!(trace.event.beta_provenance, BetaProvenance::Fixed);
+                assert!(!trace.personalized);
+            }
+        }
     }
 
     /// With a capacity-1 store tier the flight events carry the

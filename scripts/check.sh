@@ -277,16 +277,25 @@ if only_in_fn 'store.get(' 'stored_state' crates/pws-serve/src/*.rs | grep .; th
     exit 1
 fi
 
-echo "==> one per-query record gate (QueryTrace built only in search_inner, never kept in a container)"
-# A served query is recorded in one place, the per-shard flight ring of
-# fixed-width FlightEvents; a full QueryTrace exists only for the caller
-# that asked for it (crates/pws-serve/src/lib.rs: search_traced, and the
-# flight recorder's event built from it). A second QueryTrace constructor
-# or a ring, list or queue of traces is a second record of recent
-# traffic with its own admission rule — the slow-query ring this
-# replaced. #[cfg(test)] modules are exempt.
-if only_in_fn 'QueryTrace::new(' 'search_inner' crates/pws-serve/src/*.rs | grep .; then
-    echo "FAIL: QueryTrace built outside ServingEngine::search_inner"
+echo "==> one per-query record gate (the serving path fills the FlightEvent; QueryTrace built only by search_traced)"
+# A served query is recorded once, as the fixed-width FlightEvent the
+# path that served it fills: EngineCore writes the stage slots, β and
+# cache hit of the turn it served, and ServingEngine::search_inner stamps
+# the serving context. A QueryTrace is that event plus the decision
+# detail, built only for the caller that asked for one
+# (crates/pws-serve/src/lib.rs: search_traced). Copying an event out of
+# a trace (`from_trace`) is a second writer of the same header; a second
+# QueryTrace constructor, or a ring, list or queue of traces, is a second
+# record of recent traffic with its own admission rule. #[cfg(test)]
+# modules and crates/*/tests are exempt.
+if find crates -name '*.rs' -not -path '*/tests/*' | sort | while read -r f; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /^[ \t]*\/\// { next } { print f ":" FNR ":" $0 }' "$f"
+done | grep -F 'from_trace'; then
+    echo "FAIL: a flight event copied out of a trace — the serving path fills the event itself"
+    exit 1
+fi
+if only_in_fn 'QueryTrace::new(' 'search_traced' crates/pws-serve/src/*.rs | grep .; then
+    echo "FAIL: QueryTrace built outside ServingEngine::search_traced"
     exit 1
 fi
 if for f in crates/pws-serve/src/*.rs; do
