@@ -359,12 +359,9 @@ fn main() {
             scope.spawn(move || {
                 let mut i: u64 = (w as u64) << 32;
                 while !stop.load(Ordering::Relaxed) {
-                    // SplitMix64 finalizer: the same deterministic
-                    // (user, query) schedule serve_bench uses.
-                    let mut z = i.wrapping_add(0x9E3779B97F4A7C15);
-                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-                    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-                    let tag = z ^ (z >> 31);
+                    // The same deterministic (user, query) schedule
+                    // serve_bench uses.
+                    let tag = pws_obs::format::splitmix64(i);
                     let user = UserId((tag % users) as u32);
                     let qidx = (tag >> 16) % n_queries;
                     let text = &queries[qidx as usize].text;

@@ -17,7 +17,7 @@
 //!   executor is gated against;
 //! * **cached** — [`SegmentedIndex::search_tokens`] on
 //!   `ExperimentWorld.engine` (the single segment [`IndexBuilder`] built
-//!   in RAM) behind `pws-serve`'s [`ShardedRetrievalCache`] (analyze once,
+//!   in RAM) behind `pws-core`'s [`RetrievalCache`] (analyze once,
 //!   probe, fall through on miss), the configuration the serving layer
 //!   runs;
 //! * **segmented** — [`SegmentedIndex::search`] over four segment files
@@ -48,7 +48,6 @@ use pws_corpus::{CorpusGen, CorpusSpec, Query, QueryGen, QuerySpec};
 use pws_eval::{ExperimentSpec, ExperimentWorld};
 use pws_geo::{WorldGen, WorldSpec};
 use pws_index::{SearchHit, Segment, SegmentBuilder, SegmentedIndex, SEGMENT_FORMAT};
-use pws_serve::ShardedRetrievalCache;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -73,7 +72,7 @@ struct Backend<'a> {
 
 fn backends<'a>(
     engine: &'a SegmentedIndex,
-    cache: &'a ShardedRetrievalCache,
+    cache: &'a RetrievalCache,
     segmented: &'a SegmentedIndex,
 ) -> Vec<Backend<'a>> {
     vec![
@@ -98,14 +97,13 @@ fn backends<'a>(
 /// What the engine core does per base retrieval: analyze once, probe the
 /// cache, fall through to the index on a miss and fill; then copy the
 /// shared pool out once, as the engine does into its candidate pool.
-fn cached_search(index: &SegmentedIndex, cache: &ShardedRetrievalCache, q: &str) -> Vec<SearchHit> {
+fn cached_search(index: &SegmentedIndex, cache: &RetrievalCache, q: &str) -> Vec<SearchHit> {
     let tokens = index.analyze_text(q);
-    let epoch = cache.epoch();
     if let Some(hits) = cache.get(&tokens, POOL_K) {
         return hits.to_vec();
     }
     let hits: Arc<[SearchHit]> = index.search_tokens(&tokens, POOL_K).into();
-    cache.put(&tokens, POOL_K, epoch, Arc::clone(&hits));
+    cache.put(&tokens, POOL_K, Arc::clone(&hits));
     hits.to_vec()
 }
 
@@ -165,7 +163,7 @@ fn check_corruption_detection(world: &ExperimentWorld) -> usize {
 
 fn verify(
     world: &ExperimentWorld,
-    cache: &ShardedRetrievalCache,
+    cache: &RetrievalCache,
     segmented: &SegmentedIndex,
 ) -> usize {
     let mut disagreements = 0;
@@ -312,7 +310,7 @@ fn run_world_scale(scale: &'static str, spec: ExperimentSpec, smoke: bool) {
     let (segmented, build_secs) = segmented_from_disk(&world, &seg_dir, 4);
 
     // ── Correctness gate ─────────────────────────────────────────────
-    let verify_cache = ShardedRetrievalCache::new(4096);
+    let verify_cache = RetrievalCache::new(4096);
     let disagreements = verify(&world, &verify_cache, &segmented);
     if disagreements > 0 {
         eprintln!(
@@ -339,7 +337,7 @@ fn run_world_scale(scale: &'static str, spec: ExperimentSpec, smoke: bool) {
 
     // ── Timing ───────────────────────────────────────────────────────
     let rounds = MIN_MEASURED_QUERIES.div_ceil(world.queries.len()).max(1);
-    let bench_cache = ShardedRetrievalCache::new(4096);
+    let bench_cache = RetrievalCache::new(4096);
     let mut reports = Vec::new();
     for b in backends(&world.engine, &bench_cache, &segmented) {
         reports.push(time_backend(b.name, b.stage, &world.queries, rounds, &b.run));
@@ -438,7 +436,7 @@ fn run_large() {
 
     // ── Timing ───────────────────────────────────────────────────────
     let rounds = MIN_MEASURED_QUERIES.div_ceil(queries.len()).max(1);
-    let bench_cache = ShardedRetrievalCache::new(4096);
+    let bench_cache = RetrievalCache::new(4096);
     let reports = vec![
         time_backend("segmented", "bench.retrieval.segmented", &queries, rounds, &|q| {
             segmented.search(q, POOL_K)

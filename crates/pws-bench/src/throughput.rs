@@ -17,6 +17,7 @@ use pws_click::{Click, Impression, ShownResult, UserId};
 use pws_core::{EngineConfig, SearchTurn};
 use pws_corpus::query::QueryId;
 use pws_eval::ExperimentWorld;
+use pws_obs::format::splitmix64;
 use pws_serve::{quiet_injected_panics, SearchBudget, ServeConfig, ServingEngine};
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -126,14 +127,6 @@ impl ThroughputReport {
     }
 }
 
-/// SplitMix64 finalizer for the per-worker schedules.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 /// Build the feedback impression for a turn: a click on the top result.
 fn top_click_impression(turn: &SearchTurn, qid: QueryId) -> Impression {
     Impression {
@@ -213,7 +206,7 @@ pub fn run_throughput(world: &ExperimentWorld, opts: &ThroughputOptions) -> Thro
                 let mut samples: Vec<u64> =
                     Vec::with_capacity(opts.requests_per_worker * 2);
                 for i in 0..opts.requests_per_worker {
-                    let tag = mix((w as u64) << 32 | i as u64);
+                    let tag = splitmix64((w as u64) << 32 | i as u64);
                     let user = UserId((tag % users) as u32);
                     let qidx = (tag >> 16) % n_queries;
                     let text = &queries[qidx as usize].text;

@@ -27,6 +27,7 @@
 //! drives the same injector under concurrent load (see `pws-bench`).
 
 use pws_click::UserId;
+use pws_obs::format::splitmix64;
 use pws_serve::{FaultAction, FaultPlan, FaultStage};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -189,7 +190,9 @@ pub struct SeededFaultPlan {
     faulted: Mutex<HashSet<u32>>,
 }
 
-/// FNV-1a over the little-endian words, then the bytes.
+/// FNV-1a over the little-endian words, then the bytes. Rolls finalize
+/// it with SplitMix64: FNV alone mixes the low bits poorly for
+/// modulo-style rolls.
 fn fnv1a_words(words: &[u64], bytes: &[u8]) -> u64 {
     let mut h = pws_obs::format::Fnv1a64::new();
     for w in words {
@@ -197,15 +200,6 @@ fn fnv1a_words(words: &[u64], bytes: &[u8]) -> u64 {
     }
     h.write(bytes);
     h.finish()
-}
-
-/// SplitMix64 finalizer: FNV alone mixes the low bits poorly for
-/// modulo-style rolls; one finalizer round fixes that.
-fn finalize(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 /// Per-fault-family salts so the panic / delay / poison rolls at one
@@ -266,7 +260,7 @@ impl SeededFaultPlan {
         if every == 0 {
             return false;
         }
-        let h = finalize(fnv1a_words(
+        let h = splitmix64(fnv1a_words(
             &[self.spec.seed, user.0 as u64, stage_tag(stage), salt],
             query.as_bytes(),
         ));

@@ -157,8 +157,8 @@ pub struct EngineCore<'a> {
     /// by every user. An analysis is a pure function of the snippet text,
     /// so memoization never changes a turn's bytes.
     concept_memo: ConceptMemo,
-    /// Optional shared base-retrieval cache (see [`RetrievalCache`]).
-    retrieval_cache: Option<std::sync::Arc<dyn RetrievalCache>>,
+    /// The shared base-retrieval cache, when this core owns one.
+    retrieval_cache: Option<RetrievalCache>,
 }
 
 impl<'a> EngineCore<'a> {
@@ -197,14 +197,12 @@ impl<'a> EngineCore<'a> {
         self
     }
 
-    /// Attach a shared base-retrieval cache. Base retrieval is
-    /// user-independent, so cached pools are byte-identical to fresh ones;
-    /// budget checkpoints and degradation still apply to cached turns.
-    pub fn with_retrieval_cache(
-        mut self,
-        cache: std::sync::Arc<dyn RetrievalCache>,
-    ) -> Self {
-        self.retrieval_cache = Some(cache);
+    /// Give the core a base-retrieval cache of `capacity` pools (see
+    /// [`RetrievalCache`]). Base retrieval is user-independent, so cached
+    /// pools are byte-identical to fresh ones; budget checkpoints and
+    /// degradation still apply to cached turns.
+    pub fn with_retrieval_cache(mut self, capacity: usize) -> Self {
+        self.retrieval_cache = Some(RetrievalCache::new(capacity));
         self
     }
 
@@ -219,7 +217,7 @@ impl<'a> EngineCore<'a> {
     }
 
     /// Base retrieval for `query_text` with the configured pool size,
-    /// consulting the retrieval cache when one is attached. Returns the
+    /// consulting the retrieval cache when the core owns one. Returns the
     /// hits — shared with the cache, so a cached pool costs a reference
     /// count — plus `Some(hit?)` when a cache was consulted (`None`
     /// without a cache) for the event's cache stamp.
@@ -230,15 +228,11 @@ impl<'a> EngineCore<'a> {
         let Some(cache) = &self.retrieval_cache else {
             return (self.base.search_tokens(&tokens, k).into(), None);
         };
-        // Read before the probe and the search: a pool computed from a
-        // pre-publish index snapshot then carries the pre-publish epoch,
-        // whenever the `put` lands.
-        let epoch = cache.epoch();
         if let Some(hits) = cache.get(&tokens, k) {
             return (hits, Some(true));
         }
         let hits: Arc<[SearchHit]> = self.base.search_tokens(&tokens, k).into();
-        cache.put(&tokens, k, epoch, Arc::clone(&hits));
+        cache.put(&tokens, k, Arc::clone(&hits));
         (hits, Some(false))
     }
 
@@ -320,21 +314,12 @@ impl<'a> EngineCore<'a> {
         contains_token_seq(&self.analyzer, query_text, city_name)
     }
 
-    /// β for a query under the configured strategy and mode, given the
-    /// query's accumulated click statistics (if any).
-    pub fn choose_beta(&self, stats: Option<&QueryStats>) -> f64 {
-        let _span = self.metrics.beta.span();
-        self.beta_decision(stats).0
-    }
-
-    /// The full β decision: the value [`choose_beta`] would return, its
-    /// provenance (mode-pinned / fixed / adaptive) and, on the adaptive
-    /// path, the entropy-derived effectiveness inputs. This is the
-    /// *single* implementation of the blend policy — `choose_beta`
-    /// delegates here, so a turn's event can never report a β different
-    /// from the one the engine ranked with.
-    ///
-    /// [`choose_beta`]: Self::choose_beta
+    /// The β decision for a query under the configured strategy and
+    /// mode, given the query's accumulated click statistics (if any): the
+    /// value, its provenance (mode-pinned / fixed / adaptive) and, on the
+    /// adaptive path, the entropy-derived effectiveness inputs. This is
+    /// the *single* implementation of the blend policy, so a turn's event
+    /// can never report a β different from the one the engine ranked with.
     pub fn beta_decision(
         &self,
         stats: Option<&QueryStats>,

@@ -15,7 +15,6 @@ use pws_click::{Impression, UserId};
 use pws_entropy::QueryStats;
 use pws_obs::event::FlightEvent;
 use pws_obs::trace::QueryTrace;
-use pws_profile::UserHistory;
 use std::collections::HashMap;
 
 /// The engine: baseline retrieval + per-user personalization state.
@@ -78,16 +77,6 @@ impl<'a> PersonalizedSearchEngine<'a> {
         self
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &EngineConfig {
-        self.core.config()
-    }
-
-    /// The shared read side this engine drives.
-    pub fn core(&self) -> &EngineCore<'a> {
-        &self.core
-    }
-
     /// Borrow a user's state (if the user has been seen).
     pub fn user_state(&self, user: UserId) -> Option<&UserState> {
         self.users.get(&user)
@@ -142,16 +131,6 @@ impl<'a> PersonalizedSearchEngine<'a> {
             .or_default();
         let state = self.users.entry(turn.user).or_default();
         self.core.observe_user(turn, impression, state, stats);
-    }
-
-    /// Reset one user's learned state (testing / right-to-be-forgotten).
-    pub fn forget_user(&mut self, user: UserId) {
-        self.users.remove(&user);
-    }
-
-    /// A view of the revisit history for external diagnostics.
-    pub fn user_history(&self, user: UserId) -> Option<&UserHistory> {
-        self.users.get(&user).map(|s| &s.history)
     }
 }
 
@@ -381,7 +360,7 @@ mod tests {
         let mut e = PersonalizedSearchEngine::new(&idx, &w, EngineConfig::default());
         let turn = e.search(UserId(0), "seafood restaurant");
         assert!(turn.personalized);
-        let pool = idx.search("seafood restaurant", e.config().rerank_pool);
+        let pool = idx.search("seafood restaurant", e.core.config().rerank_pool);
         let max = pool.iter().map(|h| h.score).fold(0.0_f64, f64::max);
         assert!(max > 0.0);
         for (h, f) in turn.hits.iter().zip(&turn.features) {
@@ -403,7 +382,7 @@ mod tests {
         let idx = index();
         let w = world();
         let e = PersonalizedSearchEngine::new(&idx, &w, EngineConfig::default());
-        let core = e.core();
+        let core = &e.core;
         // Exact and multi-word mentions are detected…
         assert!(core.query_mentions_city("restaurants in alden", "alden"));
         assert!(core.query_mentions_city("Alden harbor seafood", "alden"));
@@ -553,19 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn forget_user_clears_state() {
-        let idx = index();
-        let w = world();
-        let mut e = PersonalizedSearchEngine::new(&idx, &w, EngineConfig::default());
-        let turn = e.search(UserId(0), "restaurant");
-        let imp = impression_from(&turn, &[1]);
-        e.observe(&turn, &imp);
-        assert!(e.user_state(UserId(0)).is_some());
-        e.forget_user(UserId(0));
-        assert!(e.user_state(UserId(0)).is_none());
-    }
-
-    #[test]
     fn geo_smoothing_scores_nearby_cities() {
         let idx = index();
         let w = world();
@@ -619,7 +585,7 @@ mod tests {
         {
             let mut gate = |at: StageCheckpoint| at == cp;
             let before = prepared();
-            let (turn, aborted) = e.core().search_user_gated(
+            let (turn, aborted) = e.core.search_user_gated(
                 user,
                 "seafood restaurant",
                 &state,
@@ -634,7 +600,7 @@ mod tests {
         }
 
         let before = prepared();
-        e.core().degraded_search(user, "seafood restaurant", None, &mut FlightEvent::empty(), None);
+        e.core.degraded_search(user, "seafood restaurant", None, &mut FlightEvent::empty(), None);
         assert_eq!(prepared() - before, 1, "stateless escape hatch");
 
         let mut baseline = PersonalizedSearchEngine::new(

@@ -70,11 +70,6 @@ impl UserState {
         }
     }
 
-    /// Is the user still cold (no clicks observed)?
-    pub fn is_cold(&self) -> bool {
-        self.observations == 0
-    }
-
     /// Record that this user contributed to the stats of `query_key`
     /// (insertion keeps the list sorted and deduplicated).
     pub fn note_query(&mut self, query_key: &str) {
@@ -189,7 +184,7 @@ mod tests {
     #[test]
     fn fresh_state_is_cold_with_prior_model() {
         let s = UserState::new();
-        assert!(s.is_cold());
+        assert_eq!(s.observations, 0);
         assert_eq!(s.model.dim(), FEATURE_DIM);
         assert!(s.model.weights[0] > 0.0);
         assert!(s.pairs.is_empty());

@@ -19,6 +19,7 @@
 use crate::doc::{Corpus, DocId, Document};
 use crate::vocab::{TopicId, Topics, FILLER};
 use pws_geo::{LocId, LocationOntology};
+use pws_obs::format::splitmix64;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -305,6 +306,7 @@ impl DocGen<'_> {
     /// Generate document `i` (0-based; `i < len()`).
     pub fn doc(&self, i: usize) -> Document {
         assert!(i < self.spec.num_docs, "doc index {i} out of range");
+        // Mixed so neighbouring documents don't share RNG streams.
         let mut rng = StdRng::seed_from_u64(splitmix64(self.gen.seed ^ (i as u64)));
         let topic = sample_topic(&mut rng, &self.weights, self.total_w);
         let city = if rng.gen_bool(self.spec.localized_prob) {
@@ -323,15 +325,6 @@ impl DocGen<'_> {
             &self.domains[topic.index()],
         )
     }
-}
-
-/// SplitMix64 finalizer: decorrelates consecutive per-document seeds so
-/// neighbouring documents don't share RNG streams.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 /// Sample a topic index from the weight table.

@@ -4,9 +4,14 @@
 //! consumes from base retrieval: analyze text the way the index does,
 //! run a top-k query (raw or pre-analyzed), and re-score specific
 //! documents against a query. [`crate::segmented::SegmentedIndex`] (of
-//! which [`crate::SearchEngine`] is the one-segment-in-RAM case) is the
-//! implementation; `pws-serve`'s `LiveIndex` wraps it to absorb segment
-//! publishes while an engine borrows the backend.
+//! which [`crate::SearchEngine`] is an alias, the one-segment-in-RAM
+//! case) is its only implementor: the index an engine serves is fixed
+//! for the engine's lifetime.
+//!
+//! The trait stays because the end-to-end benchmark package (`bench/`)
+//! builds every engine through `&dyn RetrievalBackend`; retiring it, so
+//! that `EngineCore` holds the concrete index, starts with a change to
+//! that benchmark package.
 
 use crate::search::SearchHit;
 use crate::segmented::SegmentedIndex;

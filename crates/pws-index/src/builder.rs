@@ -104,7 +104,12 @@ mod tests {
         let e = b.build();
         let hits = e.search("fish", 10);
         assert_eq!(hits.len(), 1);
-        // tf info is internal; verify via df accessor instead.
-        assert_eq!(e.doc_frequency("fish"), 1);
+        // One posting for the doc, carrying all three occurrences.
+        let seg = &e.segments()[0];
+        let ord = seg.term_ord("fish").expect("indexed term");
+        assert_eq!(seg.term_meta(ord).df, 1);
+        let mut postings = Vec::new();
+        assert!(seg.decode_block(&seg.term_blocks(ord)[0], &mut postings));
+        assert_eq!(postings, vec![(0, 3)]);
     }
 }

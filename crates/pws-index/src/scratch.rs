@@ -10,9 +10,8 @@
 //! retained). check.sh enforces this shape with a grep gate forbidding
 //! bare `Vec`/`HashMap` `new()` constructors in the hot-loop modules.
 //!
-//! The pool is shared: `SegmentedIndex` clones (and therefore every
-//! `LiveIndex` snapshot of the same index) share one pool via `Arc`, so
-//! concurrent queries reuse each other's warmed buffers. Pool traffic is
+//! The pool is shared: every clone of a `SegmentedIndex` shares one pool
+//! via `Arc`, and concurrent queries reuse each other's warmed buffers. Pool traffic is
 //! observable under the `scratch.*` stages (see the registry table in
 //! docs/ARCHITECTURE.md): `scratch.acquired` counts checkouts,
 //! `scratch.created` counts cold constructions (acquired − created =

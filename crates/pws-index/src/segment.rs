@@ -1,4 +1,4 @@
-//! Immutable index segments: offline build, lazy load, merge.
+//! Immutable index segments: offline build, lazy load.
 //!
 //! A [`Segment`] is the unit of on-disk index storage: an inverted index
 //! over a contiguous slice of the corpus, written once by
@@ -8,7 +8,7 @@
 //! the minimum document length among its docs. Those three numbers are
 //! collection-statistics-independent, so a loader can derive a correct
 //! BM25 **block-max impact bound** under *any* global statistics (which
-//! change when segments are added or merged) without touching payloads —
+//! change with the segment set) without touching payloads —
 //! the foundation of the Block-Max WAND pruning in
 //! [`crate::segmented::SegmentedIndex`].
 //!
@@ -17,8 +17,8 @@
 //! and leaves postings payloads and the document store **encoded in
 //! place** — a load is O(dictionary + block table), not O(index).
 //!
-//! A segment is cheaply cloneable (`Arc` inside), so live publication
-//! can snapshot segment sets without copying index data.
+//! A segment is cheaply cloneable (`Arc` inside), so an index over a
+//! segment set is cloned without copying index data.
 
 use crate::codec::{read_varint, write_varint};
 use crate::search::StoredDoc;
@@ -488,78 +488,6 @@ impl Segment {
             String::from_utf8_lossy(field)
         })
     }
-
-    /// Raw byte range of one doc record in the `Docs` section
-    /// (crate-internal: merge copies records without decoding them).
-    pub(crate) fn doc_record_bytes(&self, local_id: u32) -> &[u8] {
-        let inner = &self.inner;
-        let di = &inner.bytes[inner.doc_index_off..];
-        let start = le_u64(&di[local_id as usize * 8..]) as usize;
-        let end = if local_id + 1 < inner.doc_count {
-            le_u64(&di[(local_id as usize + 1) * 8..]) as usize
-        } else {
-            inner.docs_len
-        };
-        &inner.bytes[inner.docs_off + start..inner.docs_off + end]
-    }
-
-    /// Merge segments into one. Documents are renumbered contiguously in
-    /// segment order (the same global ids a [`crate::SegmentedIndex`]
-    /// over the inputs would expose), doc records are copied byte-wise
-    /// without decoding, and postings are re-blocked at [`BLOCK_SIZE`].
-    ///
-    /// All inputs must share one analyzer configuration.
-    pub fn merge(segments: &[&Segment]) -> Result<Segment, SegmentError> {
-        if segments.is_empty() {
-            return SegmentBuilder::new(Analyzer::default()).finish_segment();
-        }
-        let analyzer = segments[0].analyzer().clone();
-        if segments.iter().any(|s| *s.analyzer() != analyzer) {
-            return Err(SegmentError::Mismatch("analyzer config"));
-        }
-
-        // Union term list: first-appearance order across segments.
-        let mut interner = Interner::new();
-        for s in segments {
-            for term in &s.inner.terms {
-                interner.intern(term);
-            }
-        }
-
-        // Doc id bases per input segment.
-        let mut bases = Vec::with_capacity(segments.len());
-        let mut base = 0u64;
-        for s in segments {
-            bases.push(base as u32);
-            base += u64::from(s.doc_count());
-        }
-        let doc_count = u32::try_from(base)
-            .map_err(|_| FormatError::Malformed("merged doc count overflows u32"))?;
-
-        // Re-emit postings per union term, re-blocked.
-        let mut postings_by_term: Vec<Vec<(u32, u32)>> = vec![Vec::new(); interner.len()];
-        for (s, &b) in segments.iter().zip(&bases) {
-            for (ord, term) in s.inner.terms.iter().enumerate() {
-                let sym = interner.get(term).expect("interned above");
-                let dst = &mut postings_by_term[sym.index()];
-                s.for_each_posting(ord as u32, |d, tf| dst.push((d + b, tf)));
-            }
-        }
-
-        let mut out = SegmentBuilder::new(analyzer);
-        out.interner = interner;
-        out.postings = postings_by_term;
-        for (s, _) in segments.iter().zip(&bases) {
-            for local in 0..s.doc_count() {
-                out.doc_offsets.push(out.doc_payload.len() as u64);
-                out.doc_payload.extend_from_slice(s.doc_record_bytes(local));
-            }
-            out.doc_lens.extend_from_slice(s.doc_lens());
-            out.total_len += s.total_len();
-        }
-        debug_assert_eq!(out.doc_lens.len(), doc_count as usize);
-        out.finish_segment()
-    }
 }
 
 /// Forward-only lookup of one term's tf at ascending segment-local doc
@@ -960,42 +888,6 @@ mod tests {
             Err(SegmentError::Io(_)) => {}
             other => panic!("expected Io error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn merge_two_segments() {
-        let mut a = SegmentBuilder::new(Analyzer::default());
-        a.add("u0", "Crab shack", "fresh seafood lobster daily");
-        a.add("u1", "Phones", "unlocked android smartphone");
-        let a = a.finish_segment().expect("a");
-        let mut b = SegmentBuilder::new(Analyzer::default());
-        b.add("u2", "Guide", "seafood guide covers lobster rolls");
-        let b = b.finish_segment().expect("b");
-
-        let m = Segment::merge(&[&a, &b]).expect("merge");
-        assert_eq!(m.doc_count(), 3);
-        assert_eq!(m.total_len(), a.total_len() + b.total_len());
-        assert_eq!(&*m.doc(2).url, "u2");
-        let ord = m.term_ord("seafood").expect("merged term");
-        assert_eq!(m.term_meta(ord).df, 2);
-        // Postings renumbered: seafood in global docs 0 and 2.
-        let mut buf = Vec::new();
-        let mut docs = Vec::new();
-        for blk in m.term_blocks(ord) {
-            assert!(m.decode_block(blk, &mut buf));
-            docs.extend(buf.iter().map(|&(d, _)| d));
-        }
-        assert_eq!(docs, vec![0, 2]);
-    }
-
-    #[test]
-    fn merge_rejects_mismatched_analyzers() {
-        let a = SegmentBuilder::new(Analyzer::default()).finish_segment().expect("a");
-        let b = SegmentBuilder::new(Analyzer::verbatim()).finish_segment().expect("b");
-        assert_eq!(
-            Segment::merge(&[&a, &b]).unwrap_err(),
-            SegmentError::Mismatch("analyzer config")
-        );
     }
 
     /// `SegmentBuilder::add` as it was before it streamed: analyse

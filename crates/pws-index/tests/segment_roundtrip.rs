@@ -1,6 +1,6 @@
 //! Property tests for segment persistence (task: storage durability).
 //!
-//! Three guarantees, for *arbitrary* corpora:
+//! Two guarantees, for *arbitrary* corpora:
 //!
 //! 1. **Round trip** — build → serialize → load → search is bit-identical
 //!    to the exhaustive reference over the [`IndexBuilder`]-built single
@@ -11,7 +11,6 @@
 //!    (any prefix), table-mutated (the shared container gauntlet) or
 //!    wrong-version files fail to load with a typed [`SegmentError`],
 //!    never a panic.
-//! 3. **Merge** — merging segments preserves search results bit-for-bit.
 
 use proptest::prelude::*;
 use pws_index::{
@@ -114,25 +113,6 @@ proptest! {
         for (d, (g, w)) in asked.iter().zip(got.iter().zip(&want)) {
             prop_assert_eq!(g.to_bits(), w.to_bits(), "score_docs mismatch doc {} ({})", d, &ctx);
         }
-    }
-
-    /// Merging all segments into one preserves results bit-for-bit.
-    #[test]
-    fn merge_preserves_search_results(
-        doc_words in docs_strategy(),
-        query_words in proptest::collection::vec(proptest::sample::select(VOCAB.to_vec()), 1..4),
-        k in 1usize..12,
-        num_segments in 2usize..5,
-    ) {
-        let multi = round_trip_segmented(&doc_words, num_segments);
-        let merged = Segment::merge(&multi.segments().iter().collect::<Vec<_>>())
-            .expect("merge");
-        // The merged segment survives its own serialize→load round trip.
-        let merged = Segment::load_bytes(merged.file_bytes().to_vec()).expect("reload merged");
-        let single = SegmentedIndex::from_segments(vec![merged]).expect("single-segment index");
-        let query = query_words.join(" ");
-        let ctx = format!("{query:?} k={k} segs={num_segments} (merged)");
-        assert_hits_identical(&single.search(&query, k), &multi.search(&query, k), &ctx)?;
     }
 
     /// Any prefix of a valid segment file fails to load with a typed

@@ -41,7 +41,7 @@ use std::sync::Mutex;
 /// thresholds at which it votes Warning / Critical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BurnWindow {
-    /// Label for reports and the `window` Prometheus label.
+    /// Label for reports and the JSON `window` field.
     pub name: &'static str,
     /// How many observations back the delta baseline sits. 1 = the
     /// single most recent interval.
@@ -117,7 +117,7 @@ impl Objective {
         Objective::WritebackBackpressure,
     ];
 
-    /// Stable snake_case name (reports, JSON, Prometheus label).
+    /// Stable snake_case name (reports and JSON).
     pub fn name(self) -> &'static str {
         match self {
             Objective::P99Latency => "p99_latency",
@@ -147,15 +147,6 @@ impl HealthStatus {
             HealthStatus::Healthy => "healthy",
             HealthStatus::Warning => "warning",
             HealthStatus::Critical => "critical",
-        }
-    }
-
-    /// Numeric code for the Prometheus gauge (0/1/2).
-    pub fn code(self) -> u8 {
-        match self {
-            HealthStatus::Healthy => 0,
-            HealthStatus::Warning => 1,
-            HealthStatus::Critical => 2,
         }
     }
 }
@@ -274,36 +265,6 @@ impl HealthReport {
             out.push_str("]}");
         }
         out.push_str("]}");
-        out
-    }
-
-    /// Render as Prometheus exposition families (`pws_slo_status`,
-    /// `pws_slo_burn_rate`), each with `# HELP`/`# TYPE` headers.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            "# HELP pws_slo_status SLO objective status (0 healthy, 1 warning, 2 critical).\n",
-        );
-        out.push_str("# TYPE pws_slo_status gauge\n");
-        for obj in &self.objectives {
-            out.push_str(&format!(
-                "pws_slo_status{{objective=\"{}\"}} {}\n",
-                obj.objective.name(),
-                obj.status.code()
-            ));
-        }
-        out.push_str("# HELP pws_slo_burn_rate Error-budget burn rate per objective and window.\n");
-        out.push_str("# TYPE pws_slo_burn_rate gauge\n");
-        for obj in &self.objectives {
-            for ev in &obj.evidence {
-                out.push_str(&format!(
-                    "pws_slo_burn_rate{{objective=\"{}\",window=\"{}\"}} {}\n",
-                    obj.objective.name(),
-                    ev.window,
-                    ev.burn
-                ));
-            }
-        }
         out
     }
 }
@@ -672,7 +633,7 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_json_and_prometheus() {
+    fn report_renders_text_and_json() {
         let m = HealthMonitor::new(SloSpec::default());
         m.observe(snap(0, 0, 0, 0, 0, 0, 0));
         let r = m.observe_and_report(snap(100, 1_000, 0, 0, 20, 0, 0));
@@ -684,11 +645,6 @@ mod tests {
         assert!(json.starts_with("{\"status\":\"critical\""));
         assert!(json.contains("\"objective\":\"degraded_rate\""));
         assert!(json.contains("\"bad\":20"));
-        let prom = r.to_prometheus();
-        assert!(prom.contains("# TYPE pws_slo_status gauge"));
-        assert!(prom.contains("# HELP pws_slo_burn_rate"));
-        assert!(prom.contains("pws_slo_status{objective=\"degraded_rate\"} 2"));
-        assert!(prom.contains("pws_slo_burn_rate{objective=\"degraded_rate\",window=\"fast\"} 20"));
     }
 
     #[test]

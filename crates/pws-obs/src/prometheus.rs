@@ -22,23 +22,12 @@
 //! [Prometheus text exposition format]:
 //!     https://prometheus.io/docs/instrumenting/exposition_formats/
 
-use crate::health::HealthReport;
 use crate::{bucket_upper, MetricsSnapshot, StageSnapshot, BUCKETS};
 
 /// Render the whole process-global registry in the Prometheus text
 /// exposition format.
 pub fn prometheus_text() -> String {
     crate::snapshot().to_prometheus()
-}
-
-/// [`prometheus_text`] plus the SLO verdict families
-/// (`pws_slo_status`, `pws_slo_burn_rate`) from a [`HealthReport`] —
-/// the full scrape payload for a serving process with health
-/// monitoring enabled.
-pub fn prometheus_text_with_health(report: &HealthReport) -> String {
-    let mut out = prometheus_text();
-    out.push_str(&report.to_prometheus());
-    out
 }
 
 impl MetricsSnapshot {
@@ -451,21 +440,6 @@ mod tests {
     #[should_panic(expected = "raw control character")]
     fn validator_rejects_raw_control_characters() {
         validate("# HELP pws_x x.\n# TYPE pws_x gauge\npws_x{stage=\"a\tb\"} 1\n");
-    }
-
-    #[test]
-    fn health_export_appends_slo_families() {
-        use crate::health::{HealthMonitor, SloSpec};
-        let _guard = crate::test_lock();
-        crate::stage("test.prom.health").record_nanos(50);
-        let monitor = HealthMonitor::new(SloSpec::default());
-        monitor.observe(crate::snapshot());
-        let report = monitor.observe_and_report(crate::snapshot());
-        let text = prometheus_text_with_health(&report);
-        let samples = validate(&text);
-        assert!(samples.iter().any(|(n, _, _)| n == "pws_slo_status"));
-        assert!(samples.iter().any(|(n, _, _)| n == "pws_slo_burn_rate"));
-        assert!(text.contains("stage=\"test.prom.health\""));
     }
 
     #[test]

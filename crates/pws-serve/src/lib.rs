@@ -125,13 +125,12 @@
 //! properties above live in the `pws-chaos` crate.
 
 use pws_click::{Impression, UserId};
-use pws_core::{EngineConfig, EngineCore, RetrievalCache, SearchTurn, StageCheckpoint, UserState};
-use pws_index::SearchHit;
+use pws_core::{EngineConfig, EngineCore, SearchTurn, StageCheckpoint, UserState};
 use pws_entropy::QueryStats;
 pub use pws_obs::event::DegradeReason;
 use pws_obs::event::FlightEvent;
 use pws_obs::flight::{DumpReason, FlightDump};
-use pws_obs::format::{fnv1a64, Fnv1a64};
+use pws_obs::format::{fnv1a64, splitmix64};
 use pws_obs::health::{HealthMonitor, HealthReport, SloSpec};
 use pws_obs::trace::QueryTrace;
 use pws_store::StoreIo;
@@ -176,13 +175,6 @@ pub struct ServeConfig {
     /// loosens) this bound. The trusted internal [`ServingEngine::search`]
     /// path bypasses admission control entirely.
     pub max_queue_depth: Option<u64>,
-    /// Capacity (entries) of the shared base-retrieval cache
-    /// ([`ShardedRetrievalCache`]). Base retrieval is user-independent,
-    /// so the cache is shared across every user and shard; `0` disables
-    /// caching entirely (the engine core goes straight to the index).
-    /// Caching never changes what a turn contains — the
-    /// replay-equivalence tests run with it on to pin that.
-    pub retrieval_cache_capacity: usize,
     /// Tiered user-state persistence (`pws-store`). `None` (the
     /// default) keeps every user resident in memory forever — the
     /// pre-store behavior. `Some` bounds each shard's resident set and
@@ -199,7 +191,6 @@ impl Default for ServeConfig {
             flight: FlightConfig::default(),
             slo: SloSpec::default(),
             max_queue_depth: None,
-            retrieval_cache_capacity: 1024,
             store: None,
         }
     }
@@ -294,13 +285,6 @@ impl SearchBudget {
     /// A budget whose deadline is `timeout` from now.
     pub fn with_deadline_in(timeout: Duration) -> Self {
         SearchBudget { deadline: Some(Instant::now() + timeout), ..SearchBudget::default() }
-    }
-
-    /// A budget that is already past its deadline — personalization is
-    /// deterministically aborted at the first checkpoint. Useful for
-    /// tests and for explicitly requesting the degraded path.
-    pub fn already_expired() -> Self {
-        SearchBudget { deadline: Some(Instant::now()), ..SearchBudget::default() }
     }
 
     /// Has the deadline passed?
@@ -693,192 +677,6 @@ impl FlightRecorder {
     }
 }
 
-/// Number of lock shards in the base-retrieval cache. Fixed: cache
-/// contention is per-query-string, independent of the user shard count.
-const CACHE_SHARDS: usize = 8;
-
-/// One cached base-retrieval pool.
-struct CacheEntry {
-    /// The exact key, kept for collision rejection (the map is keyed by
-    /// the 64-bit fingerprint; a colliding probe must miss, not alias).
-    tokens: Vec<String>,
-    k: usize,
-    /// Index epoch this entry was computed under; a stale entry is
-    /// dropped on probe.
-    epoch: u64,
-    /// Shard-local LRU clock value of the last touch.
-    tick: u64,
-    /// Shared with every request served from this entry: a probe bumps
-    /// the count under the shard lock and copies nothing.
-    hits: Arc<[SearchHit]>,
-}
-
-/// One lock shard of the retrieval cache: fingerprint-keyed entries plus
-/// the shard's LRU clock.
-struct CacheShard {
-    map: HashMap<u64, CacheEntry>,
-    tick: u64,
-}
-
-/// The serving layer's [`RetrievalCache`]: sharded, bounded LRU, with
-/// epoch-based invalidation.
-///
-/// * **Sharded** — `CACHE_SHARDS` mutexes, entries routed by an FNV-1a
-///   fingerprint of `(tokens, k)`, so concurrent queries for different
-///   strings rarely contend.
-/// * **Bounded** — each shard holds at most `⌈capacity / shards⌉`
-///   entries; inserting past that evicts the shard's least-recently
-///   touched entry (`serve.cache.evict`).
-/// * **Epoch invalidation** — [`invalidate`](Self::invalidate) bumps an
-///   atomic epoch; entries stamped with an older epoch miss (and are
-///   dropped) on their next probe, so invalidation is O(1) and never
-///   takes a lock. Probes concurrent with the bump may still serve the
-///   old epoch; callers needing a strict barrier drain in-flight
-///   requests first.
-///
-/// Every probe counts exactly one of `serve.cache.hit` /
-/// `serve.cache.miss`, so `hit + miss` equals the number of base
-/// retrievals that consulted the cache.
-pub struct ShardedRetrievalCache {
-    shards: Vec<Mutex<CacheShard>>,
-    per_shard_capacity: usize,
-    epoch: AtomicU64,
-    hit: Arc<pws_obs::StageMetrics>,
-    miss: Arc<pws_obs::StageMetrics>,
-    evict: Arc<pws_obs::StageMetrics>,
-    /// `serve.lock_recovered` handle — a poisoned cache shard is
-    /// recovered (worst case: a torn entry is overwritten or evicted),
-    /// never allowed to wedge retrieval.
-    recovered: Arc<pws_obs::StageMetrics>,
-}
-
-/// FNV-1a over the cache key. Token boundaries are delimited (so
-/// `["ab","c"]` ≠ `["a","bc"]`) and the pool size is folded in last.
-fn cache_fingerprint(tokens: &[String], k: usize) -> u64 {
-    let mut h = Fnv1a64::new();
-    for t in tokens {
-        h.write(t.as_bytes());
-        h.write(&[0xff]);
-    }
-    h.write(&(k as u64).to_le_bytes());
-    h.finish()
-}
-
-impl ShardedRetrievalCache {
-    /// A cache holding at most `capacity` pools (rounded up to a
-    /// multiple of the shard count).
-    pub fn new(capacity: usize) -> Self {
-        ShardedRetrievalCache {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(CacheShard { map: HashMap::new(), tick: 0 }))
-                .collect(),
-            per_shard_capacity: capacity.div_ceil(CACHE_SHARDS).max(1),
-            epoch: AtomicU64::new(0),
-            hit: pws_obs::stage("serve.cache.hit"),
-            miss: pws_obs::stage("serve.cache.miss"),
-            evict: pws_obs::stage("serve.cache.evict"),
-            recovered: pws_obs::stage("serve.lock_recovered"),
-        }
-    }
-
-    fn lock_shard(&self, fp: u64) -> MutexGuard<'_, CacheShard> {
-        lock_counting(&self.shards[(fp % CACHE_SHARDS as u64) as usize], &self.recovered)
-    }
-
-    /// Drop every cached pool at once (O(1)): entries stamped with an
-    /// older epoch miss on their next probe. Call after anything that
-    /// changes what base retrieval would return (index swap, BM25
-    /// parameter change).
-    pub fn invalidate(&self) {
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// The current invalidation epoch (monotonically increasing; each
-    /// [`invalidate`](Self::invalidate) — including a segment publish
-    /// via [`ServingEngine::publish_segment`] — bumps it by one).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Number of currently resident entries (stale-epoch entries still
-    /// count until their next probe drops them).
-    pub fn len(&self) -> usize {
-        (0..CACHE_SHARDS as u64).map(|i| self.lock_shard(i).map.len()).sum()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl RetrievalCache for ShardedRetrievalCache {
-    fn epoch(&self) -> u64 {
-        ShardedRetrievalCache::epoch(self)
-    }
-
-    fn get(&self, tokens: &[String], k: usize) -> Option<Arc<[SearchHit]>> {
-        let fp = cache_fingerprint(tokens, k);
-        let epoch = self.epoch.load(Ordering::Acquire);
-        let mut shard = self.lock_shard(fp);
-        shard.tick += 1;
-        let tick = shard.tick;
-        match shard.map.get_mut(&fp) {
-            Some(e) if e.epoch == epoch && e.k == k && e.tokens == tokens => {
-                e.tick = tick;
-                let hits = Arc::clone(&e.hits);
-                drop(shard);
-                self.hit.incr(1);
-                Some(hits)
-            }
-            Some(e) if e.epoch != epoch && e.k == k && e.tokens == tokens => {
-                // Stale epoch: drop eagerly so dead pools don't occupy
-                // capacity until LRU pressure finds them.
-                shard.map.remove(&fp);
-                drop(shard);
-                self.miss.incr(1);
-                None
-            }
-            _ => {
-                drop(shard);
-                self.miss.incr(1);
-                None
-            }
-        }
-    }
-
-    fn put(&self, tokens: &[String], k: usize, epoch: u64, hits: Arc<[SearchHit]>) {
-        // A pool computed under an epoch that has since been invalidated
-        // describes an index no longer served: keep it out rather than
-        // let it evict a live entry.
-        if epoch != self.epoch.load(Ordering::Acquire) {
-            return;
-        }
-        let fp = cache_fingerprint(tokens, k);
-        let mut shard = self.lock_shard(fp);
-        shard.tick += 1;
-        let tick = shard.tick;
-        if !shard.map.contains_key(&fp) && shard.map.len() >= self.per_shard_capacity {
-            if let Some(&victim) =
-                shard.map.iter().min_by_key(|(_, e)| e.tick).map(|(fp, _)| fp)
-            {
-                shard.map.remove(&victim);
-                self.evict.incr(1);
-            }
-        }
-        shard.map.insert(
-            fp,
-            CacheEntry {
-                tokens: tokens.to_vec(),
-                k,
-                epoch,
-                tick,
-                hits,
-            },
-        );
-    }
-}
-
 /// One user shard: the mutable per-user state for every user hashing
 /// here, plus this shard's metric handles.
 struct UserShard {
@@ -1027,7 +825,9 @@ fn residency_stage() -> &'static pws_obs::StageMetrics {
     STAGE.get_or_init(|| pws_obs::stage("serve.residency"))
 }
 
-/// `user → shard index`, shared by the engine and the store tier.
+/// `user → shard index`, shared by the engine and the store tier. Mixed
+/// so the dense sequential `UserId`s the simulator generates spread
+/// evenly.
 fn shard_index(user: UserId, shard_count: usize) -> usize {
     (splitmix64(user.0 as u64) % shard_count as u64) as usize
 }
@@ -1071,98 +871,11 @@ impl FaultMetrics {
     }
 }
 
-/// A live-publishable segmented index: the mutable holder that lets a
-/// serving process gain segments without restarting.
-///
-/// [`pws_core::EngineCore`] borrows its retrieval backend for the whole
-/// engine lifetime, so the backend itself must absorb updates.
-/// `LiveIndex` wraps an [`Arc<pws_index::SegmentedIndex>`] behind an
-/// `RwLock`: queries clone the `Arc` (a snapshot — segments are
-/// immutable, so an in-flight query is never affected by a publish) and
-/// [`add_segment`](Self::add_segment) swaps in an extended index.
-///
-/// Publishing through [`ServingEngine::publish_segment`] pairs the swap
-/// with one atomic-epoch bump of the [`ShardedRetrievalCache`], so
-/// cached pools from the old segment set can never be served once the
-/// new segment is visible.
-///
-/// Lock poisoning is recovered, never propagated (the last good index
-/// keeps serving) — consistent with the serving layer's lock-recovery
-/// policy.
-pub struct LiveIndex {
-    inner: RwLock<Arc<pws_index::SegmentedIndex>>,
-    /// Serialises publishers (see [`LiveIndex::add_segment`]).
-    publish: Mutex<()>,
-}
-
-impl LiveIndex {
-    /// Start serving `index`.
-    pub fn new(index: pws_index::SegmentedIndex) -> Self {
-        LiveIndex { inner: RwLock::new(Arc::new(index)), publish: Mutex::new(()) }
-    }
-
-    /// Snapshot the current segment set. The snapshot stays valid (and
-    /// consistent) for as long as the caller holds it, regardless of
-    /// concurrent publishes.
-    pub fn snapshot(&self) -> Arc<pws_index::SegmentedIndex> {
-        match self.inner.read() {
-            Ok(g) => g.clone(),
-            Err(p) => p.into_inner().clone(),
-        }
-    }
-
-    /// Atomically extend the served index with one more segment.
-    ///
-    /// On error (analyzer mismatch, doc-count overflow) the served index
-    /// is unchanged. Callers inside a serving stack should prefer
-    /// [`ServingEngine::publish_segment`], which also invalidates the
-    /// retrieval cache.
-    ///
-    /// Publishers are serialised by a publish mutex held across the whole
-    /// snapshot-extend-swap, so two concurrent publishes can never both
-    /// start from the same segment set and lose one of the segments.
-    /// Readers never wait on it: they are served from the old `Arc` until
-    /// the write lock is taken for the pointer swap alone.
-    pub fn add_segment(&self, seg: pws_index::Segment) -> Result<(), pws_index::SegmentError> {
-        let _publishing = self.publish.lock().unwrap_or_else(|p| p.into_inner());
-        let mut next = (*self.snapshot()).clone();
-        next.add_segment(seg)?;
-        let next = Arc::new(next);
-        match self.inner.write() {
-            Ok(mut g) => *g = next,
-            Err(p) => *p.into_inner() = next,
-        }
-        Ok(())
-    }
-}
-
-impl pws_index::RetrievalBackend for LiveIndex {
-    fn analyze_text(&self, text: &str) -> Vec<String> {
-        self.snapshot().analyze_text(text)
-    }
-
-    fn search(&self, query: &str, k: usize) -> Vec<SearchHit> {
-        self.snapshot().search(query, k)
-    }
-
-    fn search_tokens(&self, q_tokens: &[String], k: usize) -> Vec<SearchHit> {
-        self.snapshot().search_tokens(q_tokens, k)
-    }
-
-    fn score_docs(&self, query: &str, docs: &[u32]) -> Vec<f64> {
-        self.snapshot().score_docs(query, docs)
-    }
-}
-
-/// SplitMix64 finalizer — the same user-hash the eval harness uses for
-/// seeding, reused here so shard assignment is well-mixed even for the
-/// dense sequential `UserId`s the simulator generates.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
+/// Pools held by the engine's base-retrieval cache
+/// ([`pws_core::RetrievalCache`]). Base retrieval is user-independent, so
+/// one cache serves every user and shard; caching never changes what a
+/// turn contains — the replay-equivalence tests run with it on.
+const RETRIEVAL_CACHE_CAPACITY: usize = 1024;
 
 /// The concurrent serving engine: shared [`EngineCore`] + user-sharded
 /// mutable state. All request methods take `&self`; the type is
@@ -1213,9 +926,6 @@ pub struct ServingEngine<'a> {
     plan: Option<Arc<dyn FaultPlan>>,
     /// Engine-wide admission high-water mark (see [`ServeConfig`]).
     max_queue_depth: Option<u64>,
-    /// Shared base-retrieval cache; `None` when
-    /// [`ServeConfig::retrieval_cache_capacity`] is `0`.
-    cache: Option<Arc<ShardedRetrievalCache>>,
     /// Tiered user-state store; `None` when [`ServeConfig::store`] is.
     store: Option<Arc<StoreTier>>,
     /// Drop guard that shuts the writeback daemon down and flushes
@@ -1257,12 +967,8 @@ impl<'a> ServingEngine<'a> {
             .enabled
             .then(|| FlightRecorder::new(&serve_cfg.flight, n, fault.lock_recovered.clone()));
         let monitor = HealthMonitor::new(serve_cfg.slo.clone());
-        let cache = (serve_cfg.retrieval_cache_capacity > 0)
-            .then(|| Arc::new(ShardedRetrievalCache::new(serve_cfg.retrieval_cache_capacity)));
-        let mut core = EngineCore::new(base, world, cfg);
-        if let Some(c) = &cache {
-            core = core.with_retrieval_cache(c.clone() as Arc<dyn RetrievalCache>);
-        }
+        let core =
+            EngineCore::new(base, world, cfg).with_retrieval_cache(RETRIEVAL_CACHE_CAPACITY);
         let stats = Arc::new(ShardedStats::new(
             n,
             serve_cfg.stats_refresh_every,
@@ -1282,47 +988,9 @@ impl<'a> ServingEngine<'a> {
             fault,
             plan: None,
             max_queue_depth: serve_cfg.max_queue_depth,
-            cache,
             store,
             _store_shutdown: store_shutdown,
         }
-    }
-
-    /// The shared base-retrieval cache, if one is configured.
-    pub fn retrieval_cache(&self) -> Option<&ShardedRetrievalCache> {
-        self.cache.as_deref()
-    }
-
-    /// Invalidate every cached base-retrieval pool (no-op without a
-    /// cache). Call after anything that would change what the index
-    /// returns.
-    pub fn invalidate_retrieval_cache(&self) {
-        if let Some(c) = &self.cache {
-            c.invalidate();
-        }
-    }
-
-    /// Publish one new segment to a live index and invalidate the
-    /// retrieval cache: after this returns, no query served through this
-    /// engine can observe a cached pool from the pre-publish segment
-    /// set. `live` must be the [`LiveIndex`] this engine was built over.
-    ///
-    /// On error the index and the cache are both unchanged.
-    pub fn publish_segment(
-        &self,
-        live: &LiveIndex,
-        seg: pws_index::Segment,
-    ) -> Result<(), pws_index::SegmentError> {
-        live.add_segment(seg)?;
-        self.invalidate_retrieval_cache();
-        Ok(())
-    }
-
-    /// Enable proximity-smoothed location scoring (see
-    /// [`EngineCore::with_geo`]).
-    pub fn with_geo(mut self, coords: &'a pws_geo::WorldCoords, scale_km: f64) -> Self {
-        self.core = self.core.with_geo(coords, scale_km);
-        self
     }
 
     /// Test hook: see [`EngineCore::with_concept_memo_capacity`].
@@ -1340,19 +1008,9 @@ impl<'a> ServingEngine<'a> {
         self
     }
 
-    /// The shared read side.
-    pub fn core(&self) -> &EngineCore<'a> {
-        &self.core
-    }
-
     /// The active engine configuration.
     pub fn config(&self) -> &EngineConfig {
         self.core.config()
-    }
-
-    /// Number of user shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     fn shard_of(&self, user: UserId) -> usize {
@@ -1764,64 +1422,6 @@ impl<'a> ServingEngine<'a> {
         self.stats.tick();
     }
 
-    /// Scatter `requests` across shard worker threads, gather results
-    /// in request order. Shared by [`Self::batch_search`] and
-    /// [`Self::batch_search_with`].
-    fn batch_run<R, F>(&self, requests: &[(UserId, String)], run: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(UserId, &str) -> R + Sync,
-    {
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, (user, _)) in requests.iter().enumerate() {
-            by_shard[self.shard_of(*user)].push(i);
-        }
-        let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(requests.len()));
-        std::thread::scope(|scope| {
-            for indices in by_shard.into_iter().filter(|v| !v.is_empty()) {
-                let results = &results;
-                let run = &run;
-                scope.spawn(move || {
-                    let mut local = Vec::with_capacity(indices.len());
-                    for i in indices {
-                        let (user, query) = &requests[i];
-                        local.push((i, run(*user, query)));
-                    }
-                    let (mut sink, _) = lock_or_recover(results);
-                    sink.extend(local);
-                });
-            }
-        });
-        let mut results = results.into_inner().unwrap_or_else(|p| p.into_inner());
-        results.sort_by_key(|(i, _)| *i);
-        results.into_iter().map(|(_, r)| r).collect()
-    }
-
-    /// Execute a batch of searches, one thread per occupied shard.
-    ///
-    /// Results are returned in request order. Requests for users on the
-    /// same shard run sequentially in request order on that shard's
-    /// worker; requests on different shards run in
-    /// parallel. Since `search` does not learn (only `observe` does),
-    /// this is observationally identical to calling [`Self::search`] in
-    /// a loop.
-    pub fn batch_search(&self, requests: &[(UserId, String)]) -> Vec<SearchTurn> {
-        self.batch_run(requests, |user, query| self.search(user, query))
-    }
-
-    /// [`Self::batch_search`] under a shared [`SearchBudget`] with
-    /// admission control: each request independently degrades or sheds.
-    /// The deadline is absolute, so it bounds the *batch*, not each
-    /// request — requests admitted after it passes degrade to the base
-    /// ranking rather than extending the tail.
-    pub fn batch_search_with(
-        &self,
-        requests: &[(UserId, String)],
-        budget: SearchBudget,
-    ) -> Vec<Result<SearchResponse, Overloaded>> {
-        self.batch_run(requests, |user, query| self.search_with(user, query, budget))
-    }
-
     /// Force an immediate rebuild of the β-statistics snapshot (tests
     /// and batch pipelines that want freshness at a phase boundary).
     pub fn refresh_stats(&self) {
@@ -2108,8 +1708,8 @@ mod tests {
     }
 
     /// Same sharded replay, but over any retrieval backend — the
-    /// segmented-backend equivalence tests pass a [`SegmentedIndex`]
-    /// (and a [`LiveIndex`]) here.
+    /// segmented-backend equivalence test passes a multi-segment
+    /// [`pws_index::SegmentedIndex`] here.
     fn replay_sharded_on(
         idx: &dyn pws_index::RetrievalBackend,
         log: &[(UserId, Vec<String>)],
@@ -2233,10 +1833,10 @@ mod tests {
         }
     }
 
-    /// Swapping the segmented on-disk backend (via [`LiveIndex`]) under
-    /// the serving stack leaves the replay-equivalence contract intact:
-    /// sharded replays over both backends are byte-identical to the
-    /// serial in-memory replay, cache and all.
+    /// Swapping the segmented on-disk backend under the serving stack
+    /// leaves the replay-equivalence contract intact: sharded replays
+    /// over it are byte-identical to the serial in-memory replay, cache
+    /// and all.
     #[test]
     fn sharded_replay_on_segmented_backend_matches_serial() {
         let _guard = pws_obs::test_lock();
@@ -2251,7 +1851,6 @@ mod tests {
         let log = session_log(&queries, 6);
         let serial = replay_serial(&log, EngineConfig::default());
         let seg = segmented_index();
-        let live = LiveIndex::new(segmented_index());
         for (shards, threads) in [(1usize, 1usize), (3, 4)] {
             let on_seg = replay_sharded_on(
                 &seg, &log, EngineConfig::default(), shards, threads, FlightConfig::default());
@@ -2259,86 +1858,6 @@ mod tests {
                 &serial, &on_seg,
                 &format!("segmented backend, {shards} shards / {threads} threads"),
             );
-            let on_live = replay_sharded_on(
-                &live, &log, EngineConfig::default(), shards, threads, FlightConfig::default());
-            assert_equivalent(
-                &serial, &on_live,
-                &format!("live segmented backend, {shards} shards / {threads} threads"),
-            );
-        }
-    }
-
-    /// Publishing a segment through [`ServingEngine::publish_segment`]
-    /// bumps the retrieval-cache epoch (invalidating every cached pool)
-    /// and makes the new segment's documents visible to the very next
-    /// query — even one whose token sequence was already cached.
-    #[test]
-    fn publish_segment_bumps_epoch_and_surfaces_new_docs() {
-        let _guard = pws_obs::test_lock();
-        let seg_all = segmented_index();
-        let (first, second) = {
-            let segs = seg_all.segments();
-            (segs[0].clone(), segs[1].clone())
-        };
-        let live = LiveIndex::new(
-            pws_index::SegmentedIndex::from_segments(vec![first]).expect("index"));
-        let w = world();
-        let e = ServingEngine::new(
-            &live,
-            &w,
-            EngineConfig::default(),
-            ServeConfig { shards: 2, stats_refresh_every: 1, ..ServeConfig::default() },
-        );
-        let cache = e.retrieval_cache().expect("cache enabled by default");
-        // Warm the cache on the single-segment index: "restaurant"
-        // matches docs 0–2 only.
-        let before = e.search(UserId(1), "pizza restaurant");
-        assert!(before.hits.iter().all(|h| h.doc <= 2), "segment 1 not published yet");
-        assert!(!cache.is_empty(), "base retrieval must have been cached");
-        let epoch_before = cache.epoch();
-
-        e.publish_segment(&live, second).expect("publish");
-        assert_eq!(cache.epoch(), epoch_before + 1, "publish must bump the cache epoch");
-        assert_eq!(live.snapshot().num_segments(), 2);
-        assert_eq!(live.snapshot().doc_count(), 6);
-
-        // The same query re-retrieves against the extended index: the
-        // pizza doc lives in the published segment and must now surface.
-        let after = e.search(UserId(1), "pizza restaurant");
-        assert!(
-            after.hits.iter().any(|h| h.doc == 4),
-            "published segment's docs must be visible: {:?}",
-            after.hits.iter().map(|h| h.doc).collect::<Vec<_>>()
-        );
-        // Publishing a mismatched segment leaves index + epoch unchanged.
-        let mut bad = pws_index::SegmentBuilder::new(pws_index::Analyzer {
-            stem: false,
-            ..Default::default()
-        });
-        bad.add("http://g.test/6", "Mismatch", "built with a different analyzer");
-        let bad = bad.finish_segment().expect("segment");
-        let epoch = cache.epoch();
-        assert!(e.publish_segment(&live, bad).is_err(), "analyzer mismatch must fail");
-        assert_eq!(cache.epoch(), epoch, "failed publish must not invalidate");
-        assert_eq!(live.snapshot().num_segments(), 2);
-    }
-
-    #[test]
-    fn batch_search_matches_sequential_and_preserves_order() {
-        let _guard = pws_obs::test_lock();
-        let idx = index();
-        let w = world();
-        let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
-        let requests: Vec<(UserId, String)> = (0..12u32)
-            .map(|i| (UserId(i % 5), format!("restaurant u{}", i % 5)))
-            .collect();
-        let batch = e.batch_search(&requests);
-        assert_eq!(batch.len(), requests.len());
-        for ((user, q), turn) in requests.iter().zip(&batch) {
-            assert_eq!(turn.user, *user);
-            assert_eq!(&turn.query_text, q);
-            let again = e.search(*user, q);
-            assert_eq!(format!("{turn:?}"), format!("{again:?}"));
         }
     }
 
@@ -2540,16 +2059,25 @@ mod tests {
     }
 
     #[test]
-    fn queue_depth_returns_to_zero_after_batch_search() {
+    fn queue_depth_returns_to_zero_after_concurrent_searches() {
         let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
-        let requests: Vec<(UserId, String)> = (0..32u32)
-            .map(|i| (UserId(i), format!("restaurant u{}", i % 4)))
-            .collect();
-        let turns = e.batch_search(&requests);
-        assert_eq!(turns.len(), 32);
+        let turns: usize = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4u32)
+                .map(|t| {
+                    let e = &e;
+                    scope.spawn(move || {
+                        (t..32).step_by(4)
+                            .map(|i| e.search(UserId(i), &format!("restaurant u{}", i % 4)))
+                            .count()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(turns, 32);
         assert!(
             e.queue_depths().iter().all(|&d| d == 0),
             "all shards drained: {:?}",
@@ -2603,7 +2131,7 @@ mod tests {
             e.observe(&turn, &imp);
         }
         let resp = e
-            .search_with(UserId(7), "seafood restaurant", SearchBudget::already_expired())
+            .search_with(UserId(7), "seafood restaurant", SearchBudget::with_deadline_in(Duration::ZERO))
             .expect("deadline expiry degrades, never sheds");
         assert_eq!(resp.degraded, Some(DegradeReason::DeadlineRetrieval));
         assert!(!resp.turn.hits.is_empty(), "degraded turn still answers the query");
@@ -2613,7 +2141,7 @@ mod tests {
         // the checkpoint path computes it against the user's real
         // profile before aborting, the stateless path against a default
         // one — but neither re-orders the pool).
-        let baseline = e.core().degraded_search(UserId(7), "seafood restaurant",
+        let baseline = e.core.degraded_search(UserId(7), "seafood restaurant",
             e.query_stats("seafood restaurant").as_ref(), &mut FlightEvent::empty(), None);
         let page = |t: &SearchTurn| -> Vec<(u32, usize, String)> {
             t.hits.iter().map(|h| (h.doc, h.rank, format!("{:.12}", h.score))).collect()
@@ -2645,10 +2173,16 @@ mod tests {
         // The trusted internal path bypasses admission control entirely.
         let turn = e.search(UserId(0), "restaurant");
         assert!(!turn.hits.is_empty());
-        // batch_search_with reports per-request shedding.
-        let requests = vec![(UserId(0), "restaurant".to_string())];
-        let out = e.batch_search_with(&requests, SearchBudget::none());
-        assert!(out[0].is_err());
+        // Concurrent callers each see their own request shed.
+        std::thread::scope(|scope| {
+            let e = &e;
+            let callers: Vec<_> = (0..2u32)
+                .map(|u| scope.spawn(move || e.search_with(UserId(u), "restaurant", SearchBudget::none())))
+                .collect();
+            for c in callers {
+                assert!(c.join().unwrap().is_err());
+            }
+        });
     }
 
     #[test]
@@ -2753,7 +2287,7 @@ mod tests {
         // the user map).
         let stranger = UserId(999);
         let residents = e.resident_count();
-        let turn = e.core().degraded_search(
+        let turn = e.core.degraded_search(
             stranger,
             "boom restaurant",
             None,
@@ -2940,7 +2474,7 @@ mod tests {
             EngineConfig::default(),
             ServeConfig { flight: FlightConfig::enabled(8), ..ServeConfig::default() },
         );
-        e.search_with(UserId(0), "seafood restaurant", SearchBudget::already_expired())
+        e.search_with(UserId(0), "seafood restaurant", SearchBudget::with_deadline_in(Duration::ZERO))
             .expect("degrades, never sheds");
         e.search_with(UserId(0), "seafood restaurant", SearchBudget::none())
             .expect("healthy");
@@ -3101,7 +2635,8 @@ mod tests {
 
     /// The cache is observable per query: the first retrieval of a
     /// token sequence misses, the second hits, and the trace records
-    /// which one happened. Without a cache the stamp stays `None`.
+    /// which one happened. The serial engine has no cache, so its stamp
+    /// stays `None`.
     #[test]
     fn trace_stamps_retrieval_cache_hit() {
         let _guard = pws_obs::test_lock();
@@ -3121,121 +2656,9 @@ mod tests {
             t.hits.iter().map(|h| (h.doc, h.rank, format!("{:.17e}", h.score))).collect()
         };
         assert_eq!(page(&turn_miss), page(&turn_hit));
-        let e2 = ServingEngine::new(
-            &idx,
-            &w,
-            EngineConfig::default(),
-            ServeConfig { retrieval_cache_capacity: 0, ..ServeConfig::default() },
-        );
-        let (_, t4) = e2.search_traced(UserId(0), "seafood restaurant");
+        let mut serial = PersonalizedSearchEngine::new(&idx, &w, EngineConfig::default());
+        let (_, t4) = serial.search_traced(UserId(0), "seafood restaurant");
         assert_eq!(t4.event.cache_hit, None, "no cache configured → no stamp");
-    }
-
-    #[test]
-    fn cache_invalidation_forces_fresh_retrieval() {
-        let _guard = pws_obs::test_lock();
-        pws_obs::reset();
-        let idx = index();
-        let w = world();
-        let cfg = EngineConfig { query_augmentation: false, ..EngineConfig::default() };
-        let e = ServingEngine::new(&idx, &w, cfg, ServeConfig::default());
-        e.search(UserId(0), "seafood restaurant"); // miss
-        e.search(UserId(1), "seafood restaurant"); // hit
-        e.invalidate_retrieval_cache();
-        e.search(UserId(2), "seafood restaurant"); // stale epoch → miss
-        e.search(UserId(3), "seafood restaurant"); // re-populated → hit
-        let snap = pws_obs::snapshot();
-        let count = |name: &str| {
-            snap.stages.iter().find(|s| s.name == name).map(|s| s.count).unwrap_or(0)
-        };
-        assert_eq!(count("serve.cache.miss"), 2);
-        assert_eq!(count("serve.cache.hit"), 2);
-    }
-
-    /// A query that missed before an invalidation (a segment publish) and
-    /// `put`s after it carries the pre-publish epoch: its pool describes
-    /// the old segment set and must never be served under the new epoch.
-    #[test]
-    fn put_carrying_a_pre_invalidation_epoch_is_never_served() {
-        let _guard = pws_obs::test_lock();
-        let cache = ShardedRetrievalCache::new(8);
-        let tokens = vec!["seafood".to_string()];
-        let e = cache.epoch();
-        cache.invalidate();
-        cache.put(&tokens, 10, e, Arc::new([]));
-        assert!(cache.get(&tokens, 10).is_none(), "stale pool pinned under the new epoch");
-        cache.put(&tokens, 10, cache.epoch(), Arc::new([]));
-        assert!(cache.get(&tokens, 10).is_some(), "a current-epoch put is served");
-    }
-
-    /// Threads publishing distinct segments at the same moment, round
-    /// after round (a barrier lines each round up): every segment must
-    /// land. The pre-fix publish snapshotted outside any lock, so
-    /// colliding publishers started from the same segment set and all
-    /// but one of their segments were lost.
-    #[test]
-    fn concurrent_publishers_lose_no_segment() {
-        let _guard = pws_obs::test_lock();
-        const THREADS: usize = 4;
-        const ROUNDS: usize = 16;
-        let live = LiveIndex::new(pws_index::SegmentedIndex::empty(Default::default()));
-        // Wide vocabularies make the extend step (a df-map merge) long
-        // enough that unserialised publishers reliably overlap.
-        let segment = |id: usize| {
-            let mut b = pws_index::SegmentBuilder::new(pws_index::Analyzer::verbatim());
-            let body: Vec<String> = (0..400).map(|t| format!("s{id}t{t}")).collect();
-            b.add(&format!("http://s{id}.test/"), "Doc", &body.join(" "));
-            b.finish_segment().expect("segment")
-        };
-        let segments: Vec<Vec<pws_index::Segment>> = (0..THREADS)
-            .map(|t| (0..ROUNDS).map(|r| segment(t * ROUNDS + r)).collect())
-            .collect();
-        let round = std::sync::Barrier::new(THREADS);
-        std::thread::scope(|scope| {
-            for mine in &segments {
-                let (live, round) = (&live, &round);
-                scope.spawn(move || {
-                    for seg in mine {
-                        round.wait();
-                        live.add_segment(seg.clone()).expect("publish");
-                    }
-                });
-            }
-        });
-        let snap = live.snapshot();
-        assert_eq!(snap.num_segments(), THREADS * ROUNDS);
-        assert_eq!(snap.doc_count() as usize, THREADS * ROUNDS);
-        for id in 0..THREADS * ROUNDS {
-            assert_eq!(snap.search(&format!("s{id}t7"), 5).len(), 1, "segment {id} lost");
-        }
-    }
-
-    #[test]
-    fn cache_is_bounded_and_evicts_lru() {
-        let _guard = pws_obs::test_lock();
-        pws_obs::reset();
-        let cache = ShardedRetrievalCache::new(8); // 1 entry per lock shard
-        for i in 0..100u32 {
-            let tokens = vec![format!("term{i}")];
-            cache.put(&tokens, 10, cache.epoch(), Arc::new([]));
-            assert!(
-                cache.get(&tokens, 10).is_some(),
-                "just-inserted entry must be resident"
-            );
-        }
-        assert!(cache.len() <= 8, "capacity bound violated: {}", cache.len());
-        let snap = pws_obs::snapshot();
-        let evictions = snap
-            .stages
-            .iter()
-            .find(|s| s.name == "serve.cache.evict")
-            .map(|s| s.count)
-            .unwrap_or(0);
-        assert!(evictions >= 92, "100 inserts into 8 slots evict at least 92");
-        // Pool size is part of the key: same tokens, different k, miss.
-        let tokens = vec!["term99".to_string()];
-        assert!(cache.get(&tokens, 10).is_some());
-        assert!(cache.get(&tokens, 20).is_none());
     }
 
     #[test]
@@ -3649,7 +3072,7 @@ mod tests {
         // retrieval checkpoint.
         for u in 0..3u32 {
             let resp = e
-                .search_with(UserId(u), "seafood restaurant", SearchBudget::already_expired())
+                .search_with(UserId(u), "seafood restaurant", SearchBudget::with_deadline_in(Duration::ZERO))
                 .expect("no admission limit");
             assert!(resp.degraded.is_some(), "expired budget degrades");
         }
@@ -3720,7 +3143,7 @@ mod tests {
         let serve =
             ServeConfig { shards: 1, flight: FlightConfig::enabled(8), ..ServeConfig::default() };
         let cases = [
-            (None, SearchBudget::already_expired(), DegradeReason::DeadlineRetrieval),
+            (None, SearchBudget::with_deadline_in(Duration::ZERO), DegradeReason::DeadlineRetrieval),
             (Some((FaultStage::Concepts, FaultAction::Panic)), SearchBudget::none(), DegradeReason::Panic),
             (
                 Some((FaultStage::Admission, FaultAction::PoisonLock)),
@@ -3825,7 +3248,7 @@ mod tests {
                 let _ = e.search(UserId(u), &format!("restaurant u{u} r{r}"));
             }
             let resp = e
-                .search_with(UserId(u), "seafood restaurant", SearchBudget::already_expired())
+                .search_with(UserId(u), "seafood restaurant", SearchBudget::with_deadline_in(Duration::ZERO))
                 .expect("not shed");
             assert!(resp.degraded.is_some());
         }

@@ -24,11 +24,12 @@
 //! on it inline, the writeback daemon re-queues with backoff on it.
 
 use crate::{
-    inject_fault, lock_counting, lock_or_recover, shard_index, splitmix64, FaultMetrics, FaultPlan, FaultStage,
+    inject_fault, lock_counting, lock_or_recover, shard_index, FaultMetrics, FaultPlan, FaultStage,
     ShardedStats, StoreTierConfig, UserShard,
 };
 use pws_click::UserId;
 use pws_core::UserState;
+use pws_obs::format::splitmix64;
 use pws_store::{StoreError, UserRecord, UserStore};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::ops::ControlFlow;

@@ -250,12 +250,8 @@ fn roll_hash(words: &[u64], bytes: &[u8]) -> u64 {
         h.write(&w.to_le_bytes());
     }
     h.write(bytes);
-    // SplitMix64 finalizer: FNV alone mixes low bits poorly for
-    // modulo-style rolls.
-    let mut z = h.finish().wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
+    // FNV alone mixes low bits poorly for modulo-style rolls.
+    pws_obs::format::splitmix64(h.finish())
 }
 
 /// Deterministic fault-injecting [`StoreIo`] wrapper. See

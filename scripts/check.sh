@@ -234,15 +234,89 @@ section_gate segment crates/pws-index/src/segfile.rs docs/INDEX_FORMAT.md
 section_gate store crates/pws-store/src/codec.rs docs/STORE_FORMAT.md
 section_gate flight crates/pws-obs/src/flight.rs docs/FLIGHT_FORMAT.md
 
-echo "==> one-container gate (fnv1a64 / parse_sections / FNV basis only in pws-obs/src/format.rs)"
+echo "==> one-container gate (fnv1a64 / parse_sections / FNV basis / SplitMix64 only in pws-obs/src/format.rs)"
 # PWSSEG1, PWSUSR1 and PWSFLT1 share one container implementation
 # (docs/CONTAINER_FORMAT.md); a second checksum function or section-table
 # parser under crates/*/src is the copy-paste this gate exists to stop.
 # A hand-rolled FNV loop needs no such function name, only the offset
-# basis, so the literal is gated too: hash through format::Fnv1a64.
-if grep -rniE 'fn (fnv1a64|parse_sections)\b|cbf2_?9ce4_?8422_?2325' crates/*/src --include='*.rs' \
+# basis, so the literal is gated too: hash through format::Fnv1a64. The
+# same holds for the SplitMix64 finalizer behind shard assignment, corpus
+# seeds, fault rolls and load schedules: mix through format::splitmix64.
+if grep -rniE 'fn (fnv1a64|parse_sections)\b|cbf2_?9ce4_?8422_?2325|0x9E3779B97F4A7C15' \
+    crates/*/src --include='*.rs' \
     | grep -v '^crates/pws-obs/src/format.rs:'; then
-    echo "FAIL: container/FNV code outside crates/pws-obs/src/format.rs — use pws_obs::format"
+    echo "FAIL: container/FNV/SplitMix64 code outside crates/pws-obs/src/format.rs — use pws_obs::format"
+    exit 1
+fi
+
+echo "==> one static index gate (no live ingestion, one concrete retrieval cache)"
+# The index an engine serves is fixed for the engine's lifetime, and
+# pws_core::RetrievalCache is the one cache type, owned by EngineCore:
+# no index that absorbs segment publishes, no publish or invalidate
+# entry point, no cache behind a trait object.
+if grep -rnE '\bLiveIndex\b|\bpublish_segment\b|\binvalidate_retrieval_cache\b|dyn RetrievalCache\b' \
+    crates/*/src --include='*.rs'; then
+    echo "FAIL: live ingestion or a trait-object retrieval cache is back — the index is static"
+    exit 1
+fi
+
+echo "==> reachability gate (pub items in pws-serve/pws-core/pws-index/pws-obs have a reader)"
+# Every `pub fn|struct|enum|trait|const|type|static` in the non-test code
+# (before a `#[cfg(test)] mod`) of these four crates must be named, as a
+# word in non-comment code other than its own definition line, by:
+# another crate (src, tests, examples, benches), the root package's
+# src/tests/examples, bench/src, or its own crate's non-test code —
+# or be justified in docs/ARCHITECTURE.md's "Public items reached only
+# by tests" table. Its own crate's tests do not count. The match is by
+# name, so a method whose name collides with another item's passes: the
+# gate is a floor, and colliding names are checked by hand.
+if ! perl - crates/pws-serve crates/pws-core crates/pws-index crates/pws-obs <<'PERL'
+use strict;
+use warnings;
+my %gated = map { m{([^/]+)$}; ($1 => 1) } @ARGV;
+my @files = sort split /\n/,
+    `find crates/*/src crates/*/tests crates/*/examples crates/*/benches src tests examples bench/src -name '*.rs' 2>/dev/null`;
+my (%code, %test, @items);
+for my $f (@files) {
+    my ($crate) = $f =~ m{^crates/([^/]+)/};
+    $crate //= '';
+    my $in_test = $f =~ m{^crates/[^/]+/tests/};
+    my $cfg_test = 0;
+    open my $fh, '<', $f or die "$f: $!";
+    while (my $line = <$fh>) {
+        $in_test = 1 if $cfg_test && $f =~ m{^crates/[^/]+/src/} && $line =~ /^(?:pub )?mod /;
+        $cfg_test = $line =~ /^#\[cfg\(test\)\]/;
+        next if $line =~ m{^\s*//};
+        $line =~ s{\s//\s.*$}{};
+        my @words = $line =~ /\b([A-Za-z_]\w*)\b/g;
+        if (!$in_test && $gated{$crate} && $line =~
+            /^\s*pub\s+(?:(?:const|unsafe)\s+)?(?:fn|struct|enum|trait|const|type|static)\s+([A-Za-z_]\w*)/) {
+            my $name = $1;
+            push @items, [$crate, $name, "$f:$.", scalar grep { $_ eq $name } @words];
+        }
+        if ($in_test) { $test{$crate}{$_}++ for @words } else { $code{$_}++ for @words }
+    }
+}
+my %justified;
+open my $doc, '<', 'docs/ARCHITECTURE.md' or die "docs/ARCHITECTURE.md: $!";
+my $in_table = 0;
+while (<$doc>) {
+    $in_table = /^## Public items reached only by tests/ if /^## /;
+    $justified{$1} = 1 if $in_table && /^\|\s*`(?:\w+::)*(\w+)`/;
+}
+my $bad = 0;
+for my $item (@items) {
+    my ($crate, $name, $loc, $on_def_line) = @$item;
+    my $readers = ($code{$name} // 0) - $on_def_line;
+    $readers += $test{$_}{$name} // 0 for grep { $_ ne $crate } keys %test;
+    next if $readers > 0 || $justified{$name};
+    print "    $loc: pub $name has no reader outside ${crate}'s own tests\n";
+    $bad = 1;
+}
+exit $bad;
+PERL
+then
+    echo "FAIL: public items only their own crate's tests reach — delete them, or justify each in docs/ARCHITECTURE.md"
     exit 1
 fi
 
