@@ -15,11 +15,11 @@
 //! * **naive** — [`SegmentedIndex::search_exhaustive`], the term-at-a-time
 //!   oracle (score every matching document, sort everything) that the
 //!   executor is gated against;
-//! * **cached** — [`SegmentedIndex::search_tokens`] on
+//! * **cached** — [`SegmentedIndex::rank_tokens`] on
 //!   `ExperimentWorld.engine` (the single segment [`IndexBuilder`] built
 //!   in RAM) behind `pws-core`'s [`RetrievalCache`] (analyze once,
-//!   probe, fall through on miss), the configuration the serving layer
-//!   runs;
+//!   probe, rank on a miss, cut each hit's snippet the first time it is
+//!   taken), the configuration the serving layer runs;
 //! * **segmented** — [`SegmentedIndex::search`] over four segment files
 //!   written, then re-opened from disk.
 //!
@@ -40,10 +40,10 @@
 //!
 //! [`IndexBuilder`]: pws_index::IndexBuilder
 //! [`SegmentedIndex::search`]: pws_index::SegmentedIndex::search
-//! [`SegmentedIndex::search_tokens`]: pws_index::SegmentedIndex::search_tokens
+//! [`SegmentedIndex::rank_tokens`]: pws_index::SegmentedIndex::rank_tokens
 //! [`SegmentedIndex::search_exhaustive`]: pws_index::SegmentedIndex::search_exhaustive
 
-use pws_core::RetrievalCache;
+use pws_core::{RankedPool, RetrievalCache};
 use pws_corpus::{CorpusGen, CorpusSpec, Query, QueryGen, QuerySpec};
 use pws_eval::{ExperimentSpec, ExperimentWorld};
 use pws_geo::{WorldGen, WorldSpec};
@@ -95,16 +95,19 @@ fn backends<'a>(
 }
 
 /// What the engine core does per base retrieval: analyze once, probe the
-/// cache, fall through to the index on a miss and fill; then copy the
-/// shared pool out once, as the engine does into its candidate pool.
+/// cache, fall through to the index on a miss (rank only) and fill; then
+/// take every hit of the pool — cutting the snippets nobody cut yet — and
+/// copy each out once, as the engine does into its base candidate pool.
 fn cached_search(index: &SegmentedIndex, cache: &RetrievalCache, q: &str) -> Vec<SearchHit> {
     let tokens = index.analyze_text(q);
-    if let Some(hits) = cache.get(&tokens, POOL_K) {
-        return hits.to_vec();
-    }
-    let hits: Arc<[SearchHit]> = index.search_tokens(&tokens, POOL_K).into();
-    cache.put(&tokens, POOL_K, Arc::clone(&hits));
-    hits.to_vec()
+    let pool = cache.get(&tokens, POOL_K).unwrap_or_else(|| {
+        let ranked = index.rank_tokens(&tokens, POOL_K);
+        let pool = Arc::new(RankedPool::new(tokens, ranked));
+        cache.put(POOL_K, Arc::clone(&pool));
+        pool
+    });
+    let all: Vec<usize> = (0..pool.ranked().len()).collect();
+    pool.cut(index, &all).into_iter().cloned().collect()
 }
 
 /// Exact equivalence: same page, same ranks, bit-identical scores.

@@ -1,48 +1,115 @@
 //! Base-retrieval caching.
 //!
 //! Base retrieval — BM25 over the shared index — is *user-independent*:
-//! every user issuing the same (analyzed) query gets the same candidate
-//! pool, and personalization happens strictly downstream of it. That makes
-//! the pool safely shareable across users and turns. [`RetrievalCache`] is
-//! what [`crate::EngineCore`] consults before touching the index when the
-//! core owns one (the serving layer always turns it on).
+//! every user issuing the same (analyzed) query gets the same ranked
+//! list, and personalization happens strictly downstream of it. That
+//! makes the list safely shareable across users and turns.
+//! [`RetrievalCache`] is what [`crate::EngineCore`] consults before
+//! touching the index when the core owns one (the serving layer always
+//! turns it on).
+//!
+//! A cached value is a [`RankedPool`]: the analyzed query tokens, the
+//! ranked `(doc, BM25)` list [`pws_index::RetrievalBackend::rank_tokens`]
+//! returned, and one slot per hit that holds the hit — snippet included —
+//! once some request has used it. A hit's snippet is cut
+//! ([`RankedPool::cut`]) the first time a request puts that hit in its
+//! candidate pool: the base pool uses every hit, a city-augmented pool
+//! only the few that survive its dedup and re-scoring, so the hits an
+//! augmented list ranks and nobody keeps are never cut.
 //!
 //! The key is the **analyzed token sequence** plus the pool size `k`:
 //! surface forms that analyze identically ("Seafood  Restaurant!" vs
 //! "seafood restaurant") share one entry, and tokens are produced once per
-//! request via [`pws_index::RetrievalBackend::analyze_text`] /
-//! [`pws_index::RetrievalBackend::search_tokens`].
+//! request via [`pws_index::RetrievalBackend::analyze_text`].
 //!
 //! Correctness contract: `get` returns exactly what `put` stored for the
 //! same `(tokens, k)`. The index is immutable for the engine's lifetime,
-//! so a stored pool never goes stale. A pool is handed over as
-//! `Arc<[SearchHit]>` and handed back as a clone of that `Arc`: a probe
-//! copies no hit, least of all under a shard lock; the engine clones a
+//! so a stored pool never goes stale. A snippet depends only on its body
+//! and the list's query tokens, so a hit cut late, alone, or by whichever
+//! of two racing requests wins its slot has the bytes an eager
+//! `search_tokens` would have given it. A pool is handed out as an `Arc`:
+//! a probe copies nothing under the shard lock, and the engine clones a
 //! hit once, when it enters a request's candidate pool. Budget
 //! checkpoints, degraded paths, and chaos faults all still apply to
 //! cached turns: the cache only replaces the index scan, never the rest
 //! of the pipeline.
 
-use pws_index::SearchHit;
+use pws_index::{RetrievalBackend, SearchHit};
 use pws_obs::format::Fnv1a64;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+
+/// One base retrieval: the analyzed query tokens, the ranked list, and
+/// each hit as cut on first use. Shared by the cache and every request
+/// served from it; a transient one serves an engine without a cache.
+pub struct RankedPool {
+    tokens: Vec<String>,
+    ranked: Vec<(u32, f64)>,
+    /// `hits[i]` is the hit at position `i` of `ranked`, once cut.
+    hits: Box<[OnceLock<SearchHit>]>,
+}
+
+/// The process-wide `engine.retrieval.snippets_cut` counter handle.
+fn snippets_cut() -> &'static pws_obs::StageMetrics {
+    static STAGE: OnceLock<Arc<pws_obs::StageMetrics>> = OnceLock::new();
+    STAGE.get_or_init(|| pws_obs::stage("engine.retrieval.snippets_cut"))
+}
+
+impl RankedPool {
+    /// A pool over `ranked`, the `rank_tokens` list of `tokens`, with no
+    /// hit cut yet.
+    pub fn new(tokens: Vec<String>, ranked: Vec<(u32, f64)>) -> Self {
+        let hits = ranked.iter().map(|_| OnceLock::new()).collect();
+        RankedPool { tokens, ranked, hits }
+    }
+
+    /// The analyzed query tokens the list was ranked (and is cut) for.
+    pub fn tokens(&self) -> &[String] {
+        &self.tokens
+    }
+
+    /// The ranked `(doc, BM25)` list, best first.
+    pub fn ranked(&self) -> &[(u32, f64)] {
+        &self.ranked
+    }
+
+    /// The hits at positions `which` of the list, in `which` order. Hits
+    /// not cut yet are cut now, in one `cut_hits` call against this
+    /// pool's tokens, and kept; each counts once under
+    /// `engine.retrieval.snippets_cut`. Two requests that race on a hit
+    /// both cut it and keep whichever lands first — the same bytes.
+    ///
+    /// # Panics
+    /// Panics if a position in `which` is out of range.
+    pub fn cut(&self, base: &dyn RetrievalBackend, which: &[usize]) -> Vec<&SearchHit> {
+        let missing: Vec<usize> =
+            which.iter().copied().filter(|&i| self.hits[i].get().is_none()).collect();
+        if !missing.is_empty() {
+            let cut = base.cut_hits(&self.tokens, &self.ranked, &missing);
+            snippets_cut().incr(cut.len() as u64);
+            for (i, hit) in missing.into_iter().zip(cut) {
+                let _ = self.hits[i].set(hit);
+            }
+        }
+        which.iter().map(|&i| self.hits[i].get().expect("every wanted hit is cut")).collect()
+    }
+}
 
 /// Number of lock shards in the base-retrieval cache. Fixed: cache
 /// contention is per-query-string, independent of the user shard count.
 const CACHE_SHARDS: usize = 8;
 
-/// One cached base-retrieval pool.
+/// One cached base retrieval.
 struct CacheEntry {
-    /// The exact key, kept for collision rejection (the map is keyed by
-    /// the 64-bit fingerprint; a colliding probe must miss, not alias).
-    tokens: Vec<String>,
+    /// The pool size of the key; the key's tokens are the pool's. Both are
+    /// compared on probe for collision rejection (the map is keyed by the
+    /// 64-bit fingerprint; a colliding probe must miss, not alias).
     k: usize,
     /// Shard-local LRU clock value of the last touch.
     tick: u64,
     /// Shared with every request served from this entry: a probe bumps
     /// the count under the shard lock and copies nothing.
-    hits: Arc<[SearchHit]>,
+    pool: Arc<RankedPool>,
 }
 
 /// One lock shard of the retrieval cache: fingerprint-keyed entries plus
@@ -116,19 +183,19 @@ impl RetrievalCache {
         })
     }
 
-    /// Cached hits for `(tokens, k)`, or `None` on a miss.
-    pub fn get(&self, tokens: &[String], k: usize) -> Option<Arc<[SearchHit]>> {
+    /// The cached pool for `(tokens, k)`, or `None` on a miss.
+    pub fn get(&self, tokens: &[String], k: usize) -> Option<Arc<RankedPool>> {
         let fp = cache_fingerprint(tokens, k);
         let mut shard = self.lock_shard(fp);
         shard.tick += 1;
         let tick = shard.tick;
         match shard.map.get_mut(&fp) {
-            Some(e) if e.k == k && e.tokens == tokens => {
+            Some(e) if e.k == k && e.pool.tokens == tokens => {
                 e.tick = tick;
-                let hits = Arc::clone(&e.hits);
+                let pool = Arc::clone(&e.pool);
                 drop(shard);
                 self.hit.incr(1);
-                Some(hits)
+                Some(pool)
             }
             _ => {
                 drop(shard);
@@ -138,10 +205,10 @@ impl RetrievalCache {
         }
     }
 
-    /// Store the hits the index returned for `(tokens, k)`, evicting the
-    /// shard's least-recently touched entry when the shard is full.
-    pub fn put(&self, tokens: &[String], k: usize, hits: Arc<[SearchHit]>) {
-        let fp = cache_fingerprint(tokens, k);
+    /// Store `pool` under `(pool.tokens(), k)`, evicting the shard's
+    /// least-recently touched entry when the shard is full.
+    pub fn put(&self, k: usize, pool: Arc<RankedPool>) {
+        let fp = cache_fingerprint(&pool.tokens, k);
         let mut shard = self.lock_shard(fp);
         shard.tick += 1;
         let tick = shard.tick;
@@ -153,13 +220,15 @@ impl RetrievalCache {
                 self.evict.incr(1);
             }
         }
-        shard.map.insert(fp, CacheEntry { tokens: tokens.to_vec(), k, tick, hits });
+        shard.map.insert(fp, CacheEntry { k, tick, pool });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pws_index::{IndexBuilder, StoredDoc};
+    use std::sync::Barrier;
 
     impl RetrievalCache {
         /// Number of resident entries.
@@ -175,7 +244,7 @@ mod tests {
         let cache = RetrievalCache::new(8); // 1 entry per lock shard
         for i in 0..100u32 {
             let tokens = vec![format!("term{i}")];
-            cache.put(&tokens, 10, Arc::new([]));
+            cache.put(10, Arc::new(RankedPool::new(tokens.clone(), Vec::new())));
             assert!(
                 cache.get(&tokens, 10).is_some(),
                 "just-inserted entry must be resident"
@@ -194,5 +263,57 @@ mod tests {
         let tokens = vec!["term99".to_string()];
         assert!(cache.get(&tokens, 10).is_some());
         assert!(cache.get(&tokens, 20).is_none());
+    }
+
+    /// Threads that take hits of one fresh pool at once — each first a
+    /// different subset, then all of it — every one gets exactly the hits
+    /// an eager `search_tokens` returns, whichever thread's cut landed.
+    #[test]
+    fn threads_racing_on_one_pool_get_identical_hits() {
+        let _guard = pws_obs::test_lock();
+        const WORDS: [&str; 8] =
+            ["seafood", "harbor", "lobster", "grill", "market", "fresh", "daily", "dock"];
+        let mut b = IndexBuilder::new();
+        for i in 0..80u32 {
+            let body: Vec<&str> = (0..40).map(|j| WORDS[(i as usize * 7 + j * j) % 8]).collect();
+            b.add(StoredDoc::new(i, &format!("u{i}"), "dock house", &body.join(" ")));
+        }
+        let index = b.build();
+        let tokens = index.analyze_text("seafood lobster dock");
+        let eager = index.search_tokens(&tokens, 30);
+        assert_eq!(eager.len(), 30);
+        let all: Vec<usize> = (0..30).collect();
+        let counted = || {
+            pws_obs::snapshot()
+                .stages
+                .iter()
+                .find(|s| s.name == "engine.retrieval.snippets_cut")
+                .map_or(0, |s| s.count)
+        };
+        for _ in 0..20 {
+            let pool = RankedPool::new(tokens.clone(), index.rank_tokens(&tokens, 30));
+            let barrier = Barrier::new(4);
+            let got: Vec<Vec<SearchHit>> = std::thread::scope(|s| {
+                let threads: Vec<_> = (0..4)
+                    .map(|t| {
+                        let (pool, barrier, all, index) = (&pool, &barrier, &all, &index);
+                        s.spawn(move || {
+                            let first: Vec<usize> = (t..30).step_by(4).collect();
+                            barrier.wait();
+                            pool.cut(index, &first);
+                            pool.cut(index, all).into_iter().cloned().collect()
+                        })
+                    })
+                    .collect();
+                threads.into_iter().map(|t| t.join().expect("reader thread")).collect()
+            });
+            for hits in got {
+                assert_eq!(hits, eager);
+            }
+            // Every hit is cut now: taking them all again cuts nothing.
+            let before = counted();
+            assert_eq!(pool.cut(&index, &all).into_iter().cloned().collect::<Vec<_>>(), eager);
+            assert_eq!(counted(), before);
+        }
     }
 }

@@ -15,13 +15,13 @@
 //! Because both frontends call the same `search_user_gated`/`observe_user`, a
 //! request replayed through either produces the same [`SearchTurn`].
 
-use crate::cache::RetrievalCache;
+use crate::cache::{RankedPool, RetrievalCache};
 use crate::config::{BlendStrategy, EngineConfig, PersonalizationMode};
 use crate::state::UserState;
 use pws_click::{Impression, UserId};
 use pws_concepts::{ConceptMemo, QueryConceptOntology};
 use pws_entropy::{Effectiveness, QueryStats};
-use pws_geo::{LocationMatcher, LocationOntology};
+use pws_geo::{LocId, LocationMatcher, LocationOntology};
 use pws_index::{RetrievalBackend, SearchHit};
 use pws_obs::event::{FlightEvent, SearchStage};
 use pws_obs::trace::{BetaInputs, BetaProvenance, ConceptTrace, QueryTrace, ResultTrace};
@@ -218,22 +218,74 @@ impl<'a> EngineCore<'a> {
 
     /// Base retrieval for `query_text` with the configured pool size,
     /// consulting the retrieval cache when the core owns one. Returns the
-    /// hits — shared with the cache, so a cached pool costs a reference
-    /// count — plus `Some(hit?)` when a cache was consulted (`None`
-    /// without a cache) for the event's cache stamp.
-    fn retrieve_base(&self, query_text: &str) -> (Arc<[SearchHit]>, Option<bool>) {
+    /// ranked pool — shared with the cache, so a cached pool costs a
+    /// reference count; a transient one without a cache — plus
+    /// `Some(hit?)` when a cache was consulted (`None` without a cache)
+    /// for the event's cache stamp. No snippet is cut here.
+    fn retrieve_base(&self, query_text: &str) -> (Arc<RankedPool>, Option<bool>) {
         let k = self.cfg.rerank_pool;
-        // Backend contract: search(q, k) == search_tokens(analyze(q), k).
         let tokens = self.base.analyze_text(query_text);
-        let Some(cache) = &self.retrieval_cache else {
-            return (self.base.search_tokens(&tokens, k).into(), None);
+        let rank = |tokens: Vec<String>| {
+            let ranked = self.base.rank_tokens(&tokens, k);
+            Arc::new(RankedPool::new(tokens, ranked))
         };
-        if let Some(hits) = cache.get(&tokens, k) {
-            return (hits, Some(true));
+        let Some(cache) = &self.retrieval_cache else {
+            return (rank(tokens), None);
+        };
+        if let Some(pool) = cache.get(&tokens, k) {
+            return (pool, Some(true));
         }
-        let hits: Arc<[SearchHit]> = self.base.search_tokens(&tokens, k).into();
-        cache.put(&tokens, k, Arc::clone(&hits));
-        (hits, Some(false))
+        let pool = rank(tokens);
+        cache.put(k, Arc::clone(&pool));
+        (pool, Some(false))
+    }
+
+    /// The candidate pool a turn for `query_text` re-ranks — each hit
+    /// with its pool-normalized base score, best first — plus the base
+    /// retrieval's cache stamp (see [`Self::search_user_gated`]).
+    ///
+    /// Every hit of the base list joins the pool. With `city` (the
+    /// user's preferred city, when augmentation applies) the pool also
+    /// takes hits of "query + city" the base list lacks, so home-city
+    /// documents enter it even when the baseline ranking buried them.
+    /// Those are re-scored against the *original* query (a doc matching
+    /// only the city name is topically irrelevant and must not inherit
+    /// the augmented query's inflated score), and only the ones scoring
+    /// above 0 join — and only they have their snippets cut. A joining
+    /// hit keeps its augmented-list rank and BM25 score; its normalized
+    /// score is the re-scored one. Nothing is augmented when the query
+    /// already names the city.
+    pub fn candidate_pool(
+        &self,
+        query_text: &str,
+        city: Option<LocId>,
+    ) -> (Vec<(SearchHit, f64)>, Option<bool>) {
+        let (base, cache_hit) = self.retrieve_base(query_text);
+        let all: Vec<usize> = (0..base.ranked().len()).collect();
+        let (mut candidates, base_max) = normalize_pool(&base.cut(self.base, &all));
+        let Some(city_name) = city.map(|c| self.world.name(c)) else {
+            return (candidates, cache_hit);
+        };
+        if self.query_mentions_city(query_text, city_name) {
+            return (candidates, cache_hit);
+        }
+        let (aug, _) = self.retrieve_base(&format!("{query_text} {city_name}"));
+        let new: Vec<usize> = (0..aug.ranked().len())
+            .filter(|&i| !candidates.iter().any(|(c, _)| c.doc == aug.ranked()[i].0))
+            .collect();
+        let new_docs: Vec<u32> = new.iter().map(|&i| aug.ranked()[i].0).collect();
+        let base_scores = self.base.score_docs(base.tokens(), &new_docs);
+        let (survivors, scores): (Vec<usize>, Vec<f64>) =
+            new.into_iter().zip(base_scores).filter(|(_, s)| *s > 0.0).unzip();
+        // A shared hit is cloned once, when it enters the pool.
+        let rescored: Vec<(SearchHit, f64)> = aug
+            .cut(self.base, &survivors)
+            .into_iter()
+            .zip(scores)
+            .map(|(h, s)| (h.clone(), s / base_max))
+            .collect();
+        merge_pools(&mut candidates, rescored);
+        (candidates, cache_hit)
     }
 
     /// Concept extraction over `snippets`: each snippet's analysis comes
@@ -453,40 +505,12 @@ impl<'a> EngineCore<'a> {
     ) -> (SearchTurn, Option<StageCheckpoint>) {
         // ── Candidate pool ────────────────────────────────────────────────
         let retrieval_span = self.metrics.retrieval.span();
-        let (base_hits, cache_hit) = self.retrieve_base(query_text);
+        let city = (self.cfg.query_augmentation && self.cfg.mode.uses_location())
+            .then(|| state.location.preferred_city(self.world))
+            .flatten();
+        let (candidates, cache_hit) = self.candidate_pool(query_text, city);
         ev.user = user.0;
         ev.cache_hit = cache_hit;
-        let (mut candidates, base_max) = normalize_pool(&base_hits);
-
-        // Location-aware query augmentation: also retrieve for
-        // "query + preferred city" so home-city documents enter the pool
-        // even when the baseline ranking buried them. Augmented candidates
-        // are re-scored against the *original* query (a doc matching only
-        // the city name is topically irrelevant and must not inherit the
-        // augmented query's inflated score).
-        if self.cfg.query_augmentation && self.cfg.mode.uses_location() {
-            if let Some(city) = state.location.preferred_city(self.world) {
-                let city_name = self.world.name(city);
-                if !self.query_mentions_city(query_text, city_name) {
-                    let aug = format!("{query_text} {city_name}");
-                    let (aug_hits, _) = self.retrieve_base(&aug);
-                    let new_hits: Vec<&SearchHit> = aug_hits
-                        .iter()
-                        .filter(|h| !candidates.iter().any(|(c, _)| c.doc == h.doc))
-                        .collect();
-                    let new_docs: Vec<u32> = new_hits.iter().map(|h| h.doc).collect();
-                    let base_scores = self.base.score_docs(query_text, &new_docs);
-                    // A shared hit is cloned once, when it enters the pool.
-                    let rescored: Vec<(SearchHit, f64)> = new_hits
-                        .into_iter()
-                        .zip(base_scores)
-                        .filter(|(_, s)| *s > 0.0)
-                        .map(|(h, s)| (h.clone(), s / base_max))
-                        .collect();
-                    merge_pools(&mut candidates, rescored);
-                }
-            }
-        }
         finish_span(retrieval_span, ev, SearchStage::Retrieval);
 
         // The base order serves a baseline or empty pool (nothing to
@@ -625,8 +649,7 @@ impl<'a> EngineCore<'a> {
         trace: Option<&mut QueryTrace>,
     ) -> SearchTurn {
         let retrieval_span = self.metrics.retrieval.span();
-        let (base_hits, cache_hit) = self.retrieve_base(query_text);
-        let (candidates, _) = normalize_pool(&base_hits);
+        let (candidates, cache_hit) = self.candidate_pool(query_text, None);
         finish_span(retrieval_span, ev, SearchStage::Retrieval);
         ev.user = user.0;
         ev.cache_hit = cache_hit;
@@ -789,9 +812,9 @@ fn feature_input(hit: &SearchHit, norm: f64, rank: usize) -> ResultFeatureInput 
 
 /// Normalize a hit list's scores to [0, 1] by its own max; also returns
 /// that max (floored at the smallest positive `f64`, so it divides).
-pub(crate) fn normalize_pool(hits: &[SearchHit]) -> (Vec<(SearchHit, f64)>, f64) {
+pub(crate) fn normalize_pool(hits: &[&SearchHit]) -> (Vec<(SearchHit, f64)>, f64) {
     let max = hits.iter().map(|h| h.score).fold(0.0_f64, f64::max).max(f64::MIN_POSITIVE);
-    (hits.iter().map(|h| (h.clone(), h.score / max)).collect(), max)
+    (hits.iter().map(|&h| (h.clone(), h.score / max)).collect(), max)
 }
 
 /// Merge `extra` into `pool`, deduplicating by doc id (keeping the higher

@@ -640,7 +640,7 @@ mod tests {
             title: "t".into(),
             snippet: "s".into(),
         };
-        let (pool, max) = normalize_pool(&[h(0, 8.0), h(1, 2.0)]);
+        let (pool, max) = normalize_pool(&[&h(0, 8.0), &h(1, 2.0)]);
         assert_eq!(pool[0].1, 1.0);
         assert_eq!(pool[1].1, 0.25);
         assert_eq!(max, 8.0);

@@ -2,9 +2,11 @@
 //!
 //! [`RetrievalBackend`] is the exact surface `pws-core`'s `EngineCore`
 //! consumes from base retrieval: analyze text the way the index does,
-//! run a top-k query (raw or pre-analyzed), and re-score specific
-//! documents against a query. [`crate::segmented::SegmentedIndex`] (of
-//! which [`crate::SearchEngine`] is an alias, the one-segment-in-RAM
+//! rank a top-k list without cutting a snippet, cut the snippets of the
+//! hits a request actually uses, and re-score specific documents against
+//! a query. `search` / `search_tokens` (rank + cut every hit) stay for
+//! the callers that want whole result lists. [`crate::segmented::SegmentedIndex`]
+//! (of which [`crate::SearchEngine`] is an alias, the one-segment-in-RAM
 //! case) is its only implementor: the index an engine serves is fixed
 //! for the engine's lifetime.
 //!
@@ -20,9 +22,10 @@ use crate::segmented::SegmentedIndex;
 ///
 /// Contract (what the equivalence suites assert): results are ranked by
 /// BM25 descending with ties broken by ascending doc id;
-/// `search_tokens(analyze_text(q), k)` equals `search(q, k)`; `score_docs`
-/// returns exactly 0.0 for docs matching no query term and credits only
-/// the last occurrence of a duplicated doc id.
+/// `search_tokens(analyze_text(q), k)` equals `search(q, k)`, and equals
+/// `cut_hits(t, &rank_tokens(t, k), &[0, 1, ..])` for `t = analyze_text(q)`;
+/// `score_docs` returns exactly 0.0 for docs matching no query term and
+/// credits only the last occurrence of a duplicated doc id.
 pub trait RetrievalBackend: Send + Sync {
     /// Run the index's analyzer over arbitrary text.
     fn analyze_text(&self, text: &str) -> Vec<String>;
@@ -30,13 +33,26 @@ pub trait RetrievalBackend: Send + Sync {
     /// Top-k query over raw query text.
     fn search(&self, query: &str, k: usize) -> Vec<SearchHit>;
 
-    /// Top-k query over pre-analyzed tokens (callers that key caches on
-    /// analyzed tokens analyze exactly once).
+    /// Top-k query over pre-analyzed tokens: rank, then cut every hit.
     fn search_tokens(&self, q_tokens: &[String], k: usize) -> Vec<SearchHit>;
 
-    /// BM25 scores of `query` for specific doc ids (0.0 for docs
-    /// matching no query term).
-    fn score_docs(&self, query: &str, docs: &[u32]) -> Vec<f64>;
+    /// The ranked `(doc, BM25)` top-k of pre-analyzed tokens, with no
+    /// snippet cut.
+    fn rank_tokens(&self, q_tokens: &[String], k: usize) -> Vec<(u32, f64)>;
+
+    /// The hits at positions `which` of `ranked` (a `rank_tokens` list for
+    /// `q_tokens`), each with its list rank, score and query-biased
+    /// snippet, in `which` order.
+    fn cut_hits(
+        &self,
+        q_tokens: &[String],
+        ranked: &[(u32, f64)],
+        which: &[usize],
+    ) -> Vec<SearchHit>;
+
+    /// BM25 scores of the analyzed query `q_tokens` for specific doc ids
+    /// (0.0 for docs matching no query term).
+    fn score_docs(&self, q_tokens: &[String], docs: &[u32]) -> Vec<f64>;
 }
 
 impl RetrievalBackend for SegmentedIndex {
@@ -52,8 +68,21 @@ impl RetrievalBackend for SegmentedIndex {
         SegmentedIndex::search_tokens(self, q_tokens, k)
     }
 
-    fn score_docs(&self, query: &str, docs: &[u32]) -> Vec<f64> {
-        SegmentedIndex::score_docs(self, query, docs)
+    fn rank_tokens(&self, q_tokens: &[String], k: usize) -> Vec<(u32, f64)> {
+        SegmentedIndex::rank_tokens(self, q_tokens, k)
+    }
+
+    fn cut_hits(
+        &self,
+        q_tokens: &[String],
+        ranked: &[(u32, f64)],
+        which: &[usize],
+    ) -> Vec<SearchHit> {
+        SegmentedIndex::cut_hits(self, q_tokens, ranked, which)
+    }
+
+    fn score_docs(&self, q_tokens: &[String], docs: &[u32]) -> Vec<f64> {
+        SegmentedIndex::score_docs(self, q_tokens, docs)
     }
 }
 
@@ -71,7 +100,8 @@ mod tests {
         let backend: &dyn RetrievalBackend = &eng;
         let hits = backend.search("seafood", 10);
         assert_eq!(hits.len(), 1);
-        assert_eq!(hits, backend.search_tokens(&backend.analyze_text("seafood"), 10));
-        assert!(backend.score_docs("seafood", &[0])[0] > 0.0);
+        let tokens = backend.analyze_text("seafood");
+        assert_eq!(hits, backend.search_tokens(&tokens, 10));
+        assert!(backend.score_docs(&tokens, &[0])[0] > 0.0);
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! It runs entirely out of a pooled [`SearchScratch`]
 //! (see [`crate::scratch`]): **no allocations at steady state**, enforced
-//! by a check.sh grep gate on this module. Snippet materialization is not
-//! done here at all — callers materialize only the final top-k.
+//! by a check.sh grep gate on this module. No snippet is cut here at all —
+//! callers cut the snippets of the ranked hits they take.
 //!
 //! ## Exactness
 //!

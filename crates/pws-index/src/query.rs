@@ -231,7 +231,11 @@ impl SegmentedIndex {
         cands.truncate(k);
         // Use the raw (pre-structure) analyzed terms for snippets.
         let q_tokens = self.analyze_text(query);
-        Ok(self.materialize(&cands, &q_tokens, &mut SnippetScratch::default()))
+        Ok(self.materialize(
+            cands.into_iter().enumerate(),
+            &q_tokens,
+            &mut SnippetScratch::default(),
+        ))
     }
 
     /// Recursively evaluate an expression to scored matching docs.

@@ -222,12 +222,46 @@ impl SegmentedIndex {
         hits
     }
 
-    /// [`SegmentedIndex::search`] over pre-analyzed tokens (the serving
-    /// layer analyzes exactly once and keys its cache on the tokens).
+    /// [`SegmentedIndex::search`] over pre-analyzed tokens:
+    /// [`SegmentedIndex::rank_tokens`] and then [`SegmentedIndex::cut_hits`]
+    /// of every ranked doc, in one scratch checkout.
     pub fn search_tokens(&self, q_tokens: &[String], k: usize) -> Vec<SearchHit> {
         let _span = self.metrics_search().span();
         let mut scratch = self.scratch.acquire();
         self.run_query(q_tokens, k, &mut scratch)
+    }
+
+    /// The ranking half of [`SegmentedIndex::search_tokens`]: the top `k`
+    /// `(global doc, BM25)` pairs in rank order, with no document decoded
+    /// and no snippet cut. Recorded under `index.search`.
+    pub fn rank_tokens(&self, q_tokens: &[String], k: usize) -> Vec<(u32, f64)> {
+        let _span = self.metrics_search().span();
+        let mut scratch = self.scratch.acquire();
+        if !self.rank_into(q_tokens, k, &mut scratch) {
+            return Vec::new();
+        }
+        scratch.cands.clone()
+    }
+
+    /// The cutting half of [`SegmentedIndex::search_tokens`]: the hits at
+    /// positions `which` of `ranked` (a [`SegmentedIndex::rank_tokens`]
+    /// list for `q_tokens`), in `which` order. A hit keeps its list rank
+    /// (`position + 1`) and score, and its snippet depends only on its
+    /// body and `q_tokens`, so cutting a subset, or cutting later, gives
+    /// the bytes `search_tokens` would have. One pooled snippet scratch
+    /// serves the call; recorded under `index.materialize`.
+    ///
+    /// # Panics
+    /// Panics if a position in `which` is out of range for `ranked`.
+    pub fn cut_hits(
+        &self,
+        q_tokens: &[String],
+        ranked: &[(u32, f64)],
+        which: &[usize],
+    ) -> Vec<SearchHit> {
+        let _span = self.metrics_materialize().span();
+        let mut scratch = self.scratch.acquire();
+        self.materialize(which.iter().map(|&i| (i, ranked[i])), q_tokens, &mut scratch.snippets)
     }
 
     /// Process-wide handle to the `index.materialize` stage.
@@ -244,17 +278,30 @@ impl SegmentedIndex {
         STAGE.get_or_init(|| pws_obs::stage("index.snippets_deferred"))
     }
 
+    /// Rank and cut every hit: the body of [`SegmentedIndex::search`] and
+    /// [`SegmentedIndex::search_tokens`].
     fn run_query(
         &self,
         q_tokens: &[String],
         k: usize,
         scratch: &mut SearchScratch,
     ) -> Vec<SearchHit> {
-        if k == 0 || self.doc_count == 0 || q_tokens.is_empty() {
+        if !self.rank_into(q_tokens, k, scratch) {
             return Vec::new();
         }
+        let _span = self.metrics_materialize().span();
+        let SearchScratch { cands, snippets, .. } = scratch;
+        self.materialize(cands.iter().copied().enumerate(), q_tokens, snippets)
+    }
+
+    /// Run Block-Max WAND for the top `k` into `scratch.cands`; `false`
+    /// (and `cands` untouched) when nothing can match.
+    fn rank_into(&self, q_tokens: &[String], k: usize, scratch: &mut SearchScratch) -> bool {
+        if k == 0 || self.doc_count == 0 || q_tokens.is_empty() {
+            return false;
+        }
         if !self.resolve_into(q_tokens, scratch) {
-            return Vec::new();
+            return false;
         }
         let ctx = SegContext {
             segments: &self.segments,
@@ -265,14 +312,13 @@ impl SegmentedIndex {
             k,
         };
         let pushes = bmw_top_k(&ctx, scratch);
-        // Snippets are materialized for the final top-k only;
-        // every other heap insertion deferred (= skipped) its snippet.
+        // Snippets are cut for the final top-k at most; every other heap
+        // insertion deferred (= skipped) its snippet.
         let deferred = pushes.saturating_sub(scratch.cands.len() as u64);
         if deferred > 0 {
             self.metrics_snippets_deferred().incr(deferred);
         }
-        let _span = self.metrics_materialize().span();
-        self.materialize(&scratch.cands, q_tokens, &mut scratch.snippets)
+        true
     }
 
     /// The exhaustive reference: term-at-a-time accumulation over every
@@ -296,7 +342,7 @@ impl SegmentedIndex {
         let mut cands: Vec<(u32, f64)> = acc.into_iter().collect();
         cands.sort_unstable_by(rank_order);
         cands.truncate(k);
-        self.materialize(&cands, q_tokens, &mut SnippetScratch::default())
+        self.materialize(cands.into_iter().enumerate(), q_tokens, &mut SnippetScratch::default())
     }
 
     /// Every doc containing one analyzed term, with the term's BM25
@@ -360,15 +406,15 @@ impl SegmentedIndex {
         out
     }
 
-    /// BM25 scores of `query` for specific global doc ids (0.0 for docs
-    /// matching no query term). Used by the personalization layer to
-    /// re-score externally sourced candidates (e.g. from an augmented
-    /// query) against the *original* query, so pools stay comparable.
+    /// BM25 scores of the analyzed query `q_tokens` for specific global
+    /// doc ids (0.0 for docs matching no query term). Used by the
+    /// personalization layer to re-score externally sourced candidates
+    /// (e.g. from an augmented query) against the *original* query, whose
+    /// tokens its pool already holds, so pools stay comparable.
     ///
     /// Each term's blocks are walked forward once across the sorted wanted
     /// ids, so a block holding several wanted docs is decoded once.
-    pub fn score_docs(&self, query: &str, docs: &[u32]) -> Vec<f64> {
-        let q_tokens = self.analyzer.analyze(query);
+    pub fn score_docs(&self, q_tokens: &[String], docs: &[u32]) -> Vec<f64> {
         let mut scores = vec![0.0; docs.len()];
         if q_tokens.is_empty() || self.doc_count == 0 || docs.is_empty() {
             return scores;
@@ -380,7 +426,7 @@ impl SegmentedIndex {
             docs.iter().enumerate().map(|(i, &d)| (d, i)).collect();
         wanted.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
         wanted.dedup_by_key(|e| e.0);
-        for tok in &q_tokens {
+        for tok in q_tokens {
             let Some(&df) = self.global_df.get(tok) else { continue };
             let term_idf = idf(self.doc_count, df);
             let mut rest = wanted.as_slice();
@@ -432,20 +478,18 @@ impl SegmentedIndex {
         true
     }
 
-    /// Build hits (with snippets) from globally-id'd scored candidates.
-    /// Bodies are read in place, and one extractor in `snippets` serves
-    /// the whole list (its query tokens are fixed).
+    /// Build hits (with snippets) from `(list position, (global doc,
+    /// score))` candidates. Bodies are read in place, and one extractor in
+    /// `snippets` serves the whole call (its query tokens are fixed).
     pub(crate) fn materialize(
         &self,
-        cands: &[(u32, f64)],
+        cands: impl Iterator<Item = (usize, (u32, f64))>,
         q_tokens: &[String],
         snippets: &mut SnippetScratch,
     ) -> Vec<SearchHit> {
         let mut snippets = snippets.for_query(q_tokens);
         cands
-            .iter()
-            .enumerate()
-            .map(|(i, &(doc, score))| {
+            .map(|(i, (doc, score))| {
                 let s = self.segment_of(doc);
                 let [url, title, body] = self.segments[s].doc_fields(doc - self.bases[s]);
                 let snippet = snippets.extract(&body, 24);
@@ -652,6 +696,27 @@ mod tests {
     }
 
     #[test]
+    fn rank_then_cut_matches_search_tokens_for_any_subset() {
+        for idx in [engine(), segmented(2)] {
+            for q in ["seafood lobster", "harbor", "seafood seafood lobster", "zzz"] {
+                let toks = idx.analyze_text(q);
+                let full = idx.search_tokens(&toks, 10);
+                let ranked = idx.rank_tokens(&toks, 10);
+                let all: Vec<usize> = (0..ranked.len()).collect();
+                assert_eq!(idx.cut_hits(&toks, &ranked, &all), full, "q={q:?}");
+                // A subset, out of order, or one hit at a time: the same hits.
+                let odd_rev: Vec<usize> =
+                    all.iter().rev().copied().filter(|i| i % 2 == 1).collect();
+                let want: Vec<SearchHit> = odd_rev.iter().map(|&i| full[i].clone()).collect();
+                assert_eq!(idx.cut_hits(&toks, &ranked, &odd_rev), want, "q={q:?}");
+                for &i in &all {
+                    assert_eq!(idx.cut_hits(&toks, &ranked, &[i]), [full[i].clone()], "q={q:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn stats_accessors() {
         let e = engine();
         assert_eq!(e.doc_count(), 5);
@@ -666,7 +731,7 @@ mod tests {
             for q in ["seafood lobster", "harbor", "seafood seafood lobster"] {
                 let hits = idx.search_exhaustive(q, 10);
                 let docs: Vec<u32> = hits.iter().map(|h| h.doc).collect();
-                for (h, s) in hits.iter().zip(idx.score_docs(q, &docs)) {
+                for (h, s) in hits.iter().zip(idx.score_docs(&idx.analyze_text(q), &docs)) {
                     assert_eq!(h.score.to_bits(), s.to_bits(), "q={q:?} doc {}", h.doc);
                 }
             }
@@ -676,18 +741,19 @@ mod tests {
     #[test]
     fn score_docs_zero_unsorted_and_duplicate_ids() {
         for idx in [engine(), segmented(2)] {
+            let score_docs = |q: &str, docs: &[u32]| idx.score_docs(&idx.analyze_text(q), docs);
             // Doc 1 mentions neither term.
-            assert_eq!(idx.score_docs("seafood lobster", &[1]), vec![0.0]);
-            assert_eq!(idx.score_docs("", &[0, 1]), vec![0.0, 0.0]);
-            assert_eq!(idx.score_docs("zzz", &[0, 1]), vec![0.0, 0.0]);
-            assert!(idx.score_docs("seafood", &[]).is_empty());
+            assert_eq!(score_docs("seafood lobster", &[1]), vec![0.0]);
+            assert_eq!(score_docs("", &[0, 1]), vec![0.0, 0.0]);
+            assert_eq!(score_docs("zzz", &[0, 1]), vec![0.0, 0.0]);
+            assert!(score_docs("seafood", &[]).is_empty());
             // Unsorted doc ids score the same as sorted ones.
-            let unsorted = idx.score_docs("seafood lobster", &[3, 0, 2]);
-            let sorted = idx.score_docs("seafood lobster", &[0, 2, 3]);
+            let unsorted = score_docs("seafood lobster", &[3, 0, 2]);
+            let sorted = score_docs("seafood lobster", &[0, 2, 3]);
             assert_eq!(unsorted, vec![sorted[2], sorted[0], sorted[1]]);
             // A duplicated doc id credits only its last occurrence
             // (historical HashMap behaviour, pinned).
-            let dup = idx.score_docs("seafood", &[0, 0]);
+            let dup = score_docs("seafood", &[0, 0]);
             assert_eq!(dup[0], 0.0);
             assert!(dup[1] > 0.0);
         }

@@ -260,6 +260,24 @@ if grep -rnE '\bLiveIndex\b|\bpublish_segment\b|\binvalidate_retrieval_cache\b|d
     exit 1
 fi
 
+echo "==> cut-on-use gate (pws-core ranks without snippets; RankedPool::cut is the one cutter)"
+# Base retrieval in the engine ranks (rank_tokens) and cuts a hit's
+# snippet only when a request puts the hit in its candidate pool, once per
+# cached hit: crates/pws-core/src/cache.rs, RankedPool::cut. A search or
+# search_tokens call in crates/pws-core/src cuts every hit of its list,
+# used or not, and a cut_hits call anywhere else cuts past the pool's
+# once-per-hit slots. #[cfg(test)] modules are exempt.
+if for f in crates/pws-core/src/*.rs; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /^[ \t]*\/\// { next } { print f ":" FNR ":" $0 }' "$f"
+done | grep -E '\.search(_tokens)?\('; then
+    echo "FAIL: a whole result list cut in pws-core — rank with rank_tokens, cut through RankedPool::cut"
+    exit 1
+fi
+if only_in_fn '.cut_hits(' 'cut' crates/pws-core/src/*.rs | grep .; then
+    echo "FAIL: snippets cut outside RankedPool::cut — take hits through the pool"
+    exit 1
+fi
+
 echo "==> reachability gate (pub items in pws-serve/pws-core/pws-index/pws-obs have a reader)"
 # Every `pub fn|struct|enum|trait|const|type|static` in the non-test code
 # (before a `#[cfg(test)] mod`) of these four crates must be named, as a
