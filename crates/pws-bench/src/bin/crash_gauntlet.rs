@@ -1,5 +1,6 @@
 //! Crash gauntlet: kill a [`UserStore`] put at **every** I/O step and
-//! prove the old-or-new invariant.
+//! prove the old-or-new invariant, for a user record and for the pooled
+//! statistics file alike.
 //!
 //! ```text
 //! cargo run -p pws-bench --bin crash_gauntlet -- --smoke   # CI gate
@@ -8,38 +9,41 @@
 //!
 //! A durable put is exactly four counted [`pws_store::StoreIo`] ops — temp write,
 //! temp `fsync`, rename, directory `fsync`. The gauntlet drives a
-//! [`FaultIo`] over a real directory and checks, for every fault the
-//! injector can produce:
+//! [`FaultIo`] over a real directory and checks, for both files and
+//! every fault the injector can produce:
 //!
 //! 1. **Crash sweep** — the machine dies at each op index `0..4` (a
-//!    dying write additionally tears its payload at every prefix
-//!    length). The put returns a typed error — never a panic — and
-//!    after the "reboot" (a fresh [`UserStore`] over the directory) the
-//!    store yields the *old* record when the crash preceded the rename,
-//!    the *new* record when only the directory `fsync` was lost, and
-//!    never a torn or missing one. Orphaned temp files are swept.
+//!    dying write also tears its payload at every prefix length). The put
+//!    fails typed — never a panic — and after the "reboot" (a fresh
+//!    [`UserStore`] over the directory) the store yields the *old* file
+//!    when the crash preceded the rename, the *new* one when only the
+//!    directory `fsync` was lost, byte for byte, never a torn or missing
+//!    one, and no orphaned temp file.
 //! 2. **Refusal sweep** — `ENOSPC` at each op, a refused rename, and a
 //!    sick-then-recovered disk (`eio_first`) all fail typed and
-//!    transient; one retry lands the new record with no orphans.
-//! 3. **Corruption** — every damaged copy of a record file the shared
-//!    container gauntlet makes (each byte flipped, each prefix down to
-//!    zero length, each section-table mutation) fails typed on read; for
-//!    a bit-flipped and a zero-length record [`UserStore::scrub`]
-//!    quarantines the file so the user reads as a clean miss, and a
-//!    re-put restores service.
+//!    transient; one retry lands the new file with no orphans.
+//! 3. **Corruption** — every damaged copy the shared container gauntlet
+//!    makes (each byte flipped, each prefix, each section-table mutation)
+//!    fails typed on read. [`UserStore::scrub`] quarantines a bit-flipped
+//!    and a zero-length record, the user reads as a clean miss, and a
+//!    re-put restores service; an engine over a bit-flipped statistics
+//!    file serves with empty statistics and counts `serve.state_io_error`.
 //!
 //! Any violation prints the case and exits non-zero. `--smoke` trims
 //! the torn-prefix sweep to a handful of lengths; the invariants
 //! checked are identical.
 
 use pws_click::UserId;
-use pws_core::UserState;
+use pws_core::{EngineConfig, UserState};
 use pws_entropy::QueryStats;
-use pws_geo::LocId;
+use pws_geo::{LocId, LocationOntology};
+use pws_index::{IndexBuilder, StoredDoc};
 use pws_profile::{ContentProfile, LocationProfile, UserHistory};
 use pws_ranksvm::{LinearRankModel, PreferencePair};
+use pws_serve::{ServeConfig, ServingEngine, StoreTierConfig};
 use pws_store::{
-    encode_user_record, FaultIo, IoFaultSpec, StoreError, UserRecord, UserStore, STORE_FORMAT,
+    encode_stats_file, encode_user_record, FaultIo, IoFaultSpec, StoreError, UserRecord, UserStore,
+    STATS_FILE, STATS_FORMAT, STORE_FORMAT,
 };
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,6 +51,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const USER: UserId = UserId(0xC0FFEE);
+const USER_FILE: &str = "user-00c0ffee.pwsu";
 
 /// A fully-populated record (every codec section non-empty) whose
 /// encoding differs per `version` — so "old vs new on disk" is a byte
@@ -86,6 +91,47 @@ fn record(version: u64) -> UserRecord {
     UserRecord::new(USER, state, stats)
 }
 
+/// The statistics file holding `stats`, as the store writes it.
+fn stats_file(stats: &BTreeMap<String, QueryStats>) -> Vec<u8> {
+    encode_stats_file(|emit| stats.iter().for_each(|(key, s)| emit(key, s)))
+}
+
+/// The two files a durable put writes: `USER`'s record, or the pooled
+/// statistics file (holding `record(version)`'s statistics).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum File {
+    Record,
+    Stats,
+}
+
+impl File {
+    /// The file's bytes at `version`.
+    fn bytes(self, version: u64) -> Vec<u8> {
+        let r = record(version);
+        if self == File::Record { encode_user_record(&r) } else { stats_file(&r.query_stats) }
+    }
+
+    fn put(self, store: &UserStore, version: u64) -> Result<(), StoreError> {
+        let record = record(version);
+        if self == File::Record {
+            return store.put(&record);
+        }
+        store.put_stats(|emit| record.query_stats.iter().for_each(|(key, s)| emit(key, s)))
+    }
+
+    /// What the store reads back, re-encoded; `None` when it is missing.
+    fn read(self, store: &UserStore) -> Result<Option<Vec<u8>>, StoreError> {
+        if self == File::Record {
+            return store.get(USER).map(|r| r.map(|r| encode_user_record(&r)));
+        }
+        store.get_stats().map(|s| s.map(|s| stats_file(&s)))
+    }
+
+    fn path(self, dir: &Path) -> PathBuf {
+        dir.join(if self == File::Record { USER_FILE } else { STATS_FILE })
+    }
+}
+
 fn fail(case: &str, why: &str) -> ! {
     eprintln!("FAIL [{case}]: {why}");
     std::process::exit(1);
@@ -109,114 +155,73 @@ fn tmp_orphans(dir: &Path) -> Vec<String> {
         .unwrap_or_default()
 }
 
-fn record_bytes(store: &UserStore, case: &str) -> Option<Vec<u8>> {
-    match store.get(USER) {
-        Ok(rec) => rec.map(|r| encode_user_record(&r)),
-        Err(e) => fail(case, &format!("post-reboot get errored: {e:?}")),
-    }
-}
-
-/// Attempt a put through a fault injector; the put must return a typed
-/// error (the gauntlet only drives specs that fault the put) and must
-/// never panic. Returns the error.
-fn put_must_fail_typed(store: &UserStore, rec: &UserRecord, case: &str) -> StoreError {
-    match catch_unwind(AssertUnwindSafe(|| store.put(rec))) {
+/// Put version 2 over version 1 through a `spec` that must fail the put
+/// with a typed error, never a panic. A refusal (`retry`) is transient
+/// and one retry lands the new file; a crash kills the machine. After the
+/// reboot (a fresh store, healthy disk) the store must read version 2
+/// when `want_new`, else version 1, byte for byte — never a torn or
+/// missing file — with no temp orphan left.
+fn fault_case(file: File, case: &str, spec: IoFaultSpec, retry: bool, want_new: bool) {
+    let dir = fresh_dir("fault");
+    file.put(&UserStore::open(&dir).expect("open for seeding"), 1).expect("seed old file");
+    let io = Arc::new(FaultIo::new(spec));
+    let store = UserStore::open_with_io(&dir, io.clone()).expect("open w/ injector");
+    let err = match catch_unwind(AssertUnwindSafe(|| file.put(&store, 2))) {
         Ok(Ok(())) => fail(case, "put succeeded under a fault that must fail it"),
         Ok(Err(e)) => e,
         Err(_) => fail(case, "put PANICKED — typed errors only"),
+    };
+    if retry {
+        if !err.is_transient() {
+            fail(case, &format!("refusal must be typed transient, got {err:?}"));
+        }
+        if let Err(e) = file.put(&store, 2) {
+            fail(case, &format!("retry after refusal failed: {e:?}"));
+        }
+    } else if !matches!(err, StoreError::Io(_)) || io.counts().crashed == 0 {
+        fail(case, &format!("expected a crash's typed io error, got {err:?}"));
     }
-}
+    drop(store); // the dead "machine", or the healthy one after its retry
 
-/// Crash at op `crash_at` of a put over an existing old record; check
-/// the reboot sees old (crash before the rename) or new (crash at the
-/// directory sync, after the rename) — never anything else.
-fn crash_case(crash_at: u64, torn_keep: Option<usize>, old: &[u8], new_rec: &UserRecord) {
-    let case = format!("crash_at={crash_at} torn_keep={torn_keep:?}");
-    let dir = fresh_dir("crash");
-    let seeded = UserStore::open(&dir).expect("open for seeding");
-    seeded.put(&record(1)).expect("seed old record");
-
-    let io = Arc::new(FaultIo::new(IoFaultSpec {
-        seed: 9,
-        crash_at: Some(crash_at),
-        torn_keep,
-        ..IoFaultSpec::default()
-    }));
-    let dying = UserStore::open_with_io(&dir, io.clone()).expect("open w/ injector");
-    let err = put_must_fail_typed(&dying, new_rec, &case);
-    if !matches!(err, StoreError::Io(_)) {
-        fail(&case, &format!("expected a typed io error, got {err:?}"));
-    }
-    if io.counts().crashed == 0 {
-        fail(&case, "crash never fired — op sweep out of range");
-    }
-    drop(dying); // the dead "machine"
-
-    // The reboot: a fresh store over the directory, healthy disk.
-    let rebooted = UserStore::open(&dir).expect("reopen after crash");
-    let got = record_bytes(&rebooted, &case)
-        .unwrap_or_else(|| fail(&case, "record vanished across the crash"));
-    let want_new = crash_at >= 3; // rename (op 2) already published
-    let want = if want_new { encode_user_record(new_rec) } else { old.to_vec() };
-    if got != want {
-        fail(
-            &case,
-            &format!("reboot saw a {} record", if got == old { "stale" } else { "torn/foreign" }),
-        );
+    let rebooted = UserStore::open(&dir).expect("reopen");
+    let got = file.read(&rebooted);
+    let got = got.unwrap_or_else(|e| fail(case, &format!("post-reboot read errored: {e:?}")));
+    let old = file.bytes(1);
+    match got {
+        Some(got) if got == file.bytes(if want_new { 2 } else { 1 }) => {}
+        Some(got) if got == old => fail(case, "reboot saw a stale file"),
+        Some(_) => fail(case, "reboot saw a torn or foreign file"),
+        None => fail(case, "file vanished across the fault"),
     }
     let orphans = tmp_orphans(&dir);
-    if !orphans.is_empty() {
-        fail(&case, &format!("reopen left temp orphans: {orphans:?}"));
-    }
     let report = rebooted.scrub().expect("scrub after reboot");
-    if !report.is_clean() || report.ok != 1 {
-        fail(&case, &format!("post-reboot scrub not clean: {report:?}"));
+    if !orphans.is_empty() || !report.is_clean() || report.ok != usize::from(file == File::Record) {
+        fail(case, &format!("temp orphans {orphans:?}, or scrub not clean: {report:?}"));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A fault that refuses the put once (typed, transient); the retry must
-/// land the new record with no orphans left behind.
-fn refusal_case(tag: &str, spec: IoFaultSpec, new_rec: &UserRecord) {
-    let case = format!("refusal {tag}");
-    let dir = fresh_dir("refusal");
-    UserStore::open(&dir).expect("seed open").put(&record(1)).expect("seed");
-    let io = Arc::new(FaultIo::new(spec));
-    let store = UserStore::open_with_io(&dir, io).expect("open w/ injector");
-    let err = put_must_fail_typed(&store, new_rec, &case);
-    if !err.is_transient() {
-        fail(&case, &format!("refusal must be typed transient, got {err:?}"));
-    }
-    if let Err(e) = store.put(new_rec) {
-        fail(&case, &format!("retry after refusal failed: {e:?}"));
-    }
-    drop(store);
-    let reopened = UserStore::open(&dir).expect("reopen");
-    let got = record_bytes(&reopened, &case)
-        .unwrap_or_else(|| fail(&case, "record missing after retry"));
-    if got != encode_user_record(new_rec) {
-        fail(&case, "retry did not land the new record");
-    }
-    let orphans = tmp_orphans(&dir);
-    if !orphans.is_empty() {
-        fail(&case, &format!("temp orphans after retry: {orphans:?}"));
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Every damaged copy of a record file reads back through the store as
-/// a typed, non-transient error (a panic fails the gate). Returns how
-/// many were tried.
-fn corrupt_reads_fail_typed() -> usize {
+/// Every damaged copy of the file reads back through the store as a
+/// typed, non-transient error (a panic fails the gate). Returns how many
+/// were tried.
+fn corrupt_reads_fail_typed(file: File) -> usize {
     let dir = fresh_dir("gauntlet");
     let store = UserStore::open(&dir).expect("open");
-    let path = dir.join(format!("user-{:08x}.pwsu", USER.0));
-    let tried = STORE_FORMAT.gauntlet(&encode_user_record(&record(1)), |bad| {
-        std::fs::write(&path, bad).expect("write damaged record");
-        matches!(store.get(USER), Err(e) if !e.is_transient())
+    let path = file.path(&dir);
+    let format = if file == File::Record { STORE_FORMAT } else { STATS_FORMAT };
+    let tried = format.gauntlet(&file.bytes(1), |bad| {
+        std::fs::write(&path, bad).expect("write damaged file");
+        matches!(file.read(&store), Err(e) if !e.is_transient())
     });
     let _ = std::fs::remove_dir_all(&dir);
     tried
+}
+
+fn flip_middle_byte(p: &Path) {
+    let mut bytes = std::fs::read(p).expect("read for corruption");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(p, bytes).expect("write corruption");
 }
 
 /// Bit-flip / truncate-to-zero corruption: scrub quarantines, the user
@@ -225,9 +230,8 @@ fn corruption_case(tag: &str, corrupt: &dyn Fn(&Path)) {
     let case = format!("corruption {tag}");
     let dir = fresh_dir("corrupt");
     let store = UserStore::open(&dir).expect("open");
-    store.put(&record(1)).expect("seed");
-    let path = dir.join(format!("user-{:08x}.pwsu", USER.0));
-    corrupt(&path);
+    File::Record.put(&store, 1).expect("seed");
+    corrupt(&File::Record.path(&dir));
     let report = store.scrub().expect("scrub");
     if report.quarantined.len() != 1 {
         fail(&case, &format!("expected 1 quarantined record: {report:?}"));
@@ -239,77 +243,96 @@ fn corruption_case(tag: &str, corrupt: &dyn Fn(&Path)) {
     if !dir.join(pws_store::QUARANTINE_DIR).join(qname).exists() {
         fail(&case, "quarantined bytes not preserved for forensics");
     }
-    store.put(&record(2)).expect("re-put after quarantine");
-    if record_bytes(&store, &case) != Some(encode_user_record(&record(2))) {
+    File::Record.put(&store, 2).expect("re-put after quarantine");
+    if File::Record.read(&store).ok().flatten() != Some(File::Record.bytes(2)) {
         fail(&case, "re-put did not restore the user");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An engine over a good statistics file serves its statistics; over a
+/// bit-flipped one it serves with none and counts one `serve.state_io_error`.
+fn engine_over_corrupt_stats_file() {
+    let dir = fresh_dir("stats-engine");
+    File::Stats.put(&UserStore::open(&dir).expect("open"), 1).expect("write statistics");
+    let mut b = IndexBuilder::new();
+    b.add(StoredDoc::new(0, "http://t.test/0", "Harbor", "seafood restaurant by the harbor"));
+    let (index, world) = (b.build(), LocationOntology::new());
+    let store = Some(StoreTierConfig { writeback: false, ..StoreTierConfig::new(&dir) });
+    let cfg = ServeConfig { store, ..ServeConfig::default() };
+    let open = || ServingEngine::new(&index, &world, EngineConfig::default(), cfg.clone());
+    let loaded = open().query_stats("seafood").is_some();
+    flip_middle_byte(&File::Stats.path(&dir));
+    pws_obs::reset();
+    let engine = open();
+    let errors = pws_obs::snapshot().stage("serve.state_io_error").map_or(0, |s| s.count);
+    let served = !engine.search(UserId(1), "seafood").hits.is_empty();
+    if !loaded || errors != 1 || engine.query_stats("seafood").is_some() || !served {
+        fail(
+            "engine over a corrupt statistics file",
+            &format!("good file loaded {loaded}, io errors {errors} (want 1), served {served}, \
+                      statistics must start empty"),
+        );
+    }
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let new_rec = record(2);
-    let old = encode_user_record(&record(1));
-    let new_len = encode_user_record(&new_rec).len();
+    let base = IoFaultSpec { seed: 9, ..IoFaultSpec::default() };
+    let (mut crash_cases, mut refusal_cases, mut corrupt_reads) = (0usize, 0usize, 0usize);
+    for file in [File::Record, File::Stats] {
+        // 1. Crash sweep: every op index; a dying write (op 0)
+        //    additionally swept over torn prefix lengths.
+        let new_len = file.bytes(2).len();
+        let torn_keeps: Vec<usize> = if smoke {
+            vec![0, 1, new_len / 2, new_len.saturating_sub(1), new_len]
+        } else {
+            let stride = (new_len / 128).max(1);
+            (0..=new_len).step_by(stride).chain([new_len]).collect()
+        };
+        for crash_at in 0..4u64 {
+            let spec = IoFaultSpec { crash_at: Some(crash_at), ..base };
+            // The rename (op 2) published the new file before op 3 died.
+            fault_case(file, &format!("{file:?} crash_at={crash_at}"), spec, false, crash_at >= 3);
+        }
+        for &keep in &torn_keeps {
+            let spec = IoFaultSpec { crash_at: Some(0), torn_keep: Some(keep), ..base };
+            fault_case(file, &format!("{file:?} torn write of {keep} bytes"), spec, false, false);
+        }
+        crash_cases += 4 + torn_keeps.len();
 
-    // 1. Crash sweep: every op index; a dying write (op 0) additionally
-    //    swept over torn prefix lengths.
-    let torn_keeps: Vec<usize> = if smoke {
-        vec![0, 1, new_len / 2, new_len.saturating_sub(1), new_len]
-    } else {
-        let stride = (new_len / 128).max(1);
-        (0..=new_len).step_by(stride).chain([new_len]).collect()
-    };
-    let mut crash_cases = 0usize;
-    for crash_at in 0..4u64 {
-        crash_case(crash_at, None, &old, &new_rec);
-        crash_cases += 1;
-    }
-    for &keep in &torn_keeps {
-        crash_case(0, Some(keep), &old, &new_rec);
-        crash_cases += 1;
+        // 2. Refusals: ENOSPC at every op, a refused rename, a disk that
+        //    is sick for the whole first attempt and then recovers.
+        let refusals = (0..4u64)
+            .map(|op| (format!("enospc_at={op}"), IoFaultSpec { enospc_at: Some(op), ..base }))
+            .chain([
+                ("rename_refused".into(), IoFaultSpec { rename_fail_at: Some(2), ..base }),
+                ("torn_write".into(), IoFaultSpec { torn_at: Some(0), torn_keep: Some(3), ..base }),
+            ]);
+        for (tag, spec) in refusals {
+            fault_case(file, &format!("{file:?} refusal {tag}"), spec, true, true);
+            refusal_cases += 1;
+        }
+
+        // 3. Every damaged copy reads back as a typed error.
+        corrupt_reads += corrupt_reads_fail_typed(file);
     }
 
-    // 2. Refusals: ENOSPC at every op, a refused rename, a disk that is
-    //    sick for the whole first attempt and then recovers.
-    let mut refusal_cases = 0usize;
-    for op in 0..4u64 {
-        refusal_case(
-            &format!("enospc_at={op}"),
-            IoFaultSpec { seed: 9, enospc_at: Some(op), ..IoFaultSpec::default() },
-            &new_rec,
-        );
-        refusal_cases += 1;
-    }
-    refusal_case(
-        "rename_refused",
-        IoFaultSpec { seed: 9, rename_fail_at: Some(2), ..IoFaultSpec::default() },
-        &new_rec,
-    );
-    refusal_case(
-        "torn_then_retry",
-        IoFaultSpec { seed: 9, torn_at: Some(0), torn_keep: Some(3), ..IoFaultSpec::default() },
-        &new_rec,
-    );
-    refusal_cases += 2;
-
-    // 3. Corruption → typed error → quarantine → clean miss → recovery.
-    let corrupt_reads = corrupt_reads_fail_typed();
-    corruption_case("bit_flip", &|p: &Path| {
-        let mut bytes = std::fs::read(p).expect("read for corruption");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(p, bytes).expect("write corruption");
-    });
+    // 3. Corruption → typed error → quarantine → clean miss → recovery
+    //    for a record; empty statistics for an engine over a bad file.
+    corruption_case("bit_flip", &flip_middle_byte);
     corruption_case("zero_length", &|p: &Path| {
         std::fs::write(p, b"").expect("truncate to zero");
     });
+    engine_over_corrupt_stats_file();
 
     println!(
-        "crash gauntlet OK: {crash_cases} crash cases (4 op kills + {} torn prefixes), \
-         {refusal_cases} typed refusals retried to the new record, \
-         {corrupt_reads} damaged record files read back as typed errors, \
-         2 corruption cases quarantined and recovered — zero panics",
-        torn_keeps.len(),
+        "crash gauntlet OK (user record and statistics file): {crash_cases} crash cases \
+         (op kills and torn prefixes), {refusal_cases} typed refusals retried to the new file, \
+         {corrupt_reads} damaged files read back as typed errors, 2 corrupt records \
+         quarantined and recovered, a corrupt statistics file served with empty statistics \
+         — zero panics",
     );
 }

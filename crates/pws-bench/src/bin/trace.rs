@@ -33,7 +33,8 @@
 //! The `user` subcommand renders one `PWSUSR1` user record — a store-tier
 //! record file or an `export_user` export (see `docs/STORE_FORMAT.md`):
 //! its model weights by feature name, heaviest profile weights, pair
-//! count, and per-query click and impression totals.
+//! count, and per-query click and impression totals — for a store-tier
+//! record, from the statistics file beside it (`query-stats.pwsq`).
 //!
 //! ```text
 //! cargo run -p pws-bench --release --bin pws-trace -- user store/user-00000003.pwsu
@@ -106,11 +107,25 @@ fn flight_main(path: &str, args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// The `user` subcommand: decode and render one PWSUSR1 user record.
+/// The `user` subcommand: decode and render one PWSUSR1 user record,
+/// filling the statistics of its seen queries that the record itself
+/// lacks from the statistics file beside it, if there is one.
 fn user_main(path: &str) -> ! {
     let bytes = std::fs::read(path).map_err(|e| e.to_string());
     match bytes.and_then(|b| pws_store::decode_user_record(&b).map_err(|e| e.to_string())) {
-        Ok(record) => print!("{}", record.render()),
+        Ok(mut record) => {
+            let beside = std::path::Path::new(path).with_file_name(pws_store::STATS_FILE);
+            match std::fs::read(&beside).map(|b| pws_store::decode_stats_file(&b)) {
+                Ok(Ok(pooled)) => pooled.into_iter().for_each(|(key, s)| {
+                    if record.state.seen_queries.contains(&key) {
+                        record.query_stats.entry(key).or_insert(s);
+                    }
+                }),
+                Ok(Err(e)) => eprintln!("warning: ignoring {}: {e}", beside.display()),
+                Err(_) => {} // no statistics file beside the record
+            }
+            print!("{}", record.render());
+        }
         Err(e) => {
             eprintln!("error: cannot load user record {path:?}: {e}");
             std::process::exit(1);

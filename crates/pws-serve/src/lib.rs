@@ -134,7 +134,7 @@ use pws_obs::format::{fnv1a64, splitmix64};
 use pws_obs::health::{HealthMonitor, HealthReport, SloSpec};
 use pws_obs::trace::QueryTrace;
 use pws_store::StoreIo;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -142,7 +142,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 mod residency;
-use residency::{ResidentUser, StoreShutdown, StoreTier, UserMap};
+use residency::{Job, ResidentUser, StoreShutdown, StoreTier, UserMap};
 
 /// Configuration of the serving layer (the engine's own behavior lives
 /// in [`EngineConfig`]).
@@ -200,9 +200,9 @@ impl Default for ServeConfig {
 /// [`ServeConfig::store`]).
 #[derive(Debug, Clone)]
 pub struct StoreTierConfig {
-    /// Directory holding one `pws-store` record file per user (created
-    /// if missing). A fresh engine over an existing directory faults
-    /// previously stored users back in on first access — restart-safe.
+    /// Directory of `pws-store` user records and the statistics file
+    /// (created if missing). A fresh engine over it loads the statistics
+    /// and faults stored users back in on first access — restart-safe.
     pub dir: PathBuf,
     /// Maximum resident users per shard. When a request would exceed
     /// it, the least-recently-used *other* user on the shard is evicted
@@ -767,53 +767,48 @@ impl ShardedStats {
         }
     }
 
-    /// Hand the statistics for `keys` to `emit` in ascending key order:
-    /// the live entry, borrowed under its stats-shard lock (one lock at
-    /// a time, never while holding another stats lock), else the
-    /// `stored` one — live keys win, as in [`seed`](Self::seed). This is
-    /// how a user's adaptive-β statistics travel with their record —
-    /// encoded straight from the live maps: `keys` is the user's
-    /// `seen_queries`, `stored` what a non-resident user's record holds.
-    fn visit(
-        &self,
-        keys: &[String],
-        stored: &BTreeMap<String, QueryStats>,
-        emit: &mut dyn FnMut(&str, &QueryStats),
-    ) {
+    /// Every live key, in no particular order.
+    fn keys(&self) -> Vec<String> {
+        let mut keys = Vec::new();
+        for idx in 0..self.shards.len() {
+            keys.extend(self.lock_shard(idx).keys().cloned());
+        }
+        keys
+    }
+
+    /// Hand the live statistics for `keys` to `emit` in ascending key
+    /// order, each borrowed under its stats-shard lock (one lock at a
+    /// time, never while holding another stats lock); keys with none are
+    /// skipped. This is how statistics are encoded straight from the live
+    /// maps: every key into the statistics file, a user's `seen_queries`
+    /// into their export.
+    fn visit(&self, keys: &[String], emit: &mut dyn FnMut(&str, &QueryStats)) {
         let mut sorted: Vec<&str> = keys.iter().map(String::as_str).collect();
         sorted.sort_unstable();
         sorted.dedup();
         for key in sorted {
-            let guard = self.lock_shard(self.shard_of(key));
-            if let Some(s) = guard.get(key).or_else(|| stored.get(key)) {
+            if let Some(s) = self.lock_shard(self.shard_of(key)).get(key) {
                 emit(key, s);
             }
         }
     }
 
-    /// Fill in statistics for keys this process has never observed
-    /// (live keys win — they are newer) from a faulted-in record or an
-    /// import. Returns whether any key was new; the caller publishes
-    /// them with [`refresh`](Self::refresh).
-    fn seed(&self, stats: impl IntoIterator<Item = (String, QueryStats)>) -> bool {
-        let mut seeded = false;
+    /// Fill in statistics for keys this process has never observed (live
+    /// keys win — they are newer), from the statistics file at open or an
+    /// import. The caller publishes them with [`refresh`](Self::refresh).
+    fn seed(&self, stats: impl IntoIterator<Item = (String, QueryStats)>) {
         for (key, qs) in stats {
-            let mut guard = self.lock_shard(self.shard_of(&key));
-            seeded |= !guard.contains_key(&key);
-            guard.entry(key).or_insert(qs);
+            self.lock_shard(self.shard_of(&key)).entry(key).or_insert(qs);
         }
-        seeded
     }
 
-    /// Account one observe; refresh the snapshot when the epoch is due.
-    /// Must be called with **no** stats-shard lock held (refresh takes
-    /// them all).
-    fn tick(&self) {
-        let pending = self.pending.fetch_add(1, Ordering::Relaxed) + 1;
-        if pending >= self.refresh_every {
+    /// Account one observe; `true` when the snapshot is due a refresh.
+    fn tick(&self) -> bool {
+        let due = self.pending.fetch_add(1, Ordering::Relaxed) + 1 >= self.refresh_every;
+        if due {
             self.pending.store(0, Ordering::Relaxed);
-            self.refresh();
         }
+        due
     }
 }
 
@@ -1419,13 +1414,19 @@ impl<'a> ServingEngine<'a> {
             tier.enqueue_writeback(turn.user, self.plan.as_deref());
         }
         shard.inflight.fetch_sub(1, Ordering::Relaxed);
-        self.stats.tick();
+        if self.stats.tick() {
+            self.refresh_stats();
+        }
     }
 
-    /// Force an immediate rebuild of the β-statistics snapshot (tests
-    /// and batch pipelines that want freshness at a phase boundary).
+    /// Force an immediate rebuild of the β-statistics snapshot (tests and
+    /// batch pipelines that want freshness at a phase boundary), and queue
+    /// the statistics file for the writeback daemon. Never hold a stats lock.
     pub fn refresh_stats(&self) {
         self.stats.refresh();
+        if let Some(tier) = &self.store {
+            tier.enqueue(Job::Stats);
+        }
     }
 
     /// Clone out a user's state (if the user has been seen): the
@@ -1437,25 +1438,14 @@ impl<'a> ServingEngine<'a> {
     /// unreadable record counts `serve.state_io_error` and reads as
     /// absent.
     pub fn user_state(&self, user: UserId) -> Option<UserState> {
-        self.resident_or_stored(user).map(|(state, _)| Arc::unwrap_or_clone(state))
+        self.resident_or_stored(user).map(Arc::unwrap_or_clone)
     }
 
-    /// [`Self::user_state`] without the copy, plus the statistics a
-    /// non-resident user's record carries (none for a resident user:
-    /// theirs are live).
-    fn resident_or_stored(
-        &self,
-        user: UserId,
-    ) -> Option<(Arc<UserState>, BTreeMap<String, QueryStats>)> {
+    /// [`Self::user_state`] without the copy.
+    fn resident_or_stored(&self, user: UserId) -> Option<Arc<UserState>> {
         let shard = &self.shards[self.shard_of(user)];
         let resident = self.lock_users(shard).0.get(&user).map(|r| Arc::clone(&r.state));
-        match resident {
-            Some(state) => Some((state, BTreeMap::new())),
-            None => {
-                let record = self.store.as_ref()?.stored_state(user)?;
-                Some((Arc::new(record.state), record.query_stats))
-            }
-        }
+        resident.or_else(|| Some(Arc::new(self.store.as_ref()?.stored_state(user)?)))
     }
 
     /// Accumulated statistics for a query string, as of the last
@@ -1497,17 +1487,17 @@ impl<'a> ServingEngine<'a> {
         }
     }
 
-    /// Export one user's learned state as the bytes of their `PWSUSR1`
-    /// user record (`docs/STORE_FORMAT.md`): the state *plus* the
-    /// per-query adaptive-β statistics for every query the user has
-    /// issued — live where this process has them, else (for a user who
-    /// is not resident) from their record — encoded exactly as the store
-    /// tier writes it. `None` when the user has no state (resident or
-    /// stored).
+    /// Export one user's learned state as the bytes of a `PWSUSR1` user
+    /// record (`docs/STORE_FORMAT.md`): the state *plus*, in section 7,
+    /// the user's slice of the pooled adaptive-β statistics — the live
+    /// statistics of every query the user has issued (with a store tier,
+    /// loaded from its statistics file at open). Sections 1–6 are the
+    /// bytes the store tier writes. `None` when the user has no state
+    /// (resident or stored).
     pub fn export_user(&self, user: UserId) -> Option<Vec<u8>> {
-        let (state, stored) = self.resident_or_stored(user)?;
+        let state = self.resident_or_stored(user)?;
         Some(pws_store::encode_user_with(user, &state, |emit| {
-            self.stats.visit(&state.seen_queries, &stored, emit)
+            self.stats.visit(&state.seen_queries, emit)
         }))
     }
 
@@ -1541,7 +1531,7 @@ impl<'a> ServingEngine<'a> {
         if let Some(tier) = &self.store {
             tier.enqueue_writeback(user, self.plan.as_deref());
         }
-        self.stats.refresh();
+        self.refresh_stats();
         Ok(user)
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! **The gate rule.** A record file is written or removed only while
 //! holding that user's write gate, and only forward in epoch:
-//! [`StoreTier::persist`] — the only `UserStore::put` call site —
+//! [`StoreTier::persist`] — the only `UserStore::put_state` call site —
 //! refuses a snapshot whose dirty epoch is not newer than the gate's,
 //! and [`StoreTier::forget`] — the only `UserStore::remove` call site —
 //! advances the gate to a fresh epoch, so a snapshot taken before the
@@ -22,6 +22,11 @@
 //! **Retries.** [`StoreTier::settle`] is the one place a failed record
 //! read or write is classified and counted; the synchronous paths loop
 //! on it inline, the writeback daemon re-queues with backoff on it.
+//!
+//! **Statistics.** The pooled adaptive-β statistics live in one file
+//! beside the records: [`StoreTier::open`] loads it once, and
+//! [`StoreTier::persist_stats`], its one writer, rewrites it after a
+//! snapshot refresh (through the daemon) and on every flush.
 
 use crate::{
     inject_fault, lock_counting, lock_or_recover, shard_index, FaultMetrics, FaultPlan, FaultStage,
@@ -30,8 +35,8 @@ use crate::{
 use pws_click::UserId;
 use pws_core::UserState;
 use pws_obs::format::splitmix64;
-use pws_store::{StoreError, UserRecord, UserStore};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use pws_store::{StoreError, UserStore};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,27 +88,26 @@ pub(crate) struct StoreTier {
     /// Dirty-epoch source; starts at 1 so `0` can mean "clean".
     epoch: AtomicU64,
     // Counter handles: `serve.store.{fault_in, evict, evict_dirty,
-    // writeback, retry, retry_exhausted, backpressure}` (records loaded;
-    // residents evicted; of those, the ones written back first; records
-    // written; I/O attempts repeated after a transient failure; I/O that
-    // stayed transient through every allowed attempt; enqueues turned
-    // synchronous by the backlog bound), plus the engine's shared
-    // `serve.state_io_error` and `serve.lock_recovered`.
+    // writeback, stats_write, retry, retry_exhausted, backpressure}`
+    // (records loaded; residents evicted; of those, the ones written back
+    // first; records / statistics files written; I/O attempts repeated
+    // after a transient failure; I/O transient through every attempt;
+    // enqueues turned synchronous by the backlog bound), plus the
+    // engine's shared `serve.state_io_error` and `serve.lock_recovered`.
     fault_in: Arc<pws_obs::StageMetrics>,
     evict: Arc<pws_obs::StageMetrics>,
     evict_dirty: Arc<pws_obs::StageMetrics>,
     writeback: Arc<pws_obs::StageMetrics>,
+    stats_write: Arc<pws_obs::StageMetrics>,
     retry: Arc<pws_obs::StageMetrics>,
     retry_exhausted: Arc<pws_obs::StageMetrics>,
     backpressure: Arc<pws_obs::StageMetrics>,
     io_error: Arc<pws_obs::StageMetrics>,
     lock_recovered: Arc<pws_obs::StageMetrics>,
     // The parts of `serve.residency`, each timed under the shard lock:
-    // `serve.residency.{fault_in, seed, evict_writeback}` (the retried
-    // record read and decode; seeding its statistics; writing a dirty
-    // eviction victim back).
+    // `serve.residency.{fault_in, evict_writeback}` (the retried record
+    // read and decode; writing a dirty eviction victim back).
     fault_in_span: Arc<pws_obs::StageMetrics>,
-    seed_span: Arc<pws_obs::StageMetrics>,
     evict_writeback_span: Arc<pws_obs::StageMetrics>,
     /// Retry policy (the [`StoreTierConfig`] fields of the same names).
     max_write_retries: u32,
@@ -116,13 +120,16 @@ pub(crate) struct StoreTier {
     /// written (or forgotten) for that user; see the module docs.
     /// Gates are tiny and never removed — one per user ever persisted.
     write_gates: Mutex<HashMap<UserId, Arc<Mutex<u64>>>>,
+    /// Held across a statistics write's encode and put, so the write
+    /// that encodes later also lands later.
+    stats_gate: Mutex<()>,
 }
 
-/// The writeback daemon's work queue: user ids with unpersisted
-/// mutations, deduplicated (a hot user is queued at most once — the
-/// daemon snapshots the *current* state when it gets there). Items
-/// re-queued after a transient write failure carry a `due` time; the
-/// daemon sleeps until the earliest one.
+/// The writeback daemon's work queue: users with unpersisted mutations
+/// and the statistics file, deduplicated (a hot user, or the file, is
+/// queued at most once — the daemon writes the *current* state when it
+/// gets there). Items re-queued after a transient write failure carry a
+/// `due` time; the daemon sleeps until the earliest one.
 struct WritebackQueue {
     pending: Mutex<WritebackState>,
     cond: Condvar,
@@ -131,33 +138,49 @@ struct WritebackQueue {
 #[derive(Default)]
 struct WritebackState {
     queue: VecDeque<WritebackItem>,
-    enqueued: HashSet<UserId>,
+    enqueued: HashSet<Job>,
     shutdown: bool,
 }
 
-/// One unit of writeback work: which user, how many attempts already
+impl WritebackState {
+    /// Queued user writes (what [`StoreTierConfig::max_backlog`] bounds).
+    fn users(&self) -> usize {
+        self.queue.len() - usize::from(self.enqueued.contains(&Job::Stats))
+    }
+}
+
+/// What one writeback writes: a user's record or the statistics file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Job {
+    User(UserId),
+    Stats,
+}
+
+/// One unit of writeback work: what to write, how many attempts already
 /// failed, and when it becomes runnable (`None` = now).
 struct WritebackItem {
-    user: UserId,
+    job: Job,
     attempt: u32,
     due: Option<Instant>,
 }
 
 /// One retry's backoff: a capped-decorrelated delay in
 /// `[base, min(cap, base·2^attempt)]`, drawn from a hash of
-/// `(user, attempt)` — two hot users backing off from the same sick
+/// `(job, attempt)` — two hot users backing off from the same sick
 /// disk spread out, and a replayed run backs off identically.
-fn retry_backoff_delay(base: Duration, cap: Duration, user: UserId, attempt: u32) -> Duration {
+fn retry_backoff_delay(base: Duration, cap: Duration, job: Job, attempt: u32) -> Duration {
     let base_n = (base.as_nanos() as u64).max(1);
     let cap_n = (cap.as_nanos() as u64).max(base_n);
     let ceil = base_n.saturating_mul(1u64 << attempt.min(16)).clamp(base_n, cap_n);
-    let h = splitmix64(splitmix64(user.0 as u64) ^ (attempt as u64));
+    let key = if let Job::User(user) = job { u64::from(user.0) } else { u64::MAX };
+    let h = splitmix64(splitmix64(key) ^ (attempt as u64));
     Duration::from_nanos(base_n + h % (ceil - base_n + 1))
 }
 
 impl StoreTier {
-    /// Open the tier over `cfg.dir` and, with [`StoreTierConfig::writeback`],
-    /// spawn its daemon. The returned guard must outlive every request.
+    /// Open the tier over `cfg.dir`, load its statistics file and, with
+    /// [`StoreTierConfig::writeback`], spawn its daemon. The returned
+    /// guard must outlive every request.
     pub(crate) fn open(
         cfg: &StoreTierConfig,
         shards: Arc<Vec<UserShard>>,
@@ -179,13 +202,13 @@ impl StoreTier {
             evict: pws_obs::stage("serve.store.evict"),
             evict_dirty: pws_obs::stage("serve.store.evict_dirty"),
             writeback: pws_obs::stage("serve.store.writeback"),
+            stats_write: pws_obs::stage("serve.store.stats_write"),
             io_error: fault.state_io_error.clone(),
             lock_recovered: fault.lock_recovered.clone(),
             retry: pws_obs::stage("serve.store.retry"),
             retry_exhausted: pws_obs::stage("serve.store.retry_exhausted"),
             backpressure: pws_obs::stage("serve.store.backpressure"),
             fault_in_span: pws_obs::stage("serve.residency.fault_in"),
-            seed_span: pws_obs::stage("serve.residency.seed"),
             evict_writeback_span: pws_obs::stage("serve.residency.evict_writeback"),
             max_write_retries: cfg.max_write_retries.max(1),
             retry_backoff: cfg.retry_backoff,
@@ -196,7 +219,9 @@ impl StoreTier {
                 cond: Condvar::new(),
             }),
             write_gates: Mutex::new(HashMap::new()),
+            stats_gate: Mutex::new(()),
         });
+        tier.load_stats();
         let daemon = tier.queue.is_some().then(|| {
             let tier = tier.clone();
             std::thread::Builder::new()
@@ -271,9 +296,9 @@ impl StoreTier {
     }
 
     /// The one writer: one attempt at putting `state`, snapshotted at
-    /// dirty `epoch`, on disk — encoded straight from the snapshot and
-    /// the live statistics, never copied — under the user's gate, and
-    /// only if the gate has not seen that epoch or a newer one. `true` =
+    /// dirty `epoch`, on disk — encoded straight from the snapshot, never
+    /// copied — under the user's gate, and only if the gate has not seen
+    /// that epoch or a newer one. `true` =
     /// written (`serve.store.writeback`, gate advanced to `epoch`);
     /// `false` = refused as stale, disk untouched. An injected
     /// [`FaultStage::Writeback`] panic is a failed write, never a lost user.
@@ -292,15 +317,35 @@ impl StoreTier {
         }
         let put = catch_unwind(AssertUnwindSafe(|| {
             inject_fault(plan, user, query_text, FaultStage::Writeback);
-            self.store.put_with(user, state, |emit| {
-                self.stats.visit(&state.seen_queries, &BTreeMap::new(), emit)
-            })
+            self.store.put_state(user, state)
         }));
         if let Ok(Ok(())) = put {
             *last_written = epoch;
             self.writeback.incr(1);
         }
         put.map(|written| written.map(|()| true))
+    }
+
+    /// The one statistics writer: one attempt at writing the statistics
+    /// file, encoded in key order straight from the live shards (it
+    /// publishes nothing, so a write never moves β).
+    fn persist_stats(&self) -> Attempt<()> {
+        let _gate = self.lock(&self.stats_gate);
+        let keys = self.stats.keys();
+        let put = self.store.put_stats(|emit| self.stats.visit(&keys, emit));
+        if put.is_ok() {
+            self.stats_write.incr(1);
+        }
+        Ok(put)
+    }
+
+    /// Seed the live statistics from the statistics file, once, at open,
+    /// and publish them. A missing file is empty statistics, and so is an
+    /// unreadable one (counted by the retry rule).
+    fn load_stats(&self) {
+        let loaded = self.retry_inline(|| Ok(self.store.get_stats()));
+        self.stats.seed(loaded.flatten().unwrap_or_default());
+        self.stats.refresh();
     }
 
     /// Snapshot discipline 1 — under the held shard guard: persist one
@@ -357,14 +402,9 @@ impl StoreTier {
     /// Fault-in runs under panic isolation and the retry rule: a
     /// corrupt record, an I/O error that outlasts its retries, or an
     /// injected [`FaultStage::FaultIn`] panic costs exactly this user a
-    /// fresh profile — never the request, never the shard.
-    ///
-    /// A loaded record also seeds its adaptive-β statistics, but live
-    /// keys win, so a key already in the published snapshot would be
-    /// decoded only to be dropped: the read verifies section 7 and
-    /// decodes it only if one of its keys is missing from the snapshot
-    /// (a fresh process over an old store, or a key observed but not yet
-    /// published, for which seeding is a no-op).
+    /// fresh profile — never the request, never the shard. The record's
+    /// section 7 (empty unless an older writer filled it) is ignored: the
+    /// statistics were loaded once, at open.
     pub(crate) fn ensure_resident(
         &self,
         users: &mut UserMap,
@@ -377,28 +417,21 @@ impl StoreTier {
             r.last_touch = last_touch;
             return false;
         }
-        let published = self.stats.read();
         let record = {
             let _span = self.fault_in_span.span();
             self.retry_inline(|| {
                 catch_unwind(AssertUnwindSafe(|| {
                     inject_fault(plan, user, query_text, FaultStage::FaultIn);
-                    self.store.get_with(user, |key| !published.contains_key(key))
+                    self.store.get(user)
                 }))
             })
             .flatten()
         };
         let faulted_in = record.is_some();
-        let state = record.map_or_else(UserState::default, |record| {
+        if faulted_in {
             self.fault_in.incr(1);
-            let _span = self.seed_span.span();
-            if self.stats.seed(record.query_stats) {
-                // A fresh process over an old store: publish the keys
-                // now, so this very turn's β matches an uninterrupted run.
-                self.stats.refresh();
-            }
-            record.state
-        });
+        }
+        let state = record.map_or_else(UserState::default, |record| record.state);
         users.insert(user, ResidentUser { state: Arc::new(state), last_touch, dirty_epoch: 0 });
         faulted_in
     }
@@ -448,32 +481,41 @@ impl StoreTier {
     /// `serve.store.backpressure` and this thread writes the user back
     /// itself — dirty state is never dropped, the caller pays.
     pub(crate) fn enqueue_writeback(&self, user: UserId, plan: Option<&dyn FaultPlan>) {
-        let Some(q) = &self.queue else { return };
-        {
-            let mut st = self.lock(&q.pending);
-            if st.enqueued.contains(&user) {
-                return; // already queued: this mutation rides along
-            }
-            if st.queue.len() < self.max_backlog {
-                st.enqueued.insert(user);
-                st.queue.push_back(WritebackItem { user, attempt: 0, due: None });
-                q.cond.notify_one();
-                return;
-            }
+        if !self.enqueue(Job::User(user)) {
+            self.backpressure.incr(1);
+            self.writeback_locked(&mut self.lock(&self.shard_of(user).users), user, plan, "");
         }
-        self.backpressure.incr(1);
-        let mut users = self.lock(&self.shard_of(user).users);
-        self.writeback_locked(&mut users, user, plan, "");
+    }
+
+    /// Queue `job` for the daemon unless it is already queued (then the
+    /// pending write covers it); a no-op without a daemon. `false` only
+    /// for a user write refused by a full backlog: the statistics file,
+    /// queued after a snapshot refresh, is at most one job and never
+    /// refused.
+    pub(crate) fn enqueue(&self, job: Job) -> bool {
+        let Some(q) = &self.queue else { return true };
+        let mut st = self.lock(&q.pending);
+        if st.enqueued.contains(&job) {
+            return true; // already queued: this change rides along
+        }
+        if job != Job::Stats && st.users() >= self.max_backlog {
+            return false;
+        }
+        st.enqueued.insert(job);
+        st.queue.push_back(WritebackItem { job, attempt: 0, due: None });
+        q.cond.notify_one();
+        true
     }
 
     /// Users currently queued for asynchronous writeback.
     pub(crate) fn backlog(&self) -> usize {
-        self.queue.as_ref().map_or(0, |q| self.lock(&q.pending).queue.len())
+        self.queue.as_ref().map_or(0, |q| self.lock(&q.pending).users())
     }
 
     /// The one flush ([`crate::ServingEngine::flush_store`] and the
     /// shutdown guard): synchronously persist every dirty resident,
-    /// shard by shard under its lock. Returns how many are now on disk.
+    /// shard by shard under its lock, then the statistics file. Returns
+    /// how many residents are now on disk.
     pub(crate) fn flush(&self, plan: Option<&dyn FaultPlan>) -> usize {
         let mut persisted = 0;
         for shard in self.shards.iter() {
@@ -484,6 +526,7 @@ impl StoreTier {
                 persisted += usize::from(self.writeback_locked(&mut users, user, plan, ""));
             }
         }
+        self.retry_inline(|| self.persist_stats());
         persisted
     }
 
@@ -500,12 +543,11 @@ impl StoreTier {
         *last_written = self.epoch.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A non-resident user's whole record straight off disk. An
-    /// unreadable record counts `serve.state_io_error` and reads as
-    /// absent.
-    pub(crate) fn stored_state(&self, user: UserId) -> Option<UserRecord> {
+    /// A non-resident user's state straight off disk. An unreadable
+    /// record counts `serve.state_io_error` and reads as absent.
+    pub(crate) fn stored_state(&self, user: UserId) -> Option<UserState> {
         let record = self.store.get(user).inspect_err(|_| self.io_error.incr(1));
-        record.ok().flatten()
+        record.ok().flatten().map(|record| record.state)
     }
 
     /// Every user with a record on disk.
@@ -513,11 +555,12 @@ impl StoreTier {
         self.store.users().unwrap_or_default()
     }
 
-    /// The background writeback daemon: pop a runnable dirty user,
-    /// persist them, repeat. A transiently failing write is re-queued
-    /// with a backoff due-time while the retry rule allows. Shutdown
-    /// drains the queue (ignoring due times) first, so every enqueued
-    /// user is written, or has their failure counted, before the drop.
+    /// The background writeback daemon: pop a runnable job (a dirty user
+    /// or the statistics file), write it, repeat. A transiently failing
+    /// write is re-queued with a backoff due-time while the retry rule
+    /// allows. Shutdown drains the queue (ignoring due times) first, so
+    /// every enqueued write lands, or has its failure counted, before the
+    /// drop.
     fn daemon_loop(&self) {
         let queue = self.queue.as_ref().expect("daemon runs only with a queue");
         loop {
@@ -529,7 +572,7 @@ impl StoreTier {
                         |it: &WritebackItem| st.shutdown || it.due.is_none_or(|d| d <= now);
                     if let Some(i) = st.queue.iter().position(runnable) {
                         let it = st.queue.remove(i).expect("position is in bounds");
-                        st.enqueued.remove(&it.user);
+                        st.enqueued.remove(&it.job);
                         break it;
                     }
                     if st.shutdown {
@@ -547,17 +590,21 @@ impl StoreTier {
                 }
             };
             let attempts = item.attempt + 1;
-            if self.settle(self.writeback_offline(item.user), attempts).is_break() {
-                continue; // written, clean, or given up (user stays dirty; flush retries)
+            let settled = match item.job {
+                Job::User(user) => self.settle(self.writeback_offline(user), attempts).is_break(),
+                Job::Stats => self.settle(self.persist_stats(), attempts).is_break(),
+            };
+            if settled {
+                continue; // written, clean, or given up (a flush retries)
             }
             let delay =
-                retry_backoff_delay(self.retry_backoff, self.retry_backoff_cap, item.user, attempts);
+                retry_backoff_delay(self.retry_backoff, self.retry_backoff_cap, item.job, attempts);
             let mut st = self.lock(&queue.pending);
-            // A fresh observe may have re-enqueued the user meanwhile;
+            // A fresh change may have re-enqueued the job meanwhile;
             // that attempt-0 item already covers this retry.
-            if st.enqueued.insert(item.user) {
+            if st.enqueued.insert(item.job) {
                 let due = Some(Instant::now() + delay);
-                st.queue.push_back(WritebackItem { user: item.user, attempt: attempts, due });
+                st.queue.push_back(WritebackItem { job: item.job, attempt: attempts, due });
                 queue.cond.notify_one();
             }
         }
@@ -844,58 +891,73 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Fault-in checks the record's statistics but builds them only when
-    /// they can seed something: a user whose query keys are all in the
-    /// published snapshot faults in with no statistics decoded (and the
-    /// seed step has nothing to do), while a fresh process over the same
-    /// store still decodes and seeds them.
-    #[cfg(debug_assertions)]
+    /// Regression: a restart took each query's pooled statistics from
+    /// whichever record faulted in first, however old. User 3 clicks
+    /// "seafood restaurant" once and is flushed; five other users then
+    /// click it 30 times and are flushed. After a restart user 3 searches
+    /// first: the statistics must be the dropped process's 31 clicks over
+    /// 31 impressions, not user 3's 1 over 1, and the turn's β must be the
+    /// uninterrupted engine's. The clicks go to a different result each
+    /// turn, so the entropies β reads are not zero.
     #[test]
-    fn fault_in_decodes_statistics_only_when_they_can_seed() {
+    fn restart_restores_the_pooled_statistics_not_the_first_faulted_record() {
         let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
-        let dir = store_dir("stats-skip");
-        let serve_cfg = || ServeConfig {
-            shards: 1,
+        let query = "seafood restaurant";
+        let dir = store_dir("restart-stats");
+        let cfg = |store: Option<StoreTierConfig>| ServeConfig {
+            shards: 2,
             stats_refresh_every: 1,
-            store: Some(StoreTierConfig {
-                capacity_per_shard: 1,
-                writeback: false,
-                ..StoreTierConfig::new(&dir)
-            }),
+            store,
             ..ServeConfig::default()
         };
-        let (a, b) = (UserId(1), UserId(2));
-        let query = "seafood restaurant";
-        let decodes = pws_store::codec::query_stats_decodes;
-        let e = ServingEngine::new(&idx, &w, EngineConfig::default(), serve_cfg());
-        let turn = e.search(a, query);
-        e.observe(&turn, &impression_from(&turn, &click_rule(&turn)));
-        let live = e.query_stats(query).expect("published after one observe");
-        let _ = e.search(b, "restaurant"); // evicts A, writing their record
-        pws_obs::reset();
-        let before = decodes();
-        let _ = e.search(a, query);
-        assert_eq!(decodes() - before, 0, "every key published: no statistics built");
-        let snap = pws_obs::snapshot();
-        let count = |name: &str| {
-            snap.stages.iter().find(|s| s.name == name).map_or(0, |s| s.count)
+        let tier = || Some(StoreTierConfig { writeback: false, ..StoreTierConfig::new(&dir) });
+        let session = |e: &ServingEngine<'_>| {
+            let mut turns = 0usize;
+            let mut click = |user: UserId| {
+                let turn = e.search(user, query);
+                let doc = turn.hits[turns % turn.hits.len()].doc;
+                turns += 1;
+                e.observe(&turn, &impression_from(&turn, &[doc]));
+            };
+            click(UserId(3));
+            e.flush_store();
+            for i in 0..30 {
+                click(UserId(10 + i % 5));
+            }
+            e.flush_store();
         };
-        assert_eq!(count("serve.store.fault_in"), 1);
-        assert_eq!(count("serve.residency.fault_in"), 1);
-        assert_eq!(count("serve.residency.seed"), 1);
-        drop(e);
+        let image = |s: &pws_entropy::QueryStats| {
+            format!(
+                "{} {} {:?} {:?} {:?}",
+                s.impressions(),
+                s.clicks(),
+                s.url_click_entries(),
+                s.concept_click_entries(),
+                s.location_click_entries()
+            )
+        };
 
-        // A fresh process publishes nothing yet, so the same record seeds.
-        let e = ServingEngine::new(&idx, &w, EngineConfig::default(), serve_cfg());
-        assert!(e.query_stats(query).is_none(), "nothing live before the first fault-in");
-        let before = decodes();
-        let _ = e.search(a, query);
-        assert_eq!(decodes() - before, 1, "a restart decodes the statistics");
-        let seeded = e.query_stats(query).expect("seeded and published");
-        assert_eq!((seeded.impressions(), seeded.clicks()), (live.impressions(), live.clicks()));
-        drop(e);
+        let uninterrupted = ServingEngine::new(&idx, &w, EngineConfig::default(), cfg(None));
+        session(&uninterrupted);
+        let live = uninterrupted.query_stats(query).expect("observed");
+        assert_eq!((live.impressions(), live.clicks()), (31, 31));
+        let want = uninterrupted.search(UserId(3), query);
+        assert_ne!(want.beta, 0.5, "the spread clicks must move β for this test to bite");
+
+        let dropped = ServingEngine::new(&idx, &w, EngineConfig::default(), cfg(tier()));
+        session(&dropped);
+        let at_drop = dropped.query_stats(query).expect("observed");
+        drop(dropped);
+        let restarted = ServingEngine::new(&idx, &w, EngineConfig::default(), cfg(tier()));
+        let got = restarted.search(UserId(3), query);
+        let restored = restarted.query_stats(query).expect("restored");
+        assert_eq!(image(&restored), image(&at_drop), "the dropped process's statistics");
+        assert_eq!(image(&restored), image(&live));
+        assert_eq!(got.beta.to_bits(), want.beta.to_bits(), "the first turn's β");
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        drop(restarted);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1315,10 +1377,11 @@ mod tests {
         let w = world();
         pws_obs::reset();
         let dir = store_dir("transient-write");
-        // Counted-op timeline: op 0 is the first search's record read;
-        // op 1 is the flush-time put's temp write — the injected fault.
+        // Counted-op timeline: op 0 is the open-time statistics read; op
+        // 1 is the first search's record read; op 2 is the flush-time
+        // put's temp write — the injected fault.
         let io = Arc::new(pws_store::FaultIo::new(pws_store::IoFaultSpec {
-            enospc_at: Some(1),
+            enospc_at: Some(2),
             ..Default::default()
         }));
         let e = ServingEngine::new(
@@ -1389,28 +1452,35 @@ mod tests {
                 ..ServeConfig::default()
             },
         );
-        // Fault-in read: attempt 1 + retry 1, then exhausted → fresh
+        // The open-time statistics read: attempt 1 + retry 1, then
+        // exhausted → empty statistics. Fault-in read: the same → fresh
         // profile, never a panic or a lost query.
         let turn = e.search(UserId(9), "seafood restaurant");
         assert!(!turn.hits.is_empty());
         let imp = impression_from(&turn, &click_rule(&turn));
         e.observe(&turn, &imp);
-        // Flush: put attempt 1 + retry 1, then exhausted → kept dirty.
+        // Flush: put attempt 1 + retry 1, then exhausted → kept dirty;
+        // the statistics file the same.
         assert_eq!(e.flush_store(), 0, "nothing can land on a dead disk");
-        // Engine drop flushes again: one more attempt pair.
+        // Engine drop flushes again: two more attempt pairs.
         drop(e);
         let snap = pws_obs::snapshot();
         let count = |name: &str| {
             snap.stages.iter().find(|s| s.name == name).map(|s| s.count).unwrap_or(0)
         };
-        assert_eq!(count("serve.store.retry"), 3, "read, flush, and drop-flush each retried once");
-        assert_eq!(count("serve.store.retry_exhausted"), 3);
+        assert_eq!(
+            count("serve.store.retry"),
+            6,
+            "the two reads and each flush's two writes each retried once"
+        );
+        assert_eq!(count("serve.store.retry_exhausted"), 6);
         assert_eq!(
             count("serve.state_io_error"),
             count("serve.store.retry_exhausted"),
             "every exhaustion surfaces exactly one io error"
         );
         assert_eq!(count("serve.store.writeback"), 0);
+        assert_eq!(count("serve.store.stats_write"), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1425,11 +1495,12 @@ mod tests {
         let w = world();
         pws_obs::reset();
         let dir = store_dir("backpressure");
-        // Op 1 (the daemon's first put write) fails transiently; the
-        // 10s backoff parks that retry item in the queue, pinning the
+        // Op 2 (the daemon's first put write, after the open-time
+        // statistics read and user 1's record read) fails transiently;
+        // the 10s backoff parks that retry item in the queue, pinning the
         // backlog at its high-water mark of 1 for the whole test.
         let io = Arc::new(pws_store::FaultIo::new(pws_store::IoFaultSpec {
-            enospc_at: Some(1),
+            enospc_at: Some(2),
             ..Default::default()
         }));
         let e = ServingEngine::new(
@@ -1487,11 +1558,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// An export is the user's record: after a flush, `export_user`
-    /// returns the bytes of the record file, for a resident user and for
-    /// one evicted to disk alike. (Each user issues their own queries: an
-    /// export carries the live statistics, which another user's clicks on
-    /// a shared query would move past an evicted user's record.)
+    /// An export is the user's record plus their statistics: after a
+    /// flush, `export_user` returns the record file's sections 1–6, for a
+    /// resident user and for one evicted to disk alike, while the file's
+    /// section 7 is empty — the statistics are in the statistics file.
     #[test]
     fn export_is_the_stored_record_bytes() {
         let _guard = pws_obs::test_lock();
@@ -1523,21 +1593,28 @@ mod tests {
         }
         e.flush_store();
         assert_eq!(e.resident_count(), 1, "one of the two users is only on disk");
+        let sections = |bytes: &[u8]| -> Vec<Vec<u8>> {
+            let parsed = pws_store::STORE_FORMAT.parse(bytes).expect("a valid record");
+            parsed.iter().map(|s| s.to_vec()).collect()
+        };
         for user in users {
             let file = std::fs::read(dir.join(format!("user-{:08x}.pwsu", user.0))).expect("record");
-            assert_eq!(e.export_user(user).expect("state exists"), file, "{user:?}");
+            let (file, export) = (sections(&file), sections(&e.export_user(user).expect("state")));
+            assert_eq!(file[..6], export[..6], "{user:?}: sections 1–6");
+            assert_eq!(file[6], 0u32.to_le_bytes(), "{user:?}: the record's section 7 is empty");
+            assert_ne!(export[6], file[6], "{user:?}: the export carries their statistics");
         }
         drop(e);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// In a fresh process no statistics are live yet, so exporting a
-    /// user who is not resident carries their record's statistics: the
-    /// export is the record file's bytes before any search. (The export
-    /// used to encode only live statistics and came out without them,
-    /// so an import elsewhere lost the user's adaptive β.)
+    /// A fresh process loads the statistics file at open, so exporting a
+    /// user who is not resident carries their statistics: before any
+    /// search, a fresh engine's export equals the dropped engine's. (The
+    /// export used to encode only live statistics and came out without
+    /// them, so an import elsewhere lost the user's adaptive β.)
     #[test]
-    fn export_of_an_unloaded_user_carries_their_record_statistics() {
+    fn export_of_an_unloaded_user_carries_the_loaded_statistics() {
         let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
@@ -1558,16 +1635,140 @@ mod tests {
             }
         }
         a.flush_store();
+        let exported: Vec<Vec<u8>> =
+            users.iter().map(|&u| a.export_user(u).expect("state")).collect();
         drop(a);
         let b = ServingEngine::new(&idx, &w, EngineConfig::default(), cfg());
-        for user in users {
-            let file = std::fs::read(dir.join(format!("user-{:08x}.pwsu", user.0))).expect("record");
-            let record = pws_store::decode_user_record(&file).expect("clean record");
-            assert!(!record.query_stats.is_empty(), "{user:?}'s record carries statistics");
-            assert_eq!(b.export_user(user).expect("stored state"), file, "{user:?}");
+        for (user, bytes) in users.into_iter().zip(&exported) {
+            let record = pws_store::decode_user_record(bytes).expect("clean export");
+            assert!(!record.query_stats.is_empty(), "{user:?}'s export carries statistics");
+            assert_eq!(&b.export_user(user).expect("stored state"), bytes, "{user:?}");
         }
         assert_eq!(b.resident_count(), 0, "exporting faults nobody in");
         drop(b);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A record written before the statistics file existed carries its
+    /// user's statistics in section 7. Fault-in loads the state and ignores
+    /// them, so a directory without a statistics file starts with none.
+    #[test]
+    fn a_record_with_statistics_faults_in_without_seeding_them() {
+        let _guard = pws_obs::test_lock();
+        let idx = index();
+        let w = world();
+        let query = "seafood restaurant";
+        let plain = ServingEngine::new(
+            &idx,
+            &w,
+            EngineConfig::default(),
+            ServeConfig { shards: 1, stats_refresh_every: 1, ..ServeConfig::default() },
+        );
+        let turn = plain.search(UserId(3), query);
+        plain.observe(&turn, &impression_from(&turn, &click_rule(&turn)));
+        let bytes = plain.export_user(UserId(3)).expect("state");
+        assert!(!pws_store::decode_user_record(&bytes).expect("record").query_stats.is_empty());
+        let dir = store_dir("old-record");
+        std::fs::create_dir_all(&dir).expect("store directory");
+        std::fs::write(dir.join("user-00000003.pwsu"), &bytes).expect("old record");
+        let e = ServingEngine::new(
+            &idx,
+            &w,
+            EngineConfig::default(),
+            ServeConfig {
+                shards: 1,
+                stats_refresh_every: 1,
+                store: Some(StoreTierConfig { writeback: false, ..StoreTierConfig::new(&dir) }),
+                ..ServeConfig::default()
+            },
+        );
+        let _ = e.search(UserId(3), query);
+        assert_eq!(e.user_state(UserId(3)).expect("faulted in").observations, 1);
+        assert!(e.query_stats(query).is_none(), "section 7 is not seeded");
+        drop(e);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// With a writeback daemon, a snapshot refresh queues one statistics
+    /// write: the file lands before any flush, holding the refreshed key.
+    #[test]
+    fn daemon_writes_the_statistics_file_after_a_refresh() {
+        let _guard = pws_obs::test_lock();
+        let idx = index();
+        let w = world();
+        let dir = store_dir("stats-daemon");
+        let cfg = ServeConfig {
+            shards: 1,
+            stats_refresh_every: 1,
+            store: Some(StoreTierConfig::new(&dir)),
+            ..ServeConfig::default()
+        };
+        pws_obs::reset();
+        let e = ServingEngine::new(&idx, &w, EngineConfig::default(), cfg);
+        let turn = e.search(UserId(1), "seafood restaurant");
+        e.observe(&turn, &impression_from(&turn, &click_rule(&turn)));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while pws_obs::snapshot().stage("serve.store.stats_write").map_or(0, |s| s.count) == 0 {
+            assert!(Instant::now() < deadline, "the daemon never wrote the statistics file");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let file = std::fs::read(dir.join(pws_store::STATS_FILE)).expect("written");
+        let stats = pws_store::decode_stats_file(&file).expect("clean file");
+        assert!(stats.contains_key("seafood restaurant"));
+        drop(e);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The statistics file is written by every flush and by nothing else
+    /// in synchronous mode, counted under `serve.store.stats_write` apart
+    /// from the record writes; writing it publishes no refresh, so a
+    /// flush never moves β. A file that no longer decodes costs the next
+    /// engine its statistics (counted in `serve.state_io_error`), never a
+    /// query.
+    #[test]
+    fn statistics_file_is_written_by_flushes_and_a_corrupt_one_starts_empty() {
+        let _guard = pws_obs::test_lock();
+        let idx = index();
+        let w = world();
+        let dir = store_dir("stats-file");
+        let cfg = || ServeConfig {
+            shards: 2,
+            stats_refresh_every: 64,
+            store: Some(StoreTierConfig { writeback: false, ..StoreTierConfig::new(&dir) }),
+            ..ServeConfig::default()
+        };
+        let count = |name: &str| pws_obs::snapshot().stage(name).map_or(0, |s| s.count);
+        let query = "seafood restaurant";
+        pws_obs::reset();
+        let e = ServingEngine::new(&idx, &w, EngineConfig::default(), cfg());
+        let turn = e.search(UserId(1), query);
+        e.observe(&turn, &impression_from(&turn, &click_rule(&turn)));
+        assert!(e.query_stats(query).is_none(), "not published before the refresh is due");
+        assert_eq!(count("serve.store.stats_write"), 0, "only a flush writes it");
+        assert_eq!(e.flush_store(), 1);
+        assert_eq!(e.flush_store(), 0);
+        assert_eq!(count("serve.store.stats_write"), 2, "every flush writes it");
+        assert_eq!(count("serve.store.writeback"), 1, "record writes are counted apart");
+        assert!(e.query_stats(query).is_none(), "a flush publishes nothing");
+        drop(e);
+        assert_eq!(count("serve.store.stats_write"), 3, "and so does the drop");
+
+        let reopened = ServingEngine::new(&idx, &w, EngineConfig::default(), cfg());
+        let loaded = reopened.query_stats(query).expect("loaded and published at open");
+        assert_eq!((loaded.impressions(), loaded.clicks()), (1, 1));
+        drop(reopened);
+
+        let path = dir.join(pws_store::STATS_FILE);
+        let mut bytes = std::fs::read(&path).expect("statistics file");
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xFF;
+        std::fs::write(&path, bytes).expect("corrupt it");
+        pws_obs::reset();
+        let e = ServingEngine::new(&idx, &w, EngineConfig::default(), cfg());
+        assert_eq!(count("serve.state_io_error"), 1, "the bad file is counted");
+        assert!(e.query_stats(query).is_none(), "statistics start empty");
+        assert!(!e.search(UserId(1), query).hits.is_empty(), "and queries are served");
+        drop(e);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,11 +1,13 @@
 //! The binary user-record codec.
 //!
-//! One file per user, carrying the *complete* replay-relevant state: the
+//! One file per user, carrying the *complete* replay-relevant
 //! [`UserState`] (profiles, revisit history, RankSVM model, preference
-//! pairs) **plus** the user's contribution to the per-query adaptive-β
-//! statistics. The record is also the one export format: a user moves
-//! between engines as these bytes, and [`UserRecord::render`] is the
-//! human-readable view of them.
+//! pairs) **plus** a section for the user's slice of the pooled
+//! per-query adaptive-β statistics. The store tier keeps the pooled
+//! statistics once, in the statistics file ([`crate::stats`]), and leaves
+//! that section empty; an export fills it. The record is also the one
+//! export format: a user moves between engines as these bytes, and
+//! [`UserRecord::render`] is the human-readable view of them.
 //!
 //! A record is a [`pws_obs::format`] container
 //! (`docs/CONTAINER_FORMAT.md`, the one under segments and flight dumps
@@ -28,9 +30,6 @@ use pws_obs::format::{ByteReader, ByteWriter, Format, FormatError};
 use pws_profile::{ContentProfile, LocationProfile, UserHistory, FEATURE_NAMES};
 use pws_ranksvm::{LinearRankModel, PreferencePair};
 use std::collections::BTreeMap;
-
-/// Magic bytes opening every user record.
-pub const STORE_MAGIC: &[u8; 8] = b"PWSUSR1\0";
 
 /// Current format version, the only one read. Version 1 carried an
 /// eighth, product-quantised section that no reader used.
@@ -56,14 +55,15 @@ pub enum SectionId {
     History = 5,
     /// Mined preference-pair training window.
     Pairs = 6,
-    /// Per-query adaptive-β statistics contributed by this user.
+    /// The user's slice of the pooled per-query adaptive-β statistics:
+    /// filled by an export, empty in a record the store tier writes.
     QueryStats = 7,
 }
 
 /// The user-record container: all sections, in canonical file order,
 /// with the stable lowercase names used in errors and the format spec.
 pub const STORE_FORMAT: Format = Format {
-    magic: STORE_MAGIC,
+    magic: b"PWSUSR1\0",
     version: FORMAT_VERSION,
     sections: &[
         (SectionId::Meta as u16, "meta"),
@@ -128,7 +128,8 @@ pub struct UserRecord {
     pub user: UserId,
     /// The replay-exact engine state.
     pub state: UserState,
-    /// Per-query statistics for the keys in `state.seen_queries`.
+    /// Pooled per-query statistics for keys in `state.seen_queries`
+    /// (empty in a record the store tier writes).
     pub query_stats: BTreeMap<String, QueryStats>,
 }
 
@@ -257,10 +258,13 @@ fn encode_pairs(pairs: &[PreferencePair]) -> Vec<u8> {
     w.finish()
 }
 
-/// Section 7 from `visit_stats`, which hands over every entry once, in
-/// strictly ascending key order. The entry count leads the payload, so it
+/// Section 7's payload (also the statistics file's one section) from
+/// `visit_stats`, which hands over every entry once, in strictly
+/// ascending key order. The entry count leads the payload, so it
 /// is written as a placeholder and patched once the visit is done.
-fn encode_query_stats(visit_stats: impl FnOnce(&mut dyn FnMut(&str, &QueryStats))) -> Vec<u8> {
+pub(crate) fn encode_query_stats(
+    visit_stats: impl FnOnce(&mut dyn FnMut(&str, &QueryStats)),
+) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u32(0);
     let mut n: u32 = 0;
@@ -420,9 +424,9 @@ fn decode_pairs(mut r: ByteReader<'_>) -> Result<Vec<PreferencePair>, FormatErro
     Ok(pairs)
 }
 
-fn decode_query_stats(mut r: ByteReader<'_>) -> Result<BTreeMap<String, QueryStats>, FormatError> {
-    #[cfg(debug_assertions)]
-    STATS_DECODES.with(|n| n.set(n.get() + 1));
+pub(crate) fn decode_query_stats(
+    mut r: ByteReader<'_>,
+) -> Result<BTreeMap<String, QueryStats>, FormatError> {
     let n = r.count(4)?;
     let mut out = BTreeMap::new();
     for _ in 0..n {
@@ -461,94 +465,10 @@ fn decode_query_stats(mut r: ByteReader<'_>) -> Result<BTreeMap<String, QuerySta
     Ok(out)
 }
 
-#[cfg(debug_assertions)]
-thread_local! {
-    static STATS_DECODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// How many times section 7 has been decoded (not just verified) on this
-/// thread. Debug builds only: tests in other crates pin through it that a
-/// fault-in whose statistics are all live builds none of them.
-#[cfg(debug_assertions)]
-#[doc(hidden)]
-pub fn query_stats_decodes() -> u64 {
-    STATS_DECODES.with(|n| n.get())
-}
-
-/// One section-7 entry, read exactly as [`decode_query_stats`] reads it
-/// and built into nothing. Returns the entry's key.
-fn skip_query_stats_entry<'a>(r: &mut ByteReader<'a>) -> Result<&'a str, FormatError> {
-    let key = r.str()?;
-    r.u64()?;
-    r.u64()?;
-    for _ in 0..r.count(12)? {
-        r.str()?;
-        r.f64bits()?;
-    }
-    for _ in 0..r.count(12)? {
-        r.str()?;
-        r.f64bits()?;
-    }
-    for _ in 0..r.count(12)? {
-        r.u32()?;
-        r.f64bits()?;
-    }
-    Ok(key)
-}
-
-/// Walk section 7 with exactly [`decode_query_stats`]'s checks — counts,
-/// UTF-8, duplicate keys, trailing bytes — allocating nothing. Returns
-/// `Ok(true)` as soon as `need_stats` asks for a key (the caller then
-/// decodes the section, which fails exactly where this walk would have),
-/// `Ok(false)` once the whole section verified with no key asked for.
-fn verify_query_stats(
-    section: &[u8],
-    mut need_stats: impl FnMut(&str) -> bool,
-) -> Result<bool, FormatError> {
-    let name = STORE_FORMAT.sections[6].1;
-    let mut r = ByteReader::new(section, name);
-    let n = r.count(4)?;
-    let mut prev = "";
-    let mut ascending = true;
-    for i in 0..n {
-        let key = skip_query_stats_entry(&mut r)?;
-        if need_stats(key) {
-            return Ok(true);
-        }
-        // An encoder writes keys strictly ascending, which cannot repeat;
-        // only a record out of order pays a rescan of the keys before it.
-        ascending &= i == 0 || prev < key;
-        if !ascending {
-            let mut before = ByteReader::new(section, name);
-            before.u32()?;
-            if (0..i).any(|_| skip_query_stats_entry(&mut before).is_ok_and(|k| k == key)) {
-                return Err(FormatError::Malformed("duplicate query-stats key"));
-            }
-        }
-        prev = key;
-    }
-    r.finish()?;
-    Ok(false)
-}
-
 /// Decode a user record from its byte image, validating structure and
 /// every section checksum. Inverse of [`encode_user_record`]:
 /// `decode(encode(r))` reproduces `r`'s logical content bit-exactly.
 pub fn decode_user_record(bytes: &[u8]) -> Result<UserRecord, StoreError> {
-    decode_user_record_with(bytes, |_| true)
-}
-
-/// [`decode_user_record`] that builds the per-query statistics only when
-/// they can be used: section 7 is always checksummed and walked with the
-/// full decoder's checks, so the same bytes are accepted and rejected with
-/// the same [`StoreError`], but it is decoded only if `need_stats` returns
-/// `true` for one of its keys. Otherwise the record's `query_stats` is
-/// empty. The serving tier asks for a key only when its live statistics
-/// lack it — the only case in which seeding it does anything.
-pub fn decode_user_record_with(
-    bytes: &[u8],
-    need_stats: impl FnMut(&str) -> bool,
-) -> Result<UserRecord, StoreError> {
     let sections = STORE_FORMAT.parse(bytes)?;
     let reader = |i: usize| ByteReader::new(sections[i], STORE_FORMAT.sections[i].1);
     let (user, observations, seen_queries) = decode_meta(reader(0))?;
@@ -557,11 +477,7 @@ pub fn decode_user_record_with(
     let location = decode_location(reader(3))?;
     let history = decode_history(reader(4))?;
     let pairs = decode_pairs(reader(5))?;
-    let query_stats = if verify_query_stats(sections[6], need_stats)? {
-        decode_query_stats(reader(6))?
-    } else {
-        BTreeMap::new()
-    };
+    let query_stats = decode_query_stats(reader(6))?;
 
     let mut state = UserState::new();
     state.content = content;

@@ -8,14 +8,17 @@
 //!    (`PWSUSR1\0`, section table + FNV-1a-64 per section — the
 //!    `pws_obs::format` container, `docs/CONTAINER_FORMAT.md`),
 //!    capturing the *complete* replay-relevant state: profiles, RankSVM
-//!    weights, revisit history, preference pairs, **and** the per-query
-//!    adaptive-β statistics. Encoding is canonical (sorted maps,
+//!    weights, revisit history, preference pairs, and a section for the
+//!    user's slice of the per-query adaptive-β statistics (filled by an
+//!    export; the store tier leaves it empty). Encoding is canonical (sorted maps,
 //!    `f64::to_bits` little-endian), so equal logical records have equal
 //!    bytes and a faulted-in user replays **byte-identically**. The record
 //!    is also the export format (`pws-serve`'s `export_user`/`import_user`),
 //!    and [`UserRecord::render`] is its human-readable view.
-//! 2. **A directory store** ([`store`]): one file per user, durable
-//!    temp-file + fsync + rename + dir-fsync writes, typed
+//! 2. **A directory store** ([`store`]): one file per user plus one
+//!    statistics file ([`stats`]) holding the pooled per-query
+//!    statistics once, durable temp-file + fsync + rename + dir-fsync
+//!    writes, typed
 //!    [`StoreError`] on every corruption, and a
 //!    [`UserStore::scrub`](store::UserStore::scrub) recovery pass
 //!    (orphan cleanup + corrupt-record quarantine).
@@ -30,11 +33,13 @@
 
 pub mod codec;
 pub mod io;
+pub mod stats;
 pub mod store;
 
 pub use codec::{
-    decode_user_record, decode_user_record_with, encode_user_record, encode_user_with, SectionId, StoreError,
-    UserRecord, FORMAT_VERSION, STORE_FORMAT, STORE_MAGIC,
+    decode_user_record, encode_user_record, encode_user_with, SectionId, StoreError, UserRecord,
+    FORMAT_VERSION, STORE_FORMAT,
 };
+pub use stats::{decode_stats_file, encode_stats_file, STATS_FILE, STATS_FORMAT};
 pub use io::{FaultIo, FaultIoCounts, FsIo, IoError, IoErrorKind, IoFaultSpec, StoreIo};
 pub use store::{ScrubReport, UserStore, QUARANTINE_DIR};

@@ -1,4 +1,5 @@
-//! Directory-backed user-record store: one codec file per user.
+//! Directory-backed user-record store: one codec file per user, plus
+//! the pooled statistics file ([`crate::stats`]).
 //!
 //! Writes are atomic **and durable**: the record is written to a temp
 //! file in the same directory, the temp file is `fsync`ed, renamed over
@@ -22,12 +23,15 @@
 //! typed [`ScrubReport`]. Opening a store sweeps `.tmp` orphans
 //! automatically.
 
-use crate::codec::{decode_user_record, decode_user_record_with, encode_user_with, StoreError, UserRecord};
+use crate::codec::{decode_user_record, encode_user_record, encode_user_with};
+use crate::codec::{StoreError, UserRecord};
+use crate::stats::{decode_stats_file, encode_stats_file, STATS_FILE};
 use crate::io::{FsIo, IoErrorKind, StoreIo};
 use pws_click::UserId;
 use pws_core::UserState;
 use pws_entropy::QueryStats;
 use pws_obs::StageMetrics;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::sync::OnceLock;
@@ -113,11 +117,6 @@ impl UserStore {
         }
     }
 
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn path_for(&self, user: UserId) -> PathBuf {
         self.dir.join(format!("user-{:08x}.pwsu", user.0))
     }
@@ -127,36 +126,42 @@ impl UserStore {
     /// a crash after the fourth is durable, a crash at or before any of
     /// them leaves the previous record untouched.
     pub fn put(&self, record: &UserRecord) -> Result<(), StoreError> {
-        self.put_with(record.user, &record.state, |emit| {
-            for (key, s) in &record.query_stats {
-                emit(key, s);
-            }
-        })
+        let _span = write_stage().span();
+        self.write_durable(&self.path_for(record.user), &encode_user_record(record))
     }
 
-    /// [`Self::put`] from borrowed parts — the same record bytes, with
-    /// section 7 encoded from `visit_stats` (see [`encode_user_with`]), so
-    /// neither the state nor the statistics are copied to assemble a
-    /// [`UserRecord`].
-    pub fn put_with(
+    /// [`Self::put`] of `user`'s state with an empty section 7 — the
+    /// record the serving tier writes, its statistics being pooled in the
+    /// statistics file ([`Self::put_stats`]). The state is not copied.
+    pub fn put_state(&self, user: UserId, state: &UserState) -> Result<(), StoreError> {
+        let _span = write_stage().span();
+        self.write_durable(&self.path_for(user), &encode_user_with(user, state, |_| {}))
+    }
+
+    /// Persist the pooled statistics file ([`STATS_FILE`]) with the same
+    /// four-op durable write as [`Self::put`]. `visit_stats` hands over
+    /// every entry once, in strictly ascending key order.
+    pub fn put_stats(
         &self,
-        user: UserId,
-        state: &UserState,
         visit_stats: impl FnOnce(&mut dyn FnMut(&str, &QueryStats)),
     ) -> Result<(), StoreError> {
-        // Per-writer temp names: two threads racing on the same user
+        self.write_durable(&self.dir.join(STATS_FILE), &encode_stats_file(visit_stats))
+    }
+
+    /// The one durable write: `bytes` to a temp file named after `path`,
+    /// `fsync`, rename over `path`, `fsync` the directory.
+    fn write_durable(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+        // Per-writer temp names: two threads racing on the same file
         // must not rename each other's temp file out from under them.
         static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let _span = write_stage().span();
-        let bytes = encode_user_with(user, state, visit_stats);
-        let path = self.path_for(user);
         let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tmp = self.dir.join(format!(".user-{:08x}.{seq:x}.tmp", user.0));
+        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("file");
+        let tmp = self.dir.join(format!(".{stem}.{seq:x}.tmp"));
         let result = self
             .io
-            .write(&tmp, &bytes)
+            .write(&tmp, bytes)
             .and_then(|()| self.io.sync_file(&tmp))
-            .and_then(|()| self.io.rename(&tmp, &path))
+            .and_then(|()| self.io.rename(&tmp, path))
             .and_then(|()| self.io.sync_dir(&self.dir));
         result.map_err(|e| {
             // Best-effort cleanup: if the rename already happened the
@@ -171,32 +176,23 @@ impl UserStore {
     /// a present-but-unreadable record is an `Err` (corruption must
     /// surface as a typed error, not as a silently fresh user).
     pub fn get(&self, user: UserId) -> Result<Option<UserRecord>, StoreError> {
-        self.get_with(user, |_| true)
-    }
-
-    /// [`Self::get`] that decodes the record's per-query statistics only
-    /// if `need_stats` asks for one of their keys (see
-    /// [`decode_user_record_with`]); otherwise they are verified and the
-    /// record comes back with none. Accepts and rejects exactly what
-    /// [`Self::get`] does.
-    pub fn get_with(
-        &self,
-        user: UserId,
-        need_stats: impl FnMut(&str) -> bool,
-    ) -> Result<Option<UserRecord>, StoreError> {
         let _span = read_stage().span();
-        let path = self.path_for(user);
-        let bytes = match self.io.read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind == IoErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(StoreError::Io(e)),
-        };
-        decode_user_record_with(&bytes, need_stats).map(Some)
+        self.read(&self.path_for(user))?.map(|bytes| decode_user_record(&bytes)).transpose()
     }
 
-    /// Whether a record exists for `user` (no decode).
-    pub fn contains(&self, user: UserId) -> bool {
-        self.path_for(user).exists()
+    /// Load the pooled statistics file. `Ok(None)` when none has been
+    /// written; a present-but-unreadable file is an `Err`.
+    pub fn get_stats(&self) -> Result<Option<BTreeMap<String, QueryStats>>, StoreError> {
+        self.read(&self.dir.join(STATS_FILE))?.map(|bytes| decode_stats_file(&bytes)).transpose()
+    }
+
+    /// A whole file, `None` when it does not exist.
+    fn read(&self, path: &Path) -> Result<Option<Vec<u8>>, StoreError> {
+        match self.io.read(path) {
+            Ok(bytes) => Ok(Some(bytes)),
+            Err(e) if e.kind == IoErrorKind::NotFound => Ok(None),
+            Err(e) => Err(StoreError::Io(e)),
+        }
     }
 
     /// Delete a user's record. `Ok(true)` if one existed.
@@ -218,16 +214,6 @@ impl UserStore {
         }
         out.sort();
         Ok(out)
-    }
-
-    /// Number of stored records.
-    pub fn len(&self) -> Result<usize, StoreError> {
-        Ok(self.users()?.len())
-    }
-
-    /// Whether the store holds no records.
-    pub fn is_empty(&self) -> Result<bool, StoreError> {
-        Ok(self.users()?.is_empty())
     }
 
     /// Startup / maintenance recovery pass over the whole directory:

@@ -10,10 +10,8 @@
 //! 2. **Durability** — every damaged copy the shared container gauntlet
 //!    makes (each single byte flipped, each prefix, each section-table
 //!    and layout mutation), wrong-magic, and other-version files all fail
-//!    to decode with a typed [`StoreError`], never a panic.
-//! 3. **One verdict** — the read that verifies section 7 without building
-//!    it accepts and rejects exactly what the full decoder does, with the
-//!    same error, on every damaged copy.
+//!    to decode with a typed [`StoreError`], never a panic — user records
+//!    and the pooled statistics file alike.
 
 use proptest::prelude::*;
 use pws_click::UserId;
@@ -24,8 +22,8 @@ use pws_profile::{ContentProfile, LocationProfile, UserHistory};
 use pws_ranksvm::{LinearRankModel, PreferencePair};
 use pws_obs::format::{ByteWriter, FormatError};
 use pws_store::{
-    decode_user_record, decode_user_record_with, encode_user_record, encode_user_with, StoreError,
-    UserRecord, UserStore, FORMAT_VERSION, STORE_FORMAT,
+    decode_stats_file, decode_user_record, encode_stats_file, encode_user_record, encode_user_with,
+    StoreError, UserRecord, UserStore, FORMAT_VERSION, STATS_FORMAT, STORE_FORMAT,
 };
 use std::collections::BTreeMap;
 
@@ -283,12 +281,11 @@ fn store_round_trips_and_surfaces_corruption() {
     let store = UserStore::open(&dir).expect("open store");
 
     let record = dense_record();
-    assert!(!store.contains(record.user));
     assert!(store.get(record.user).expect("get missing").is_none());
     store.put(&record).expect("put");
-    assert!(store.contains(record.user));
+    assert!(store.get(record.user).expect("get").is_some());
     assert_eq!(store.users().expect("users"), vec![record.user]);
-    assert_eq!(store.len().expect("len"), 1);
+    assert_eq!(store.users().expect("users").len(), 1);
 
     let loaded = store.get(record.user).expect("get").expect("present");
     assert_eq!(encode_user_record(&loaded), encode_user_record(&record));
@@ -303,36 +300,15 @@ fn store_round_trips_and_surfaces_corruption() {
 
     assert!(store.remove(record.user).expect("remove"));
     assert!(!store.remove(record.user).expect("remove again"));
-    assert!(store.is_empty().expect("is_empty"));
+    assert!(store.users().expect("users").is_empty());
 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-// ── 3. The stats-skipping read ──────────────────────────────────────────
+// ── 4. Section 7 and the statistics file ───────────────────────────────
 //
-// `decode_user_record_with(bytes, need)` verifies section 7 without
-// building it unless `need` asks for a key. It must accept and reject
-// exactly the bytes `decode_user_record` does, with the same error.
-
-/// Both readers agree on `bytes`: the same error, or both `Ok` — and a
-/// reader that asks for every key decodes the very record the full one
-/// does.
-fn assert_readers_agree(bytes: &[u8], what: &str) {
-    let full = decode_user_record(bytes);
-    let skip = decode_user_record_with(bytes, |_| false);
-    let some = decode_user_record_with(bytes, |key| key == "seafood");
-    let all = decode_user_record_with(bytes, |_| true);
-    assert_eq!(full.as_ref().err(), skip.as_ref().err(), "{what}: skip path disagrees");
-    assert_eq!(full.as_ref().err(), some.as_ref().err(), "{what}: partial ask disagrees");
-    assert_eq!(full.as_ref().err(), all.as_ref().err(), "{what}: asking for all disagrees");
-    if let (Ok(full), Ok(skip), Ok(all)) = (full, skip, all) {
-        assert!(skip.query_stats.is_empty(), "{what}: nothing asked for, nothing built");
-        assert_eq!(encode_user_record(&all), encode_user_record(&full), "{what}: same record");
-        let mut stripped = full;
-        stripped.query_stats.clear();
-        assert_eq!(encode_user_record(&skip), encode_user_record(&stripped), "{what}: sections 1–6");
-    }
-}
+// Both carry the same payload, read by the one decoder: a malformed one
+// fails typed in either.
 
 /// `bytes` with section 7 replaced by `payload`, checksums recomputed, so
 /// the bad payload reaches the section decoder.
@@ -368,39 +344,7 @@ fn entries_payload(keys: &[&[u8]]) -> Vec<u8> {
 }
 
 #[test]
-fn stats_skipping_read_agrees_on_every_flip_and_truncation() {
-    let fresh = UserRecord::new(UserId(7), UserState::new(), BTreeMap::new());
-    for (name, record) in [("dense", dense_record()), ("fresh", fresh)] {
-        let bytes = encode_user_record(&record);
-        assert_readers_agree(&bytes, name);
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0xFF;
-            assert_readers_agree(&bad, &format!("{name}: byte {i} flipped"));
-        }
-        for len in 0..bytes.len() {
-            assert_readers_agree(&bytes[..len], &format!("{name}: first {len} bytes"));
-        }
-        // The same inside section 7, re-checksummed so the damage reaches
-        // the section decoder instead of the checksum.
-        let payload = query_stats_payload(&bytes);
-        for i in 0..payload.len() {
-            for mask in [0x01, 0x80, 0xFF] {
-                let mut bad = payload.clone();
-                bad[i] ^= mask;
-                let what = format!("{name}: section 7 byte {i} ^ {mask:#x}");
-                assert_readers_agree(&with_query_stats_payload(&bytes, bad), &what);
-            }
-        }
-        for len in 0..payload.len() {
-            let what = format!("{name}: section 7 cut to {len} bytes");
-            assert_readers_agree(&with_query_stats_payload(&bytes, payload[..len].to_vec()), &what);
-        }
-    }
-}
-
-#[test]
-fn stats_skipping_read_rejects_malformed_query_stats_like_the_decoder() {
+fn malformed_query_stats_fail_typed_in_a_record_and_in_the_statistics_file() {
     let bytes = encode_user_record(&dense_record());
     let malformed = |e: &'static str| Some(StoreError::Format(FormatError::Malformed(e)));
     let truncated = Some(StoreError::Format(FormatError::Truncated("query_stats")));
@@ -422,29 +366,65 @@ fn stats_skipping_read_rejects_malformed_query_stats_like_the_decoder() {
         ("empty key", entries_payload(&[b"", b"hotel"]), None),
     ];
     for (what, payload, expected) in cases {
-        let bad = with_query_stats_payload(&bytes, payload);
+        let bad = with_query_stats_payload(&bytes, payload.clone());
         assert_eq!(decode_user_record(&bad).err(), expected, "{what}");
-        assert_readers_agree(&bad, what);
+        let file = STATS_FORMAT.write(vec![payload]);
+        assert_eq!(decode_stats_file(&file).err(), expected, "{what}: statistics file");
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// The statistics file round-trips and its payload is section 7's: a
+/// record's statistics written as the file decode to the same map, and
+/// every damaged copy of the file fails typed.
+#[test]
+fn statistics_file_round_trips_and_rejects_every_mutation() {
+    let record = dense_record();
+    let file = encode_stats_file(|emit| {
+        for (key, s) in &record.query_stats {
+            emit(key, s);
+        }
+    });
+    let record_bytes = encode_user_record(&record);
+    assert_eq!(STATS_FORMAT.parse(&file).expect("valid")[0], query_stats_payload(&record_bytes));
+    let decoded = decode_stats_file(&file).expect("decode own encoding");
+    let again = encode_stats_file(|emit| {
+        for (key, s) in &decoded {
+            emit(key, s);
+        }
+    });
+    assert_eq!(again, file, "canonical bytes");
+    STATS_FORMAT.gauntlet(&file, |bad| decode_stats_file(bad).is_err());
+    let bad_magic = Some(StoreError::Format(FormatError::BadMagic));
+    assert_eq!(decode_user_record(&file).err(), bad_magic, "a statistics file is not a record");
+    assert_eq!(decode_stats_file(&record_bytes).err(), bad_magic, "nor a record a statistics file");
+}
 
-    #[test]
-    fn stats_skipping_read_agrees_on_arbitrary_records(record in user_record(), at in any::<usize>()) {
-        let bytes = encode_user_record(&record);
-        assert_readers_agree(&bytes, "as encoded");
-        let payload = query_stats_payload(&bytes);
-        let i = at % payload.len();
-        let mut bad = payload.clone();
-        bad[i] ^= 0x5A;
-        assert_readers_agree(&with_query_stats_payload(&bytes, bad), "section 7 byte flipped");
-        assert_readers_agree(
-            &with_query_stats_payload(&bytes, payload[..i].to_vec()),
-            "section 7 truncated",
-        );
-    }
+/// The store writes the statistics file beside the records with the
+/// same durable put, and reads it back; a store without one has none.
+#[test]
+fn store_round_trips_the_statistics_file() {
+    let dir = temp_dir("stats-file");
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = UserStore::open(&dir).expect("open store");
+    assert!(store.get_stats().expect("no file yet").is_none());
+    let record = dense_record();
+    store
+        .put_stats(|emit| {
+            for (key, s) in &record.query_stats {
+                emit(key, s);
+            }
+        })
+        .expect("put_stats");
+    let loaded = store.get_stats().expect("read").expect("present");
+    let file = encode_stats_file(|emit| {
+        for (key, s) in &loaded {
+            emit(key, s);
+        }
+    });
+    assert_eq!(std::fs::read(dir.join(pws_store::STATS_FILE)).expect("on disk"), file);
+    assert!(store.users().expect("users").is_empty(), "the statistics file is not a record");
+    assert!(store.scrub().expect("scrub").is_clean(), "nor something scrub touches");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Encoding section 7 from a visitor (how the serving tier writes a

@@ -211,14 +211,18 @@ fi
 
 # The id/name pairs of a codec's `enum SectionId` (the writer's section
 # list) must match the section table documented in its format spec — in
-# both directions, so neither the code nor the doc can drift.
+# both directions, so neither the code nor the doc can drift. A spec that
+# documents two files names, as a fourth argument, the `## ` heading whose
+# part of the spec holds this file's table.
 section_gate() {
-    local what=$1 enum_src=$2 spec=$3 enum_pairs doc_pairs
-    echo "==> $what-format section gate ($spec)"
+    local what=$1 enum_src=$2 spec=$3 heading=${4:-} enum_pairs doc_pairs
+    echo "==> $what-format section gate ($spec${heading:+, $heading})"
     enum_pairs=$(awk '/^pub enum SectionId \{/,/^\}/' "$enum_src" \
         | grep -oP '^\s+\K[A-Za-z]+\s*=\s*[0-9]+' \
         | sed -E 's/\s*=\s*/ /')
-    doc_pairs=$(grep -oP '^\|\s*[0-9]+\s*\|\s*`[A-Za-z]+`' "$spec" \
+    doc_pairs=$(awk -v h="$heading" 'h == "" { print; next }
+                    /^## / { on = ($0 == "## " h) } on' "$spec" \
+        | grep -oP '^\|\s*[0-9]+\s*\|\s*`[A-Za-z]+`' \
         | sed -E 's/^\|\s*([0-9]+)\s*\|\s*`([A-Za-z]+)`/\2 \1/')
     if [[ -z "$enum_pairs" || -z "$doc_pairs" ]]; then
         echo "FAIL: could not extract SectionId pairs from $enum_src or $spec"
@@ -231,7 +235,8 @@ section_gate() {
     fi
 }
 section_gate segment crates/pws-index/src/segfile.rs docs/INDEX_FORMAT.md
-section_gate store crates/pws-store/src/codec.rs docs/STORE_FORMAT.md
+section_gate store crates/pws-store/src/codec.rs docs/STORE_FORMAT.md Sections
+section_gate stats crates/pws-store/src/stats.rs docs/STORE_FORMAT.md "Statistics file"
 section_gate flight crates/pws-obs/src/flight.rs docs/FLIGHT_FORMAT.md
 
 echo "==> one-container gate (fnv1a64 / parse_sections / FNV basis / SplitMix64 only in pws-obs/src/format.rs)"
@@ -338,14 +343,20 @@ then
     exit 1
 fi
 
-echo "==> one-writer gate (store.put only in persist, store.remove only in forget)"
+echo "==> one-writer gate (store.put* only in persist / persist_stats, store.remove only in forget)"
 # A user record is written and removed in exactly one place each
 # (crates/pws-serve/src/residency.rs): both happen under the user's write
 # gate and only forward in epoch. A second put or remove call site is a
 # writer that does not know the rule — the lost-update and forgotten-user-
-# comes-back bugs were both that. #[cfg(test)] modules are exempt.
-if only_in_fn 'store.put' 'persist' crates/pws-serve/src/*.rs | grep .; then
-    echo "FAIL: UserStore::put outside StoreTier::persist — persist through the write gate"
+# comes-back bugs were both that. The statistics file likewise has one
+# writer, persist_stats, which holds the stats gate across encode and put.
+# #[cfg(test)] modules are exempt.
+if only_in_fn 'store.put' 'persist persist_stats' crates/pws-serve/src/*.rs | grep .; then
+    echo "FAIL: UserStore::put* outside StoreTier::persist / persist_stats — write through the gates"
+    exit 1
+fi
+if only_in_fn 'store.put_stats(' 'persist_stats' crates/pws-serve/src/*.rs | grep .; then
+    echo "FAIL: UserStore::put_stats outside StoreTier::persist_stats — one statistics writer"
     exit 1
 fi
 if only_in_fn 'store.remove(' 'forget' crates/pws-serve/src/*.rs | grep .; then
@@ -353,19 +364,29 @@ if only_in_fn 'store.remove(' 'forget' crates/pws-serve/src/*.rs | grep .; then
     exit 1
 fi
 
-echo "==> one-reader gate (store.get_with only in ensure_resident, store.get( only in stored_state)"
+echo "==> one-reader gate (store.get( only in ensure_resident / stored_state; no statistics-skipping read)"
 # A user record is read in two places (crates/pws-serve/src/residency.rs):
-# fault-in reads it with the stats-aware read, which verifies section 7
-# but builds it only for keys the published statistics lack, and the
-# off-line state lookup reads it whole. A fault-in through the full
-# decode rebuilds statistics only to throw them away. #[cfg(test)]
-# modules are exempt.
-if only_in_fn 'store.get_with(' 'ensure_resident' crates/pws-serve/src/*.rs | grep .; then
-    echo "FAIL: UserStore::get_with outside StoreTier::ensure_resident"
+# fault-in and the off-line state lookup, both through UserStore::get. The
+# record carries no statistics the reader could skip: they are pooled in
+# the statistics file, so a second, statistics-skipping read mode
+# (get_with, decode_user_record_with) has nothing to do anywhere.
+# #[cfg(test)] modules are exempt from the first rule.
+if only_in_fn 'store.get(' 'ensure_resident stored_state' crates/pws-serve/src/*.rs | grep .; then
+    echo "FAIL: UserStore::get outside StoreTier::ensure_resident / stored_state"
     exit 1
 fi
-if only_in_fn 'store.get(' 'stored_state' crates/pws-serve/src/*.rs | grep .; then
-    echo "FAIL: UserStore::get outside StoreTier::stored_state — fault in through get_with"
+if grep -rnE '\b(get_with|decode_user_record_with)\b' crates/*/src --include='*.rs'; then
+    echo "FAIL: a statistics-skipping record read is back — statistics live in the statistics file"
+    exit 1
+fi
+
+echo "==> seed-once gate (stats.seed( only in import_user and load_stats)"
+# The live statistics are seeded from the statistics file once, at open
+# (StoreTier::load_stats), and from an imported record
+# (ServingEngine::import_user). A fault-in never seeds: a record's copy
+# would win over nothing newer only by arriving first, however old.
+if only_in_fn 'stats.seed(' 'import_user load_stats' crates/pws-serve/src/*.rs | grep .; then
+    echo "FAIL: statistics seeded outside import_user / load_stats — a fault-in never seeds"
     exit 1
 fi
 
