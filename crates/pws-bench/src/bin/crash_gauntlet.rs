@@ -251,7 +251,8 @@ fn corruption_case(tag: &str, corrupt: &dyn Fn(&Path)) {
 }
 
 /// An engine over a good statistics file serves its statistics; over a
-/// bit-flipped one it serves with none and counts one `serve.state_io_error`.
+/// bit-flipped one it serves with none, counts one `serve.state_io_error`
+/// and moves the bad file into quarantine byte for byte.
 fn engine_over_corrupt_stats_file() {
     let dir = fresh_dir("stats-engine");
     File::Stats.put(&UserStore::open(&dir).expect("open"), 1).expect("write statistics");
@@ -263,6 +264,7 @@ fn engine_over_corrupt_stats_file() {
     let open = || ServingEngine::new(&index, &world, EngineConfig::default(), cfg.clone());
     let loaded = open().query_stats("seafood").is_some();
     flip_middle_byte(&File::Stats.path(&dir));
+    let corrupt = std::fs::read(File::Stats.path(&dir)).expect("read the corrupt file");
     pws_obs::reset();
     let engine = open();
     let errors = pws_obs::snapshot().stage("serve.state_io_error").map_or(0, |s| s.count);
@@ -273,6 +275,10 @@ fn engine_over_corrupt_stats_file() {
             &format!("good file loaded {loaded}, io errors {errors} (want 1), served {served}, \
                       statistics must start empty"),
         );
+    }
+    let quarantined = dir.join(pws_store::QUARANTINE_DIR).join(STATS_FILE);
+    if std::fs::read(quarantined).ok() != Some(corrupt) {
+        fail("engine over a corrupt statistics file", "corrupt bytes not moved into quarantine");
     }
     drop(engine);
     let _ = std::fs::remove_dir_all(&dir);
@@ -332,7 +338,7 @@ fn main() {
         "crash gauntlet OK (user record and statistics file): {crash_cases} crash cases \
          (op kills and torn prefixes), {refusal_cases} typed refusals retried to the new file, \
          {corrupt_reads} damaged files read back as typed errors, 2 corrupt records \
-         quarantined and recovered, a corrupt statistics file served with empty statistics \
-         — zero panics",
+         quarantined and recovered, a corrupt statistics file quarantined and served with \
+         empty statistics — zero panics",
     );
 }

@@ -121,8 +121,10 @@ pub(crate) struct StoreTier {
     /// Gates are tiny and never removed — one per user ever persisted.
     write_gates: Mutex<HashMap<UserId, Arc<Mutex<u64>>>>,
     /// Held across a statistics write's encode and put, so the write
-    /// that encodes later also lands later.
-    stats_gate: Mutex<()>,
+    /// that encodes later also lands later. Guards whether this process
+    /// may write the statistics file at all: `false` once an unreadable
+    /// file could not be moved aside at open (see [`Self::load_stats`]).
+    stats_gate: Mutex<bool>,
 }
 
 /// The writeback daemon's work queue: users with unpersisted mutations
@@ -219,7 +221,7 @@ impl StoreTier {
                 cond: Condvar::new(),
             }),
             write_gates: Mutex::new(HashMap::new()),
-            stats_gate: Mutex::new(()),
+            stats_gate: Mutex::new(true),
         });
         tier.load_stats();
         let daemon = tier.queue.is_some().then(|| {
@@ -328,9 +330,13 @@ impl StoreTier {
 
     /// The one statistics writer: one attempt at writing the statistics
     /// file, encoded in key order straight from the live shards (it
-    /// publishes nothing, so a write never moves β).
+    /// publishes nothing, so a write never moves β). A no-op once
+    /// [`Self::load_stats`] closed the gate.
     fn persist_stats(&self) -> Attempt<()> {
-        let _gate = self.lock(&self.stats_gate);
+        let writable = self.lock(&self.stats_gate);
+        if !*writable {
+            return Ok(Ok(()));
+        }
         let keys = self.stats.keys();
         let put = self.store.put_stats(|emit| self.stats.visit(&keys, emit));
         if put.is_ok() {
@@ -341,9 +347,15 @@ impl StoreTier {
 
     /// Seed the live statistics from the statistics file, once, at open,
     /// and publish them. A missing file is empty statistics, and so is an
-    /// unreadable one (counted by the retry rule).
+    /// unreadable one (counted by the retry rule). An unreadable file is
+    /// moved into quarantine first, so the next statistics write cannot
+    /// destroy the only copy; if even that fails, this process writes no
+    /// statistics file and the unreadable one stays where it is.
     fn load_stats(&self) {
         let loaded = self.retry_inline(|| Ok(self.store.get_stats()));
+        if loaded.is_none() && self.retry_inline(|| Ok(self.store.quarantine_stats())).is_none() {
+            *self.lock(&self.stats_gate) = false;
+        }
         self.stats.seed(loaded.flatten().unwrap_or_default());
         self.stats.refresh();
     }
@@ -1762,13 +1774,81 @@ mod tests {
         let mut bytes = std::fs::read(&path).expect("statistics file");
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
-        std::fs::write(&path, bytes).expect("corrupt it");
+        std::fs::write(&path, &bytes).expect("corrupt it");
         pws_obs::reset();
         let e = ServingEngine::new(&idx, &w, EngineConfig::default(), cfg());
         assert_eq!(count("serve.state_io_error"), 1, "the bad file is counted");
         assert!(e.query_stats(query).is_none(), "statistics start empty");
         assert!(!e.search(UserId(1), query).hits.is_empty(), "and queries are served");
+        let quarantined = dir.join(pws_store::QUARANTINE_DIR).join(pws_store::STATS_FILE);
+        assert_eq!(std::fs::read(quarantined).expect("moved aside"), bytes);
         drop(e);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A statistics file the open cannot read — here, a disk that fails
+    /// every read attempt — is never overwritten: it is moved into
+    /// quarantine before the first statistics write, byte for byte. If
+    /// the move fails as well, the process writes no statistics file and
+    /// the old one stays in place.
+    #[test]
+    fn an_unreadable_statistics_file_survives_the_next_flush() {
+        let _guard = pws_obs::test_lock();
+        let idx = index();
+        let w = world();
+        let dir = store_dir("stats-unreadable");
+        let cfg = |io: Option<Arc<dyn StoreIo>>| ServeConfig {
+            shards: 1,
+            stats_refresh_every: 1,
+            store: Some(StoreTierConfig {
+                writeback: false,
+                io,
+                max_write_retries: 2,
+                ..StoreTierConfig::new(&dir)
+            }),
+            ..ServeConfig::default()
+        };
+        let count = |name: &str| pws_obs::snapshot().stage(name).map_or(0, |s| s.count);
+        let click = |e: &ServingEngine<'_>, user: u32, query: &str| {
+            let turn = e.search(UserId(user), query);
+            e.observe(&turn, &impression_from(&turn, &click_rule(&turn)));
+        };
+        let first = ServingEngine::new(&idx, &w, EngineConfig::default(), cfg(None));
+        click(&first, 1, "seafood restaurant");
+        drop(first);
+        let path = dir.join(pws_store::STATS_FILE);
+        let old = std::fs::read(&path).expect("statistics file");
+
+        // Ops 0–1: both read attempts fail; ops 2–3: both attempts at
+        // moving the file aside fail too. The file stays, unwritten.
+        let spec = pws_store::IoFaultSpec { eio_first: 4, ..Default::default() };
+        let io = pws_store::FaultIo::new(spec);
+        pws_obs::reset();
+        let stuck = ServingEngine::new(&idx, &w, EngineConfig::default(), cfg(Some(Arc::new(io))));
+        assert_eq!(count("serve.state_io_error"), 2, "the read and the move gave up");
+        click(&stuck, 2, "sushi restaurant");
+        assert_eq!(stuck.flush_store(), 1, "records are still written");
+        drop(stuck);
+        assert_eq!(count("serve.store.stats_write"), 0);
+        assert_eq!(std::fs::read(&path).expect("left in place"), old);
+
+        // Ops 0–1 fail the read; the move (op 2) succeeds, and the next
+        // flush writes a new file beside the quarantined old one.
+        let spec = pws_store::IoFaultSpec { eio_first: 2, ..Default::default() };
+        let io = pws_store::FaultIo::new(spec);
+        pws_obs::reset();
+        let moved = ServingEngine::new(&idx, &w, EngineConfig::default(), cfg(Some(Arc::new(io))));
+        assert_eq!(count("serve.state_io_error"), 1, "only the read gave up");
+        assert_eq!(count("store.quarantined"), 1);
+        click(&moved, 2, "sushi restaurant");
+        moved.flush_store();
+        assert_eq!(count("serve.store.stats_write"), 1);
+        let quarantined = dir.join(pws_store::QUARANTINE_DIR).join(pws_store::STATS_FILE);
+        assert_eq!(std::fs::read(quarantined).expect("moved aside"), old);
+        let new = pws_store::decode_stats_file(&std::fs::read(&path).expect("rewritten"))
+            .expect("clean file");
+        assert!(new.contains_key("sushi restaurant") && !new.contains_key("seafood restaurant"));
+        drop(moved);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -31,6 +31,9 @@ use pws_profile::{ContentProfile, LocationProfile, UserHistory, FEATURE_NAMES};
 use pws_ranksvm::{LinearRankModel, PreferencePair};
 use std::collections::BTreeMap;
 
+/// Magic bytes opening every user record.
+pub const STORE_MAGIC: &[u8; 8] = b"PWSUSR1\0";
+
 /// Current format version, the only one read. Version 1 carried an
 /// eighth, product-quantised section that no reader used.
 pub const FORMAT_VERSION: u32 = 2;
@@ -63,7 +66,7 @@ pub enum SectionId {
 /// The user-record container: all sections, in canonical file order,
 /// with the stable lowercase names used in errors and the format spec.
 pub const STORE_FORMAT: Format = Format {
-    magic: b"PWSUSR1\0",
+    magic: STORE_MAGIC,
     version: FORMAT_VERSION,
     sections: &[
         (SectionId::Meta as u16, "meta"),

@@ -19,6 +19,7 @@
 //! that classification is what the serving tier's writeback
 //! retry/backoff policy keys off.
 
+use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
@@ -269,6 +270,9 @@ pub struct FaultIo {
     crashed: AtomicU64,
     /// Per-`(file name, op kind)` op counts for the rate roll.
     per_path: Mutex<HashMap<(String, u64), u64>>,
+    /// File names that received at least one injected fault — the
+    /// blast-radius set for byte-identity assertions.
+    faulted: Mutex<BTreeSet<String>>,
 }
 
 impl FaultIo {
@@ -284,12 +288,18 @@ impl FaultIo {
             torn: AtomicU64::new(0),
             crashed: AtomicU64::new(0),
             per_path: Mutex::new(HashMap::new()),
+            faulted: Mutex::new(BTreeSet::new()),
         }
     }
 
     /// The spec this injector was built from.
     pub fn spec(&self) -> IoFaultSpec {
         self.spec
+    }
+
+    /// Counted ops issued so far.
+    pub fn ops(&self) -> u64 {
+        self.ops.load(Ordering::SeqCst)
     }
 
     /// Injection totals so far.
@@ -302,8 +312,19 @@ impl FaultIo {
         }
     }
 
+    /// File names that received at least one injected (pre-crash)
+    /// fault: the complement is the set a blast-radius test may assert
+    /// byte-identical to a fault-free run.
+    pub fn faulted_files(&self) -> BTreeSet<String> {
+        self.faulted.lock().unwrap_or_else(|p| p.into_inner()).clone()
+    }
+
     fn file_name(path: &Path) -> String {
         path.file_name().and_then(|n| n.to_str()).unwrap_or("?").to_string()
+    }
+
+    fn mark_faulted(&self, path: &Path) {
+        self.faulted.lock().unwrap_or_else(|p| p.into_inner()).insert(Self::file_name(path));
     }
 
     fn count_transient(&self, kind: u64) {
@@ -334,6 +355,7 @@ impl FaultIo {
         if self.spec.crash_at == Some(idx) {
             self.dead.store(true, Ordering::SeqCst);
             self.crashed.fetch_add(1, Ordering::SeqCst);
+            self.mark_faulted(path);
             if let Some(bytes) = payload {
                 // A machine dying mid-write leaves whatever prefix the
                 // device had accepted — persist it for real, so the
@@ -349,14 +371,17 @@ impl FaultIo {
         }
         if idx < self.spec.eio_first {
             self.count_transient(kind);
+            self.mark_faulted(path);
             return Err(IoError::new(IoErrorKind::Transient, format!("injected EIO at op {idx}")));
         }
         if self.spec.enospc_at == Some(idx) {
             self.transient_writes.fetch_add(1, Ordering::SeqCst);
+            self.mark_faulted(path);
             return Err(IoError::new(IoErrorKind::NoSpace, format!("injected ENOSPC at op {idx}")));
         }
         if self.spec.rename_fail_at == Some(idx) && kind == KIND_RENAME {
             self.count_transient(kind);
+            self.mark_faulted(path);
             return Err(IoError::new(
                 IoErrorKind::Transient,
                 format!("injected rename failure at op {idx}"),
@@ -368,6 +393,7 @@ impl FaultIo {
                 let _ = self.inner.write(path, &bytes[..keep]);
                 self.torn.fetch_add(1, Ordering::SeqCst);
                 self.count_transient(kind);
+                self.mark_faulted(path);
                 return Err(IoError::new(
                     IoErrorKind::Transient,
                     format!("injected torn write ({keep} bytes) at op {idx}"),
@@ -386,6 +412,7 @@ impl FaultIo {
             let h = roll_hash(&[self.spec.seed, kind, nth], name.as_bytes());
             if h.is_multiple_of(self.spec.eio_every) {
                 self.count_transient(kind);
+                self.mark_faulted(path);
                 return Err(IoError::new(
                     IoErrorKind::Transient,
                     format!("injected EIO ({name} {kind}#{nth})"),
@@ -476,6 +503,7 @@ mod tests {
         assert_eq!(io.write(&p, b"v1").unwrap_err().kind, IoErrorKind::Transient);
         io.write(&p, b"v1").unwrap();
         assert_eq!(io.counts().transient_writes, 2);
+        assert!(io.faulted_files().contains("x.bin"));
         let _ = fs::remove_dir_all(&d);
     }
 

@@ -38,7 +38,7 @@ pub mod store;
 
 pub use codec::{
     decode_user_record, encode_user_record, encode_user_with, SectionId, StoreError, UserRecord,
-    FORMAT_VERSION, STORE_FORMAT,
+    FORMAT_VERSION, STORE_FORMAT, STORE_MAGIC,
 };
 pub use stats::{decode_stats_file, encode_stats_file, STATS_FILE, STATS_FORMAT};
 pub use io::{FaultIo, FaultIoCounts, FsIo, IoError, IoErrorKind, IoFaultSpec, StoreIo};

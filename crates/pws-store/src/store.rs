@@ -26,7 +26,7 @@
 use crate::codec::{decode_user_record, encode_user_record, encode_user_with};
 use crate::codec::{StoreError, UserRecord};
 use crate::stats::{decode_stats_file, encode_stats_file, STATS_FILE};
-use crate::io::{FsIo, IoErrorKind, StoreIo};
+use crate::io::{FsIo, IoError, IoErrorKind, StoreIo};
 use pws_click::UserId;
 use pws_core::UserState;
 use pws_entropy::QueryStats;
@@ -117,6 +117,11 @@ impl UserStore {
         }
     }
 
+    /// The store's root directory.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+
     fn path_for(&self, user: UserId) -> PathBuf {
         self.dir.join(format!("user-{:08x}.pwsu", user.0))
     }
@@ -184,6 +189,33 @@ impl UserStore {
     /// written; a present-but-unreadable file is an `Err`.
     pub fn get_stats(&self) -> Result<Option<BTreeMap<String, QueryStats>>, StoreError> {
         self.read(&self.dir.join(STATS_FILE))?.map(|bytes| decode_stats_file(&bytes)).transpose()
+    }
+
+    /// Move the statistics file into [`QUARANTINE_DIR`], so a later
+    /// [`Self::put_stats`] cannot overwrite a file that could not be read.
+    /// `Ok(false)` when there is no statistics file.
+    pub fn quarantine_stats(&self) -> Result<bool, StoreError> {
+        if !self.io.list(&self.dir)?.iter().any(|name| name == STATS_FILE) {
+            return Ok(false);
+        }
+        self.quarantine(STATS_FILE)?;
+        Ok(true)
+    }
+
+    /// Move the file `name` into [`QUARANTINE_DIR`] under the first free
+    /// name (`name`, then `name.1`, …), so an earlier quarantined copy is
+    /// never overwritten, and count it under `store.quarantined`.
+    fn quarantine(&self, name: &str) -> Result<(), IoError> {
+        let qdir = self.dir.join(QUARANTINE_DIR);
+        self.io.create_dir_all(&qdir)?;
+        let taken = self.io.list(&qdir)?;
+        let free = std::iter::once(name.to_string())
+            .chain((1..).map(|n| format!("{name}.{n}")))
+            .find(|candidate| !taken.contains(candidate))
+            .expect("an unbounded sequence of names");
+        self.io.rename(&self.dir.join(name), &qdir.join(free))?;
+        quarantined_stage().incr(1);
+        Ok(())
     }
 
     /// A whole file, `None` when it does not exist.
@@ -256,20 +288,10 @@ impl UserStore {
             };
             match decode_user_record(&bytes) {
                 Ok(_) => report.ok += 1,
-                Err(why) => {
-                    let qdir = self.dir.join(QUARANTINE_DIR);
-                    let moved = self
-                        .io
-                        .create_dir_all(&qdir)
-                        .and_then(|()| self.io.rename(&path, &qdir.join(&name)));
-                    match moved {
-                        Ok(()) => {
-                            quarantined_stage().incr(1);
-                            report.quarantined.push((name, why));
-                        }
-                        Err(_) => report.skipped += 1,
-                    }
-                }
+                Err(why) => match self.quarantine(&name) {
+                    Ok(()) => report.quarantined.push((name, why)),
+                    Err(_) => report.skipped += 1,
+                },
             }
         }
         Ok(report)

@@ -6,7 +6,8 @@
 //!   sweep lives in the `crash_gauntlet` bench; this pins the shape).
 //! * **Recovery** — opening sweeps `.tmp` orphans; `scrub()` deletes
 //!   them, quarantines corrupt records into `quarantine/`, and reports
-//!   both in a typed `ScrubReport`.
+//!   both in a typed `ScrubReport`; a quarantined file never overwrites
+//!   an earlier quarantined copy.
 //! * **Typed errors** — a zero-length record file is a `StoreError`,
 //!   never a panic.
 //! * **Concurrency** — concurrent `put`/`get` of the same user is
@@ -16,9 +17,10 @@
 use pws_click::UserId;
 use pws_core::UserState;
 use pws_ranksvm::LinearRankModel;
+use pws_entropy::QueryStats;
 use pws_store::{
     encode_user_record, FaultIo, IoFaultSpec, ScrubReport, StoreError, UserRecord, UserStore,
-    QUARANTINE_DIR,
+    QUARANTINE_DIR, STATS_FILE,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -176,6 +178,36 @@ fn zero_length_record_file_is_a_typed_error_not_a_panic() {
     let report = store.scrub().unwrap();
     assert_eq!(report.quarantined.len(), 1);
     assert!(store.get(UserId(0x2A)).unwrap().is_none());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn quarantine_keeps_every_earlier_copy() {
+    let dir = temp_dir("requarantine");
+    let store = UserStore::open(&dir).unwrap();
+    assert!(!store.quarantine_stats().unwrap(), "no statistics file, nothing moved");
+    let mut files = Vec::new();
+    for clicks in [1, 2] {
+        store
+            .put_stats(|emit| {
+                emit("hotel", &QueryStats::from_parts(vec![], vec![], vec![], clicks, clicks))
+            })
+            .unwrap();
+        files.push(std::fs::read(dir.join(STATS_FILE)).unwrap());
+        assert!(store.quarantine_stats().unwrap());
+        assert!(store.get_stats().unwrap().is_none(), "moved, not copied");
+    }
+    let qdir = dir.join(QUARANTINE_DIR);
+    assert_eq!(std::fs::read(qdir.join(STATS_FILE)).unwrap(), files[0]);
+    assert_eq!(std::fs::read(qdir.join(format!("{STATS_FILE}.1"))).unwrap(), files[1]);
+
+    // A record corrupted twice keeps both quarantined copies as well.
+    for _ in 0..2 {
+        std::fs::write(dir.join("user-00000007.pwsu"), b"").unwrap();
+        assert_eq!(store.scrub().unwrap().quarantined.len(), 1);
+    }
+    assert!(qdir.join("user-00000007.pwsu").exists());
+    assert!(qdir.join("user-00000007.pwsu.1").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
