@@ -2,19 +2,19 @@
 //! middleware pays before re-ranking).
 //!
 //! Rows: the full extraction over a 30-snippet pool and a 10-snippet page
-//! (memo off: what a cold engine, and the end-to-end benchmark's probe,
-//! pay); its two phases on the pool (per-snippet analysis against a warm
-//! term dictionary, counting pass on term ids); the pool with every
-//! analysis already in the memo (what the engine pays when the snippets
-//! were seen before); and the five-pass reference the one-pass extractor
-//! replaced, for the before/after.
+//! from snippet text (what the end-to-end benchmark's probe pays); its two
+//! phases on the pool (per-snippet analysis against a warm term
+//! dictionary, counting pass on term ids); the per-snippet analysis as the
+//! engine makes it, read off each cut hit's form ids through the
+//! per-segment form tables; and the five-pass reference the one-pass
+//! extractor replaced, for the before/after.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pws_bench::bench_world;
 use pws_concepts::{
-    ConceptConfig, ConceptMemo, LocationConceptConfig, QueryConceptOntology, SnippetAnalysis,
-    TermDict,
+    ConceptConfig, LocationConceptConfig, QueryConceptOntology, SnippetAnalysis, TermDict,
 };
+use pws_core::SnippetAnalyst;
 use pws_geo::LocationMatcher;
 
 fn bench_concepts(c: &mut Criterion) {
@@ -68,21 +68,15 @@ fn bench_concepts(c: &mut Criterion) {
         })
     });
 
-    let memo = ConceptMemo::new(1024);
-    memo.get_or_analyze_all(snippets.iter().map(String::as_str), &matcher);
-    g.bench_function("pool_all_snippets_memoized", |b| {
+    let analyst = SnippetAnalyst::new(&world.engine, &world.world);
+    let tokens = world.engine.analyze_text(&q.text);
+    let ranked = world.engine.rank_tokens(&tokens, 30);
+    let all: Vec<usize> = (0..ranked.len()).collect();
+    let cut = world.engine.cut_hits(&tokens, &ranked, &all);
+    g.bench_function("phase_analyse_30_snippets_from_forms", |b| {
         b.iter(|| {
-            let (analyses, misses) =
-                memo.get_or_analyze_all(snippets.iter().map(String::as_str), &matcher);
-            assert_eq!(misses, 0);
-            std::hint::black_box(QueryConceptOntology::from_analyses(
-                &q.text,
-                &analyses,
-                memo.dict(),
-                &world.world,
-                &content_cfg,
-                &location_cfg,
-            ))
+            let analyses: Vec<SnippetAnalysis> = cut.iter().map(|c| analyst.analyse(c)).collect();
+            std::hint::black_box(analyses)
         })
     });
 

@@ -18,8 +18,8 @@
 //! * **cached** — [`SegmentedIndex::rank_tokens`] on
 //!   `ExperimentWorld.engine` (the single segment [`IndexBuilder`] built
 //!   in RAM) behind `pws-core`'s [`RetrievalCache`] (analyze once,
-//!   probe, rank on a miss, cut each hit's snippet the first time it is
-//!   taken), the configuration the serving layer runs;
+//!   probe, rank on a miss, cut and analyse each hit's snippet the first
+//!   time it is taken), the configuration the serving layer runs;
 //! * **segmented** — [`SegmentedIndex::search`] over four segment files
 //!   written, then re-opened from disk.
 //!
@@ -43,7 +43,7 @@
 //! [`SegmentedIndex::rank_tokens`]: pws_index::SegmentedIndex::rank_tokens
 //! [`SegmentedIndex::search_exhaustive`]: pws_index::SegmentedIndex::search_exhaustive
 
-use pws_core::{RankedPool, RetrievalCache};
+use pws_core::{RankedPool, RetrievalCache, SnippetAnalyst};
 use pws_corpus::{CorpusGen, CorpusSpec, Query, QueryGen, QuerySpec};
 use pws_eval::{ExperimentSpec, ExperimentWorld};
 use pws_geo::{WorldGen, WorldSpec};
@@ -73,6 +73,7 @@ struct Backend<'a> {
 fn backends<'a>(
     engine: &'a SegmentedIndex,
     cache: &'a RetrievalCache,
+    analyst: &'a SnippetAnalyst,
     segmented: &'a SegmentedIndex,
 ) -> Vec<Backend<'a>> {
     vec![
@@ -84,7 +85,7 @@ fn backends<'a>(
         Backend {
             name: "cached",
             stage: "bench.retrieval.cached",
-            run: Box::new(move |q| cached_search(engine, cache, q)),
+            run: Box::new(move |q| cached_search(engine, cache, analyst, q)),
         },
         Backend {
             name: "segmented",
@@ -96,9 +97,15 @@ fn backends<'a>(
 
 /// What the engine core does per base retrieval: analyze once, probe the
 /// cache, fall through to the index on a miss (rank only) and fill; then
-/// take every hit of the pool — cutting the snippets nobody cut yet — and
-/// copy each out once, as the engine does into its base candidate pool.
-fn cached_search(index: &SegmentedIndex, cache: &RetrievalCache, q: &str) -> Vec<SearchHit> {
+/// take every hit of the pool — cutting and analysing the snippets nobody
+/// cut yet — and copy each out once, as the engine does into its base
+/// candidate pool.
+fn cached_search(
+    index: &SegmentedIndex,
+    cache: &RetrievalCache,
+    analyst: &SnippetAnalyst,
+    q: &str,
+) -> Vec<SearchHit> {
     let tokens = index.analyze_text(q);
     let pool = cache.get(&tokens, POOL_K).unwrap_or_else(|| {
         let ranked = index.rank_tokens(&tokens, POOL_K);
@@ -107,7 +114,7 @@ fn cached_search(index: &SegmentedIndex, cache: &RetrievalCache, q: &str) -> Vec
         pool
     });
     let all: Vec<usize> = (0..pool.ranked().len()).collect();
-    pool.cut(index, &all).into_iter().cloned().collect()
+    pool.cut(index, &all, analyst).into_iter().map(|(p, _)| p.hit.clone()).collect()
 }
 
 /// Exact equivalence: same page, same ranks, bit-identical scores.
@@ -167,6 +174,7 @@ fn check_corruption_detection(world: &ExperimentWorld) -> usize {
 fn verify(
     world: &ExperimentWorld,
     cache: &RetrievalCache,
+    analyst: &SnippetAnalyst,
     segmented: &SegmentedIndex,
 ) -> usize {
     let mut disagreements = 0;
@@ -176,8 +184,8 @@ fn verify(
             ("in-RAM segment", world.engine.search(&q.text, POOL_K)),
             // Cached: probe twice so both the miss (fill) and the hit
             // (serve from cache) paths are checked against the reference.
-            ("cache miss", cached_search(&world.engine, cache, &q.text)),
-            ("cache hit", cached_search(&world.engine, cache, &q.text)),
+            ("cache miss", cached_search(&world.engine, cache, analyst, &q.text)),
+            ("cache hit", cached_search(&world.engine, cache, analyst, &q.text)),
             // Segmented (from disk): Block-Max WAND must match both the
             // in-RAM reference and its own exhaustive scorer.
             ("on-disk segments", segmented.search(&q.text, POOL_K)),
@@ -314,7 +322,8 @@ fn run_world_scale(scale: &'static str, spec: ExperimentSpec, smoke: bool) {
 
     // ── Correctness gate ─────────────────────────────────────────────
     let verify_cache = RetrievalCache::new(4096);
-    let disagreements = verify(&world, &verify_cache, &segmented);
+    let analyst = SnippetAnalyst::new(&world.engine, &world.world);
+    let disagreements = verify(&world, &verify_cache, &analyst, &segmented);
     if disagreements > 0 {
         eprintln!(
             "FAIL: {disagreements} of {} queries disagree between backends",
@@ -342,7 +351,7 @@ fn run_world_scale(scale: &'static str, spec: ExperimentSpec, smoke: bool) {
     let rounds = MIN_MEASURED_QUERIES.div_ceil(world.queries.len()).max(1);
     let bench_cache = RetrievalCache::new(4096);
     let mut reports = Vec::new();
-    for b in backends(&world.engine, &bench_cache, &segmented) {
+    for b in backends(&world.engine, &bench_cache, &analyst, &segmented) {
         reports.push(time_backend(b.name, b.stage, &world.queries, rounds, &b.run));
     }
     let _ = fs::remove_dir_all(&seg_dir);
@@ -440,12 +449,13 @@ fn run_large() {
     // ── Timing ───────────────────────────────────────────────────────
     let rounds = MIN_MEASURED_QUERIES.div_ceil(queries.len()).max(1);
     let bench_cache = RetrievalCache::new(4096);
+    let analyst = SnippetAnalyst::new(&segmented, &ontology);
     let reports = vec![
         time_backend("segmented", "bench.retrieval.segmented", &queries, rounds, &|q| {
             segmented.search(q, POOL_K)
         }),
         time_backend("seg+cache", "bench.retrieval.segcached", &queries, rounds, &|q| {
-            cached_search(&segmented, &bench_cache, q)
+            cached_search(&segmented, &bench_cache, &analyst, q)
         }),
     ];
     let _ = fs::remove_dir_all(&seg_dir);

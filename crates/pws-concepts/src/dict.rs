@@ -8,18 +8,19 @@
 //! works on integers, reading text back only for survivors.
 //!
 //! **Append-only and shared.** One dictionary serves every thread of an
-//! engine (it lives in the [`crate::ConceptMemo`]): a probe takes the read
-//! lock, and only a term never seen before takes the write lock. Ids are
-//! assigned in arrival order, which varies with thread interleaving, so
-//! nothing downstream may let an id's *value* reach its output: ids are
-//! compared for equality and used as table keys, never ordered.
+//! engine: a probe takes the read lock, and only a term never seen before
+//! takes the write lock. An engine interns the term of every form of its
+//! index once, when it builds its [`crate::FormTable`]s; a snippet
+//! analysed from text interns in arrival order, which varies with thread
+//! interleaving, so nothing downstream may let an id's *value* reach its
+//! output: ids are compared for equality and used as table keys, never
+//! ordered.
 //!
 //! **Never evicted, and bounded anyway.** Every snippet is a window of an
 //! indexed document body under the same default analyser the index uses, so
 //! the dictionary is a subset of the index lexicon that is already
-//! resident: 482 stems (3.1 KB of text, 14 KB with offsets and table) at
-//! the end of a run on both the 8 k-document and the 300 k-document
-//! benchmark world. [`crate::ConceptMemo::heap_bytes`] counts it.
+//! resident: 482 stems (3.1 KB of text, 14 KB with offsets and table) on
+//! both the 8 k-document and the 300 k-document benchmark world.
 
 use pws_text::{Interner, Sym};
 use std::sync::atomic::{AtomicU32, Ordering};

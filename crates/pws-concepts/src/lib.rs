@@ -23,10 +23,11 @@
 //! only place the analyser and the matcher run — and the only place a
 //! term is interned: an analysis holds its terms as ids in an engine-wide
 //! [`TermDict`] ([`dict`]). [`QueryConceptOntology::from_analyses`] counts
-//! over analyses in one pass on those integers. [`ConceptMemo`] ([`memo`])
-//! keeps analyses by snippet text and owns the dictionary, so a snippet
-//! seen again — by the page extraction, by another user's pool — is
-//! neither analysed nor interned again.
+//! over analyses in one pass on those integers. An engine analyses a
+//! served snippet from its window's form ids through a per-segment
+//! [`FormTable`] built once, and keeps the analysis beside the cached hit,
+//! so a snippet seen again — by the page extraction, by another user's
+//! pool — is neither analysed nor interned again.
 //!
 //! ```
 //! use pws_concepts::{ConceptConfig, LocationConceptConfig, QueryConceptOntology};
@@ -53,7 +54,6 @@ pub mod content;
 pub mod dict;
 pub mod graph;
 pub mod location;
-pub mod memo;
 pub mod ontology;
 #[doc(hidden)]
 pub mod reference;
@@ -64,6 +64,5 @@ pub use content::{ConceptConfig, ContentConcept};
 pub use dict::TermDict;
 pub use graph::{ConceptGraph, ConceptRelation};
 pub use location::{LocationConcept, LocationConceptConfig};
-pub use memo::ConceptMemo;
 pub use ontology::QueryConceptOntology;
-pub use snippet::SnippetAnalysis;
+pub use snippet::{FormTable, SnippetAnalysis};

@@ -55,9 +55,9 @@ impl QueryConceptOntology {
     /// The per-pool half of extraction: count concepts over snippets that
     /// are already analysed (`analyses[i]` is snippet `i`, built against
     /// `dict`). Callers that see the same snippets again — the engine's
-    /// pool and page, other users' pools — keep the analyses (see
-    /// [`crate::ConceptMemo`]) and pay only for this pass, which interns
-    /// nothing and works out of the thread's reusable scratch.
+    /// pool and page, other users' pools — keep the analyses and pay only
+    /// for this pass, which interns nothing and works out of the thread's
+    /// reusable scratch.
     ///
     /// # Panics
     /// Panics if an analysis was built against a dictionary other than
@@ -211,11 +211,11 @@ mod tests {
 
     /// The counting pass interns nothing and, once a thread has seen a pool
     /// of a given size, allocates only what it returns: `Terms::intern` is
-    /// not called across `from_analyses` on memoised analyses, and a second
+    /// not called across `from_analyses` on kept analyses, and a second
     /// identical call leaves every scratch buffer at the capacity the first
     /// one grew it to.
     #[test]
-    fn counting_memoised_analyses_interns_nothing_and_regrows_no_scratch() {
+    fn counting_kept_analyses_interns_nothing_and_regrows_no_scratch() {
         let interned = || crate::dict::INTERNED.with(|n| n.get());
         let capacities = || {
             crate::scratch::with(|s| {
@@ -231,7 +231,7 @@ mod tests {
         };
         let w = world();
         let m = LocationMatcher::build(&w);
-        let memo = crate::ConceptMemo::new(256);
+        let dict = TermDict::new();
         let topics = ["seafood", "lobster", "rolls", "sushi", "menu", "harbor", "booking", "port alden"];
         let pool: Vec<String> = (0..30)
             .map(|i| {
@@ -240,16 +240,15 @@ mod tests {
                 format!("listing{i} {}", words.join(" "))
             })
             .collect();
-        assert_eq!(memo.get_or_analyze_all(pool.iter().map(String::as_str), &m).1, 30);
+        let kept: Vec<SnippetAnalysis> =
+            pool.iter().map(|s| SnippetAnalysis::new(s, &m, &dict)).collect();
         assert!(interned() > 0);
-        for snippets in [&pool[..], &pool[..10]] {
-            let (analyses, misses) = memo.get_or_analyze_all(snippets.iter().map(String::as_str), &m);
-            assert_eq!(misses, 0);
+        for analyses in [&kept[..], &kept[..10]] {
             let count = || {
                 QueryConceptOntology::from_analyses(
                     "seafood restaurant",
-                    &analyses,
-                    memo.dict(),
+                    analyses,
+                    &dict,
                     &w,
                     &ConceptConfig::default(),
                     &LocationConceptConfig::default(),

@@ -11,11 +11,16 @@
 //! A cached value is a [`RankedPool`]: the analyzed query tokens, the
 //! ranked `(doc, BM25)` list [`pws_index::RetrievalBackend::rank_tokens`]
 //! returned, and one slot per hit that holds the hit — snippet included —
-//! once some request has used it. A hit's snippet is cut
-//! ([`RankedPool::cut`]) the first time a request puts that hit in its
-//! candidate pool: the base pool uses every hit, a city-augmented pool
-//! only the few that survive its dedup and re-scoring, so the hits an
-//! augmented list ranks and nobody keeps are never cut.
+//! and its snippet's analysis once some request has used it. A hit's
+//! snippet is cut and analysed ([`RankedPool::cut`]) the first time a
+//! request puts that hit in its candidate pool: the base pool uses every
+//! hit, a city-augmented pool only the few that survive its dedup and
+//! re-scoring, so the hits an augmented list ranks and nobody keeps are
+//! never cut. The analysis is read off the snippet window's form ids
+//! through [`SnippetAnalyst`], which holds one form table per index
+//! segment, built once — so a cached hit is cut once and analysed once,
+//! and every request after that (pool and page extraction, every user)
+//! reuses both.
 //!
 //! The key is the **analyzed token sequence** plus the pool size `k`:
 //! surface forms that analyze identically ("Seafood  Restaurant!" vs
@@ -34,25 +39,76 @@
 //! cached turns: the cache only replaces the index scan, never the rest
 //! of the pipeline.
 
-use pws_index::{RetrievalBackend, SearchHit};
+use pws_concepts::{FormTable, SnippetAnalysis, TermDict};
+use pws_geo::{LocationMatcher, LocationOntology};
+use pws_index::{CutHit, RetrievalBackend, SearchHit};
 use pws_obs::format::Fnv1a64;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
+/// Everything a served snippet's analysis is read from: the engine's term
+/// dictionary, one [`FormTable`] per index segment (built once, here), and
+/// the location matcher.
+pub struct SnippetAnalyst {
+    matcher: LocationMatcher,
+    dict: TermDict,
+    tables: Vec<FormTable>,
+}
+
+impl SnippetAnalyst {
+    /// Build the form tables of every segment of `base` against a new
+    /// dictionary, with `world`'s matcher.
+    pub fn new(base: &dyn RetrievalBackend, world: &LocationOntology) -> Self {
+        let matcher = LocationMatcher::build(world);
+        let dict = TermDict::new();
+        let tables =
+            base.segment_forms().into_iter().map(|forms| FormTable::new(forms, &matcher, &dict)).collect();
+        SnippetAnalyst { matcher, dict, tables }
+    }
+
+    /// The dictionary every analysis made here is built against.
+    pub fn dict(&self) -> &TermDict {
+        &self.dict
+    }
+
+    /// The analysis of a cut hit's snippet, from its window's form ids.
+    pub fn analyse(&self, cut: &CutHit) -> SnippetAnalysis {
+        let table = &self.tables[cut.segment];
+        SnippetAnalysis::from_forms(table, &cut.forms, &cut.hit.snippet, &self.matcher, &self.dict)
+    }
+}
+
+/// A hit of a ranked pool, cut, with its snippet's analysis.
+#[derive(Debug)]
+pub struct PooledHit {
+    /// The hit, snippet included.
+    pub hit: SearchHit,
+    /// The snippet's analysis, against the [`SnippetAnalyst::dict`] of
+    /// the analyst that cut it.
+    pub analysis: Arc<SnippetAnalysis>,
+}
+
 /// One base retrieval: the analyzed query tokens, the ranked list, and
-/// each hit as cut on first use. Shared by the cache and every request
-/// served from it; a transient one serves an engine without a cache.
+/// each hit as cut and analysed on first use. Shared by the cache and
+/// every request served from it; a transient one serves an engine without
+/// a cache.
 pub struct RankedPool {
     tokens: Vec<String>,
     ranked: Vec<(u32, f64)>,
     /// `hits[i]` is the hit at position `i` of `ranked`, once cut.
-    hits: Box<[OnceLock<SearchHit>]>,
+    hits: Box<[OnceLock<PooledHit>]>,
 }
 
 /// The process-wide `engine.retrieval.snippets_cut` counter handle.
 fn snippets_cut() -> &'static pws_obs::StageMetrics {
     static STAGE: OnceLock<Arc<pws_obs::StageMetrics>> = OnceLock::new();
     STAGE.get_or_init(|| pws_obs::stage("engine.retrieval.snippets_cut"))
+}
+
+/// The process-wide `engine.concepts.analyze` stage handle.
+fn concepts_analyze() -> &'static pws_obs::StageMetrics {
+    static STAGE: OnceLock<Arc<pws_obs::StageMetrics>> = OnceLock::new();
+    STAGE.get_or_init(|| pws_obs::stage("engine.concepts.analyze"))
 }
 
 impl RankedPool {
@@ -73,25 +129,39 @@ impl RankedPool {
         &self.ranked
     }
 
-    /// The hits at positions `which` of the list, in `which` order. Hits
-    /// not cut yet are cut now, in one `cut_hits` call against this
-    /// pool's tokens, and kept; each counts once under
-    /// `engine.retrieval.snippets_cut`. Two requests that race on a hit
-    /// both cut it and keep whichever lands first — the same bytes.
+    /// The hits at positions `which` of the list, in `which` order, each
+    /// with whether this call cut it. Hits not cut yet are cut now, in one
+    /// `cut_hits` call against this pool's tokens, analysed by `analyst`
+    /// (the span `engine.concepts.analyze`), and kept; each counts once
+    /// under `engine.retrieval.snippets_cut`. Two requests that race on a
+    /// hit both cut it and keep whichever lands first — the same bytes.
     ///
     /// # Panics
     /// Panics if a position in `which` is out of range.
-    pub fn cut(&self, base: &dyn RetrievalBackend, which: &[usize]) -> Vec<&SearchHit> {
+    pub fn cut(
+        &self,
+        base: &dyn RetrievalBackend,
+        which: &[usize],
+        analyst: &SnippetAnalyst,
+    ) -> Vec<(&PooledHit, bool)> {
         let missing: Vec<usize> =
             which.iter().copied().filter(|&i| self.hits[i].get().is_none()).collect();
         if !missing.is_empty() {
             let cut = base.cut_hits(&self.tokens, &self.ranked, &missing);
             snippets_cut().incr(cut.len() as u64);
-            for (i, hit) in missing.into_iter().zip(cut) {
-                let _ = self.hits[i].set(hit);
+            let _span = concepts_analyze().span();
+            for (&i, c) in missing.iter().zip(cut) {
+                let analysis = Arc::new(analyst.analyse(&c));
+                let _ = self.hits[i].set(PooledHit { hit: c.hit, analysis });
             }
         }
-        which.iter().map(|&i| self.hits[i].get().expect("every wanted hit is cut")).collect()
+        which
+            .iter()
+            .map(|&i| {
+                let hit = self.hits[i].get().expect("every wanted hit is cut");
+                (hit, missing.contains(&i))
+            })
+            .collect()
     }
 }
 
@@ -157,13 +227,13 @@ fn cache_fingerprint(tokens: &[String], k: usize) -> u64 {
 
 impl RetrievalCache {
     /// A cache holding at most `capacity` pools (rounded up to a
-    /// multiple of the shard count).
+    /// multiple of the shard count; 0 holds none, every probe misses).
     pub fn new(capacity: usize) -> Self {
         RetrievalCache {
             shards: (0..CACHE_SHARDS)
                 .map(|_| Mutex::new(CacheShard { map: HashMap::new(), tick: 0 }))
                 .collect(),
-            per_shard_capacity: capacity.div_ceil(CACHE_SHARDS).max(1),
+            per_shard_capacity: capacity.div_ceil(CACHE_SHARDS),
             hit: pws_obs::stage("serve.cache.hit"),
             miss: pws_obs::stage("serve.cache.miss"),
             evict: pws_obs::stage("serve.cache.evict"),
@@ -208,6 +278,9 @@ impl RetrievalCache {
     /// Store `pool` under `(pool.tokens(), k)`, evicting the shard's
     /// least-recently touched entry when the shard is full.
     pub fn put(&self, k: usize, pool: Arc<RankedPool>) {
+        if self.per_shard_capacity == 0 {
+            return;
+        }
         let fp = cache_fingerprint(&pool.tokens, k);
         let mut shard = self.lock_shard(fp);
         shard.tick += 1;
@@ -235,6 +308,66 @@ mod tests {
         fn len(&self) -> usize {
             (0..CACHE_SHARDS as u64).map(|i| self.lock_shard(i).map.len()).sum()
         }
+    }
+
+    /// A full cache — 1 024 pools of 30 hits from a large-shaped generated
+    /// world, every hit cut and analysed — holds its analyses in under
+    /// 5 MiB (Arc headers and the analyses' boxed slices included; 4.3 MiB
+    /// measured).
+    #[test]
+    fn a_full_cache_holds_its_analyses_in_under_5_mib() {
+        let _guard = pws_obs::test_lock();
+        let seed = 42;
+        let world = pws_geo::WorldGen::new(seed).generate(&pws_geo::WorldSpec::default_world());
+        let docs = 8_000;
+        let gen = pws_corpus::CorpusGen::new(seed + 1)
+            .doc_gen(pws_corpus::CorpusSpec { num_docs: docs, ..pws_corpus::CorpusSpec::large() }, &world);
+        let index = pws_index::SegmentedIndex::build_parallel(Default::default(), docs, docs / 4, 2, |i| {
+            let d = gen.doc(i);
+            (d.url, d.title, d.body)
+        })
+        .expect("generated segments build");
+        let analyst = SnippetAnalyst::new(&index, &world);
+        let cache = RetrievalCache::new(1024);
+        let cities: Vec<&str> = world.cities().map(|c| world.name(c)).collect();
+        let spec = pws_corpus::QuerySpec { num_queries: 300, ..pws_corpus::QuerySpec::default_workload() };
+        let queries = pws_corpus::QueryGen::new(seed + 3).generate(&spec);
+        'fill: for city in &cities {
+            for q in &queries {
+                let tokens = index.analyze_text(&format!("{} {city}", q.text));
+                if cache.get(&tokens, 30).is_some() {
+                    continue;
+                }
+                let ranked = index.rank_tokens(&tokens, 30);
+                let pool = Arc::new(RankedPool::new(tokens, ranked));
+                if pool.ranked().len() < 30 {
+                    continue;
+                }
+                let all: Vec<usize> = (0..30).collect();
+                pool.cut(&index, &all, &analyst);
+                cache.put(30, pool);
+                if cache.len() == 1024 {
+                    break 'fill;
+                }
+            }
+        }
+        assert_eq!(cache.len(), 1024, "every pool resident");
+        let (mut bytes, mut hits) = (0, 0);
+        for shard in &cache.shards {
+            for entry in shard.lock().unwrap().map.values() {
+                for slot in entry.pool.hits.iter() {
+                    let p = slot.get().expect("every hit cut");
+                    bytes += 2 * std::mem::size_of::<usize>()
+                        + std::mem::size_of::<SnippetAnalysis>()
+                        + p.analysis.heap_bytes();
+                    hits += 1;
+                }
+            }
+        }
+        assert_eq!(hits, 1024 * 30);
+        let mib = bytes as f64 / f64::from(1 << 20);
+        assert!(mib < 5.0, "analyses of a full cache hold {mib:.2} MiB");
+        assert!(mib > 2.0, "analyses were counted: {mib:.2} MiB");
     }
 
     #[test]
@@ -279,29 +412,27 @@ mod tests {
             b.add(StoredDoc::new(i, &format!("u{i}"), "dock house", &body.join(" ")));
         }
         let index = b.build();
+        let analyst = SnippetAnalyst::new(&index, &pws_geo::LocationOntology::new());
+        let hits = |cut: Vec<(&PooledHit, bool)>| -> Vec<SearchHit> {
+            cut.into_iter().map(|(p, _)| p.hit.clone()).collect()
+        };
         let tokens = index.analyze_text("seafood lobster dock");
         let eager = index.search_tokens(&tokens, 30);
         assert_eq!(eager.len(), 30);
         let all: Vec<usize> = (0..30).collect();
-        let counted = || {
-            pws_obs::snapshot()
-                .stages
-                .iter()
-                .find(|s| s.name == "engine.retrieval.snippets_cut")
-                .map_or(0, |s| s.count)
-        };
         for _ in 0..20 {
             let pool = RankedPool::new(tokens.clone(), index.rank_tokens(&tokens, 30));
             let barrier = Barrier::new(4);
             let got: Vec<Vec<SearchHit>> = std::thread::scope(|s| {
                 let threads: Vec<_> = (0..4)
                     .map(|t| {
-                        let (pool, barrier, all, index) = (&pool, &barrier, &all, &index);
+                        let (pool, barrier, all, index, analyst, hits) =
+                            (&pool, &barrier, &all, &index, &analyst, &hits);
                         s.spawn(move || {
                             let first: Vec<usize> = (t..30).step_by(4).collect();
                             barrier.wait();
-                            pool.cut(index, &first);
-                            pool.cut(index, all).into_iter().cloned().collect()
+                            pool.cut(index, &first, analyst);
+                            hits(pool.cut(index, all, analyst))
                         })
                     })
                     .collect();
@@ -311,9 +442,9 @@ mod tests {
                 assert_eq!(hits, eager);
             }
             // Every hit is cut now: taking them all again cuts nothing.
-            let before = counted();
-            assert_eq!(pool.cut(&index, &all).into_iter().cloned().collect::<Vec<_>>(), eager);
-            assert_eq!(counted(), before);
+            let again = pool.cut(&index, &all, &analyst);
+            assert!(again.iter().all(|&(_, cut_now)| !cut_now));
+            assert_eq!(hits(again), eager);
         }
     }
 }

@@ -15,13 +15,13 @@
 //! Because both frontends call the same `search_user_gated`/`observe_user`, a
 //! request replayed through either produces the same [`SearchTurn`].
 
-use crate::cache::{RankedPool, RetrievalCache};
+use crate::cache::{PooledHit, RankedPool, RetrievalCache, SnippetAnalyst};
 use crate::config::{BlendStrategy, EngineConfig, PersonalizationMode};
 use crate::state::UserState;
 use pws_click::{Impression, UserId};
-use pws_concepts::{ConceptMemo, QueryConceptOntology};
+use pws_concepts::{QueryConceptOntology, SnippetAnalysis};
 use pws_entropy::{Effectiveness, QueryStats};
-use pws_geo::{LocId, LocationMatcher, LocationOntology};
+use pws_geo::{LocId, LocationOntology};
 use pws_index::{RetrievalBackend, SearchHit};
 use pws_obs::event::{FlightEvent, SearchStage};
 use pws_obs::trace::{BetaInputs, BetaProvenance, ConceptTrace, QueryTrace, ResultTrace};
@@ -92,7 +92,6 @@ pub struct SearchTurn {
 struct EngineMetrics {
     retrieval: std::sync::Arc<pws_obs::StageMetrics>,
     concepts: std::sync::Arc<pws_obs::StageMetrics>,
-    concepts_analyze: std::sync::Arc<pws_obs::StageMetrics>,
     concepts_count: std::sync::Arc<pws_obs::StageMetrics>,
     concept_memo_hit: std::sync::Arc<pws_obs::StageMetrics>,
     concept_memo_miss: std::sync::Arc<pws_obs::StageMetrics>,
@@ -112,7 +111,6 @@ impl EngineMetrics {
         EngineMetrics {
             retrieval: pws_obs::stage(pws_obs::event::STAGE_RETRIEVAL),
             concepts: pws_obs::stage(pws_obs::event::STAGE_CONCEPTS),
-            concepts_analyze: pws_obs::stage("engine.concepts.analyze"),
             concepts_count: pws_obs::stage("engine.concepts.count"),
             concept_memo_hit: pws_obs::stage("engine.concepts.memo_hit"),
             concept_memo_miss: pws_obs::stage("engine.concepts.memo_miss"),
@@ -126,14 +124,16 @@ impl EngineMetrics {
     }
 }
 
-/// Bound on memoized snippet analyses held by one core, in snippets.
-/// Dimensioned from the end-to-end benchmark's measured working sets
-/// (distinct snippets analysed over a whole run: `paper.hot` 10.7 k,
-/// `paper.rw` 10.4 k, `store.churn` 6.4 k; `large.cold` > 100 k, which no
-/// sane bound holds) and from the entry size on generated snippets
-/// (~320 B of key text + analysis, plus a 40 B slot): 16 384 entries and
-/// the term dictionary stay under 8 MiB, which a test below asserts.
-const CONCEPT_MEMO_CAPACITY: usize = 16_384;
+/// One hit of a turn's candidate pool: the hit, its pool-normalized base
+/// score, its snippet's analysis (shared with the pool it was cut into),
+/// and whether this turn's cut built that analysis and no extraction of
+/// the turn has counted it yet.
+pub(crate) struct Candidate {
+    pub(crate) hit: SearchHit,
+    pub(crate) norm: f64,
+    pub(crate) analysis: Arc<SnippetAnalysis>,
+    pub(crate) fresh: bool,
+}
 
 /// The immutable shared read side of the personalized search engine.
 ///
@@ -145,7 +145,6 @@ const CONCEPT_MEMO_CAPACITY: usize = 16_384;
 pub struct EngineCore<'a> {
     base: &'a dyn RetrievalBackend,
     world: &'a LocationOntology,
-    matcher: LocationMatcher,
     cfg: EngineConfig,
     trainer: PairwiseTrainer,
     geo: Option<GeoContext<'a>>,
@@ -153,10 +152,9 @@ pub struct EngineCore<'a> {
     /// The feature stage, with the mode's ablation masks.
     extractor: FeatureExtractor,
     metrics: EngineMetrics,
-    /// Memoized snippet analyses, shared by pool and page extraction and
-    /// by every user. An analysis is a pure function of the snippet text,
-    /// so memoization never changes a turn's bytes.
-    concept_memo: ConceptMemo,
+    /// Analyses of cut snippets, read off their form ids: the term
+    /// dictionary and one form table per index segment, built here once.
+    analyst: SnippetAnalyst,
     /// The shared base-retrieval cache, when this core owns one.
     retrieval_cache: Option<RetrievalCache>,
 }
@@ -168,14 +166,13 @@ impl<'a> EngineCore<'a> {
         world: &'a LocationOntology,
         cfg: EngineConfig,
     ) -> Self {
-        let matcher = LocationMatcher::build(world);
         let trainer = PairwiseTrainer::new(cfg.train_cfg);
         let extractor =
             FeatureExtractor::with_masks(cfg.mode.uses_content(), cfg.mode.uses_location());
         EngineCore {
+            analyst: SnippetAnalyst::new(base, world),
             base,
             world,
-            matcher,
             cfg,
             trainer,
             geo: None,
@@ -184,7 +181,6 @@ impl<'a> EngineCore<'a> {
             analyzer: Analyzer::verbatim(),
             extractor,
             metrics: EngineMetrics::resolve(),
-            concept_memo: ConceptMemo::new(CONCEPT_MEMO_CAPACITY),
             retrieval_cache: None,
         }
     }
@@ -203,16 +199,6 @@ impl<'a> EngineCore<'a> {
     /// degradation still apply to cached turns.
     pub fn with_retrieval_cache(mut self, capacity: usize) -> Self {
         self.retrieval_cache = Some(RetrievalCache::new(capacity));
-        self
-    }
-
-    /// Replace the snippet-analysis memo with one of `capacity` entries
-    /// (0 disables it). The memo never changes a turn's bytes, only the
-    /// `engine.concepts.*` counters — the pressure tests replay at 0 and
-    /// 1 to pin exactly that — so this is a test hook, not a tuning knob.
-    #[doc(hidden)]
-    pub fn with_concept_memo_capacity(mut self, capacity: usize) -> Self {
-        self.concept_memo = ConceptMemo::new(capacity);
         self
     }
 
@@ -260,9 +246,16 @@ impl<'a> EngineCore<'a> {
         query_text: &str,
         city: Option<LocId>,
     ) -> (Vec<(SearchHit, f64)>, Option<bool>) {
+        let (candidates, cache_hit) = self.pool_candidates(query_text, city);
+        (candidates.into_iter().map(|c| (c.hit, c.norm)).collect(), cache_hit)
+    }
+
+    /// [`Self::candidate_pool`] with each hit's snippet analysis, cut (and
+    /// analysed) on first use.
+    fn pool_candidates(&self, query_text: &str, city: Option<LocId>) -> (Vec<Candidate>, Option<bool>) {
         let (base, cache_hit) = self.retrieve_base(query_text);
         let all: Vec<usize> = (0..base.ranked().len()).collect();
-        let (mut candidates, base_max) = normalize_pool(&base.cut(self.base, &all));
+        let (mut candidates, base_max) = normalize_pool(&base.cut(self.base, &all, &self.analyst));
         let Some(city_name) = city.map(|c| self.world.name(c)) else {
             return (candidates, cache_hit);
         };
@@ -271,50 +264,45 @@ impl<'a> EngineCore<'a> {
         }
         let (aug, _) = self.retrieve_base(&format!("{query_text} {city_name}"));
         let new: Vec<usize> = (0..aug.ranked().len())
-            .filter(|&i| !candidates.iter().any(|(c, _)| c.doc == aug.ranked()[i].0))
+            .filter(|&i| !candidates.iter().any(|c| c.hit.doc == aug.ranked()[i].0))
             .collect();
         let new_docs: Vec<u32> = new.iter().map(|&i| aug.ranked()[i].0).collect();
         let base_scores = self.base.score_docs(base.tokens(), &new_docs);
         let (survivors, scores): (Vec<usize>, Vec<f64>) =
             new.into_iter().zip(base_scores).filter(|(_, s)| *s > 0.0).unzip();
         // A shared hit is cloned once, when it enters the pool.
-        let rescored: Vec<(SearchHit, f64)> = aug
-            .cut(self.base, &survivors)
+        let rescored: Vec<Candidate> = aug
+            .cut(self.base, &survivors, &self.analyst)
             .into_iter()
             .zip(scores)
-            .map(|(h, s)| (h.clone(), s / base_max))
+            .map(|((p, fresh), s)| candidate(p, s / base_max, fresh))
             .collect();
         merge_pools(&mut candidates, rescored);
         (candidates, cache_hit)
     }
 
-    /// Concept extraction over `snippets`: each snippet's analysis comes
-    /// from the memo (or is computed and memoized now), then the counting
-    /// pass runs over the analyses. Counts every lookup under
-    /// `engine.concepts.snippet_hit/miss` and the call as a whole under
-    /// `engine.concepts.memo_hit` (it analysed nothing) or `memo_miss`;
-    /// times the two halves as `engine.concepts.analyze` and
-    /// `engine.concepts.count`.
-    fn extract_concepts<'s>(
-        &self,
-        query_text: &str,
-        snippets: impl IntoIterator<Item = &'s str>,
-    ) -> QueryConceptOntology {
-        let analyze_span = self.metrics.concepts_analyze.span();
-        let (analyses, misses) = self.concept_memo.get_or_analyze_all(snippets, &self.matcher);
-        drop(analyze_span);
-        self.metrics.snippet_hit.incr((analyses.len() - misses) as u64);
-        self.metrics.snippet_miss.incr(misses as u64);
-        if misses == 0 {
+    /// Concept extraction over `candidates`: the counting pass over their
+    /// analyses, taken from the pool (timed as `engine.concepts.count`).
+    /// Counts each analysis under `engine.concepts.snippet_miss` when this
+    /// turn's cut built it and no extraction of the turn counted it yet,
+    /// else `snippet_hit`, and the call as a whole under
+    /// `engine.concepts.memo_miss` (it counted a built one) or `memo_hit`.
+    fn extract_concepts(&self, query_text: &str, candidates: &mut [Candidate]) -> QueryConceptOntology {
+        let built = candidates.iter().filter(|c| c.fresh).count();
+        candidates.iter_mut().for_each(|c| c.fresh = false);
+        self.metrics.snippet_hit.incr((candidates.len() - built) as u64);
+        self.metrics.snippet_miss.incr(built as u64);
+        if built == 0 {
             self.metrics.concept_memo_hit.incr(1);
         } else {
             self.metrics.concept_memo_miss.incr(1);
         }
         let _count_span = self.metrics.concepts_count.span();
+        let analyses: Vec<&SnippetAnalysis> = candidates.iter().map(|c| &*c.analysis).collect();
         QueryConceptOntology::from_analyses(
             query_text,
             &analyses,
-            self.concept_memo.dict(),
+            self.analyst.dict(),
             self.world,
             &self.cfg.concept_cfg,
             &self.cfg.location_cfg,
@@ -363,7 +351,7 @@ impl<'a> EngineCore<'a> {
     /// city name must appear as a contiguous token run. Used to decide
     /// whether the location-aware query augmentation would be redundant.
     pub fn query_mentions_city(&self, query_text: &str, city_name: &str) -> bool {
-        contains_token_seq(&self.analyzer, query_text, city_name)
+        self.analyzer.contains_run(query_text, city_name)
     }
 
     /// The β decision for a query under the configured strategy and
@@ -428,7 +416,7 @@ impl<'a> EngineCore<'a> {
         t: &mut QueryTrace,
         personalized: bool,
         onto: &QueryConceptOntology,
-        rows: impl Iterator<Item = (usize, &'r (SearchHit, f64), &'r Vec<f64>)>,
+        rows: impl Iterator<Item = (usize, &'r Candidate, &'r Vec<f64>)>,
     ) {
         t.personalized = personalized;
         t.feature_names = pws_profile::FEATURE_NAMES.to_vec();
@@ -444,13 +432,13 @@ impl<'a> EngineCore<'a> {
             .collect();
         t.results = rows
             .enumerate()
-            .map(|(pos, (base_rank, (h, norm), f))| ResultTrace {
-                doc: h.doc,
-                title: h.title.to_string(),
+            .map(|(pos, (base_rank, c, f))| ResultTrace {
+                doc: c.hit.doc,
+                title: c.hit.title.to_string(),
                 base_rank,
                 final_rank: pos + 1,
                 on_page: pos < self.cfg.top_k,
-                base_score: *norm,
+                base_score: c.norm,
                 features: f.clone(),
             })
             .collect();
@@ -508,7 +496,7 @@ impl<'a> EngineCore<'a> {
         let city = (self.cfg.query_augmentation && self.cfg.mode.uses_location())
             .then(|| state.location.preferred_city(self.world))
             .flatten();
-        let (candidates, cache_hit) = self.candidate_pool(query_text, city);
+        let (mut candidates, cache_hit) = self.pool_candidates(query_text, city);
         ev.user = user.0;
         ev.cache_hit = cache_hit;
         finish_span(retrieval_span, ev, SearchStage::Retrieval);
@@ -527,8 +515,7 @@ impl<'a> EngineCore<'a> {
 
         // ── Features over the pool ────────────────────────────────────────
         let concepts_span = self.metrics.concepts.span();
-        let pool_onto = self
-            .extract_concepts(query_text, candidates.iter().map(|(h, _)| h.snippet.as_str()));
+        let pool_onto = self.extract_concepts(query_text, &mut candidates);
         finish_span(concepts_span, ev, SearchStage::Concepts);
         if gate_fires(&mut gate, StageCheckpoint::Concepts) {
             return (base_order(candidates, None, ev, trace), Some(StageCheckpoint::Concepts));
@@ -537,7 +524,7 @@ impl<'a> EngineCore<'a> {
         let inputs: Vec<ResultFeatureInput> = candidates
             .iter()
             .enumerate()
-            .map(|(i, (h, norm))| feature_input(h, *norm, i + 1))
+            .map(|(i, c)| feature_input(&c.hit, c.norm, i + 1))
             .collect();
         let prepared = self.prepare_features(query_text, state);
         let mut features = prepared.rows(&inputs, &pool_onto);
@@ -557,15 +544,15 @@ impl<'a> EngineCore<'a> {
         // ── Score & select the page ──────────────────────────────────────
         let rerank_span = self.metrics.rerank.span();
         let order = state.model.rank(&features);
-        let page: Vec<(SearchHit, f64)> = order
+        let page: Vec<Candidate> = order
             .iter()
             .take(self.cfg.top_k)
             .enumerate()
             .map(|(i, &idx)| {
-                let (h, norm) = &candidates[idx];
-                let mut h = h.clone();
-                h.rank = i + 1;
-                (h, *norm)
+                let c = &candidates[idx];
+                let mut hit = c.hit.clone();
+                hit.rank = i + 1;
+                Candidate { hit, norm: c.norm, analysis: Arc::clone(&c.analysis), fresh: false }
             })
             .collect();
         finish_span(rerank_span, ev, SearchStage::Rerank);
@@ -605,7 +592,7 @@ impl<'a> EngineCore<'a> {
         state: &UserState,
         user: UserId,
         query_text: &str,
-        candidates: Vec<(SearchHit, f64)>,
+        candidates: Vec<Candidate>,
         stats: Option<&QueryStats>,
         prepared: Option<PreparedFeatures<'_>>,
         ev: &mut FlightEvent,
@@ -615,13 +602,13 @@ impl<'a> EngineCore<'a> {
         // F6/F7-style analyses read it from the turn), not a
         // hard-coded neutral value.
         let beta = self.decide_beta(stats, ev, trace.as_deref_mut());
-        let page: Vec<(SearchHit, f64)> = candidates
+        let page: Vec<Candidate> = candidates
             .into_iter()
             .take(self.cfg.top_k)
             .enumerate()
-            .map(|(i, (mut h, norm))| {
-                h.rank = i + 1;
-                (h, norm)
+            .map(|(i, mut c)| {
+                c.hit.rank = i + 1;
+                c
             })
             .collect();
         self.finish_turn(state, user, query_text, page, beta, false, prepared, ev, trace)
@@ -649,7 +636,7 @@ impl<'a> EngineCore<'a> {
         trace: Option<&mut QueryTrace>,
     ) -> SearchTurn {
         let retrieval_span = self.metrics.retrieval.span();
-        let (candidates, cache_hit) = self.candidate_pool(query_text, None);
+        let (candidates, cache_hit) = self.pool_candidates(query_text, None);
         finish_span(retrieval_span, ev, SearchStage::Retrieval);
         ev.user = user.0;
         ev.cache_hit = cache_hit;
@@ -669,7 +656,7 @@ impl<'a> EngineCore<'a> {
         state: &UserState,
         user: UserId,
         query_text: &str,
-        page: Vec<(SearchHit, f64)>,
+        mut page: Vec<Candidate>,
         beta: f64,
         personalized: bool,
         prepared: Option<PreparedFeatures<'_>>,
@@ -677,12 +664,11 @@ impl<'a> EngineCore<'a> {
         trace: Option<&mut QueryTrace>,
     ) -> SearchTurn {
         let concepts_span = self.metrics.concepts.span();
-        let ontology =
-            self.extract_concepts(query_text, page.iter().map(|(h, _)| h.snippet.as_str()));
+        let ontology = self.extract_concepts(query_text, &mut page);
         finish_span(concepts_span, ev, SearchStage::Concepts);
         let features_span = self.metrics.features.span();
         let inputs: Vec<ResultFeatureInput> =
-            page.iter().map(|(h, norm)| feature_input(h, *norm, h.rank)).collect();
+            page.iter().map(|c| feature_input(&c.hit, c.norm, c.hit.rank)).collect();
         let prepared = prepared.unwrap_or_else(|| self.prepare_features(query_text, state));
         let features = prepared.rows(&inputs, &ontology);
         finish_span(features_span, ev, SearchStage::Features);
@@ -691,13 +677,13 @@ impl<'a> EngineCore<'a> {
         // *is* the pool prefix in base order, so record it with
         // base == final.
         if let (Some(t), false) = (trace, personalized) {
-            let rows = page.iter().zip(&features).map(|(row, f)| (row.0.rank, row, f));
+            let rows = page.iter().zip(&features).map(|(c, f)| (c.hit.rank, c, f));
             self.trace_detail(t, false, &ontology, rows);
         }
         SearchTurn {
             user,
             query_text: query_text.to_string(),
-            hits: page.into_iter().map(|(h, _)| h).collect(),
+            hits: page.into_iter().map(|c| c.hit).collect(),
             ontology,
             features,
             beta,
@@ -810,140 +796,42 @@ fn feature_input(hit: &SearchHit, norm: f64, rank: usize) -> ResultFeatureInput 
     }
 }
 
+/// A pooled hit as it enters a turn's candidate pool (cloned once).
+fn candidate(pooled: &PooledHit, norm: f64, fresh: bool) -> Candidate {
+    Candidate { hit: pooled.hit.clone(), norm, analysis: Arc::clone(&pooled.analysis), fresh }
+}
+
 /// Normalize a hit list's scores to [0, 1] by its own max; also returns
-/// that max (floored at the smallest positive `f64`, so it divides).
-pub(crate) fn normalize_pool(hits: &[&SearchHit]) -> (Vec<(SearchHit, f64)>, f64) {
-    let max = hits.iter().map(|h| h.score).fold(0.0_f64, f64::max).max(f64::MIN_POSITIVE);
-    (hits.iter().map(|&h| (h.clone(), h.score / max)).collect(), max)
+/// that max (floored at the smallest positive `f64`, so it divides). Each
+/// hit comes with whether its cut was this turn's.
+pub(crate) fn normalize_pool(hits: &[(&PooledHit, bool)]) -> (Vec<Candidate>, f64) {
+    let max = hits.iter().map(|(p, _)| p.hit.score).fold(0.0_f64, f64::max).max(f64::MIN_POSITIVE);
+    (hits.iter().map(|&(p, fresh)| candidate(p, p.hit.score / max, fresh)).collect(), max)
 }
 
 /// Merge `extra` into `pool`, deduplicating by doc id (keeping the higher
 /// normalized score) and re-sorting by normalized score desc, doc asc.
-pub(crate) fn merge_pools(pool: &mut Vec<(SearchHit, f64)>, extra: Vec<(SearchHit, f64)>) {
-    for (hit, norm) in extra {
-        match pool.iter_mut().find(|(h, _)| h.doc == hit.doc) {
-            Some((_, existing)) => {
-                if norm > *existing {
-                    *existing = norm;
+pub(crate) fn merge_pools(pool: &mut Vec<Candidate>, extra: Vec<Candidate>) {
+    for c in extra {
+        match pool.iter_mut().find(|p| p.hit.doc == c.hit.doc) {
+            Some(existing) => {
+                if c.norm > existing.norm {
+                    existing.norm = c.norm;
                 }
             }
-            None => pool.push((hit, norm)),
+            None => pool.push(c),
         }
     }
     pool.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
+        b.norm
+            .partial_cmp(&a.norm)
             .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.0.doc.cmp(&b.0.doc))
+            .then_with(|| a.hit.doc.cmp(&b.hit.doc))
     });
-}
-
-/// Does `haystack` contain `needle` as a contiguous run of whole tokens
-/// (both tokenised by `analyzer`)? An empty needle is trivially contained.
-/// Streams both texts; nothing is collected.
-fn contains_token_seq(analyzer: &Analyzer, haystack: &str, needle: &str) -> bool {
-    let mut len = 0u32;
-    analyzer.for_each_token(needle, |_| len += 1);
-    if len == 0 {
-        return true;
-    }
-    if len > u64::BITS {
-        // Longer than the match mask below is wide: compare collected.
-        let (haystack, needle) = (analyzer.analyze(haystack), analyzer.analyze(needle));
-        return haystack.windows(needle.len()).any(|w| w == needle);
-    }
-    // Shift-and matching: bit `i` of `runs` is set when the haystack tokens
-    // seen last equal the needle's first `i + 1`.
-    let (mut runs, mut found) = (0u64, false);
-    analyzer.for_each_token(haystack, |token| {
-        let (mut equal, mut i) = (0u64, 0);
-        analyzer.for_each_token(needle, |n| {
-            equal |= u64::from(n == token) << i;
-            i += 1;
-        });
-        runs = (runs << 1 | 1) & equal;
-        found |= runs >> (len - 1) & 1 == 1;
-    });
-    found
 }
 
 #[cfg(test)]
 thread_local! {
     /// Scoring contexts prepared on this thread, so tests can count them.
     pub(crate) static PREPARED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The memo at capacity, filled with generated-corpus snippets (the
-    /// 24-token body windows the index serves), stays under 8 MiB — term
-    /// dictionary included — and an analysis holds less than half of what
-    /// it did when it stored its terms' text (concatenated, plus a 4-byte
-    /// end offset per term) instead of their ids.
-    #[test]
-    fn concept_memo_at_capacity_stays_under_8_mib() {
-        let world = pws_geo::WorldGen::new(42).generate(&pws_geo::WorldSpec::default_world());
-        let spec = pws_corpus::CorpusSpec { num_docs: 2_000, ..pws_corpus::CorpusSpec::default_corpus() };
-        let corpus = pws_corpus::CorpusGen::new(43).generate(&spec, &world);
-        let matcher = LocationMatcher::build(&world);
-        let memo = ConceptMemo::new(CONCEPT_MEMO_CAPACITY);
-        // 4x the capacity in windows, so every slot fills.
-        let mut offered = 0;
-        let (mut held, mut held_as_text) = (0, 0);
-        'fill: for start in 0.. {
-            let mut any = false;
-            for d in &corpus.docs {
-                let tokens: Vec<&str> = d.body.split(' ').collect();
-                let Some(window) = tokens.get(start..start + 24) else { continue };
-                any = true;
-                let text = window.join(" ");
-                let (analysis, _) = memo.get_or_analyze(&text, &matcher);
-                let mut term_text = 0;
-                Analyzer::default().for_each_token(&text, |t| term_text += t.len());
-                held += analysis.heap_bytes();
-                held_as_text += analysis.heap_bytes() + term_text;
-                offered += 1;
-                if offered == 4 * CONCEPT_MEMO_CAPACITY {
-                    break 'fill;
-                }
-            }
-            assert!(any, "corpus too small to fill the memo: {offered} windows");
-        }
-        assert!(memo.len() > CONCEPT_MEMO_CAPACITY * 99 / 100, "{} entries", memo.len());
-        assert!(memo.len() <= CONCEPT_MEMO_CAPACITY);
-        let mib = memo.heap_bytes() as f64 / (1 << 20) as f64;
-        assert!(mib <= 8.0, "memo holds {mib:.2} MiB at capacity");
-        assert!(memo.heap_bytes() > memo.dict().heap_bytes() && !memo.dict().is_empty());
-        assert!(2 * held < held_as_text, "analyses hold {held} B, {held_as_text} B as text");
-    }
-
-    #[test]
-    fn token_seq_containment() {
-        let contains = |h: &str, n: &str| contains_token_seq(&Analyzer::verbatim(), h, n);
-        assert!(contains("restaurants in york", "york"));
-        assert!(contains("best new york pizza", "new york"));
-        // Substring of a longer token is NOT a mention.
-        assert!(!contains("restaurants in yorkshire", "york"));
-        // Token runs must be contiguous and in order.
-        assert!(!contains("new deals in york", "new york"));
-        assert!(!contains("york new bridge", "new york"));
-        // Empty needle is trivially contained; oversized needle never is.
-        assert!(contains("a b", ""));
-        assert!(contains("a b", " ,"));
-        assert!(!contains("york", "new york"));
-        // A failed run may overlap the start of the one that matches.
-        assert!(contains("new new york", "new york"));
-        assert!(contains("a a a b", "a a b"));
-        assert!(!contains("a a a", "a a b"));
-        // Surface forms, case-folded; non-ASCII takes the general tokenizer.
-        assert!(contains("Hotels in New-York!", "new york"));
-        assert!(contains("bars in KÖLN tonight", "köln"));
-        // Past the 64-token mask the collected comparison answers.
-        let long: Vec<String> = (0..70).map(|i| format!("t{i}")).collect();
-        let (needle, hay) = (long.join(" "), format!("x {} y", long.join(" ")));
-        assert!(contains(&hay, &needle));
-        assert!(!contains(&hay, &format!("{needle} z")));
-        assert!(contains(&hay, &long[3..67].join(" ")), "exactly 64 tokens");
-    }
 }

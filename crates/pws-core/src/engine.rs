@@ -138,7 +138,9 @@ impl<'a> PersonalizedSearchEngine<'a> {
 mod tests {
     use super::*;
     use crate::config::{BlendStrategy, PersonalizationMode};
+    use crate::cache::PooledHit;
     use crate::core::{merge_pools, normalize_pool};
+    use pws_concepts::{SnippetAnalysis, TermDict};
     use pws_click::{Click, ShownResult};
     use pws_corpus::query::QueryId;
     use pws_geo::{LocId, LocationOntology};
@@ -613,36 +615,38 @@ mod tests {
         assert_eq!(prepared() - before, 1, "baseline turn");
     }
 
+    /// A pooled hit of `doc` with BM25 `score` (its analysis is empty).
+    fn pooled(doc: u32, score: f64) -> PooledHit {
+        let matcher = pws_geo::LocationMatcher::build(&LocationOntology::new());
+        PooledHit {
+            hit: SearchHit {
+                doc,
+                score,
+                rank: 1,
+                url: format!("u{doc}").into(),
+                title: "t".into(),
+                snippet: "s".into(),
+            },
+            analysis: SnippetAnalysis::new("", &matcher, &TermDict::new()).into(),
+        }
+    }
+
     #[test]
     fn merge_pools_dedups_and_sorts() {
-        let h = |doc: u32, score: f64| SearchHit {
-            doc,
-            score,
-            rank: 1,
-            url: format!("u{doc}").into(),
-            title: "t".into(),
-            snippet: "s".into(),
-        };
-        let mut pool = vec![(h(0, 1.0), 1.0), (h(1, 0.5), 0.5)];
-        merge_pools(&mut pool, vec![(h(1, 0.9), 0.9), (h(2, 0.7), 0.7)]);
-        let docs: Vec<u32> = pool.iter().map(|(x, _)| x.doc).collect();
+        let (mut pool, _) = normalize_pool(&[(&pooled(0, 1.0), false), (&pooled(1, 0.5), false)]);
+        let (extra, _) = normalize_pool(&[(&pooled(1, 0.9), false), (&pooled(2, 0.7), false)]);
+        merge_pools(&mut pool, extra);
+        let docs: Vec<u32> = pool.iter().map(|c| c.hit.doc).collect();
         assert_eq!(docs, vec![0, 1, 2]);
-        assert_eq!(pool[1].1, 0.9, "kept the higher normalized score");
+        assert_eq!(pool[1].norm, 1.0, "kept the higher normalized score");
     }
 
     #[test]
     fn normalize_pool_unit_max() {
-        let h = |doc: u32, score: f64| SearchHit {
-            doc,
-            score,
-            rank: 1,
-            url: format!("u{doc}").into(),
-            title: "t".into(),
-            snippet: "s".into(),
-        };
-        let (pool, max) = normalize_pool(&[&h(0, 8.0), &h(1, 2.0)]);
-        assert_eq!(pool[0].1, 1.0);
-        assert_eq!(pool[1].1, 0.25);
+        let (pool, max) = normalize_pool(&[(&pooled(0, 8.0), true), (&pooled(1, 2.0), false)]);
+        assert_eq!(pool[0].norm, 1.0);
+        assert_eq!(pool[1].norm, 0.25);
+        assert!(pool[0].fresh && !pool[1].fresh);
         assert_eq!(max, 8.0);
         let (empty, floor) = normalize_pool(&[]);
         assert!(empty.is_empty() && floor > 0.0);

@@ -37,7 +37,7 @@ pub mod engine;
 pub mod state;
 
 pub use crate::core::{CheckpointGate, EngineCore, SearchTurn, StageCheckpoint};
-pub use cache::{RankedPool, RetrievalCache};
+pub use cache::{PooledHit, RankedPool, RetrievalCache, SnippetAnalyst};
 pub use config::{BlendStrategy, EngineConfig, PairSource, PersonalizationMode};
 pub use engine::PersonalizedSearchEngine;
 pub use state::{validate_query_stats, StateError, UserState};

@@ -153,8 +153,24 @@ impl LocationMatcher {
     /// Just the matched ids, deduplicated, order of first appearance. A
     /// snippet names a handful of places at most, so the dedup is a scan.
     pub fn locations_in(&self, text: &str) -> Vec<LocId> {
+        self.locations_in_words(&self.words_of(text))
+    }
+
+    /// What the matcher makes of one token as the tokenizer hands it out
+    /// (lowercased): `None` when its analyser drops the token (longer than
+    /// 60 bytes), else the token's id among the name tokens (`Some(None)`:
+    /// no name contains it). A text's tokens mapped through this, the
+    /// `None`s left out, are what [`LocationMatcher::locations_in_words`]
+    /// takes.
+    pub fn token_word(&self, token: &str) -> Option<Option<Sym>> {
+        self.analyzer.term_of(token).map(|t| self.words.get(&t))
+    }
+
+    /// [`LocationMatcher::locations_in`] over a token stream already
+    /// mapped to name-token ids (see [`LocationMatcher::token_word`]).
+    pub fn locations_in_words(&self, words: &[Option<Sym>]) -> Vec<LocId> {
         let mut out = Vec::new();
-        self.scan(&self.words_of(text), |m| {
+        self.scan(words, |m| {
             if !out.contains(&m.loc) {
                 out.push(m.loc);
             }

@@ -3,8 +3,9 @@
 //! [`RetrievalBackend`] is the exact surface `pws-core`'s `EngineCore`
 //! consumes from base retrieval: analyze text the way the index does,
 //! rank a top-k list without cutting a snippet, cut the snippets of the
-//! hits a request actually uses, and re-score specific documents against
-//! a query. `search` / `search_tokens` (rank + cut every hit) stay for
+//! hits a request actually uses (each with the form ids it was joined
+//! from, and the per-segment form tables those ids index), and re-score
+//! specific documents against a query. `search` / `search_tokens` (rank + cut every hit) stay for
 //! the callers that want whole result lists. [`crate::segmented::SegmentedIndex`]
 //! (of which [`crate::SearchEngine`] is an alias, the one-segment-in-RAM
 //! case) is its only implementor: the index an engine serves is fixed
@@ -15,7 +16,7 @@
 //! that `EngineCore` holds the concrete index, starts with a change to
 //! that benchmark package.
 
-use crate::search::SearchHit;
+use crate::search::{CutHit, SearchHit};
 use crate::segmented::SegmentedIndex;
 
 /// Base-retrieval operations required by the personalization layer.
@@ -23,7 +24,9 @@ use crate::segmented::SegmentedIndex;
 /// Contract (what the equivalence suites assert): results are ranked by
 /// BM25 descending with ties broken by ascending doc id;
 /// `search_tokens(analyze_text(q), k)` equals `search(q, k)`, and equals
-/// `cut_hits(t, &rank_tokens(t, k), &[0, 1, ..])` for `t = analyze_text(q)`;
+/// the hits of `cut_hits(t, &rank_tokens(t, k), &[0, 1, ..])` for
+/// `t = analyze_text(q)`; a cut hit's snippet is its form ids' entries of
+/// `segment_forms()[segment]` joined by `' '`;
 /// `score_docs` returns exactly 0.0 for docs matching no query term and
 /// credits only the last occurrence of a duplicated doc id.
 pub trait RetrievalBackend: Send + Sync {
@@ -42,13 +45,13 @@ pub trait RetrievalBackend: Send + Sync {
 
     /// The hits at positions `which` of `ranked` (a `rank_tokens` list for
     /// `q_tokens`), each with its list rank, score and query-biased
-    /// snippet, in `which` order.
-    fn cut_hits(
-        &self,
-        q_tokens: &[String],
-        ranked: &[(u32, f64)],
-        which: &[usize],
-    ) -> Vec<SearchHit>;
+    /// snippet and the snippet's form ids, in `which` order.
+    fn cut_hits(&self, q_tokens: &[String], ranked: &[(u32, f64)], which: &[usize])
+        -> Vec<CutHit>;
+
+    /// Each segment's forms (distinct body tokens), in segment order: the
+    /// tables a [`CutHit`]'s form ids index.
+    fn segment_forms(&self) -> Vec<&[String]>;
 
     /// BM25 scores of the analyzed query `q_tokens` for specific doc ids
     /// (0.0 for docs matching no query term).
@@ -72,13 +75,13 @@ impl RetrievalBackend for SegmentedIndex {
         SegmentedIndex::rank_tokens(self, q_tokens, k)
     }
 
-    fn cut_hits(
-        &self,
-        q_tokens: &[String],
-        ranked: &[(u32, f64)],
-        which: &[usize],
-    ) -> Vec<SearchHit> {
+    fn cut_hits(&self, q_tokens: &[String], ranked: &[(u32, f64)], which: &[usize])
+        -> Vec<CutHit> {
         SegmentedIndex::cut_hits(self, q_tokens, ranked, which)
+    }
+
+    fn segment_forms(&self) -> Vec<&[String]> {
+        SegmentedIndex::segment_forms(self)
     }
 
     fn score_docs(&self, q_tokens: &[String], docs: &[u32]) -> Vec<f64> {

@@ -10,7 +10,8 @@
 //!   of [`segfile`] (spec: `docs/INDEX_FORMAT.md`) with block-compressed
 //!   `(doc, tf)` postings, per-block maxima and a lazily-decoded document
 //!   store. [`segment::SegmentBuilder`] tokenizes documents (via
-//!   [`pws_text`]) and writes one; every segment in existence has
+//!   [`pws_text`]) once and writes one, bodies included as form-id
+//!   streams that snippets are cut from; every segment in existence has
 //!   round-tripped through the format.
 //! * [`segmented::SegmentedIndex`] serves a set of segments under global
 //!   collection statistics with Okapi BM25 ([`score`]) and **Block-Max
@@ -51,7 +52,7 @@ pub use pws_text::Analyzer;
 pub use builder::IndexBuilder;
 pub use query::{parse_query, ParseError, QueryExpr};
 pub use score::Bm25Params;
-pub use search::{SearchEngine, SearchHit, StoredDoc};
+pub use search::{CutHit, SearchEngine, SearchHit, StoredDoc};
 pub use segfile::{SectionId, SegmentError, FORMAT_VERSION, SEGMENT_FORMAT, SEGMENT_MAGIC};
 pub use segment::{Segment, SegmentBuilder, BLOCK_SIZE};
 pub use segmented::SegmentedIndex;

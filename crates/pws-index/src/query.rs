@@ -235,6 +235,7 @@ impl SegmentedIndex {
             cands.into_iter().enumerate(),
             &q_tokens,
             &mut SnippetScratch::default(),
+            |h, _, _| h,
         ))
     }
 

@@ -61,7 +61,8 @@ pub(crate) struct SearchScratch {
     pub touched: Vec<u32>,
     /// Total heap insertions (for the `index.snippets_deferred` count).
     pub pushes: u64,
-    /// Snippet extraction state: the per-body token buffers.
+    /// Snippet cutting state: the query's stem ids, the per-body form
+    /// buffers.
     pub snippets: SnippetScratch,
 }
 

@@ -63,3 +63,19 @@ pub struct SearchHit {
     /// Query-biased snippet.
     pub snippet: String,
 }
+
+/// A hit with the form ids its snippet was joined from: what
+/// [`SegmentedIndex::cut_hits`] returns, so a consumer can analyse the
+/// snippet from ids it resolved once per segment instead of from text.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CutHit {
+    /// The hit, snippet included.
+    pub hit: SearchHit,
+    /// Index of the segment owning the document (into
+    /// [`SegmentedIndex::segments`]).
+    pub segment: usize,
+    /// The snippet window as ids into that segment's
+    /// [`crate::Segment::forms`]: `hit.snippet` is their forms joined by
+    /// `' '`.
+    pub forms: Vec<u32>,
+}

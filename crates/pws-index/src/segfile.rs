@@ -17,15 +17,17 @@ use pws_obs::format::{Format, FormatError};
 /// File magic: identifies a pws segment file, independent of version.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"PWSSEG1\0";
 
-/// Current (and only) format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current (and only) format version. Version 2 added the `Forms` and
+/// `DocForms` sections; a version-1 file is refused with
+/// [`FormatError::UnsupportedVersion`] (no version-1 reader is kept).
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Section identifiers.
 ///
 /// The variant list is mirrored byte-for-byte in `docs/INDEX_FORMAT.md`;
-/// `scripts/check.sh` fails if the two drift apart. Ids 8+ are reserved
+/// `scripts/check.sh` fails if the two drift apart. Ids 10+ are reserved
 /// for future sections (e.g. positions) — unknown ids are rejected by
-/// version-1 readers.
+/// version-2 readers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
 pub enum SectionId {
@@ -44,9 +46,15 @@ pub enum SectionId {
     Docs = 6,
     /// Per-document token counts (varint).
     DocLens = 7,
+    /// The distinct body tokens, exactly as `pws_text::tokenize` outputs
+    /// them (form id = position).
+    Forms = 8,
+    /// Every body's token sequence as varint form ids, then per-doc end
+    /// offsets (u64 LE): what a snippet is cut from.
+    DocForms = 9,
 }
 
-/// The segment container: every section a version-1 segment must
+/// The segment container: every section a version-2 segment must
 /// contain, in payload order.
 pub const SEGMENT_FORMAT: Format = Format {
     magic: SEGMENT_MAGIC,
@@ -59,6 +67,8 @@ pub const SEGMENT_FORMAT: Format = Format {
         (SectionId::DocIndex as u16, "DocIndex"),
         (SectionId::Docs as u16, "Docs"),
         (SectionId::DocLens as u16, "DocLens"),
+        (SectionId::Forms as u16, "Forms"),
+        (SectionId::DocForms as u16, "DocForms"),
     ],
 };
 
@@ -68,7 +78,7 @@ pub const SEGMENT_FORMAT: Format = Format {
 pub enum SegmentError {
     /// File I/O failed (open/read/write).
     Io(String),
-    /// The file's bytes are not a valid version-1 segment.
+    /// The file's bytes are not a valid version-2 segment.
     Format(FormatError),
     /// Segments being combined disagree (analyzer config, statistics).
     Mismatch(&'static str),

@@ -12,10 +12,17 @@
 //! the foundation of the Block-Max WAND pruning in
 //! [`crate::segmented::SegmentedIndex`].
 //!
+//! Every body is also stored **tokenised**: the segment's distinct body
+//! tokens (its *forms*, exactly what [`pws_text::tokenize()`] outputs) and
+//! each body's token sequence as form ids. The builder writes them from
+//! the one tokenisation it indexes with, and a snippet is cut from the
+//! ids ([`crate::snippet`]) — serving tokenises and stems no body.
+//!
 //! Loading parses and checksums the section table ([`crate::segfile`]),
-//! decodes the term dictionary, the block tables, and the doc lengths,
+//! decodes the term dictionary, the block tables, the doc lengths and the
+//! forms (stemming each form once), checks every form id of the stream,
 //! and leaves postings payloads and the document store **encoded in
-//! place** — a load is O(dictionary + block table), not O(index).
+//! place**.
 //!
 //! A segment is cheaply cloneable (`Arc` inside), so an index over a
 //! segment set is cloned without copying index data.
@@ -24,7 +31,7 @@ use crate::codec::{read_varint, write_varint};
 use crate::search::StoredDoc;
 use crate::segfile::{SegmentError, SEGMENT_FORMAT};
 use pws_obs::format::{le_u64, FormatError};
-use pws_text::{Analyzer, Interner};
+use pws_text::{Analyzer, Interner, Sym};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -139,6 +146,19 @@ struct SegmentInner {
     /// Absolute offset + length of the `Docs` section.
     docs_off: usize,
     docs_len: usize,
+    /// The distinct body tokens (form id = position).
+    forms: Vec<String>,
+    /// Every form's Porter stem, once each: stem → stem id.
+    stems: HashMap<String, u32>,
+    /// Form ids grouped by stem id (ascending within a stem): stem `s`'s
+    /// forms are `stem_forms[stem_starts[s]..stem_starts[s + 1]]`.
+    stem_forms: Vec<u32>,
+    stem_starts: Vec<u32>,
+    /// Absolute offset of the `DocForms` id stream; the end-offset table
+    /// follows it.
+    doc_forms_off: usize,
+    /// Absolute offset of the `DocForms` end-offset table.
+    doc_form_ends_off: usize,
     /// Lazily-built per-doc `k1 · norm(len)` table for the scoring loops,
     /// keyed by the (params, avg_len) it was computed under.
     k1_norms: std::sync::OnceLock<(crate::score::Bm25Params, f64, Vec<f64>)>,
@@ -159,14 +179,12 @@ impl Segment {
         let _span = metrics_load().span();
         let bytes: Vec<u8> = bytes.into();
         let sections = SEGMENT_FORMAT.parse(&bytes)?;
-        let [mut m, mut t, mut b, postings, di, docs, mut dl] = sections[..] else {
+        let [mut m, mut t, mut b, postings, di, docs, mut dl, mut fm, df] = sections[..] else {
             unreachable!("parse returns one payload per section");
         };
-        // Payloads are contiguous in this order and end at EOF (checked by
-        // `parse`), so the absolute offsets follow from the lengths.
-        let docs_off = bytes.len() - dl.len() - docs.len();
-        let doc_index_off = docs_off - di.len();
-        let postings_off = doc_index_off - postings.len();
+        // Every payload is a slice of `bytes`.
+        let offset = |section: &[u8]| section.as_ptr() as usize - bytes.as_ptr() as usize;
+        let (docs_off, doc_index_off, postings_off) = (offset(docs), offset(di), offset(postings));
         let (postings_len, blockmax_len, docs_len) = (postings.len(), b.len(), docs.len());
 
         // ── Meta ─────────────────────────────────────────────────────
@@ -296,6 +314,77 @@ impl Segment {
             return Err(FormatError::Malformed("trailing bytes in DocLens").into());
         }
 
+        // ── Forms, each stemmed once ─────────────────────────────────
+        let n_forms = read_varint(&mut fm).ok_or(FormatError::Truncated("Forms.count"))? as usize;
+        let mut forms = Vec::with_capacity(n_forms.min(fm.len()));
+        let mut seen = HashMap::with_capacity(n_forms.min(fm.len()));
+        for id in 0..n_forms {
+            let len = read_varint(&mut fm).ok_or(FormatError::Truncated("Forms.len"))? as usize;
+            if fm.len() < len {
+                return Err(FormatError::Truncated("Forms.bytes").into());
+            }
+            let form = std::str::from_utf8(&fm[..len])
+                .map_err(|_| FormatError::Malformed("non-utf8 form"))?;
+            fm = &fm[len..];
+            if form.is_empty() || seen.insert(form, id).is_some() {
+                return Err(FormatError::Malformed("empty or duplicate form").into());
+            }
+            forms.push(form.to_string());
+        }
+        if !fm.is_empty() {
+            return Err(FormatError::Malformed("trailing bytes in Forms").into());
+        }
+        let mut stems = HashMap::new();
+        let form_stems: Vec<u32> = pws_text::with_words(|words| {
+            forms
+                .iter()
+                .map(|form| {
+                    let (stem, _) = words.analyse(form);
+                    let next = stems.len() as u32;
+                    *stems.entry(stem.to_string()).or_insert(next)
+                })
+                .collect()
+        });
+        let mut stem_starts = vec![0u32; stems.len() + 1];
+        for &stem in &form_stems {
+            stem_starts[stem as usize + 1] += 1;
+        }
+        for i in 1..stem_starts.len() {
+            stem_starts[i] += stem_starts[i - 1];
+        }
+        let mut stem_forms = vec![0u32; form_stems.len()];
+        let mut fill = stem_starts.clone();
+        for (form, &stem) in form_stems.iter().enumerate() {
+            stem_forms[fill[stem as usize] as usize] = form as u32;
+            fill[stem as usize] += 1;
+        }
+
+        // ── DocForms: the form-id stream, then per-doc end offsets ───
+        let table = doc_count as usize * 8;
+        if df.len() < table {
+            return Err(FormatError::Truncated("DocForms.offsets").into());
+        }
+        let (stream, ends) = df.split_at(df.len() - table);
+        let (doc_forms_off, doc_form_ends_off) = (offset(df), offset(ends));
+        let mut start = 0usize;
+        for i in 0..doc_count as usize {
+            let end = le_u64(&ends[i * 8..]);
+            if end < start as u64 || end > stream.len() as u64 {
+                return Err(FormatError::Malformed("DocForms offsets not monotone").into());
+            }
+            let mut run = &stream[start..end as usize];
+            while !run.is_empty() {
+                let id = read_varint(&mut run).ok_or(FormatError::Truncated("DocForms.ids"))?;
+                if id as usize >= n_forms {
+                    return Err(FormatError::Malformed("form id out of range").into());
+                }
+            }
+            start = end as usize;
+        }
+        if start != stream.len() {
+            return Err(FormatError::Malformed("trailing bytes in DocForms").into());
+        }
+
         Ok(Segment {
             inner: Arc::new(SegmentInner {
                 analyzer,
@@ -311,6 +400,12 @@ impl Segment {
                 doc_index_off,
                 docs_off,
                 docs_len,
+                forms,
+                stems,
+                stem_forms,
+                stem_starts,
+                doc_forms_off,
+                doc_form_ends_off,
                 bytes,
                 k1_norms: std::sync::OnceLock::new(),
             }),
@@ -469,24 +564,89 @@ impl Segment {
         StoredDoc { id: local_id, url: url.into(), title: title.into(), body: body.into_owned() }
     }
 
-    /// The `[url, title, body]` of one stored document, borrowed from the
-    /// segment's bytes wherever they are valid UTF-8 (every record this
-    /// crate wrote): a caller that only reads the body copies nothing.
+    /// The first `N` of `[url, title, body]` of one stored document,
+    /// borrowed from the segment's bytes wherever they are valid UTF-8
+    /// (every record this crate wrote): a hit takes `[url, title]` and
+    /// never decodes the body.
     ///
     /// # Panics
     /// As [`Segment::doc`].
-    pub(crate) fn doc_fields(&self, local_id: u32) -> [Cow<'_, str>; 3] {
+    pub(crate) fn doc_fields<const N: usize>(&self, local_id: u32) -> [Cow<'_, str>; N] {
         let inner = &self.inner;
         assert!(local_id < inner.doc_count, "doc id {local_id} out of range");
         let di = &inner.bytes[inner.doc_index_off..];
         let start = le_u64(&di[local_id as usize * 8..]) as usize;
         let mut rec = &inner.bytes[inner.docs_off + start..inner.docs_off + inner.docs_len];
-        [(); 3].map(|()| {
+        [(); N].map(|()| {
             let len = read_varint(&mut rec).map_or(0, |l| l as usize).min(rec.len());
             let (field, rest) = rec.split_at(len);
             rec = rest;
             String::from_utf8_lossy(field)
         })
+    }
+
+    /// Read the bytes cutting document `local_id` starts from — its
+    /// `DocIndex` and `DocForms` offsets, the head of its record, the two
+    /// ends of its form run — and fold them into one byte. A caller about
+    /// to cut many documents touches them all first, so their cache misses
+    /// overlap instead of queueing one document at a time.
+    ///
+    /// # Panics
+    /// As [`Segment::doc`].
+    pub(crate) fn touch(&self, local_id: u32) -> u8 {
+        let (inner, i) = (&self.inner, local_id as usize);
+        assert!(local_id < inner.doc_count, "doc id {local_id} out of range");
+        let bytes = &inner.bytes;
+        let record = inner.docs_off + le_u64(&bytes[inner.doc_index_off + i * 8..]) as usize;
+        let run_end =
+            inner.doc_forms_off + le_u64(&bytes[inner.doc_form_ends_off + i * 8..]) as usize;
+        let last = bytes.len() - 1;
+        bytes[record.min(last)]
+            ^ bytes[(record + 64).min(last)]
+            ^ bytes[run_end.saturating_sub(1)]
+            ^ bytes[run_end.saturating_sub(64)]
+    }
+
+    /// The segment's forms: its distinct body tokens, exactly as
+    /// [`pws_text::tokenize()`] outputs them (form id = position).
+    pub fn forms(&self) -> &[String] {
+        &self.inner.forms
+    }
+
+    /// The ids of the forms whose Porter stem is `stem`, ascending (none
+    /// when no form of the segment stems to it).
+    pub(crate) fn forms_stemming_to(&self, stem: &str) -> &[u32] {
+        let inner = &self.inner;
+        let Some(&s) = inner.stems.get(stem) else { return &[] };
+        &inner.stem_forms[inner.stem_starts[s as usize] as usize..inner.stem_starts[s as usize + 1] as usize]
+    }
+
+    /// One body's token sequence (segment-local id) as form ids, onto
+    /// `out` (cleared first). The stream was checked at load, so this
+    /// reads without re-validating.
+    ///
+    /// # Panics
+    /// As [`Segment::doc`].
+    pub(crate) fn doc_forms(&self, local_id: u32, out: &mut Vec<u32>) {
+        let inner = &self.inner;
+        assert!(local_id < inner.doc_count, "doc id {local_id} out of range");
+        let ends = &inner.bytes[inner.doc_form_ends_off..];
+        let end_of = |i: usize| inner.doc_forms_off + le_u64(&ends[i * 8..]) as usize;
+        let i = local_id as usize;
+        let start = if i == 0 { inner.doc_forms_off } else { end_of(i - 1) };
+        let mut run = &inner.bytes[start..end_of(i)];
+        out.clear();
+        while let Some((&byte, rest)) = run.split_first() {
+            // Most ids are one byte.
+            if byte < 0x80 {
+                out.push(u32::from(byte));
+                run = rest;
+            } else if let Some(id) = read_varint(&mut run) {
+                out.push(id);
+            } else {
+                break;
+            }
+        }
     }
 }
 
@@ -559,6 +719,14 @@ pub struct SegmentBuilder {
     doc_payload: Vec<u8>,
     /// Byte offset of each record within `doc_payload`.
     doc_offsets: Vec<u64>,
+    /// The distinct body tokens seen so far (form id = symbol).
+    forms: Interner,
+    /// Per form id, the term it indexes as (`None`: the analyser drops it).
+    form_terms: Vec<Option<Sym>>,
+    /// Every body's form ids, varint-encoded.
+    doc_forms: Vec<u8>,
+    /// End offset of each body's run within `doc_forms`.
+    doc_form_ends: Vec<u64>,
 }
 
 impl SegmentBuilder {
@@ -574,6 +742,10 @@ impl SegmentBuilder {
             total_len: 0,
             doc_payload: Vec::new(),
             doc_offsets: Vec::new(),
+            forms: Interner::new(),
+            form_terms: Vec::new(),
+            doc_forms: Vec::new(),
+            doc_form_ends: Vec::new(),
         }
     }
 
@@ -590,16 +762,18 @@ impl SegmentBuilder {
     /// Add one document; returns its segment-local id. Indexes
     /// `title + body` (titles count toward BM25, as in
     /// [`StoredDoc::indexable_text`]): the title's tokens, then the body's,
-    /// streamed from the analyser straight into term ids — the tokens of
+    /// streamed straight into term ids — the tokens of
     /// `format!("{title} {body}")`, since the space between them is a
-    /// separator either way.
+    /// separator either way. The body is tokenised once: each token is
+    /// appended to the form stream, and a form is analysed on first sight
+    /// only.
     pub fn add(&mut self, url: &str, title: &str, body: &str) -> u32 {
         let _span = metrics_add().span();
         let local = self.doc_offsets.len() as u32;
-        let SegmentBuilder { analyzer, interner, tf, touched, .. } = self;
+        let SegmentBuilder { analyzer, interner, tf, touched, forms, form_terms, doc_forms, .. } =
+            self;
         let mut len = 0u32;
-        let mut count = |t: &str| {
-            let sym = interner.intern(t);
+        let mut count = |sym: Sym| {
             if sym.index() >= tf.len() {
                 tf.resize(sym.index() + 1, 0);
             }
@@ -609,8 +783,18 @@ impl SegmentBuilder {
             tf[sym.index()] += 1;
             len += 1;
         };
-        analyzer.for_each_token(title, &mut count);
-        analyzer.for_each_token(body, &mut count);
+        analyzer.for_each_token(title, |t| count(interner.intern(t)));
+        pws_text::tokenize::for_each_token(body, |form| {
+            let id = forms.intern(form);
+            if id.index() == form_terms.len() {
+                form_terms.push(analyzer.term_of(form).map(|t| interner.intern(&t)));
+            }
+            if let Some(sym) = form_terms[id.index()] {
+                count(sym);
+            }
+            write_varint(doc_forms, id.0);
+        });
+        self.doc_form_ends.push(self.doc_forms.len() as u64);
         self.doc_lens.push(len);
         self.total_len += u64::from(len);
 
@@ -688,8 +872,29 @@ impl SegmentBuilder {
             write_varint(&mut doc_lens, l);
         }
 
-        SEGMENT_FORMAT
-            .write(vec![meta, terms, blockmax, payloads, doc_index, self.doc_payload, doc_lens])
+        let mut forms = Vec::new();
+        write_varint(&mut forms, self.forms.len() as u32);
+        for (_, s) in self.forms.iter() {
+            write_str(&mut forms, s);
+        }
+        // The offsets go after the stream, so the stream is not copied.
+        let mut doc_forms = self.doc_forms;
+        doc_forms.reserve_exact(self.doc_form_ends.len() * 8);
+        for end in &self.doc_form_ends {
+            doc_forms.extend_from_slice(&end.to_le_bytes());
+        }
+
+        SEGMENT_FORMAT.write(vec![
+            meta,
+            terms,
+            blockmax,
+            payloads,
+            doc_index,
+            self.doc_payload,
+            doc_lens,
+            forms,
+            doc_forms,
+        ])
     }
 
     /// [`SegmentBuilder::finish`] followed by [`Segment::load_bytes`].
@@ -892,9 +1097,15 @@ mod tests {
 
     /// `SegmentBuilder::add` as it was before it streamed: analyse
     /// `format!("{title} {body}")` into owned tokens, count them in a
-    /// per-document map. The oracle of the test below.
+    /// per-document map; tokenise the body again for its form stream. The
+    /// oracle of the test below.
     fn add_reference(b: &mut SegmentBuilder, url: &str, title: &str, body: &str) {
         let local = b.doc_offsets.len() as u32;
+        for form in pws_text::tokenize(body) {
+            let id = b.forms.intern(&form);
+            write_varint(&mut b.doc_forms, id.0);
+        }
+        b.doc_form_ends.push(b.doc_forms.len() as u64);
         let tokens = b.analyzer.analyze(&format!("{title} {body}"));
         b.doc_lens.push(tokens.len() as u32);
         b.total_len += tokens.len() as u64;

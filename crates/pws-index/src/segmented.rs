@@ -40,10 +40,10 @@
 use crate::exec::{bmw_top_k, rank_order, ResolvedTerm, SegContext};
 use crate::score::{bm25_term, idf, Bm25Params};
 use crate::scratch::{ScratchPool, SearchScratch};
-use crate::search::SearchHit;
+use crate::search::{CutHit, SearchHit};
 use crate::segment::{Segment, SegmentBuilder, TfCursor};
 use crate::segfile::SegmentError;
-use crate::snippet::SnippetScratch;
+use crate::snippet::{SnippetScratch, SNIPPET_WINDOW};
 use pws_obs::format::FormatError;
 use pws_text::Analyzer;
 use std::collections::HashMap;
@@ -139,6 +139,12 @@ impl SegmentedIndex {
     /// The segments, in global doc id order.
     pub fn segments(&self) -> &[Segment] {
         &self.segments
+    }
+
+    /// Each segment's [`Segment::forms`], in segment order: the tables a
+    /// [`CutHit`]'s form ids index.
+    pub fn segment_forms(&self) -> Vec<&[String]> {
+        self.segments.iter().map(Segment::forms).collect()
     }
 
     /// Total documents across all segments.
@@ -245,23 +251,24 @@ impl SegmentedIndex {
 
     /// The cutting half of [`SegmentedIndex::search_tokens`]: the hits at
     /// positions `which` of `ranked` (a [`SegmentedIndex::rank_tokens`]
-    /// list for `q_tokens`), in `which` order. A hit keeps its list rank
-    /// (`position + 1`) and score, and its snippet depends only on its
-    /// body and `q_tokens`, so cutting a subset, or cutting later, gives
-    /// the bytes `search_tokens` would have. One pooled snippet scratch
-    /// serves the call; recorded under `index.materialize`.
+    /// list for `q_tokens`), in `which` order, each with its snippet's
+    /// form ids. A hit keeps its list rank (`position + 1`) and score, and
+    /// its snippet depends only on its body and `q_tokens`, so cutting a
+    /// subset, or cutting later, gives the bytes `search_tokens` would
+    /// have. One pooled snippet scratch serves the call; recorded under
+    /// `index.materialize`.
     ///
     /// # Panics
     /// Panics if a position in `which` is out of range for `ranked`.
-    pub fn cut_hits(
-        &self,
-        q_tokens: &[String],
-        ranked: &[(u32, f64)],
-        which: &[usize],
-    ) -> Vec<SearchHit> {
+    pub fn cut_hits(&self, q_tokens: &[String], ranked: &[(u32, f64)], which: &[usize]) -> Vec<CutHit> {
         let _span = self.metrics_materialize().span();
         let mut scratch = self.scratch.acquire();
-        self.materialize(which.iter().map(|&i| (i, ranked[i])), q_tokens, &mut scratch.snippets)
+        let cands = which.iter().map(|&i| (i, ranked[i]));
+        self.materialize(cands, q_tokens, &mut scratch.snippets, |hit, segment, forms| CutHit {
+            hit,
+            segment,
+            forms: forms.to_vec(),
+        })
     }
 
     /// Process-wide handle to the `index.materialize` stage.
@@ -291,7 +298,7 @@ impl SegmentedIndex {
         }
         let _span = self.metrics_materialize().span();
         let SearchScratch { cands, snippets, .. } = scratch;
-        self.materialize(cands.iter().copied().enumerate(), q_tokens, snippets)
+        self.materialize(cands.iter().copied().enumerate(), q_tokens, snippets, |h, _, _| h)
     }
 
     /// Run Block-Max WAND for the top `k` into `scratch.cands`; `false`
@@ -342,7 +349,8 @@ impl SegmentedIndex {
         let mut cands: Vec<(u32, f64)> = acc.into_iter().collect();
         cands.sort_unstable_by(rank_order);
         cands.truncate(k);
-        self.materialize(cands.into_iter().enumerate(), q_tokens, &mut SnippetScratch::default())
+        let mut snippets = SnippetScratch::default();
+        self.materialize(cands.into_iter().enumerate(), q_tokens, &mut snippets, |h, _, _| h)
     }
 
     /// Every doc containing one analyzed term, with the term's BM25
@@ -478,22 +486,38 @@ impl SegmentedIndex {
         true
     }
 
-    /// Build hits (with snippets) from `(list position, (global doc,
-    /// score))` candidates. Bodies are read in place, and one extractor in
-    /// `snippets` serves the whole call (its query tokens are fixed).
-    pub(crate) fn materialize(
+    /// Build hits from `(list position, (global doc, score))` candidates,
+    /// passing each to `make` with its segment and its snippet's form ids.
+    /// The query tokens are mapped to each segment's stem ids once; a
+    /// snippet is then cut from the document's form stream — no body is
+    /// decoded, tokenised or stemmed.
+    pub(crate) fn materialize<T>(
         &self,
         cands: impl Iterator<Item = (usize, (u32, f64))>,
         q_tokens: &[String],
         snippets: &mut SnippetScratch,
-    ) -> Vec<SearchHit> {
-        let mut snippets = snippets.for_query(q_tokens);
+        mut make: impl FnMut(SearchHit, usize, &[u32]) -> T,
+    ) -> Vec<T> {
+        snippets.for_query(&self.segments, q_tokens);
+        // Touch every candidate's index entries, record and form run before
+        // cutting any: the documents' cache misses overlap instead of
+        // queueing one document at a time.
+        let cands: Vec<(usize, (u32, f64))> = cands.collect();
+        let touched = cands.iter().fold(0u8, |x, &(_, (doc, _))| {
+            let s = self.segment_of(doc);
+            x ^ self.segments[s].touch(doc - self.bases[s])
+        });
+        std::hint::black_box(touched);
         cands
+            .into_iter()
             .map(|(i, (doc, score))| {
                 let s = self.segment_of(doc);
-                let [url, title, body] = self.segments[s].doc_fields(doc - self.bases[s]);
-                let snippet = snippets.extract(&body, 24);
-                SearchHit { doc, score, rank: i + 1, url: url.into(), title: title.into(), snippet }
+                let (seg, local) = (&self.segments[s], doc - self.bases[s]);
+                let [url, title] = seg.doc_fields(local);
+                let snippet = snippets.cut(s, seg, local, SNIPPET_WINDOW);
+                let hit =
+                    SearchHit { doc, score, rank: i + 1, url: url.into(), title: title.into(), snippet };
+                make(hit, s, snippets.window_forms())
             })
             .collect()
     }
@@ -703,14 +727,24 @@ mod tests {
                 let full = idx.search_tokens(&toks, 10);
                 let ranked = idx.rank_tokens(&toks, 10);
                 let all: Vec<usize> = (0..ranked.len()).collect();
-                assert_eq!(idx.cut_hits(&toks, &ranked, &all), full, "q={q:?}");
+                let cut = |which: &[usize]| -> Vec<SearchHit> {
+                    let cut = idx.cut_hits(&toks, &ranked, which);
+                    for c in &cut {
+                        // The window's forms joined are the snippet.
+                        let forms = idx.segments()[c.segment].forms();
+                        let words: Vec<&str> = c.forms.iter().map(|&f| forms[f as usize].as_str()).collect();
+                        assert_eq!(words.join(" "), c.hit.snippet, "q={q:?}");
+                    }
+                    cut.into_iter().map(|c| c.hit).collect()
+                };
+                assert_eq!(cut(&all), full, "q={q:?}");
                 // A subset, out of order, or one hit at a time: the same hits.
                 let odd_rev: Vec<usize> =
                     all.iter().rev().copied().filter(|i| i % 2 == 1).collect();
                 let want: Vec<SearchHit> = odd_rev.iter().map(|&i| full[i].clone()).collect();
-                assert_eq!(idx.cut_hits(&toks, &ranked, &odd_rev), want, "q={q:?}");
+                assert_eq!(cut(&odd_rev), want, "q={q:?}");
                 for &i in &all {
-                    assert_eq!(idx.cut_hits(&toks, &ranked, &[i]), [full[i].clone()], "q={q:?}");
+                    assert_eq!(cut(&[i]), [full[i].clone()], "q={q:?}");
                 }
             }
         }

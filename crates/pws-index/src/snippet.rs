@@ -6,54 +6,104 @@
 //! the body tokens and pick the window covering the most *distinct* query
 //! terms (ties: more total query-term occurrences, then earliest).
 //!
-//! Extraction sits on the latency path of every materialized hit, so three
-//! exactness-preserving fast paths keep it cheap:
-//!
-//! * **first-byte prefilter** — the Porter stemmer only ever rewrites
-//!   suffixes (and short/non-ASCII words pass through unchanged), so
-//!   `stem(t)` always starts with `t`'s first character. A body token whose
-//!   first character matches no query token's first character can't match
-//!   any of them, and skips stemming entirely;
-//! * **borrowed ASCII tokenization** — bodies that are pure
-//!   ASCII-without-uppercase tokenize to byte-range slices of the input
-//!   (lowercasing is a no-op), so the common case allocates no per-token
-//!   strings. Anything else falls back to the general Unicode tokenizer;
-//! * **one analysis per word** — a token's stem comes from the thread's
-//!   word table ([`pws_text::with_words`]), so Porter runs once per distinct
-//!   form per thread, not once per body or per result list.
+//! A snippet is cut on the latency path of every materialized hit, and
+//! everything it depends on but the query is a property of the document.
+//! So the serving path (`SnippetScratch::cut`) tokenises and stems
+//! nothing: it reads the body's token sequence as form ids from the
+//! segment's form stream (written at build, see [`crate::segment`]), marks
+//! the tokens whose form stems to a query term through a per-call table
+//! over the segment's forms (filled from the forms each query stem has,
+//! grouped at load), and joins the window's forms with `' '`. [`extract_snippet`]
+//! is the same rule over a body string — the string entry point, and the
+//! oracle every stream cut equals byte for byte.
 
-use pws_text::{tokenize, with_words, Words};
+use crate::segment::Segment;
+use pws_text::{tokenize, with_words};
+use std::ops::Range;
 
-/// Reusable state of snippet extraction; lives in the pooled
+/// Window length of a served snippet, in tokens.
+pub(crate) const SNIPPET_WINDOW: usize = 24;
+
+/// Reusable state of snippet cutting; lives in the pooled
 /// [`crate::scratch::SearchScratch`].
 #[derive(Debug, Default)]
 pub(crate) struct SnippetScratch {
-    /// Token byte ranges of the body in hand.
-    ranges: Vec<(u32, u32)>,
-    /// Per token of the body in hand, the query token it matches.
-    is_query_term: Vec<Option<usize>>,
+    /// Form ids of the body in hand.
+    forms: Vec<u32>,
+    /// The tokens of the body in hand that match a query token, as
+    /// `(position, query token index)`, by position.
+    matches: Vec<(u32, u32)>,
+    /// The cut window of the body in hand, into `forms`.
+    window: Range<usize>,
+    /// Per form of every segment (segment-major, segment `s` from
+    /// `bases[s]`): 1 + the index of the first query token the form stems
+    /// to, or 0.
+    form_query: Vec<u32>,
+    bases: Vec<usize>,
 }
 
 impl SnippetScratch {
-    /// An extractor for bodies matched against `q_tokens` (already
-    /// stemmed/lowercased).
-    pub(crate) fn for_query<'a>(&'a mut self, q_tokens: &'a [String]) -> Snippets<'a> {
-        // First bytes of the query tokens (all prefilter candidates).
-        let mut want = [false; 128];
-        for q in q_tokens {
-            if let Some(&b) = q.as_bytes().first().filter(|b| b.is_ascii()) {
-                want[b as usize] = true;
+    /// Map `q_tokens` (analysed query tokens) onto each of `segments`'
+    /// forms, once for every cut until the next call: a query token marks
+    /// the forms that stem to it.
+    pub(crate) fn for_query(&mut self, segments: &[Segment], q_tokens: &[String]) {
+        self.form_query.clear();
+        self.bases.clear();
+        for seg in segments {
+            let base = self.form_query.len();
+            self.bases.push(base);
+            self.form_query.resize(base + seg.forms().len(), 0);
+            for (q, token) in q_tokens.iter().enumerate() {
+                for &form in seg.forms_stemming_to(token) {
+                    // The first query token a form stems to is its match.
+                    let slot = &mut self.form_query[base + form as usize];
+                    if *slot == 0 {
+                        *slot = q as u32 + 1;
+                    }
+                }
             }
         }
-        Snippets { q_tokens, want, scratch: self }
     }
-}
 
-/// Snippet extraction against one fixed set of query tokens.
-pub(crate) struct Snippets<'a> {
-    q_tokens: &'a [String],
-    want: [bool; 128],
-    scratch: &'a mut SnippetScratch,
+    /// Cut the snippet of document `local` of `seg`, segment `s` of the
+    /// last [`SnippetScratch::for_query`] call: the best window of `window`
+    /// tokens for that query. Equals [`extract_snippet`] of the document's
+    /// body; the window's form ids are [`SnippetScratch::window_forms`]
+    /// until the next cut.
+    pub(crate) fn cut(&mut self, s: usize, seg: &Segment, local: u32, window: usize) -> String {
+        let SnippetScratch { forms, matches, form_query, bases, .. } = self;
+        let form_query = &form_query[bases[s]..bases[s] + seg.forms().len()];
+        seg.doc_forms(local, forms);
+        if forms.is_empty() {
+            self.window = 0..0;
+            return String::new();
+        }
+        let window = window.max(1).min(forms.len());
+        matches.clear();
+        for (pos, &form) in forms.iter().enumerate() {
+            let q = form_query[form as usize];
+            if q != 0 {
+                matches.push((pos as u32, q - 1));
+            }
+        }
+        let start = best_window(matches, window);
+        self.window = start..start + window;
+        let text = seg.forms();
+        let ids = &self.forms[self.window.clone()];
+        let mut out = String::with_capacity(ids.iter().map(|&f| text[f as usize].len() + 1).sum());
+        for (j, &f) in ids.iter().enumerate() {
+            if j > 0 {
+                out.push(' ');
+            }
+            out.push_str(&text[f as usize]);
+        }
+        out
+    }
+
+    /// The form ids of the last cut's window.
+    pub(crate) fn window_forms(&self) -> &[u32] {
+        &self.forms[self.window.clone()]
+    }
 }
 
 /// Extract a snippet of (about) `window` tokens from `body`, biased towards
@@ -61,151 +111,62 @@ pub(crate) struct Snippets<'a> {
 ///
 /// Falls back to the leading `window` tokens when no query term occurs.
 pub fn extract_snippet(body: &str, q_tokens: &[String], window: usize) -> String {
-    SnippetScratch::default().for_query(q_tokens).extract(body, window)
-}
-
-impl Snippets<'_> {
-    /// [`extract_snippet`] of `body` for this extractor's query tokens.
-    pub(crate) fn extract(&mut self, body: &str, window: usize) -> String {
-        // ASCII fast path: tokens are slices of `body` (lowercasing would be
-        // a no-op), so skip the per-token String allocations.
-        if body.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase()) {
-            return self.extract_ascii(body, window);
-        }
-        let q_tokens = self.q_tokens;
-
-        let raw_tokens = tokenize(body);
-        if raw_tokens.is_empty() {
-            return String::new();
-        }
-        let window = window.max(1).min(raw_tokens.len());
-
-        // Match on stemmed forms so the snippet window aligns with BM25's
-        // view of the document.
-        let is_query_term: Vec<Option<usize>> = with_words(|words| {
-            raw_tokens
-                .iter()
-                .map(|t| {
-                    if !first_char_may_match(t, q_tokens) {
-                        return None;
-                    }
-                    query_term_of(words, t, q_tokens)
-                })
-                .collect()
-        });
-
-        let best_start = best_window(&is_query_term, window);
-        raw_tokens[best_start..best_start + window].join(" ")
+    let tokens = tokenize(body);
+    if tokens.is_empty() {
+        return String::new();
     }
-
-    /// Zero-alloc tokenization + window selection for lowercase-ASCII
-    /// bodies. Token boundaries replicate [`pws_text::tokenize`] exactly:
-    /// maximal runs of alphanumerics plus intra-word apostrophes.
-    fn extract_ascii(&mut self, body: &str, window: usize) -> String {
-        let (q_tokens, want) = (self.q_tokens, &self.want);
-        let SnippetScratch { ranges, is_query_term } = &mut *self.scratch;
-        let bytes = body.as_bytes();
-        ranges.clear();
-        let mut start: Option<usize> = None;
-        for (i, &b) in bytes.iter().enumerate() {
-            let in_token = b.is_ascii_alphanumeric()
-                || (b == b'\''
-                    && start.is_some()
-                    && bytes.get(i + 1).is_some_and(|n| n.is_ascii_alphanumeric()));
-            if in_token {
-                if start.is_none() {
-                    start = Some(i);
-                }
-            } else if let Some(s) = start.take() {
-                ranges.push((s as u32, i as u32));
-            }
-        }
-        if let Some(s) = start {
-            ranges.push((s as u32, bytes.len() as u32));
-        }
-        if ranges.is_empty() {
-            return String::new();
-        }
-        let window = window.max(1).min(ranges.len());
-
-        is_query_term.clear();
-        with_words(|words| {
-            is_query_term.extend(ranges.iter().map(|&(s, e)| {
-                // Porter never alters the first character.
-                want[bytes[s as usize] as usize]
-                    .then(|| query_term_of(words, &body[s as usize..e as usize], q_tokens))
-                    .flatten()
-            }))
-        });
-
-        let best_start = best_window(is_query_term, window);
-        let sel = &ranges[best_start..best_start + window];
-        let cap = sel.iter().map(|&(s, e)| (e - s) as usize + 1).sum::<usize>();
-        let mut out = String::with_capacity(cap);
-        for (j, &(s, e)) in sel.iter().enumerate() {
-            if j > 0 {
-                out.push(' ');
-            }
-            out.push_str(&body[s as usize..e as usize]);
-        }
-        out
-    }
+    let window = window.max(1).min(tokens.len());
+    // Match on stemmed forms so the snippet window aligns with BM25's
+    // view of the document.
+    let matches: Vec<(u32, u32)> = with_words(|words| {
+        (0..tokens.len() as u32)
+            .filter_map(|pos| {
+                let (stem, _) = words.analyse(&tokens[pos as usize]);
+                q_tokens.iter().position(|q| q == stem).map(|q| (pos, q as u32))
+            })
+            .collect()
+    });
+    let start = best_window(&matches, window);
+    tokens[start..start + window].join(" ")
 }
 
-/// The query token `token` stems to, if any.
-#[inline]
-fn query_term_of(words: &mut Words<'_>, token: &str, q_tokens: &[String]) -> Option<usize> {
-    let (stem, _) = words.analyse(token);
-    q_tokens.iter().position(|q| q == stem)
-}
-
-/// Can `token` possibly stem to one of `q_tokens`? The Porter stemmer never
-/// changes a word's first character, so a first-character mismatch against
-/// every query token is a proof of non-membership.
-#[inline]
-fn first_char_may_match(token: &str, q_tokens: &[String]) -> bool {
-    let Some(fc) = token.chars().next() else { return false };
-    q_tokens.iter().any(|q| q.starts_with(fc))
-}
-
-/// Incremental sliding window: per-term occurrence counts, with
-/// `distinct`/`total` maintained as tokens enter and leave. Windows are
-/// visited in the same order with the same strict-`>` comparisons as the
-/// quadratic rescan this replaces, so the selected window (and the snippet
-/// bytes) are identical. `window` must be in `1..=is_query_term.len()`.
-fn best_window(is_query_term: &[Option<usize>], window: usize) -> usize {
-    let nq = is_query_term.iter().flatten().max().map_or(0, |&m| m + 1);
-    let mut counts = vec![0usize; nq];
-    let mut distinct = 0usize;
-    let mut total = 0usize;
-    for qi in is_query_term[..window].iter().flatten() {
-        if counts[*qi] == 0 {
-            distinct += 1;
-        }
-        counts[*qi] += 1;
+/// The start of the best window of `window` tokens, given the tokens
+/// that match a query token as `(position, query token index)`, by
+/// position: most distinct query tokens, then most matches, then earliest
+/// — windows visited in order, replaced only by a strictly better one. A
+/// window can beat the one before it only when the token entering it
+/// matches, so only those windows are scored, with per-term counts and
+/// `distinct`/`total` maintained as matches enter and leave: the work is
+/// in the matches, not in the body. `window` must be at least 1 and at
+/// most the body's token count.
+fn best_window(matches: &[(u32, u32)], window: usize) -> usize {
+    let Some(nq) = matches.iter().map(|&(_, q)| q as usize + 1).max() else { return 0 };
+    let mut counts = vec![0u32; nq];
+    let (mut distinct, mut total) = (0usize, 0usize);
+    let first_window = matches.partition_point(|&(pos, _)| (pos as usize) < window);
+    for &(_, q) in &matches[..first_window] {
+        distinct += usize::from(counts[q as usize] == 0);
+        counts[q as usize] += 1;
         total += 1;
     }
-    let mut best_start = 0usize;
-    let mut best_distinct = distinct;
-    let mut best_total = total;
-    for start in 1..=(is_query_term.len() - window) {
-        if let Some(qi) = is_query_term[start - 1] {
-            counts[qi] -= 1;
-            if counts[qi] == 0 {
-                distinct -= 1;
-            }
+    let (mut best_start, mut best) = (0, (distinct, total));
+    let mut leaving = 0;
+    for &(pos, q) in &matches[first_window..] {
+        let start = pos as usize + 1 - window;
+        // Every match before `start` leaves; the entering one is at or
+        // after it, so this stops short of it.
+        while (matches[leaving].0 as usize) < start {
+            let out = matches[leaving].1 as usize;
+            counts[out] -= 1;
+            distinct -= usize::from(counts[out] == 0);
             total -= 1;
+            leaving += 1;
         }
-        if let Some(qi) = is_query_term[start + window - 1] {
-            if counts[qi] == 0 {
-                distinct += 1;
-            }
-            counts[qi] += 1;
-            total += 1;
-        }
-        if distinct > best_distinct || (distinct == best_distinct && total > best_total) {
-            best_distinct = distinct;
-            best_total = total;
+        distinct += usize::from(counts[q as usize] == 0);
+        counts[q as usize] += 1;
+        total += 1;
+        if (distinct, total) > best {
+            best = (distinct, total);
             best_start = start;
         }
     }
@@ -215,6 +176,7 @@ fn best_window(is_query_term: &[Option<usize>], window: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::SegmentBuilder;
     use pws_text::porter_stem;
 
     fn q(terms: &[&str]) -> Vec<String> {
@@ -265,87 +227,54 @@ mod tests {
         assert_eq!(s, "the quick fox");
     }
 
+    /// Windows scored from the matches alone pick the window the plain
+    /// quadratic rescan picks — every window, most distinct query tokens,
+    /// then most matches, first on ties — on random match patterns.
     #[test]
-    fn ascii_fast_path_matches_general_tokenizer() {
-        // Apostrophes, digits, punctuation — the tricky boundary cases.
-        let bodies = [
-            "it's o'hare's gate 22b, near the cafe.",
-            "dogs' 'quoted' x.y,z;(w) state-of-the-art",
-            "trailing apostrophe' and 'leading",
-            "word",
-            "  ",
-        ];
-        for body in bodies {
-            let via_slices = extract_snippet(body, &q(&["gate", "art"]), 4);
-            // Force the general path by round-tripping through tokenize.
-            let toks = tokenize(body);
-            let via_general = if toks.is_empty() {
-                String::new()
-            } else {
-                let w = 4usize.min(toks.len());
-                let iqt: Vec<Option<usize>> = toks
-                    .iter()
-                    .map(|t| {
-                        let s = porter_stem(t);
-                        q(&["gate", "art"]).iter().position(|qq| qq == &s)
-                    })
-                    .collect();
-                let bs = best_window(&iqt, w);
-                toks[bs..bs + w].join(" ")
-            };
-            assert_eq!(via_slices, via_general, "body = {body:?}");
+    fn best_window_equals_the_quadratic_rescan() {
+        let mut state = 0x2545_F491u64;
+        let mut next = move |n: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        for _ in 0..3_000 {
+            let len = 1 + next(90);
+            let (nq, density) = (1 + next(4), 1 + next(60));
+            let tokens: Vec<Option<usize>> =
+                (0..len).map(|_| (next(100) < density).then(|| next(nq))).collect();
+            let matches: Vec<(u32, u32)> = tokens
+                .iter()
+                .enumerate()
+                .filter_map(|(p, t)| t.map(|q| (p as u32, q as u32)))
+                .collect();
+            for window in [1, 2, 5, 24, len] {
+                let window = window.min(len);
+                let score = |s: usize| {
+                    let w: Vec<usize> = tokens[s..s + window].iter().flatten().copied().collect();
+                    let mut distinct = w.clone();
+                    distinct.sort_unstable();
+                    distinct.dedup();
+                    (distinct.len(), w.len())
+                };
+                let rescan = (1..=len - window).fold(0, |best, s| if score(s) > score(best) { s } else { best });
+                assert_eq!(best_window(&matches, window), rescan, "{tokens:?} window {window}");
+            }
         }
     }
 
-    /// The ASCII path with a linear-scan stem memo per body and a `String`
-    /// per stem, calling Porter directly. Kept as the oracle of the
-    /// differential test below.
-    fn reference_ascii(body: &str, q_tokens: &[String], window: usize) -> String {
-        let toks: Vec<&str> = body
-            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '\''))
-            .flat_map(|run| {
-                // Apostrophes count inside a word only.
-                let run = run.trim_matches('\'');
-                (!run.is_empty()).then_some(run)
-            })
-            .collect();
-        assert_eq!(toks, tokenize(body), "reference tokenizer drifted on {body:?}");
-        if toks.is_empty() {
-            return String::new();
-        }
-        let window = window.max(1).min(toks.len());
-        let mut memo: Vec<(&str, Option<usize>)> = Vec::new();
-        let is_query_term: Vec<Option<usize>> = toks
-            .iter()
-            .map(|&t| {
-                if !first_char_may_match(t, q_tokens) {
-                    return None;
-                }
-                if let Some(&(_, v)) = memo.iter().find(|(m, _)| *m == t) {
-                    return v;
-                }
-                let st = porter_stem(t);
-                let v = q_tokens.iter().position(|q| q == &st);
-                memo.push((t, v));
-                v
-            })
-            .collect();
-        let bs = best_window(&is_query_term, window);
-        toks[bs..bs + window].join(" ")
-    }
-
-    /// One extractor per query over a whole list of generated bodies — the
-    /// shape `materialize` uses — gives every body the snippet the per-body
-    /// implementation gives it. Bodies share inflected topic words (so the
-    /// word table is hit across bodies); every seventh is not lowercase
-    /// ASCII and takes the general path.
+    /// Every body of a segment cut from its form stream, per query and per
+    /// window, gives [`extract_snippet`]'s bytes and a window whose forms
+    /// joined are the snippet. Bodies share inflected topic words; every
+    /// seventh is not lowercase ASCII (upper case, `Köln`, `İstanbul`,
+    /// whose lowercase is not one token), and some carry forms of 41 and
+    /// 61 bytes. Queries include stems of stopwords and a stem no form has.
     #[test]
-    fn per_list_stem_memo_matches_the_per_body_memo() {
-        const TOPICS: [&str; 24] = [
+    fn stream_cut_equals_extract_snippet_on_generated_bodies() {
+        const TOPICS: [&str; 26] = [
             "restaurant", "restaurants", "booking", "bookings", "booked", "hotel", "hotels",
             "seafood", "lobster", "lobsters", "running", "runs", "runner", "menu", "menus",
             "harbor", "harbors", "don't", "o'hare's", "n73", "2009", "relational", "rates",
-            "rating",
+            "rating", "does", "the",
         ];
         const FILLER: [&str; 8] = ["filler", "the", "of", "x", "daily", "near", "city", "a"];
         let mut state = 0x9E37_79B9u64;
@@ -353,43 +282,43 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (state >> 33) as usize % n
         };
-        let bodies: Vec<String> = (0..210)
+        let long = format!("{} {}", "l".repeat(41), "m".repeat(61));
+        let mut bodies: Vec<String> = (0..210)
             .map(|i| {
-                let words: Vec<&str> = (0..20 + next(120))
+                let words: Vec<&str> = (0..next(120))
                     .map(|_| if next(3) == 0 { TOPICS[next(TOPICS.len())] } else { FILLER[next(FILLER.len())] })
                     .collect();
-                let body = words.join([" ", ", ", " - ", ". "][next(4)]);
+                let body = words.join([" ", ", ", " - ", ". ", "' '"][next(5)]);
                 match i % 7 {
-                    3 => format!("Köln café {body}"),
+                    3 => format!("Köln café İstanbul {body}"),
                     5 => body.to_uppercase(),
+                    6 => format!("{body} {long} seafood"),
                     _ => body,
                 }
             })
             .collect();
-        let queries: Vec<Vec<String>> = (0..24)
-            .map(|i| match i {
-                0 => vec![],
-                1 => q(&["zzz"]),
-                _ => (0..1 + next(3)).map(|_| porter_stem(TOPICS[next(TOPICS.len())])).collect(),
-            })
+        bodies.extend(["", "  !!! ''", "İ", "seafood"].map(String::from));
+        let mut b = SegmentBuilder::new(Default::default());
+        for (i, body) in bodies.iter().enumerate() {
+            b.add(&format!("u{i}"), "t", body);
+        }
+        let seg = b.finish_segment().expect("round trip");
+        let mut queries: Vec<Vec<String>> = (0..24)
+            .map(|_| (0..1 + next(3)).map(|_| porter_stem(TOPICS[next(TOPICS.len())])).collect())
             .collect();
+        queries.extend([vec![], q(&["zzz"]), q(&["does", "the", "seafood", "seafood"])]);
         let mut scratch = SnippetScratch::default();
-        let (mut ascii, mut general) = (0, 0);
         for q_tokens in &queries {
-            let mut snippets = scratch.for_query(q_tokens);
-            for body in &bodies {
-                for window in [5, 24] {
-                    let got = snippets.extract(body, window);
+            scratch.for_query(std::slice::from_ref(&seg), q_tokens);
+            for (local, body) in bodies.iter().enumerate() {
+                for window in [1, 5, 24] {
+                    let got = scratch.cut(0, &seg, local as u32, window);
                     assert_eq!(got, extract_snippet(body, q_tokens, window), "{q_tokens:?} {body:?}");
-                    if body.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase()) {
-                        assert_eq!(got, reference_ascii(body, q_tokens, window), "{q_tokens:?} {body:?}");
-                        ascii += 1;
-                    } else {
-                        general += 1;
-                    }
+                    let joined: Vec<&str> =
+                        scratch.window_forms().iter().map(|&f| seg.forms()[f as usize].as_str()).collect();
+                    assert_eq!(joined.join(" "), got);
                 }
             }
         }
-        assert!(ascii > 5_000 && general > 2_000, "{ascii} ascii, {general} general");
     }
 }

@@ -14,10 +14,10 @@
 
 use proptest::prelude::*;
 use pws_index::{
-    IndexBuilder, SearchEngine, Segment, SegmentBuilder, SegmentError, SegmentedIndex, StoredDoc,
-    FORMAT_VERSION, SEGMENT_FORMAT,
+    IndexBuilder, SearchEngine, SectionId, Segment, SegmentBuilder, SegmentError, SegmentedIndex,
+    StoredDoc, FORMAT_VERSION, SEGMENT_FORMAT,
 };
-use pws_obs::format::FormatError;
+use pws_obs::format::{Format, FormatError};
 
 const VOCAB: &[&str] = &[
     "lobster", "seafood", "harbor", "android", "battery", "camera", "hotel", "booking", "oyster",
@@ -210,12 +210,16 @@ fn write_file_open_round_trip() {
     let _ = std::fs::remove_dir(&dir);
 }
 
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf29ce484222325u64, |h, &x| (h ^ u64::from(x)).wrapping_mul(0x100000001b3))
+}
+
 /// The bytes `SegmentBuilder::finish` writes for a fixed corpus are pinned
-/// (length + FNV-1a-64, captured before the in-memory engine was folded
-/// into the segment path): `PWSSEG1` stays format version 1, byte for
-/// byte, with no new section.
+/// (length + FNV-1a-64): `PWSSEG1` format version 2, byte for byte. Its
+/// first seven sections are version 1's, byte for byte: re-containered as
+/// a version-1 file they give version 1's pin.
 #[test]
-fn golden_segment_bytes_pin_format_version_1() {
+fn golden_segment_bytes_pin_format_version_2() {
     let mut b = SegmentBuilder::new(Default::default());
     b.add("u0", "Crab shack", "fresh lobster roll and seafood daily");
     b.add("u1", "Roll call", "drum roll and lobster bisque tonight");
@@ -228,12 +232,105 @@ fn golden_segment_bytes_pin_format_version_1() {
         );
     }
     let bytes = b.finish();
-    let fnv = bytes
-        .iter()
-        .fold(0xcbf29ce484222325u64, |h, &x| (h ^ u64::from(x)).wrapping_mul(0x100000001b3));
     assert_eq!(&bytes[..8], pws_index::SEGMENT_MAGIC);
     assert_eq!(bytes[8..12], FORMAT_VERSION.to_le_bytes());
-    assert_eq!((bytes.len(), fnv), (36_461, 0xa92b_2450_ea4f_9952), "segment bytes moved");
+    assert_eq!(FORMAT_VERSION, 2);
+    assert_eq!((bytes.len(), fnv(&bytes)), (42_825, 0x10b7_603e_2630_5fb5), "segment bytes moved");
+    let v1 = Format { version: 1, sections: &SEGMENT_FORMAT.sections[..7], ..SEGMENT_FORMAT };
+    let payloads = SEGMENT_FORMAT.parse(&bytes).expect("parse")[..7].iter().map(|p| p.to_vec()).collect();
+    let v1_bytes = v1.write(payloads);
+    assert_eq!((v1_bytes.len(), fnv(&v1_bytes)), (36_461, 0xa92b_2450_ea4f_9952), "v1 sections moved");
+}
+
+/// The sections of a small valid segment, to mutate.
+fn small_sections() -> Vec<Vec<u8>> {
+    let bytes = one_segment_bytes(&[vec!["lobster", "seafood"], vec!["harbor", "lobster"], vec!["menu"]]);
+    SEGMENT_FORMAT.parse(&bytes).expect("parse").into_iter().map(<[u8]>::to_vec).collect()
+}
+
+/// `sections` with section `id` (1-based) replaced by `payload`, in a
+/// container whose checksums hold: only the section's own checks can
+/// reject it.
+fn load_with(mut sections: Vec<Vec<u8>>, id: SectionId, payload: Vec<u8>) -> Result<Segment, SegmentError> {
+    sections[id as usize - 1] = payload;
+    Segment::load_bytes(SEGMENT_FORMAT.write(sections))
+}
+
+fn malformed(what: &'static str) -> Result<(), SegmentError> {
+    Err(SegmentError::Format(FormatError::Malformed(what)))
+}
+
+/// Each way the two version-2 sections can be wrong is a typed error at
+/// load, never a panic and never a serve-time surprise.
+#[test]
+fn damaged_form_sections_fail_with_typed_errors() {
+    let sections = small_sections();
+    let (forms, doc_forms) = (sections[7].clone(), sections[8].clone());
+    let load = |id, payload| load_with(sections.clone(), id, payload).map(|_| ());
+    assert_eq!(load(SectionId::Forms, forms.clone()), Ok(()), "unmutated sections load");
+    // Three docs: one byte per token (ids 0 1 | 2 0 | 3), then a 24-byte
+    // end-offset table (2, 4, 5).
+    assert_eq!(doc_forms.len(), 5 + 24);
+    let set_end = |bytes: &mut Vec<u8>, doc: usize, end: u64| {
+        bytes[5 + 8 * doc..13 + 8 * doc].copy_from_slice(&end.to_le_bytes());
+    };
+
+    // Truncated: shorter than the offset table, and inside a varint.
+    assert_eq!(
+        load(SectionId::DocForms, doc_forms[..20].to_vec()),
+        Err(SegmentError::Format(FormatError::Truncated("DocForms.offsets")))
+    );
+    let mut split = doc_forms.clone();
+    split[0] |= 0x80; // the first id now claims a continuation byte …
+    set_end(&mut split, 0, 1); // … its run ends before it
+    assert_eq!(load(SectionId::DocForms, split), Err(SegmentError::Format(FormatError::Truncated("DocForms.ids"))));
+
+    // A form id past the form count.
+    let mut past = doc_forms.clone();
+    past[1] = 0x7f;
+    assert_eq!(load(SectionId::DocForms, past), malformed("form id out of range"));
+
+    // Offsets that go backwards, or past the stream.
+    let mut back = doc_forms.clone();
+    set_end(&mut back, 1, 1);
+    assert_eq!(load(SectionId::DocForms, back), malformed("DocForms offsets not monotone"));
+    let mut over = doc_forms.clone();
+    set_end(&mut over, 2, 9);
+    assert_eq!(load(SectionId::DocForms, over), malformed("DocForms offsets not monotone"));
+
+    // Trailing bytes after the last run, in either section.
+    let mut trailing = doc_forms.clone();
+    trailing.insert(5, 0);
+    assert_eq!(load(SectionId::DocForms, trailing), malformed("trailing bytes in DocForms"));
+    let mut trailing = forms.clone();
+    trailing.push(0);
+    assert_eq!(load(SectionId::Forms, trailing), malformed("trailing bytes in Forms"));
+
+    // A form that is not UTF-8, a duplicated form, a truncated form table.
+    let mut not_utf8 = forms.clone();
+    let at = not_utf8.len() - 1;
+    not_utf8[at] = 0xff;
+    assert_eq!(load(SectionId::Forms, not_utf8), malformed("non-utf8 form"));
+    let mut dup = vec![2u8];
+    dup.extend_from_slice(b"\x03abc\x03abc");
+    assert_eq!(load(SectionId::Forms, dup), malformed("empty or duplicate form"));
+    assert_eq!(
+        load(SectionId::Forms, forms[..forms.len() - 1].to_vec()),
+        Err(SegmentError::Format(FormatError::Truncated("Forms.bytes")))
+    );
+}
+
+/// A version-1 file — the same sections, no form stream — is refused
+/// with the typed version error: no version-1 reader is kept.
+#[test]
+fn version_1_bytes_are_refused() {
+    let sections = small_sections();
+    let v1 = Format { version: 1, sections: &SEGMENT_FORMAT.sections[..7], ..SEGMENT_FORMAT };
+    let bytes = v1.write(sections[..7].to_vec());
+    assert_eq!(
+        Segment::load_bytes(bytes).err(),
+        Some(SegmentError::Format(FormatError::UnsupportedVersion(1)))
+    );
 }
 
 /// Opening a missing path is a typed I/O error, not a panic.

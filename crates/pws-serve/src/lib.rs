@@ -988,10 +988,14 @@ impl<'a> ServingEngine<'a> {
         }
     }
 
-    /// Test hook: see [`EngineCore::with_concept_memo_capacity`].
+    /// Replace the retrieval cache with one of `capacity` pools (0 holds
+    /// none: every pool is cut and analysed afresh). The cache never
+    /// changes a turn's bytes, only the `serve.cache.*` and
+    /// `engine.concepts.*` counters — the pressure tests replay at 0 and 1
+    /// to pin exactly that — so this is a test hook, not a tuning knob.
     #[doc(hidden)]
-    pub fn with_concept_memo_capacity(mut self, capacity: usize) -> Self {
-        self.core = self.core.with_concept_memo_capacity(capacity);
+    pub fn with_retrieval_cache_capacity(mut self, capacity: usize) -> Self {
+        self.core = self.core.with_retrieval_cache(capacity);
         self
     }
 
@@ -2535,10 +2539,10 @@ mod tests {
         }
     }
 
-    /// One analysis per snippet, shown by count: a cold search analyses
-    /// each distinct pool snippet once, the page extraction finds every
-    /// snippet the pool step left in the memo, and a second user issuing
-    /// the same query analyses nothing at all.
+    /// One analysis per cached hit, shown by count: a cold search cuts and
+    /// analyses each pool hit once, the page extraction takes every
+    /// analysis from the pool, and a second user issuing the same query
+    /// cuts and analyses nothing at all.
     #[test]
     fn each_snippet_is_analysed_once_across_pool_page_and_users() {
         let _guard = pws_obs::test_lock();
@@ -2547,10 +2551,8 @@ mod tests {
         let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
         let q = "seafood restaurant";
         // A cold user has no preferred city, so the pool is the base pool.
-        let pool: Vec<String> =
-            idx.search(q, e.config().rerank_pool).into_iter().map(|h| h.snippet).collect();
-        let distinct = pool.iter().collect::<HashSet<_>>().len() as u64;
-        assert!(distinct >= 4, "fixture pool too small to be interesting");
+        let pool = idx.search(q, e.config().rerank_pool).len() as u64;
+        assert!(pool >= 4, "fixture pool too small to be interesting");
         let count = |name: &str| {
             let snap = pws_obs::snapshot();
             snap.stages.iter().find(|s| s.name == name).map(|s| s.count).unwrap_or(0)
@@ -2559,28 +2561,30 @@ mod tests {
         pws_obs::reset();
         let turn = e.search(UserId(1), q);
         assert!(turn.personalized);
-        let lookups = (pool.len() + turn.hits.len()) as u64;
-        assert_eq!(count("engine.concepts.snippet_miss"), distinct);
-        assert_eq!(count("engine.concepts.snippet_hit"), lookups - distinct);
-        assert_eq!(count("engine.concepts.memo_miss"), 1, "the pool call analysed snippets");
-        assert_eq!(count("engine.concepts.memo_hit"), 1, "the page call analysed none");
+        let page = turn.hits.len() as u64;
+        assert_eq!(count("engine.retrieval.snippets_cut"), pool);
+        assert_eq!(count("engine.concepts.analyze"), 1, "one analysis span, at the cut");
+        assert_eq!(count("engine.concepts.snippet_miss"), pool);
+        assert_eq!(count("engine.concepts.snippet_hit"), page);
+        assert_eq!(count("engine.concepts.memo_miss"), 1, "the pool call counted built analyses");
+        assert_eq!(count("engine.concepts.memo_hit"), 1, "the page call took them from the pool");
 
         let other = e.search(UserId(2), q);
-        assert_eq!(count("engine.concepts.snippet_miss"), distinct, "shared base pool: 0 new");
-        assert_eq!(
-            count("engine.concepts.snippet_hit"),
-            lookups - distinct + (pool.len() + other.hits.len()) as u64
-        );
+        assert_eq!(count("engine.retrieval.snippets_cut"), pool, "shared base pool: 0 new cuts");
+        assert_eq!(count("engine.concepts.analyze"), 1, "and no analysis");
+        assert_eq!(count("engine.concepts.snippet_miss"), pool);
+        assert_eq!(count("engine.concepts.snippet_hit"), page + pool + other.hits.len() as u64);
         assert_eq!(count("engine.concepts.memo_hit"), 3);
     }
 
-    /// The snippet memo changes nothing but its counters: with no memo
-    /// (capacity 0) and with one slot (capacity 1, so every insert evicts
-    /// and the page step finds almost nothing the pool step analysed) the
-    /// replay is byte-identical to serial at every shard/thread count.
-    /// The default capacity is what every other test in this suite runs.
+    /// The retrieval cache — and with it the kept analyses — changes
+    /// nothing but its counters: with no cache (capacity 0, every pool cut
+    /// and analysed afresh) and with one pool per lock shard (capacity 1,
+    /// so pools are evicted and cut again) the replay is byte-identical to
+    /// serial at every shard/thread count. The default capacity is what
+    /// every other test in this suite runs.
     #[test]
-    fn sharded_replay_is_byte_identical_under_concept_memo_pressure() {
+    fn sharded_replay_is_byte_identical_at_retrieval_cache_capacities_0_and_1() {
         let _guard = pws_obs::test_lock();
         let queries = |u: u32| -> Vec<String> {
             vec![
@@ -2604,19 +2608,23 @@ mod tests {
                         EngineConfig::default(),
                         ServeConfig { shards, stats_refresh_every: 1, ..ServeConfig::default() },
                     )
-                    .with_concept_memo_capacity(capacity);
+                    .with_retrieval_cache_capacity(capacity);
                     let sharded = replay_on_engine(&e, &log, threads);
-                    let label = format!("memo capacity {capacity}, {shards} shards / {threads} threads");
+                    let label = format!("cache capacity {capacity}, {shards} shards / {threads} threads");
                     assert_equivalent(&serial, &sharded, &label);
                     let snap = pws_obs::snapshot();
                     let count = |name: &str| {
                         snap.stages.iter().find(|s| s.name == name).map(|s| s.count).unwrap_or(0)
                     };
-                    let (hit, miss) =
-                        (count("engine.concepts.snippet_hit"), count("engine.concepts.snippet_miss"));
-                    assert!(miss > 0, "{label}");
+                    let (hit, miss) = (count("serve.cache.hit"), count("serve.cache.miss"));
+                    assert!(miss > 0 && count("engine.concepts.snippet_miss") > 0, "{label}");
                     if capacity == 0 {
-                        assert_eq!(hit, 0, "{label}: nothing to hit without a memo");
+                        assert_eq!(hit, 0, "{label}: nothing to hit without a cache");
+                        assert_eq!(
+                            count("engine.retrieval.snippets_cut"),
+                            count("engine.concepts.snippet_miss"),
+                            "{label}: every pool hit cut and analysed afresh"
+                        );
                     }
                 }
             }

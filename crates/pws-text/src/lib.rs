@@ -117,6 +117,54 @@ impl Analyzer {
         });
     }
 
+    /// What the pipeline makes of one token as the tokenizer hands it out
+    /// (lowercased): its term, or `None` when a filter drops it. Over the
+    /// tokens of a text, in order, the `Some`s are exactly
+    /// [`Analyzer::for_each_token`]'s output — a caller that keeps the
+    /// tokens themselves (the segment builder's form stream) analyses each
+    /// distinct one once through this.
+    pub fn term_of(&self, form: &str) -> Option<String> {
+        if form.len() < self.min_token_len || form.len() > self.max_token_len {
+            return None;
+        }
+        if !self.stem {
+            return (!(self.remove_stopwords && is_stopword(form))).then(|| form.to_string());
+        }
+        word::with_words(|words| {
+            let (stem, stop) = words.analyse(form);
+            (!(self.remove_stopwords && stop)).then(|| stem.to_string())
+        })
+    }
+
+    /// Does `haystack` contain `needle` as a contiguous run of whole terms
+    /// (both analysed by this analyser)? An empty needle is trivially
+    /// contained. Streams both texts; nothing is collected.
+    pub fn contains_run(&self, haystack: &str, needle: &str) -> bool {
+        let mut len = 0u32;
+        self.for_each_token(needle, |_| len += 1);
+        if len == 0 {
+            return true;
+        }
+        if len > u64::BITS {
+            // Longer than the match mask below is wide: compare collected.
+            let (haystack, needle) = (self.analyze(haystack), self.analyze(needle));
+            return haystack.windows(needle.len()).any(|w| w == needle);
+        }
+        // Shift-and matching: bit `i` of `runs` is set when the haystack terms
+        // seen last equal the needle's first `i + 1`.
+        let (mut runs, mut found) = (0u64, false);
+        self.for_each_token(haystack, |token| {
+            let (mut equal, mut i) = (0u64, 0);
+            self.for_each_token(needle, |n| {
+                equal |= u64::from(n == token) << i;
+                i += 1;
+            });
+            runs = (runs << 1 | 1) & equal;
+            found |= runs >> (len - 1) & 1 == 1;
+        });
+        found
+    }
+
     /// Analyze and intern in one pass, returning symbol ids.
     pub fn analyze_interned(&self, text: &str, interner: &mut Interner) -> Vec<Sym> {
         self.analyze(text).into_iter().map(|t| interner.intern(&t)).collect()
@@ -154,6 +202,52 @@ mod tests {
     fn empty_input_gives_empty_output() {
         assert!(Analyzer::default().analyze("").is_empty());
         assert!(Analyzer::default().analyze("   \t\n ").is_empty());
+    }
+
+    #[test]
+    fn term_of_each_token_is_the_pipeline() {
+        let text = "The RUNNING dogs' O'Hare's a x Köln İstanbul restaurants \
+                    qqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqqq of";
+        for a in [
+            Analyzer::default(),
+            Analyzer::verbatim(),
+            Analyzer { stem: false, ..Analyzer::default() },
+            Analyzer { remove_stopwords: false, ..Analyzer::default() },
+        ] {
+            let mut via_forms = Vec::new();
+            tokenize::for_each_token(text, |form| via_forms.extend(a.term_of(form)));
+            assert_eq!(via_forms, a.analyze(text), "{a:?}");
+        }
+    }
+
+    #[test]
+    fn token_run_containment() {
+        let verbatim = Analyzer::verbatim();
+        let contains = |h: &str, n: &str| verbatim.contains_run(h, n);
+        assert!(contains("restaurants in york", "york"));
+        assert!(contains("best new york pizza", "new york"));
+        // Substring of a longer token is NOT a mention.
+        assert!(!contains("restaurants in yorkshire", "york"));
+        // Token runs must be contiguous and in order.
+        assert!(!contains("new deals in york", "new york"));
+        assert!(!contains("york new bridge", "new york"));
+        // Empty needle is trivially contained; oversized needle never is.
+        assert!(contains("a b", ""));
+        assert!(contains("a b", " ,"));
+        assert!(!contains("york", "new york"));
+        // A failed run may overlap the start of the one that matches.
+        assert!(contains("new new york", "new york"));
+        assert!(contains("a a a b", "a a b"));
+        assert!(!contains("a a a", "a a b"));
+        // Surface forms, case-folded; non-ASCII takes the general tokenizer.
+        assert!(contains("Hotels in New-York!", "new york"));
+        assert!(contains("bars in KÖLN tonight", "köln"));
+        // Past the 64-token mask the collected comparison answers.
+        let long: Vec<String> = (0..70).map(|i| format!("t{i}")).collect();
+        let (needle, hay) = (long.join(" "), format!("x {} y", long.join(" ")));
+        assert!(contains(&hay, &needle));
+        assert!(!contains(&hay, &format!("{needle} z")));
+        assert!(contains(&hay, &long[3..67].join(" ")), "exactly 64 tokens");
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! benchmark corpus is 23.3 M tokens over 491 distinct forms), so every
 //! thread keeps a table from tokenised form to `(stem, is stopword)` and
 //! runs the stopword search and Porter only on a form's first sight.
-//! [`crate::Analyzer::for_each_token`] (index build, snippet and query
-//! analysis, title matching) and query-biased snippet extraction read
-//! stems through [`with_words`]; nothing else calls the stemmer.
+//! [`crate::Analyzer::for_each_token`] and [`crate::Analyzer::term_of`]
+//! (index build, segment load, query and text analysis, title matching)
+//! and the string snippet extractor read stems through [`with_words`];
+//! nothing else calls the stemmer.
 //!
 //! The table **memoises, it never decides**: a hit hands out what
 //! [`porter_stem`](crate::porter_stem) and [`is_stopword`] returned for

@@ -75,14 +75,17 @@ if grep -nE '(Vec|HashMap)::new\(\)' \
 fi
 
 # only_in_fn PATTERN ALLOWED_FNS FILE...: print every non-comment line
-# before a file's test module that contains PATTERN (a fixed string)
-# outside the functions named in the space-separated ALLOWED_FNS.
+# before a file's test module (a `#[cfg(test)]` line followed by a `mod`
+# line; a cfg(test) item before it does not end the scan) that contains
+# PATTERN (a fixed string) outside the functions named in the
+# space-separated ALLOWED_FNS.
 only_in_fn() {
     local pattern="$1" allowed="$2" f
     shift 2
     for f in "$@"; do
         awk -v f="$f" -v pat="$pattern" -v allowed=" $allowed " '
-            /^#\[cfg\(test\)\]/ { exit }
+            cfg && /^(pub )?mod / { exit }
+            { cfg = /^#\[cfg\(test\)\]/ }
             /^[ \t]*\/\// { next }
             match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
             index($0, pat) && !index(allowed, " " fn " ") { print f ":" FNR ":" $0 }
@@ -90,24 +93,69 @@ only_in_fn() {
     done
 }
 
+# in_fns PATTERN FNS FILE...: print every non-comment line before a
+# file's test module (as in only_in_fn) that contains PATTERN (a fixed
+# string) inside one of the functions named in the space-separated FNS.
+in_fns() {
+    local pattern="$1" fns="$2" f
+    shift 2
+    for f in "$@"; do
+        awk -v f="$f" -v pat="$pattern" -v fns=" $fns " '
+            cfg && /^(pub )?mod / { exit }
+            { cfg = /^#\[cfg\(test\)\]/ }
+            /^[ \t]*\/\// { next }
+            match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+            index($0, pat) && index(fns, " " fn " ") { print f ":" FNR ":" $0 }
+        ' "$f"
+    done
+}
+
 echo "==> analyse-once gate (analyser/matcher calls in pws-concepts only in snippet.rs)"
-# Concept extraction analyses a snippet exactly once: SnippetAnalysis::new
-# (crates/pws-concepts/src/snippet.rs) is the only serving-path code that
-# runs the analyser or the location matcher; the counting pass works on
-# analyses. reference.rs (the five-pass oracle behind extract_reference)
-# and #[cfg(test)] modules are exempt.
+# Concept extraction analyses a snippet exactly once:
+# crates/pws-concepts/src/snippet.rs — SnippetAnalysis::new from text,
+# FormTable::new once per index segment form, SnippetAnalysis::from_forms
+# off that table — is the only serving-path code that runs the analyser
+# or the location matcher; the counting pass works on analyses.
+# reference.rs (the five-pass oracle behind extract_reference) and
+# #[cfg(test)] modules are exempt.
 if for f in crates/pws-concepts/src/*.rs; do
     case "$f" in */snippet.rs|*/reference.rs) continue ;; esac
     awk -v f="$f" '/^#\[cfg\(test\)\]/{exit} {print f":"FNR":"$0}' "$f"
 done | grep -vE '^[^:]+:[0-9]+:\s*//' \
-     | grep -E '\.(analyze(_into|_interned)?|for_each_token|locations_in|match_text|match_tokens)\('; then
+     | grep -E '\.(analyze(_into|_interned)?|for_each_token|term_of|locations_in(_words)?|token_word|match_text|match_tokens)\(|tokenize\('; then
     echo "FAIL: snippet text analysed outside SnippetAnalysis::new — go through crate::snippet"
     exit 1
 fi
 
+echo "==> tokenise-once gate (no body or snippet text tokenised or stemmed at serve time)"
+# A document is tokenised once, when its segment is built: a snippet is cut
+# from the stored form stream (crates/pws-index: SegmentedIndex::cut_hits and
+# materialize, SnippetScratch::for_query / cut / window_forms, best_window,
+# Segment::touch / doc_fields / doc_forms / forms_stemming_to), and the engine
+# analyses it off its form ids. Neither that path nor any non-test code in
+# pws-core tokenises, reads the word table or calls the string entry point
+# extract_snippet; and pws-core reaches SnippetAnalysis::new only through
+# SnippetAnalysis::from_forms' fallback (a window holding a form that does
+# not re-tokenise to itself). #[cfg(test)] modules are exempt.
+cut_path_fns='cut_hits materialize for_query cut window_forms best_window touch doc_fields doc_forms forms_stemming_to'
+for pattern in 'tokenize(' 'for_each_token(' 'with_words(' 'extract_snippet('; do
+    if in_fns "$pattern" "$cut_path_fns" crates/pws-index/src/segmented.rs \
+        crates/pws-index/src/snippet.rs crates/pws-index/src/segment.rs | grep .; then
+        echo "FAIL: text tokenised on the snippet-cutting path — cut from the form stream"
+        exit 1
+    fi
+done
+if for f in crates/pws-core/src/*.rs; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /^[ \t]*\/\// { next } { print f ":" FNR ":" $0 }' "$f"
+done | grep -E 'tokenize\(|for_each_token\(|with_words\(|extract_snippet\(|SnippetAnalysis::new\('; then
+    echo "FAIL: pws-core tokenises text or analyses a snippet from text — analyse off the form ids"
+    exit 1
+fi
+
 echo "==> intern-once gate (term ids assigned in pws-concepts only in snippet.rs / dict.rs)"
-# A term gets its id once, when its snippet is analysed: SnippetAnalysis::new
-# interns into the engine-wide TermDict (crates/pws-concepts/src/dict.rs) and
+# A term gets its id once: FormTable::new interns each index form's term into
+# the engine-wide TermDict (crates/pws-concepts/src/dict.rs) when the engine
+# is built, SnippetAnalysis::new each term of a text it analyses, and
 # the counting pass works on those integers out of its scratch table — it
 # builds no interner and owns no hash map, and the only strings it makes are
 # the names of the concepts it returns. reference.rs and #[cfg(test)] modules
@@ -127,11 +175,12 @@ fi
 
 echo "==> analyse-per-word gate (Porter and the stopword table only behind pws-text's word table)"
 # A word is stopword-tested and stemmed once per thread: pws-text's word
-# table (crates/pws-text/src/word.rs, read through Analyzer::for_each_token
-# and pws_text::with_words) is the only way in. Outside pws-text no code
-# calls the stemmer or the stopword search itself, and segment build streams
-# the analyser instead of collecting its output. reference.rs and
-# #[cfg(test)] modules are exempt.
+# table (crates/pws-text/src/word.rs, read through Analyzer::for_each_token,
+# Analyzer::term_of and pws_text::with_words) is the only way in. Outside
+# pws-text no code calls the stemmer or the stopword search itself; segment
+# build streams the analyser instead of collecting its output, and analyses
+# a body form only on its first sight (Analyzer::term_of only in
+# SegmentBuilder::add). reference.rs and #[cfg(test)] modules are exempt.
 if for f in crates/*/src/*.rs crates/*/src/*/*.rs; do
     case "$f" in crates/pws-text/*|*/reference.rs) continue ;; esac
     awk -v f="$f" '/^#\[cfg\(test\)\]/{exit} {print f":"FNR":"$0}' "$f"
@@ -142,6 +191,10 @@ done | grep -vE '^[^:]+:[0-9]+:\s*//' \
 fi
 if only_in_fn '.analyze(' '' crates/pws-index/src/segment.rs | grep .; then
     echo "FAIL: SegmentBuilder collects analysed tokens — stream them with for_each_token"
+    exit 1
+fi
+if only_in_fn '.term_of(' 'add' crates/pws-index/src/*.rs | grep .; then
+    echo "FAIL: a body form analysed outside SegmentBuilder::add — analyse each form once, on first sight"
     exit 1
 fi
 
