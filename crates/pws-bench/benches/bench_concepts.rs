@@ -45,16 +45,16 @@ fn bench_concepts(c: &mut Criterion) {
     });
     g.bench_function("page_10_snippets", |b| b.iter(|| std::hint::black_box(extract(page))));
 
-    let dict = TermDict::new();
+    let mut dict = TermDict::new();
     g.bench_function("phase_analyse_30_snippets", |b| {
         b.iter(|| {
             let analyses: Vec<SnippetAnalysis> =
-                snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher, &dict)).collect();
+                snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher, &mut dict)).collect();
             std::hint::black_box(analyses)
         })
     });
     let analyses: Vec<SnippetAnalysis> =
-        snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher, &dict)).collect();
+        snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher, &mut dict)).collect();
     g.bench_function("phase_count_30_snippets", |b| {
         b.iter(|| {
             std::hint::black_box(QueryConceptOntology::from_analyses(
@@ -69,10 +69,10 @@ fn bench_concepts(c: &mut Criterion) {
     });
 
     let analyst = SnippetAnalyst::new(&world.engine, &world.world);
-    let tokens = world.engine.analyze_text(&q.text);
-    let ranked = world.engine.rank_tokens(&tokens, 30);
+    let query = world.engine.terms().analyze(&q.text);
+    let ranked = world.engine.rank_tokens(&query, 30);
     let all: Vec<usize> = (0..ranked.len()).collect();
-    let cut = world.engine.cut_hits(&tokens, &ranked, &all);
+    let cut = world.engine.cut_hits(&query, &ranked, &all);
     g.bench_function("phase_analyse_30_snippets_from_forms", |b| {
         b.iter(|| {
             let analyses: Vec<SnippetAnalysis> = cut.iter().map(|c| analyst.analyse(c)).collect();

@@ -17,7 +17,7 @@
 //!   executor is gated against;
 //! * **cached** — [`SegmentedIndex::rank_tokens`] on
 //!   `ExperimentWorld.engine` (the single segment [`IndexBuilder`] built
-//!   in RAM) behind `pws-core`'s [`RetrievalCache`] (analyze once,
+//!   in RAM) behind `pws-core`'s [`RetrievalCache`] (analyse to ids once,
 //!   probe, rank on a miss, cut and analyse each hit's snippet the first
 //!   time it is taken), the configuration the serving layer runs;
 //! * **segmented** — [`SegmentedIndex::search`] over four segment files
@@ -95,7 +95,7 @@ fn backends<'a>(
     ]
 }
 
-/// What the engine core does per base retrieval: analyze once, probe the
+/// What the engine core does per base retrieval: analyse to ids once, probe the
 /// cache, fall through to the index on a miss (rank only) and fill; then
 /// take every hit of the pool — cutting and analysing the snippets nobody
 /// cut yet — and copy each out once, as the engine does into its base
@@ -106,10 +106,10 @@ fn cached_search(
     analyst: &SnippetAnalyst,
     q: &str,
 ) -> Vec<SearchHit> {
-    let tokens = index.analyze_text(q);
-    let pool = cache.get(&tokens, POOL_K).unwrap_or_else(|| {
-        let ranked = index.rank_tokens(&tokens, POOL_K);
-        let pool = Arc::new(RankedPool::new(tokens, ranked));
+    let query = index.terms().analyze(q);
+    let pool = cache.get(&query, POOL_K).unwrap_or_else(|| {
+        let ranked = index.rank_tokens(&query, POOL_K);
+        let pool = Arc::new(RankedPool::new(query, ranked));
         cache.put(POOL_K, Arc::clone(&pool));
         pool
     });

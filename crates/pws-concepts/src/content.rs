@@ -16,7 +16,7 @@
 //! the query).
 //!
 //! Counting runs over [`SnippetAnalysis`] values, whose terms are ids in
-//! the engine-wide [`crate::TermDict`]: a unigram candidate is an id, a
+//! one [`TermDict`]: a unigram candidate is an id, a
 //! bigram a pair of them, both keys of one open-addressed table in the
 //! thread's `CountScratch`. Each candidate fills one snippet-incidence
 //! bitset row as it goes, so snippet frequency is a popcount and the
@@ -25,9 +25,9 @@
 //! reads term text only to order candidates that tie on frequency — in
 //! place, from the dictionary — and to name the concepts it returns. Ids
 //! are only ever compared for equality: which id a term got depends on
-//! which thread analysed what first, and no byte of output may.
+//! the order its dictionary met terms in, and no byte of output may.
 
-use crate::dict::Terms;
+use crate::dict::TermDict;
 use crate::scratch::CountScratch;
 use crate::snippet::{for_each_term, SnippetAnalysis};
 use pws_text::Sym;
@@ -85,7 +85,7 @@ fn terms_of(key: u64) -> (Sym, Option<Sym>) {
 }
 
 /// The bytes of a candidate's name — `a`, or `a b` — read in place.
-fn name_bytes<'t>(key: u64, known: &'t Terms<'_>) -> impl Iterator<Item = u8> + 't {
+fn name_bytes<'t>(key: u64, known: &'t TermDict<'_>) -> impl Iterator<Item = u8> + 't {
     let (a, b) = terms_of(key);
     let rest = b.into_iter().flat_map(|b| std::iter::once(b' ').chain(known.resolve(b).bytes()));
     known.resolve(a).bytes().chain(rest)
@@ -93,7 +93,7 @@ fn name_bytes<'t>(key: u64, known: &'t Terms<'_>) -> impl Iterator<Item = u8> + 
 
 /// The name of a concept that made the cut: the one place the pass builds
 /// a `String`.
-fn concept_name(key: u64, known: &Terms<'_>) -> String {
+fn concept_name(key: u64, known: &TermDict<'_>) -> String {
     match terms_of(key) {
         (a, None) => known.resolve(a).to_string(),
         (a, Some(b)) => [known.resolve(a), known.resolve(b)].join(" "),
@@ -101,7 +101,7 @@ fn concept_name(key: u64, known: &Terms<'_>) -> String {
 }
 
 /// Count content concepts of `query_text` over the analysed snippets
-/// (analyses of the dictionary `known` reads).
+/// (analyses against the dictionary `known`).
 ///
 /// Returns the concepts sorted by descending support, ties broken
 /// lexicographically (deterministic), and leaves their snippet-incidence
@@ -111,7 +111,7 @@ pub(crate) fn count_content<S: Borrow<SnippetAnalysis>>(
     query_text: &str,
     analyses: &[S],
     cfg: &ConceptConfig,
-    known: &Terms<'_>,
+    known: &TermDict<'_>,
     scratch: &mut CountScratch,
 ) -> Vec<ContentConcept> {
     let CountScratch { query, rows, keys, seen, ranked, chosen } = scratch;
@@ -129,7 +129,7 @@ pub(crate) fn count_content<S: Borrow<SnippetAnalysis>>(
     seen.reset(analyses.len());
     for (si, analysis) in analyses.iter().enumerate() {
         let mut before: Option<(Sym, bool)> = None;
-        for &term in analysis.borrow().terms(known.dict()) {
+        for &term in analysis.borrow().terms(known) {
             let in_query = query.contains(&term);
             let mut mark = |key: u64| {
                 let c = rows.row_or_insert_with(key, || {
@@ -194,7 +194,6 @@ pub(crate) fn count_content<S: Borrow<SnippetAnalysis>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dict::TermDict;
     use crate::graph::Incidence;
     use pws_geo::{LocationMatcher, LocationOntology};
 
@@ -202,11 +201,11 @@ mod tests {
     /// dictionary of its own: the concepts and their incidence rows.
     fn count(query_text: &str, snippets: &[String], cfg: &ConceptConfig) -> (Vec<ContentConcept>, Incidence) {
         let matcher = LocationMatcher::build(&LocationOntology::new());
-        let dict = TermDict::new();
+        let mut dict = TermDict::new();
         let analyses: Vec<SnippetAnalysis> =
-            snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher, &dict)).collect();
+            snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher, &mut dict)).collect();
         crate::scratch::with(|scratch| {
-            let concepts = count_content(query_text, &analyses, cfg, &dict.read(), scratch);
+            let concepts = count_content(query_text, &analyses, cfg, &dict, scratch);
             (concepts, scratch.chosen.clone())
         })
     }

@@ -232,11 +232,11 @@ mod tests {
         containment_threshold: f64,
     ) -> (Vec<ContentConcept>, ConceptGraph) {
         let matcher = LocationMatcher::build(&LocationOntology::new());
-        let dict = crate::TermDict::new();
+        let mut dict = crate::TermDict::new();
         let analyses: Vec<SnippetAnalysis> =
-            snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher, &dict)).collect();
+            snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher, &mut dict)).collect();
         crate::scratch::with(|scratch| {
-            let concepts = count_content("q", &analyses, &cfg(), &dict.read(), scratch);
+            let concepts = count_content("q", &analyses, &cfg(), &dict, scratch);
             let g = ConceptGraph::from_incidence(&scratch.chosen, sim_threshold, containment_threshold);
             (concepts, g)
         })

@@ -21,13 +21,13 @@
 //! each once: [`SnippetAnalysis`] ([`snippet`]) is everything one snippet
 //! contributes to any pool (its terms, the places it names) and is the
 //! only place the analyser and the matcher run — and the only place a
-//! term is interned: an analysis holds its terms as ids in an engine-wide
-//! [`TermDict`] ([`dict`]). [`QueryConceptOntology::from_analyses`] counts
-//! over analyses in one pass on those integers. An engine analyses a
-//! served snippet from its window's form ids through a per-segment
-//! [`FormTable`] built once, and keeps the analysis beside the cached hit,
-//! so a snippet seen again — by the page extraction, by another user's
-//! pool — is neither analysed nor interned again.
+//! term is interned: an analysis holds its terms as ids in a [`TermDict`]
+//! ([`dict`]; an engine's is its index's term table).
+//! [`QueryConceptOntology::from_analyses`] counts over analyses in one pass
+//! on those integers. An engine analyses a served snippet from its window's
+//! form ids through a per-segment [`FormTable`], and keeps the analysis
+//! beside the cached hit, so a snippet seen again — by the page extraction,
+//! by another user's pool — is not analysed again.
 //!
 //! ```
 //! use pws_concepts::{ConceptConfig, LocationConceptConfig, QueryConceptOntology};

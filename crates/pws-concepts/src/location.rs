@@ -134,9 +134,9 @@ mod tests {
         world: &LocationOntology,
         cfg: &LocationConceptConfig,
     ) -> Vec<LocationConcept> {
-        let dict = crate::TermDict::new();
+        let mut dict = crate::TermDict::new();
         let analyses: Vec<SnippetAnalysis> =
-            snippets.iter().map(|s| SnippetAnalysis::new(s, matcher, &dict)).collect();
+            snippets.iter().map(|s| SnippetAnalysis::new(s, matcher, &mut dict)).collect();
         count_locations(&analyses, world, cfg)
     }
 

@@ -36,8 +36,8 @@ pub struct QueryConceptOntology {
 
 impl QueryConceptOntology {
     /// Extract the full ontology from a result page's snippets: analyse
-    /// each snippet once (against a dictionary that lives for this call),
-    /// then run the counting pass ([`from_analyses`](Self::from_analyses)).
+    /// each snippet once (into a dictionary of this call's own), then run
+    /// the counting pass ([`from_analyses`](Self::from_analyses)).
     pub fn extract(
         query_text: &str,
         snippets: &[String],
@@ -46,9 +46,9 @@ impl QueryConceptOntology {
         content_cfg: &ConceptConfig,
         location_cfg: &LocationConceptConfig,
     ) -> Self {
-        let dict = TermDict::new();
+        let mut dict = TermDict::new();
         let analyses: Vec<SnippetAnalysis> =
-            snippets.iter().map(|s| SnippetAnalysis::new(s, matcher, &dict)).collect();
+            snippets.iter().map(|s| SnippetAnalysis::new(s, matcher, &mut dict)).collect();
         Self::from_analyses(query_text, &analyses, &dict, world, content_cfg, location_cfg)
     }
 
@@ -56,8 +56,8 @@ impl QueryConceptOntology {
     /// are already analysed (`analyses[i]` is snippet `i`, built against
     /// `dict`). Callers that see the same snippets again — the engine's
     /// pool and page, other users' pools — keep the analyses and pay only
-    /// for this pass, which interns nothing and works out of the thread's
-    /// reusable scratch.
+    /// for this pass, which reads `dict` (it cannot intern) and works out
+    /// of the thread's reusable scratch.
     ///
     /// # Panics
     /// Panics if an analysis was built against a dictionary other than
@@ -65,13 +65,13 @@ impl QueryConceptOntology {
     pub fn from_analyses<S: Borrow<SnippetAnalysis>>(
         query_text: &str,
         analyses: &[S],
-        dict: &TermDict,
+        dict: &TermDict<'_>,
         world: &LocationOntology,
         content_cfg: &ConceptConfig,
         location_cfg: &LocationConceptConfig,
     ) -> Self {
         let (content, graph, content_by_snippet) = crate::scratch::with(|scratch| {
-            let content = count_content(query_text, analyses, content_cfg, &dict.read(), scratch);
+            let content = count_content(query_text, analyses, content_cfg, dict, scratch);
             let incidence = &scratch.chosen;
             let graph = ConceptGraph::from_incidence(incidence, 0.4, 0.8);
             // Sized exactly first: a list per snippet, grown push by push,
@@ -210,7 +210,7 @@ mod tests {
     }
 
     /// The counting pass interns nothing and, once a thread has seen a pool
-    /// of a given size, allocates only what it returns: `Terms::intern` is
+    /// of a given size, allocates only what it returns: `TermDict::intern` is
     /// not called across `from_analyses` on kept analyses, and a second
     /// identical call leaves every scratch buffer at the capacity the first
     /// one grew it to.
@@ -231,7 +231,7 @@ mod tests {
         };
         let w = world();
         let m = LocationMatcher::build(&w);
-        let dict = TermDict::new();
+        let mut dict = TermDict::new();
         let topics = ["seafood", "lobster", "rolls", "sushi", "menu", "harbor", "booking", "port alden"];
         let pool: Vec<String> = (0..30)
             .map(|i| {
@@ -241,7 +241,7 @@ mod tests {
             })
             .collect();
         let kept: Vec<SnippetAnalysis> =
-            pool.iter().map(|s| SnippetAnalysis::new(s, &m, &dict)).collect();
+            pool.iter().map(|s| SnippetAnalysis::new(s, &m, &mut dict)).collect();
         assert!(interned() > 0);
         for analyses in [&kept[..], &kept[..10]] {
             let count = || {

@@ -7,22 +7,21 @@
 //! counting pass ([`crate::QueryConceptOntology::from_analyses`]) then works
 //! on analyses only and never looks at snippet text again.
 //!
-//! A served snippet is a window of an indexed body's tokens, joined by
-//! `' '` (see `pws_index::CutHit`), and each token — a *form* — adds to
-//! the analysis what the form alone decides: its term, its place-name
-//! token. So an engine builds one [`FormTable`] per index segment, once,
-//! and [`SnippetAnalysis::from_forms`] reads a snippet's analysis off its
-//! window's form ids; [`SnippetAnalysis::new`] analyses text (the string
-//! entry point, and the fallback for a window holding a form that would
-//! not re-tokenise to itself).
+//! A served snippet is a window of an indexed body's tokens (*forms*)
+//! joined by `' '`, and each form adds what it alone decides: its term ids,
+//! which the index gives (`pws_index::TermTable::form_terms`), and its
+//! place-name tokens. So an engine builds one [`FormTable`] per index
+//! segment, once, and [`SnippetAnalysis::from_forms`] reads a snippet's
+//! analysis off its window's form ids, exactly; [`SnippetAnalysis::new`]
+//! analyses text — the string entry point, and the oracle.
 //!
-//! This module is the **only** place in the crate's serving path where the
-//! analyser and the location matcher run, and where a term is given its id
-//! in the [`TermDict`] (`scripts/check.sh` greps for both).
+//! This module is the only place in the crate where the analyser and the
+//! matcher run, and [`SnippetAnalysis::new`] the only one that gives a term
+//! an id (`scripts/check.sh` greps for both).
 
 use crate::dict::TermDict;
 use pws_geo::{LocId, LocationMatcher};
-use pws_text::{tokenize, Analyzer, Sym};
+use pws_text::{Analyzer, Sym};
 
 /// Call `f` with each term of `text` under the analyser concepts are
 /// defined over (lowercase, stopwords dropped, Porter-stemmed). Snippets
@@ -48,15 +47,11 @@ pub struct SnippetAnalysis {
 impl SnippetAnalysis {
     /// Analyse `text`: one analyser run, one matcher run, each term
     /// interned in `dict`. The analysis can only be counted against `dict`.
-    pub fn new(text: &str, matcher: &LocationMatcher, dict: &TermDict) -> Self {
+    pub fn new(text: &str, matcher: &LocationMatcher, dict: &mut TermDict<'_>) -> Self {
         #[cfg(test)]
         BUILT.with(|n| n.set(n.get() + 1));
         let mut ids = Vec::new();
-        // One read lock for the whole snippet; `intern` trades it for the
-        // write lock only on a term no snippet had before.
-        let mut known = dict.read();
-        for_each_term(text, |t| ids.push(known.intern(t)));
-        drop(known);
+        for_each_term(text, |t| ids.push(dict.intern(t)));
         SnippetAnalysis {
             terms: ids.into(),
             locs: matcher.locations_in(text).into(),
@@ -65,30 +60,20 @@ impl SnippetAnalysis {
     }
 
     /// The analysis of a snippet cut as the forms `forms` of the segment
-    /// `table` was built for (`text` is their forms joined by `' '`), read
-    /// off the table: what [`SnippetAnalysis::new`] of `text` gives, with
-    /// no analyser run and no term interned. A window holding a form that
-    /// does not re-tokenise to itself is analysed from `text` instead.
+    /// `table` was built for, read off the table: what
+    /// [`SnippetAnalysis::new`] of their forms joined by `' '` gives, with
+    /// no analyser run and no term interned.
     ///
     /// # Panics
-    /// Panics if `table` was built against another dictionary than `dict`.
-    pub fn from_forms(
-        table: &FormTable,
-        forms: &[u32],
-        text: &str,
-        matcher: &LocationMatcher,
-        dict: &TermDict,
-    ) -> Self {
+    /// Panics if `table` was built against another dictionary than `dict`,
+    /// or a form id is not one of the table's.
+    pub fn from_forms(table: &FormTable, forms: &[u32], matcher: &LocationMatcher, dict: &TermDict<'_>) -> Self {
         assert_eq!(table.dict, dict.stamp(), "form table used with a dictionary it was not built with");
         let (mut terms, mut words) = (Vec::with_capacity(forms.len()), Vec::with_capacity(forms.len()));
         for &form in forms {
-            match table.forms.get(form as usize) {
-                Some(info) if info.plain => {
-                    terms.extend(info.term);
-                    words.extend(info.word);
-                }
-                _ => return Self::new(text, matcher, dict),
-            }
+            let (from, to) = (table.ends[form as usize], table.ends[form as usize + 1]);
+            terms.extend_from_slice(&table.terms[from.0 as usize..to.0 as usize]);
+            words.extend_from_slice(&table.words[from.1 as usize..to.1 as usize]);
         }
         SnippetAnalysis {
             terms: terms.into(),
@@ -113,7 +98,7 @@ impl SnippetAnalysis {
     /// # Panics
     /// Panics if the analysis was built against another dictionary: its
     /// ids would silently name other terms.
-    pub fn terms(&self, dict: &TermDict) -> &[Sym] {
+    pub fn terms(&self, dict: &TermDict<'_>) -> &[Sym] {
         assert_eq!(self.dict, dict.stamp(), "analysis counted against a dictionary it was not built with");
         &self.terms
     }
@@ -131,53 +116,40 @@ impl SnippetAnalysis {
     }
 }
 
-/// What one form contributes to any snippet holding it.
-#[derive(Debug, Clone, Copy)]
-struct FormInfo {
-    /// Its term's id (`None`: the analyser drops the form).
-    term: Option<Sym>,
-    /// Its place-name token id, as [`LocationMatcher::token_word`] gives
-    /// it (`None`: the matcher's analyser drops the form).
-    word: Option<Option<Sym>>,
-    /// `tokenize(form) == [form]`: the form reads back from snippet text
-    /// as itself. `term` and `word` are meaningful only when set.
-    plain: bool,
-}
-
 /// One index segment's forms (its distinct body tokens), each with what
-/// it contributes to a snippet analysis: built once per segment against
-/// the engine's dictionary, read by [`SnippetAnalysis::from_forms`].
+/// it contributes to a snippet analysis: its term ids, as the index gives
+/// them, and its place-name tokens. Built once per segment against the
+/// engine's dictionary, read by [`SnippetAnalysis::from_forms`].
 #[derive(Debug)]
 pub struct FormTable {
-    /// By form id.
-    forms: Box<[FormInfo]>,
+    /// Form `f`'s terms are `terms[ends[f].0..ends[f + 1].0]`, its
+    /// place-name tokens `words[ends[f].1..ends[f + 1].1]`.
+    ends: Box<[(u32, u32)]>,
+    terms: Box<[Sym]>,
+    /// Place-name token ids, as [`LocationMatcher::words_in`] gives them.
+    words: Box<[Option<Sym>]>,
     /// Stamp of the dictionary the term ids belong to.
     dict: u32,
 }
 
 impl FormTable {
-    /// Analyse each of `forms` (a segment's forms, form id = position)
-    /// once: its term under the concept analyser, interned in `dict`, and
-    /// its place-name token under `matcher`.
-    pub fn new(forms: &[String], matcher: &LocationMatcher, dict: &TermDict) -> Self {
-        let mut known = dict.read();
-        let forms = forms
-            .iter()
-            .map(|form| {
-                let (mut tokens, mut same) = (0, true);
-                tokenize::for_each_token(form, |t| {
-                    tokens += 1;
-                    same &= t == form;
-                });
-                let plain = tokens == 1 && same;
-                let mut term = None;
-                if plain {
-                    for_each_term(form, |t| term = Some(known.intern(t)));
-                }
-                FormInfo { term, word: matcher.token_word(form), plain }
-            })
-            .collect();
-        FormTable { forms, dict: dict.stamp() }
+    /// A table over `forms` (a segment's forms, form id = position), form
+    /// `f`'s term ids in `dict` being `terms_of(f)` — the terms
+    /// [`SnippetAnalysis::new`] makes of the form, as the index computed
+    /// them: each form's place-name tokens under `matcher` are found once.
+    pub fn new<'t>(
+        forms: &[String],
+        terms_of: impl Fn(u32) -> &'t [Sym],
+        matcher: &LocationMatcher,
+        dict: &TermDict<'_>,
+    ) -> Self {
+        let (mut ends, mut terms, mut words) = (vec![(0, 0)], Vec::new(), Vec::new());
+        for (form, f) in forms.iter().zip(0..) {
+            terms.extend_from_slice(terms_of(f));
+            words.extend(matcher.words_in(form));
+            ends.push((terms.len() as u32, words.len() as u32));
+        }
+        FormTable { ends: ends.into(), terms: terms.into(), words: words.into(), dict: dict.stamp() }
     }
 }
 
@@ -203,11 +175,10 @@ mod tests {
     fn terms_and_locations_match_the_analyser_and_the_matcher() {
         let (o, city) = world();
         let m = LocationMatcher::build(&o);
-        let dict = TermDict::new();
+        let mut dict = TermDict::new();
         let text = "The RUNNING dogs of Port Alden, don't they visit port alden?";
-        let a = SnippetAnalysis::new(text, &m, &dict);
-        let known = dict.read();
-        let terms: Vec<&str> = a.terms(&dict).iter().map(|&t| known.resolve(t)).collect();
+        let a = SnippetAnalysis::new(text, &m, &mut dict);
+        let terms: Vec<&str> = a.terms(&dict).iter().map(|&t| dict.resolve(t)).collect();
         assert_eq!(terms, Analyzer::default().analyze(text));
         assert_eq!(a.len(), terms.len());
         assert_eq!(a.locations(), m.locations_in(text));
@@ -220,9 +191,9 @@ mod tests {
     fn empty_and_termless_snippets() {
         let (o, _) = world();
         let m = LocationMatcher::build(&o);
-        let dict = TermDict::new();
+        let mut dict = TermDict::new();
         for text in ["", "   ", "the of and", "!!!"] {
-            let a = SnippetAnalysis::new(text, &m, &dict);
+            let a = SnippetAnalysis::new(text, &m, &mut dict);
             assert!(a.is_empty(), "{text:?}");
             assert!(a.locations().is_empty());
             assert_eq!(a.heap_bytes(), 0);
@@ -233,12 +204,12 @@ mod tests {
     /// Forms as the tokenizer hands them out — stopwords, one-letter,
     /// 41- and 61-byte, apostrophes, place-name tokens, `i̇` (the lowercase
     /// of `İ`, which re-tokenises as `i`) — in every window of a token
-    /// sequence: read off the table, the analysis of the joined window.
+    /// sequence: read off the table, whose term ids come from an index
+    /// holding the forms, the analysis of the joined window.
     #[test]
     fn from_forms_equals_the_analysis_of_the_joined_window() {
         let (o, _) = world();
         let m = LocationMatcher::build(&o);
-        let dict = TermDict::new();
         let (l41, l61) = ("l".repeat(41), "m".repeat(61));
         let forms: Vec<String> = [
             "port", "alden", "the", "of", "x", "seafood", "running", "don't", "o'hare's", &l41,
@@ -246,9 +217,18 @@ mod tests {
         ]
         .map(String::from)
         .to_vec();
-        let table = FormTable::new(&forms, &m, &dict);
-        assert_eq!(table.forms.len(), forms.len());
-        assert!(!table.forms[12].plain && table.forms[..12].iter().all(|f| f.plain));
+        // A body whose tokens are the forms, in order: `İstanbul` lowercases
+        // to the one token `i̇stanbul`.
+        let mut b = pws_index::SegmentBuilder::new(Analyzer::default());
+        b.add("u", "t", &forms.join(" ").replace("i\u{307}stanbul", "İstanbul"));
+        let index = pws_index::SegmentedIndex::from_segments(vec![b.finish_segment().expect("segment")])
+            .expect("index");
+        assert_eq!(index.segments()[0].forms(), &forms[..]);
+        let mut dict = TermDict::of(index.terms().interner());
+        let table = FormTable::new(&forms, |f| index.terms().form_terms(0, f), &m, &dict);
+        assert_eq!(table.ends.len(), forms.len() + 1);
+        let pieces = |f: usize| table.ends[f + 1].1 - table.ends[f].1;
+        assert!(pieces(12) == 2 && (0..forms.len()).filter(|&f| f != 12).all(|f| pieces(f) <= 1));
         let seq: Vec<u32> = [0, 1, 2, 9, 0, 10, 1, 5, 6, 11, 7, 8, 3, 0, 1, 4, 13, 12, 0, 1, 2]
             .into_iter()
             .collect();
@@ -257,11 +237,8 @@ mod tests {
                 let ids = &seq[start..end];
                 let text: Vec<&str> = ids.iter().map(|&f| forms[f as usize].as_str()).collect();
                 let text = text.join(" ");
-                assert_eq!(
-                    SnippetAnalysis::from_forms(&table, ids, &text, &m, &dict),
-                    SnippetAnalysis::new(&text, &m, &dict),
-                    "{text:?}"
-                );
+                let from_forms = SnippetAnalysis::from_forms(&table, ids, &m, &dict);
+                assert_eq!(from_forms, SnippetAnalysis::new(&text, &m, &mut dict), "{text:?}");
             }
         }
     }
@@ -271,15 +248,15 @@ mod tests {
     fn a_form_table_is_tied_to_its_dictionary() {
         let (o, _) = world();
         let m = LocationMatcher::build(&o);
-        let table = FormTable::new(&["seafood".to_string()], &m, &TermDict::new());
-        SnippetAnalysis::from_forms(&table, &[0], "seafood", &m, &TermDict::new());
+        let table = FormTable::new(&["seafood".to_string()], |_| &[], &m, &TermDict::new());
+        SnippetAnalysis::from_forms(&table, &[0], &m, &TermDict::new());
     }
 
     #[test]
     #[should_panic(expected = "dictionary it was not built with")]
     fn an_analysis_is_tied_to_its_dictionary() {
         let (o, _) = world();
-        let a = SnippetAnalysis::new("seafood", &LocationMatcher::build(&o), &TermDict::new());
+        let a = SnippetAnalysis::new("seafood", &LocationMatcher::build(&o), &mut TermDict::new());
         a.terms(&TermDict::new());
     }
 }

@@ -8,7 +8,7 @@
 //! touching the index when the core owns one (the serving layer always
 //! turns it on).
 //!
-//! A cached value is a [`RankedPool`]: the analyzed query tokens, the
+//! A cached value is a [`RankedPool`]: the analysed query (term ids), the
 //! ranked `(doc, BM25)` list [`pws_index::RetrievalBackend::rank_tokens`]
 //! returned, and one slot per hit that holds the hit — snippet included —
 //! and its snippet's analysis once some request has used it. A hit's
@@ -22,15 +22,16 @@
 //! and every request after that (pool and page extraction, every user)
 //! reuses both.
 //!
-//! The key is the **analyzed token sequence** plus the pool size `k`:
-//! surface forms that analyze identically ("Seafood  Restaurant!" vs
-//! "seafood restaurant") share one entry, and tokens are produced once per
-//! request via [`pws_index::RetrievalBackend::analyze_text`].
+//! The key is the **analysed query's ids, in query order**, plus the pool
+//! size `k`: "Seafood  Restaurant!" and "seafood restaurant" share one
+//! entry, and so does a query with a term the index has never seen (it is
+//! left out of the ids). Order is kept: BM25 sums a document's terms in
+//! query order, so "a b" and "b a" may differ in the last bit.
 //!
 //! Correctness contract: `get` returns exactly what `put` stored for the
-//! same `(tokens, k)`. The index is immutable for the engine's lifetime,
+//! same `(query, k)`. The index is immutable for the engine's lifetime,
 //! so a stored pool never goes stale. A snippet depends only on its body
-//! and the list's query tokens, so a hit cut late, alone, or by whichever
+//! and the list's query, so a hit cut late, alone, or by whichever
 //! of two racing requests wins its slot has the bytes an eager
 //! `search_tokens` would have given it. A pool is handed out as an `Arc`:
 //! a probe copies nothing under the shard lock, and the engine clones a
@@ -41,40 +42,41 @@
 
 use pws_concepts::{FormTable, SnippetAnalysis, TermDict};
 use pws_geo::{LocationMatcher, LocationOntology};
-use pws_index::{CutHit, RetrievalBackend, SearchHit};
+use pws_index::{CutHit, RetrievalBackend, SearchHit, Sym};
 use pws_obs::format::Fnv1a64;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Everything a served snippet's analysis is read from: the engine's term
-/// dictionary, one [`FormTable`] per index segment (built once, here), and
-/// the location matcher.
-pub struct SnippetAnalyst {
+/// Everything a served snippet's analysis is read from: the index's term
+/// table as the concept dictionary, one [`FormTable`] per index segment
+/// (built once, here), and the location matcher.
+pub struct SnippetAnalyst<'a> {
     matcher: LocationMatcher,
-    dict: TermDict,
+    dict: TermDict<'a>,
     tables: Vec<FormTable>,
 }
 
-impl SnippetAnalyst {
-    /// Build the form tables of every segment of `base` against a new
-    /// dictionary, with `world`'s matcher.
-    pub fn new(base: &dyn RetrievalBackend, world: &LocationOntology) -> Self {
+impl<'a> SnippetAnalyst<'a> {
+    /// Build the form tables of every segment of `base` over its term
+    /// table, with `world`'s matcher.
+    pub fn new(base: &'a dyn RetrievalBackend, world: &LocationOntology) -> Self {
         let matcher = LocationMatcher::build(world);
-        let dict = TermDict::new();
-        let tables =
-            base.segment_forms().into_iter().map(|forms| FormTable::new(forms, &matcher, &dict)).collect();
+        let (terms, forms) = base.segment_forms();
+        let dict = TermDict::of(terms.interner());
+        let tables = (0..forms.len())
+            .map(|s| FormTable::new(forms[s], |f| terms.form_terms(s, f), &matcher, &dict))
+            .collect();
         SnippetAnalyst { matcher, dict, tables }
     }
 
     /// The dictionary every analysis made here is built against.
-    pub fn dict(&self) -> &TermDict {
+    pub fn dict(&self) -> &TermDict<'a> {
         &self.dict
     }
 
     /// The analysis of a cut hit's snippet, from its window's form ids.
     pub fn analyse(&self, cut: &CutHit) -> SnippetAnalysis {
-        let table = &self.tables[cut.segment];
-        SnippetAnalysis::from_forms(table, &cut.forms, &cut.hit.snippet, &self.matcher, &self.dict)
+        SnippetAnalysis::from_forms(&self.tables[cut.segment], &cut.forms, &self.matcher, &self.dict)
     }
 }
 
@@ -88,12 +90,12 @@ pub struct PooledHit {
     pub analysis: Arc<SnippetAnalysis>,
 }
 
-/// One base retrieval: the analyzed query tokens, the ranked list, and
+/// One base retrieval: the analysed query (term ids), the ranked list, and
 /// each hit as cut and analysed on first use. Shared by the cache and
 /// every request served from it; a transient one serves an engine without
 /// a cache.
 pub struct RankedPool {
-    tokens: Vec<String>,
+    query: Vec<Sym>,
     ranked: Vec<(u32, f64)>,
     /// `hits[i]` is the hit at position `i` of `ranked`, once cut.
     hits: Box<[OnceLock<PooledHit>]>,
@@ -112,16 +114,16 @@ fn concepts_analyze() -> &'static pws_obs::StageMetrics {
 }
 
 impl RankedPool {
-    /// A pool over `ranked`, the `rank_tokens` list of `tokens`, with no
+    /// A pool over `ranked`, the `rank_tokens` list of `query`, with no
     /// hit cut yet.
-    pub fn new(tokens: Vec<String>, ranked: Vec<(u32, f64)>) -> Self {
+    pub fn new(query: Vec<Sym>, ranked: Vec<(u32, f64)>) -> Self {
         let hits = ranked.iter().map(|_| OnceLock::new()).collect();
-        RankedPool { tokens, ranked, hits }
+        RankedPool { query, ranked, hits }
     }
 
-    /// The analyzed query tokens the list was ranked (and is cut) for.
-    pub fn tokens(&self) -> &[String] {
-        &self.tokens
+    /// The analysed query the list was ranked (and is cut) for.
+    pub fn query(&self) -> &[Sym] {
+        &self.query
     }
 
     /// The ranked `(doc, BM25)` list, best first.
@@ -131,7 +133,7 @@ impl RankedPool {
 
     /// The hits at positions `which` of the list, in `which` order, each
     /// with whether this call cut it. Hits not cut yet are cut now, in one
-    /// `cut_hits` call against this pool's tokens, analysed by `analyst`
+    /// `cut_hits` call against this pool's query, analysed by `analyst`
     /// (the span `engine.concepts.analyze`), and kept; each counts once
     /// under `engine.retrieval.snippets_cut`. Two requests that race on a
     /// hit both cut it and keep whichever lands first — the same bytes.
@@ -142,12 +144,12 @@ impl RankedPool {
         &self,
         base: &dyn RetrievalBackend,
         which: &[usize],
-        analyst: &SnippetAnalyst,
+        analyst: &SnippetAnalyst<'_>,
     ) -> Vec<(&PooledHit, bool)> {
         let missing: Vec<usize> =
             which.iter().copied().filter(|&i| self.hits[i].get().is_none()).collect();
         if !missing.is_empty() {
-            let cut = base.cut_hits(&self.tokens, &self.ranked, &missing);
+            let cut = base.cut_hits(&self.query, &self.ranked, &missing);
             snippets_cut().incr(cut.len() as u64);
             let _span = concepts_analyze().span();
             for (&i, c) in missing.iter().zip(cut) {
@@ -171,7 +173,7 @@ const CACHE_SHARDS: usize = 8;
 
 /// One cached base retrieval.
 struct CacheEntry {
-    /// The pool size of the key; the key's tokens are the pool's. Both are
+    /// The pool size of the key; the key's query is the pool's. Both are
     /// compared on probe for collision rejection (the map is keyed by the
     /// 64-bit fingerprint; a colliding probe must miss, not alias).
     k: usize,
@@ -192,7 +194,7 @@ struct CacheShard {
 /// The shared base-retrieval cache: sharded and bounded LRU.
 ///
 /// * **Sharded** — `CACHE_SHARDS` mutexes, entries routed by an FNV-1a
-///   fingerprint of `(tokens, k)`, so concurrent queries for different
+///   fingerprint of `(query, k)`, so concurrent queries for different
 ///   strings rarely contend.
 /// * **Bounded** — each shard holds at most `⌈capacity / shards⌉`
 ///   entries; inserting past that evicts the shard's least-recently
@@ -213,13 +215,12 @@ pub struct RetrievalCache {
     recovered: Arc<pws_obs::StageMetrics>,
 }
 
-/// FNV-1a over the cache key. Token boundaries are delimited (so
-/// `["ab","c"]` ≠ `["a","bc"]`) and the pool size is folded in last.
-fn cache_fingerprint(tokens: &[String], k: usize) -> u64 {
+/// FNV-1a over the cache key: the query's ids in order, four bytes each,
+/// then the pool size.
+fn cache_fingerprint(query: &[Sym], k: usize) -> u64 {
     let mut h = Fnv1a64::new();
-    for t in tokens {
-        h.write(t.as_bytes());
-        h.write(&[0xff]);
+    for id in query {
+        h.write(&id.0.to_le_bytes());
     }
     h.write(&(k as u64).to_le_bytes());
     h.finish()
@@ -253,14 +254,14 @@ impl RetrievalCache {
         })
     }
 
-    /// The cached pool for `(tokens, k)`, or `None` on a miss.
-    pub fn get(&self, tokens: &[String], k: usize) -> Option<Arc<RankedPool>> {
-        let fp = cache_fingerprint(tokens, k);
+    /// The cached pool for `(query, k)`, or `None` on a miss.
+    pub fn get(&self, query: &[Sym], k: usize) -> Option<Arc<RankedPool>> {
+        let fp = cache_fingerprint(query, k);
         let mut shard = self.lock_shard(fp);
         shard.tick += 1;
         let tick = shard.tick;
         match shard.map.get_mut(&fp) {
-            Some(e) if e.k == k && e.pool.tokens == tokens => {
+            Some(e) if e.k == k && e.pool.query == query => {
                 e.tick = tick;
                 let pool = Arc::clone(&e.pool);
                 drop(shard);
@@ -275,13 +276,13 @@ impl RetrievalCache {
         }
     }
 
-    /// Store `pool` under `(pool.tokens(), k)`, evicting the shard's
+    /// Store `pool` under `(pool.query(), k)`, evicting the shard's
     /// least-recently touched entry when the shard is full.
     pub fn put(&self, k: usize, pool: Arc<RankedPool>) {
         if self.per_shard_capacity == 0 {
             return;
         }
-        let fp = cache_fingerprint(&pool.tokens, k);
+        let fp = cache_fingerprint(&pool.query, k);
         let mut shard = self.lock_shard(fp);
         shard.tick += 1;
         let tick = shard.tick;
@@ -334,12 +335,12 @@ mod tests {
         let queries = pws_corpus::QueryGen::new(seed + 3).generate(&spec);
         'fill: for city in &cities {
             for q in &queries {
-                let tokens = index.analyze_text(&format!("{} {city}", q.text));
-                if cache.get(&tokens, 30).is_some() {
+                let query = index.terms().analyze(&format!("{} {city}", q.text));
+                if cache.get(&query, 30).is_some() {
                     continue;
                 }
-                let ranked = index.rank_tokens(&tokens, 30);
-                let pool = Arc::new(RankedPool::new(tokens, ranked));
+                let ranked = index.rank_tokens(&query, 30);
+                let pool = Arc::new(RankedPool::new(query, ranked));
                 if pool.ranked().len() < 30 {
                     continue;
                 }
@@ -376,10 +377,10 @@ mod tests {
         pws_obs::reset();
         let cache = RetrievalCache::new(8); // 1 entry per lock shard
         for i in 0..100u32 {
-            let tokens = vec![format!("term{i}")];
-            cache.put(10, Arc::new(RankedPool::new(tokens.clone(), Vec::new())));
+            let query = vec![Sym(i)];
+            cache.put(10, Arc::new(RankedPool::new(query.clone(), Vec::new())));
             assert!(
-                cache.get(&tokens, 10).is_some(),
+                cache.get(&query, 10).is_some(),
                 "just-inserted entry must be resident"
             );
         }
@@ -392,10 +393,57 @@ mod tests {
             .map(|s| s.count)
             .unwrap_or(0);
         assert!(evictions >= 92, "100 inserts into 8 slots evict at least 92");
-        // Pool size is part of the key: same tokens, different k, miss.
-        let tokens = vec!["term99".to_string()];
-        assert!(cache.get(&tokens, 10).is_some());
-        assert!(cache.get(&tokens, 20).is_none());
+        // Pool size is part of the key: same query, different k, miss.
+        let query = vec![Sym(99)];
+        assert!(cache.get(&query, 10).is_some());
+        assert!(cache.get(&query, 20).is_none());
+    }
+
+    /// The key is the query's known ids in query order. A term the index
+    /// has never seen matches, marks and scores nothing and is left out of
+    /// the ids, so a query holding one is served — byte for byte, from that
+    /// query's entry — the pool of the query without it, cut as the string
+    /// path cuts the query with it. The same terms in another order miss:
+    /// BM25 sums a document's contributions in query order.
+    #[test]
+    fn the_key_is_the_known_ids_in_query_order() {
+        let _guard = pws_obs::test_lock();
+        const WORDS: [&str; 6] = ["seafood", "harbor", "lobster", "grill", "market", "dock"];
+        let mut b = IndexBuilder::new();
+        for i in 0..60u32 {
+            let body: Vec<&str> = (0..30).map(|j| WORDS[(i as usize * 5 + j * j) % 6]).collect();
+            b.add(StoredDoc::new(i, &format!("u{i}"), "dock house", &body.join(" ")));
+        }
+        let index = b.build();
+        let world = pws_geo::LocationOntology::new();
+        let core = crate::EngineCore::new(&index, &world, crate::EngineConfig::default()).with_retrieval_cache(64);
+        let (known, unseen) = ("seafood lobster dock", "Seafood zzqx lobster, dock");
+        assert_eq!(index.terms().analyze(unseen), index.terms().analyze(known));
+        assert_eq!(index.analyze_text(unseen).len(), 4, "the string path keeps the unseen token");
+
+        let (plain, first) = core.candidate_pool(known, None);
+        let (with, second) = core.candidate_pool(unseen, None);
+        assert_eq!((first, second), (Some(false), Some(true)), "the unseen term's query shares the entry");
+        assert!(!plain.is_empty() && plain.len() == with.len());
+        let with_tokens = index.analyze_text(unseen);
+        for ((a, an), (b, bn)) in plain.iter().zip(&with) {
+            assert!(a == b && an.to_bits() == bn.to_bits(), "{a:?} != {b:?}");
+            let body = index.doc(a.doc).body;
+            assert_eq!(a.snippet, pws_index::extract_snippet(&body, &with_tokens, 24));
+        }
+        let docs: Vec<u32> = plain.iter().map(|(h, _)| h.doc).collect();
+        let scores = |q: &str| -> Vec<u64> {
+            index.score_docs(&index.terms().analyze(q), &docs).iter().map(|s| s.to_bits()).collect()
+        };
+        assert_eq!(scores(unseen), scores(known));
+
+        let permuted = "lobster seafood dock";
+        let (mut a, mut b) = (index.terms().analyze(permuted), index.terms().analyze(known));
+        assert_ne!(a, b);
+        a.sort_unstable();
+        b.sort_unstable();
+        assert_eq!(a, b, "the same ids");
+        assert_eq!(core.candidate_pool(permuted, None).1, Some(false), "another order misses");
     }
 
     /// Threads that take hits of one fresh pool at once — each first a
@@ -420,8 +468,9 @@ mod tests {
         let eager = index.search_tokens(&tokens, 30);
         assert_eq!(eager.len(), 30);
         let all: Vec<usize> = (0..30).collect();
+        let query = index.terms().ids(&tokens);
         for _ in 0..20 {
-            let pool = RankedPool::new(tokens.clone(), index.rank_tokens(&tokens, 30));
+            let pool = RankedPool::new(query.clone(), index.rank_tokens(&query, 30));
             let barrier = Barrier::new(4);
             let got: Vec<Vec<SearchHit>> = std::thread::scope(|s| {
                 let threads: Vec<_> = (0..4)

@@ -22,7 +22,7 @@ use pws_click::{Impression, UserId};
 use pws_concepts::{QueryConceptOntology, SnippetAnalysis};
 use pws_entropy::{Effectiveness, QueryStats};
 use pws_geo::{LocId, LocationOntology};
-use pws_index::{RetrievalBackend, SearchHit};
+use pws_index::{RetrievalBackend, SearchHit, TermTable};
 use pws_obs::event::{FlightEvent, SearchStage};
 use pws_obs::trace::{BetaInputs, BetaProvenance, ConceptTrace, QueryTrace, ResultTrace};
 use pws_profile::{
@@ -144,6 +144,8 @@ pub(crate) struct Candidate {
 /// requests as long as each request brings its own [`UserState`].
 pub struct EngineCore<'a> {
     base: &'a dyn RetrievalBackend,
+    /// The index's term table: a query is analysed to its ids once.
+    terms: &'a TermTable,
     world: &'a LocationOntology,
     cfg: EngineConfig,
     trainer: PairwiseTrainer,
@@ -152,9 +154,10 @@ pub struct EngineCore<'a> {
     /// The feature stage, with the mode's ablation masks.
     extractor: FeatureExtractor,
     metrics: EngineMetrics,
-    /// Analyses of cut snippets, read off their form ids: the term
-    /// dictionary and one form table per index segment, built here once.
-    analyst: SnippetAnalyst,
+    /// Analyses of cut snippets, read off their form ids: the index's term
+    /// table as the concept dictionary and one form table per index
+    /// segment, built here once.
+    analyst: SnippetAnalyst<'a>,
     /// The shared base-retrieval cache, when this core owns one.
     retrieval_cache: Option<RetrievalCache>,
 }
@@ -172,6 +175,7 @@ impl<'a> EngineCore<'a> {
         EngineCore {
             analyst: SnippetAnalyst::new(base, world),
             base,
+            terms: base.segment_forms().0,
             world,
             cfg,
             trainer,
@@ -210,18 +214,18 @@ impl<'a> EngineCore<'a> {
     /// for the event's cache stamp. No snippet is cut here.
     fn retrieve_base(&self, query_text: &str) -> (Arc<RankedPool>, Option<bool>) {
         let k = self.cfg.rerank_pool;
-        let tokens = self.base.analyze_text(query_text);
-        let rank = |tokens: Vec<String>| {
-            let ranked = self.base.rank_tokens(&tokens, k);
-            Arc::new(RankedPool::new(tokens, ranked))
+        let query = self.terms.analyze(query_text);
+        let rank = |query: Vec<_>| {
+            let ranked = self.base.rank_tokens(&query, k);
+            Arc::new(RankedPool::new(query, ranked))
         };
         let Some(cache) = &self.retrieval_cache else {
-            return (rank(tokens), None);
+            return (rank(query), None);
         };
-        if let Some(pool) = cache.get(&tokens, k) {
+        if let Some(pool) = cache.get(&query, k) {
             return (pool, Some(true));
         }
-        let pool = rank(tokens);
+        let pool = rank(query);
         cache.put(k, Arc::clone(&pool));
         (pool, Some(false))
     }
@@ -267,7 +271,7 @@ impl<'a> EngineCore<'a> {
             .filter(|&i| !candidates.iter().any(|c| c.hit.doc == aug.ranked()[i].0))
             .collect();
         let new_docs: Vec<u32> = new.iter().map(|&i| aug.ranked()[i].0).collect();
-        let base_scores = self.base.score_docs(base.tokens(), &new_docs);
+        let base_scores = self.base.score_docs(base.query(), &new_docs);
         let (survivors, scores): (Vec<usize>, Vec<f64>) =
             new.into_iter().zip(base_scores).filter(|(_, s)| *s > 0.0).unzip();
         // A shared hit is cloned once, when it enters the pool.

@@ -627,7 +627,7 @@ mod tests {
                 title: "t".into(),
                 snippet: "s".into(),
             },
-            analysis: SnippetAnalysis::new("", &matcher, &TermDict::new()).into(),
+            analysis: SnippetAnalysis::new("", &matcher, &mut TermDict::new()).into(),
         }
     }
 

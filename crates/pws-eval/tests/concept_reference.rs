@@ -57,8 +57,9 @@ fn one_pass_equals_reference_on_every_paper_world_pool_and_page() {
     assert!(concepts > 10_000, "the fixed cases should not be vacuous: {concepts}");
 }
 
-/// Term ids are handed out in arrival order, which in a serving engine
-/// depends on thread interleaving. Two dictionaries seeded with the
+/// Term ids are handed out in arrival order: an engine's are its index's
+/// table's, which depend on the order segments were added in. Two
+/// dictionaries seeded with the
 /// corpus stems in opposite orders give every term two different ids; the
 /// ontologies counted against them must be the same value, and the
 /// reference's.
@@ -81,7 +82,7 @@ fn extraction_does_not_depend_on_term_id_order() {
             }
         });
     }
-    let (forward, reverse) = (TermDict::new(), TermDict::new());
+    let (mut forward, mut reverse) = (TermDict::new(), TermDict::new());
     for stem in &stems {
         forward.intern(stem);
     }
@@ -95,11 +96,11 @@ fn extraction_does_not_depend_on_term_id_order() {
     for (q, pool) in world.queries.iter().zip(&pools) {
         for snippets in [&pool[..], &pool[..pool.len().min(10)]] {
             for (content_cfg, location_cfg) in &variants() {
-                let [a, b] = [&forward, &reverse].map(|dict| {
+                let [a, b] = [&mut forward, &mut reverse].map(|dict| {
                     let analyses: Vec<SnippetAnalysis> =
                         snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher, dict)).collect();
                     QueryConceptOntology::from_analyses(
-                        &q.text, &analyses, dict, &world.world, content_cfg, location_cfg,
+                        &q.text, &analyses, &*dict, &world.world, content_cfg, location_cfg,
                     )
                 });
                 let slow = QueryConceptOntology::extract_reference(

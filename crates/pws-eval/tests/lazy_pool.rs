@@ -50,7 +50,8 @@ impl EagerBase {
         let new: Vec<SearchHit> =
             aug.into_iter().filter(|h| !pool.iter().any(|(c, _)| c.doc == h.doc)).collect();
         let docs: Vec<u32> = new.iter().map(|h| h.doc).collect();
-        for (h, s) in new.into_iter().zip(index.score_docs(&self.tokens, &docs)) {
+        let ids = index.segment_forms().0.ids(&self.tokens);
+        for (h, s) in new.into_iter().zip(index.score_docs(&ids, &docs)) {
             if s > 0.0 {
                 pool.push((h, s / max));
             }

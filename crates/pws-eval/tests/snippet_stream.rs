@@ -34,29 +34,31 @@ fn stems_of(body: &str) -> Vec<String> {
 }
 
 /// The two sides of the analysis check: a form table per segment against
-/// one dictionary, text analyses against another.
+/// the index's term table, text analyses against a dictionary of their
+/// own.
 struct Analyses<'w> {
     matcher: LocationMatcher,
     tables: Vec<FormTable>,
-    table_dict: TermDict,
-    text_dict: TermDict,
+    table_dict: TermDict<'w>,
+    text_dict: TermDict<'w>,
     world: &'w LocationOntology,
 }
 
 impl<'w> Analyses<'w> {
-    fn new(index: &SegmentedIndex, world: &'w LocationOntology) -> Self {
+    fn new(index: &'w SegmentedIndex, world: &'w LocationOntology) -> Self {
         let matcher = LocationMatcher::build(world);
-        let table_dict = TermDict::new();
-        let tables =
-            index.segment_forms().into_iter().map(|f| FormTable::new(f, &matcher, &table_dict)).collect();
+        let (terms, forms) = index.segment_forms();
+        let table_dict = TermDict::of(terms.interner());
+        let tables = (0..forms.len())
+            .map(|s| FormTable::new(forms[s], |f| terms.form_terms(s, f), &matcher, &table_dict))
+            .collect();
         Analyses { matcher, tables, table_dict, text_dict: TermDict::new(), world }
     }
 
     /// Terms as strings and place names of an analysis against `dict`.
     fn resolved(&self, a: &SnippetAnalysis, dict: &TermDict) -> (Vec<String>, Vec<String>) {
-        let terms = dict.read();
         (
-            a.terms(dict).iter().map(|&t| terms.resolve(t).to_string()).collect(),
+            a.terms(dict).iter().map(|&t| dict.resolve(t).to_string()).collect(),
             a.locations().iter().map(|&l| self.world.name(l).to_string()).collect(),
         )
     }
@@ -64,10 +66,10 @@ impl<'w> Analyses<'w> {
     /// Assert the window `forms` of segment `segment`, read off the table,
     /// analyses as `snippet` does from text; returns whether it names a
     /// place.
-    fn check(&self, segment: usize, forms: &[u32], snippet: &str) -> bool {
+    fn check(&mut self, segment: usize, forms: &[u32], snippet: &str) -> bool {
         let (m, d) = (&self.matcher, &self.table_dict);
-        let from_forms = SnippetAnalysis::from_forms(&self.tables[segment], forms, snippet, m, d);
-        let from_text = SnippetAnalysis::new(snippet, m, &self.text_dict);
+        let from_forms = SnippetAnalysis::from_forms(&self.tables[segment], forms, m, d);
+        let from_text = SnippetAnalysis::new(snippet, m, &mut self.text_dict);
         let want = self.resolved(&from_text, &self.text_dict);
         assert_eq!(self.resolved(&from_forms, d), want, "{snippet:?}");
         !want.1.is_empty()
@@ -150,7 +152,7 @@ fn check_world(
         cov.pairs += (templates.len() * per) as u64;
     }
 
-    let analyses = Analyses::new(index, world);
+    let mut analyses = Analyses::new(index, world);
     let mut windows: HashSet<(usize, Vec<u32>)> = HashSet::new();
     let mut order: Vec<usize> = by_variant.keys().copied().collect();
     order.sort_unstable();
@@ -158,7 +160,7 @@ fn check_world(
         let q = &variants[v];
         let ranked: Vec<(u32, f64)> = by_variant[&v].iter().map(|&d| (d, 0.0)).collect();
         let all: Vec<usize> = (0..ranked.len()).collect();
-        for cut in index.cut_hits(q, &ranked, &all) {
+        for cut in index.cut_hits(&index.terms().ids(q), &ranked, &all) {
             let body = &bodies[cut.hit.doc as usize];
             assert_eq!(cut.hit.snippet, extract_snippet(body, q, WINDOW), "doc {} q {q:?}", cut.hit.doc);
             cov.cuts += 1;
@@ -246,7 +248,7 @@ fn stream_cuts_and_form_analyses_equal_the_string_path_on_hand_built_segments() 
         b.add(&format!("u{i}"), "title", body);
     }
     let index = SegmentedIndex::from_segments(vec![b.finish_segment().expect("round trip")]).expect("index");
-    let analyses = Analyses::new(&index, &world);
+    let mut analyses = Analyses::new(&index, &world);
     let queries: Vec<Vec<String>> = [
         "seafood lobster",
         "seafood",
@@ -266,7 +268,7 @@ fn stream_cuts_and_form_analyses_equal_the_string_path_on_hand_built_segments() 
     let all: Vec<usize> = (0..ranked.len()).collect();
     let (mut placed, mut straddled) = (0, 0);
     for q in &queries {
-        for cut in index.cut_hits(q, &ranked, &all) {
+        for cut in index.cut_hits(&index.terms().ids(q), &ranked, &all) {
             let body = &bodies[cut.hit.doc as usize];
             assert_eq!(cut.hit.snippet, extract_snippet(body, q, WINDOW), "{body:?} {q:?}");
             placed += usize::from(analyses.check(cut.segment, &cut.forms, &cut.hit.snippet));

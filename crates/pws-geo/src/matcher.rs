@@ -128,8 +128,11 @@ impl LocationMatcher {
     }
 
     /// Tokenise `text` with the verbatim analyser and look each token up
-    /// among the name tokens — no `String` per token.
-    fn words_of(&self, text: &str) -> Vec<Option<Sym>> {
+    /// among the name tokens (`None`: no name contains it) — no `String`
+    /// per token. The words of a text are its tokens' words in order, so
+    /// the words of texts joined by `' '` are theirs concatenated: what
+    /// [`LocationMatcher::locations_in_words`] takes.
+    pub fn words_in(&self, text: &str) -> Vec<Option<Sym>> {
         let mut words = Vec::new();
         self.analyzer.for_each_token(text, |t| words.push(self.words.get(t)));
         words
@@ -146,28 +149,18 @@ impl LocationMatcher {
     /// Tokenize `text` and match.
     pub fn match_text(&self, text: &str) -> Vec<LocationMatch> {
         let mut out = Vec::new();
-        self.scan(&self.words_of(text), |m| out.push(m));
+        self.scan(&self.words_in(text), |m| out.push(m));
         out
     }
 
     /// Just the matched ids, deduplicated, order of first appearance. A
     /// snippet names a handful of places at most, so the dedup is a scan.
     pub fn locations_in(&self, text: &str) -> Vec<LocId> {
-        self.locations_in_words(&self.words_of(text))
-    }
-
-    /// What the matcher makes of one token as the tokenizer hands it out
-    /// (lowercased): `None` when its analyser drops the token (longer than
-    /// 60 bytes), else the token's id among the name tokens (`Some(None)`:
-    /// no name contains it). A text's tokens mapped through this, the
-    /// `None`s left out, are what [`LocationMatcher::locations_in_words`]
-    /// takes.
-    pub fn token_word(&self, token: &str) -> Option<Option<Sym>> {
-        self.analyzer.term_of(token).map(|t| self.words.get(&t))
+        self.locations_in_words(&self.words_in(text))
     }
 
     /// [`LocationMatcher::locations_in`] over a token stream already
-    /// mapped to name-token ids (see [`LocationMatcher::token_word`]).
+    /// mapped to name-token ids (see [`LocationMatcher::words_in`]).
     pub fn locations_in_words(&self, words: &[Option<Sym>]) -> Vec<LocId> {
         let mut out = Vec::new();
         self.scan(words, |m| {

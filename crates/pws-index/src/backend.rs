@@ -1,34 +1,29 @@
 //! The retrieval abstraction the personalization layer builds on.
 //!
-//! [`RetrievalBackend`] is the exact surface `pws-core`'s `EngineCore`
-//! consumes from base retrieval: analyze text the way the index does,
-//! rank a top-k list without cutting a snippet, cut the snippets of the
-//! hits a request actually uses (each with the form ids it was joined
-//! from, and the per-segment form tables those ids index), and re-score
-//! specific documents against a query. `search` / `search_tokens` (rank + cut every hit) stay for
-//! the callers that want whole result lists. [`crate::segmented::SegmentedIndex`]
-//! (of which [`crate::SearchEngine`] is an alias, the one-segment-in-RAM
-//! case) is its only implementor: the index an engine serves is fixed
-//! for the engine's lifetime.
-//!
-//! The trait stays because the end-to-end benchmark package (`bench/`)
-//! builds every engine through `&dyn RetrievalBackend`; retiring it, so
-//! that `EngineCore` holds the concrete index, starts with a change to
-//! that benchmark package.
+//! [`RetrievalBackend`] is the surface `pws-core`'s `EngineCore` consumes
+//! from base retrieval: the index's term table (a query is analysed to its
+//! ids once), ranking without snippets, cutting the snippets of the hits a
+//! request uses, and re-scoring documents — all over those ids.
+//! [`crate::segmented::SegmentedIndex`] is its only implementor. The string
+//! methods (`analyze_text`, `search`, `search_tokens`) remain only for the
+//! end-to-end benchmark package (`bench/`), which also builds every engine
+//! through `&dyn RetrievalBackend`; retiring the trait starts there.
 
 use crate::search::{CutHit, SearchHit};
 use crate::segmented::SegmentedIndex;
+use crate::terms::TermTable;
+use pws_text::Sym;
 
 /// Base-retrieval operations required by the personalization layer.
 ///
 /// Contract (what the equivalence suites assert): results are ranked by
-/// BM25 descending with ties broken by ascending doc id;
-/// `search_tokens(analyze_text(q), k)` equals `search(q, k)`, and equals
-/// the hits of `cut_hits(t, &rank_tokens(t, k), &[0, 1, ..])` for
-/// `t = analyze_text(q)`; a cut hit's snippet is its form ids' entries of
-/// `segment_forms()[segment]` joined by `' '`;
-/// `score_docs` returns exactly 0.0 for docs matching no query term and
-/// credits only the last occurrence of a duplicated doc id.
+/// BM25 descending with ties broken by ascending doc id; for the analysed
+/// query `t = analyze_text(q)` and its ids `ids = segment_forms().0.ids(&t)`,
+/// `search_tokens(&t, k)` equals `search(q, k)`, and equals the hits of
+/// `cut_hits(&ids, &rank_tokens(&ids, k), &[0, 1, ..])`; a cut hit's
+/// snippet is its form ids' entries of `segment_forms().1[segment]` joined
+/// by `' '`; `score_docs` returns exactly 0.0 for docs matching no query
+/// term and credits only the last occurrence of a duplicated doc id.
 pub trait RetrievalBackend: Send + Sync {
     /// Run the index's analyzer over arbitrary text.
     fn analyze_text(&self, text: &str) -> Vec<String>;
@@ -39,23 +34,23 @@ pub trait RetrievalBackend: Send + Sync {
     /// Top-k query over pre-analyzed tokens: rank, then cut every hit.
     fn search_tokens(&self, q_tokens: &[String], k: usize) -> Vec<SearchHit>;
 
-    /// The ranked `(doc, BM25)` top-k of pre-analyzed tokens, with no
-    /// snippet cut.
-    fn rank_tokens(&self, q_tokens: &[String], k: usize) -> Vec<(u32, f64)>;
+    /// The ranked `(doc, BM25)` top-k of a query analysed to term ids, with
+    /// no snippet cut.
+    fn rank_tokens(&self, query: &[Sym], k: usize) -> Vec<(u32, f64)>;
 
     /// The hits at positions `which` of `ranked` (a `rank_tokens` list for
-    /// `q_tokens`), each with its list rank, score and query-biased
-    /// snippet and the snippet's form ids, in `which` order.
-    fn cut_hits(&self, q_tokens: &[String], ranked: &[(u32, f64)], which: &[usize])
-        -> Vec<CutHit>;
+    /// `query`), each with its list rank, score and query-biased snippet
+    /// and the snippet's form ids, in `which` order.
+    fn cut_hits(&self, query: &[Sym], ranked: &[(u32, f64)], which: &[usize]) -> Vec<CutHit>;
 
-    /// Each segment's forms (distinct body tokens), in segment order: the
-    /// tables a [`CutHit`]'s form ids index.
-    fn segment_forms(&self) -> Vec<&[String]>;
+    /// The index's term table, and each segment's forms (distinct body
+    /// tokens) in segment order: the tables a [`CutHit`]'s form ids index,
+    /// whose term ids [`TermTable::form_terms`] gives.
+    fn segment_forms(&self) -> (&TermTable, Vec<&[String]>);
 
-    /// BM25 scores of the analyzed query `q_tokens` for specific doc ids
-    /// (0.0 for docs matching no query term).
-    fn score_docs(&self, q_tokens: &[String], docs: &[u32]) -> Vec<f64>;
+    /// BM25 scores of `query` (term ids) for specific doc ids (0.0 for
+    /// docs matching no query term).
+    fn score_docs(&self, query: &[Sym], docs: &[u32]) -> Vec<f64>;
 }
 
 impl RetrievalBackend for SegmentedIndex {
@@ -71,21 +66,20 @@ impl RetrievalBackend for SegmentedIndex {
         SegmentedIndex::search_tokens(self, q_tokens, k)
     }
 
-    fn rank_tokens(&self, q_tokens: &[String], k: usize) -> Vec<(u32, f64)> {
-        SegmentedIndex::rank_tokens(self, q_tokens, k)
+    fn rank_tokens(&self, query: &[Sym], k: usize) -> Vec<(u32, f64)> {
+        SegmentedIndex::rank_tokens(self, query, k)
     }
 
-    fn cut_hits(&self, q_tokens: &[String], ranked: &[(u32, f64)], which: &[usize])
-        -> Vec<CutHit> {
-        SegmentedIndex::cut_hits(self, q_tokens, ranked, which)
+    fn cut_hits(&self, query: &[Sym], ranked: &[(u32, f64)], which: &[usize]) -> Vec<CutHit> {
+        SegmentedIndex::cut_hits(self, query, ranked, which)
     }
 
-    fn segment_forms(&self) -> Vec<&[String]> {
+    fn segment_forms(&self) -> (&TermTable, Vec<&[String]>) {
         SegmentedIndex::segment_forms(self)
     }
 
-    fn score_docs(&self, q_tokens: &[String], docs: &[u32]) -> Vec<f64> {
-        SegmentedIndex::score_docs(self, q_tokens, docs)
+    fn score_docs(&self, query: &[Sym], docs: &[u32]) -> Vec<f64> {
+        SegmentedIndex::score_docs(self, query, docs)
     }
 }
 
@@ -105,6 +99,6 @@ mod tests {
         assert_eq!(hits.len(), 1);
         let tokens = backend.analyze_text("seafood");
         assert_eq!(hits, backend.search_tokens(&tokens, 10));
-        assert!(backend.score_docs(&tokens, &[0])[0] > 0.0);
+        assert!(backend.score_docs(&backend.segment_forms().0.ids(&tokens), &[0])[0] > 0.0);
     }
 }

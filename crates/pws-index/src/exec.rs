@@ -31,6 +31,8 @@
 use crate::score::{bm25_term, bm25_term_prenorm, Bm25Params};
 use crate::scratch::SearchScratch;
 use crate::segment::{BlockMeta, Segment};
+use crate::terms::TermTable;
+use pws_text::Sym;
 use std::cmp::Ordering;
 
 /// Relative slack applied to upper bounds before pruning against the heap
@@ -84,12 +86,11 @@ pub(crate) fn rank_order(a: &(u32, f64), b: &(u32, f64)) -> Ordering {
     b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal).then_with(|| a.0.cmp(&b.0))
 }
 
-/// One resolved unique query term. `tok` indexes the caller's
-/// analyzed-token slice — no term strings are copied.
+/// One resolved unique query term.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ResolvedTerm {
-    /// Index of the term's first occurrence in the query tokens.
-    pub tok: usize,
+    /// The term's id in the index's term table.
+    pub term: Sym,
     /// Global (cross-segment) idf.
     pub idf: f64,
     /// Occurrence count in the query (duplicates score multiply).
@@ -221,9 +222,10 @@ impl BmwCursor {
 pub(crate) struct SegContext<'a> {
     pub segments: &'a [Segment],
     pub bases: &'a [u32],
+    /// Maps a query term's id to each segment's ordinal.
+    pub terms: &'a TermTable,
     pub params: Bm25Params,
     pub avg_len: f64,
-    pub q_tokens: &'a [String],
     pub k: usize,
 }
 
@@ -235,8 +237,8 @@ pub(crate) struct SegContext<'a> {
 pub(crate) fn bmw_top_k(ctx: &SegContext<'_>, scratch: &mut SearchScratch) -> u64 {
     scratch.heap.clear();
     scratch.pushes = 0;
-    for (seg, &base) in ctx.segments.iter().zip(ctx.bases) {
-        scan_segment(ctx, seg, base, scratch);
+    for (s, (seg, &base)) in ctx.segments.iter().zip(ctx.bases).enumerate() {
+        scan_segment(ctx, s, seg, base, scratch);
     }
     let SearchScratch { heap, cands, .. } = scratch;
     cands.clear();
@@ -245,9 +247,9 @@ pub(crate) fn bmw_top_k(ctx: &SegContext<'_>, scratch: &mut SearchScratch) -> u6
     scratch.pushes
 }
 
-/// Scan one segment, folding survivors into the query's heap; θ carries
+/// Scan segment `s`, folding survivors into the query's heap; θ carries
 /// across segments via the heap.
-fn scan_segment(ctx: &SegContext<'_>, seg: &Segment, base: u32, scratch: &mut SearchScratch) {
+fn scan_segment(ctx: &SegContext<'_>, s: usize, seg: &Segment, base: u32, scratch: &mut SearchScratch) {
     let SearchScratch {
         terms, slots, heap, cursors, bufs, order, prefix, contrib, acc, touched, pushes, ..
     } = scratch;
@@ -257,7 +259,7 @@ fn scan_segment(ctx: &SegContext<'_>, seg: &Segment, base: u32, scratch: &mut Se
 
     cursors.clear();
     for (t, rt) in terms.iter().enumerate() {
-        let Some(ord) = seg.term_ord(&ctx.q_tokens[rt.tok]) else { continue };
+        let Some(ord) = ctx.terms.ord(s, rt.term) else { continue };
         let tm = seg.term_meta(ord);
         if tm.df == 0 {
             continue;

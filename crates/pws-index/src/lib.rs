@@ -19,6 +19,8 @@
 //!   [`builder::IndexBuilder`] is the in-RAM front door: it builds a single
 //!   segment and returns it as a [`SearchEngine`] (an alias of
 //!   `SegmentedIndex`).
+//! * [`terms::TermTable`] is the index's one vocabulary, rebuilt at load:
+//!   every term id, from query analysis to concept counting, is its id.
 //! * [`query`] adds phrases and boolean operators on top, and
 //!   [`backend::RetrievalBackend`] is the surface the personalization layer
 //!   consumes: the `(url, title, snippet)` result lists.
@@ -46,9 +48,10 @@ pub mod segfile;
 pub mod segment;
 pub mod segmented;
 pub mod snippet;
+pub mod terms;
 
 pub use backend::RetrievalBackend;
-pub use pws_text::Analyzer;
+pub use pws_text::{Analyzer, Sym};
 pub use builder::IndexBuilder;
 pub use query::{parse_query, ParseError, QueryExpr};
 pub use score::Bm25Params;
@@ -57,3 +60,4 @@ pub use segfile::{SectionId, SegmentError, FORMAT_VERSION, SEGMENT_FORMAT, SEGME
 pub use segment::{Segment, SegmentBuilder, BLOCK_SIZE};
 pub use segmented::SegmentedIndex;
 pub use snippet::extract_snippet;
+pub use terms::TermTable;

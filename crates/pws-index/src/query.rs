@@ -230,10 +230,10 @@ impl SegmentedIndex {
         cands.sort_unstable_by(rank_order);
         cands.truncate(k);
         // Use the raw (pre-structure) analyzed terms for snippets.
-        let q_tokens = self.analyze_text(query);
+        let q_ids = self.terms().analyze(query);
         Ok(self.materialize(
             cands.into_iter().enumerate(),
-            &q_tokens,
+            &q_ids,
             &mut SnippetScratch::default(),
             |h, _, _| h,
         ))
@@ -242,7 +242,9 @@ impl SegmentedIndex {
     /// Recursively evaluate an expression to scored matching docs.
     pub(crate) fn eval_expr(&self, expr: &QueryExpr) -> DocScores {
         match expr {
-            QueryExpr::Term(t) => self.term_docs(t).into_iter().collect(),
+            QueryExpr::Term(t) => {
+                self.terms().get(t).map(|id| self.term_docs(id)).unwrap_or_default().into_iter().collect()
+            }
             QueryExpr::Phrase(terms) => self.phrase_docs(terms).into_iter().collect(),
             QueryExpr::Or(arms) => {
                 let mut acc = DocScores::new();

@@ -40,8 +40,6 @@ pub(crate) struct SearchScratch {
     pub slots: Vec<usize>,
     /// `(global doc, score)` candidates in final rank order.
     pub cands: Vec<(u32, f64)>,
-    /// Reusable analyzed-token buffer for raw-query entry points.
-    pub tokens: Vec<String>,
     /// Bounded top-k min-heap over all segments.
     pub heap: BinaryHeap<HeapEntry>,
     /// Per-term cursors over the current segment.
@@ -61,8 +59,8 @@ pub(crate) struct SearchScratch {
     pub touched: Vec<u32>,
     /// Total heap insertions (for the `index.snippets_deferred` count).
     pub pushes: u64,
-    /// Snippet cutting state: the query's stem ids, the per-body form
-    /// buffers.
+    /// Snippet cutting state: the query's marks on each segment's forms,
+    /// the per-body form buffers.
     pub snippets: SnippetScratch,
 }
 

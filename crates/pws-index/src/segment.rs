@@ -20,9 +20,10 @@
 //!
 //! Loading parses and checksums the section table ([`crate::segfile`]),
 //! decodes the term dictionary, the block tables, the doc lengths and the
-//! forms (stemming each form once), checks every form id of the stream,
-//! and leaves postings payloads and the document store **encoded in
-//! place**.
+//! forms, checks every form id of the stream, and leaves postings payloads
+//! and the document store **encoded in place**. A segment's terms and
+//! forms get their ids, and its forms their stems, in the term table of
+//! the index serving it ([`crate::terms`]).
 //!
 //! A segment is cheaply cloneable (`Arc` inside), so an index over a
 //! segment set is cloned without copying index data.
@@ -33,7 +34,7 @@ use crate::segfile::{SegmentError, SEGMENT_FORMAT};
 use pws_obs::format::{le_u64, FormatError};
 use pws_text::{Analyzer, Interner, Sym};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Maximum `(doc, tf)` pairs per postings block. 128 keeps block decode
@@ -129,7 +130,6 @@ pub(crate) struct TermMeta {
 struct SegmentInner {
     bytes: Vec<u8>,
     analyzer: Analyzer,
-    dict: HashMap<String, u32>,
     /// Term strings in ord order (dictionary order of the builder).
     terms: Vec<String>,
     term_meta: Vec<TermMeta>,
@@ -148,12 +148,6 @@ struct SegmentInner {
     docs_len: usize,
     /// The distinct body tokens (form id = position).
     forms: Vec<String>,
-    /// Every form's Porter stem, once each: stem → stem id.
-    stems: HashMap<String, u32>,
-    /// Form ids grouped by stem id (ascending within a stem): stem `s`'s
-    /// forms are `stem_forms[stem_starts[s]..stem_starts[s + 1]]`.
-    stem_forms: Vec<u32>,
-    stem_starts: Vec<u32>,
     /// Absolute offset of the `DocForms` id stream; the end-offset table
     /// follows it.
     doc_forms_off: usize,
@@ -210,9 +204,9 @@ impl Segment {
         // ── Terms ────────────────────────────────────────────────────
         let n_terms =
             read_varint(&mut t).ok_or(FormatError::Truncated("Terms.count"))? as usize;
-        let mut dict = HashMap::with_capacity(n_terms);
-        let mut terms = Vec::with_capacity(n_terms);
-        for ord in 0..n_terms {
+        let mut seen = HashSet::with_capacity(n_terms.min(t.len()));
+        let mut terms = Vec::with_capacity(n_terms.min(t.len()));
+        for _ in 0..n_terms {
             let len =
                 read_varint(&mut t).ok_or(FormatError::Truncated("Terms.len"))? as usize;
             if t.len() < len {
@@ -221,7 +215,7 @@ impl Segment {
             let s = std::str::from_utf8(&t[..len])
                 .map_err(|_| FormatError::Malformed("non-utf8 term"))?;
             t = &t[len..];
-            if dict.insert(s.to_string(), ord as u32).is_some() {
+            if !seen.insert(s) {
                 return Err(FormatError::Malformed("duplicate term").into());
             }
             terms.push(s.to_string());
@@ -314,11 +308,11 @@ impl Segment {
             return Err(FormatError::Malformed("trailing bytes in DocLens").into());
         }
 
-        // ── Forms, each stemmed once ─────────────────────────────────
+        // ── Forms ────────────────────────────────────────────────────
         let n_forms = read_varint(&mut fm).ok_or(FormatError::Truncated("Forms.count"))? as usize;
         let mut forms = Vec::with_capacity(n_forms.min(fm.len()));
-        let mut seen = HashMap::with_capacity(n_forms.min(fm.len()));
-        for id in 0..n_forms {
+        let mut seen = HashSet::with_capacity(n_forms.min(fm.len()));
+        for _ in 0..n_forms {
             let len = read_varint(&mut fm).ok_or(FormatError::Truncated("Forms.len"))? as usize;
             if fm.len() < len {
                 return Err(FormatError::Truncated("Forms.bytes").into());
@@ -326,7 +320,7 @@ impl Segment {
             let form = std::str::from_utf8(&fm[..len])
                 .map_err(|_| FormatError::Malformed("non-utf8 form"))?;
             fm = &fm[len..];
-            if form.is_empty() || seen.insert(form, id).is_some() {
+            if form.is_empty() || !seen.insert(form) {
                 return Err(FormatError::Malformed("empty or duplicate form").into());
             }
             forms.push(form.to_string());
@@ -334,31 +328,6 @@ impl Segment {
         if !fm.is_empty() {
             return Err(FormatError::Malformed("trailing bytes in Forms").into());
         }
-        let mut stems = HashMap::new();
-        let form_stems: Vec<u32> = pws_text::with_words(|words| {
-            forms
-                .iter()
-                .map(|form| {
-                    let (stem, _) = words.analyse(form);
-                    let next = stems.len() as u32;
-                    *stems.entry(stem.to_string()).or_insert(next)
-                })
-                .collect()
-        });
-        let mut stem_starts = vec![0u32; stems.len() + 1];
-        for &stem in &form_stems {
-            stem_starts[stem as usize + 1] += 1;
-        }
-        for i in 1..stem_starts.len() {
-            stem_starts[i] += stem_starts[i - 1];
-        }
-        let mut stem_forms = vec![0u32; form_stems.len()];
-        let mut fill = stem_starts.clone();
-        for (form, &stem) in form_stems.iter().enumerate() {
-            stem_forms[fill[stem as usize] as usize] = form as u32;
-            fill[stem as usize] += 1;
-        }
-
         // ── DocForms: the form-id stream, then per-doc end offsets ───
         let table = doc_count as usize * 8;
         if df.len() < table {
@@ -388,7 +357,6 @@ impl Segment {
         Ok(Segment {
             inner: Arc::new(SegmentInner {
                 analyzer,
-                dict,
                 terms,
                 term_meta,
                 blocks,
@@ -401,9 +369,6 @@ impl Segment {
                 docs_off,
                 docs_len,
                 forms,
-                stems,
-                stem_forms,
-                stem_starts,
                 doc_forms_off,
                 doc_form_ends_off,
                 bytes,
@@ -460,9 +425,11 @@ impl Segment {
             .map(|(t, m)| (t.as_str(), m.df))
     }
 
-    /// Segment-local ord of `term` (already analyzed), if present.
-    pub fn term_ord(&self, term: &str) -> Option<u32> {
-        self.inner.dict.get(term).copied()
+    /// Segment-local ord of `term` (already analyzed), if present — by
+    /// scan: serving reaches a term through the index's term table.
+    #[cfg(test)]
+    pub(crate) fn term_ord(&self, term: &str) -> Option<u32> {
+        self.inner.terms.iter().position(|t| t == term).map(|ord| ord as u32)
     }
 
     /// Per-term metadata (crate-internal: query execution).
@@ -613,14 +580,6 @@ impl Segment {
         &self.inner.forms
     }
 
-    /// The ids of the forms whose Porter stem is `stem`, ascending (none
-    /// when no form of the segment stems to it).
-    pub(crate) fn forms_stemming_to(&self, stem: &str) -> &[u32] {
-        let inner = &self.inner;
-        let Some(&s) = inner.stems.get(stem) else { return &[] };
-        &inner.stem_forms[inner.stem_starts[s as usize] as usize..inner.stem_starts[s as usize + 1] as usize]
-    }
-
     /// One body's token sequence (segment-local id) as form ids, onto
     /// `out` (cleared first). The stream was checked at load, so this
     /// reads without re-validating.
@@ -663,11 +622,10 @@ pub(crate) struct TfCursor<'a> {
 }
 
 impl<'a> TfCursor<'a> {
-    /// A cursor over `term` (already analyzed); `None` when the segment
-    /// does not contain it.
-    pub(crate) fn new(seg: &'a Segment, term: &str) -> Option<Self> {
-        let blocks = seg.term_blocks(seg.term_ord(term)?);
-        Some(TfCursor { seg, blocks, bi: 0, decoded: false, buf: Vec::with_capacity(BLOCK_SIZE) })
+    /// A cursor over the term of ordinal `ord`.
+    pub(crate) fn new(seg: &'a Segment, ord: u32) -> Self {
+        let blocks = seg.term_blocks(ord);
+        TfCursor { seg, blocks, bi: 0, decoded: false, buf: Vec::with_capacity(BLOCK_SIZE) }
     }
 
     /// The term's frequency in `doc`, or `None` when `doc` lacks the term.
@@ -925,6 +883,7 @@ fn write_str(out: &mut Vec<u8>, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn build_small() -> Segment {
         let mut b = SegmentBuilder::new(Analyzer::default());

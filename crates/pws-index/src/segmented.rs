@@ -36,6 +36,9 @@
 //! stay valid whatever segment set they are served in and however the
 //! global average length or idf falls — no stored impact ever has to be
 //! rebuilt.
+//!
+//! A query reaches the index as ids of its [`TermTable`]
+//! ([`crate::terms`]); the string entry points look their tokens up in it.
 
 use crate::exec::{bmw_top_k, rank_order, ResolvedTerm, SegContext};
 use crate::score::{bm25_term, idf, Bm25Params};
@@ -44,8 +47,9 @@ use crate::search::{CutHit, SearchHit};
 use crate::segment::{Segment, SegmentBuilder, TfCursor};
 use crate::segfile::SegmentError;
 use crate::snippet::{SnippetScratch, SNIPPET_WINDOW};
+use crate::terms::TermTable;
 use pws_obs::format::FormatError;
-use pws_text::Analyzer;
+use pws_text::{Analyzer, Sym};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -53,11 +57,10 @@ use std::sync::Arc;
 ///
 /// Global doc ids are segment-order concatenation: segment `s` covers
 /// `[base(s), base(s) + s.doc_count())`. Cloning is cheap (segments are
-/// `Arc`-backed); the global df map is rebuilt only by
-/// [`SegmentedIndex::add_segment`].
+/// `Arc`-backed, and so is the term table, which only
+/// [`SegmentedIndex::add_segment`] extends).
 #[derive(Debug, Clone)]
 pub struct SegmentedIndex {
-    analyzer: Analyzer,
     params: Bm25Params,
     segments: Vec<Segment>,
     /// `bases[s]` = first global doc id of segment `s`.
@@ -65,8 +68,9 @@ pub struct SegmentedIndex {
     doc_count: u32,
     total_len: u64,
     avg_len: f64,
-    /// Per-term global document frequency (sum across segments).
-    global_df: HashMap<String, u32>,
+    /// The one vocabulary: term ids, global document frequencies, and each
+    /// segment's id → ordinal and form maps.
+    terms: Arc<TermTable>,
     /// Pooled per-query scratch arenas, shared across clones so
     /// concurrent queries reuse warm buffers.
     scratch: Arc<ScratchPool>,
@@ -76,14 +80,13 @@ impl SegmentedIndex {
     /// An empty index over `analyzer` (segments can be added later).
     pub fn empty(analyzer: Analyzer) -> Self {
         SegmentedIndex {
-            analyzer,
             params: Bm25Params::default(),
             segments: Vec::new(),
             bases: Vec::new(),
             doc_count: 0,
             total_len: 0,
             avg_len: 0.0,
-            global_df: HashMap::new(),
+            terms: Arc::new(TermTable::new(analyzer)),
             scratch: Arc::default(),
         }
     }
@@ -102,13 +105,14 @@ impl SegmentedIndex {
         Ok(idx)
     }
 
-    /// Append one segment, updating global statistics
-    /// ([`SegmentedIndex::from_segments`] and the segmented build call
-    /// it; an index is never extended while an engine serves it).
+    /// Append one segment, updating global statistics and entering its
+    /// terms and forms in the term table ([`SegmentedIndex::from_segments`]
+    /// and the segmented build call it; an index is never extended while
+    /// an engine serves it).
     pub fn add_segment(&mut self, seg: Segment) -> Result<(), SegmentError> {
-        if seg.analyzer() != &self.analyzer {
+        if seg.analyzer() != self.analyzer() {
             if self.segments.is_empty() && self.doc_count == 0 {
-                self.analyzer = seg.analyzer().clone();
+                self.terms = Arc::new(TermTable::new(seg.analyzer().clone()));
             } else {
                 return Err(SegmentError::Mismatch("analyzer config"));
             }
@@ -124,9 +128,7 @@ impl SegmentedIndex {
         } else {
             self.total_len as f64 / f64::from(self.doc_count)
         };
-        for (term, df) in seg.term_dfs() {
-            *self.global_df.entry(term.to_string()).or_insert(0) += df;
-        }
+        Arc::make_mut(&mut self.terms).add_segment(&seg);
         self.segments.push(seg);
         Ok(())
     }
@@ -141,10 +143,16 @@ impl SegmentedIndex {
         &self.segments
     }
 
-    /// Each segment's [`Segment::forms`], in segment order: the tables a
-    /// [`CutHit`]'s form ids index.
-    pub fn segment_forms(&self) -> Vec<&[String]> {
-        self.segments.iter().map(Segment::forms).collect()
+    /// The term table every id this index takes or hands out indexes.
+    pub fn terms(&self) -> &TermTable {
+        &self.terms
+    }
+
+    /// The term table and each segment's [`Segment::forms`], in segment
+    /// order: a [`CutHit`]'s form ids index the forms of its segment, and
+    /// [`TermTable::form_terms`] gives each form's term ids.
+    pub fn segment_forms(&self) -> (&TermTable, Vec<&[String]>) {
+        (&self.terms, self.segments.iter().map(Segment::forms).collect())
     }
 
     /// Total documents across all segments.
@@ -157,9 +165,10 @@ impl SegmentedIndex {
         self.avg_len
     }
 
-    /// Number of distinct terms across all segments.
+    /// Number of distinct terms some document indexes, across all
+    /// segments.
     pub fn vocab_size(&self) -> usize {
-        self.global_df.len()
+        self.terms.lexicon_len()
     }
 
     /// Total on-disk bytes across all segment files.
@@ -175,12 +184,12 @@ impl SegmentedIndex {
 
     /// The analyzer shared by every segment.
     pub fn analyzer(&self) -> &Analyzer {
-        &self.analyzer
+        self.terms.analyzer()
     }
 
     /// Run the shared analyzer over arbitrary text.
     pub fn analyze_text(&self, text: &str) -> Vec<String> {
-        self.analyzer.analyze(text)
+        self.analyzer().analyze(text)
     }
 
     /// Materialize a stored document by global id (lazy doc-store
@@ -219,13 +228,7 @@ impl SegmentedIndex {
     pub fn search(&self, query: &str, k: usize) -> Vec<SearchHit> {
         let _span = self.metrics_search().span();
         let mut scratch = self.scratch.acquire();
-        // Analyze into the pooled token buffer (taken out for the borrow,
-        // put back so its capacity survives into the next query).
-        let mut tokens = std::mem::take(&mut scratch.tokens);
-        self.analyzer.analyze_into(query, &mut tokens);
-        let hits = self.run_query(&tokens, k, &mut scratch);
-        scratch.tokens = tokens;
-        hits
+        self.run_query(&self.terms.analyze(query), k, &mut scratch)
     }
 
     /// [`SegmentedIndex::search`] over pre-analyzed tokens:
@@ -234,16 +237,17 @@ impl SegmentedIndex {
     pub fn search_tokens(&self, q_tokens: &[String], k: usize) -> Vec<SearchHit> {
         let _span = self.metrics_search().span();
         let mut scratch = self.scratch.acquire();
-        self.run_query(q_tokens, k, &mut scratch)
+        self.run_query(&self.terms.ids(q_tokens), k, &mut scratch)
     }
 
-    /// The ranking half of [`SegmentedIndex::search_tokens`]: the top `k`
+    /// The ranking half of [`SegmentedIndex::search_tokens`] over a query
+    /// analysed to ids of [`SegmentedIndex::terms`]: the top `k`
     /// `(global doc, BM25)` pairs in rank order, with no document decoded
     /// and no snippet cut. Recorded under `index.search`.
-    pub fn rank_tokens(&self, q_tokens: &[String], k: usize) -> Vec<(u32, f64)> {
+    pub fn rank_tokens(&self, query: &[Sym], k: usize) -> Vec<(u32, f64)> {
         let _span = self.metrics_search().span();
         let mut scratch = self.scratch.acquire();
-        if !self.rank_into(q_tokens, k, &mut scratch) {
+        if !self.rank_into(query, k, &mut scratch) {
             return Vec::new();
         }
         scratch.cands.clone()
@@ -251,20 +255,20 @@ impl SegmentedIndex {
 
     /// The cutting half of [`SegmentedIndex::search_tokens`]: the hits at
     /// positions `which` of `ranked` (a [`SegmentedIndex::rank_tokens`]
-    /// list for `q_tokens`), in `which` order, each with its snippet's
-    /// form ids. A hit keeps its list rank (`position + 1`) and score, and
-    /// its snippet depends only on its body and `q_tokens`, so cutting a
-    /// subset, or cutting later, gives the bytes `search_tokens` would
-    /// have. One pooled snippet scratch serves the call; recorded under
+    /// list for `query`), in `which` order, each with its snippet's form
+    /// ids. A hit keeps its list rank (`position + 1`) and score, and its
+    /// snippet depends only on its body and `query`, so cutting a subset,
+    /// or cutting later, gives the bytes `search_tokens` would have. One
+    /// pooled snippet scratch serves the call; recorded under
     /// `index.materialize`.
     ///
     /// # Panics
     /// Panics if a position in `which` is out of range for `ranked`.
-    pub fn cut_hits(&self, q_tokens: &[String], ranked: &[(u32, f64)], which: &[usize]) -> Vec<CutHit> {
+    pub fn cut_hits(&self, query: &[Sym], ranked: &[(u32, f64)], which: &[usize]) -> Vec<CutHit> {
         let _span = self.metrics_materialize().span();
         let mut scratch = self.scratch.acquire();
         let cands = which.iter().map(|&i| (i, ranked[i]));
-        self.materialize(cands, q_tokens, &mut scratch.snippets, |hit, segment, forms| CutHit {
+        self.materialize(cands, query, &mut scratch.snippets, |hit, segment, forms| CutHit {
             hit,
             segment,
             forms: forms.to_vec(),
@@ -287,35 +291,30 @@ impl SegmentedIndex {
 
     /// Rank and cut every hit: the body of [`SegmentedIndex::search`] and
     /// [`SegmentedIndex::search_tokens`].
-    fn run_query(
-        &self,
-        q_tokens: &[String],
-        k: usize,
-        scratch: &mut SearchScratch,
-    ) -> Vec<SearchHit> {
-        if !self.rank_into(q_tokens, k, scratch) {
+    fn run_query(&self, query: &[Sym], k: usize, scratch: &mut SearchScratch) -> Vec<SearchHit> {
+        if !self.rank_into(query, k, scratch) {
             return Vec::new();
         }
         let _span = self.metrics_materialize().span();
         let SearchScratch { cands, snippets, .. } = scratch;
-        self.materialize(cands.iter().copied().enumerate(), q_tokens, snippets, |h, _, _| h)
+        self.materialize(cands.iter().copied().enumerate(), query, snippets, |h, _, _| h)
     }
 
     /// Run Block-Max WAND for the top `k` into `scratch.cands`; `false`
     /// (and `cands` untouched) when nothing can match.
-    fn rank_into(&self, q_tokens: &[String], k: usize, scratch: &mut SearchScratch) -> bool {
-        if k == 0 || self.doc_count == 0 || q_tokens.is_empty() {
+    fn rank_into(&self, query: &[Sym], k: usize, scratch: &mut SearchScratch) -> bool {
+        if k == 0 || self.doc_count == 0 || query.is_empty() {
             return false;
         }
-        if !self.resolve_into(q_tokens, scratch) {
+        if !self.resolve_into(query, scratch) {
             return false;
         }
         let ctx = SegContext {
             segments: &self.segments,
             bases: &self.bases,
+            terms: &self.terms,
             params: self.params,
             avg_len: self.avg_len,
-            q_tokens,
             k,
         };
         let pushes = bmw_top_k(&ctx, scratch);
@@ -333,16 +332,12 @@ impl SegmentedIndex {
     /// The pruned path is gated against it; it never serves traffic (and
     /// records no `index.search` metrics).
     pub fn search_exhaustive(&self, query: &str, k: usize) -> Vec<SearchHit> {
-        self.search_exhaustive_tokens(&self.analyzer.analyze(query), k)
-    }
-
-    /// [`SegmentedIndex::search_exhaustive`] over pre-analyzed tokens.
-    pub fn search_exhaustive_tokens(&self, q_tokens: &[String], k: usize) -> Vec<SearchHit> {
         // Duplicate query terms contribute once per occurrence (standard
         // bag-of-words query semantics).
+        let query = self.terms.analyze(query);
         let mut acc: HashMap<u32, f64> = HashMap::new();
-        for tok in q_tokens {
-            for (doc, s) in self.term_docs(tok) {
+        for &id in &query {
+            for (doc, s) in self.term_docs(id) {
                 *acc.entry(doc).or_insert(0.0) += s;
             }
         }
@@ -350,17 +345,20 @@ impl SegmentedIndex {
         cands.sort_unstable_by(rank_order);
         cands.truncate(k);
         let mut snippets = SnippetScratch::default();
-        self.materialize(cands.into_iter().enumerate(), q_tokens, &mut snippets, |h, _, _| h)
+        self.materialize(cands.into_iter().enumerate(), &query, &mut snippets, |h, _, _| h)
     }
 
-    /// Every doc containing one analyzed term, with the term's BM25
+    /// Every doc containing the term `id`, with the term's BM25
     /// contribution to it, in ascending global doc id order.
-    pub(crate) fn term_docs(&self, term: &str) -> Vec<(u32, f64)> {
-        let Some(&df) = self.global_df.get(term) else { return Vec::new() };
+    pub(crate) fn term_docs(&self, id: Sym) -> Vec<(u32, f64)> {
+        let df = self.terms.df(id);
+        if df == 0 {
+            return Vec::new();
+        }
         let term_idf = idf(self.doc_count, df);
         let mut out = Vec::with_capacity(df as usize);
-        for (seg, &base) in self.segments.iter().zip(&self.bases) {
-            let Some(ord) = seg.term_ord(term) else { continue };
+        for (s, (seg, &base)) in self.segments.iter().zip(&self.bases).enumerate() {
+            let Some(ord) = self.terms.ord(s, id) else { continue };
             let lens = seg.doc_lens();
             seg.for_each_posting(ord, |d, tf| {
                 let s = bm25_term(self.params, term_idf, tf, lens[d as usize], self.avg_len);
@@ -377,29 +375,29 @@ impl SegmentedIndex {
     /// stream that was indexed.
     pub(crate) fn phrase_docs(&self, terms: &[String]) -> Vec<(u32, f64)> {
         let mut out = Vec::new();
-        // Any unknown term kills the phrase.
-        let Some(idfs) = terms
+        // Any term no document indexes kills the phrase.
+        let Some(ids) = terms
             .iter()
-            .map(|t| self.global_df.get(t).map(|&df| idf(self.doc_count, df)))
-            .collect::<Option<Vec<f64>>>()
+            .map(|t| self.terms.get(t).filter(|&id| self.terms.df(id) > 0))
+            .collect::<Option<Vec<Sym>>>()
         else {
             return out;
         };
-        let Some(first) = terms.first() else { return out };
-        for (seg, &base) in self.segments.iter().zip(&self.bases) {
-            let Some(mut cursors) =
-                terms.iter().map(|t| TfCursor::new(seg, t)).collect::<Option<Vec<_>>>()
+        let idfs: Vec<f64> = ids.iter().map(|&id| idf(self.doc_count, self.terms.df(id))).collect();
+        for (s, (seg, &base)) in self.segments.iter().zip(&self.bases).enumerate() {
+            let Some(ords) = ids.iter().map(|&id| self.terms.ord(s, id)).collect::<Option<Vec<u32>>>()
             else {
                 continue;
             };
-            let ord = seg.term_ord(first).expect("a cursor exists for the term");
-            seg.for_each_posting(ord, |d, _| {
+            let Some(&first) = ords.first() else { return out };
+            let mut cursors: Vec<TfCursor> = ords.iter().map(|&ord| TfCursor::new(seg, ord)).collect();
+            seg.for_each_posting(first, |d, _| {
                 let Some(tfs) =
                     cursors.iter_mut().map(|c| c.tf_at(d)).collect::<Option<Vec<u32>>>()
                 else {
                     return;
                 };
-                let tokens = self.analyzer.analyze(&seg.doc(d).indexable_text());
+                let tokens = self.analyze_text(&seg.doc(d).indexable_text());
                 if tokens.windows(terms.len()).any(|w| w == terms) {
                     let len = seg.doc_lens()[d as usize];
                     let score = tfs
@@ -414,17 +412,18 @@ impl SegmentedIndex {
         out
     }
 
-    /// BM25 scores of the analyzed query `q_tokens` for specific global
-    /// doc ids (0.0 for docs matching no query term). Used by the
-    /// personalization layer to re-score externally sourced candidates
-    /// (e.g. from an augmented query) against the *original* query, whose
-    /// tokens its pool already holds, so pools stay comparable.
+    /// BM25 scores of `query` (analysed to ids of
+    /// [`SegmentedIndex::terms`]) for specific global doc ids (0.0 for docs
+    /// matching no query term). Used by the personalization layer to
+    /// re-score externally sourced candidates (e.g. from an augmented
+    /// query) against the *original* query, whose ids its pool already
+    /// holds, so pools stay comparable.
     ///
     /// Each term's blocks are walked forward once across the sorted wanted
     /// ids, so a block holding several wanted docs is decoded once.
-    pub fn score_docs(&self, q_tokens: &[String], docs: &[u32]) -> Vec<f64> {
+    pub fn score_docs(&self, query: &[Sym], docs: &[u32]) -> Vec<f64> {
         let mut scores = vec![0.0; docs.len()];
-        if q_tokens.is_empty() || self.doc_count == 0 || docs.is_empty() {
+        if query.is_empty() || self.doc_count == 0 || docs.is_empty() {
             return scores;
         }
         // Sorted (doc, original index). A duplicated doc id credits only its
@@ -434,15 +433,19 @@ impl SegmentedIndex {
             docs.iter().enumerate().map(|(i, &d)| (d, i)).collect();
         wanted.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
         wanted.dedup_by_key(|e| e.0);
-        for tok in q_tokens {
-            let Some(&df) = self.global_df.get(tok) else { continue };
+        for &id in query {
+            let df = self.terms.df(id);
+            if df == 0 {
+                continue;
+            }
             let term_idf = idf(self.doc_count, df);
             let mut rest = wanted.as_slice();
-            for (seg, &base) in self.segments.iter().zip(&self.bases) {
+            for (s, (seg, &base)) in self.segments.iter().zip(&self.bases).enumerate() {
                 let (run, tail) =
                     rest.split_at(rest.partition_point(|e| e.0 - base < seg.doc_count()));
                 rest = tail;
-                let Some(mut cursor) = TfCursor::new(seg, tok) else { continue };
+                let Some(ord) = self.terms.ord(s, id) else { continue };
+                let mut cursor = TfCursor::new(seg, ord);
                 for &(doc, out_i) in run {
                     let local = doc - base;
                     if let Some(tf) = cursor.tf_at(local) {
@@ -455,23 +458,22 @@ impl SegmentedIndex {
         scores
     }
 
-    /// Resolve query tokens into unique present terms + occurrence slots
-    /// directly into pooled scratch (no term strings are copied —
-    /// [`ResolvedTerm`] indexes back into `q_tokens`). Returns `false` when
-    /// no query term exists in the index.
-    fn resolve_into(&self, q_tokens: &[String], scratch: &mut SearchScratch) -> bool {
+    /// Resolve query ids into unique present terms + occurrence slots
+    /// directly into pooled scratch. Returns `false` when no document
+    /// holds a query term.
+    fn resolve_into(&self, query: &[Sym], scratch: &mut SearchScratch) -> bool {
         let SearchScratch { terms, slots, .. } = scratch;
         terms.clear();
         slots.clear();
-        for (i, tok) in q_tokens.iter().enumerate() {
-            let Some(&df) = self.global_df.get(tok) else { continue };
+        for &id in query {
+            let df = self.terms.df(id);
             if df == 0 {
                 continue;
             }
-            let t = match terms.iter().position(|u| &q_tokens[u.tok] == tok) {
+            let t = match terms.iter().position(|u| u.term == id) {
                 Some(t) => t,
                 None => {
-                    terms.push(ResolvedTerm { tok: i, idf: idf(self.doc_count, df), mult: 0 });
+                    terms.push(ResolvedTerm { term: id, idf: idf(self.doc_count, df), mult: 0 });
                     terms.len() - 1
                 }
             };
@@ -488,17 +490,16 @@ impl SegmentedIndex {
 
     /// Build hits from `(list position, (global doc, score))` candidates,
     /// passing each to `make` with its segment and its snippet's form ids.
-    /// The query tokens are mapped to each segment's stem ids once; a
-    /// snippet is then cut from the document's form stream — no body is
-    /// decoded, tokenised or stemmed.
+    /// The query's ids are marked once; a snippet is then cut from the
+    /// document's form stream — no body is decoded, tokenised or stemmed.
     pub(crate) fn materialize<T>(
         &self,
         cands: impl Iterator<Item = (usize, (u32, f64))>,
-        q_tokens: &[String],
+        query: &[Sym],
         snippets: &mut SnippetScratch,
         mut make: impl FnMut(SearchHit, usize, &[u32]) -> T,
     ) -> Vec<T> {
-        snippets.for_query(&self.segments, q_tokens);
+        snippets.for_query(&self.terms, query);
         // Touch every candidate's index entries, record and form run before
         // cutting any: the documents' cache misses overlap instead of
         // queueing one document at a time.
@@ -514,7 +515,7 @@ impl SegmentedIndex {
                 let s = self.segment_of(doc);
                 let (seg, local) = (&self.segments[s], doc - self.bases[s]);
                 let [url, title] = seg.doc_fields(local);
-                let snippet = snippets.cut(s, seg, local, SNIPPET_WINDOW);
+                let snippet = snippets.cut(seg, self.terms.form_stems(s), local, SNIPPET_WINDOW);
                 let hit =
                     SearchHit { doc, score, rank: i + 1, url: url.into(), title: title.into(), snippet };
                 make(hit, s, snippets.window_forms())
@@ -642,13 +643,14 @@ mod tests {
     #[test]
     fn every_segmentation_matches_exhaustive_and_each_other_bitwise() {
         let eng = engine();
+        let queries = ["seafood lobster", "harbor", "hotel booking camera", "harbor festival",
+                       "seafood seafood lobster", "crab harbor sushi phone", "the of and",
+                       "missing terms only"];
         for per in [1, 2, 3, 5] {
             let idx = segmented(per);
             assert_eq!(idx.doc_count(), eng.doc_count());
             assert!((idx.avg_doc_len() - eng.avg_doc_len()).abs() == 0.0);
-            for q in ["seafood lobster", "harbor", "hotel booking camera", "harbor festival",
-                      "seafood seafood lobster", "crab harbor sushi phone", "the of and",
-                      "missing terms only"] {
+            for q in queries {
                 for k in [1, 2, 3, 10] {
                     let ctx = format!("per={per} q={q:?} k={k}");
                     let a = idx.search(q, k);
@@ -657,6 +659,30 @@ mod tests {
                 }
             }
         }
+        // One 16-doc corpus in 1 and in 8 segments: the term tables number
+        // terms in different orders, yet every query term resolves to the
+        // same string with the same document frequency.
+        let cycled = |per| {
+            SegmentedIndex::build_parallel(Analyzer::default(), 16, per, 2, |i| {
+                let (u, t, b) = DOCS[i % DOCS.len()];
+                (format!("{u}/{i}"), t.to_string(), b.to_string())
+            })
+            .expect("build")
+        };
+        let (one, eight) = (cycled(16), cycled(2));
+        assert_eq!((one.num_segments(), eight.num_segments()), (1, 8));
+        let ids = |idx: &SegmentedIndex| idx.terms().analyze("crab harbor sushi phone booking");
+        assert_ne!(ids(&one), ids(&eight), "both builds number the terms alike");
+        let resolved = |idx: &SegmentedIndex, t: &str| {
+            idx.terms().get(t).map(|id| (idx.terms().interner().resolve(id).to_string(), idx.terms().df(id)))
+        };
+        for q in queries {
+            for t in one.analyze_text(q) {
+                assert_eq!(resolved(&one, &t), resolved(&eight, &t), "{t:?}");
+            }
+            assert_hits_identical(&one.search(q, 10), &eight.search(q, 10), q);
+        }
+        assert_eq!(one.vocab_size(), eight.vocab_size());
     }
 
     #[test]
@@ -725,10 +751,11 @@ mod tests {
             for q in ["seafood lobster", "harbor", "seafood seafood lobster", "zzz"] {
                 let toks = idx.analyze_text(q);
                 let full = idx.search_tokens(&toks, 10);
-                let ranked = idx.rank_tokens(&toks, 10);
+                let ids = idx.terms().ids(&toks);
+                let ranked = idx.rank_tokens(&ids, 10);
                 let all: Vec<usize> = (0..ranked.len()).collect();
                 let cut = |which: &[usize]| -> Vec<SearchHit> {
-                    let cut = idx.cut_hits(&toks, &ranked, which);
+                    let cut = idx.cut_hits(&ids, &ranked, which);
                     for c in &cut {
                         // The window's forms joined are the snippet.
                         let forms = idx.segments()[c.segment].forms();
@@ -765,7 +792,7 @@ mod tests {
             for q in ["seafood lobster", "harbor", "seafood seafood lobster"] {
                 let hits = idx.search_exhaustive(q, 10);
                 let docs: Vec<u32> = hits.iter().map(|h| h.doc).collect();
-                for (h, s) in hits.iter().zip(idx.score_docs(&idx.analyze_text(q), &docs)) {
+                for (h, s) in hits.iter().zip(idx.score_docs(&idx.terms().analyze(q), &docs)) {
                     assert_eq!(h.score.to_bits(), s.to_bits(), "q={q:?} doc {}", h.doc);
                 }
             }
@@ -775,7 +802,7 @@ mod tests {
     #[test]
     fn score_docs_zero_unsorted_and_duplicate_ids() {
         for idx in [engine(), segmented(2)] {
-            let score_docs = |q: &str, docs: &[u32]| idx.score_docs(&idx.analyze_text(q), docs);
+            let score_docs = |q: &str, docs: &[u32]| idx.score_docs(&idx.terms().analyze(q), docs);
             // Doc 1 mentions neither term.
             assert_eq!(score_docs("seafood lobster", &[1]), vec![0.0]);
             assert_eq!(score_docs("", &[0, 1]), vec![0.0, 0.0]);

@@ -11,14 +11,15 @@
 //! So the serving path (`SnippetScratch::cut`) tokenises and stems
 //! nothing: it reads the body's token sequence as form ids from the
 //! segment's form stream (written at build, see [`crate::segment`]), marks
-//! the tokens whose form stems to a query term through a per-call table
-//! over the segment's forms (filled from the forms each query stem has,
-//! grouped at load), and joins the window's forms with `' '`. [`extract_snippet`]
-//! is the same rule over a body string — the string entry point, and the
-//! oracle every stream cut equals byte for byte.
+//! the tokens whose form's stem is a query term by comparing ids of the
+//! index's term table ([`crate::terms`]), and joins the window's forms
+//! with `' '`. [`extract_snippet`] is the same rule over a
+//! body string — the string entry point, and the oracle every stream cut
+//! equals byte for byte.
 
 use crate::segment::Segment;
-use pws_text::{tokenize, with_words};
+use crate::terms::TermTable;
+use pws_text::{tokenize, with_words, Sym};
 use std::ops::Range;
 
 /// Window length of a served snippet, in tokens.
@@ -35,44 +36,29 @@ pub(crate) struct SnippetScratch {
     matches: Vec<(u32, u32)>,
     /// The cut window of the body in hand, into `forms`.
     window: Range<usize>,
-    /// Per form of every segment (segment-major, segment `s` from
-    /// `bases[s]`): 1 + the index of the first query token the form stems
-    /// to, or 0.
-    form_query: Vec<u32>,
-    bases: Vec<usize>,
+    /// By term id: 1 + the index of the first query term with that id, or 0.
+    query_of: Vec<u32>,
 }
 
 impl SnippetScratch {
-    /// Map `q_tokens` (analysed query tokens) onto each of `segments`'
-    /// forms, once for every cut until the next call: a query token marks
-    /// the forms that stem to it.
-    pub(crate) fn for_query(&mut self, segments: &[Segment], q_tokens: &[String]) {
-        self.form_query.clear();
-        self.bases.clear();
-        for seg in segments {
-            let base = self.form_query.len();
-            self.bases.push(base);
-            self.form_query.resize(base + seg.forms().len(), 0);
-            for (q, token) in q_tokens.iter().enumerate() {
-                for &form in seg.forms_stemming_to(token) {
-                    // The first query token a form stems to is its match.
-                    let slot = &mut self.form_query[base + form as usize];
-                    if *slot == 0 {
-                        *slot = q as u32 + 1;
-                    }
-                }
-            }
+    /// Mark `query` (an analysed query, as ids of `terms`) for every cut
+    /// until the next call: a form matches the first query term that is
+    /// its stem.
+    pub(crate) fn for_query(&mut self, terms: &TermTable, query: &[Sym]) {
+        self.query_of.clear();
+        self.query_of.resize(terms.interner().len(), 0);
+        for (q, id) in query.iter().enumerate().rev() {
+            self.query_of[id.index()] = q as u32 + 1;
         }
     }
 
-    /// Cut the snippet of document `local` of `seg`, segment `s` of the
-    /// last [`SnippetScratch::for_query`] call: the best window of `window`
-    /// tokens for that query. Equals [`extract_snippet`] of the document's
-    /// body; the window's form ids are [`SnippetScratch::window_forms`]
-    /// until the next cut.
-    pub(crate) fn cut(&mut self, s: usize, seg: &Segment, local: u32, window: usize) -> String {
-        let SnippetScratch { forms, matches, form_query, bases, .. } = self;
-        let form_query = &form_query[bases[s]..bases[s] + seg.forms().len()];
+    /// Cut the snippet of document `local` of `seg`, whose forms' stems
+    /// are `stems`, for the query of the last [`SnippetScratch::for_query`]
+    /// call: the best window of `window` tokens. Equals [`extract_snippet`]
+    /// of the document's body; the window's form ids are
+    /// [`SnippetScratch::window_forms`] until the next cut.
+    pub(crate) fn cut(&mut self, seg: &Segment, stems: &[Sym], local: u32, window: usize) -> String {
+        let SnippetScratch { forms, matches, query_of, .. } = self;
         seg.doc_forms(local, forms);
         if forms.is_empty() {
             self.window = 0..0;
@@ -81,7 +67,7 @@ impl SnippetScratch {
         let window = window.max(1).min(forms.len());
         matches.clear();
         for (pos, &form) in forms.iter().enumerate() {
-            let q = form_query[form as usize];
+            let q = query_of[stems[form as usize].index()];
             if q != 0 {
                 matches.push((pos as u32, q - 1));
             }
@@ -302,17 +288,19 @@ mod tests {
         for (i, body) in bodies.iter().enumerate() {
             b.add(&format!("u{i}"), "t", body);
         }
-        let seg = b.finish_segment().expect("round trip");
+        let index = crate::SegmentedIndex::from_segments(vec![b.finish_segment().expect("round trip")])
+            .expect("one segment");
+        let seg = &index.segments()[0];
         let mut queries: Vec<Vec<String>> = (0..24)
             .map(|_| (0..1 + next(3)).map(|_| porter_stem(TOPICS[next(TOPICS.len())])).collect())
             .collect();
         queries.extend([vec![], q(&["zzz"]), q(&["does", "the", "seafood", "seafood"])]);
         let mut scratch = SnippetScratch::default();
         for q_tokens in &queries {
-            scratch.for_query(std::slice::from_ref(&seg), q_tokens);
+            scratch.for_query(index.terms(), &index.terms().ids(q_tokens));
             for (local, body) in bodies.iter().enumerate() {
                 for window in [1, 5, 24] {
-                    let got = scratch.cut(0, &seg, local as u32, window);
+                    let got = scratch.cut(seg, index.terms().form_stems(0), local as u32, window);
                     assert_eq!(got, extract_snippet(body, q_tokens, window), "{q_tokens:?} {body:?}");
                     let joined: Vec<&str> =
                         scratch.window_forms().iter().map(|&f| seg.forms()[f as usize].as_str()).collect();

@@ -160,7 +160,7 @@ proptest! {
         let by_doc: HashMap<u32, f64> = all.iter().map(|h| (h.doc, h.score)).collect();
         let asked: Vec<u32> = (0..doc_words.len() as u32).rev().take(k).collect();
         for idx in [&e, &build_segmented(&doc_words, num_segments)] {
-            let scores = idx.score_docs(&idx.analyze_text(&query), &asked);
+            let scores = idx.score_docs(&idx.terms().analyze(&query), &asked);
             for (d, s) in asked.iter().zip(&scores) {
                 let expect = by_doc.get(d).copied().unwrap_or(0.0);
                 prop_assert_eq!(

@@ -158,7 +158,7 @@ proptest! {
         let e = build(&bodies);
         let hits = e.search(q, bodies.len() + 5);
         let ids: Vec<u32> = hits.iter().map(|h| h.doc).collect();
-        let scores = e.score_docs(&e.analyze_text(q), &ids);
+        let scores = e.score_docs(&e.terms().analyze(q), &ids);
         for (h, s) in hits.iter().zip(&scores) {
             prop_assert!((h.score - s).abs() < 1e-9);
         }

@@ -108,8 +108,8 @@ proptest! {
         let toks = engine.analyze_text(&query);
         assert_hits_identical(&seg.search_tokens(&toks, k), &engine.search_tokens(&toks, k), &ctx)?;
         let asked: Vec<u32> = (0..doc_words.len() as u32).collect();
-        let got = seg.score_docs(&toks, &asked);
-        let want = engine.score_docs(&toks, &asked);
+        let got = seg.score_docs(&seg.terms().ids(&toks), &asked);
+        let want = engine.score_docs(&engine.terms().ids(&toks), &asked);
         for (d, (g, w)) in asked.iter().zip(got.iter().zip(&want)) {
             prop_assert_eq!(g.to_bits(), w.to_bits(), "score_docs mismatch doc {} ({})", d, &ctx);
         }

@@ -74,17 +74,8 @@ impl Analyzer {
     /// Run the full pipeline over `text`, returning owned tokens.
     pub fn analyze(&self, text: &str) -> Vec<String> {
         let mut out = Vec::new();
-        self.analyze_into(text, &mut out);
-        out
-    }
-
-    /// [`Analyzer::analyze`] into a caller-supplied buffer (cleared
-    /// first). Hot query paths reuse one buffer across calls so analysis
-    /// stops allocating token vectors at steady state; output is
-    /// identical to [`Analyzer::analyze`].
-    pub fn analyze_into(&self, text: &str, out: &mut Vec<String>) {
-        out.clear();
         self.for_each_token(text, |t| out.push(t.to_string()));
+        out
     }
 
     /// Run the full pipeline over `text`, calling `f` with each token

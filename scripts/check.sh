@@ -93,6 +93,28 @@ only_in_fn() {
     done
 }
 
+# only_in_method PATTERN ALLOWED FILE...: only_in_fn with each function
+# named `Type::fn` after the `impl` block it sits in (the last word of the
+# `impl` line, generics dropped), a free function by its name alone.
+only_in_method() {
+    local pattern="$1" allowed="$2" f
+    shift 2
+    for f in "$@"; do
+        awk -v f="$f" -v pat="$pattern" -v allowed=" $allowed " '
+            cfg && /^(pub )?mod / { exit }
+            { cfg = /^#\[cfg\(test\)\]/ }
+            /^[ \t]*\/\// { next }
+            /^[^ \t}]/ { ty = "" }
+            /^impl/ { ty = $0; sub(/ *\{.*/, "", ty); n = split(ty, w, / +/); ty = w[n]; sub(/<.*/, "", ty) }
+            match($0, /fn [a-z_0-9]+/) {
+                fn = substr($0, RSTART + 3, RLENGTH - 3)
+                name = ty == "" ? fn : ty "::" fn
+            }
+            index($0, pat) && !index(allowed, " " name " ") { print f ":" FNR ":" $0 }
+        ' "$f"
+    done
+}
+
 # in_fns PATTERN FNS FILE...: print every non-comment line before a
 # file's test module (as in only_in_fn) that contains PATTERN (a fixed
 # string) inside one of the functions named in the space-separated FNS.
@@ -113,16 +135,17 @@ in_fns() {
 echo "==> analyse-once gate (analyser/matcher calls in pws-concepts only in snippet.rs)"
 # Concept extraction analyses a snippet exactly once:
 # crates/pws-concepts/src/snippet.rs — SnippetAnalysis::new from text,
-# FormTable::new once per index segment form, SnippetAnalysis::from_forms
-# off that table — is the only serving-path code that runs the analyser
-# or the location matcher; the counting pass works on analyses.
+# FormTable::new once per index segment form (place-name tokens; the term
+# ids come from the index), SnippetAnalysis::from_forms off that table —
+# is the only serving-path code that runs the analyser or the location
+# matcher; the counting pass works on analyses.
 # reference.rs (the five-pass oracle behind extract_reference) and
 # #[cfg(test)] modules are exempt.
 if for f in crates/pws-concepts/src/*.rs; do
     case "$f" in */snippet.rs|*/reference.rs) continue ;; esac
     awk -v f="$f" '/^#\[cfg\(test\)\]/{exit} {print f":"FNR":"$0}' "$f"
 done | grep -vE '^[^:]+:[0-9]+:\s*//' \
-     | grep -E '\.(analyze(_into|_interned)?|for_each_token|term_of|locations_in(_words)?|token_word|match_text|match_tokens)\(|tokenize\('; then
+     | grep -E '\.(analyze(_into|_interned)?|for_each_token|term_of|locations_in(_words)?|words_in|match_text|match_tokens)\(|tokenize\('; then
     echo "FAIL: snippet text analysed outside SnippetAnalysis::new — go through crate::snippet"
     exit 1
 fi
@@ -131,16 +154,17 @@ echo "==> tokenise-once gate (no body or snippet text tokenised or stemmed at se
 # A document is tokenised once, when its segment is built: a snippet is cut
 # from the stored form stream (crates/pws-index: SegmentedIndex::cut_hits and
 # materialize, SnippetScratch::for_query / cut / window_forms, best_window,
-# Segment::touch / doc_fields / doc_forms / forms_stemming_to), and the engine
+# Segment::touch / doc_fields / doc_forms, TermTable::form_stems), and the engine
 # analyses it off its form ids. Neither that path nor any non-test code in
 # pws-core tokenises, reads the word table or calls the string entry point
 # extract_snippet; and pws-core reaches SnippetAnalysis::new only through
 # SnippetAnalysis::from_forms' fallback (a window holding a form that does
 # not re-tokenise to itself). #[cfg(test)] modules are exempt.
-cut_path_fns='cut_hits materialize for_query cut window_forms best_window touch doc_fields doc_forms forms_stemming_to'
+cut_path_fns='cut_hits materialize for_query cut window_forms best_window touch doc_fields doc_forms form_stems'
 for pattern in 'tokenize(' 'for_each_token(' 'with_words(' 'extract_snippet('; do
     if in_fns "$pattern" "$cut_path_fns" crates/pws-index/src/segmented.rs \
-        crates/pws-index/src/snippet.rs crates/pws-index/src/segment.rs | grep .; then
+        crates/pws-index/src/snippet.rs crates/pws-index/src/segment.rs \
+        crates/pws-index/src/terms.rs | grep .; then
         echo "FAIL: text tokenised on the snippet-cutting path — cut from the form stream"
         exit 1
     fi
@@ -152,14 +176,34 @@ done | grep -E 'tokenize\(|for_each_token\(|with_words\(|extract_snippet\(|Snipp
     exit 1
 fi
 
-echo "==> intern-once gate (term ids assigned in pws-concepts only in snippet.rs / dict.rs)"
-# A term gets its id once: FormTable::new interns each index form's term into
-# the engine-wide TermDict (crates/pws-concepts/src/dict.rs) when the engine
-# is built, SnippetAnalysis::new each term of a text it analyses, and
-# the counting pass works on those integers out of its scratch table — it
-# builds no interner and owns no hash map, and the only strings it makes are
-# the names of the concepts it returns. reference.rs and #[cfg(test)] modules
-# are exempt.
+echo "==> intern-once gate (no term id assigned on the serving path after engine construction)"
+# Term ids are assigned when an index is loaded: TermTable::add_segment
+# (crates/pws-index/src/terms.rs) numbers every segment's lexicon terms,
+# form stems and form snippet terms, and SegmentBuilder::add numbers a
+# segment's own terms and forms while it is built. An engine borrows that
+# table as its concept dictionary (pws_concepts::TermDict::of): FormTable::new
+# takes each form's term ids from the index, and SnippetAnalysis::from_forms,
+# the counting pass and all of pws-core and pws-serve read ids only. Only the
+# string entry point SnippetAnalysis::new interns, into a dictionary of its
+# caller's (TermDict::intern). The counting pass also builds no interner and
+# owns no hash map, and the only strings it makes are the names of the
+# concepts it returns. reference.rs and #[cfg(test)] modules are exempt.
+if only_in_method '.intern(' 'TermTable::intern TermTable::add_segment SegmentBuilder::add' \
+    crates/pws-index/src/*.rs | grep .; then
+    echo "FAIL: a term id assigned in pws-index outside the table build — ids are given at load"
+    exit 1
+fi
+if only_in_method '.intern(' 'SnippetAnalysis::new TermDict::intern' \
+    $(ls crates/pws-concepts/src/*.rs | grep -v reference.rs) | grep .; then
+    echo "FAIL: a term id assigned in pws-concepts outside SnippetAnalysis::new — read ids off the index"
+    exit 1
+fi
+if for f in crates/pws-core/src/*.rs crates/pws-serve/src/*.rs; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /^[ \t]*\/\// { next } { print f ":" FNR ":" $0 }' "$f"
+done | grep -E '\.intern\(|TermDict::new\(|Interner::new\('; then
+    echo "FAIL: the engine assigns term ids — borrow the index's table (TermDict::of)"
+    exit 1
+fi
 if for f in crates/pws-concepts/src/*.rs; do
     case "$f" in */snippet.rs|*/dict.rs|*/reference.rs) continue ;; esac
     awk -v f="$f" '/^#\[cfg\(test\)\]/{exit} {print f":"FNR":"$0}' "$f"
@@ -170,6 +214,30 @@ done | grep -vE '^[^:]+:[0-9]+:\s*//' \
 fi
 if only_in_fn 'format!(' 'concept_name' crates/pws-concepts/src/content.rs | grep .; then
     echo "FAIL: a String built per candidate — only concept_name names, and only survivors"
+    exit 1
+fi
+
+echo "==> one-vocabulary gate (one term table, read by id, with no lock)"
+# The index's TermTable is the one vocabulary: ranking, snippet marking,
+# re-scoring and the retrieval cache take a query as its ids, analysed
+# once, and a segment reaches a term through the table's id -> ordinal map.
+# No string-keyed map may come back into the index's serving code (a term
+# string hashed once per segment per query was the cost this removed), no
+# per-segment string lookup (Segment::term_ord is test-only), and the
+# concept vocabulary an engine borrows takes no lock. #[cfg(test)] modules
+# are exempt.
+vocab_files=(crates/pws-index/src/{segmented,exec,snippet,segment,terms}.rs)
+ls "${vocab_files[@]}" crates/pws-concepts/src/dict.rs > /dev/null  # a renamed file fails loudly
+if grep -n 'HashMap<String' "${vocab_files[@]}"; then
+    echo "FAIL: a string-keyed map in the index — look terms up once, in the TermTable"
+    exit 1
+fi
+if only_in_fn 'term_ord(' 'term_ord' crates/pws-index/src/*.rs | grep .; then
+    echo "FAIL: a segment looked up by term string — map the query's ids through TermTable::ord"
+    exit 1
+fi
+if grep -nE '\b(RwLock|Mutex)\b' crates/pws-concepts/src/dict.rs crates/pws-index/src/terms.rs; then
+    echo "FAIL: a lock in the term vocabulary — it is immutable once the index is loaded"
     exit 1
 fi
 
