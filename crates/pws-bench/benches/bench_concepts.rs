@@ -55,10 +55,12 @@ fn bench_concepts(c: &mut Criterion) {
     });
     let analyses: Vec<SnippetAnalysis> =
         snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher, &mut dict)).collect();
+    let query = pws_concepts::query_terms(&q.text, &dict);
     g.bench_function("phase_count_30_snippets", |b| {
         b.iter(|| {
             std::hint::black_box(QueryConceptOntology::from_analyses(
                 &q.text,
+                &query,
                 &analyses,
                 &dict,
                 &world.world,
@@ -70,7 +72,7 @@ fn bench_concepts(c: &mut Criterion) {
 
     let analyst = SnippetAnalyst::new(&world.engine, &world.world);
     let query = world.engine.terms().analyze(&q.text);
-    let ranked = world.engine.rank_tokens(&query, 30);
+    let ranked = world.engine.rank_tokens(&query, None, 30).0;
     let all: Vec<usize> = (0..ranked.len()).collect();
     let cut = world.engine.cut_hits(&query, &ranked, &all);
     g.bench_function("phase_analyse_30_snippets_from_forms", |b| {

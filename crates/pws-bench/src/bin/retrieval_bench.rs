@@ -1,4 +1,4 @@
-//! Base-retrieval benchmark: the exhaustive oracle vs Block-Max WAND over
+//! Base-retrieval benchmark: the exhaustive oracle vs the top-k scan over
 //! one in-RAM segment, the same behind the serving cache, and over
 //! segments re-opened from disk.
 //!
@@ -9,7 +9,7 @@
 //! ```
 //!
 //! `pws-index` has one index layout (the segment) and one top-k executor
-//! (serial Block-Max WAND); at paper scale three rows answer the same
+//! (one exhaustive term-at-a-time scan); at paper scale three rows answer the same
 //! query workload over the same corpus:
 //!
 //! * **naive** — [`SegmentedIndex::search_exhaustive`], the term-at-a-time
@@ -33,7 +33,7 @@
 //!
 //! `--scale large` builds a ≥1M-document corpus into on-disk segments
 //! (parallel, thread-count-invariant), records build time and index
-//! size, verifies Block-Max WAND against exhaustive scoring on every
+//! size, verifies the scan against exhaustive scoring on every
 //! fixture query, and measures QPS/p50/p95/p99 through the segmented
 //! backend. All scales merge into `results/BENCH_retrieval.json` under
 //! a `scales` array keyed by scale name.
@@ -108,7 +108,7 @@ fn cached_search(
 ) -> Vec<SearchHit> {
     let query = index.terms().analyze(q);
     let pool = cache.get(&query, POOL_K).unwrap_or_else(|| {
-        let ranked = index.rank_tokens(&query, POOL_K);
+        let ranked = index.rank_tokens(&query, None, POOL_K).0;
         let pool = Arc::new(RankedPool::new(query, ranked));
         cache.put(POOL_K, Arc::clone(&pool));
         pool
@@ -186,7 +186,7 @@ fn verify(
             // (serve from cache) paths are checked against the reference.
             ("cache miss", cached_search(&world.engine, cache, analyst, &q.text)),
             ("cache hit", cached_search(&world.engine, cache, analyst, &q.text)),
-            // Segmented (from disk): Block-Max WAND must match both the
+            // Segmented (from disk): the scan must match both the
             // in-RAM reference and its own exhaustive scorer.
             ("on-disk segments", segmented.search(&q.text, POOL_K)),
             ("on-disk exhaustive", segmented.search_exhaustive(&q.text, POOL_K)),
@@ -332,7 +332,7 @@ fn run_world_scale(scale: &'static str, spec: ExperimentSpec, smoke: bool) {
         std::process::exit(1);
     }
     println!(
-        "correctness: Block-Max WAND over the in-RAM segment, the cache, and the \
+        "correctness: the top-k scan over the in-RAM segment, the cache, and the \
          on-disk segments bit-identical to the exhaustive oracle on all {} queries",
         world.queries.len()
     );
@@ -373,7 +373,7 @@ fn run_world_scale(scale: &'static str, spec: ExperimentSpec, smoke: bool) {
 
 /// The large tier: stream a ≥1M-document corpus straight into parallel
 /// segment builds (never holding the corpus in memory), persist every
-/// segment, re-open from disk, verify BMW vs exhaustive on the fixture
+/// segment, re-open from disk, verify the scan vs exhaustive on the fixture
 /// workload, then measure the segmented backend.
 fn run_large() {
     let spec = CorpusSpec::large();
@@ -425,13 +425,13 @@ fn run_large() {
         index_bytes as f64 / 1e6
     );
 
-    // ── Correctness gate: BMW vs exhaustive on every fixture query ───
+    // ── Correctness gate: the scan vs exhaustive on every fixture query ───
     let mut disagreements = 0;
     for q in &queries {
-        let bmw = segmented.search(&q.text, POOL_K);
+        let scan = segmented.search(&q.text, POOL_K);
         let full = segmented.search_exhaustive(&q.text, POOL_K);
-        if !hits_equal(&bmw, &full) {
-            eprintln!("DISAGREEMENT BMW vs exhaustive on query {:?}", q.text);
+        if !hits_equal(&scan, &full) {
+            eprintln!("DISAGREEMENT scan vs exhaustive on query {:?}", q.text);
             disagreements += 1;
         }
     }
@@ -440,7 +440,7 @@ fn run_large() {
         std::process::exit(1);
     }
     println!(
-        "correctness: Block-Max WAND bit-identical to exhaustive scoring \
+        "correctness: the top-k scan bit-identical to exhaustive scoring \
          on all {} queries at {} docs",
         queries.len(),
         segmented.doc_count()

@@ -29,7 +29,7 @@
 
 use crate::dict::TermDict;
 use crate::scratch::CountScratch;
-use crate::snippet::{for_each_term, SnippetAnalysis};
+use crate::snippet::SnippetAnalysis;
 use pws_text::Sym;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
@@ -100,25 +100,22 @@ fn concept_name(key: u64, known: &TermDict<'_>) -> String {
     }
 }
 
-/// Count content concepts of `query_text` over the analysed snippets
-/// (analyses against the dictionary `known`).
+/// Count content concepts of the query with term ids `query` over the
+/// analysed snippets (analyses against the dictionary `known`, which
+/// `query`'s ids are also of; see [`crate::snippet::query_terms`]).
 ///
 /// Returns the concepts sorted by descending support, ties broken
 /// lexicographically (deterministic), and leaves their snippet-incidence
 /// rows in `scratch.chosen` in the same order (row `i`, bit `s` ⇔ concept
 /// `i` occurs in snippet `s`).
 pub(crate) fn count_content<S: Borrow<SnippetAnalysis>>(
-    query_text: &str,
+    query: &[Sym],
     analyses: &[S],
     cfg: &ConceptConfig,
     known: &TermDict<'_>,
     scratch: &mut CountScratch,
 ) -> Vec<ContentConcept> {
-    let CountScratch { query, rows, keys, seen, ranked, chosen } = scratch;
-    // A query term the dictionary has never seen occurs in no snippet.
-    query.clear();
-    for_each_term(query_text, |t| query.extend(known.get(t)));
-
+    let CountScratch { rows, keys, seen, ranked, chosen } = scratch;
     // Candidates in order of first sight: `keys[c]` is candidate `c`, `seen`
     // row `c` the snippets it occurs in. A candidate counts once per snippet
     // because setting a bit twice changes nothing. A pool has at most one
@@ -205,7 +202,8 @@ mod tests {
         let analyses: Vec<SnippetAnalysis> =
             snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher, &mut dict)).collect();
         crate::scratch::with(|scratch| {
-            let concepts = count_content(query_text, &analyses, cfg, &dict, scratch);
+            let query = crate::snippet::query_terms(query_text, &dict);
+            let concepts = count_content(&query, &analyses, cfg, &dict, scratch);
             (concepts, scratch.chosen.clone())
         })
     }

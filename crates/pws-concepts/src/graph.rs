@@ -236,7 +236,8 @@ mod tests {
         let analyses: Vec<SnippetAnalysis> =
             snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher, &mut dict)).collect();
         crate::scratch::with(|scratch| {
-            let concepts = count_content("q", &analyses, &cfg(), &dict, scratch);
+            let query = crate::query_terms("q", &dict);
+            let concepts = count_content(&query, &analyses, &cfg(), &dict, scratch);
             let g = ConceptGraph::from_incidence(&scratch.chosen, sim_threshold, containment_threshold);
             (concepts, g)
         })

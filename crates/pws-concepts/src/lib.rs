@@ -65,4 +65,4 @@ pub use dict::TermDict;
 pub use graph::{ConceptGraph, ConceptRelation};
 pub use location::{LocationConcept, LocationConceptConfig};
 pub use ontology::QueryConceptOntology;
-pub use snippet::{FormTable, SnippetAnalysis};
+pub use snippet::{query_terms, FormTable, SnippetAnalysis};

@@ -11,8 +11,9 @@ use crate::graph::ConceptGraph;
 use crate::location::{
     count_locations, locations_by_snippet, LocationConcept, LocationConceptConfig,
 };
-use crate::snippet::SnippetAnalysis;
+use crate::snippet::{query_terms, SnippetAnalysis};
 use pws_geo::{LocationMatcher, LocationOntology};
+use pws_text::Sym;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 
@@ -49,12 +50,15 @@ impl QueryConceptOntology {
         let mut dict = TermDict::new();
         let analyses: Vec<SnippetAnalysis> =
             snippets.iter().map(|s| SnippetAnalysis::new(s, matcher, &mut dict)).collect();
-        Self::from_analyses(query_text, &analyses, &dict, world, content_cfg, location_cfg)
+        let query = query_terms(query_text, &dict);
+        Self::from_analyses(query_text, &query, &analyses, &dict, world, content_cfg, location_cfg)
     }
 
-    /// The per-pool half of extraction: count concepts over snippets that
-    /// are already analysed (`analyses[i]` is snippet `i`, built against
-    /// `dict`). Callers that see the same snippets again — the engine's
+    /// The per-pool half of extraction: count concepts of the query
+    /// `query_text`, whose terms have the ids `query` in `dict`
+    /// ([`query_terms`]; an engine's retrieval already holds them), over
+    /// snippets that are already analysed (`analyses[i]` is snippet `i`,
+    /// built against `dict`). Callers that see the same snippets again — the engine's
     /// pool and page, other users' pools — keep the analyses and pay only
     /// for this pass, which reads `dict` (it cannot intern) and works out
     /// of the thread's reusable scratch.
@@ -64,6 +68,7 @@ impl QueryConceptOntology {
     /// `dict`.
     pub fn from_analyses<S: Borrow<SnippetAnalysis>>(
         query_text: &str,
+        query: &[Sym],
         analyses: &[S],
         dict: &TermDict<'_>,
         world: &LocationOntology,
@@ -71,7 +76,7 @@ impl QueryConceptOntology {
         location_cfg: &LocationConceptConfig,
     ) -> Self {
         let (content, graph, content_by_snippet) = crate::scratch::with(|scratch| {
-            let content = count_content(query_text, analyses, content_cfg, dict, scratch);
+            let content = count_content(query, analyses, content_cfg, dict, scratch);
             let incidence = &scratch.chosen;
             let graph = ConceptGraph::from_incidence(incidence, 0.4, 0.8);
             // Sized exactly first: a list per snippet, grown push by push,
@@ -220,7 +225,6 @@ mod tests {
         let capacities = || {
             crate::scratch::with(|s| {
                 [
-                    s.query.capacity(),
                     s.rows.capacity(),
                     s.keys.capacity(),
                     s.seen.capacity(),
@@ -247,6 +251,7 @@ mod tests {
             let count = || {
                 QueryConceptOntology::from_analyses(
                     "seafood restaurant",
+                    &query_terms("seafood restaurant", &dict),
                     analyses,
                     &dict,
                     &w,

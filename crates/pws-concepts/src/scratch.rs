@@ -10,15 +10,12 @@
 //! scratch.)
 
 use crate::graph::Incidence;
-use pws_text::Sym;
 use std::cell::RefCell;
 
 /// Buffers of one counting pass; see [`crate::content::count_content`] for
 /// what each holds while it runs.
 #[derive(Debug, Default)]
 pub(crate) struct CountScratch {
-    /// Ids of the query's terms (those the dictionary knows).
-    pub query: Vec<Sym>,
     /// Candidate key → candidate row.
     pub rows: RowTable,
     /// Candidate keys, by row.

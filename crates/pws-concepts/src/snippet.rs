@@ -30,6 +30,17 @@ pub(crate) fn for_each_term(text: &str, f: impl FnMut(&str)) {
     Analyzer::default().for_each_token(text, f);
 }
 
+/// The ids `dict` holds of the terms of `query_text`, in order: what the
+/// counting pass compares snippet terms with (a term the dictionary lacks
+/// occurs in no snippet). An engine passes its retrieval's query ids
+/// instead — the same ids, its index analysing with the default analyser
+/// and lending its term table as the dictionary.
+pub fn query_terms(query_text: &str, dict: &TermDict<'_>) -> Vec<Sym> {
+    let mut ids = Vec::new();
+    for_each_term(query_text, |t| ids.extend(dict.get(t)));
+    ids
+}
+
 /// What one snippet contributes to any pool it appears in.
 ///
 /// Compact by construction (the memo holds thousands): a term is its 4-byte

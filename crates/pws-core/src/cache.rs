@@ -28,6 +28,15 @@
 //! left out of the ids). Order is kept: BM25 sums a document's terms in
 //! query order, so "a b" and "b a" may differ in the last bit.
 //!
+//! A city-augmented request has two keys: the query's ids, and those ids
+//! followed by the city name's (the "query + city" list). The engine
+//! (`EngineCore::retrieve`) probes both before ranking anything, and when
+//! both miss it ranks both lists in one index scan and puts both pools —
+//! the base pool first. The augmented key is thus probed before the base
+//! pool is put: a city that adds no id makes the two keys one, and then
+//! both probes miss where the old put-then-probe order counted a hit.
+//! Pools are deterministic, so no result byte depends on the order.
+//!
 //! Correctness contract: `get` returns exactly what `put` stored for the
 //! same `(query, k)`. The index is immutable for the engine's lifetime,
 //! so a stored pool never goes stale. A snippet depends only on its body
@@ -339,7 +348,7 @@ mod tests {
                 if cache.get(&query, 30).is_some() {
                     continue;
                 }
-                let ranked = index.rank_tokens(&query, 30);
+                let ranked = index.rank_tokens(&query, None, 30).0;
                 let pool = Arc::new(RankedPool::new(query, ranked));
                 if pool.ranked().len() < 30 {
                     continue;
@@ -470,7 +479,7 @@ mod tests {
         let all: Vec<usize> = (0..30).collect();
         let query = index.terms().ids(&tokens);
         for _ in 0..20 {
-            let pool = RankedPool::new(query.clone(), index.rank_tokens(&query, 30));
+            let pool = RankedPool::new(query.clone(), index.rank_tokens(&query, None, 30).0);
             let barrier = Barrier::new(4);
             let got: Vec<Vec<SearchHit>> = std::thread::scope(|s| {
                 let threads: Vec<_> = (0..4)

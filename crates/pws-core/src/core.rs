@@ -22,7 +22,7 @@ use pws_click::{Impression, UserId};
 use pws_concepts::{QueryConceptOntology, SnippetAnalysis};
 use pws_entropy::{Effectiveness, QueryStats};
 use pws_geo::{LocId, LocationOntology};
-use pws_index::{RetrievalBackend, SearchHit, TermTable};
+use pws_index::{RetrievalBackend, SearchHit, Sym, TermTable};
 use pws_obs::event::{FlightEvent, SearchStage};
 use pws_obs::trace::{BetaInputs, BetaProvenance, ConceptTrace, QueryTrace, ResultTrace};
 use pws_profile::{
@@ -206,28 +206,59 @@ impl<'a> EngineCore<'a> {
         self
     }
 
-    /// Base retrieval for `query_text` with the configured pool size,
-    /// consulting the retrieval cache when the core owns one. Returns the
-    /// ranked pool — shared with the cache, so a cached pool costs a
-    /// reference count; a transient one without a cache — plus
-    /// `Some(hit?)` when a cache was consulted (`None` without a cache)
-    /// for the event's cache stamp. No snippet is cut here.
-    fn retrieve_base(&self, query_text: &str) -> (Arc<RankedPool>, Option<bool>) {
+    /// Base retrieval of `query` with the configured pool size and, given
+    /// the ids of a `city` name, of the augmented `query ++ city`,
+    /// consulting the retrieval cache when the core owns one. Both keys are
+    /// probed first; whatever missed is ranked — both lists in one index
+    /// scan when both missed, and always so without a cache — and put.
+    /// Returns the pools — shared with the cache, so a cached pool costs a
+    /// reference count; transient ones without a cache — plus `Some(hit?)`
+    /// of the base probe when a cache was consulted (`None` without a
+    /// cache) for the event's cache stamp. No snippet is cut here.
+    ///
+    /// The augmented key is probed before the base pool is put. When the
+    /// city adds no id (a name no document holds), the two keys are one,
+    /// and both probes miss where probing after the put would have hit;
+    /// pools are deterministic, so no result byte depends on the order.
+    #[allow(clippy::type_complexity)]
+    fn retrieve(
+        &self,
+        query: Vec<Sym>,
+        city: Option<Vec<Sym>>,
+    ) -> (Arc<RankedPool>, Option<Arc<RankedPool>>, Option<bool>) {
         let k = self.cfg.rerank_pool;
-        let query = self.terms.analyze(query_text);
-        let rank = |query: Vec<_>| {
-            let ranked = self.base.rank_tokens(&query, k);
-            Arc::new(RankedPool::new(query, ranked))
+        let cache = self.retrieval_cache.as_ref();
+        let probe = |q: &[Sym]| cache.and_then(|c| c.get(q, k));
+        let base = probe(&query);
+        let aug = city.map(|city| {
+            let aug = [query.as_slice(), &city].concat();
+            (probe(&aug), aug)
+        });
+        let stamp = cache.map(|_| base.is_some());
+        // Rank what missed: both lists in one scan when both did.
+        let extension = match (&base, &aug) {
+            (None, Some((None, aug))) => Some(&aug[query.len()..]),
+            _ => None,
         };
-        let Some(cache) = &self.retrieval_cache else {
-            return (rank(query), None);
+        let (ranked, extended) = match base {
+            None => self.base.rank_tokens(&query, extension, k),
+            Some(_) => (Vec::new(), None),
         };
-        if let Some(pool) = cache.get(&query, k) {
-            return (pool, Some(true));
-        }
-        let pool = rank(query);
-        cache.put(k, Arc::clone(&pool));
-        (pool, Some(false))
+        let keep = |query, ranked| {
+            let pool = Arc::new(RankedPool::new(query, ranked));
+            if let Some(cache) = cache {
+                cache.put(k, Arc::clone(&pool));
+            }
+            pool
+        };
+        let base = base.unwrap_or_else(|| keep(query, ranked));
+        let aug = aug.map(|(cached, aug)| {
+            cached.unwrap_or_else(|| {
+                let ranked = extended.unwrap_or_else(|| self.base.rank_tokens(&aug, None, k).0);
+                keep(aug, ranked)
+            })
+        });
+        (base, aug, stamp)
     }
 
     /// The candidate pool a turn for `query_text` re-ranks — each hit
@@ -244,29 +275,38 @@ impl<'a> EngineCore<'a> {
     /// above 0 join — and only they have their snippets cut. A joining
     /// hit keeps its augmented-list rank and BM25 score; its normalized
     /// score is the re-scored one. Nothing is augmented when the query
-    /// already names the city.
+    /// already names the city. Both lists come from one index scan when
+    /// neither is cached.
     pub fn candidate_pool(
         &self,
         query_text: &str,
         city: Option<LocId>,
     ) -> (Vec<(SearchHit, f64)>, Option<bool>) {
-        let (candidates, cache_hit) = self.pool_candidates(query_text, city);
+        let (candidates, _, cache_hit) = self.pool_candidates(query_text, city);
         (candidates.into_iter().map(|c| (c.hit, c.norm)).collect(), cache_hit)
     }
 
     /// [`Self::candidate_pool`] with each hit's snippet analysis, cut (and
-    /// analysed) on first use.
-    fn pool_candidates(&self, query_text: &str, city: Option<LocId>) -> (Vec<Candidate>, Option<bool>) {
-        let (base, cache_hit) = self.retrieve_base(query_text);
+    /// analysed) on first use, and the base retrieval (its query's ids are
+    /// what concept counting compares snippet terms with).
+    fn pool_candidates(
+        &self,
+        query_text: &str,
+        city: Option<LocId>,
+    ) -> (Vec<Candidate>, Arc<RankedPool>, Option<bool>) {
+        // Augmentation is decided before ranking, so that one scan can rank
+        // both lists. The augmented ids are the query's then the city's:
+        // the analysis of "query city" (the analyser works token by token).
+        let city = city
+            .map(|c| self.world.name(c))
+            .filter(|name| !self.query_mentions_city(query_text, name))
+            .map(|name| self.terms.analyze(name));
+        let (base, aug, cache_hit) = self.retrieve(self.terms.analyze(query_text), city);
         let all: Vec<usize> = (0..base.ranked().len()).collect();
         let (mut candidates, base_max) = normalize_pool(&base.cut(self.base, &all, &self.analyst));
-        let Some(city_name) = city.map(|c| self.world.name(c)) else {
-            return (candidates, cache_hit);
+        let Some(aug) = aug else {
+            return (candidates, base, cache_hit);
         };
-        if self.query_mentions_city(query_text, city_name) {
-            return (candidates, cache_hit);
-        }
-        let (aug, _) = self.retrieve_base(&format!("{query_text} {city_name}"));
         let new: Vec<usize> = (0..aug.ranked().len())
             .filter(|&i| !candidates.iter().any(|c| c.hit.doc == aug.ranked()[i].0))
             .collect();
@@ -282,7 +322,7 @@ impl<'a> EngineCore<'a> {
             .map(|((p, fresh), s)| candidate(p, s / base_max, fresh))
             .collect();
         merge_pools(&mut candidates, rescored);
-        (candidates, cache_hit)
+        (candidates, base, cache_hit)
     }
 
     /// Concept extraction over `candidates`: the counting pass over their
@@ -291,7 +331,11 @@ impl<'a> EngineCore<'a> {
     /// turn's cut built it and no extraction of the turn counted it yet,
     /// else `snippet_hit`, and the call as a whole under
     /// `engine.concepts.memo_miss` (it counted a built one) or `memo_hit`.
-    fn extract_concepts(&self, query_text: &str, candidates: &mut [Candidate]) -> QueryConceptOntology {
+    fn extract_concepts(
+        &self,
+        (query_text, query): (&str, &[Sym]),
+        candidates: &mut [Candidate],
+    ) -> QueryConceptOntology {
         let built = candidates.iter().filter(|c| c.fresh).count();
         candidates.iter_mut().for_each(|c| c.fresh = false);
         self.metrics.snippet_hit.incr((candidates.len() - built) as u64);
@@ -305,6 +349,7 @@ impl<'a> EngineCore<'a> {
         let analyses: Vec<&SnippetAnalysis> = candidates.iter().map(|c| &*c.analysis).collect();
         QueryConceptOntology::from_analyses(
             query_text,
+            query,
             &analyses,
             self.analyst.dict(),
             self.world,
@@ -500,15 +545,17 @@ impl<'a> EngineCore<'a> {
         let city = (self.cfg.query_augmentation && self.cfg.mode.uses_location())
             .then(|| state.location.preferred_city(self.world))
             .flatten();
-        let (mut candidates, cache_hit) = self.pool_candidates(query_text, city);
+        let (mut candidates, pool, cache_hit) = self.pool_candidates(query_text, city);
+        let query = pool.query();
         ev.user = user.0;
         ev.cache_hit = cache_hit;
         finish_span(retrieval_span, ev, SearchStage::Retrieval);
 
         // The base order serves a baseline or empty pool (nothing to
         // degrade: this *is* the base order) and every degraded checkpoint.
+        let query = (query_text, query);
         let base_order = |candidates, prepared, ev, trace| {
-            self.base_order_turn(state, user, query_text, candidates, stats, prepared, ev, trace)
+            self.base_order_turn(state, user, query, candidates, stats, prepared, ev, trace)
         };
         if self.cfg.mode == PersonalizationMode::Baseline || candidates.is_empty() {
             return (base_order(candidates, None, ev, trace), None);
@@ -519,7 +566,7 @@ impl<'a> EngineCore<'a> {
 
         // ── Features over the pool ────────────────────────────────────────
         let concepts_span = self.metrics.concepts.span();
-        let pool_onto = self.extract_concepts(query_text, &mut candidates);
+        let pool_onto = self.extract_concepts(query, &mut candidates);
         finish_span(concepts_span, ev, SearchStage::Concepts);
         if gate_fires(&mut gate, StageCheckpoint::Concepts) {
             return (base_order(candidates, None, ev, trace), Some(StageCheckpoint::Concepts));
@@ -573,7 +620,7 @@ impl<'a> EngineCore<'a> {
         let turn = self.finish_turn(
             state,
             user,
-            query_text,
+            query,
             page,
             beta,
             true,
@@ -595,7 +642,7 @@ impl<'a> EngineCore<'a> {
         &self,
         state: &UserState,
         user: UserId,
-        query_text: &str,
+        query: (&str, &[Sym]),
         candidates: Vec<Candidate>,
         stats: Option<&QueryStats>,
         prepared: Option<PreparedFeatures<'_>>,
@@ -615,7 +662,7 @@ impl<'a> EngineCore<'a> {
                 c
             })
             .collect();
-        self.finish_turn(state, user, query_text, page, beta, false, prepared, ev, trace)
+        self.finish_turn(state, user, query, page, beta, false, prepared, ev, trace)
     }
 
     /// The stateless escape hatch: serve `query_text` from baseline
@@ -640,12 +687,13 @@ impl<'a> EngineCore<'a> {
         trace: Option<&mut QueryTrace>,
     ) -> SearchTurn {
         let retrieval_span = self.metrics.retrieval.span();
-        let (candidates, cache_hit) = self.pool_candidates(query_text, None);
+        let (candidates, pool, cache_hit) = self.pool_candidates(query_text, None);
         finish_span(retrieval_span, ev, SearchStage::Retrieval);
         ev.user = user.0;
         ev.cache_hit = cache_hit;
         let state = UserState::default();
-        self.base_order_turn(&state, user, query_text, candidates, stats, None, ev, trace)
+        let query = (query_text, pool.query());
+        self.base_order_turn(&state, user, query, candidates, stats, None, ev, trace)
     }
 
     /// Extract the page-level ontology + page-aligned features and assemble
@@ -659,7 +707,7 @@ impl<'a> EngineCore<'a> {
         &self,
         state: &UserState,
         user: UserId,
-        query_text: &str,
+        (query_text, query): (&str, &[Sym]),
         mut page: Vec<Candidate>,
         beta: f64,
         personalized: bool,
@@ -668,7 +716,7 @@ impl<'a> EngineCore<'a> {
         trace: Option<&mut QueryTrace>,
     ) -> SearchTurn {
         let concepts_span = self.metrics.concepts.span();
-        let ontology = self.extract_concepts(query_text, &mut page);
+        let ontology = self.extract_concepts((query_text, query), &mut page);
         finish_span(concepts_span, ev, SearchStage::Concepts);
         let features_span = self.metrics.features.span();
         let inputs: Vec<ResultFeatureInput> =

@@ -7,8 +7,8 @@
 //! whatever ids the shared term dictionary happened to hand out.
 
 use pws_concepts::{
-    reference, ConceptConfig, LocationConceptConfig, QueryConceptOntology, SnippetAnalysis,
-    TermDict,
+    query_terms, reference, ConceptConfig, LocationConceptConfig, QueryConceptOntology,
+    SnippetAnalysis, TermDict,
 };
 use pws_eval::{ExperimentSpec, ExperimentWorld};
 use pws_geo::LocationMatcher;
@@ -99,8 +99,9 @@ fn extraction_does_not_depend_on_term_id_order() {
                 let [a, b] = [&mut forward, &mut reverse].map(|dict| {
                     let analyses: Vec<SnippetAnalysis> =
                         snippets.iter().map(|s| SnippetAnalysis::new(s, &matcher, dict)).collect();
+                    let query = query_terms(&q.text, dict);
                     QueryConceptOntology::from_analyses(
-                        &q.text, &analyses, &*dict, &world.world, content_cfg, location_cfg,
+                        &q.text, &query, &analyses, &*dict, &world.world, content_cfg, location_cfg,
                     )
                 });
                 let slow = QueryConceptOntology::extract_reference(

@@ -20,7 +20,7 @@ use pws_text::Sym;
 /// BM25 descending with ties broken by ascending doc id; for the analysed
 /// query `t = analyze_text(q)` and its ids `ids = segment_forms().0.ids(&t)`,
 /// `search_tokens(&t, k)` equals `search(q, k)`, and equals the hits of
-/// `cut_hits(&ids, &rank_tokens(&ids, k), &[0, 1, ..])`; a cut hit's
+/// `cut_hits(&ids, &rank_tokens(&ids, None, k).0, &[0, 1, ..])`; a cut hit's
 /// snippet is its form ids' entries of `segment_forms().1[segment]` joined
 /// by `' '`; `score_docs` returns exactly 0.0 for docs matching no query
 /// term and credits only the last occurrence of a duplicated doc id.
@@ -35,8 +35,16 @@ pub trait RetrievalBackend: Send + Sync {
     fn search_tokens(&self, q_tokens: &[String], k: usize) -> Vec<SearchHit>;
 
     /// The ranked `(doc, BM25)` top-k of a query analysed to term ids, with
-    /// no snippet cut.
-    fn rank_tokens(&self, query: &[Sym], k: usize) -> Vec<(u32, f64)>;
+    /// no snippet cut; with an `extension`, also the top-k of
+    /// `query ++ extension`, from the same scan. Each list equals ranking
+    /// its query alone.
+    #[allow(clippy::type_complexity)]
+    fn rank_tokens(
+        &self,
+        query: &[Sym],
+        extension: Option<&[Sym]>,
+        k: usize,
+    ) -> (Vec<(u32, f64)>, Option<Vec<(u32, f64)>>);
 
     /// The hits at positions `which` of `ranked` (a `rank_tokens` list for
     /// `query`), each with its list rank, score and query-biased snippet
@@ -66,8 +74,13 @@ impl RetrievalBackend for SegmentedIndex {
         SegmentedIndex::search_tokens(self, q_tokens, k)
     }
 
-    fn rank_tokens(&self, query: &[Sym], k: usize) -> Vec<(u32, f64)> {
-        SegmentedIndex::rank_tokens(self, query, k)
+    fn rank_tokens(
+        &self,
+        query: &[Sym],
+        extension: Option<&[Sym]>,
+        k: usize,
+    ) -> (Vec<(u32, f64)>, Option<Vec<(u32, f64)>>) {
+        SegmentedIndex::rank_tokens(self, query, extension, k)
     }
 
     fn cut_hits(&self, query: &[Sym], ranked: &[(u32, f64)], which: &[usize]) -> Vec<CutHit> {

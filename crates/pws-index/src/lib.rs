@@ -14,8 +14,9 @@
 //!   streams that snippets are cut from; every segment in existence has
 //!   round-tripped through the format.
 //! * [`segmented::SegmentedIndex`] serves a set of segments under global
-//!   collection statistics with Okapi BM25 ([`score`]) and **Block-Max
-//!   WAND** top-k pruning that is bit-identical to exhaustive scoring.
+//!   collection statistics with Okapi BM25 ([`score`]) and one exhaustive
+//!   term-at-a-time top-k scan, bit-identical to the reference scorer,
+//!   that can rank a query and its extension ("query + city") in one pass.
 //!   [`builder::IndexBuilder`] is the in-RAM front door: it builds a single
 //!   segment and returns it as a [`SearchEngine`] (an alias of
 //!   `SegmentedIndex`).

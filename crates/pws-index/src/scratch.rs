@@ -1,14 +1,15 @@
 //! Pooled per-query scratch arenas for the scoring hot paths.
 //!
-//! Every buffer a query execution needs — the bounded top-k heap, cursor
-//! tables, block-decode buffers, bound/accumulator arrays, and the ranked
-//! candidate list — lives in a [`SearchScratch`] that is checked out of a
-//! [`ScratchPool`] for the duration of one query and returned on drop.
-//! At steady state the scoring loops in [`crate::exec`] therefore perform
-//! **zero heap allocations**: all growth happens on the first few queries,
-//! after which the buffers are only `clear()`ed and refilled (capacity is
-//! retained). check.sh enforces this shape with a grep gate forbidding
-//! bare `Vec`/`HashMap` `new()` constructors in the hot-loop modules.
+//! Every buffer a query execution needs — the resolved query, the two
+//! bounded top-k heaps, the block-decode buffer, the dense accumulator and
+//! the ranked candidate lists — lives in a [`SearchScratch`] that is
+//! checked out of a [`ScratchPool`] for the duration of one query and
+//! returned on drop. At steady state the scoring loop in [`crate::exec`]
+//! therefore performs **zero heap allocations**: all growth happens on the
+//! first few queries, after which the buffers are only `clear()`ed and
+//! refilled (capacity is retained). check.sh enforces this shape with a
+//! grep gate forbidding bare `Vec`/`HashMap` `new()` constructors in the
+//! hot-loop modules.
 //!
 //! The pool is shared: every clone of a `SegmentedIndex` shares one pool
 //! via `Arc`, and concurrent queries reuse each other's warmed buffers. Pool traffic is
@@ -18,7 +19,7 @@
 //! reuses, also counted as `engine.retrieval.scratch_reuse`), and
 //! `scratch.max_in_use` records the concurrent-checkout high-water mark.
 
-use crate::exec::{BmwCursor, HeapEntry, ResolvedTerm};
+use crate::exec::{restore, HeapEntry, Slot};
 use crate::snippet::SnippetScratch;
 use std::collections::BinaryHeap;
 use std::ops::{Deref, DerefMut};
@@ -29,36 +30,32 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// instead of pooled, bounding steady-state memory.
 const MAX_POOLED: usize = 64;
 
-/// All reusable buffers for one in-flight query: `terms` / `slots` hold
-/// the resolved query, the rest is the Block-Max WAND executor's state
-/// (see [`crate::exec`]), and `cands` receives the final ranking.
+/// All reusable buffers for one in-flight query: `slots` / `split` /
+/// `extended` hold the resolved query and its extension, the rest is the
+/// scan's state (see [`crate::exec`]), and `cands` receives the final
+/// rankings.
 #[derive(Debug, Default)]
 pub(crate) struct SearchScratch {
-    /// Resolved unique query terms.
-    pub terms: Vec<ResolvedTerm>,
-    /// Occurrence → unique-term mapping (accumulation order).
-    pub slots: Vec<usize>,
-    /// `(global doc, score)` candidates in final rank order.
-    pub cands: Vec<(u32, f64)>,
-    /// Bounded top-k min-heap over all segments.
-    pub heap: BinaryHeap<HeapEntry>,
-    /// Per-term cursors over the current segment.
-    pub cursors: Vec<BmwCursor>,
-    /// Per-cursor block-decode buffers (parallel to `cursors`).
-    pub bufs: Vec<Vec<(u32, u32)>>,
-    /// Cursor indices by ascending whole-term upper bound.
-    pub order: Vec<usize>,
-    /// Prefix sums of ordered upper bounds.
-    pub prefix: Vec<f64>,
-    /// Per-unique-term score contributions for the current doc.
-    pub contrib: Vec<f64>,
-    /// Dense per-doc score accumulator for term-at-a-time run scoring
-    /// (NaN = untouched sentinel; entries are restored after each drain).
+    /// One per present query token, the query's then the extension's, in
+    /// accumulation order.
+    pub slots: Vec<Slot>,
+    /// Number of the query's own slots (the extension's follow).
+    pub split: usize,
+    /// Whether an extension is ranked too (into the second list).
+    pub extended: bool,
+    /// Bounded top-k min-heaps over all segments: the query's, and
+    /// `query ++ extension`'s.
+    pub heaps: [BinaryHeap<HeapEntry>; 2],
+    /// `(global doc, score)` candidates in final rank order, per heap.
+    pub cands: [Vec<(u32, f64)>; 2],
+    /// Block-decode buffer.
+    pub buf: Vec<(u32, u32)>,
+    /// Dense per-doc score accumulator of the current segment (every cell
+    /// [`crate::exec::UNTOUCHED`] between scans: touched cells are restored
+    /// after each segment, and when the checkout drops, so also on unwind).
     pub acc: Vec<f64>,
-    /// Docs touched by the current term-at-a-time run, first-seen order.
+    /// Docs the current segment's scan touched, first-seen order.
     pub touched: Vec<u32>,
-    /// Total heap insertions (for the `index.snippets_deferred` count).
-    pub pushes: u64,
     /// Snippet cutting state: the query's marks on each segment's forms,
     /// the per-body form buffers.
     pub snippets: SnippetScratch,
@@ -108,7 +105,7 @@ impl ScratchPool {
     /// Check a scratch arena out of the pool (constructing one only when
     /// the free list is empty). The arena returns to the pool when the
     /// guard drops — including on unwind, so a panicking query never
-    /// leaks its buffers.
+    /// leaks its buffers, and its accumulator goes back clean.
     pub fn acquire(self: &Arc<Self>) -> PooledScratch {
         let stages = pool_stages();
         stages.acquired.incr(1);
@@ -151,7 +148,11 @@ impl DerefMut for PooledScratch {
 impl Drop for PooledScratch {
     fn drop(&mut self) {
         self.pool.in_use.fetch_sub(1, Ordering::Relaxed);
-        if let Some(s) = self.scratch.take() {
+        if let Some(mut s) = self.scratch.take() {
+            // A scan that panicked (say on a damaged block's out-of-range
+            // doc id) left scores in the accumulator; the next query would
+            // add into them. After a completed scan this is a no-op.
+            restore(&mut s.acc, &mut s.touched);
             let mut free = self.pool.free.lock().unwrap_or_else(|p| p.into_inner());
             if free.len() < MAX_POOLED {
                 free.push(s);
@@ -163,21 +164,22 @@ impl Drop for PooledScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::UNTOUCHED;
 
     #[test]
     fn pool_reuses_returned_scratch() {
         let pool = Arc::new(ScratchPool::default());
         {
             let mut a = pool.acquire();
-            a.slots.push(7);
-            a.slots.clear();
-            let cap = a.slots.capacity();
+            a.touched.push(7);
+            a.touched.clear();
+            let cap = a.touched.capacity();
             assert!(cap > 0);
         }
         // The same arena (with retained capacity) comes back.
         let b = pool.acquire();
-        assert!(b.slots.capacity() > 0, "buffer capacity must survive pooling");
-        assert!(b.slots.is_empty() || !b.slots.is_empty()); // contents are unspecified
+        assert!(b.touched.capacity() > 0, "buffer capacity must survive pooling");
+        assert!(b.touched.is_empty() || !b.touched.is_empty()); // contents are unspecified
     }
 
     #[test]
@@ -185,10 +187,28 @@ mod tests {
         let pool = Arc::new(ScratchPool::default());
         let mut a = pool.acquire();
         let mut b = pool.acquire();
-        a.slots.push(1);
-        b.slots.push(2);
-        assert_eq!(a.slots, vec![1]);
-        assert_eq!(b.slots, vec![2]);
+        a.touched.push(1);
+        b.touched.push(2);
+        assert_eq!(a.touched, vec![1]);
+        assert_eq!(b.touched, vec![2]);
+    }
+
+    #[test]
+    fn an_abandoned_scan_returns_a_clean_accumulator() {
+        let pool = Arc::new(ScratchPool::default());
+        {
+            let mut a = pool.acquire();
+            a.acc.resize(8, UNTOUCHED);
+            a.acc[2] = 1.5;
+            a.acc[5] = 0.25;
+            a.touched.extend([2, 5]);
+            // Dropped mid-scan, without draining `touched`.
+        }
+        let b = pool.acquire();
+        assert_eq!(b.acc.len(), 8, "the same arena comes back");
+        let clean = b.acc.iter().all(|c| c.to_bits() == UNTOUCHED.to_bits());
+        assert!(clean, "stale scores: {:?}", b.acc);
+        assert!(b.touched.is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! [`SearchEngine`] name.
 //!
 //! There is one index implementation: [`SegmentedIndex`] over immutable
-//! [`crate::Segment`]s, searched by the one Block-Max WAND executor.
+//! [`crate::Segment`]s, searched by the one executor (`exec`).
 //! [`SearchEngine`] is what [`crate::IndexBuilder::build`] returns — the
 //! same type holding a single segment that was built (and lives) in RAM.
 

@@ -36,7 +36,8 @@ pub enum SectionId {
     /// Term dictionary (term ord = position).
     Terms = 2,
     /// Per-term block table: doc ranges, max tf, min doc length, payload
-    /// lengths. Everything Block-Max WAND needs without touching payloads.
+    /// lengths. The executor reads the doc ranges and payload lengths; the
+    /// max tf and min doc length are validated but not read.
     BlockMax = 3,
     /// Concatenated block payloads (delta-varint doc ids + tfs).
     Postings = 4,

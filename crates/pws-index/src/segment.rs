@@ -5,12 +5,10 @@
 //! [`SegmentBuilder`] and never mutated. Postings are stored as
 //! **block-compressed** runs of up to [`BLOCK_SIZE`] `(doc, tf)` pairs;
 //! each block carries its last doc id, its maximum term frequency, and
-//! the minimum document length among its docs. Those three numbers are
-//! collection-statistics-independent, so a loader can derive a correct
-//! BM25 **block-max impact bound** under *any* global statistics (which
-//! change with the segment set) without touching payloads —
-//! the foundation of the Block-Max WAND pruning in
-//! [`crate::segmented::SegmentedIndex`].
+//! the minimum document length among its docs. The last two are
+//! collection-statistics-independent block-max impact bounds; they are
+//! written and validated, but the executor (`exec`) scans every
+//! block and reads neither (dropping them waits for a format version).
 //!
 //! Every body is also stored **tokenised**: the segment's distinct body
 //! tokens (its *forms*, exactly what [`pws_text::tokenize()`] outputs) and
@@ -112,18 +110,13 @@ thread_local! {
     static FAST_BLOCKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Per-term metadata: document frequency plus the term's block range and
-/// segment-wide tf/len extremes (for whole-term impact bounds).
+/// Per-term metadata: document frequency plus the term's block range.
 #[derive(Debug, Clone)]
 pub(crate) struct TermMeta {
     /// Document frequency within this segment.
     pub df: u32,
     /// Range into the segment's flat block table.
     pub blocks: std::ops::Range<usize>,
-    /// Max `max_tf` over the term's blocks.
-    pub max_tf: u32,
-    /// Min `min_dlen` over the term's blocks.
-    pub min_dlen: u32,
 }
 
 #[derive(Debug)]
@@ -232,7 +225,7 @@ impl Segment {
             let n_blocks =
                 read_varint(&mut b).ok_or(FormatError::Truncated("BlockMax.count"))?;
             let start = blocks.len();
-            let (mut df, mut t_max_tf, mut t_min_dlen) = (0u64, 0u32, u32::MAX);
+            let mut df = 0u64;
             let mut prev_last = None::<u32>;
             for _ in 0..n_blocks {
                 let last_doc =
@@ -257,8 +250,6 @@ impl Segment {
                 }
                 prev_last = Some(last_doc);
                 df += u64::from(bdc);
-                t_max_tf = t_max_tf.max(max_tf);
-                t_min_dlen = t_min_dlen.min(min_dlen);
                 blocks.push(BlockMeta {
                     last_doc,
                     doc_count: bdc,
@@ -272,12 +263,7 @@ impl Segment {
                     .ok_or(FormatError::Malformed("postings offset overflow"))?;
             }
             let df = u32::try_from(df).map_err(|_| FormatError::Malformed("df overflow"))?;
-            term_meta.push(TermMeta {
-                df,
-                blocks: start..blocks.len(),
-                max_tf: t_max_tf,
-                min_dlen: if t_min_dlen == u32::MAX { 0 } else { t_min_dlen },
-            });
+            term_meta.push(TermMeta { df, blocks: start..blocks.len() });
         }
         if !b.is_empty() {
             return Err(FormatError::Malformed("trailing bytes in BlockMax").into());

@@ -1,4 +1,4 @@
-//! The index: a set of immutable segments with Block-Max WAND top-k
+//! The index: a set of immutable segments with exhaustive top-k
 //! execution.
 //!
 //! A [`SegmentedIndex`] serves queries over a set of immutable
@@ -8,39 +8,35 @@
 //! of any document does not depend on how the corpus was split — one
 //! segment built in RAM by [`crate::IndexBuilder`] and sixteen opened
 //! from disk rank the same corpus *bit-identically*. That identity is the
-//! correctness contract: the Block-Max WAND pruned top-k is
-//! property-tested against the exhaustive reference
-//! ([`SegmentedIndex::search_exhaustive`]) on arbitrary corpora and
-//! segmentations, and `retrieval_bench` re-verifies it on every fixture
-//! query as a CI gate.
+//! correctness contract: the executor's top-k is property-tested against
+//! the exhaustive reference ([`SegmentedIndex::search_exhaustive`]) on
+//! arbitrary corpora and segmentations, and `retrieval_bench` re-verifies
+//! it on every fixture query as a CI gate.
 //!
-//! ## Pruning
+//! ## The scan
 //!
-//! Query execution is MaxScore-style pruning at **block** granularity
-//! (the Block-Max WAND family, in the essential-list / MaxScore
-//! formulation sometimes called Block-Max MaxScore):
+//! Query execution (`exec`) is one term-at-a-time scan: segment
+//! by segment, each query token's postings are decoded block by block and
+//! added into a dense per-doc accumulator in query-token order, and the
+//! touched docs are offered to a bounded top-k heap. That is the reference
+//! scorer's arithmetic, so the scores are bit-identical to it.
+//! [`SegmentedIndex::rank_tokens`] takes an optional extension (the
+//! engine's "query + city" augmentation): the same scan continues with the
+//! extension's tokens after reading the query's top k, and returns both
+//! lists from one pass over the query's postings.
 //!
-//! * each term carries a whole-term upper bound (from the segment-wide
-//!   `max_tf` / `min_dlen` extremes) — terms whose bounds cannot reach
-//!   the heap threshold θ become *non-essential* and stop driving
-//!   candidate generation;
-//! * each candidate is re-bounded from the **per-block** `max_tf` /
-//!   `min_dlen` of the blocks that could contain it, reached by shallow
-//!   moves over the block table — payloads are only varint-decoded when
-//!   a block's bound actually beats θ;
-//! * bounds are inflated by a small relative slack, so floating-point
-//!   rounding can never cause a false prune; ties on score break by
-//!   ascending global doc id, making `bound ≤ θ ⇒ skip` exact.
-//!
-//! Because `max_tf`/`min_dlen` are statistics-independent, the bounds
-//! stay valid whatever segment set they are served in and however the
-//! global average length or idf falls — no stored impact ever has to be
-//! rebuilt.
+//! Nothing is pruned. Block-Max WAND, which ran here before, decoded and
+//! scored 99.1 % of a query's postings on the large workload (600 of its
+//! 2 749 templates, k = 30), and exact per-block score maxima would still
+//! have left 93 % of the blocks to decode — 100 % for an augmented query —
+//! so the per-block `max_tf`/`min_dlen` the segments carry are not read.
+//! The `index.postings` and `index.blocks` counters record what each scan
+//! decoded.
 //!
 //! A query reaches the index as ids of its [`TermTable`]
 //! ([`crate::terms`]); the string entry points look their tokens up in it.
 
-use crate::exec::{bmw_top_k, rank_order, ResolvedTerm, SegContext};
+use crate::exec::{rank_order, top_k, SegContext, Slot};
 use crate::score::{bm25_term, idf, Bm25Params};
 use crate::scratch::{ScratchPool, SearchScratch};
 use crate::search::{CutHit, SearchHit};
@@ -243,14 +239,22 @@ impl SegmentedIndex {
     /// The ranking half of [`SegmentedIndex::search_tokens`] over a query
     /// analysed to ids of [`SegmentedIndex::terms`]: the top `k`
     /// `(global doc, BM25)` pairs in rank order, with no document decoded
-    /// and no snippet cut. Recorded under `index.search`.
-    pub fn rank_tokens(&self, query: &[Sym], k: usize) -> Vec<(u32, f64)> {
+    /// and no snippet cut. With an `extension`, also the top `k` of
+    /// `query ++ extension` — each list bit-identical to ranking its query
+    /// alone — from one scan that reads the query's postings once. Recorded
+    /// under `index.search`.
+    #[allow(clippy::type_complexity)]
+    pub fn rank_tokens(
+        &self,
+        query: &[Sym],
+        extension: Option<&[Sym]>,
+        k: usize,
+    ) -> (Vec<(u32, f64)>, Option<Vec<(u32, f64)>>) {
         let _span = self.metrics_search().span();
         let mut scratch = self.scratch.acquire();
-        if !self.rank_into(query, k, &mut scratch) {
-            return Vec::new();
-        }
-        scratch.cands.clone()
+        self.rank_into(query, extension, k, &mut scratch);
+        let [ranked, extended] = &scratch.cands;
+        (ranked.clone(), extension.map(|_| extended.clone()))
     }
 
     /// The cutting half of [`SegmentedIndex::search_tokens`]: the hits at
@@ -282,32 +286,37 @@ impl SegmentedIndex {
         STAGE.get_or_init(|| pws_obs::stage("index.materialize"))
     }
 
-    /// Process-wide handle to the `index.snippets_deferred` counter.
-    fn metrics_snippets_deferred(&self) -> &pws_obs::StageMetrics {
-        static STAGE: std::sync::OnceLock<std::sync::Arc<pws_obs::StageMetrics>> =
-            std::sync::OnceLock::new();
-        STAGE.get_or_init(|| pws_obs::stage("index.snippets_deferred"))
-    }
-
     /// Rank and cut every hit: the body of [`SegmentedIndex::search`] and
     /// [`SegmentedIndex::search_tokens`].
     fn run_query(&self, query: &[Sym], k: usize, scratch: &mut SearchScratch) -> Vec<SearchHit> {
-        if !self.rank_into(query, k, scratch) {
+        self.rank_into(query, None, k, scratch);
+        let SearchScratch { cands: [cands, _], snippets, .. } = scratch;
+        if cands.is_empty() {
             return Vec::new();
         }
         let _span = self.metrics_materialize().span();
-        let SearchScratch { cands, snippets, .. } = scratch;
         self.materialize(cands.iter().copied().enumerate(), query, snippets, |h, _, _| h)
     }
 
-    /// Run Block-Max WAND for the top `k` into `scratch.cands`; `false`
-    /// (and `cands` untouched) when nothing can match.
-    fn rank_into(&self, query: &[Sym], k: usize, scratch: &mut SearchScratch) -> bool {
-        if k == 0 || self.doc_count == 0 || query.is_empty() {
-            return false;
+    /// Scan for the top `k` of `query` into `scratch.cands[0]` and, with
+    /// an `extension`, of `query ++ extension` into `scratch.cands[1]`;
+    /// the lists are empty when nothing can match. The postings and blocks
+    /// the scan decoded are counted under `index.postings` and
+    /// `index.blocks`, once per call.
+    fn rank_into(
+        &self,
+        query: &[Sym],
+        extension: Option<&[Sym]>,
+        k: usize,
+        scratch: &mut SearchScratch,
+    ) {
+        scratch.cands.iter_mut().for_each(Vec::clear);
+        if k == 0 || self.doc_count == 0 {
+            return;
         }
-        if !self.resolve_into(query, scratch) {
-            return false;
+        self.resolve_into(query, extension, scratch);
+        if scratch.slots.is_empty() {
+            return;
         }
         let ctx = SegContext {
             segments: &self.segments,
@@ -317,19 +326,23 @@ impl SegmentedIndex {
             avg_len: self.avg_len,
             k,
         };
-        let pushes = bmw_top_k(&ctx, scratch);
-        // Snippets are cut for the final top-k at most; every other heap
-        // insertion deferred (= skipped) its snippet.
-        let deferred = pushes.saturating_sub(scratch.cands.len() as u64);
-        if deferred > 0 {
-            self.metrics_snippets_deferred().incr(deferred);
-        }
-        true
+        let work = top_k(&ctx, scratch);
+        let [postings, blocks] = self.metrics_work();
+        postings.incr(work.postings);
+        blocks.incr(work.blocks);
+    }
+
+    /// Process-wide handles to the `index.postings` and `index.blocks`
+    /// work counters.
+    fn metrics_work(&self) -> &[Arc<pws_obs::StageMetrics>; 2] {
+        static STAGES: std::sync::OnceLock<[Arc<pws_obs::StageMetrics>; 2]> =
+            std::sync::OnceLock::new();
+        STAGES.get_or_init(|| [pws_obs::stage("index.postings"), pws_obs::stage("index.blocks")])
     }
 
     /// The exhaustive reference: term-at-a-time accumulation over every
     /// posting of every query term in every segment, then a full sort.
-    /// The pruned path is gated against it; it never serves traffic (and
+    /// The executor is gated against it; it never serves traffic (and
     /// records no `index.search` metrics).
     pub fn search_exhaustive(&self, query: &str, k: usize) -> Vec<SearchHit> {
         // Duplicate query terms contribute once per occurrence (standard
@@ -458,34 +471,20 @@ impl SegmentedIndex {
         scores
     }
 
-    /// Resolve query ids into unique present terms + occurrence slots
-    /// directly into pooled scratch. Returns `false` when no document
-    /// holds a query term.
-    fn resolve_into(&self, query: &[Sym], scratch: &mut SearchScratch) -> bool {
-        let SearchScratch { terms, slots, .. } = scratch;
-        terms.clear();
+    /// Resolve the ids of `query`, then of `extension`, into scan slots
+    /// directly into pooled scratch: one per id some document holds, in
+    /// order (duplicates score once per occurrence).
+    fn resolve_into(&self, query: &[Sym], extension: Option<&[Sym]>, scratch: &mut SearchScratch) {
+        let SearchScratch { slots, split, extended, .. } = scratch;
+        let slot = |&term: &Sym| {
+            let df = self.terms.df(term);
+            (df > 0).then(|| Slot { term, idf: idf(self.doc_count, df) })
+        };
         slots.clear();
-        for &id in query {
-            let df = self.terms.df(id);
-            if df == 0 {
-                continue;
-            }
-            let t = match terms.iter().position(|u| u.term == id) {
-                Some(t) => t,
-                None => {
-                    terms.push(ResolvedTerm { term: id, idf: idf(self.doc_count, df), mult: 0 });
-                    terms.len() - 1
-                }
-            };
-            slots.push(t);
-        }
-        if terms.is_empty() {
-            return false;
-        }
-        for &t in &*slots {
-            terms[t].mult += 1;
-        }
-        true
+        slots.extend(query.iter().filter_map(slot));
+        *split = slots.len();
+        *extended = extension.is_some();
+        slots.extend(extension.unwrap_or_default().iter().filter_map(slot));
     }
 
     /// Build hits from `(list position, (global doc, score))` candidates,
@@ -752,7 +751,7 @@ mod tests {
                 let toks = idx.analyze_text(q);
                 let full = idx.search_tokens(&toks, 10);
                 let ids = idx.terms().ids(&toks);
-                let ranked = idx.rank_tokens(&ids, 10);
+                let ranked = idx.rank_tokens(&ids, None, 10).0;
                 let all: Vec<usize> = (0..ranked.len()).collect();
                 let cut = |which: &[usize]| -> Vec<SearchHit> {
                     let cut = idx.cut_hits(&ids, &ranked, which);

@@ -49,8 +49,8 @@ echo "==> cargo doc --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 
 echo "==> retrieval correctness gate (retrieval_bench --smoke)"
-# pws-index has one index layout and one top-k executor: Block-Max WAND
-# over the single in-RAM segment IndexBuilder builds, the same behind
+# pws-index has one index layout and one top-k executor: the exhaustive
+# scan over the single in-RAM segment IndexBuilder builds, the same behind
 # the serving layer's retrieval cache, and over segment files (a full
 # write→load→search round trip plus a corruption-detection check) must
 # all return bit-identical results to the exhaustive oracle on the smoke
@@ -62,9 +62,10 @@ else
 fi
 
 echo "==> allocation-free hot-loop gate (no Vec::new/HashMap::new in exec/scratch)"
-# The per-query scoring loops run out of pooled SearchScratch arenas, and
-# the concept counting pass out of its per-thread CountScratch; steady
-# state must not allocate. Growth is allowed only through with_capacity /
+# The per-query scan runs out of pooled SearchScratch arenas (the
+# accumulator, the decode buffer and both top-k heaps — the query's and
+# its extension's), and the concept counting pass out of its per-thread
+# CountScratch; steady state must not allocate. Growth is allowed only through with_capacity /
 # Default on the reused structs, so a bare Vec::new() or HashMap::new()
 # in these modules is a regression.
 if grep -nE '(Vec|HashMap)::new\(\)' \
@@ -401,6 +402,23 @@ done | grep -E '\.search(_tokens)?\('; then
 fi
 if only_in_fn '.cut_hits(' 'cut' crates/pws-core/src/*.rs | grep .; then
     echo "FAIL: snippets cut outside RankedPool::cut — take hits through the pool"
+    exit 1
+fi
+
+echo "==> one-traversal gate (an augmented request ranks in one call; no augmented query text)"
+# Location-aware augmentation ranks "query + city" as the query's ids
+# followed by the city name's, and EngineCore::retrieve asks the index for
+# both lists in one rank_tokens call (one scan of the query's postings)
+# whenever both miss the cache. So the core builds no query text (no
+# format! in crates/pws-core/src/core.rs: re-analysing "query city" was
+# the second traversal's way in) and calls rank_tokens nowhere else.
+# #[cfg(test)] modules are exempt.
+if only_in_fn 'format!(' '' crates/pws-core/src/core.rs | grep .; then
+    echo "FAIL: text built in the engine core — extend the query's ids with the city's"
+    exit 1
+fi
+if only_in_method '.rank_tokens(' 'EngineCore::retrieve' crates/pws-core/src/*.rs | grep .; then
+    echo "FAIL: rank_tokens outside EngineCore::retrieve — rank both lists in its one call"
     exit 1
 fi
 

@@ -43,7 +43,7 @@ pub use pws_geo as geo;
 /// Synthetic web corpus and query workload generation.
 pub use pws_corpus as corpus;
 
-/// Search engine substrate (segment index, BM25, Block-Max WAND, snippets).
+/// Search engine substrate (segment index, BM25, top-k scan, snippets).
 pub use pws_index as index;
 
 /// Clickthrough substrate: simulated users, click models, logs.
