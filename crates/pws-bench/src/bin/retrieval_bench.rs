@@ -107,7 +107,7 @@ fn cached_search(
     q: &str,
 ) -> Vec<SearchHit> {
     let query = index.terms().analyze(q);
-    let pool = cache.get(&query, POOL_K).unwrap_or_else(|| {
+    let pool = cache.get(&query, query.len(), POOL_K).unwrap_or_else(|| {
         let ranked = index.rank_tokens(&query, None, POOL_K).0;
         let pool = Arc::new(RankedPool::new(query, ranked));
         cache.put(POOL_K, Arc::clone(&pool));

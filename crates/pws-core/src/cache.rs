@@ -14,31 +14,31 @@
 //! and its snippet's analysis once some request has used it. A hit's
 //! snippet is cut and analysed ([`RankedPool::cut`]) the first time a
 //! request puts that hit in its candidate pool: the base pool uses every
-//! hit, a city-augmented pool only the few that survive its dedup and
-//! re-scoring, so the hits an augmented list ranks and nobody keeps are
-//! never cut. The analysis is read off the snippet window's form ids
+//! hit, a city-augmented pool only the hits that join a base pool, so the
+//! hits an augmented list ranks and nobody keeps are never cut. The
+//! analysis is read off the snippet window's form ids
 //! through [`SnippetAnalyst`], which holds one form table per index
 //! segment, built once — so a cached hit is cut once and analysed once,
 //! and every request after that (pool and page extraction, every user)
 //! reuses both.
 //!
-//! The key is the **analysed query's ids, in query order**, plus the pool
-//! size `k`: "Seafood  Restaurant!" and "seafood restaurant" share one
-//! entry, and so does a query with a term the index has never seen (it is
-//! left out of the ids). Order is kept: BM25 sums a document's terms in
-//! query order, so "a b" and "b a" may differ in the last bit.
+//! The key is the **analysed query's ids, in query order**, how many of
+//! them are the user's query (the **split**), and the pool size `k`:
+//! "Seafood  Restaurant!" and "seafood restaurant" share one entry, and so
+//! does a query with a term the index has never seen (it is left out of
+//! the ids). Order is kept: BM25 sums a document's terms in query order, so
+//! "a b" and "b a" may differ in the last bit.
 //!
 //! A city-augmented request has two keys: the query's ids, and those ids
-//! followed by the city name's (the "query + city" list). The engine
-//! (`EngineCore::retrieve`) probes both before ranking anything, and when
-//! both miss it ranks both lists in one index scan and puts both pools —
-//! the base pool first. The augmented key is thus probed before the base
-//! pool is put: a city that adds no id makes the two keys one, and then
-//! both probes miss where the old put-then-probe order counted a hit.
-//! Pools are deterministic, so no result byte depends on the order.
+//! followed by the city name's. A "query + city" pool resolves once, when
+//! it is built off the one scan that ranked it, which hits join a base
+//! pool and with what base score; that depends on where the query ends, so
+//! the split keeps (query "a b", city "c"), (query "a", city "b c") and the
+//! query "a b c" apart. A city adding no id (a name no document holds)
+//! makes no augmented probe: its list would be the base list.
 //!
 //! Correctness contract: `get` returns exactly what `put` stored for the
-//! same `(query, k)`. The index is immutable for the engine's lifetime,
+//! same `(query, split, k)`. The index is immutable for the engine's lifetime,
 //! so a stored pool never goes stale. A snippet depends only on its body
 //! and the list's query, so a hit cut late, alone, or by whichever
 //! of two racing requests wins its slot has the bytes an eager
@@ -99,13 +99,20 @@ pub struct PooledHit {
     pub analysis: Arc<SnippetAnalysis>,
 }
 
-/// One base retrieval: the analysed query (term ids), the ranked list, and
+/// One retrieval: the analysed query (term ids), the ranked list, and
 /// each hit as cut and analysed on first use. Shared by the cache and
 /// every request served from it; a transient one serves an engine without
 /// a cache.
 pub struct RankedPool {
     query: Vec<Sym>,
+    /// How many of `query`'s ids are the user's query: all of them for a
+    /// base pool, fewer for a "query + city" pool.
+    split: usize,
     ranked: Vec<(u32, f64)>,
+    /// The positions of `ranked` that join a base pool, best first, and
+    /// their scores under the query alone (empty for a base pool).
+    pub(crate) joins: Vec<usize>,
+    pub(crate) join_scores: Vec<f64>,
     /// `hits[i]` is the hit at position `i` of `ranked`, once cut.
     hits: Box<[OnceLock<PooledHit>]>,
 }
@@ -127,7 +134,25 @@ impl RankedPool {
     /// hit cut yet.
     pub fn new(query: Vec<Sym>, ranked: Vec<(u32, f64)>) -> Self {
         let hits = ranked.iter().map(|_| OnceLock::new()).collect();
-        RankedPool { query, ranked, hits }
+        let split = query.len();
+        RankedPool { query, split, ranked, joins: Vec::new(), join_scores: Vec::new(), hits }
+    }
+
+    /// A "query + city" pool over `extended`, the extended `rank_tokens`
+    /// list of `query[..split]` extended by `query[split..]`. Its joins are
+    /// the hits whose doc `base` (the query's list) lacks and whose base
+    /// score is above 0.
+    pub(crate) fn augmented(
+        query: Vec<Sym>,
+        split: usize,
+        extended: Vec<(u32, f64, f64)>,
+        base: &[(u32, f64)],
+    ) -> Self {
+        let joins = extended.iter().enumerate();
+        let joins = joins.filter(|&(_, &(doc, _, s))| s > 0.0 && !base.iter().any(|b| b.0 == doc));
+        let (joins, join_scores) = joins.map(|(i, &(_, _, s))| (i, s)).unzip();
+        let ranked = extended.into_iter().map(|(doc, score, _)| (doc, score)).collect();
+        RankedPool { split, joins, join_scores, ..RankedPool::new(query, ranked) }
     }
 
     /// The analysed query the list was ranked (and is cut) for.
@@ -180,11 +205,11 @@ impl RankedPool {
 /// contention is per-query-string, independent of the user shard count.
 const CACHE_SHARDS: usize = 8;
 
-/// One cached base retrieval.
+/// One cached retrieval.
 struct CacheEntry {
-    /// The pool size of the key; the key's query is the pool's. Both are
-    /// compared on probe for collision rejection (the map is keyed by the
-    /// 64-bit fingerprint; a colliding probe must miss, not alias).
+    /// The pool size of the key; the key's query and split are the pool's.
+    /// All are compared on probe for collision rejection (the map is keyed
+    /// by the 64-bit fingerprint; a colliding probe must miss, not alias).
     k: usize,
     /// Shard-local LRU clock value of the last touch.
     tick: u64,
@@ -203,7 +228,7 @@ struct CacheShard {
 /// The shared base-retrieval cache: sharded and bounded LRU.
 ///
 /// * **Sharded** — `CACHE_SHARDS` mutexes, entries routed by an FNV-1a
-///   fingerprint of `(query, k)`, so concurrent queries for different
+///   fingerprint of `(query, split, k)`, so concurrent queries for different
 ///   strings rarely contend.
 /// * **Bounded** — each shard holds at most `⌈capacity / shards⌉`
 ///   entries; inserting past that evicts the shard's least-recently
@@ -225,12 +250,13 @@ pub struct RetrievalCache {
 }
 
 /// FNV-1a over the cache key: the query's ids in order, four bytes each,
-/// then the pool size.
-fn cache_fingerprint(query: &[Sym], k: usize) -> u64 {
+/// then the split and the pool size.
+fn cache_fingerprint(query: &[Sym], split: usize, k: usize) -> u64 {
     let mut h = Fnv1a64::new();
     for id in query {
         h.write(&id.0.to_le_bytes());
     }
+    h.write(&(split as u64).to_le_bytes());
     h.write(&(k as u64).to_le_bytes());
     h.finish()
 }
@@ -263,14 +289,16 @@ impl RetrievalCache {
         })
     }
 
-    /// The cached pool for `(query, k)`, or `None` on a miss.
-    pub fn get(&self, query: &[Sym], k: usize) -> Option<Arc<RankedPool>> {
-        let fp = cache_fingerprint(query, k);
+    /// The cached pool for `(query, split, k)`, or `None` on a miss: a base
+    /// pool's split is `query.len()`, a "query + city" pool's the query's
+    /// id count.
+    pub fn get(&self, query: &[Sym], split: usize, k: usize) -> Option<Arc<RankedPool>> {
+        let fp = cache_fingerprint(query, split, k);
         let mut shard = self.lock_shard(fp);
         shard.tick += 1;
         let tick = shard.tick;
         match shard.map.get_mut(&fp) {
-            Some(e) if e.k == k && e.pool.query == query => {
+            Some(e) if e.k == k && e.pool.split == split && e.pool.query == query => {
                 e.tick = tick;
                 let pool = Arc::clone(&e.pool);
                 drop(shard);
@@ -285,13 +313,13 @@ impl RetrievalCache {
         }
     }
 
-    /// Store `pool` under `(pool.query(), k)`, evicting the shard's
-    /// least-recently touched entry when the shard is full.
+    /// Store `pool` under its query, its split and `k`, evicting the
+    /// shard's least-recently touched entry when the shard is full.
     pub fn put(&self, k: usize, pool: Arc<RankedPool>) {
         if self.per_shard_capacity == 0 {
             return;
         }
-        let fp = cache_fingerprint(&pool.query, k);
+        let fp = cache_fingerprint(&pool.query, pool.split, k);
         let mut shard = self.lock_shard(fp);
         shard.tick += 1;
         let tick = shard.tick;
@@ -345,7 +373,7 @@ mod tests {
         'fill: for city in &cities {
             for q in &queries {
                 let query = index.terms().analyze(&format!("{} {city}", q.text));
-                if cache.get(&query, 30).is_some() {
+                if cache.get(&query, query.len(), 30).is_some() {
                     continue;
                 }
                 let ranked = index.rank_tokens(&query, None, 30).0;
@@ -389,7 +417,7 @@ mod tests {
             let query = vec![Sym(i)];
             cache.put(10, Arc::new(RankedPool::new(query.clone(), Vec::new())));
             assert!(
-                cache.get(&query, 10).is_some(),
+                cache.get(&query, 1, 10).is_some(),
                 "just-inserted entry must be resident"
             );
         }
@@ -404,8 +432,8 @@ mod tests {
         assert!(evictions >= 92, "100 inserts into 8 slots evict at least 92");
         // Pool size is part of the key: same query, different k, miss.
         let query = vec![Sym(99)];
-        assert!(cache.get(&query, 10).is_some());
-        assert!(cache.get(&query, 20).is_none());
+        assert!(cache.get(&query, 1, 10).is_some());
+        assert!(cache.get(&query, 1, 20).is_none());
     }
 
     /// The key is the query's known ids in query order. A term the index
@@ -442,7 +470,9 @@ mod tests {
         }
         let docs: Vec<u32> = plain.iter().map(|(h, _)| h.doc).collect();
         let scores = |q: &str| -> Vec<u64> {
-            index.score_docs(&index.terms().analyze(q), &docs).iter().map(|s| s.to_bits()).collect()
+            let matched = index.search_exhaustive(q, index.doc_count() as usize);
+            let score = |d: &u32| matched.iter().find(|h| h.doc == *d).map_or(0.0, |h| h.score);
+            docs.iter().map(|d| score(d).to_bits()).collect()
         };
         assert_eq!(scores(unseen), scores(known));
 
@@ -453,6 +483,65 @@ mod tests {
         b.sort_unstable();
         assert_eq!(a, b, "the same ids");
         assert_eq!(core.candidate_pool(permuted, None).1, Some(false), "another order misses");
+    }
+
+    /// (query "seafood harbor", city "lobster"), (query "seafood", city
+    /// "harbor lobster") and the plain query "seafood harbor lobster" hold
+    /// the same ids but join different hits to their pools: served in turn
+    /// through one cached core, in either order, each pool equals the
+    /// uncached core's. A city no document names adds no id and makes one
+    /// probe, the base pool's.
+    #[test]
+    fn the_key_names_where_the_query_ends() {
+        let _guard = pws_obs::test_lock();
+        const WORDS: [&str; 6] = ["seafood", "harbor", "lobster", "grill", "market", "dock"];
+        let mut b = IndexBuilder::new();
+        for i in 0..60u32 {
+            let body: Vec<&str> = (0..30).map(|j| WORDS[(i as usize * 5 + j * j) % 6]).collect();
+            b.add(StoredDoc::new(i, &format!("u{i}"), "house", &body.join(" ")));
+        }
+        let index = b.build();
+        let mut world = pws_geo::LocationOntology::new();
+        let region = world.add(pws_geo::LocId::WORLD, "westland", vec![]);
+        let lobster = world.add(region, "lobster", vec![]);
+        let harbor_lobster = world.add(region, "harbor lobster", vec![]);
+        let atlantis = world.add(region, "atlantis", vec![]);
+        let cfg = crate::EngineConfig { rerank_pool: 8, ..crate::EngineConfig::default() };
+        let uncached = crate::EngineCore::new(&index, &world, cfg.clone());
+        let keys = [
+            ("seafood harbor", Some(lobster)),
+            ("seafood", Some(harbor_lobster)),
+            ("seafood harbor lobster", None),
+        ];
+        let ids = |q: &str, city: Option<pws_geo::LocId>| {
+            let city = city.map_or(String::new(), |c| world.name(c).to_string());
+            index.terms().analyze(&format!("{q} {city}"))
+        };
+        assert!(keys.iter().all(|&(q, c)| ids(q, c) == ids(keys[2].0, None)), "one id list");
+        let want: Vec<_> = keys.iter().map(|&(q, city)| uncached.candidate_pool(q, city).0).collect();
+        assert!(want[0].len() > 8 && want[1].len() > 8, "both cities join hits");
+        assert!(want[0] != want[1] && want[0] != want[2] && want[1] != want[2]);
+        for order in [[0, 1, 2, 0, 1, 2], [2, 1, 0, 2, 1, 0]] {
+            let cached = crate::EngineCore::new(&index, &world, cfg.clone()).with_retrieval_cache(64);
+            for i in order {
+                let (got, _) = cached.candidate_pool(keys[i].0, keys[i].1);
+                assert_eq!(got.len(), want[i].len(), "{:?}", keys[i]);
+                for ((a, an), (b, bn)) in got.iter().zip(&want[i]) {
+                    assert!(a == b && an.to_bits() == bn.to_bits(), "{:?}: {a:?} != {b:?}", keys[i]);
+                }
+            }
+        }
+
+        let cached = crate::EngineCore::new(&index, &world, cfg).with_retrieval_cache(64);
+        let probes = || {
+            let snap = pws_obs::snapshot();
+            let count = |name: &str| snap.stages.iter().find(|s| s.name == name).map_or(0, |s| s.count);
+            count("serve.cache.hit") + count("serve.cache.miss")
+        };
+        let before = probes();
+        let (pool, _) = cached.candidate_pool("seafood harbor", Some(atlantis));
+        assert_eq!(probes() - before, 1, "a city adding no id makes no augmented probe");
+        assert_eq!(pool, uncached.candidate_pool("seafood harbor", None).0);
     }
 
     /// Threads that take hits of one fresh pool at once — each first a
@@ -478,6 +567,13 @@ mod tests {
         assert_eq!(eager.len(), 30);
         let all: Vec<usize> = (0..30).collect();
         let query = index.terms().ids(&tokens);
+        let counted = || {
+            pws_obs::snapshot()
+                .stages
+                .iter()
+                .find(|s| s.name == "engine.retrieval.snippets_cut")
+                .map_or(0, |s| s.count)
+        };
         for _ in 0..20 {
             let pool = RankedPool::new(query.clone(), index.rank_tokens(&query, None, 30).0);
             let barrier = Barrier::new(4);
@@ -500,9 +596,11 @@ mod tests {
                 assert_eq!(hits, eager);
             }
             // Every hit is cut now: taking them all again cuts nothing.
+            let before = counted();
             let again = pool.cut(&index, &all, &analyst);
             assert!(again.iter().all(|&(_, cut_now)| !cut_now));
             assert_eq!(hits(again), eager);
+            assert_eq!(counted(), before);
         }
     }
 }

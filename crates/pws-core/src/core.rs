@@ -209,53 +209,52 @@ impl<'a> EngineCore<'a> {
     /// Base retrieval of `query` with the configured pool size and, given
     /// the ids of a `city` name, of the augmented `query ++ city`,
     /// consulting the retrieval cache when the core owns one. Both keys are
-    /// probed first; whatever missed is ranked — both lists in one index
-    /// scan when both missed, and always so without a cache — and put.
-    /// Returns the pools — shared with the cache, so a cached pool costs a
-    /// reference count; transient ones without a cache — plus `Some(hit?)`
-    /// of the base probe when a cache was consulted (`None` without a
-    /// cache) for the event's cache stamp. No snippet is cut here.
-    ///
-    /// The augmented key is probed before the base pool is put. When the
-    /// city adds no id (a name no document holds), the two keys are one,
-    /// and both probes miss where probing after the put would have hit;
-    /// pools are deterministic, so no result byte depends on the order.
+    /// probed first; whatever missed is ranked in one index scan — an
+    /// augmented miss always through the fused call, whose base list is
+    /// dropped when the base pool was cached — and put, base pool first.
+    /// An augmented pool resolves here, once, which of its hits join the
+    /// base pool. A city that adds no id makes no augmented pool: its list
+    /// would be the base list. Returns the pools — shared with the cache,
+    /// so a cached pool costs a reference count; transient ones without a
+    /// cache — plus `Some(hit?)` of the base probe when a cache was
+    /// consulted (`None` without a cache) for the event's cache stamp. No
+    /// snippet is cut here.
     #[allow(clippy::type_complexity)]
     fn retrieve(
         &self,
         query: Vec<Sym>,
         city: Option<Vec<Sym>>,
     ) -> (Arc<RankedPool>, Option<Arc<RankedPool>>, Option<bool>) {
-        let k = self.cfg.rerank_pool;
+        let (k, split) = (self.cfg.rerank_pool, query.len());
         let cache = self.retrieval_cache.as_ref();
-        let probe = |q: &[Sym]| cache.and_then(|c| c.get(q, k));
+        let probe = |ids: &[Sym]| cache.and_then(|c| c.get(ids, split, k));
         let base = probe(&query);
-        let aug = city.map(|city| {
+        let aug = city.filter(|city| !city.is_empty()).map(|city| {
             let aug = [query.as_slice(), &city].concat();
             (probe(&aug), aug)
         });
         let stamp = cache.map(|_| base.is_some());
-        // Rank what missed: both lists in one scan when both did.
-        let extension = match (&base, &aug) {
-            (None, Some((None, aug))) => Some(&aug[query.len()..]),
+        let extension = match &aug {
+            Some((None, aug)) => Some(&aug[split..]),
             _ => None,
         };
-        let (ranked, extended) = match base {
-            None => self.base.rank_tokens(&query, extension, k),
-            Some(_) => (Vec::new(), None),
+        let (ranked, extended) = match (&base, extension) {
+            (Some(_), None) => (Vec::new(), None),
+            _ => self.base.rank_tokens(&query, extension, k),
         };
-        let keep = |query, ranked| {
-            let pool = Arc::new(RankedPool::new(query, ranked));
+        let keep = |pool| {
+            let pool = Arc::new(pool);
             if let Some(cache) = cache {
                 cache.put(k, Arc::clone(&pool));
             }
             pool
         };
-        let base = base.unwrap_or_else(|| keep(query, ranked));
+        let base = base.unwrap_or_else(|| keep(RankedPool::new(query, ranked)));
         let aug = aug.map(|(cached, aug)| {
             cached.unwrap_or_else(|| {
-                let ranked = extended.unwrap_or_else(|| self.base.rank_tokens(&aug, None, k).0);
-                keep(aug, ranked)
+                // `extended` is `Some` whenever the augmented probe missed.
+                let extended = extended.unwrap_or_default();
+                keep(RankedPool::augmented(aug, split, extended, base.ranked()))
             })
         });
         (base, aug, stamp)
@@ -267,16 +266,15 @@ impl<'a> EngineCore<'a> {
     ///
     /// Every hit of the base list joins the pool. With `city` (the
     /// user's preferred city, when augmentation applies) the pool also
-    /// takes hits of "query + city" the base list lacks, so home-city
-    /// documents enter it even when the baseline ranking buried them.
-    /// Those are re-scored against the *original* query (a doc matching
-    /// only the city name is topically irrelevant and must not inherit
-    /// the augmented query's inflated score), and only the ones scoring
-    /// above 0 join — and only they have their snippets cut. A joining
-    /// hit keeps its augmented-list rank and BM25 score; its normalized
-    /// score is the re-scored one. Nothing is augmented when the query
-    /// already names the city. Both lists come from one index scan when
-    /// neither is cached.
+    /// takes the hits of "query + city" that join it — docs the base list
+    /// lacks that the *original* query scores above 0 (a doc matching only
+    /// the city name is topically irrelevant and must not inherit the
+    /// augmented query's inflated score) — so home-city documents enter it
+    /// even when the baseline ranking buried them. The augmented pool
+    /// resolved its joins when it was built (`EngineCore::retrieve`); only
+    /// they have their snippets cut. A joining hit keeps its augmented-list
+    /// rank and BM25 score; its normalized score is its original-query
+    /// score. Nothing is augmented when the query already names the city.
     pub fn candidate_pool(
         &self,
         query_text: &str,
@@ -307,21 +305,14 @@ impl<'a> EngineCore<'a> {
         let Some(aug) = aug else {
             return (candidates, base, cache_hit);
         };
-        let new: Vec<usize> = (0..aug.ranked().len())
-            .filter(|&i| !candidates.iter().any(|c| c.hit.doc == aug.ranked()[i].0))
-            .collect();
-        let new_docs: Vec<u32> = new.iter().map(|&i| aug.ranked()[i].0).collect();
-        let base_scores = self.base.score_docs(base.query(), &new_docs);
-        let (survivors, scores): (Vec<usize>, Vec<f64>) =
-            new.into_iter().zip(base_scores).filter(|(_, s)| *s > 0.0).unzip();
         // A shared hit is cloned once, when it enters the pool.
-        let rescored: Vec<Candidate> = aug
-            .cut(self.base, &survivors, &self.analyst)
-            .into_iter()
-            .zip(scores)
-            .map(|((p, fresh), s)| candidate(p, s / base_max, fresh))
-            .collect();
-        merge_pools(&mut candidates, rescored);
+        let joining = aug.cut(self.base, &aug.joins, &self.analyst).into_iter().zip(&aug.join_scores);
+        candidates.extend(joining.map(|((p, fresh), s)| candidate(p, s / base_max, fresh)));
+        // Normalized score desc, doc asc: the joining docs are new to the pool.
+        candidates.sort_by(|a, b| {
+            let by_norm = b.norm.partial_cmp(&a.norm).unwrap_or(std::cmp::Ordering::Equal);
+            by_norm.then_with(|| a.hit.doc.cmp(&b.hit.doc))
+        });
         (candidates, base, cache_hit)
     }
 
@@ -859,27 +850,6 @@ fn candidate(pooled: &PooledHit, norm: f64, fresh: bool) -> Candidate {
 pub(crate) fn normalize_pool(hits: &[(&PooledHit, bool)]) -> (Vec<Candidate>, f64) {
     let max = hits.iter().map(|(p, _)| p.hit.score).fold(0.0_f64, f64::max).max(f64::MIN_POSITIVE);
     (hits.iter().map(|&(p, fresh)| candidate(p, p.hit.score / max, fresh)).collect(), max)
-}
-
-/// Merge `extra` into `pool`, deduplicating by doc id (keeping the higher
-/// normalized score) and re-sorting by normalized score desc, doc asc.
-pub(crate) fn merge_pools(pool: &mut Vec<Candidate>, extra: Vec<Candidate>) {
-    for c in extra {
-        match pool.iter_mut().find(|p| p.hit.doc == c.hit.doc) {
-            Some(existing) => {
-                if c.norm > existing.norm {
-                    existing.norm = c.norm;
-                }
-            }
-            None => pool.push(c),
-        }
-    }
-    pool.sort_by(|a, b| {
-        b.norm
-            .partial_cmp(&a.norm)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.hit.doc.cmp(&b.hit.doc))
-    });
 }
 
 #[cfg(test)]

@@ -139,7 +139,7 @@ mod tests {
     use super::*;
     use crate::config::{BlendStrategy, PersonalizationMode};
     use crate::cache::PooledHit;
-    use crate::core::{merge_pools, normalize_pool};
+    use crate::core::normalize_pool;
     use pws_concepts::{SnippetAnalysis, TermDict};
     use pws_click::{Click, ShownResult};
     use pws_corpus::query::QueryId;
@@ -199,6 +199,7 @@ mod tests {
 
     #[test]
     fn baseline_mode_returns_base_order() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let mut e = PersonalizedSearchEngine::new(
@@ -216,6 +217,7 @@ mod tests {
 
     #[test]
     fn empty_query_is_safe() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let mut e = PersonalizedSearchEngine::new(&idx, &w, EngineConfig::default());
@@ -229,6 +231,7 @@ mod tests {
 
     #[test]
     fn clicks_on_a_city_build_location_preference() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let mut e = PersonalizedSearchEngine::new(&idx, &w, EngineConfig::default());
@@ -257,6 +260,7 @@ mod tests {
 
     #[test]
     fn content_clicks_build_content_preference() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         // Loose extraction thresholds: with only four docs in the fixture,
@@ -290,6 +294,7 @@ mod tests {
 
     #[test]
     fn modes_set_beta_extremes() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let mut c = PersonalizedSearchEngine::new(
@@ -317,6 +322,7 @@ mod tests {
 
     #[test]
     fn empty_and_cold_paths_report_mode_beta() {
+        let _guard = pws_obs::test_lock();
         // Regression: the empty-pool early return used to hard-code
         // β = 0.5, misreporting ContentOnly (β = 0) and LocationOnly
         // (β = 1) turns in downstream β analyses.
@@ -350,6 +356,7 @@ mod tests {
 
     #[test]
     fn page_features_match_serving_scale() {
+        let _guard = pws_obs::test_lock();
         // Regression for the train/serve feature skew: the page features a
         // turn carries into pair mining / training must use the same
         // pool-normalized base score the ranker scored with — not the raw
@@ -381,6 +388,7 @@ mod tests {
 
     #[test]
     fn augmentation_guard_is_token_boundary_aware() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = PersonalizedSearchEngine::new(&idx, &w, EngineConfig::default());
@@ -399,6 +407,7 @@ mod tests {
 
     #[test]
     fn adaptive_beta_starts_neutral_then_tracks_stats() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let mut e = PersonalizedSearchEngine::new(&idx, &w, EngineConfig::default());
@@ -419,6 +428,7 @@ mod tests {
 
     #[test]
     fn ranks_are_reassigned_after_rerank() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let mut e = PersonalizedSearchEngine::new(&idx, &w, EngineConfig::default());
@@ -432,6 +442,7 @@ mod tests {
 
     #[test]
     fn traced_search_matches_untraced_and_fills_trace() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let user = UserId(7);
@@ -488,6 +499,7 @@ mod tests {
 
     #[test]
     fn traced_baseline_search_traces_page_in_base_order() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let mut e = PersonalizedSearchEngine::new(
@@ -513,6 +525,7 @@ mod tests {
 
     #[test]
     fn retraining_changes_model_weights() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let cfg = EngineConfig { retrain_every: 2, ..EngineConfig::default() };
@@ -535,6 +548,7 @@ mod tests {
 
     #[test]
     fn geo_smoothing_scores_nearby_cities() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let coords = pws_geo::WorldCoords::generate(&w, 5);
@@ -565,6 +579,7 @@ mod tests {
     /// prepares exactly once.
     #[test]
     fn every_turn_prepares_exactly_one_scoring_context() {
+        let _guard = pws_obs::test_lock();
         use crate::core::{StageCheckpoint, PREPARED};
         let prepared = || PREPARED.with(|n| n.get());
         let idx = index();
@@ -629,16 +644,6 @@ mod tests {
             },
             analysis: SnippetAnalysis::new("", &matcher, &mut TermDict::new()).into(),
         }
-    }
-
-    #[test]
-    fn merge_pools_dedups_and_sorts() {
-        let (mut pool, _) = normalize_pool(&[(&pooled(0, 1.0), false), (&pooled(1, 0.5), false)]);
-        let (extra, _) = normalize_pool(&[(&pooled(1, 0.9), false), (&pooled(2, 0.7), false)]);
-        merge_pools(&mut pool, extra);
-        let docs: Vec<u32> = pool.iter().map(|c| c.hit.doc).collect();
-        assert_eq!(docs, vec![0, 1, 2]);
-        assert_eq!(pool[1].norm, 1.0, "kept the higher normalized score");
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! (`SegmentedIndex::rank_tokens(query, Some(city), k)`) against two
 //! separate rankings: the query's list must equal ranking the query alone,
 //! and the extended list ranking `query ++ city` alone — the same docs in
-//! the same order (`==`) and the same scores, bit for bit. Covered: every
+//! the same order (`==`) and the same scores, bit for bit. Every extended
+//! hit's base score must be the exhaustive reference's score for that doc
+//! under the query alone (`search_exhaustive(query, doc_count)`), bit for
+//! bit, or `0.0` when the query does not match it. Covered: every
 //! query template of the paper-scale world against every city of that
 //! world, 200 templates × 8 cities of a 20 000-doc, 8-segment large-shaped
 //! world, and hand-built edge cases (a city token the query holds, a city
@@ -20,6 +23,7 @@ use pws_corpus::{CorpusGen, CorpusSpec, QueryGen, QuerySpec};
 use pws_eval::{ExperimentSpec, ExperimentWorld};
 use pws_geo::{LocationOntology, WorldGen, WorldSpec};
 use pws_index::{IndexBuilder, SegmentedIndex, StoredDoc, Sym};
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 const K: usize = 30;
@@ -64,11 +68,18 @@ fn assert_same_list(a: &[(u32, f64)], b: &[(u32, f64)], ctx: &str) {
     }
 }
 
+/// Every doc `query` matches, with the exhaustive reference's score.
+fn reference_scores(index: &SegmentedIndex, query: &str) -> HashMap<u32, f64> {
+    let matched = index.search_exhaustive(query, index.doc_count() as usize);
+    matched.into_iter().map(|h| (h.doc, h.score)).collect()
+}
+
 /// The fused call for `query` extended by `extension` against ranking
-/// each alone; returns the extended list's length.
+/// each alone, and each extended hit's base score against `reference`
+/// (the query's [`reference_scores`]); returns the extended list's length.
 fn assert_fused_equals_separate(
     index: &SegmentedIndex,
-    query: &[Sym],
+    (query, reference): (&[Sym], &HashMap<u32, f64>),
     extension: &[Sym],
     k: usize,
     ctx: &str,
@@ -78,18 +89,29 @@ fn assert_fused_equals_separate(
     let aug: Vec<Sym> = query.iter().chain(extension).copied().collect();
     let alone = |q: &[Sym]| index.rank_tokens(q, None, k).0;
     assert_same_list(&ranked, &alone(query), &format!("{ctx}: query list"));
-    assert_same_list(&extended, &alone(&aug), &format!("{ctx}: extended list"));
+    let pairs: Vec<(u32, f64)> = extended.iter().map(|&(doc, score, _)| (doc, score)).collect();
+    assert_same_list(&pairs, &alone(&aug), &format!("{ctx}: extended list"));
+    for &(doc, _, base) in &extended {
+        let want = reference.get(&doc).copied().unwrap_or(0.0);
+        assert_eq!(base.to_bits(), want.to_bits(), "{ctx}: base score bits of doc {doc}");
+    }
     extended.len()
 }
 
 /// The fused check for `query` against `city`, after pinning that the
 /// city's ids appended to the query's are the analysis of "query city".
-fn check_template(index: &SegmentedIndex, query: &str, city: &str) -> usize {
+fn check_template(
+    index: &SegmentedIndex,
+    query: &str,
+    reference: &HashMap<u32, f64>,
+    city: &str,
+) -> usize {
     let terms = index.terms();
     let (ids, city_ids) = (terms.analyze(query), terms.analyze(city));
     let joined: Vec<Sym> = ids.iter().chain(&city_ids).copied().collect();
     assert_eq!(joined, terms.analyze(&format!("{query} {city}")), "{query:?} + {city:?}");
-    assert_fused_equals_separate(index, &ids, &city_ids, K, &format!("{query:?} + {city:?}"))
+    let ctx = format!("{query:?} + {city:?}");
+    assert_fused_equals_separate(index, (&ids, reference), &city_ids, K, &ctx)
 }
 
 #[test]
@@ -100,8 +122,9 @@ fn fused_ranking_equals_separate_on_every_paper_template_and_city() {
     assert_eq!(cities.len(), 144);
     let mut ranked = 0;
     for q in &w.queries {
+        let reference = reference_scores(&w.engine, &q.text);
         for city in &cities {
-            ranked += check_template(&w.engine, &q.text, city);
+            ranked += check_template(&w.engine, &q.text, &reference, city);
         }
     }
     assert!(ranked > 100_000, "the extended lists should not be empty: {ranked}");
@@ -113,8 +136,9 @@ fn fused_ranking_equals_separate_on_a_large_world_sample() {
     let cities: Vec<&str> = world.cities().map(|c| world.name(c)).collect();
     let mut ranked = 0;
     for (i, q) in queries.iter().enumerate() {
+        let reference = reference_scores(index, q);
         for j in 0..8 {
-            ranked += check_template(index, q, cities[(i * 8 + j) % cities.len()]);
+            ranked += check_template(index, q, &reference, cities[(i * 8 + j) % cities.len()]);
         }
     }
     assert!(ranked > 10_000, "the extended lists should not be empty: {ranked}");
@@ -158,7 +182,8 @@ fn fused_ranking_equals_separate_on_hand_built_edge_cases() {
         ];
         for &(query, city, k) in cases {
             let ctx = format!("{query:?} + {city:?} k={k} segments={}", index.num_segments());
-            let n = assert_fused_equals_separate(index, &ids(query), &ids(city), k, &ctx);
+            let (query, reference) = (ids(query), reference_scores(index, query));
+            let n = assert_fused_equals_separate(index, (&query, &reference), &ids(city), k, &ctx);
             assert!(n <= k, "{ctx}");
         }
         assert!(ids("atlantis").is_empty() && ids("zeppelin").is_empty());
@@ -166,7 +191,10 @@ fn fused_ranking_equals_separate_on_hand_built_edge_cases() {
         assert!(ranked.is_empty() && extended == Some(Vec::new()));
         let (ranked, extended) = index.rank_tokens(&ids("seafood"), Some(&[]), 1_000);
         assert_eq!(ranked.len(), 4, "every seafood doc, with k past the matches");
-        assert_eq!(extended.as_deref(), Some(&ranked[..]), "an empty extension ranks the query");
+        let extended = extended.expect("an extension was given");
+        assert!(extended.iter().all(|&(_, s, base)| s.to_bits() == base.to_bits()));
+        let extended: Vec<(u32, f64)> = extended.into_iter().map(|(d, s, _)| (d, s)).collect();
+        assert_eq!(Some(&extended[..]), Some(&ranked[..]), "an empty extension ranks the query");
         assert_eq!(index.rank_tokens(&ids("seafood"), None, K).1, None);
     }
 }

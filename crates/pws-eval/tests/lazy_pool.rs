@@ -11,20 +11,23 @@ use pws_corpus::{CorpusGen, CorpusSpec, QueryGen, QuerySpec};
 use pws_eval::{ExperimentSpec, ExperimentWorld};
 use pws_geo::{LocId, LocationOntology, WorldGen, WorldSpec};
 use pws_index::{RetrievalBackend, SearchHit, SegmentedIndex};
+use std::collections::HashMap;
 
-/// The eager base retrieval of one query: its tokens and its whole list,
-/// every hit cut.
+/// The eager base retrieval of one query: its whole list, every hit cut,
+/// and the exhaustive reference's score of every doc the query matches.
 struct EagerBase {
     query: String,
-    tokens: Vec<String>,
     hits: Vec<SearchHit>,
+    scores: HashMap<u32, f64>,
 }
 
 impl EagerBase {
-    fn new(core: &EngineCore<'_>, index: &dyn RetrievalBackend, query: &str) -> Self {
+    fn new(core: &EngineCore<'_>, index: &SegmentedIndex, query: &str) -> Self {
         let tokens = index.analyze_text(query);
         let hits = index.search_tokens(&tokens, core.config().rerank_pool);
-        EagerBase { query: query.to_string(), tokens, hits }
+        let matched = index.search_exhaustive(query, index.doc_count() as usize);
+        let scores = matched.into_iter().map(|h| (h.doc, h.score)).collect();
+        EagerBase { query: query.to_string(), hits, scores }
     }
 
     /// The pool as the engine built it before snippets were cut on use:
@@ -50,8 +53,8 @@ impl EagerBase {
         let new: Vec<SearchHit> =
             aug.into_iter().filter(|h| !pool.iter().any(|(c, _)| c.doc == h.doc)).collect();
         let docs: Vec<u32> = new.iter().map(|h| h.doc).collect();
-        let ids = index.segment_forms().0.ids(&self.tokens);
-        for (h, s) in new.into_iter().zip(index.score_docs(&ids, &docs)) {
+        let base_scores = docs.iter().map(|d| self.scores.get(d).copied().unwrap_or(0.0));
+        for (h, s) in new.into_iter().zip(base_scores) {
             if s > 0.0 {
                 pool.push((h, s / max));
             }

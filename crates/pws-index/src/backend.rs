@@ -2,8 +2,9 @@
 //!
 //! [`RetrievalBackend`] is the surface `pws-core`'s `EngineCore` consumes
 //! from base retrieval: the index's term table (a query is analysed to its
-//! ids once), ranking without snippets, cutting the snippets of the hits a
-//! request uses, and re-scoring documents — all over those ids.
+//! ids once), ranking without snippets — a query and its extension in one
+//! scan, each extended hit with its score under the query alone — and
+//! cutting the snippets of the hits a request uses, all over those ids.
 //! [`crate::segmented::SegmentedIndex`] is its only implementor. The string
 //! methods (`analyze_text`, `search`, `search_tokens`) remain only for the
 //! end-to-end benchmark package (`bench/`), which also builds every engine
@@ -22,8 +23,7 @@ use pws_text::Sym;
 /// `search_tokens(&t, k)` equals `search(q, k)`, and equals the hits of
 /// `cut_hits(&ids, &rank_tokens(&ids, None, k).0, &[0, 1, ..])`; a cut hit's
 /// snippet is its form ids' entries of `segment_forms().1[segment]` joined
-/// by `' '`; `score_docs` returns exactly 0.0 for docs matching no query
-/// term and credits only the last occurrence of a duplicated doc id.
+/// by `' '`.
 pub trait RetrievalBackend: Send + Sync {
     /// Run the index's analyzer over arbitrary text.
     fn analyze_text(&self, text: &str) -> Vec<String>;
@@ -36,15 +36,16 @@ pub trait RetrievalBackend: Send + Sync {
 
     /// The ranked `(doc, BM25)` top-k of a query analysed to term ids, with
     /// no snippet cut; with an `extension`, also the top-k of
-    /// `query ++ extension`, from the same scan. Each list equals ranking
-    /// its query alone.
+    /// `query ++ extension` as `(doc, BM25, base)`, from the same scan. Each
+    /// list equals ranking its query alone, and `base` is the doc's score
+    /// under `query` alone (exactly 0.0 when no query term matches it).
     #[allow(clippy::type_complexity)]
     fn rank_tokens(
         &self,
         query: &[Sym],
         extension: Option<&[Sym]>,
         k: usize,
-    ) -> (Vec<(u32, f64)>, Option<Vec<(u32, f64)>>);
+    ) -> (Vec<(u32, f64)>, Option<Vec<(u32, f64, f64)>>);
 
     /// The hits at positions `which` of `ranked` (a `rank_tokens` list for
     /// `query`), each with its list rank, score and query-biased snippet
@@ -55,10 +56,6 @@ pub trait RetrievalBackend: Send + Sync {
     /// tokens) in segment order: the tables a [`CutHit`]'s form ids index,
     /// whose term ids [`TermTable::form_terms`] gives.
     fn segment_forms(&self) -> (&TermTable, Vec<&[String]>);
-
-    /// BM25 scores of `query` (term ids) for specific doc ids (0.0 for
-    /// docs matching no query term).
-    fn score_docs(&self, query: &[Sym], docs: &[u32]) -> Vec<f64>;
 }
 
 impl RetrievalBackend for SegmentedIndex {
@@ -79,7 +76,7 @@ impl RetrievalBackend for SegmentedIndex {
         query: &[Sym],
         extension: Option<&[Sym]>,
         k: usize,
-    ) -> (Vec<(u32, f64)>, Option<Vec<(u32, f64)>>) {
+    ) -> (Vec<(u32, f64)>, Option<Vec<(u32, f64, f64)>>) {
         SegmentedIndex::rank_tokens(self, query, extension, k)
     }
 
@@ -89,10 +86,6 @@ impl RetrievalBackend for SegmentedIndex {
 
     fn segment_forms(&self) -> (&TermTable, Vec<&[String]>) {
         SegmentedIndex::segment_forms(self)
-    }
-
-    fn score_docs(&self, query: &[Sym], docs: &[u32]) -> Vec<f64> {
-        SegmentedIndex::score_docs(self, query, docs)
     }
 }
 
@@ -112,6 +105,7 @@ mod tests {
         assert_eq!(hits.len(), 1);
         let tokens = backend.analyze_text("seafood");
         assert_eq!(hits, backend.search_tokens(&tokens, 10));
-        assert!(backend.score_docs(&backend.segment_forms().0.ids(&tokens), &[0])[0] > 0.0);
+        let ids = backend.segment_forms().0.ids(&tokens);
+        assert_eq!(backend.rank_tokens(&ids, None, 10).0, [(0, hits[0].score)]);
     }
 }

@@ -10,9 +10,11 @@
 //!
 //! The scan takes an optional *extension*: more slots, scanned after the
 //! query's own. After the query's slots of a segment it reads the query's
-//! top k off the accumulator, then adds the extension's slots and reads
-//! the top k of `query ++ extension` — one pass over the query's postings
-//! ranks both lists (the engine's "query + city" augmentation).
+//! top k off the accumulator and copies the touched docs' cells aside, in
+//! touched order, then adds the extension's slots and reads the top k of
+//! `query ++ extension`, each hit with its copied cell as its base score:
+//! one pass over the query's postings ranks both lists and scores every
+//! extended hit under the query alone (the engine's "query + city").
 //!
 //! It runs entirely out of a pooled [`SearchScratch`]
 //! (see [`crate::scratch`]): **no allocations at steady state**, enforced
@@ -31,8 +33,12 @@
 //! NaN sentinel mispredicted on about half the postings of a query's later
 //! terms, and cost 40 % of the scan). The extended list continues the same sums in
 //! the same order, so it is bit-identical to ranking `query ++ extension`
-//! alone. Top k is selected under the total order (score descending, doc
-//! id ascending), which no insertion order can change.
+//! alone. An extended hit's base score is its cell as it stood after the
+//! query's slots — the reference's score for that doc, bit for bit — or
+//! the literal `0.0` (not the `-0.0` sentinel) for a doc the extension
+//! touched first, past the copied prefix of the touched list. Top k is
+//! selected under the total order (score descending, doc id ascending),
+//! which no insertion order can change.
 //!
 //! ## Why no pruning
 //!
@@ -58,11 +64,14 @@ pub(crate) const UNTOUCHED: f64 = -0.0;
 /// Min-heap entry for bounded top-k selection. Ordered so that the heap's
 /// maximum (`peek`) is the *worst* kept hit: lower score is "greater", and
 /// on score ties the larger doc id is "greater" (final ranking prefers
-/// ascending doc ids).
+/// ascending doc ids) — so an ascending sort is rank order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct HeapEntry {
-    score: f64,
-    doc: u32,
+    pub score: f64,
+    pub doc: u32,
+    /// In the extended list, the doc's score under the query alone (the
+    /// query's own list leaves it `0.0`).
+    pub base: f64,
 }
 
 impl PartialEq for HeapEntry {
@@ -131,7 +140,8 @@ pub(crate) struct Work {
 /// `scratch.cands[1]`, each in final rank order (score desc, doc asc, at
 /// most k).
 pub(crate) fn top_k(ctx: &SegContext<'_>, scratch: &mut SearchScratch) -> Work {
-    let SearchScratch { slots, split, extended, heaps, cands, buf, acc, touched, .. } = scratch;
+    let SearchScratch { slots, split, extended, heaps, cands, buf, acc, bases, touched, .. } =
+        scratch;
     let lists = if *extended { 2 } else { 1 };
     heaps.iter_mut().for_each(BinaryHeap::clear);
     let (query, extension) = slots.split_at(*split);
@@ -140,18 +150,24 @@ pub(crate) fn top_k(ctx: &SegContext<'_>, scratch: &mut SearchScratch) -> Work {
         if acc.len() < seg.doc_lens().len() {
             acc.resize(seg.doc_lens().len(), UNTOUCHED);
         }
-        for (list, part) in [query, extension].into_iter().enumerate().take(lists) {
-            for slot in part {
+        for slot in query {
+            accumulate(ctx, s, seg, slot, buf, acc, touched, &mut work);
+        }
+        offer(&mut heaps[0], ctx.k, base, acc, touched, &[]);
+        if *extended {
+            bases.clear();
+            bases.extend(touched.iter().map(|&doc| acc[doc as usize]));
+            for slot in extension {
                 accumulate(ctx, s, seg, slot, buf, acc, touched, &mut work);
             }
-            offer(&mut heaps[list], ctx.k, base, acc, touched);
+            offer(&mut heaps[1], ctx.k, base, acc, touched, bases);
         }
         restore(acc, touched);
     }
     for (heap, cands) in heaps.iter_mut().zip(cands.iter_mut()).take(lists) {
         cands.clear();
-        cands.extend(heap.drain().map(|e| (e.doc, e.score)));
-        cands.sort_unstable_by(rank_order);
+        cands.extend(heap.drain());
+        cands.sort_unstable();
     }
     work
 }
@@ -218,16 +234,25 @@ pub(crate) fn restore(acc: &mut [f64], touched: &mut Vec<u32>) {
 }
 
 /// Offer every touched doc of the segment at `base`, with its score so
-/// far, to the bounded top-`k` `heap`.
-fn offer(heap: &mut BinaryHeap<HeapEntry>, k: usize, base: u32, acc: &[f64], touched: &[u32]) {
+/// far, to the bounded top-`k` `heap`; `touched[i]` carries `bases[i]` as
+/// its base score, `0.0` past the end of `bases`.
+fn offer(
+    heap: &mut BinaryHeap<HeapEntry>,
+    k: usize,
+    base: u32,
+    acc: &[f64],
+    touched: &[u32],
+    bases: &[f64],
+) {
     // The worst kept score: a doc scoring below it cannot get in.
     let worst = |heap: &BinaryHeap<HeapEntry>| heap.peek().map_or(f64::NEG_INFINITY, |e| e.score);
     let mut theta = if heap.len() < k { f64::NEG_INFINITY } else { worst(heap) };
-    for &doc in touched {
-        let entry = HeapEntry { score: acc[doc as usize], doc: base + doc };
-        if entry.score < theta {
+    for (i, &doc) in touched.iter().enumerate() {
+        let score = acc[doc as usize];
+        if score < theta {
             continue;
         }
+        let entry = HeapEntry { score, doc: base + doc, base: bases.get(i).copied().unwrap_or(0.0) };
         if heap.len() < k {
             heap.push(entry);
         } else if let Some(mut worst) = heap.peek_mut() {

@@ -2,7 +2,8 @@
 //!
 //! Every buffer a query execution needs — the resolved query, the two
 //! bounded top-k heaps, the block-decode buffer, the dense accumulator and
-//! the ranked candidate lists — lives in a [`SearchScratch`] that is
+//! the copy of its query-only scores, and the ranked candidate lists —
+//! lives in a [`SearchScratch`] that is
 //! checked out of a [`ScratchPool`] for the duration of one query and
 //! returned on drop. At steady state the scoring loop in [`crate::exec`]
 //! therefore performs **zero heap allocations**: all growth happens on the
@@ -46,14 +47,18 @@ pub(crate) struct SearchScratch {
     /// Bounded top-k min-heaps over all segments: the query's, and
     /// `query ++ extension`'s.
     pub heaps: [BinaryHeap<HeapEntry>; 2],
-    /// `(global doc, score)` candidates in final rank order, per heap.
-    pub cands: [Vec<(u32, f64)>; 2],
+    /// Candidates in final rank order, per heap.
+    pub cands: [Vec<HeapEntry>; 2],
     /// Block-decode buffer.
     pub buf: Vec<(u32, u32)>,
     /// Dense per-doc score accumulator of the current segment (every cell
     /// [`crate::exec::UNTOUCHED`] between scans: touched cells are restored
     /// after each segment, and when the checkout drops, so also on unwind).
     pub acc: Vec<f64>,
+    /// The query's own score of each doc of `touched`'s prefix, in order,
+    /// copied from `acc` before an extension adds into it (refilled per
+    /// segment; emptied when the checkout drops).
+    pub bases: Vec<f64>,
     /// Docs the current segment's scan touched, first-seen order.
     pub touched: Vec<u32>,
     /// Snippet cutting state: the query's marks on each segment's forms,
@@ -153,6 +158,7 @@ impl Drop for PooledScratch {
             // doc id) left scores in the accumulator; the next query would
             // add into them. After a completed scan this is a no-op.
             restore(&mut s.acc, &mut s.touched);
+            s.bases.clear();
             let mut free = self.pool.free.lock().unwrap_or_else(|p| p.into_inner());
             if free.len() < MAX_POOLED {
                 free.push(s);
@@ -201,6 +207,7 @@ mod tests {
             a.acc.resize(8, UNTOUCHED);
             a.acc[2] = 1.5;
             a.acc[5] = 0.25;
+            a.bases.push(1.5);
             a.touched.extend([2, 5]);
             // Dropped mid-scan, without draining `touched`.
         }
@@ -208,6 +215,7 @@ mod tests {
         assert_eq!(b.acc.len(), 8, "the same arena comes back");
         let clean = b.acc.iter().all(|c| c.to_bits() == UNTOUCHED.to_bits());
         assert!(clean, "stale scores: {:?}", b.acc);
+        assert!(b.bases.is_empty(), "stale base scores: {:?}", b.bases);
         assert!(b.touched.is_empty());
     }
 

@@ -23,7 +23,8 @@
 //! [`SegmentedIndex::rank_tokens`] takes an optional extension (the
 //! engine's "query + city" augmentation): the same scan continues with the
 //! extension's tokens after reading the query's top k, and returns both
-//! lists from one pass over the query's postings.
+//! lists from one pass over the query's postings — each extended hit with
+//! its score under the query alone, so no document is scored twice.
 //!
 //! Nothing is pruned. Block-Max WAND, which ran here before, decoded and
 //! scored 99.1 % of a query's postings on the large workload (600 of its
@@ -240,21 +241,26 @@ impl SegmentedIndex {
     /// analysed to ids of [`SegmentedIndex::terms`]: the top `k`
     /// `(global doc, BM25)` pairs in rank order, with no document decoded
     /// and no snippet cut. With an `extension`, also the top `k` of
-    /// `query ++ extension` — each list bit-identical to ranking its query
-    /// alone — from one scan that reads the query's postings once. Recorded
-    /// under `index.search`.
+    /// `query ++ extension` as `(global doc, BM25, base)` — each list
+    /// bit-identical to ranking its query alone, and `base` the doc's score
+    /// under `query` alone, bit-identical to the exhaustive reference's
+    /// (`0.0` when `query` does not match it) — from one scan that reads
+    /// the query's postings once. Recorded under `index.search`.
     #[allow(clippy::type_complexity)]
     pub fn rank_tokens(
         &self,
         query: &[Sym],
         extension: Option<&[Sym]>,
         k: usize,
-    ) -> (Vec<(u32, f64)>, Option<Vec<(u32, f64)>>) {
+    ) -> (Vec<(u32, f64)>, Option<Vec<(u32, f64, f64)>>) {
         let _span = self.metrics_search().span();
         let mut scratch = self.scratch.acquire();
         self.rank_into(query, extension, k, &mut scratch);
         let [ranked, extended] = &scratch.cands;
-        (ranked.clone(), extension.map(|_| extended.clone()))
+        (
+            ranked.iter().map(|e| (e.doc, e.score)).collect(),
+            extension.map(|_| extended.iter().map(|e| (e.doc, e.score, e.base)).collect()),
+        )
     }
 
     /// The cutting half of [`SegmentedIndex::search_tokens`]: the hits at
@@ -295,7 +301,8 @@ impl SegmentedIndex {
             return Vec::new();
         }
         let _span = self.metrics_materialize().span();
-        self.materialize(cands.iter().copied().enumerate(), query, snippets, |h, _, _| h)
+        let cands = cands.iter().map(|e| (e.doc, e.score)).enumerate();
+        self.materialize(cands, query, snippets, |h, _, _| h)
     }
 
     /// Scan for the top `k` of `query` into `scratch.cands[0]` and, with
@@ -423,52 +430,6 @@ impl SegmentedIndex {
             });
         }
         out
-    }
-
-    /// BM25 scores of `query` (analysed to ids of
-    /// [`SegmentedIndex::terms`]) for specific global doc ids (0.0 for docs
-    /// matching no query term). Used by the personalization layer to
-    /// re-score externally sourced candidates (e.g. from an augmented
-    /// query) against the *original* query, whose ids its pool already
-    /// holds, so pools stay comparable.
-    ///
-    /// Each term's blocks are walked forward once across the sorted wanted
-    /// ids, so a block holding several wanted docs is decoded once.
-    pub fn score_docs(&self, query: &[Sym], docs: &[u32]) -> Vec<f64> {
-        let mut scores = vec![0.0; docs.len()];
-        if query.is_empty() || self.doc_count == 0 || docs.is_empty() {
-            return scores;
-        }
-        // Sorted (doc, original index). A duplicated doc id credits only its
-        // last occurrence (the historical HashMap behaviour): sort ties by
-        // descending index, keep the first of each run.
-        let mut wanted: Vec<(u32, usize)> =
-            docs.iter().enumerate().map(|(i, &d)| (d, i)).collect();
-        wanted.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
-        wanted.dedup_by_key(|e| e.0);
-        for &id in query {
-            let df = self.terms.df(id);
-            if df == 0 {
-                continue;
-            }
-            let term_idf = idf(self.doc_count, df);
-            let mut rest = wanted.as_slice();
-            for (s, (seg, &base)) in self.segments.iter().zip(&self.bases).enumerate() {
-                let (run, tail) =
-                    rest.split_at(rest.partition_point(|e| e.0 - base < seg.doc_count()));
-                rest = tail;
-                let Some(ord) = self.terms.ord(s, id) else { continue };
-                let mut cursor = TfCursor::new(seg, ord);
-                for &(doc, out_i) in run {
-                    let local = doc - base;
-                    if let Some(tf) = cursor.tf_at(local) {
-                        let len = seg.doc_lens()[local as usize];
-                        scores[out_i] += bm25_term(self.params, term_idf, tf, len, self.avg_len);
-                    }
-                }
-            }
-        }
-        scores
     }
 
     /// Resolve the ids of `query`, then of `extension`, into scan slots
@@ -783,40 +744,6 @@ mod tests {
         assert!(e.avg_doc_len() > 5.0);
         assert!(e.vocab_size() > 10);
         assert!(e.postings_bytes() > 0 && e.postings_bytes() < e.index_bytes());
-    }
-
-    #[test]
-    fn score_docs_matches_search_scores_bitwise() {
-        for idx in [engine(), segmented(2)] {
-            for q in ["seafood lobster", "harbor", "seafood seafood lobster"] {
-                let hits = idx.search_exhaustive(q, 10);
-                let docs: Vec<u32> = hits.iter().map(|h| h.doc).collect();
-                for (h, s) in hits.iter().zip(idx.score_docs(&idx.terms().analyze(q), &docs)) {
-                    assert_eq!(h.score.to_bits(), s.to_bits(), "q={q:?} doc {}", h.doc);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn score_docs_zero_unsorted_and_duplicate_ids() {
-        for idx in [engine(), segmented(2)] {
-            let score_docs = |q: &str, docs: &[u32]| idx.score_docs(&idx.terms().analyze(q), docs);
-            // Doc 1 mentions neither term.
-            assert_eq!(score_docs("seafood lobster", &[1]), vec![0.0]);
-            assert_eq!(score_docs("", &[0, 1]), vec![0.0, 0.0]);
-            assert_eq!(score_docs("zzz", &[0, 1]), vec![0.0, 0.0]);
-            assert!(score_docs("seafood", &[]).is_empty());
-            // Unsorted doc ids score the same as sorted ones.
-            let unsorted = score_docs("seafood lobster", &[3, 0, 2]);
-            let sorted = score_docs("seafood lobster", &[0, 2, 3]);
-            assert_eq!(unsorted, vec![sorted[2], sorted[0], sorted[1]]);
-            // A duplicated doc id credits only its last occurrence
-            // (historical HashMap behaviour, pinned).
-            let dup = score_docs("seafood", &[0, 0]);
-            assert_eq!(dup[0], 0.0);
-            assert!(dup[1] > 0.0);
-        }
     }
 
     #[test]

@@ -36,6 +36,18 @@ fn build(doc_words: &[Vec<&str>]) -> SearchEngine {
     b.build()
 }
 
+/// Each of `docs`' score under `query` alone, as the fused scan reports it:
+/// extended by the title term every doc holds, with k past the corpus,
+/// every doc is an extended hit and carries its base score (NaN marks a
+/// doc missing from the extended list).
+fn base_scores(idx: &SegmentedIndex, query: &str, docs: &[u32]) -> Vec<f64> {
+    let every_doc = idx.terms().analyze("doc");
+    let query = idx.terms().analyze(query);
+    let (_, extended) = idx.rank_tokens(&query, Some(&every_doc), idx.doc_count() as usize);
+    let extended = extended.expect("an extension was given");
+    docs.iter().map(|d| extended.iter().find(|e| e.0 == *d).map_or(f64::NAN, |e| e.2)).collect()
+}
+
 /// The same docs split into `num_segments` contiguous chunks.
 fn build_segmented(doc_words: &[Vec<&str>], num_segments: usize) -> SegmentedIndex {
     let per = doc_words.len().div_ceil(num_segments.max(1)).max(1);
@@ -159,8 +171,9 @@ proptest! {
         let all = e.search_exhaustive(&query, doc_words.len() + 5);
         let by_doc: HashMap<u32, f64> = all.iter().map(|h| (h.doc, h.score)).collect();
         let asked: Vec<u32> = (0..doc_words.len() as u32).rev().take(k).collect();
+        // Candidate: each asked doc's base score from the fused scan.
         for idx in [&e, &build_segmented(&doc_words, num_segments)] {
-            let scores = idx.score_docs(&idx.terms().analyze(&query), &asked);
+            let scores = base_scores(idx, &query, &asked);
             for (d, s) in asked.iter().zip(&scores) {
                 let expect = by_doc.get(d).copied().unwrap_or(0.0);
                 prop_assert_eq!(

@@ -405,7 +405,7 @@ if only_in_fn '.cut_hits(' 'cut' crates/pws-core/src/*.rs | grep .; then
     exit 1
 fi
 
-echo "==> one-traversal gate (an augmented request ranks in one call; no augmented query text)"
+echo "==> one-traversal gate (an augmented request ranks in one call and scores each doc once; no augmented query text)"
 # Location-aware augmentation ranks "query + city" as the query's ids
 # followed by the city name's, and EngineCore::retrieve asks the index for
 # both lists in one rank_tokens call (one scan of the query's postings)
@@ -421,6 +421,28 @@ if only_in_method '.rank_tokens(' 'EngineCore::retrieve' crates/pws-core/src/*.r
     echo "FAIL: rank_tokens outside EngineCore::retrieve — rank both lists in its one call"
     exit 1
 fi
+# The scan hands back each extended hit's score under the query alone, so
+# no document is scored twice: score_docs (a second walk of the query's
+# blocks for the augmented hits) is gone from every crate, an augmented
+# list is ranked only through the one fused rank_tokens call, and pws-core
+# reads the index only through that call and cut_hits (RankedPool::cut):
+# none of the index's other ranking or analysing entry points.
+if grep -rn 'score_docs' crates/*/src --include='*.rs'; then
+    echo "FAIL: score_docs is back — take an augmented hit's base score from the fused scan"
+    exit 1
+fi
+calls=$(only_in_fn '.rank_tokens(' '' crates/pws-core/src/*.rs | wc -l)
+if [[ "$calls" -ne 1 ]]; then
+    only_in_fn '.rank_tokens(' '' crates/pws-core/src/*.rs
+    echo "FAIL: $calls rank_tokens calls in pws-core — rank every list through the one fused call"
+    exit 1
+fi
+for call in analyze_text search_exhaustive search_expr; do
+    if only_in_fn ".$call(" '' crates/pws-core/src/*.rs | grep .; then
+        echo "FAIL: pws-core reads the index through $call — rank with rank_tokens, cut with cut_hits"
+        exit 1
+    fi
+done
 
 echo "==> reachability gate (pub items in pws-serve/pws-core/pws-index/pws-obs have a reader)"
 # Every `pub fn|struct|enum|trait|const|type|static` in the non-test code
