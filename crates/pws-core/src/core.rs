@@ -274,7 +274,8 @@ impl<'a> EngineCore<'a> {
     /// resolved its joins when it was built (`EngineCore::retrieve`); only
     /// they have their snippets cut. A joining hit keeps its augmented-list
     /// rank and BM25 score; its normalized score is its original-query
-    /// score. Nothing is augmented when the query already names the city.
+    /// score over the base list's maximum. Nothing is augmented when the
+    /// query already names the city.
     pub fn candidate_pool(
         &self,
         query_text: &str,
