@@ -12,11 +12,24 @@
 //! edges: when one concept's snippet set (nearly) contains another's, the
 //! broader concept is a *parent* (e.g. "seafood" ⊃ "lobster roll").
 //!
-//! The user profile uses this graph to spread a click's preference mass to
-//! concepts related to the clicked ones (the paper's expansion step; GCS
-//! ablation in F7).
+//! The user profile spreads a click's preference mass to concepts related
+//! to the clicked ones (the paper's expansion step; GCS ablation in F7).
+//! No search builds this graph: a [`crate::QueryConceptOntology`] keeps its
+//! concepts' incidence rows, and a click reads the neighbours of the
+//! concepts it touched straight off them
+//! ([`crate::QueryConceptOntology::spread`], the graph's row for one
+//! concept). The whole graph is derived on demand
+//! ([`crate::QueryConceptOntology::graph`]) for callers that ask for it
+//! (the differential tests).
 
 use serde::{Deserialize, Serialize};
+
+/// Minimum snippet-incidence cosine for two concepts to be related.
+pub(crate) const SIM_THRESHOLD: f64 = 0.4;
+
+/// Minimum `|S_a ∩ S_b| / |S_b|` for concept `a` to count as a parent of
+/// concept `b`.
+pub(crate) const CONTAINMENT_THRESHOLD: f64 = 0.8;
 
 /// Edge type between two concepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -55,7 +68,7 @@ pub struct ConceptGraph {
 /// Snippet-incidence bitsets: row `i`, bit `s` is set iff item `i` (a
 /// concept, or a candidate while counting) occurs in snippet `s`. Rows
 /// are `ceil(snippets / 64)` `u64`s wide, stored back to back.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub(crate) struct Incidence {
     words: usize,
     rows: usize,
@@ -117,6 +130,38 @@ impl Incidence {
         &self.bits[i * self.words..(i + 1) * self.words]
     }
 
+    /// In how many snippets rows `a` and `b` both occur.
+    fn shared(&self, a: usize, b: usize) -> u32 {
+        self.row(a).iter().zip(self.row(b)).map(|(x, y)| (x & y).count_ones()).sum()
+    }
+
+    /// The neighbours of row `i` in the graph
+    /// [`ConceptGraph::from_incidence`] builds over these rows at
+    /// `sim_threshold`, with the edge weights, ascending — that graph's
+    /// [`ConceptGraph::neighbors`]`(i)`, bit for bit, in O(rows) instead
+    /// of the O(rows²) build.
+    pub(crate) fn neighbors(
+        &self,
+        i: usize,
+        sim_threshold: f64,
+    ) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let len_i = self.count(i);
+        (0..self.rows).filter(move |&j| j != i).filter_map(move |j| {
+            let inter = self.shared(i, j);
+            if inter == 0 {
+                return None;
+            }
+            // The graph stores the edge as (min, max): keep its operand order.
+            let (len_a, len_b) =
+                if i < j { (len_i, self.count(j)) } else { (self.count(j), len_i) };
+            let weight = cosine(inter, len_a, len_b);
+            if weight < sim_threshold {
+                return None;
+            }
+            Some((j, weight))
+        })
+    }
+
     /// How many rows occur in `snippet`.
     pub(crate) fn rows_with(&self, snippet: usize) -> usize {
         let (word, bit) = (snippet / 64, 1u64 << (snippet % 64));
@@ -138,13 +183,21 @@ impl Incidence {
     }
 }
 
+/// The snippet-incidence cosine of two concepts occurring in `len_a` and
+/// `len_b` snippets, `inter` of them shared.
+fn cosine(inter: u32, len_a: u32, len_b: u32) -> f64 {
+    f64::from(inter) / (f64::from(len_a) * f64::from(len_b)).sqrt()
+}
+
 impl ConceptGraph {
     /// Build the graph over the concepts whose snippet incidence is
     /// `incidence` (one row per concept, in concept order).
     ///
     /// `sim_threshold` — minimum cosine to keep an edge;
     /// `containment_threshold` — minimum |S_a∩S_b|/|S_b| for `a` to count
-    /// as a parent of `b` (0.8 is a good default).
+    /// as a parent of `b`. Outside tests the two are [`SIM_THRESHOLD`] and
+    /// [`CONTAINMENT_THRESHOLD`], and the one caller is
+    /// [`crate::QueryConceptOntology::graph`].
     pub(crate) fn from_incidence(
         incidence: &Incidence,
         sim_threshold: f64,
@@ -154,20 +207,18 @@ impl ConceptGraph {
         let sizes: Vec<u32> = (0..num_concepts).map(|i| incidence.count(i)).collect();
         let mut edges = Vec::new();
         for a in 0..num_concepts {
-            let row_a = incidence.row(a);
             for b in (a + 1)..num_concepts {
                 let (len_a, len_b) = (sizes[a], sizes[b]);
-                let inter: u32 =
-                    row_a.iter().zip(incidence.row(b)).map(|(x, y)| (x & y).count_ones()).sum();
+                let inter = incidence.shared(a, b);
                 if inter == 0 {
                     continue;
                 }
-                let inter = f64::from(inter);
-                let cosine = inter / (f64::from(len_a) * f64::from(len_b)).sqrt();
-                if cosine < sim_threshold {
+                let weight = cosine(inter, len_a, len_b);
+                if weight < sim_threshold {
                     continue;
                 }
                 // Containment checks decide parent/child typing.
+                let inter = f64::from(inter);
                 let a_contains_b = inter / f64::from(len_b);
                 let b_contains_a = inter / f64::from(len_a);
                 let relation = if a_contains_b >= containment_threshold && len_a > len_b {
@@ -177,7 +228,7 @@ impl ConceptGraph {
                 } else {
                     ConceptRelation::Similar
                 };
-                edges.push(ConceptEdge { a, b, weight: cosine, relation });
+                edges.push(ConceptEdge { a, b, weight, relation });
             }
         }
         ConceptGraph { num_concepts, edges }
@@ -326,6 +377,32 @@ mod tests {
         let spread = g.spread(a, 2.0, 0.5);
         assert_eq!(spread.len(), 1);
         assert!((spread[0].1 - 1.0).abs() < 1e-12); // 2.0 * cos(1.0) * 0.5
+    }
+
+    /// One concept's neighbours read off the rows are the built graph's
+    /// row for it, weights bit for bit, at every threshold.
+    #[test]
+    fn neighbors_are_the_graphs_row() {
+        let matcher = LocationMatcher::build(&LocationOntology::new());
+        let mut dict = crate::TermDict::new();
+        let s = snips(&["aa bb", "aa cc", "aa dd", "bb cc", "cc dd", "bb dd", "aa bb cc", "ee"]);
+        let analyses: Vec<SnippetAnalysis> =
+            s.iter().map(|s| SnippetAnalysis::new(s, &matcher, &mut dict)).collect();
+        crate::scratch::with(|scratch| {
+            let concepts =
+                count_content(&crate::query_terms("q", &dict), &analyses, &cfg(), &dict, scratch);
+            assert_eq!(concepts.len(), 5);
+            for t in [0.0, 0.3, SIM_THRESHOLD, 0.5, 0.9, 1.0] {
+                let g = ConceptGraph::from_incidence(&scratch.chosen, t, CONTAINMENT_THRESHOLD);
+                for i in 0..concepts.len() {
+                    let bits = |v: Vec<(usize, f64)>| -> Vec<(usize, u64)> {
+                        v.into_iter().map(|(j, w)| (j, w.to_bits())).collect()
+                    };
+                    let read = bits(scratch.chosen.neighbors(i, t).collect());
+                    assert_eq!(read, bits(g.neighbors(i)), "concept {i} at {t}");
+                }
+            }
+        });
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //!   city also (fractionally) supports its state and country;
 //! * a **concept relationship graph** ([`graph`]) — snippet-incidence
 //!   cosine similarity between content concepts, used to expand profile
-//!   mass to related concepts (the GCS ablation of F7);
+//!   mass to related concepts (the GCS ablation of F7). No extraction
+//!   builds it: a click reads its concepts' neighbours off the ontology's
+//!   incidence rows ([`QueryConceptOntology::spread`]), and
+//!   [`QueryConceptOntology::graph`] derives it on demand;
 //! * the **per-query concept ontology** ([`ontology`]) — the combined
 //!   structure consumed by user profiling.
 //!

@@ -1,13 +1,19 @@
 //! Per-query concept ontology.
 //!
 //! Bundles everything the extraction stage produces for one query issue:
-//! the content concepts + their relationship graph, and the location
+//! the content concepts + their snippet-incidence rows, and the location
 //! concepts. User profiling consumes this; the entropy module measures its
 //! diversity.
+//!
+//! The concept relationship graph is not built here: an ontology keeps the
+//! rows the counting pass leaves behind (≤ `max_concepts` rows of
+//! ⌈snippets / 64⌉ words), [`QueryConceptOntology::spread`] reads one
+//! clicked concept's neighbours off them, and
+//! [`QueryConceptOntology::graph`] derives the whole graph on demand.
 
 use crate::content::{count_content, ConceptConfig, ContentConcept};
 use crate::dict::TermDict;
-use crate::graph::ConceptGraph;
+use crate::graph::{ConceptGraph, Incidence, CONTAINMENT_THRESHOLD, SIM_THRESHOLD};
 use crate::location::{
     count_locations, locations_by_snippet, LocationConcept, LocationConceptConfig,
 };
@@ -24,8 +30,12 @@ pub struct QueryConceptOntology {
     pub query_text: String,
     /// Content concepts, support-descending.
     pub content: Vec<ContentConcept>,
-    /// Relationship graph over `content` (indices align).
-    pub graph: ConceptGraph,
+    /// Snippet incidence of `content`: row `i`, bit `s` is set iff concept
+    /// `i` occurs in snippet `s`.
+    pub(crate) incidence: Incidence,
+    /// The graph the reference extractor built over the snippet text; `None`
+    /// on every ontology the counting pass builds.
+    pub(crate) reference_graph: Option<ConceptGraph>,
     /// Location concepts, support-descending.
     pub locations: Vec<LocationConcept>,
     /// Per-snippet concept membership: `content_by_snippet[i]` lists the
@@ -75,10 +85,9 @@ impl QueryConceptOntology {
         content_cfg: &ConceptConfig,
         location_cfg: &LocationConceptConfig,
     ) -> Self {
-        let (content, graph, content_by_snippet) = crate::scratch::with(|scratch| {
+        let (content, incidence, content_by_snippet) = crate::scratch::with(|scratch| {
             let content = count_content(query, analyses, content_cfg, dict, scratch);
             let incidence = &scratch.chosen;
-            let graph = ConceptGraph::from_incidence(incidence, 0.4, 0.8);
             // Sized exactly first: a list per snippet, grown push by push,
             // was a third of the allocations of the whole pass.
             let mut content_by_snippet: Vec<Vec<usize>> = (0..analyses.len())
@@ -89,7 +98,7 @@ impl QueryConceptOntology {
                     content_by_snippet[si].push(ci);
                 }
             }
-            (content, graph, content_by_snippet)
+            (content, incidence.clone(), content_by_snippet)
         });
 
         let locations = count_locations(analyses, world, location_cfg);
@@ -98,11 +107,40 @@ impl QueryConceptOntology {
         QueryConceptOntology {
             query_text: query_text.to_string(),
             content,
-            graph,
+            incidence,
+            reference_graph: None,
             locations,
             content_by_snippet,
             locations_by_snippet,
         }
+    }
+
+    /// The relationship graph over `content` (indices align), derived from
+    /// the concepts' snippet incidence now — or, on an ontology
+    /// [`extract_reference`](Self::extract_reference) returned, the graph
+    /// it built itself. Nothing on a serving path calls this; a click
+    /// reads its concepts' neighbours through [`spread`](Self::spread).
+    pub fn graph(&self) -> ConceptGraph {
+        match &self.reference_graph {
+            Some(graph) => graph.clone(),
+            None => {
+                ConceptGraph::from_incidence(&self.incidence, SIM_THRESHOLD, CONTAINMENT_THRESHOLD)
+            }
+        }
+    }
+
+    /// Spread `mass` from content concept `i` to its neighbours in the
+    /// relationship graph: `(concept, mass · weight · damping)` pairs,
+    /// ascending by concept — `self.graph().spread(i, mass, damping)` bit
+    /// for bit, read off concept `i`'s incidence row against the others
+    /// without building the graph.
+    pub fn spread(
+        &self,
+        i: usize,
+        mass: f64,
+        damping: f64,
+    ) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.incidence.neighbors(i, SIM_THRESHOLD).map(move |(j, w)| (j, mass * w * damping))
     }
 
     /// [`extract`](Self::extract) as it was first written — five passes
@@ -195,8 +233,9 @@ mod tests {
     #[test]
     fn graph_aligns_with_content_indices() {
         let o = extract(&snips());
-        assert_eq!(o.graph.num_concepts(), o.content.len());
-        for e in o.graph.edges() {
+        let graph = o.graph();
+        assert_eq!(graph.num_concepts(), o.content.len());
+        for e in graph.edges() {
             assert!(e.a < o.content.len() && e.b < o.content.len());
         }
     }
@@ -210,7 +249,7 @@ mod tests {
         let before = built();
         let o = extract(&snips());
         assert_eq!(built() - before, 3);
-        assert!(!o.content.is_empty() && !o.graph.edges().is_empty());
+        assert!(!o.content.is_empty() && !o.graph().edges().is_empty());
         assert!(o.content_by_snippet.iter().all(|cs| !cs.is_empty()));
     }
 

@@ -5,15 +5,21 @@
 //! snippet three times and matches it twice (`extract_content`,
 //! `build_graph`, `extract_locations`, `concepts_in_snippet`, and a second
 //! `locations_in` for the per-snippet location lists), with `String` keys
-//! throughout. It is kept, unchanged,
-//! as the oracle the one-pass extractor
+//! throughout. It is kept as the oracle the one-pass extractor
 //! ([`crate::QueryConceptOntology::from_analyses`]) is differentially
 //! tested against — bit for bit, including `f64` supports and edge
 //! weights — and is **never on a serving or evaluation path** (the
-//! `search_exhaustive` precedent in `pws-index`).
+//! `search_exhaustive` precedent in `pws-index`). Its graph is its own —
+//! `build_graph`'s pairwise loop over `HashSet` incidence of the snippet
+//! text — and the ontology it returns hands that graph back from
+//! [`QueryConceptOntology::graph`], so [`bits`] compares the one-pass
+//! ontology's derived graph against it, not against a graph derived from
+//! the one-pass rows.
 
 use crate::content::{ConceptConfig, ContentConcept};
-use crate::graph::{ConceptEdge, ConceptGraph, ConceptRelation};
+use crate::graph::{
+    ConceptEdge, ConceptGraph, ConceptRelation, Incidence, CONTAINMENT_THRESHOLD, SIM_THRESHOLD,
+};
 use crate::location::{LocationConcept, LocationConceptConfig};
 use crate::ontology::QueryConceptOntology;
 use pws_geo::{LocId, LocationMatcher, LocationOntology};
@@ -30,7 +36,7 @@ pub(crate) fn extract(
     location_cfg: &LocationConceptConfig,
 ) -> QueryConceptOntology {
     let content = extract_content(query_text, snippets, content_cfg);
-    let graph = build_graph(&content, snippets, 0.4, 0.8);
+    let (graph, incidence) = build_graph(&content, snippets, SIM_THRESHOLD, CONTAINMENT_THRESHOLD);
     let locations = extract_locations(snippets, matcher, world, location_cfg);
 
     let content_by_snippet: Vec<Vec<usize>> =
@@ -52,7 +58,8 @@ pub(crate) fn extract(
     QueryConceptOntology {
         query_text: query_text.to_string(),
         content,
-        graph,
+        incidence,
+        reference_graph: Some(graph),
         locations,
         content_by_snippet,
         locations_by_snippet,
@@ -64,14 +71,15 @@ pub(crate) fn extract(
 pub fn bits(onto: &QueryConceptOntology) -> impl PartialEq + std::fmt::Debug + '_ {
     let content: Vec<_> =
         onto.content.iter().map(|c| (&c.term, c.snippet_freq, c.support.to_bits())).collect();
+    let graph = onto.graph();
     let edges: Vec<_> =
-        onto.graph.edges().iter().map(|e| (e.a, e.b, e.weight.to_bits(), e.relation)).collect();
+        graph.edges().iter().map(|e| (e.a, e.b, e.weight.to_bits(), e.relation)).collect();
     let locations: Vec<_> =
         onto.locations.iter().map(|l| (l.loc, l.support.to_bits(), l.direct_freq)).collect();
     (
         &onto.query_text,
         content,
-        (onto.graph.num_concepts(), edges),
+        (graph.num_concepts(), edges),
         locations,
         &onto.content_by_snippet,
         &onto.locations_by_snippet,
@@ -161,7 +169,7 @@ fn concepts_in_snippet(concepts: &[ContentConcept], snippet: &str) -> Vec<usize>
 }
 
 /// Build the graph for `concepts` from the snippets they were extracted
-/// from.
+/// from; also returns the concepts' snippet incidence as rows.
 ///
 /// `sim_threshold` — minimum cosine to keep an edge;
 /// `containment_threshold` — minimum |S_a∩S_b|/|S_b| for `a` to count
@@ -171,7 +179,7 @@ fn build_graph(
     snippets: &[String],
     sim_threshold: f64,
     containment_threshold: f64,
-) -> ConceptGraph {
+) -> (ConceptGraph, Incidence) {
     let analyzer = Analyzer::default();
     // Incidence sets per concept.
     let mut incidence: Vec<HashSet<usize>> = vec![HashSet::new(); concepts.len()];
@@ -222,7 +230,15 @@ fn build_graph(
             edges.push(ConceptEdge { a, b, weight: cosine, relation });
         }
     }
-    ConceptGraph { num_concepts: concepts.len(), edges }
+    let mut rows = Incidence::default();
+    rows.reset(snippets.len());
+    for sets in &incidence {
+        let row = rows.push_empty_row();
+        for &snippet in sets {
+            rows.set(row, snippet);
+        }
+    }
+    (ConceptGraph { num_concepts: concepts.len(), edges }, rows)
 }
 
 /// Extract location concepts from `snippets`.

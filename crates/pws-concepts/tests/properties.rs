@@ -93,7 +93,7 @@ proptest! {
     #[test]
     fn graph_well_formed(snips in snippets()) {
         let onto = extract(&snips, &LocationOntology::new(), &loose(false));
-        let (concepts, g) = (&onto.content, &onto.graph);
+        let (concepts, g) = (&onto.content, &onto.graph());
         let mut seen = std::collections::HashSet::new();
         for e in g.edges() {
             prop_assert!(e.a < concepts.len() && e.b < concepts.len());
@@ -125,6 +125,6 @@ proptest! {
                 prop_assert!(li < onto.locations.len());
             }
         }
-        prop_assert_eq!(onto.graph.num_concepts(), onto.content.len());
+        prop_assert_eq!(onto.graph().num_concepts(), onto.content.len());
     }
 }

@@ -74,7 +74,10 @@ pub struct SearchTurn {
     /// The final, (possibly) personalized page, ranks re-assigned 1-based.
     pub hits: Vec<SearchHit>,
     /// Concept ontology extracted over the *page* snippets (aligned with
-    /// `hits`; feeds profile updates and query statistics).
+    /// `hits`; feeds profile updates and query statistics). It holds no
+    /// concept graph: `observe` reads the neighbours of the clicked
+    /// concepts off its incidence rows (`QueryConceptOntology::spread`),
+    /// and `QueryConceptOntology::graph` derives the graph on demand.
     pub ontology: QueryConceptOntology,
     /// Feature vectors aligned with `hits` (feeds pair mining). The base
     /// score is normalized exactly as the ranking features were — see

@@ -159,7 +159,7 @@ proptest! {
     }
 
     #[test]
-    fn score_docs_matches_exhaustive_accumulation(
+    fn fused_base_scores_match_exhaustive_accumulation(
         doc_words in vocab_strategy(VOCAB, 20, 30),
         query_words in proptest::collection::vec(proptest::sample::select(VOCAB.to_vec()), 1..5),
         k in 1usize..12,
@@ -179,7 +179,7 @@ proptest! {
                 prop_assert_eq!(
                     s.to_bits(),
                     expect.to_bits(),
-                    "score_docs mismatch for doc {} on {:?}", d, &query
+                    "base score mismatch for doc {} on {:?}", d, &query
                 );
             }
         }

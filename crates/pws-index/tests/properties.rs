@@ -166,7 +166,7 @@ proptest! {
 
     /// The fused scan's base score agrees with search on every returned hit.
     #[test]
-    fn score_docs_consistent(bodies in corpus(), q in word()) {
+    fn fused_base_scores_consistent(bodies in corpus(), q in word()) {
         let e = build(&bodies);
         let hits = e.search(q, bodies.len() + 5);
         let ids: Vec<u32> = hits.iter().map(|h| h.doc).collect();

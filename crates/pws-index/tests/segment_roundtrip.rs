@@ -123,7 +123,7 @@ proptest! {
         let got = base_scores(&seg, &query, &asked);
         let want = base_scores(&engine, &query, &asked);
         for (d, (g, w)) in asked.iter().zip(got.iter().zip(&want)) {
-            prop_assert_eq!(g.to_bits(), w.to_bits(), "score_docs mismatch doc {} ({})", d, &ctx);
+            prop_assert_eq!(g.to_bits(), w.to_bits(), "base score mismatch doc {} ({})", d, &ctx);
         }
     }
 

@@ -150,7 +150,7 @@ impl ContentProfile {
                 *self.weights.entry(term.clone()).or_insert(0.0) += strength * disc;
                 // Concept-graph expansion.
                 if cfg.graph_damping > 0.0 {
-                    for (cj, mass) in onto.graph.spread(ci, strength * disc, cfg.graph_damping) {
+                    for (cj, mass) in onto.spread(ci, strength * disc, cfg.graph_damping) {
                         let t = &onto.content[cj].term;
                         *self.weights.entry(t.clone()).or_insert(0.0) += mass;
                     }

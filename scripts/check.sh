@@ -218,6 +218,18 @@ if only_in_fn 'format!(' 'concept_name' crates/pws-concepts/src/content.rs | gre
     exit 1
 fi
 
+echo "==> graph-on-demand gate (no search builds the concept graph)"
+# A QueryConceptOntology keeps its concepts' snippet-incidence rows; a
+# click reads its concepts' neighbours off them (QueryConceptOntology::spread),
+# and only QueryConceptOntology::graph builds the whole graph
+# (ConceptGraph::from_incidence), for callers that ask for it. #[cfg(test)]
+# modules are exempt.
+if only_in_fn 'from_incidence(' 'graph' crates/pws-concepts/src/*.rs \
+    | grep -v 'fn from_incidence(' | grep .; then
+    echo "FAIL: the concept graph built outside QueryConceptOntology::graph — spread off the rows"
+    exit 1
+fi
+
 echo "==> one-vocabulary gate (one term table, read by id, with no lock)"
 # The index's TermTable is the one vocabulary: ranking, snippet marking,
 # re-scoring and the retrieval cache take a query as its ids, analysed
